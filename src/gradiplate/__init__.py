@@ -36,6 +36,7 @@ from .propagator import (
     FieldValues,
     ModeState,
     SpectralState,
+    Trajectory,
     TrajectorySample,
     energy_balance_report,
     energy_of,
@@ -79,9 +80,11 @@ from .functionals import (
     BackwardIdentityReport,
     ConvexityReport,
     ConvexityState,
+    ConvexityTrajectory,
     GronwallReport,
     InstabilityReport,
     LyapunovSample,
+    LyapunovSeries,
     PhiSolution,
     choose_weight_shift,
     convexity_residual_check,

@@ -101,6 +101,11 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return cfg.dt * np.arange(n + 1)
 
 
+def _columns_to_rows(*columns: np.ndarray) -> list[tuple]:
+    """CSV rows from equally long 1-D columns."""
+    return list(zip(*(col.tolist() for col in columns)))
+
+
 def _threads_from_env() -> int:
     raw = os.environ.get("GRADIPLATE_THREADS")
     if raw is None:
@@ -123,8 +128,7 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
     trajectory = evolve(cfg.params, cfg.initial_state(), times, Direction.FORWARD)
     report = energy_balance_report(trajectory, Direction.FORWARD)
 
-    e = np.array([s.energy.total for s in trajectory])
-    d = np.array([s.energy.dissipation_rate for s in trajectory])
+    e, d = trajectory.total, trajectory.dissipation
     # the check normalizes by the trajectory scale so unstable runs are not
     # judged against quadrature error amplified far beyond E(0)
     scale = max(report.denominator, float(np.max(np.abs(e))))
@@ -140,18 +144,10 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
         slack = 1e-12 * scale
         checks.append(Check("energy_monotone", max_increase <= slack, max_increase, slack))
 
-    rows = [
-        (
-            s.t,
-            s.energy.total,
-            s.energy.kinetic,
-            s.energy.bending,
-            s.energy.thermal,
-            s.energy.dissipation_rate,
-            report.residuals[k],
-        )
-        for k, s in enumerate(trajectory)
-    ]
+    rows = _columns_to_rows(
+        trajectory.t, e, trajectory.kinetic, trajectory.bending, trajectory.thermal, d,
+        report.residuals,
+    )
     return RunOutput(
         csv_name="simulate.csv",
         header=["t", "E", "kinetic", "bending", "thermal", "D", "energy_balance_residual"],
@@ -191,7 +187,7 @@ def _run_resolvent_scan(cfg: RunConfig) -> RunOutput:
         Check("norms_finite", bool(np.all(np.isfinite(scan.norms))), float(np.max(scan.norms)), float("inf")),
         Check("omega_sign_symmetry", sym_gap <= 1e-10, sym_gap, 1e-10),
     ]
-    rows = list(zip(scan.omegas.tolist(), scan.norms.tolist()))
+    rows = _columns_to_rows(scan.omegas, scan.norms)
     return RunOutput(
         csv_name="resolvent_scan.csv",
         header=["omega", "resolvent_norm"],
@@ -313,26 +309,30 @@ def _run_spectrum(cfg: RunConfig) -> RunOutput:
 def _run_backward(cfg: RunConfig) -> RunOutput:
     times = _time_grid(cfg)
     trajectory = evolve(cfg.params, cfg.initial_state(), times, Direction.BACKWARD)
-    identities = verify_backward_identities(cfg.params, trajectory, Direction.BACKWARD)
-    gronwall = gronwall_check(cfg.params, trajectory, cfg.epsilon)
+    # L1 and L2 do not depend on epsilon: one series serves every check
+    series = lyapunov_series(cfg.params, trajectory, cfg.epsilon)
+    identities = verify_backward_identities(
+        cfg.params, trajectory, Direction.BACKWARD, series=series
+    )
+    gronwall = gronwall_check(cfg.params, trajectory, cfg.epsilon, series=series)
     balance = energy_balance_report(trajectory, Direction.BACKWARD)
 
     # second-order finite differences: residual ~ (2*rate)^2 dt^2 / 6,
     # with the rate taken over the modes that actually carry data
+    active = np.any(trajectory.x[:, :, 0] != 0.0, axis=1)
     active_rates = [
         max(
             cfg.params.heat_weight(m.lam) / cfg.params.a,
             abs(cfg.params.c / cfg.params.rho) ** 0.5 * m.lam,
         )
-        for m, s in trajectory[0].state.modes
-        if (s.u, s.v, s.theta) != (0.0, 0.0, 0.0)
+        for m, on in zip(trajectory.modes, active)
+        if on
     ]
     rate = max(active_rates, default=0.0)
     fd_tol = 10.0 * (2.0 * rate) ** 2 * cfg.dt**2 / 6.0
 
     # normalize the reversed energy identity by the grown trajectory scale
-    e = np.array([s.energy.total for s in trajectory])
-    scale = max(balance.denominator, float(np.max(np.abs(e))))
+    scale = max(balance.denominator, float(np.max(np.abs(trajectory.total))))
     balance_scaled = float(np.max(np.abs(balance.residuals)) * balance.denominator / scale)
     checks = [
         Check("identity_residual", identities.max_rel_residual <= fd_tol, identities.max_rel_residual, fd_tol),
@@ -348,25 +348,17 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
     elif gronwall.k_star is not None:
         checks.append(Check("k_star_finite", bool(np.isfinite(gronwall.k_star)), gronwall.k_star, float("inf")))
 
-    series = lyapunov_series(cfg.params, trajectory, cfg.epsilon)
-    interior = {t: k for k, t in enumerate(identities.t)}
-    rows = []
-    for k, s in enumerate(series):
-        j = interior.get(s.t)
-        if j is None:
-            continue
-        rows.append(
-            (
-                s.t,
-                s.l1,
-                s.l2,
-                s.l,
-                identities.dl1_fd[j],
-                identities.dl1_analytic[j],
-                identities.dl2_fd[j],
-                identities.dl2_analytic[j],
-            )
-        )
+    # the finite differences exist at the interior samples only
+    rows = _columns_to_rows(
+        identities.t,
+        series.l1[1:-1],
+        series.l2[1:-1],
+        series.l[1:-1],
+        identities.dl1_fd,
+        identities.dl1_analytic,
+        identities.dl2_fd,
+        identities.dl2_analytic,
+    )
     results = {
         "identity_residual": identities.max_rel_residual,
         "l0": gronwall.l0,
@@ -407,12 +399,15 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
         Check("convexity_inequality", convexity.passed, convexity.min_residual, -convexity.tolerance),
         Check("exponential_lower_bound", bound.holds, bound.min_margin, 0.0),
     ]
-    rows = []
-    for k, s in enumerate(states):
-        lb = bound.bound_coefficient * np.exp(bound.bound_exponent * s.t) - bound.bound_offset
-        rows.append(
-            (s.t, s.f, s.fdot, s.fddot, convexity.residuals[k], lb, s.f - lb)
-        )
+    rows = _columns_to_rows(
+        states.t,
+        states.f,
+        states.fdot,
+        states.fddot,
+        convexity.residuals,
+        bound.lower_bound,
+        states.f - bound.lower_bound,
+    )
     return RunOutput(
         csv_name="instability.csv",
         header=["t", "F", "Fdot", "Fddot", "convexity_residual", "lower_bound", "margin"],
@@ -422,7 +417,7 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
             "e0": e0,
             "omega_const": float(omega_const),
             "t0": float(t0),
-            "nu": states[0].nu,
+            "nu": states.nu,
             "growth_rate": bound.growth_rate,
             "bound_exponent": bound.bound_exponent,
         },
@@ -451,14 +446,7 @@ def _run_quasistatic(cfg: RunConfig) -> RunOutput:
             Check("decay_rate_fit", report.fit_rel_residual <= 1e-6, report.fit_rel_residual, 1e-6),
         )
     envelope = report.k_measured * np.exp(-2.0 * report.rate1 * report.t) * theta0_l2
-    rows = list(
-        zip(
-            report.t.tolist(),
-            report.theta_l2_sq.tolist(),
-            report.h2_seminorm.tolist(),
-            envelope.tolist(),
-        )
-    )
+    rows = _columns_to_rows(report.t, report.theta_l2_sq, report.h2_seminorm, envelope)
     return RunOutput(
         csv_name="quasistatic.csv",
         header=["t", "theta_l2_sq", "u_h2_seminorm", "envelope"],

@@ -48,15 +48,15 @@ numerical search (choose_weight_shift).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._quadrature import cumulative_integral
 from .errors import EpsilonOutOfRange, InsufficientSamples, PreconditionUnmet
 from .model import Direction, ModelParams
-from .propagator import SpectralState, TrajectorySample
+from .propagator import SampleArrays, SpectralState, Trajectory
 
 # coefficient of E(0) in the closed form of F''; the Schwarz argument needs
 # only F'' >= 4K + 4*int(D) - 4E(0) + 2*omega, which holds with equality
@@ -74,6 +74,39 @@ def _arrays(state: SpectralState) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return lams, x[0], x[1], x[2]
 
 
+def _sample_rows(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, v, theta as contiguous (samples, modes) arrays.
+
+    Summing these over the last axis reduces each sample's mode vector
+    exactly as a sum over that one sample's 1-D coefficient array does, so
+    the vectorized functionals match their per-sample forms bit for bit.
+    """
+    if np.iscomplexobj(trajectory.x):
+        raise ValueError("functional diagnostics expect real states")
+    return tuple(np.ascontiguousarray(trajectory.x[:, i, :].T) for i in range(3))
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
+
+
+def _lagrange_forms(
+    params: ModelParams,
+    epsilon: float,
+    lams: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    th: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L1, L2 and L2 + epsilon*L1, summed over the last (mode) axis."""
+    mech = params.rho * np.sum(v**2, axis=-1) + params.c * np.sum(lams**2 * u**2, axis=-1)
+    thermal = params.a * np.sum(th**2, axis=-1)
+    l1 = 0.5 * (mech + thermal)
+    l2 = 0.5 * (mech - thermal)
+    return l1, l2, l2 + epsilon * l1
+
+
 @dataclass(frozen=True)
 class LyapunovSample:
     """L1, L2 and the mixture L = L2 + epsilon*L1 at one time."""
@@ -88,22 +121,35 @@ class LyapunovSample:
 def lagrange_functionals(
     params: ModelParams, state: SpectralState, epsilon: float, t: float = 0.0
 ) -> LyapunovSample:
-    if not 0.0 < epsilon < 1.0:
-        raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
-    lams, u, v, th = _arrays(state)
-    mech = params.rho * np.sum(v**2) + params.c * np.sum(lams**2 * u**2)
-    thermal = params.a * np.sum(th**2)
-    l1 = 0.5 * float(mech + thermal)
-    l2 = 0.5 * float(mech - thermal)
-    return LyapunovSample(t=t, l1=l1, l2=l2, l=l2 + epsilon * l1, epsilon=epsilon)
+    _check_epsilon(epsilon)
+    l1, l2, l = _lagrange_forms(params, epsilon, *_arrays(state))
+    return LyapunovSample(t=t, l1=float(l1), l2=float(l2), l=float(l), epsilon=epsilon)
+
+
+@dataclass(frozen=True, eq=False)
+class LyapunovSeries(SampleArrays):
+    """L1, L2 and L = L2 + epsilon*L1 along a trajectory, one entry per
+    sample; indexing yields LyapunovSample values."""
+
+    t: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    l: np.ndarray
+    epsilon: float
+
+    def _sample(self, k: int) -> LyapunovSample:
+        return LyapunovSample(
+            *(float(col[k]) for col in (self.t, self.l1, self.l2, self.l)), self.epsilon
+        )
 
 
 def lyapunov_series(
-    params: ModelParams, trajectory: Sequence[TrajectorySample], epsilon: float
-) -> list[LyapunovSample]:
-    return [
-        lagrange_functionals(params, s.state, epsilon, t=s.t) for s in trajectory
-    ]
+    params: ModelParams, trajectory: Trajectory, epsilon: float
+) -> LyapunovSeries:
+    """lagrange_functionals at every sample, vectorized."""
+    _check_epsilon(epsilon)
+    forms = _lagrange_forms(params, epsilon, trajectory.lams, *_sample_rows(trajectory))
+    return LyapunovSeries(trajectory.t, *forms, epsilon)
 
 
 @dataclass(frozen=True)
@@ -122,34 +168,23 @@ class BackwardIdentityReport:
     max_rel_residual: float
 
 
-def _analytic_rhs(
-    params: ModelParams, sample: TrajectorySample, direction: Direction
-) -> tuple[float, float]:
-    lams, u, v, th = _arrays(sample.state)
-    w = params.b * lams + params.d * lams**2
-    diss = float(np.sum(w * th**2))
-    cross = float(2.0 * params.eta * np.sum(lams * v * th))
-    if direction is Direction.BACKWARD:
-        return diss, -diss - cross
-    return -diss, diss - cross
-
-
 def verify_backward_identities(
     params: ModelParams,
-    trajectory: Sequence[TrajectorySample],
+    trajectory: Trajectory,
     direction: Direction = Direction.BACKWARD,
+    series: LyapunovSeries | None = None,
 ) -> BackwardIdentityReport:
     """Compare d(L1)/dt, d(L2)/dt finite differences with the closed forms.
 
     Works for either orientation; the forward identities carry the
-    opposite dissipation sign.
+    opposite dissipation sign.  L1 and L2 do not depend on epsilon, so a
+    `series` already computed for this trajectory can be passed in.
     """
     if len(trajectory) < 3:
         raise InsufficientSamples("identity check needs at least 3 samples")
-    series = lyapunov_series(params, trajectory, epsilon=0.5)
-    t = np.array([s.t for s in series])
-    l1 = np.array([s.l1 for s in series])
-    l2 = np.array([s.l2 for s in series])
+    if series is None:
+        series = lyapunov_series(params, trajectory, epsilon=0.5)
+    t, l1, l2 = series.t, series.l1, series.l2
 
     # centered three-point derivative, valid on non-uniform grids
     h1 = t[1:-1] - t[:-2]
@@ -163,9 +198,14 @@ def verify_backward_identities(
 
     dl1_fd = center(l1)
     dl2_fd = center(l2)
-    rhs = [_analytic_rhs(params, s, direction) for s in trajectory[1:-1]]
-    dl1_an = np.array([r[0] for r in rhs])
-    dl2_an = np.array([r[1] for r in rhs])
+    lams = trajectory.lams
+    _, v, th = (rows[1:-1] for rows in _sample_rows(trajectory))
+    diss = np.sum(params.heat_weight(lams) * th**2, axis=1)
+    cross = 2.0 * params.eta * np.sum(lams * v * th, axis=1)
+    if direction is Direction.BACKWARD:
+        dl1_an, dl2_an = diss, -diss - cross
+    else:
+        dl1_an, dl2_an = -diss, diss - cross
     scale = max(np.max(np.abs(dl1_an), initial=0.0), np.max(np.abs(dl2_an), initial=0.0), 1e-300)
     resid = max(
         np.max(np.abs(dl1_fd - dl1_an), initial=0.0),
@@ -197,11 +237,18 @@ class GronwallReport:
 
 
 def gronwall_check(
-    params: ModelParams, trajectory: Sequence[TrajectorySample], epsilon: float
+    params: ModelParams,
+    trajectory: Trajectory,
+    epsilon: float,
+    series: LyapunovSeries | None = None,
 ) -> GronwallReport:
-    series = lyapunov_series(params, trajectory, epsilon)
-    l = np.array([s.l for s in series])
-    t = np.array([s.t for s in series])
+    """Gronwall bound of L = L2 + epsilon*L1; `series`, when given, must
+    have been computed for this trajectory with the same epsilon."""
+    if series is None:
+        series = lyapunov_series(params, trajectory, epsilon)
+    elif series.epsilon != epsilon:
+        raise ValueError(f"series has epsilon {series.epsilon}, expected {epsilon}")
+    l, t = series.l, series.t
     l0 = float(l[0])
     max_abs = float(np.max(np.abs(l)))
     if l0 == 0.0:
@@ -226,7 +273,13 @@ class PhiSolution:
 
 def phi_coefficients(params: ModelParams, initial_state: SpectralState) -> PhiSolution:
     lams, u, _, th = _arrays(initial_state)
-    w = params.b * lams + params.d * lams**2
+    return _phi_solution(params, lams, u, th)
+
+
+def _phi_solution(
+    params: ModelParams, lams: np.ndarray, u: np.ndarray, th: np.ndarray
+) -> PhiSolution:
+    w = params.heat_weight(lams)
     rhs = params.a * th - params.eta * lams * u
     phi = -rhs / w if lams.size else np.zeros(0)
     residual = np.abs(-w * phi - rhs)
@@ -252,12 +305,33 @@ class ConvexityState:
     phi: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class ConvexityTrajectory(SampleArrays):
+    """F, F' and F'' along a trajectory, one entry per sample; indexing
+    yields ConvexityState values."""
+
+    t: np.ndarray
+    f: np.ndarray
+    fdot: np.ndarray
+    fddot: np.ndarray
+    nu: float
+    omega_const: float
+    t0: float
+    phi: np.ndarray
+
+    def _sample(self, k: int) -> ConvexityState:
+        return ConvexityState(
+            *(float(col[k]) for col in (self.t, self.f, self.fdot, self.fddot)),
+            self.nu, self.omega_const, self.t0, self.phi,
+        )
+
+
 def convexity_trajectory(
     params: ModelParams,
-    trajectory: Sequence[TrajectorySample],
+    trajectory: Trajectory,
     omega_const: float,
     t0: float,
-) -> list[ConvexityState]:
+) -> ConvexityTrajectory:
     """Evaluate F, F', F'' along a forward trajectory.
 
     The running integrals (alpha_n = int theta_n and the Psi and
@@ -271,28 +345,22 @@ def convexity_trajectory(
         raise ValueError("omega_const and t0 must be nonnegative")
     if len(trajectory) < 3:
         raise InsufficientSamples("convexity functional needs at least 3 samples")
+    if np.iscomplexobj(trajectory.x):
+        raise ValueError("functional diagnostics expect real states")
 
-    t = np.array([s.t for s in trajectory])
-    lam_list, u0, _, _ = _arrays(trajectory[0].state)
-    n_modes = lam_list.size
-    u = np.empty((n_modes, t.size))
-    v = np.empty((n_modes, t.size))
-    th = np.empty((n_modes, t.size))
-    for k, sample in enumerate(trajectory):
-        _, uk, vk, tk = _arrays(sample.state)
-        u[:, k], v[:, k], th[:, k] = uk, vk, tk
+    t, lams = trajectory.t, trajectory.lams
+    u, v, th = trajectory.x[:, 0, :], trajectory.x[:, 1, :], trajectory.x[:, 2, :]
+    w = params.heat_weight(lams)
+    sol = _phi_solution(params, lams, u[:, 0], th[:, 0])
 
-    w = params.b * lam_list + params.d * lam_list**2
-    sol = phi_coefficients(params, trajectory[0].state)
-
-    alpha = np.stack([cumulative_integral(th[i], t) for i in range(n_modes)]) if n_modes else np.zeros((0, t.size))
+    alpha = np.stack([cumulative_integral(row, t) for row in th]) if lams.size else np.zeros((0, t.size))
     psi = alpha + sol.phi[:, None]
     s_now = np.sum(w[:, None] * psi**2, axis=0)
     q_int = cumulative_integral(s_now, t)
     d_now = np.sum(w[:, None] * th**2, axis=0)
     d_int = cumulative_integral(d_now, t)
 
-    e0 = trajectory[0].energy.total
+    e0 = trajectory.total[0]
     shifted = t + t0
     f = params.rho * np.sum(u**2, axis=0) + q_int + omega_const * shifted**2
     fdot = (
@@ -307,19 +375,20 @@ def convexity_trajectory(
         - FDDOT_E0_COEFFICIENT * e0
         + 2.0 * omega_const
     )
-    return [
-        ConvexityState(
-            t=float(t[k]),
-            f=float(f[k]),
-            fdot=float(fdot[k]),
-            fddot=float(fddot[k]),
-            nu=sol.nu,
-            omega_const=omega_const,
-            t0=t0,
-            phi=sol.phi,
-        )
-        for k in range(t.size)
-    ]
+    return ConvexityTrajectory(t, f, fdot, fddot, sol.nu, omega_const, t0, sol.phi)
+
+
+def _as_convexity_trajectory(
+    states: ConvexityTrajectory | Sequence[ConvexityState],
+) -> ConvexityTrajectory:
+    """Arrays of a ConvexityTrajectory or of a plain list of its samples."""
+    if isinstance(states, ConvexityTrajectory):
+        return states
+    first = states[0]
+    t, f, fdot, fddot = (
+        np.array([getattr(s, name) for s in states]) for name in ("t", "f", "fdot", "fddot")
+    )
+    return ConvexityTrajectory(t, f, fdot, fddot, first.nu, first.omega_const, first.t0, first.phi)
 
 
 @dataclass(frozen=True)
@@ -334,13 +403,12 @@ class ConvexityReport:
 
 
 def convexity_residual_check(
-    states: Sequence[ConvexityState], e0: float
+    states: ConvexityTrajectory | Sequence[ConvexityState], e0: float
 ) -> ConvexityReport:
-    f = np.array([s.f for s in states])
-    fdot = np.array([s.fdot for s in states])
-    fddot = np.array([s.fddot for s in states])
-    nu = states[0].nu
-    omega = states[0].omega_const
+    states = _as_convexity_trajectory(states)
+    f, fdot, fddot = states.f, states.fdot, states.fddot
+    nu = states.nu
+    omega = states.omega_const
     residuals = fddot * f - (fdot - nu) ** 2 + 2.0 * (omega + e0) * f
     scale = max(
         float(np.max(np.abs(fddot * f) + (fdot - nu) ** 2 + 2.0 * abs(omega + e0) * f)),
@@ -359,7 +427,10 @@ def convexity_residual_check(
 
 @dataclass(frozen=True)
 class InstabilityReport:
-    """Pointwise check of the exponential lower bound on F."""
+    """Pointwise check of the exponential lower bound on F.
+
+    lower_bound holds C exp(m t) - B at every sample time.
+    """
 
     holds: bool
     min_margin: float
@@ -368,10 +439,11 @@ class InstabilityReport:
     bound_offset: float
     growth_rate: float
     growth_window: tuple[float, float]
+    lower_bound: np.ndarray
 
 
 def instability_lower_bound(
-    states: Sequence[ConvexityState],
+    states: ConvexityTrajectory | Sequence[ConvexityState],
     e0: float,
     growth_window: tuple[float, float] | None = None,
 ) -> InstabilityReport:
@@ -382,9 +454,10 @@ def instability_lower_bound(
     late-window slope of log F, the amplitude-equivalent convention, fitted
     on `growth_window` (default: the last quarter of the samples).
     """
-    f0 = states[0].f
-    fdot0 = states[0].fdot
-    nu = states[0].nu
+    states = _as_convexity_trajectory(states)
+    f0 = float(states.f[0])
+    fdot0 = float(states.fdot[0])
+    nu = states.nu
     zero_tol = 1e-12 * max(1.0, abs(f0))
     if not (e0 < 0 or (abs(e0) <= zero_tol and fdot0 > 0)):
         raise PreconditionUnmet("E(0) < 0 or (E(0) = 0 and Fdot(0) > 0)")
@@ -396,8 +469,7 @@ def instability_lower_bound(
     m = (fdot0 - 2.0 * nu) / f0
     coeff = fdot0 * f0 / (fdot0 - 2.0 * nu)
     offset = 2.0 * nu * f0 / (fdot0 - 2.0 * nu)
-    t = np.array([s.t for s in states])
-    f = np.array([s.f for s in states])
+    t, f = states.t, states.f
     bound = coeff * np.exp(m * t) - offset
     margin = f - bound
     min_margin = float(np.min(margin / np.maximum(np.abs(bound), 1.0)))
@@ -418,6 +490,7 @@ def instability_lower_bound(
         bound_offset=float(offset),
         growth_rate=float(slope / 2.0),
         growth_window=(lo, hi),
+        lower_bound=bound,
     )
 
 

@@ -100,8 +100,8 @@ class ModelParams:
         values.update(overrides)
         return cls(**values)
 
-    def heat_weight(self, lam: float) -> float:
-        """Dissipation weight b*lam + d*lam^2 of one mode."""
+    def heat_weight(self, lam: float | np.ndarray) -> float | np.ndarray:
+        """Dissipation weight b*lam + d*lam^2 of one mode (or of each lam)."""
         return self.b * lam + self.d * lam * lam
 
 

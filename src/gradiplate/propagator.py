@@ -14,13 +14,18 @@ Energy along a trajectory:
 
 Forward in time E(t) + int_0^t D ds = E(0); under the time-reversed heat
 terms the identity holds with the sign of the integral flipped.
+
+`evolve` returns a `Trajectory` of arrays: the coefficients
+x[mode, (u, v, theta), sample] and the columns of E (kinetic, bending,
+thermal, total) and D, one value per sample.  Indexing it builds a
+`TrajectorySample` view of that one sample on demand.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -151,7 +156,7 @@ def energy_of(params: ModelParams, state: SpectralState) -> EnergyBreakdown:
     kinetic = 0.5 * params.rho * float(np.sum(v2))
     bending = 0.5 * params.c * float(np.sum(lams**2 * u2))
     thermal = 0.5 * params.a * float(np.sum(th2))
-    dissipation = float(np.sum((params.b * lams + params.d * lams**2) * th2))
+    dissipation = float(np.sum(params.heat_weight(lams) * th2))
     return EnergyBreakdown(kinetic, bending, thermal, kinetic + bending + thermal, dissipation)
 
 
@@ -160,6 +165,54 @@ class TrajectorySample:
     t: float
     state: SpectralState
     energy: EnergyBreakdown
+
+
+class SampleArrays(Sequence):
+    """Read-only sequence over per-sample arrays (`t` and others).
+
+    Items are built by `_sample(k)` only when indexed; slices give lists.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._sample(i) for i in range(len(self))[k]]
+        return self._sample(range(len(self))[k])
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(SampleArrays):
+    """Exact trajectory on a time grid, held as arrays.
+
+    x has shape (modes, 3, samples) with rows u, v, theta; lams and modes
+    follow the initial state's order.  The energy columns (see the module
+    docstring) have one entry per sample.
+    """
+
+    domain: SpectralDomain
+    modes: tuple[Mode, ...]
+    t: np.ndarray
+    lams: np.ndarray
+    x: np.ndarray
+    kinetic: np.ndarray
+    bending: np.ndarray
+    thermal: np.ndarray
+    total: np.ndarray
+    dissipation: np.ndarray
+
+    def _sample(self, k: int) -> TrajectorySample:
+        pairs = tuple(
+            (mode, ModeState(*self.x[i, :, k])) for i, mode in enumerate(self.modes)
+        )
+        columns = (self.kinetic, self.bending, self.thermal, self.total, self.dissipation)
+        energy = EnergyBreakdown(*(float(col[k]) for col in columns))
+        return TrajectorySample(
+            float(self.t[k]), SpectralState._trusted(self.domain, pairs), energy
+        )
 
 
 def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
@@ -200,7 +253,7 @@ def _mode_trajectory(m: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.nda
             term = np.exp(np.outer(w, times)) * coeff[:, None]
             term[coeff == 0.0, :] = 0.0  # inf * 0 must stay exactly zero
             out = vecs @ term
-        if times[0] == 0.0:
+        if times.size and times[0] == 0.0:
             out[:, 0] = x0  # keep the initial sample exact
     else:
         # stepwise Pade exponentials; one expm per distinct increment
@@ -226,66 +279,55 @@ def evolve(
     initial: SpectralState,
     times: Sequence[float],
     direction: Direction = Direction.FORWARD,
-) -> list[TrajectorySample]:
+) -> Trajectory:
     """Exact trajectory of the truncated system at the requested times.
 
     `times` must start at 0 and increase strictly.  Per-mode evolution is
-    independent (data-parallel by contract); samples carry the energy
-    breakdown, computed vectorized over the whole trajectory.  Overflow
-    raises NonFiniteResult tagged with the first offending time.
+    independent (data-parallel by contract); the energy breakdown is
+    computed vectorized over the whole trajectory.  Overflow raises
+    NonFiniteResult tagged with the first offending time.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return []
-    if times[0] != 0.0:
+    times = np.array(times, dtype=float)
+    if times.size and times[0] != 0.0:
         raise ValueError("times must start at 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must increase strictly")
 
-    n_modes = len(initial.modes)
-    per_mode = []
-    for mode, mstate in initial.modes:
-        m = mode_matrix(params, mode.lam, direction).entries
-        per_mode.append(_mode_trajectory(m, mstate.as_array(), times))
-    x = (
-        np.stack(per_mode)
-        if per_mode
-        else np.zeros((0, 3, times.size))
-    )  # (modes, component, time)
+    modes = tuple(mode for mode, _ in initial.modes)
+    per_mode = [
+        _mode_trajectory(
+            mode_matrix(params, mode.lam, direction).entries, mstate.as_array(), times
+        )
+        for mode, mstate in initial.modes
+    ]
+    # (modes, component, time)
+    x = np.stack(per_mode) if per_mode else np.zeros((0, 3, times.size))
 
     finite = np.all(np.isfinite(x), axis=(0, 1))
     if not np.all(finite):
         t_bad = float(times[int(np.argmin(finite))])
         raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
 
-    lams = np.array([mode.lam for mode, _ in initial.modes])
-    u2 = np.abs(x[:, 0, :]) ** 2 if n_modes else np.zeros((0, times.size))
-    v2 = np.abs(x[:, 1, :]) ** 2 if n_modes else np.zeros((0, times.size))
-    th2 = np.abs(x[:, 2, :]) ** 2 if n_modes else np.zeros((0, times.size))
+    lams = np.array([mode.lam for mode in modes])
+    u2 = np.abs(x[:, 0, :]) ** 2
+    v2 = np.abs(x[:, 1, :]) ** 2
+    th2 = np.abs(x[:, 2, :]) ** 2
     kinetic = 0.5 * params.rho * np.sum(v2, axis=0)
     bending = 0.5 * params.c * np.sum(lams[:, None] ** 2 * u2, axis=0)
     thermal = 0.5 * params.a * np.sum(th2, axis=0)
-    total = kinetic + bending + thermal
-    weights = params.b * lams + params.d * lams**2
-    dissipation = np.sum(weights[:, None] * th2, axis=0)
-
-    mode_objs = [mode for mode, _ in initial.modes]
-    samples = []
-    for k in range(times.size):
-        pairs = tuple(
-            (mode_objs[i], ModeState(x[i, 0, k], x[i, 1, k], x[i, 2, k]))
-            for i in range(n_modes)
-        )
-        state = SpectralState._trusted(initial.domain, pairs)
-        energy = EnergyBreakdown(
-            float(kinetic[k]),
-            float(bending[k]),
-            float(thermal[k]),
-            float(total[k]),
-            float(dissipation[k]),
-        )
-        samples.append(TrajectorySample(float(times[k]), state, energy))
-    return samples
+    dissipation = np.sum(params.heat_weight(lams)[:, None] * th2, axis=0)
+    return Trajectory(
+        domain=initial.domain,
+        modes=modes,
+        t=times,
+        lams=lams,
+        x=x,
+        kinetic=kinetic,
+        bending=bending,
+        thermal=thermal,
+        total=kinetic + bending + thermal,
+        dissipation=dissipation,
+    )
 
 
 @dataclass(frozen=True)
@@ -304,15 +346,13 @@ class EnergyBalanceReport:
 
 
 def energy_balance_report(
-    trajectory: Sequence[TrajectorySample],
+    trajectory: Trajectory,
     direction: Direction = Direction.FORWARD,
 ) -> EnergyBalanceReport:
     if len(trajectory) < 3:
         raise InsufficientSamples("energy balance needs at least 3 samples")
-    t = np.array([s.t for s in trajectory])
-    e = np.array([s.energy.total for s in trajectory])
-    d = np.array([s.energy.dissipation_rate for s in trajectory])
-    integral = cumulative_integral(d, t)
+    t, e = trajectory.t, trajectory.total
+    integral = cumulative_integral(trajectory.dissipation, t)
     sign = 1.0 if direction is Direction.FORWARD else -1.0
     e0 = e[0]
     denom = max(abs(e0), ENERGY_FLOOR)

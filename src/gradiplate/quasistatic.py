@@ -92,7 +92,7 @@ def evolve_theta(qparams: QuasiParams, theta0: Sequence[float], t: float) -> Qua
     ns = np.arange(1, n + 1)
     lams = (ns * math.pi / qparams.length) ** 2
     p = qparams.params
-    rates = (p.b * lams + p.d * lams**2) / qparams.a_eff
+    rates = p.heat_weight(lams) / qparams.a_eff
     theta = theta0 * np.exp(-rates * t)
     u = -p.eta * theta / (p.c * lams)
     return QuasiState(t=float(t), lams=lams, theta=theta, u=u)

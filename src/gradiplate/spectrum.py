@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, NonDecreasingEnergy, NonPositiveEnergy
 from .model import ModelParams, SpectralDomain, enumerate_modes
-from .propagator import TrajectorySample
+from .propagator import Trajectory
 
 THREE_REAL = "three real"
 REAL_PLUS_PAIR = "one real + complex pair"
@@ -216,17 +216,14 @@ class DecayFit:
     n_samples: int
 
 
-def fit_decay(
-    trajectory: Sequence[TrajectorySample], t_min: float = 5.0
-) -> DecayFit:
+def fit_decay(trajectory: Trajectory, t_min: float = 5.0) -> DecayFit:
     """Fit the decay rate of total energy on the window t >= t_min.
 
     The default window discards the multi-exponential transient; the tail
     of a stable trajectory is log-linear.  Energies on the window must be
     strictly positive and strictly decreasing.
     """
-    t = np.array([s.t for s in trajectory])
-    e = np.array([s.energy.total for s in trajectory])
+    t, e = trajectory.t, trajectory.total
     mask = t >= t_min
     t, e = t[mask], e[mask]
     if t.size < 10:

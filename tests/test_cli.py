@@ -1,6 +1,8 @@
 import os
 
+from gradiplate import cli, functionals, propagator
 from gradiplate.cli import main
+from gradiplate.functionals import lyapunov_series
 
 PI = "3.141592653589793"
 
@@ -207,6 +209,32 @@ class TestOtherSubcommands:
         )
         assert main(["quasistatic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "DegenerateCapacity" in capsys.readouterr().err
+
+
+class TestNoPerSampleObjects:
+    """Guards on work counts, not timings: trajectories stay arrays."""
+
+    def test_simulate_builds_mode_states_only_for_initial_data(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            propagator.ModeState, "__post_init__", lambda self: built.append(self)
+        )
+        cfg = simulate_config(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(built) <= 4  # mode_count; 1001 samples would make 4004
+
+    def test_backward_computes_lyapunov_series_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lyapunov_series(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "lyapunov_series", counted)
+        monkeypatch.setattr(functionals, "lyapunov_series", counted)
+        cfg = simulate_config(tmp_path, mode_count="2", initial="thermal-pulse")
+        assert main(["backward", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
 
 class TestParamsOverride:

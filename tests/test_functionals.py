@@ -113,6 +113,53 @@ class TestBackwardIdentities:
             verify_backward_identities(unit_params, traj)
 
 
+class TestVectorizedFunctionals:
+    """The array forms reproduce the per-sample forms exactly (no tolerance)."""
+
+    @pytest.fixture(params=[Direction.FORWARD, Direction.BACKWARD])
+    def case(self, request, unit_params, pi_interval):
+        rng = np.random.default_rng(11)
+        init = state_from_coefficients(
+            pi_interval, 8, u=rng.standard_normal(8), v=rng.standard_normal(8),
+            theta=rng.standard_normal(8),
+        )
+        params = ModelParams(1.3, 0.7, 0.4, 2.1, 0.3, -0.9)
+        return params, evolve(params, init, 1e-4 * np.arange(101), request.param), request.param
+
+    def test_lyapunov_series_matches_lagrange_functionals(self, case):
+        params, traj, _ = case
+        series = lyapunov_series(params, traj, 0.3)
+        assert len(series) == len(traj)
+        for k, sample in enumerate(traj):
+            ref = lagrange_functionals(params, sample.state, 0.3, t=sample.t)
+            assert series[k] == ref
+            assert (series.l1[k], series.l2[k], series.l[k]) == (ref.l1, ref.l2, ref.l)
+
+    def test_identity_right_hand_sides_match_per_sample_forms(self, case):
+        params, traj, direction = case
+        report = verify_backward_identities(params, traj, direction)
+        for j, sample in enumerate(traj[1:-1]):
+            lams, (u, v, th) = sample.state.coefficient_arrays()
+            diss = float(np.sum(params.heat_weight(lams) * th**2))
+            cross = float(2.0 * params.eta * np.sum(lams * v * th))
+            if direction is Direction.BACKWARD:
+                expected = (diss, -diss - cross)
+            else:
+                expected = (-diss, diss - cross)
+            assert (report.dl1_analytic[j], report.dl2_analytic[j]) == expected
+
+    def test_shared_series_gives_identical_reports(self, case):
+        params, traj, direction = case
+        series = lyapunov_series(params, traj, 0.7)
+        shared = verify_backward_identities(params, traj, direction, series=series)
+        own = verify_backward_identities(params, traj, direction)
+        assert np.array_equal(shared.dl1_fd, own.dl1_fd)
+        assert np.array_equal(shared.dl2_fd, own.dl2_fd)
+        assert gronwall_check(params, traj, 0.7, series=series) == gronwall_check(params, traj, 0.7)
+        with pytest.raises(ValueError):
+            gronwall_check(params, traj, 0.5, series=series)
+
+
 class TestGronwall:
     def test_zero_data_certified(self, unit_params, pi_interval):
         traj = evolve(unit_params, one_mode(pi_interval), 1e-2 * np.arange(101), Direction.BACKWARD)

@@ -165,6 +165,48 @@ class TestEvolve:
         assert np.all(np.isfinite(y))
 
 
+class TestTrajectoryArrays:
+    """evolve returns arrays; indexing builds per-sample views of them."""
+
+    @pytest.fixture(params=[Direction.FORWARD, Direction.BACKWARD])
+    def trajectory(self, request, unit_params, pi_interval):
+        rng = np.random.default_rng(5)
+        init = state_from_coefficients(
+            pi_interval, 8, u=rng.standard_normal(8), v=rng.standard_normal(8),
+            theta=rng.standard_normal(8),
+        )
+        return evolve(unit_params, init, 1e-4 * np.arange(201), request.param)
+
+    def test_samples_view_the_coefficient_array(self, trajectory):
+        assert trajectory.x.shape == (8, 3, 201)
+        assert trajectory.lams.shape == (8,)
+        for k in (0, 100, -1):
+            lams, x = trajectory[k].state.coefficient_arrays()
+            assert np.array_equal(x, trajectory.x[:, :, k].T)
+            assert np.array_equal(lams, trajectory.lams)
+            assert trajectory[k].t == trajectory.t[k]
+            assert trajectory[k].energy.total == trajectory.total[k]
+
+    def test_behaves_as_a_sequence(self, trajectory):
+        assert len(trajectory) == 201
+        assert trajectory[-1].t == trajectory[200].t == trajectory.t[-1]
+        assert trajectory[-201].t == 0.0
+        with pytest.raises(IndexError):
+            trajectory[201]
+        with pytest.raises(IndexError):
+            trajectory[-202]
+        times = [sample.t for sample in trajectory]
+        assert times == trajectory.t.tolist()
+        assert [s.t for s in trajectory[1:4]] == trajectory.t[1:4].tolist()
+
+    def test_energy_columns_match_energy_of(self, unit_params, trajectory):
+        for k in (0, 100, -1):
+            sample = trajectory[k]
+            assert energy_of(unit_params, sample.state).total == pytest.approx(
+                sample.energy.total, rel=1e-14
+            )
+
+
 class TestEnergyBalance:
     def test_zero_trajectory_residual_zero(self, unit_params, pi_interval):
         init = state_from_coefficients(pi_interval, 2)
