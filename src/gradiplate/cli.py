@@ -51,7 +51,7 @@ from .functionals import (
     lyapunov_series,
     verify_backward_identities,
 )
-from .model import Direction, Regime
+from .model import Direction, Regime, enumerate_modes
 from .propagator import energy_balance_report, energy_of, evolve
 from .quasistatic import QuasiParams, quasi_decay_report
 from .resolvent import (
@@ -204,11 +204,14 @@ def _run_resolvent_scan(cfg: RunConfig) -> RunOutput:
 
 
 def _run_nondiff(cfg: RunConfig) -> RunOutput:
+    modes = enumerate_modes(cfg.domain, cfg.n_max)
     points = [
-        nondiff_sequence(cfg.params, cfg.domain, n, cfg.branch)
+        nondiff_sequence(cfg.params, cfg.domain, n, cfg.branch, modes=modes)
         for n in range(1, cfg.n_max + 1)
     ]
-    report = nondiff_limit_check(cfg.params, cfg.domain, cfg.n_max, cfg.branch)
+    report = nondiff_limit_check(
+        cfg.params, cfg.domain, cfg.n_max, cfg.branch, points=points
+    )
     max_alg = max(max(p.alg1_residual, p.alg2_residual) for p in points)
     checks = [
         Check("amplitude_system_residual", max_alg <= 1e-12, max_alg, 1e-12),

@@ -5,7 +5,8 @@ computed from 3x3 matrix exponentials with no time-discretization error.
 Each block is exponentiated through its eigendecomposition; blocks whose
 eigenvector matrix is ill-conditioned (condition number above 1e8, possible
 at isolated parameter/eigenvalue coincidences) fall back to
-scaling-and-squaring Pade exponentials applied stepwise.
+scaling-and-squaring Pade exponentials applied stepwise
+(`scipy.linalg.expm`, imported only on that path).
 
 Energy along a trajectory:
 
@@ -28,7 +29,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._quadrature import cumulative_integral
 from .errors import InsufficientSamples, NonFiniteResult, PointOutsideDomain
@@ -235,6 +235,8 @@ def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
             term[coeff == 0.0] = 0.0  # inf * 0 must stay exactly zero
             x = vecs @ term
         else:
+            import scipy.linalg
+
             x = scipy.linalg.expm(m * dt) @ x0
     if not np.all(np.isfinite(x.view(float))):
         raise NonFiniteResult("mode evolution overflowed", time=dt)
@@ -257,6 +259,8 @@ def _mode_trajectory(m: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.nda
             out[:, 0] = x0  # keep the initial sample exact
     else:
         # stepwise Pade exponentials; one expm per distinct increment
+        import scipy.linalg
+
         out = np.empty((3, times.size), dtype=complex)
         propagators: dict[float, np.ndarray] = {}
         x = x0.astype(complex)

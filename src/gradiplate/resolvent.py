@@ -25,12 +25,14 @@ which the scan exposes as a contrast diagnostic.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularSystem
 from .model import (
+    Mode,
     ModelParams,
     SpectralDomain,
     enumerate_modes,
@@ -239,12 +241,19 @@ class NondiffSequencePoint:
 
 
 def nondiff_sequence(
-    params: ModelParams, domain: SpectralDomain, n: int, branch: int = +1
+    params: ModelParams,
+    domain: SpectralDomain,
+    n: int,
+    branch: int = +1,
+    *,
+    modes: Sequence[Mode] | None = None,
 ) -> NondiffSequencePoint:
     """Closed-form solution of the resonant-drive system for mode n.
 
     branch selects the sign of omega_n = +-sqrt(c/rho) lam_n; the negative
-    branch conjugates p and leaves |v|^2 unchanged.
+    branch conjugates p and leaves |v|^2 unchanged.  `modes`, when given,
+    is `enumerate_modes(domain, N)` for some N >= n, computed once for a
+    whole sequence: its first n entries are `enumerate_modes(domain, n)`.
 
     The amplitude pair (p, q) is normalized so the mass-scaled velocity row
     (the one multiplied through by rho) carries a unit load; driving
@@ -259,7 +268,11 @@ def nondiff_sequence(
         raise ValueError("branch must be +1 or -1")
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    lam = enumerate_modes(domain, n)[-1].lam
+    if modes is None:
+        modes = enumerate_modes(domain, n)
+    elif len(modes) < n:
+        raise ValueError(f"modes holds {len(modes)} modes, need {n}")
+    lam = modes[n - 1].lam
     root = math.sqrt(params.c / params.rho)
     omega = branch * root * lam
     q = 1.0 / (params.eta * lam)
@@ -312,14 +325,24 @@ class NondiffLimitReport:
 
 
 def nondiff_limit_check(
-    params: ModelParams, domain: SpectralDomain, n_max: int, branch: int = +1
+    params: ModelParams,
+    domain: SpectralDomain,
+    n_max: int,
+    branch: int = +1,
+    *,
+    points: Sequence[NondiffSequencePoint] | None = None,
 ) -> NondiffLimitReport:
+    """`points`, when given, must be the sequence terms n = 1..n_max
+    already computed by `nondiff_sequence`."""
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
     ns = np.arange(1, n_max + 1)
-    values = np.array(
-        [nondiff_sequence(params, domain, int(n), branch).norm_v_sq for n in ns]
-    )
+    if points is None:
+        modes = enumerate_modes(domain, n_max)
+        points = [nondiff_sequence(params, domain, int(n), branch, modes=modes) for n in ns]
+    elif [p.n for p in points] != ns.tolist():
+        raise ValueError(f"points must be the terms n = 1..{n_max}")
+    values = np.array([p.norm_v_sq for p in points])
     target = params.d**2 / params.eta**4
     gap = abs(values[-1] - target) / target if target > 0 else math.inf
     return NondiffLimitReport(ns=ns, norm_v_sq=values, target=target, gap_at_end=float(gap))

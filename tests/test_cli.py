@@ -1,6 +1,9 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
-from gradiplate import cli, functionals, propagator
+from gradiplate import cli, functionals, model, propagator, resolvent
 from gradiplate.cli import main
 from gradiplate.functionals import lyapunov_series
 
@@ -235,6 +238,48 @@ class TestNoPerSampleObjects:
         cfg = simulate_config(tmp_path, mode_count="2", initial="thermal-pulse")
         assert main(["backward", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
+
+    def test_nondiff_computes_each_term_once(self, tmp_path, monkeypatch):
+        calls = {"enumerate_modes": 0, "nondiff_sequence": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (cli, model, resolvent):
+            counted(module, "enumerate_modes")
+        counted(cli, "nondiff_sequence")
+        counted(resolvent, "nondiff_sequence")
+        cfg = write_config(
+            tmp_path, "nd.cfg",
+            base_model() + ["domain = interval", f"length = {PI}", "mode_count = 30", "n_max = 30"],
+        )
+        assert main(["nondiff", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"enumerate_modes": 1, "nondiff_sequence": 30}
+
+
+class TestImportFootprint:
+    def test_cli_run_loads_no_scipy(self, tmp_path):
+        """A CLI process never imports scipy (it costs more than the run)."""
+        cfg = simulate_config(tmp_path)
+        script = (
+            "import sys\n"
+            "import gradiplate.cli as cli\n"
+            f"code = cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "assert code == 0, code\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestParamsOverride:

@@ -74,6 +74,21 @@ class TestEnumerateModes:
         with pytest.raises(ValueError):
             enumerate_modes(pi_interval, 0)
 
+    @pytest.mark.parametrize(
+        "domain, count",
+        [
+            (Interval(math.pi), 1000),
+            (Rectangle(math.pi, 2.0), 300),
+            (Rectangle(1.0, 1.0), 200),
+            (Rectangle(2.0, 1.0), 200),
+        ],
+    )
+    def test_enumeration_is_a_prefix_of_a_longer_one(self, domain, count):
+        # nondiff enumerates n_max modes once and reads mode n from it
+        modes = enumerate_modes(domain, count)
+        for n in range(1, count + 1):
+            assert modes[n - 1] == enumerate_modes(domain, n)[-1]
+
 
 class TestModeMatrix:
     def test_unit_forward_rows(self, unit_params):

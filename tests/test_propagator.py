@@ -18,6 +18,7 @@ from gradiplate import (
     state_from_coefficients,
     synthesize_field,
 )
+from gradiplate import propagator
 from gradiplate.errors import InsufficientSamples
 from oracles import rk_mode_evolution
 
@@ -163,6 +164,54 @@ class TestEvolve:
         _, y = forward[-1].state.coefficient_arrays()
         assert np.all(y[:, 1:] == 0.0)
         assert np.all(np.isfinite(y))
+
+
+class TestExpmFallback:
+    """At a double root of the block cubic (b = 5 sqrt(5)/2, eta = 3, d = 0,
+    lam = 1) the eigenvector matrix is past EIGVEC_COND_LIMIT, so evolution
+    takes the scipy expm fallback."""
+
+    PARAMS = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta=3.0)
+    X0 = [1.0, -0.5, 0.25]
+
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        return calls
+
+    def test_block_is_past_the_condition_limit(self):
+        _, vecs = np.linalg.eig(mode_matrix(self.PARAMS, 1.0).entries)
+        assert np.linalg.cond(vecs) > propagator.EIGVEC_COND_LIMIT
+
+    def test_evolve_mode_against_adaptive_rk_oracle(self, expm_calls):
+        m = mode_matrix(self.PARAMS, 1.0)
+        out = evolve_mode(m, ModeState(*self.X0), 0.7)
+        ref = rk_mode_evolution(m.entries, self.X0, 0.7)
+        got = np.array([out.u, out.v, out.theta])
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
+        assert len(expm_calls) == 1
+
+    def test_evolve_against_adaptive_rk_oracle(self, pi_interval, expm_calls):
+        init = state_from_coefficients(
+            pi_interval, 1, u=[self.X0[0]], v=[self.X0[1]], theta=[self.X0[2]]
+        )
+        times = 0.01 * np.arange(101)
+        trajectory = evolve(self.PARAMS, init, times)
+        m = mode_matrix(self.PARAMS, 1.0).entries
+        for k in (10, 50, 100):
+            ref = rk_mode_evolution(m, self.X0, times[k])
+            got = trajectory.x[0, :, k]
+            assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
+        assert expm_calls
 
 
 class TestTrajectoryArrays:

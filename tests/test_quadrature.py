@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
+from gradiplate import _quadrature
 from gradiplate._quadrature import cumulative_integral
 
 
@@ -53,3 +54,30 @@ def test_shape_validation():
         cumulative_integral(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         cumulative_integral(np.ones(1), np.ones(1))
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 1001])
+def test_port_is_bit_identical_to_scipy(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.1, 2.0, n)) - 0.7
+    dx = float(rng.uniform(1e-3, 3.0))
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5, n)
+    y[0] = -0.0
+    y[n // 2] = 5e-324
+    y[-1] = -1e-310
+    # signed zeros only: the first interval integrates to -0.0
+    zeros = np.where(np.arange(n) % 3 == 2, 0.0, -0.0)
+    for samples in (y, zeros):
+        pairs = [
+            (_quadrature._cumulative_trapezoid(samples, x),
+             cumulative_trapezoid(samples, x, initial=0.0)),
+        ]
+        if n >= 3:
+            pairs += [
+                (_quadrature._simpson_dx(samples, dx),
+                 cumulative_simpson(samples, dx=dx, initial=0.0)),
+                (_quadrature._simpson_x(samples, x),
+                 cumulative_simpson(samples, x=x, initial=0.0)),
+            ]
+        for got, ref in pairs:
+            assert got.tobytes() == ref.tobytes()

@@ -6,6 +6,7 @@ import pytest
 from gradiplate import (
     Interval,
     ModelParams,
+    Rectangle,
     ResolventRHS,
     mode_matrix,
     mode_resolvent_norm,
@@ -16,6 +17,7 @@ from gradiplate import (
     scan_imaginary_axis,
     solve_mode_resolvent,
 )
+from gradiplate.model import enumerate_modes
 
 
 def h_inner(params, lam, x, g):
@@ -182,6 +184,16 @@ class TestNondiffSequence:
         with pytest.raises(ValueError):
             nondiff_sequence(ModelParams.unit(eta=0.0), pi_interval, 2)
 
+    def test_precomputed_modes_give_the_same_point(self, unit_params):
+        domain = Rectangle(2.0, 1.0)
+        modes = enumerate_modes(domain, 40)
+        for n in (1, 7, 40):
+            assert nondiff_sequence(unit_params, domain, n, -1, modes=modes) == (
+                nondiff_sequence(unit_params, domain, n, -1)
+            )
+        with pytest.raises(ValueError):
+            nondiff_sequence(unit_params, domain, 41, modes=modes)
+
 
 class TestNondiffLimit:
     @pytest.mark.parametrize(
@@ -203,6 +215,15 @@ class TestNondiffLimit:
     def test_n_max_validation(self, unit_params, pi_interval):
         with pytest.raises(ValueError):
             nondiff_limit_check(unit_params, pi_interval, 5)
+
+    def test_precomputed_points_give_the_same_report(self, unit_params, pi_interval):
+        points = [nondiff_sequence(unit_params, pi_interval, n) for n in range(1, 31)]
+        given = nondiff_limit_check(unit_params, pi_interval, 30, points=points)
+        fresh = nondiff_limit_check(unit_params, pi_interval, 30)
+        assert given.norm_v_sq.tobytes() == fresh.norm_v_sq.tobytes()
+        assert given.gap_at_end == fresh.gap_at_end
+        with pytest.raises(ValueError):
+            nondiff_limit_check(unit_params, pi_interval, 30, points=points[1:])
 
 
 class TestResonantGrid:
