@@ -29,8 +29,10 @@ class PointOutsideDomain(GradiplateError):
 class SingularSystem(GradiplateError):
     """A mode resolvent system was (numerically) singular.
 
-    For positive elasticity this cannot happen on the imaginary axis, so it
-    is raised as an internal-consistency failure rather than handled.
+    With c > 0 and eta != 0 the imaginary axis lies in the resolvent set.
+    With eta = 0 the plate decouples and is undamped, so i omega =
+    +-i sqrt(c/rho) lam is an eigenvalue, which a resonant frequency grid
+    hits exactly; the CLI reports that as a failed check (exit 3).
     """
 
 

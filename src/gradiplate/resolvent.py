@@ -1,12 +1,33 @@
 """Per-mode resolvent solves, imaginary-axis norm scans, and the
 high-frequency sequence that keeps the resolvent from vanishing.
 
-For c > 0 the imaginary axis lies in the resolvent set, so every block
-system (i omega I - M_lam) x = g is solvable.  The operator norm measured
-here is the one induced by the energy inner product: the largest singular
-value of W^(1/2) (i omega I - M_lam)^(-1) W^(-1/2) with
+For c > 0 and eta != 0 the imaginary axis lies in the resolvent set, so
+every block system (i omega I - M_lam) x = g is solvable.  With eta = 0 the
+plate decouples and is undamped, i omega = +-i sqrt(c/rho) lam is an
+eigenvalue, and a block there raises SingularSystem.  The operator norm
+measured here is the one induced by the energy inner product: the largest
+singular value of W^(1/2) (i omega I - M_lam)^(-1) W^(-1/2) with
 W = diag(c lam^2, rho, a); the reported scan norm is the sup over the
 included modes.
+
+In these energy coordinates a block is tridiagonal,
+
+    A~ = [[i omega, -k, 0], [k, i omega, g], [0, -g, i omega + h]],
+    k = sqrt(c/rho) lam,  g = |eta| lam / sqrt(rho a),  h = (b lam + d lam^2)/a
+
+(the sign of eta is a unitary similarity), and ||A~^-1|| is
+sigma_max(adj A~) / |det A~|.  The norm kernel divides each block by a power
+of two mu near max(|omega|, k, g, h), which is exact and keeps |omega| up to
+1e300 and lam up to 1e10 clear of overflow and underflow.  With
+delta = (k - omega)(k + omega) the determinant is h delta + i omega
+(delta + g^2), and the Hermitian Gram matrix adj^H adj has closed-form
+entries.  Each Gram block is scaled by a power of two near its largest
+entry, and its top eigenvalue comes from cyclic complex Jacobi sweeps run
+until every off-diagonal entry is below roundoff; Jacobi keeps that
+eigenvalue accurate where the top two coincide, which a closed-form cubic
+does not.  Blocks go through the kernel BLOCK_BUDGET at a time, so the
+working set is fixed whatever the grid, and every operation is elementwise,
+so a block's norm has the same bits whichever pass holds it.
 
 Driving mode n with the right-hand side (0, phi_n, 0) at the resonant
 frequency omega_n = sqrt(c/rho) lam_n produces the explicit solution
@@ -70,7 +91,7 @@ def solve_mode_resolvent(
 
     The solution is refined to a relative residual <= 1e-12; failure to
     reach that (only possible if i*omega sits on the block spectrum, which
-    c > 0 excludes) raises SingularSystem.
+    c > 0 and eta != 0 exclude) raises SingularSystem.
     """
     _require_stable(params, "mode resolvent")
     m = mode_matrix(params, lam).entries
@@ -93,26 +114,156 @@ def solve_mode_resolvent(
     return ModeState(*x)
 
 
-def _weight_factors(params: ModelParams, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    w_sqrt = np.array([math.sqrt(params.c) * lam, math.sqrt(params.rho), math.sqrt(params.a)])
-    return w_sqrt, 1.0 / w_sqrt
+# Blocks per kernel pass.  The pass holds a few dozen float arrays of this
+# length, so the scan's working set stays fixed whatever its W x M.
+BLOCK_BUDGET = 1 << 13
+# Cyclic Jacobi sweeps per pass; Gram blocks have reached roundoff within 4
+# sweeps on every grid tried.
+MAX_SWEEPS = 16
+# Off-diagonal entries below this fraction of the block's trace are roundoff.
+_ROUNDOFF = 2.0**-53
+
+
+def _rotate(dp, dq, pq, pr, qr, thr2):
+    """One complex Jacobi rotation of the pair (p, q) of a stack of
+    Hermitian 3x3 blocks.
+
+    `dp`, `dq` are the real diagonal entries, and `pq`, `pr`, `qr` the
+    entries G_pq, G_pr, G_qr as (real, imaginary) pairs, r being the third
+    index.  With G_pq = |G_pq| e, the rotation is diag(1, conj(e)) times
+    the real rotation that annihilates the real symmetric 2x2 block left
+    behind.  Blocks with |G_pq|^2 <= thr2 are left bit for bit as they
+    are, so a block's result does not depend on the blocks beside it.
+    """
+    re, im = pq
+    r2 = _abs2(pq)
+    rot = r2 > thr2
+    r = np.where(rot, np.sqrt(r2), 1.0)
+    diff = dq - dp
+    # t = tan(theta) with |theta| <= pi/4 and tan(2 theta) = 2 |G_pq| / (dq - dp)
+    t = np.copysign(2.0 * r, diff) / (np.abs(diff) + np.sqrt(diff * diff + 4.0 * r * r))
+    t = np.where(rot, t, 0.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    er = np.where(rot, re / r, 1.0)
+    ei = np.where(rot, im / r, 0.0)
+    tr = t * r
+    # e G_qr
+    qr_r = er * qr[0] - ei * qr[1]
+    qr_i = er * qr[1] + ei * qr[0]
+    return (
+        dp - tr,
+        dq + tr,
+        (np.where(rot, 0.0, re), np.where(rot, 0.0, im)),
+        (c * pr[0] - s * qr_r, c * pr[1] - s * qr_i),
+        (s * pr[0] + c * qr_r, s * pr[1] + c * qr_i),
+    )
+
+
+def _gram_top(d0, d1, d2, g01, g02, g12) -> np.ndarray:
+    """Largest eigenvalue of Hermitian 3x3 blocks by cyclic Jacobi sweeps.
+
+    A block sweeps until each of its off-diagonal entries is below
+    roundoff of its trace; its top eigenvalue is then its largest diagonal
+    entry to a few ulps (Weyl), even where the top two coincide.  Blocks
+    that have converged leave the stack, since further sweeps would not
+    change them.
+    """
+    thr2 = (_ROUNDOFF * (d0 + d1 + d2)) ** 2
+    top = np.empty_like(d0)
+    live = np.arange(d0.size)
+    for _ in range(MAX_SWEEPS):
+        busy = (_abs2(g01) > thr2) | (_abs2(g02) > thr2) | (_abs2(g12) > thr2)
+        if not busy.all():
+            done = ~busy
+            top[live[done]] = np.maximum(np.maximum(d0[done], d1[done]), d2[done])
+            live = live[busy]
+            if live.size == 0:
+                return top
+            d0, d1, d2, thr2 = d0[busy], d1[busy], d2[busy], thr2[busy]
+            g01, g02, g12 = ((x[busy], y[busy]) for x, y in (g01, g02, g12))
+        # conj() maps an entry below the diagonal onto the stored one above it
+        d0, d1, g01, g02, g12 = _rotate(d0, d1, g01, g02, g12, thr2)
+        d0, d2, g02, g01, g21 = _rotate(d0, d2, g02, g01, _conj(g12), thr2)
+        g12 = _conj(g21)
+        d1, d2, g12, g10, g20 = _rotate(d1, d2, g12, _conj(g01), _conj(g02), thr2)
+        g01, g02 = _conj(g10), _conj(g20)
+    top[live] = np.maximum(np.maximum(d0, d1), d2)
+    return top
+
+
+def _conj(z):
+    return z[0], -z[1]
+
+
+def _abs2(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _norm_pass(params: ModelParams, lams, omegas) -> np.ndarray:
+    """Weighted norms of the blocks (omega, lam), omegas (W, 1), lams (M,)."""
+    k = math.sqrt(params.c / params.rho) * lams
+    g = abs(params.eta) / math.sqrt(params.rho * params.a) * lams
+    h = params.heat_weight(lams) / params.a
+    # B = A~ / mu: mu a power of two, so the scaling is exact
+    mu_exp = np.frexp(np.maximum(np.abs(omegas), np.maximum(np.maximum(k, g), h)))[1]
+    w, k, g, h = (np.ldexp(v, -mu_exp) for v in (omegas, k, g, h))
+    k2, g2, w2, h2 = k * k, g * g, w * w, h * h
+    delta = (k - w) * (k + w)
+    shift = delta + g2
+    det_re, det_im = h * delta, w * shift
+    singular = ~(np.isfinite(det_re) & np.isfinite(det_im)) | ((det_re == 0) & (det_im == 0))
+    if singular.any():
+        row, col = np.argwhere(singular)[0]
+        omega, lam = float(omegas[row, 0]), float(lams[col])
+        raise SingularSystem(f"singular resolvent block at omega={omega!r}, lam={lam!r}")
+    # adj B = [[g^2 - w^2 + i w h, k (h + i w), -k g],
+    #          [-k (h + i w), -w^2 + i w h, -i w g],
+    #          [-k g, i w g, delta]];  adj(B)^H adj(B) entry by entry:
+    diag = (
+        ((g - w) * (g + w)) ** 2 + k2 * (h2 + w2 + g2) + w2 * h2,
+        k2 * (h2 + w2) + w2 * (w2 + h2 + g2),
+        g2 * (k2 + w2) + delta * delta,
+    )
+    g01 = (k * h * g2, -2.0 * (k * w) * (w2 + h2))
+    g02 = (-(k * g) * (shift - 2.0 * w2), 2.0 * (k * g) * (w * h))
+    g12 = (-(g * h) * (k2 + w2), 2.0 * (g * w) * w2)
+    # an even exponent, so that the scale of sigma = sqrt(top) is a power of two too
+    gram_exp = np.frexp(np.maximum(np.maximum(diag[0], diag[1]), diag[2]))[1] // 2 * 2
+    gram = [np.ldexp(x, -gram_exp).ravel() for x in (*diag, *g01, *g02, *g12)]
+    top = _gram_top(*gram[:3], tuple(gram[3:5]), tuple(gram[5:7]), tuple(gram[7:]))
+    det_exp = np.frexp(np.maximum(np.abs(det_re), np.abs(det_im)))[1]
+    det_re, det_im = np.ldexp(det_re, -det_exp), np.ldexp(det_im, -det_exp)
+    # ||A~^-1|| = sigma_max(adj B) / (|det B| mu)
+    return np.ldexp(
+        np.sqrt(top.reshape(gram_exp.shape) / (det_re * det_re + det_im * det_im)),
+        gram_exp // 2 - det_exp - mu_exp,
+    )
+
+
+def _sup_norms(params: ModelParams, lams, omegas) -> np.ndarray:
+    """Sup over `lams` of ||W^(1/2) (i omega - M_lam)^(-1) W^(-1/2)||, for
+    each omega, computed in passes of at most BLOCK_BUDGET blocks (or one
+    omega's worth, if more)."""
+    lams = np.asarray(lams, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
+    sups = np.empty(omegas.size)
+    rows = max(1, BLOCK_BUDGET // lams.size)
+    for start in range(0, omegas.size, rows):
+        stop = start + rows
+        sups[start:stop] = np.max(_norm_pass(params, lams, omegas[start:stop, None]), axis=1)
+    if not np.all(np.isfinite(sups)):
+        omega = float(omegas[np.argmin(np.isfinite(sups))])
+        raise SingularSystem(f"resolvent norm overflows at omega={omega!r}")
+    return sups
 
 
 def mode_resolvent_norm(params: ModelParams, lam: float, omega: float) -> float:
     """Energy-weighted operator norm of one block's resolvent."""
     _require_stable(params, "resolvent norm")
-    m = mode_matrix(params, lam).entries
-    a = 1j * omega * np.eye(3) - m
-    try:
-        r = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"singular resolvent block at omega={omega}, lam={lam}") from exc
-    w_sqrt, w_isqrt = _weight_factors(params, lam)
-    weighted = (w_sqrt[:, None] * r) * w_isqrt[None, :]
-    value = float(np.linalg.svd(weighted, compute_uv=False)[0])
-    if not np.isfinite(value):
-        raise SingularSystem(f"non-finite resolvent norm at omega={omega}, lam={lam}")
-    return value
+    if not lam > 0:
+        raise ValueError(f"lam must be > 0, got {lam}")
+    return float(_sup_norms(params, [lam], [omega])[0])
 
 
 def resolvent_norm(
@@ -120,8 +271,8 @@ def resolvent_norm(
 ) -> float:
     """Sup over the first mode_count modes of the weighted block norm."""
     _require_stable(params, "resolvent norm")
-    modes = enumerate_modes(domain, mode_count)
-    return max(mode_resolvent_norm(params, mode.lam, omega) for mode in modes)
+    lams = [mode.lam for mode in enumerate_modes(domain, mode_count)]
+    return float(_sup_norms(params, lams, [omega])[0])
 
 
 @dataclass(frozen=True)
@@ -133,6 +284,8 @@ class ResolventScan:
     non-smoothing signature.  `limit_peak` = 2 rho d / eta^2 is the
     verified asymptotic value of the resonant-peak norm (0 when d = 0),
     i.e. d/eta^2 scaled by the normalization constant 2 rho.
+    `sign_gap` is |N(omega_0) - N(-omega_0)| / N(omega_0) at the first
+    grid point; conjugation symmetry makes it vanish up to roundoff.
     """
 
     omegas: np.ndarray
@@ -142,6 +295,7 @@ class ResolventScan:
     tail_min: float
     tail_start: float
     limit_peak: float
+    sign_gap: float
 
 
 def scan_imaginary_axis(
@@ -161,21 +315,10 @@ def scan_imaginary_axis(
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if omegas.size == 0:
         raise ValueError("omega grid must be nonempty")
-    lams = np.array([m.lam for m in enumerate_modes(domain, mode_count)])
-
-    # stacked 3x3 solves: blocks indexed by (omega, mode)
-    m_all = np.stack([mode_matrix(params, lam).entries for lam in lams])  # (M,3,3)
-    a_all = (
-        1j * omegas[:, None, None, None] * np.eye(3)[None, None]
-        - m_all[None, :, :, :]
-    )  # (W,M,3,3)
-    r_all = np.linalg.inv(a_all)
-    w_sqrt = np.stack([_weight_factors(params, lam)[0] for lam in lams])  # (M,3)
-    weighted = r_all * w_sqrt[None, :, :, None] / w_sqrt[None, :, None, :]
-    svals = np.linalg.svd(weighted, compute_uv=False)[..., 0]  # (W,M)
-    norms = np.max(svals, axis=1)
-    if not np.all(np.isfinite(norms)):
-        raise SingularSystem("non-finite norm encountered during scan")
+    lams = [m.lam for m in enumerate_modes(domain, mode_count)]
+    # one more frequency, -omegas[0], for the conjugation-symmetry probe
+    sups = _sup_norms(params, lams, np.append(omegas, -omegas[0]))
+    norms = sups[:-1]
 
     tail_start = 0.5 * float(np.max(np.abs(omegas)))
     tail = norms[np.abs(omegas) >= tail_start]
@@ -190,6 +333,7 @@ def scan_imaginary_axis(
         tail_min=float(np.min(tail)),
         tail_start=tail_start,
         limit_peak=limit_peak,
+        sign_gap=float(abs(norms[0] - sups[-1]) / max(norms[0], 1e-300)),
     )
 
 

@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the code paths under test: trajectories
 come from adaptive Runge-Kutta integration, eigenvalues from the companion
-matrix, roots from bisection, and the generator blocks from a
-finite-difference discretization of the underlying PDE on one eigenfunction.
+matrix, roots from bisection, the generator blocks from a
+finite-difference discretization of the underlying PDE on one eigenfunction,
+and resolvent norms from LAPACK's inverse and singular values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from gradiplate.model import hilbert_weight
 
 
 def rk_mode_evolution(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
@@ -107,3 +110,54 @@ def fd_generator_column(
         return float(np.trapezoid(f * phi, dx=h))
 
     return np.array([project(du), project(dv), project(dtheta)])
+
+
+def lapack_resolvent_norms(params, lams, omegas) -> np.ndarray:
+    """Energy-weighted resolvent norms for every (omega, lam), shape (W, M).
+
+    Inverts the unweighted blocks i omega I - M_lam with LAPACK, weights the
+    inverse by W^(1/2) . W^(-1/2) from `hilbert_weight`, and takes the top
+    singular value from LAPACK's SVD.
+    """
+    lams = np.asarray(lams, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
+    m = np.zeros((lams.size, 3, 3))
+    m[:, 0, 1] = 1.0
+    m[:, 1, 0] = -(params.c / params.rho) * lams**2
+    m[:, 1, 2] = -(params.eta / params.rho) * lams
+    m[:, 2, 1] = (params.eta / params.a) * lams
+    m[:, 2, 2] = -(params.b * lams + params.d * lams**2) / params.a
+    blocks = 1j * omegas[:, None, None, None] * np.eye(3) - m[None]
+    inverse = np.linalg.inv(blocks)
+    weights = [hilbert_weight(params, lam) for lam in lams]
+    w_sqrt = np.sqrt([[w.w_u, w.w_v, w.w_theta] for w in weights])  # (M, 3)
+    weighted = inverse * w_sqrt[None, :, :, None] / w_sqrt[None, :, None, :]
+    return np.linalg.svd(weighted, compute_uv=False)[..., 0]
+
+
+def mp_resolvent_singular_values(params, lam, omega, digits=50) -> list[float]:
+    """Singular values of W^(1/2) (i omega I - M_lam)^(-1) W^(-1/2), largest
+    first, in mpmath at `digits` significant digits from the exact values
+    of the float inputs."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        rho, a, b, c, d, eta, lam, omega = (
+            mpmath.mpf(x)
+            for x in (params.rho, params.a, params.b, params.c, params.d, params.eta, lam, omega)
+        )
+        z = mpmath.mpc(0, omega)
+        block = mpmath.matrix(
+            [
+                [z, -1, 0],
+                [c / rho * lam**2, z, eta / rho * lam],
+                [0, -eta / a * lam, z + (b * lam + d * lam**2) / a],
+            ]
+        )
+        w = [mpmath.sqrt(c) * lam, mpmath.sqrt(rho), mpmath.sqrt(a)]
+        weighted = mpmath.matrix(3, 3)
+        for i in range(3):
+            for j in range(3):
+                weighted[i, j] = w[i] * block[i, j] / w[j]
+        values = mpmath.svd_c(weighted**-1, compute_uv=False)
+        return sorted((float(v) for v in values), reverse=True)

@@ -131,6 +131,26 @@ class TestOtherSubcommands:
         rows = (tmp_path / "o" / "resolvent_scan.csv").read_text().splitlines()
         assert rows[0] == "omega,resolvent_norm"
 
+    def test_resonant_scan_of_decoupled_plate_exits_3_with_manifest(self, tmp_path, capsys):
+        """With eta = 0 the undamped plate has i*omega = +-i*sqrt(c/rho)*lam
+        on its spectrum, and the resonant grid lands on it exactly."""
+        model_lines = [l for l in base_model() if not l.startswith("eta ")] + ["eta = 0"]
+        cfg = write_config(
+            tmp_path, "scan.cfg",
+            model_lines + [
+                "domain = interval", f"length = {PI}", "mode_count = 4",
+                "omega_min = 0.5", "omega_max = 20", "omega_points = 10",
+                "omega_grid = resonant",
+            ],
+        )
+        out = str(tmp_path / "o")
+        assert main(["resolvent-scan", "--config", cfg, "--out", out]) == 3
+        manifest = read_manifest(out)
+        assert manifest["status"] == "check_failure"
+        assert manifest["exit_code"] == "3"
+        assert manifest["error"].startswith("singular resolvent block at omega=1.0")
+        assert "check failure" in capsys.readouterr().err
+
     def test_nondiff(self, tmp_path):
         cfg = write_config(
             tmp_path, "nd.cfg",

@@ -1,13 +1,17 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradiplate import (
     Interval,
     ModelParams,
     Rectangle,
     ResolventRHS,
+    SingularSystem,
     mode_matrix,
     mode_resolvent_norm,
     nondiff_limit_check,
@@ -17,7 +21,9 @@ from gradiplate import (
     scan_imaginary_axis,
     solve_mode_resolvent,
 )
+from gradiplate import resolvent
 from gradiplate.model import enumerate_modes
+from oracles import lapack_resolvent_norms, mp_resolvent_singular_values
 
 
 def h_inner(params, lam, x, g):
@@ -127,6 +133,87 @@ class TestScan:
         lo = scan_imaginary_axis(unit_params, pi_interval, grid, 8)
         hi = scan_imaginary_axis(unit_params, pi_interval, grid, 16)
         assert np.all(hi.norms >= lo.norms)
+
+
+@st.composite
+def stable_params(draw):
+    scale = st.floats(0.1, 10.0)
+    return ModelParams(
+        rho=draw(scale),
+        a=draw(scale),
+        b=draw(scale),
+        c=draw(scale),
+        d=draw(st.floats(0.0, 10.0)),
+        eta=draw(scale) * draw(st.sampled_from((-1.0, 1.0))),
+    )
+
+
+class TestNormKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(stable_params(), st.floats(1e-2, 1e4), st.floats(-1e5, 1e5))
+    def test_matches_lapack_oracle(self, params, lam, omega):
+        expected = lapack_resolvent_norms(params, [lam], [omega])[0, 0]
+        assert mode_resolvent_norm(params, lam, omega) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, lam, omega",
+        [
+            (ModelParams.unit(), 1.0, 1e-300),
+            (ModelParams.unit(), 1.0, -1e-300),
+            (ModelParams.unit(), 1.0, 1e300),
+            (ModelParams.unit(), 1.0, -1e300),
+            (ModelParams.unit(), 1e10, 1e-300),
+            (ModelParams.unit(), 1e10, 1e300),
+            (ModelParams.unit(d=0.0), 1.0, 3.0),
+            (ModelParams.unit(d=0.0), 1e10, 1e-300),
+            (ModelParams.unit(d=0.0), 1e10, 1e10),
+            (ModelParams(2.5, 0.7, 1.3, 0.4, 2.0, -1.7), 7.3, -40.0),
+        ],
+    )
+    def test_matches_mpmath_at_extremes(self, params, lam, omega):
+        pytest.importorskip("mpmath")
+        expected = mp_resolvent_singular_values(params, lam, omega)[0]
+        assert mode_resolvent_norm(params, lam, omega) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("lam, omega", [(1e4, 1.0), (1e10, 1.0), (1e10, -1e-3)])
+    def test_coincident_top_singular_values(self, unit_params, lam, omega):
+        """omega << k: the top two singular values agree to 2e-4 relative
+        (lam = 1e4) and 1e-10 (lam = 1e10), where a closed-form cubic for the
+        top eigenvalue loses digits."""
+        pytest.importorskip("mpmath")
+        values = mp_resolvent_singular_values(unit_params, lam, omega)
+        assert values[0] - values[1] <= 1e-3 * values[0]
+        assert mode_resolvent_norm(unit_params, lam, omega) == pytest.approx(values[0], rel=1e-14)
+
+    def test_scan_bits_do_not_depend_on_passes(self, unit_params, pi_interval):
+        grid = np.geomspace(0.1, 1e4, 300)
+        assert grid.size * 64 > 2 * resolvent.BLOCK_BUDGET
+        scan = scan_imaginary_axis(unit_params, pi_interval, grid, 64)
+        pointwise = [resolvent_norm(unit_params, pi_interval, w, 64) for w in grid]
+        assert scan.norms.tobytes() == np.array(pointwise).tobytes()
+        mirror = resolvent_norm(unit_params, pi_interval, -grid[0], 64)
+        assert scan.sign_gap == abs(scan.norms[0] - mirror) / scan.norms[0]
+
+    def test_scan_memory_is_bounded(self, unit_params, pi_interval):
+        """4000 frequencies x 512 modes once built 1.2 GB of block stacks.
+        The bound, 12 MiB, is below one float64 per block (15.6 MiB): the
+        kernel's passes hold a fixed number of blocks, and nothing the size
+        of the whole grid is built."""
+        grid = np.geomspace(0.1, 1e4, 4000)
+        tracemalloc.start()
+        try:
+            scan = scan_imaginary_axis(unit_params, pi_interval, grid, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(scan.norms))
+        assert peak < 12 * 2**20
+
+    def test_decoupled_resonance_is_singular(self):
+        """eta = 0 leaves the plate undamped: i*omega = i*sqrt(c/rho)*lam is
+        an eigenvalue of the block."""
+        with pytest.raises(SingularSystem):
+            mode_resolvent_norm(ModelParams.unit(eta=0.0), 4.0, 4.0)
 
 
 class TestNondiffSequence:
