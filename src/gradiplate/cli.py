@@ -15,10 +15,9 @@ Exit codes: 0 success, 2 configuration error, 3 invariant-check failure,
 4 non-finite evolution (unstable overflow).  The manifest is written on
 the failure paths too.
 
-The environment variable GRADIPLATE_THREADS caps the worker count the
-process may use.  All computations here run sequentially with
-deterministic summation order, which satisfies any cap >= 1; the value is
-validated and echoed into the manifest.
+Every energy value a handler reports (E, D, L1, L2 and the E(0) of the
+instability bound) is read off the trajectory's energy columns, so one run
+never sums the energy quadratic form twice.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    DegenerateCapacity,
-    GradiplateError,
-    NonFiniteResult,
-    PreconditionUnmet,
-)
+from .errors import ConfigError, GradiplateError, NonFiniteResult
 from .functionals import (
     FDDOT_E0_COEFFICIENT,
     WEIGHT_CONVENTION,
@@ -52,7 +45,7 @@ from .functionals import (
     verify_backward_identities,
 )
 from .model import Direction, Regime, enumerate_modes
-from .propagator import energy_balance_report, energy_of, evolve
+from .propagator import energy_balance_report, evolve
 from .quasistatic import QuasiParams, quasi_decay_report
 from .resolvent import (
     nondiff_limit_check,
@@ -103,19 +96,6 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
 def _columns_to_rows(*columns: np.ndarray) -> list[tuple]:
     """CSV rows from equally long 1-D columns."""
     return list(zip(*(col.tolist() for col in columns)))
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("GRADIPLATE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"GRADIPLATE_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"GRADIPLATE_THREADS must be >= 1, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,9 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
 
 def _run_instability(cfg: RunConfig) -> RunOutput:
     initial = cfg.initial_state()
-    e0 = energy_of(cfg.params, initial).total
+    times = _time_grid(cfg)
+    trajectory = evolve(cfg.params, initial, times, Direction.FORWARD)
+    e0 = float(trajectory.total[0])
     omega_const = cfg.omega_const
     if omega_const == "auto":
         omega_const = max(0.0, -e0)
@@ -381,8 +363,6 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
     if t0 == "auto":
         t0 = choose_weight_shift(cfg.params, initial, omega_const)
 
-    times = _time_grid(cfg)
-    trajectory = evolve(cfg.params, initial, times, Direction.FORWARD)
     states = convexity_trajectory(cfg.params, trajectory, omega_const, t0)
     convexity = convexity_residual_check(states, e0)
     window = None
@@ -425,9 +405,7 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
 
 def _run_quasistatic(cfg: RunConfig) -> RunOutput:
     qparams = QuasiParams.from_params(cfg.params, cfg.length)
-    n = int(round(cfg.t_end / cfg.dt))
-    t_grid = cfg.dt * np.arange(n + 1)
-    report = quasi_decay_report(qparams, cfg.initial_theta, t_grid)
+    report = quasi_decay_report(qparams, cfg.initial_theta, _time_grid(cfg))
 
     theta0_l2 = float(np.sum(np.asarray(cfg.initial_theta) ** 2))
     checks = [
@@ -486,7 +464,6 @@ def _write_manifest(
     exit_code: int,
     cfg: RunConfig | None,
     output: RunOutput | None,
-    threads: int,
     started: float,
     error: str | None = None,
 ) -> None:
@@ -495,7 +472,6 @@ def _write_manifest(
         f"subcommand = {subcommand}",
         f"status = {status}",
         f"exit_code = {exit_code}",
-        f"threads = {threads}",
     ]
     if error is not None:
         lines.append(f"error = {error}")
@@ -558,7 +534,6 @@ def main(argv=None) -> int:
     subcommand = args.subcommand
 
     try:
-        threads = _threads_from_env()
         cfg = load_config(args.config, subcommand, args.params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -568,17 +543,14 @@ def main(argv=None) -> int:
         output = HANDLERS[subcommand](cfg)
     except NonFiniteResult as exc:
         _write_manifest(
-            args.out, subcommand, "nonfinite", EXIT_NONFINITE, cfg, None, threads, started,
+            args.out, subcommand, "nonfinite", EXIT_NONFINITE, cfg, None, started,
             error=f"{exc} (t={exc.time})",
         )
         print(f"non-finite result: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
-    except DegenerateCapacity as exc:
-        print(f"config error: DegenerateCapacity: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (PreconditionUnmet, GradiplateError) as exc:
+    except GradiplateError as exc:
         _write_manifest(
-            args.out, subcommand, "check_failure", EXIT_CHECK, cfg, None, threads, started,
+            args.out, subcommand, "check_failure", EXIT_CHECK, cfg, None, started,
             error=str(exc),
         )
         print(f"check failure: {exc}", file=sys.stderr)
@@ -589,7 +561,7 @@ def main(argv=None) -> int:
     exit_code = EXIT_OK if all_passed else EXIT_CHECK
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, output.csv_name), output.header, output.rows)
-    _write_manifest(args.out, subcommand, status, exit_code, cfg, output, threads, started)
+    _write_manifest(args.out, subcommand, status, exit_code, cfg, output, started)
     if not all_passed:
         failed = ", ".join(c.name for c in output.checks if not c.passed)
         print(f"checks failed: {failed}", file=sys.stderr)

@@ -5,9 +5,6 @@ ignored, keys may not repeat, and unknown keys are rejected.  The full key
 set is documented in the README; each subcommand accepts the shared model
 keys plus its own options.  All numeric constraints on the model constants
 are enforced at parse time so command handlers never see invalid params.
-
-The `seed` key is reserved: it is parsed and echoed into the manifest but
-nothing consumes it (every computation here is deterministic).
 """
 
 from __future__ import annotations
@@ -18,11 +15,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateCapacity
-from .model import Interval, ModelParams, Rectangle, Regime, SpectralDomain
+from .model import (
+    Interval,
+    ModelParams,
+    Rectangle,
+    Regime,
+    SpectralDomain,
+    enumerate_modes,
+)
 from .propagator import SpectralState, state_from_coefficients
+from .quasistatic import effective_capacity
 
 PARAM_KEYS = ("rho", "a", "b", "c", "d", "eta")
-COMMON_KEYS = set(PARAM_KEYS) | {"regime", "seed"}
+COMMON_KEYS = set(PARAM_KEYS) | {"regime"}
 DOMAIN_KEYS = {"domain", "length", "length1", "length2", "mode_count"}
 TIME_KEYS = {"t_end", "dt"}
 INITIAL_KEYS = {"initial", "initial_u", "initial_v", "initial_theta"}
@@ -123,7 +128,6 @@ class RunConfig:
     t0: "float | str | None" = None
     growth_fit_start: float | None = None
     length: float = 1.0
-    seed: int | None = None
 
     def initial_state(self) -> SpectralState:
         if self.domain is None or self.mode_count is None:
@@ -218,8 +222,6 @@ def _build_initial(cfg: RunConfig, raw: dict[str, str]) -> None:
     if not has_preset and not has_lists:
         raise ConfigError("missing initial data: set 'initial' or coefficient lists")
     if has_preset:
-        from .model import enumerate_modes
-
         lams = np.array([m.lam for m in enumerate_modes(cfg.domain, cfg.mode_count)])
         cfg.initial_u, cfg.initial_v, cfg.initial_theta = preset_coefficients(
             raw["initial"], lams
@@ -256,8 +258,6 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
 
     params = _build_params(raw, subcommand)
     cfg = RunConfig(subcommand=subcommand, raw=dict(raw), params=params)
-    if "seed" in raw:
-        cfg.seed = _as_int(raw, "seed")
 
     if subcommand == "quasistatic":
         if not params.c < 0:
@@ -266,21 +266,14 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
             cfg.length = _as_float(raw, "length")
             if not cfg.length > 0:
                 raise ConfigError("length must be > 0")
-        _require(raw, ("t_end", "dt", "initial_theta"), subcommand)
-        cfg.t_end = _as_float(raw, "t_end")
-        cfg.dt = _as_float(raw, "dt")
-        if not (cfg.t_end > 0 and cfg.dt > 0 and cfg.dt <= cfg.t_end):
-            raise ConfigError("need 0 < dt <= t_end")
+        _build_time(cfg, raw, subcommand)
+        _require(raw, ("initial_theta",), subcommand)
         cfg.initial_theta = _as_float_list(raw, "initial_theta")
         if not cfg.initial_theta:
             raise ConfigError("initial_theta must contain at least one coefficient")
         # refuse degenerate capacity at parse time
         try:
-            effective_capacity_check = params.a + params.eta**2 / params.c
-            if not effective_capacity_check > 0:
-                raise DegenerateCapacity(
-                    f"a + eta^2/c = {effective_capacity_check} is not positive"
-                )
+            effective_capacity(params)
         except DegenerateCapacity as exc:
             raise ConfigError(f"DegenerateCapacity: {exc}") from exc
         return cfg
@@ -291,9 +284,7 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
         _build_time(cfg, raw, subcommand)
         _build_initial(cfg, raw)
 
-    if subcommand == "simulate":
-        pass
-    elif subcommand == "resolvent-scan":
+    if subcommand == "resolvent-scan":
         if not params.c > 0:
             raise ConfigError("resolvent-scan requires the stable regime (c > 0)")
         _require(raw, ("omega_min", "omega_max", "omega_points"), subcommand)

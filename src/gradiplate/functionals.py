@@ -11,7 +11,9 @@ satisfy dL1/dt = + sum_n w_n theta_n^2 and
 dL2/dt = - sum_n w_n theta_n^2 - 2 eta sum_n lam_n v_n theta_n with
 w_n = b lam_n + d lam_n^2, and the mixture L = L2 + eps*L1 obeys a
 Gronwall bound L(t) <= L(0) e^{k* t}.  Zero initial data therefore forces
-the zero solution, which is the uniqueness witness.
+the zero solution, which is the uniqueness witness.  L1 is the energy E and
+L2 = kinetic + bending - thermal, so both are read off the trajectory's
+energy columns (see `propagator`), as is the dissipation sum.
 
 Convexity / instability (negative elasticity).  With Phi solving
 
@@ -43,7 +45,8 @@ and 2*omega used throughout, and E(0) enters F'' with coefficient 4 - the
 value the derivatives of F actually have (verified by finite differences
 in the test suite); see FDDOT_E0_COEFFICIENT.  Because Psi(0) = Phi, the
 shift condition F'(0) > 2 nu reduces to a closed form and t0 never needs a
-numerical search (choose_weight_shift).
+numerical search (choose_weight_shift).  The terms 4 rho sum v_n^2,
+int_0^t D ds and E(0) of F'' come from the same energy columns.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 from ._quadrature import cumulative_integral
 from .errors import EpsilonOutOfRange, InsufficientSamples, PreconditionUnmet
 from .model import Direction, ModelParams
-from .propagator import SampleArrays, SpectralState, Trajectory
+from .propagator import SampleArrays, SpectralState, Trajectory, energy_of
 
 # coefficient of E(0) in the closed form of F''; the Schwarz argument needs
 # only F'' >= 4K + 4*int(D) - 4E(0) + 2*omega, which holds with equality
@@ -67,44 +70,20 @@ WEIGHT_CONVENTION = "omega*(t+t0)^2"
 CONVEXITY_TOLERANCE_FACTOR = 1e-8
 
 
-def _arrays(state: SpectralState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    lams, x = state.coefficient_arrays()
+def _require_real(x: np.ndarray) -> None:
     if np.iscomplexobj(x):
         raise ValueError("functional diagnostics expect real states")
+
+
+def _arrays(state: SpectralState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    lams, x = state.coefficient_arrays()
+    _require_real(x)
     return lams, x[0], x[1], x[2]
-
-
-def _sample_rows(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u, v, theta as contiguous (samples, modes) arrays.
-
-    Summing these over the last axis reduces each sample's mode vector
-    exactly as a sum over that one sample's 1-D coefficient array does, so
-    the vectorized functionals match their per-sample forms bit for bit.
-    """
-    if np.iscomplexobj(trajectory.x):
-        raise ValueError("functional diagnostics expect real states")
-    return tuple(np.ascontiguousarray(trajectory.x[:, i, :].T) for i in range(3))
 
 
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
-
-
-def _lagrange_forms(
-    params: ModelParams,
-    epsilon: float,
-    lams: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    th: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """L1, L2 and L2 + epsilon*L1, summed over the last (mode) axis."""
-    mech = params.rho * np.sum(v**2, axis=-1) + params.c * np.sum(lams**2 * u**2, axis=-1)
-    thermal = params.a * np.sum(th**2, axis=-1)
-    l1 = 0.5 * (mech + thermal)
-    l2 = 0.5 * (mech - thermal)
-    return l1, l2, l2 + epsilon * l1
 
 
 @dataclass(frozen=True)
@@ -122,8 +101,10 @@ def lagrange_functionals(
     params: ModelParams, state: SpectralState, epsilon: float, t: float = 0.0
 ) -> LyapunovSample:
     _check_epsilon(epsilon)
-    l1, l2, l = _lagrange_forms(params, epsilon, *_arrays(state))
-    return LyapunovSample(t=t, l1=float(l1), l2=float(l2), l=float(l), epsilon=epsilon)
+    _require_real(state.coefficient_arrays()[1])
+    e = energy_of(params, state)
+    l2 = e.kinetic + e.bending - e.thermal
+    return LyapunovSample(t=t, l1=e.total, l2=l2, l=l2 + epsilon * e.total, epsilon=epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +127,12 @@ class LyapunovSeries(SampleArrays):
 def lyapunov_series(
     params: ModelParams, trajectory: Trajectory, epsilon: float
 ) -> LyapunovSeries:
-    """lagrange_functionals at every sample, vectorized."""
+    """lagrange_functionals at every sample, read off the energy columns."""
     _check_epsilon(epsilon)
-    forms = _lagrange_forms(params, epsilon, trajectory.lams, *_sample_rows(trajectory))
-    return LyapunovSeries(trajectory.t, *forms, epsilon)
+    _require_real(trajectory.x)
+    l1 = trajectory.total
+    l2 = trajectory.kinetic + trajectory.bending - trajectory.thermal
+    return LyapunovSeries(trajectory.t, l1, l2, l2 + epsilon * l1, epsilon)
 
 
 @dataclass(frozen=True)
@@ -198,10 +181,12 @@ def verify_backward_identities(
 
     dl1_fd = center(l1)
     dl2_fd = center(l2)
-    lams = trajectory.lams
-    _, v, th = (rows[1:-1] for rows in _sample_rows(trajectory))
-    diss = np.sum(params.heat_weight(lams) * th**2, axis=1)
-    cross = 2.0 * params.eta * np.sum(lams * v * th, axis=1)
+    _require_real(trajectory.x)
+    x = trajectory.x[:, :, 1:-1]
+    # (samples, modes) rows, so each sample sums as its own mode vector does
+    vth = np.ascontiguousarray((trajectory.lams[:, None] * x[:, 1] * x[:, 2]).T)
+    diss = trajectory.dissipation[1:-1]
+    cross = 2.0 * params.eta * np.sum(vth, axis=1)
     if direction is Direction.BACKWARD:
         dl1_an, dl2_an = diss, -diss - cross
     else:
@@ -345,8 +330,7 @@ def convexity_trajectory(
         raise ValueError("omega_const and t0 must be nonnegative")
     if len(trajectory) < 3:
         raise InsufficientSamples("convexity functional needs at least 3 samples")
-    if np.iscomplexobj(trajectory.x):
-        raise ValueError("functional diagnostics expect real states")
+    _require_real(trajectory.x)
 
     t, lams = trajectory.t, trajectory.lams
     u, v, th = trajectory.x[:, 0, :], trajectory.x[:, 1, :], trajectory.x[:, 2, :]
@@ -357,8 +341,7 @@ def convexity_trajectory(
     psi = alpha + sol.phi[:, None]
     s_now = np.sum(w[:, None] * psi**2, axis=0)
     q_int = cumulative_integral(s_now, t)
-    d_now = np.sum(w[:, None] * th**2, axis=0)
-    d_int = cumulative_integral(d_now, t)
+    d_int = cumulative_integral(trajectory.dissipation, t)
 
     e0 = trajectory.total[0]
     shifted = t + t0
@@ -368,9 +351,8 @@ def convexity_trajectory(
         + s_now
         + 2.0 * omega_const * shifted
     )
-    kinetic2 = params.rho * np.sum(v**2, axis=0)
     fddot = (
-        4.0 * kinetic2
+        8.0 * trajectory.kinetic  # 4 rho sum v_n^2
         + 4.0 * d_int
         - FDDOT_E0_COEFFICIENT * e0
         + 2.0 * omega_const

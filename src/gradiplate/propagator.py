@@ -2,6 +2,7 @@
 
 The truncated generator is block-diagonal over modes, so trajectories are
 computed from 3x3 matrix exponentials with no time-discretization error.
+One kernel, `_mode_trajectory`, serves both `evolve` and `evolve_mode`.
 Each block is exponentiated through its eigendecomposition; blocks whose
 eigenvector matrix is ill-conditioned (condition number above 1e8, possible
 at isolated parameter/eigenvalue coincidences) fall back to
@@ -14,7 +15,10 @@ Energy along a trajectory:
     D(t) = sum_n (b lam_n + d lam_n^2) |theta_n|^2
 
 Forward in time E(t) + int_0^t D ds = E(0); under the time-reversed heat
-terms the identity holds with the sign of the integral flipped.
+terms the identity holds with the sign of the integral flipped.  This is
+the package's one energy quadratic form: `_energy_columns` sums it, for a
+single state (`energy_of`) and for every trajectory sample alike, and the
+functionals (L1, L2, F'') read its columns instead of summing it again.
 
 `evolve` returns a `Trajectory` of arrays: the coefficients
 x[mode, (u, v, theta), sample] and the columns of E (kinetic, bending,
@@ -148,16 +152,41 @@ class EnergyBreakdown:
     dissipation_rate: float
 
 
+def _energy_columns(
+    params: ModelParams, lams: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Kinetic, bending, thermal, total and D of x[mode, (u, v, theta), sample].
+
+    The one place the energy quadratic form is summed.  Each component is
+    squared as its own contiguous (samples, modes) copy, one at a time, so
+    every sample's modes reduce in the same pairwise order as a single
+    state's mode vector.
+    """
+
+    def squares(i: int) -> np.ndarray:
+        rows = np.array(x[:, i, :].T, order="C")
+        if np.iscomplexobj(rows):
+            rows = np.abs(rows)
+        return np.square(rows, out=rows)
+
+    v2 = squares(1)
+    kinetic = 0.5 * params.rho * np.sum(v2, axis=1)
+    del v2
+    u2 = squares(0)
+    u2 *= lams**2
+    bending = 0.5 * params.c * np.sum(u2, axis=1)
+    del u2
+    th2 = squares(2)
+    thermal = 0.5 * params.a * np.sum(th2, axis=1)
+    th2 *= params.heat_weight(lams)
+    dissipation = np.sum(th2, axis=1)
+    return kinetic, bending, thermal, kinetic + bending + thermal, dissipation
+
+
 def energy_of(params: ModelParams, state: SpectralState) -> EnergyBreakdown:
     lams, x = state.coefficient_arrays()
-    u2 = np.abs(x[0]) ** 2
-    v2 = np.abs(x[1]) ** 2
-    th2 = np.abs(x[2]) ** 2
-    kinetic = 0.5 * params.rho * float(np.sum(v2))
-    bending = 0.5 * params.c * float(np.sum(lams**2 * u2))
-    thermal = 0.5 * params.a * float(np.sum(th2))
-    dissipation = float(np.sum(params.heat_weight(lams) * th2))
-    return EnergyBreakdown(kinetic, bending, thermal, kinetic + bending + thermal, dissipation)
+    columns = _energy_columns(params, lams, x.T[:, :, None])
+    return EnergyBreakdown(*(float(col[0]) for col in columns))
 
 
 @dataclass(frozen=True)
@@ -224,55 +253,43 @@ def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    m = matrix.entries
-    x0 = state.as_array()
-    w, vecs = np.linalg.eig(m)
-    # overflow is detected below and reported via NonFiniteResult
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.linalg.cond(vecs) <= EIGVEC_COND_LIMIT:
-            coeff = np.linalg.solve(vecs, x0.astype(complex))
-            term = np.exp(w * dt) * coeff
-            term[coeff == 0.0] = 0.0  # inf * 0 must stay exactly zero
-            x = vecs @ term
-        else:
-            import scipy.linalg
-
-            x = scipy.linalg.expm(m * dt) @ x0
-    if not np.all(np.isfinite(x.view(float))):
+    x = _mode_trajectory(matrix.entries, state.as_array(), np.array([dt]))[:, 0]
+    if not np.all(np.isfinite(x)):
         raise NonFiniteResult("mode evolution overflowed", time=dt)
-    if np.isrealobj(x0):
-        x = x.real
     return ModeState(*x)
 
 
 def _mode_trajectory(m: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States of one mode at all times, shape (3, len(times))."""
+    """States of one mode at all times, shape (3, len(times)).
+
+    The one per-mode exponential kernel.  Overflow is not raised here: it
+    leaves non-finite entries for the caller to report as NonFiniteResult.
+    """
     w, vecs = np.linalg.eig(m)
-    if np.linalg.cond(vecs) <= EIGVEC_COND_LIMIT:
-        coeff = np.linalg.solve(vecs, x0.astype(complex))
-        # overflow surfaces as NonFiniteResult at the offending sample
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.linalg.cond(vecs) <= EIGVEC_COND_LIMIT:
+            coeff = np.linalg.solve(vecs, x0.astype(complex))
             term = np.exp(np.outer(w, times)) * coeff[:, None]
             term[coeff == 0.0, :] = 0.0  # inf * 0 must stay exactly zero
             out = vecs @ term
-        if times.size and times[0] == 0.0:
-            out[:, 0] = x0  # keep the initial sample exact
-    else:
-        # stepwise Pade exponentials; one expm per distinct increment
-        import scipy.linalg
+            if times.size and times[0] == 0.0:
+                out[:, 0] = x0  # keep the initial sample exact
+        else:
+            # stepwise Pade exponentials; one expm per distinct increment
+            import scipy.linalg
 
-        out = np.empty((3, times.size), dtype=complex)
-        propagators: dict[float, np.ndarray] = {}
-        x = x0.astype(complex)
-        prev = 0.0
-        for k, t in enumerate(times):
-            dt = t - prev
-            if dt != 0.0:
-                if dt not in propagators:
-                    propagators[dt] = scipy.linalg.expm(m * dt)
-                x = propagators[dt] @ x
-            out[:, k] = x
-            prev = t
+            out = np.empty((3, times.size), dtype=complex)
+            propagators: dict[float, np.ndarray] = {}
+            x = x0.astype(complex)
+            prev = 0.0
+            for k, t in enumerate(times):
+                dt = t - prev
+                if dt != 0.0:
+                    if dt not in propagators:
+                        propagators[dt] = scipy.linalg.expm(m * dt)
+                    x = propagators[dt] @ x
+                out[:, k] = x
+                prev = t
     if np.isrealobj(x0):
         out = out.real
     return out
@@ -313,13 +330,7 @@ def evolve(
         raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
 
     lams = np.array([mode.lam for mode in modes])
-    u2 = np.abs(x[:, 0, :]) ** 2
-    v2 = np.abs(x[:, 1, :]) ** 2
-    th2 = np.abs(x[:, 2, :]) ** 2
-    kinetic = 0.5 * params.rho * np.sum(v2, axis=0)
-    bending = 0.5 * params.c * np.sum(lams[:, None] ** 2 * u2, axis=0)
-    thermal = 0.5 * params.a * np.sum(th2, axis=0)
-    dissipation = np.sum(params.heat_weight(lams)[:, None] * th2, axis=0)
+    kinetic, bending, thermal, total, dissipation = _energy_columns(params, lams, x)
     return Trajectory(
         domain=initial.domain,
         modes=modes,
@@ -329,7 +340,7 @@ def evolve(
         kinetic=kinetic,
         bending=bending,
         thermal=thermal,
-        total=kinetic + bending + thermal,
+        total=total,
         dissipation=dissipation,
     )
 

@@ -5,7 +5,9 @@ from pathlib import Path
 
 from gradiplate import cli, functionals, model, propagator, resolvent
 from gradiplate.cli import main
+from gradiplate.config import load_config
 from gradiplate.functionals import lyapunov_series
+from gradiplate.propagator import evolve
 
 PI = "3.141592653589793"
 
@@ -283,6 +285,34 @@ class TestNoPerSampleObjects:
         assert calls == {"enumerate_modes": 1, "nondiff_sequence": 30}
 
 
+class TestNoIdleKnobs:
+    def test_seed_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path, seed="1")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys: seed" in capsys.readouterr().err
+
+    def test_manifest_has_no_threads_line(self, tmp_path):
+        cfg = simulate_config(tmp_path, dt="0.01")
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        assert "threads" not in read_manifest(out)
+
+
+class TestInstabilityEnergy:
+    def test_e0_is_the_trajectory_total(self, tmp_path):
+        """E(0) of the bound is the trajectory's own first energy sample."""
+        # eight modes: a pairwise mode sum and a sequential one can differ
+        cfg = load_config(write_config(tmp_path, "run.cfg", base_model(c="-1") + [
+            "domain = interval", f"length = {PI}", "mode_count = 8",
+            "t_end = 0.05", "dt = 0.001",
+            "initial_u = 0.346, 0.822, 0.33, -1.303, 0.905, 0.446, -0.537, 0.581",
+            "initial_v = 0.365, 0.294, 0.028, 0.547, -0.736, -0.163, -0.482, 0.599",
+            "initial_theta = 0.04, -0.292, -0.782, -0.257, 0.008, -0.276, 1.294, 1.007",
+        ]), "instability")
+        trajectory = evolve(cfg.params, cfg.initial_state(), cli._time_grid(cfg))
+        assert cli._run_instability(cfg).results["e0"] == trajectory.total[0]
+
+
 class TestImportFootprint:
     def test_cli_run_loads_no_scipy(self, tmp_path):
         """A CLI process never imports scipy (it costs more than the run)."""
@@ -317,18 +347,3 @@ class TestParamsOverride:
             "simulate", "--config", cfg, "--out", str(tmp_path / "o"),
             "--params", "mode_count",
         ]) == 2
-
-
-class TestThreadsEnv:
-    def test_invalid_threads_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GRADIPLATE_THREADS", "zero")
-        cfg = simulate_config(tmp_path, dt="0.01")
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "GRADIPLATE_THREADS" in capsys.readouterr().err
-
-    def test_threads_echoed_in_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRADIPLATE_THREADS", "4")
-        cfg = simulate_config(tmp_path, dt="0.01")
-        out = str(tmp_path / "o")
-        assert main(["simulate", "--config", cfg, "--out", out]) == 0
-        assert read_manifest(out)["threads"] == "4"

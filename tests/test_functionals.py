@@ -148,6 +148,12 @@ class TestVectorizedFunctionals:
                 expected = (-diss, diss - cross)
             assert (report.dl1_analytic[j], report.dl2_analytic[j]) == expected
 
+    def test_lyapunov_series_reads_the_energy_columns(self, case):
+        params, traj, _ = case
+        series = lyapunov_series(params, traj, 0.3)
+        assert np.array_equal(series.l1, traj.total)
+        assert np.array_equal(series.l2, traj.kinetic + traj.bending - traj.thermal)
+
     def test_shared_series_gives_identical_reports(self, case):
         params, traj, direction = case
         series = lyapunov_series(params, traj, 0.7)

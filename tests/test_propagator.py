@@ -255,6 +255,17 @@ class TestTrajectoryArrays:
                 sample.energy.total, rel=1e-14
             )
 
+    def test_energy_columns_equal_energy_of_exactly(self, unit_params, trajectory):
+        """One quadratic form: a sample's columns are its state's energy."""
+        columns = (
+            trajectory.kinetic, trajectory.bending, trajectory.thermal,
+            trajectory.total, trajectory.dissipation,
+        )
+        for k, sample in enumerate(trajectory):
+            e = energy_of(unit_params, sample.state)
+            expected = (e.kinetic, e.bending, e.thermal, e.total, e.dissipation_rate)
+            assert tuple(col[k] for col in columns) == expected
+
 
 class TestEnergyBalance:
     def test_zero_trajectory_residual_zero(self, unit_params, pi_interval):
