@@ -45,8 +45,11 @@ and 2*omega used throughout, and E(0) enters F'' with coefficient 4 - the
 value the derivatives of F actually have (verified by finite differences
 in the test suite); see FDDOT_E0_COEFFICIENT.  Because Psi(0) = Phi, the
 shift condition F'(0) > 2 nu reduces to a closed form and t0 never needs a
-numerical search (choose_weight_shift).  The terms 4 rho sum v_n^2,
-int_0^t D ds and E(0) of F'' come from the same energy columns.
+numerical search (choose_weight_shift).  The terms 4 rho sum v_n^2 and
+E(0) of F'' come from the same energy columns, and int_0^t D ds is the
+trajectory's exact dissipation integral.  Psi_n and int_0^t w_n Psi_n^2 ds
+come from the per-mode exponential kernel as well, in closed form; no time
+integral is taken by quadrature.
 """
 
 from __future__ import annotations
@@ -56,10 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import cumulative_integral
 from .errors import EpsilonOutOfRange, InsufficientSamples, PreconditionUnmet
-from .model import Direction, ModelParams
-from .propagator import SampleArrays, SpectralState, Trajectory, energy_of
+from .model import Direction, ModelParams, mode_blocks
+from .propagator import SampleArrays, SpectralState, Trajectory, _mode_trajectory, energy_of
 
 # coefficient of E(0) in the closed form of F''; the Schwarz argument needs
 # only F'' >= 4K + 4*int(D) - 4E(0) + 2*omega, which holds with equality
@@ -319,12 +321,13 @@ def convexity_trajectory(
 ) -> ConvexityTrajectory:
     """Evaluate F, F', F'' along a forward trajectory.
 
-    The running integrals (alpha_n = int theta_n and the Psi and
-    dissipation time integrals) are accumulated by Richardson-refined
-    Simpson quadrature on the sample grid, keeping the per-mode evolution
-    itself exact.  F' and F'' come from the closed forms, not finite
-    differences.  Intended for the negative-elasticity regime but runs in
-    any regime as a diagnostic.
+    The running integrals are exact: int_0^t D ds is the trajectory's
+    `dissipation_integral`, and Psi_n = Phi_n + int_0^t theta_n ds with
+    int_0^t w_n Psi_n^2 ds come from the per-mode exponential kernel run on
+    the block [[M_n, 0], [e_theta^T, 0]] from (u_n, v_n, theta_n, Phi_n).
+    F' and F'' come from the closed forms, not finite differences.
+    Intended for the negative-elasticity regime but runs in any regime as
+    a diagnostic.
     """
     if omega_const < 0 or t0 < 0:
         raise ValueError("omega_const and t0 must be nonnegative")
@@ -333,15 +336,18 @@ def convexity_trajectory(
     _require_real(trajectory.x)
 
     t, lams = trajectory.t, trajectory.lams
-    u, v, th = trajectory.x[:, 0, :], trajectory.x[:, 1, :], trajectory.x[:, 2, :]
+    u, v = trajectory.x[:, 0, :], trajectory.x[:, 1, :]
     w = params.heat_weight(lams)
-    sol = _phi_solution(params, lams, u[:, 0], th[:, 0])
+    sol = _phi_solution(params, lams, u[:, 0], trajectory.x[:, 2, 0])
 
-    alpha = np.stack([cumulative_integral(row, t) for row in th]) if lams.size else np.zeros((0, t.size))
-    psi = alpha + sol.phi[:, None]
-    s_now = np.sum(w[:, None] * psi**2, axis=0)
-    q_int = cumulative_integral(s_now, t)
-    d_int = cumulative_integral(trajectory.dissipation, t)
+    blocks = np.zeros((lams.size, 4, 4))
+    blocks[:, :3, :3] = mode_blocks(params, lams)
+    blocks[:, 3, 2] = 1.0  # Psi_n' = theta_n
+    x0 = np.concatenate([trajectory.x[:, :, 0], sol.phi[:, None]], axis=1)
+    q = np.zeros((lams.size, 4, 4))
+    q[:, 3, 3] = w
+    states, q_int = _mode_trajectory(blocks, x0, t, q)
+    s_now = w @ states[:, 3] ** 2  # sum_n w_n Psi_n^2; q_int is its integral
 
     e0 = trajectory.total[0]
     shifted = t + t0
@@ -353,7 +359,7 @@ def convexity_trajectory(
     )
     fddot = (
         8.0 * trajectory.kinetic  # 4 rho sum v_n^2
-        + 4.0 * d_int
+        + 4.0 * trajectory.dissipation_integral
         - FDDOT_E0_COEFFICIENT * e0
         + 2.0 * omega_const
     )

@@ -180,25 +180,27 @@ def enumerate_modes(domain: SpectralDomain, count: int) -> tuple[Mode, ...]:
     if isinstance(domain, Interval):
         return tuple(Mode(n, domain.eigenvalue(n)) for n in range(1, count + 1))
 
-    # Rectangle: grow a candidate box until no outside mode can beat the
-    # count-th smallest eigenvalue inside it.
-    m = max(4, math.isqrt(count) + 1)
+    # Rectangle: sort a box of (j, k) on (lam, j, k), lam evaluated as
+    # Rectangle.eigenvalue does.  The box starts near the Weyl count for
+    # the domain's aspect ratio and doubles until no mode outside it can
+    # beat the count-th smallest inside it.
+    l1, l2 = domain.length1, domain.length2
+    jn = math.ceil(2.0 * math.sqrt(count * l1 / (math.pi * l2))) + 1
+    kn = math.ceil(2.0 * math.sqrt(count * l2 / (math.pi * l1))) + 1
     while True:
-        candidates = [
-            (domain.eigenvalue((j, k)), (j, k))
-            for j in range(1, m + 1)
-            for k in range(1, m + 1)
-        ]
-        candidates.sort()
-        if len(candidates) >= count:
-            lam_cut = candidates[count - 1][0]
-            outside_min = math.pi**2 * (
-                (m + 1) ** 2 / max(domain.length1, domain.length2) ** 2
-                + 1.0 / max(domain.length1, domain.length2) ** 2
-            )
-            if lam_cut < outside_min:
-                return tuple(Mode(idx, lam) for lam, idx in candidates[:count])
-        m *= 2
+        j, k = np.divmod(np.arange(jn * kn), kn)
+        j += 1
+        k += 1
+        lam = math.pi**2 * (j**2 / l1**2 + k**2 / l2**2)
+        order = np.lexsort((k, j, lam))[:count]
+        outside_min = math.pi**2 * min(
+            (jn + 1) ** 2 / l1**2 + 1.0 / l2**2, 1.0 / l1**2 + (kn + 1) ** 2 / l2**2
+        )
+        if order.size == count and lam[order[-1]] < outside_min:
+            picked = zip(j[order].tolist(), k[order].tolist(), lam[order].tolist())
+            return tuple(Mode((jj, kk), value) for jj, kk, value in picked)
+        jn *= 2
+        kn *= 2
 
 
 @dataclass(frozen=True)
@@ -230,16 +232,22 @@ def mode_matrix(
     """Generator block of one mode, exact in host float arithmetic."""
     if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    heat = params.heat_weight(lam) / params.a
+    return ModeMatrix(mode_blocks(params, np.array([lam]), direction)[0], direction)
+
+
+def mode_blocks(
+    params: ModelParams, lams: np.ndarray, direction: Direction = Direction.FORWARD
+) -> np.ndarray:
+    """The ModeMatrix entries of every lam in `lams`, shape (len(lams), 3, 3)."""
+    heat = params.heat_weight(lams) / params.a
     sign = -1.0 if direction is Direction.FORWARD else 1.0
-    entries = np.array(
-        [
-            [0.0, 1.0, 0.0],
-            [-(params.c / params.rho) * lam * lam, 0.0, -(params.eta / params.rho) * lam],
-            [0.0, (params.eta / params.a) * lam, sign * heat],
-        ]
-    )
-    return ModeMatrix(entries, direction)
+    blocks = np.zeros((lams.size, 3, 3))
+    blocks[:, 0, 1] = 1.0
+    blocks[:, 1, 0] = -(params.c / params.rho) * lams * lams
+    blocks[:, 1, 2] = -(params.eta / params.rho) * lams
+    blocks[:, 2, 1] = (params.eta / params.a) * lams
+    blocks[:, 2, 2] = sign * heat
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,18 @@
 
 The truncated generator is block-diagonal over modes, so trajectories are
 computed from 3x3 matrix exponentials with no time-discretization error.
-One kernel, `_mode_trajectory`, serves both `evolve` and `evolve_mode`.
-Each block is exponentiated through its eigendecomposition; blocks whose
-eigenvector matrix is ill-conditioned (condition number above 1e8, possible
-at isolated parameter/eigenvalue coincidences) fall back to
-scaling-and-squaring Pade exponentials applied stepwise
+One kernel, `_mode_trajectory`, serves `evolve`, `evolve_mode` and the
+convexity functional; it evolves a stack of modes at once.  Each block is
+exponentiated through its eigendecomposition.  Blocks whose eigenvector
+matrix, rows equilibrated, has a condition number above 1e3 (nearly
+defective blocks, at isolated parameter/eigenvalue coincidences) fall back
+to Pade exponentials of Van Loan's block matrix applied stepwise
 (`scipy.linalg.expm`, imported only on that path).
+
+The kernel also returns the exact running integral int_0^t x^H Q x ds of
+a per-mode quadratic form Q: from the eigen-coefficients in closed form,
+or from Van Loan's block on the fallback path.  Time integrals are never
+taken by quadrature of the samples.
 
 Energy along a trajectory:
 
@@ -21,9 +27,10 @@ single state (`energy_of`) and for every trajectory sample alike, and the
 functionals (L1, L2, F'') read its columns instead of summing it again.
 
 `evolve` returns a `Trajectory` of arrays: the coefficients
-x[mode, (u, v, theta), sample] and the columns of E (kinetic, bending,
-thermal, total) and D, one value per sample.  Indexing it builds a
-`TrajectorySample` view of that one sample on demand.
+x[mode, (u, v, theta), sample], the columns of E (kinetic, bending,
+thermal, total) and D, one value per sample, and int_0^t D ds from the
+kernel.  Indexing it builds a `TrajectorySample` view of that one sample
+on demand.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import cumulative_integral
 from .errors import InsufficientSamples, NonFiniteResult, PointOutsideDomain
 from .model import (
     Direction,
@@ -44,10 +50,18 @@ from .model import (
     ModelParams,
     SpectralDomain,
     enumerate_modes,
-    mode_matrix,
+    mode_blocks,
 )
 
-EIGVEC_COND_LIMIT = 1e8
+# the eigenvector route is taken below this condition number of the
+# row-equilibrated eigenvector matrix; its closed-form integrals lose about
+# eps * cond^2 of their scale
+EIGVEC_COND_LIMIT = 1e3
+# below |s t| = EXPM1_LIMIT a closed-form integral takes (e^{st} - 1)/s
+# from expm1, where the difference of exponentials would cancel
+EXPM1_LIMIT = 0.5
+# mode-samples per kernel call: bounds the kernel's temporaries
+CHUNK_SAMPLES = 2**13
 ENERGY_FLOOR = 1e-300
 
 
@@ -219,7 +233,8 @@ class Trajectory(SampleArrays):
 
     x has shape (modes, 3, samples) with rows u, v, theta; lams and modes
     follow the initial state's order.  The energy columns (see the module
-    docstring) have one entry per sample.
+    docstring) and dissipation_integral, int_0^t D ds, have one entry per
+    sample.
     """
 
     domain: SpectralDomain
@@ -232,6 +247,7 @@ class Trajectory(SampleArrays):
     thermal: np.ndarray
     total: np.ndarray
     dissipation: np.ndarray
+    dissipation_integral: np.ndarray
 
     def _sample(self, k: int) -> TrajectorySample:
         pairs = tuple(
@@ -253,46 +269,139 @@ def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    x = _mode_trajectory(matrix.entries, state.as_array(), np.array([dt]))[:, 0]
+    x0 = state.as_array()[None]
+    x, _ = _mode_trajectory(matrix.entries[None], x0, np.array([dt]), np.zeros((1, 3, 3)))
     if not np.all(np.isfinite(x)):
         raise NonFiniteResult("mode evolution overflowed", time=dt)
-    return ModeState(*x)
+    return ModeState(*x[0, :, 0])
 
 
-def _mode_trajectory(m: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States of one mode at all times, shape (3, len(times)).
+def _mode_trajectory(
+    m: np.ndarray, x0: np.ndarray, times: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """States of a stack of modes at all times, shape (modes, n, len(times)),
+    and the running integral int_0^t sum_modes x^H q x ds, shape (len(times),).
 
-    The one per-mode exponential kernel.  Overflow is not raised here: it
-    leaves non-finite entries for the caller to report as NonFiniteResult.
+    The one per-mode exponential kernel: m holds the (modes, n, n) blocks,
+    x0 the (modes, n) initial states and q the real symmetric (modes, n, n)
+    weights.  Modes at rest stay exactly at rest; the others go through in
+    stacks of about CHUNK_SAMPLES mode-samples.  Overflow is not raised
+    here: it leaves non-finite entries for the caller to report as
+    NonFiniteResult.
     """
-    w, vecs = np.linalg.eig(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.linalg.cond(vecs) <= EIGVEC_COND_LIMIT:
-            coeff = np.linalg.solve(vecs, x0.astype(complex))
-            term = np.exp(np.outer(w, times)) * coeff[:, None]
-            term[coeff == 0.0, :] = 0.0  # inf * 0 must stay exactly zero
-            out = vecs @ term
-            if times.size and times[0] == 0.0:
-                out[:, 0] = x0  # keep the initial sample exact
-        else:
-            # stepwise Pade exponentials; one expm per distinct increment
-            import scipy.linalg
+    out = np.zeros(x0.shape + times.shape, dtype=x0.dtype)
+    integral = np.zeros(times.size)
+    live = np.flatnonzero(np.any(x0 != 0.0, axis=1))
+    step = max(1, CHUNK_SAMPLES // max(times.size, 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for chunk in (live[lo : lo + step] for lo in range(0, live.size, step)):
+            z, vecs = np.linalg.eig(m[chunk])
+            # rows equilibrated first: u, v and theta differ in scale by
+            # powers of lam, which costs no accuracy; near-coincident roots do
+            rows = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+            good = np.linalg.cond(rows) <= EIGVEC_COND_LIMIT
+            out[chunk[good]] = _eig_trajectories(
+                z[good], vecs[good], x0[chunk[good]], times, q[chunk[good]], integral
+            )
+            for k in chunk[~good]:
+                out[k] = _stepwise_trajectory(m[k], x0[k], times, q[k], integral)
+    return out, integral
 
-            out = np.empty((3, times.size), dtype=complex)
-            propagators: dict[float, np.ndarray] = {}
-            x = x0.astype(complex)
-            prev = 0.0
-            for k, t in enumerate(times):
-                dt = t - prev
-                if dt != 0.0:
-                    if dt not in propagators:
-                        propagators[dt] = scipy.linalg.expm(m * dt)
-                    x = propagators[dt] @ x
-                out[:, k] = x
-                prev = t
+
+def _eig_trajectories(z, vecs, x0, times, q, integral) -> np.ndarray:
+    """Eigenvector branch of `_mode_trajectory`; adds into `integral`.
+
+    With x(t) = V term(t), term = coeff e^{z t}, g = V^H q V and
+    s_ij = conj(z_i) + z_j, the integral of each mode is
+    sum_ij g_ij conj(coeff_i) coeff_j (e^{s_ij t} - 1)/s_ij, and
+    conj(coeff_i) coeff_j e^{s_ij t} = conj(term_i) term_j reuses the
+    exponentials of the states.  That difference cancels while
+    |s_ij t| < EXPM1_LIMIT, so there the entry is taken from expm1
+    instead.
+    """
+    coeff = np.linalg.solve(vecs, x0.astype(complex)[..., None])[..., 0]
+    term = np.exp(z[..., None] * times) * coeff[..., None]
+    term[coeff == 0.0] = 0.0  # inf * 0 must stay exactly zero
+    out = vecs @ term
+    if times.size and times[0] == 0.0:
+        out[..., 0] = x0  # keep the initial sample exact
     if np.isrealobj(x0):
         out = out.real
+    if not times.size:
+        return out
+
+    g = vecs.conj().swapaxes(-1, -2) @ q @ vecs
+    s = z.conj()[..., :, None] + z[..., None, :]
+    start = coeff.conj()[..., :, None] * coeff[..., None, :]
+    reach = EXPM1_LIMIT / np.abs(s)  # |s t| < EXPM1_LIMIT while t < reach
+    near = np.searchsorted(times, reach)  # leading samples within reach
+    whole = near == times.size  # entries that never leave their reach
+    h = np.where(whole, 0.0, g / s)
+    y = h @ term  # Re(conj(term) y) is the sum below, over modes and i
+    integral += np.einsum("mit,mit->t", term.real, y.real)
+    integral += np.einsum("mit,mit->t", term.imag, y.imag)
+    integral -= np.sum(coeff.conj() * (h @ coeff[..., None])[..., 0]).real
+
+    # g is Hermitian: entry (i, j) of the upper triangle stands for (j, i) too
+    twice = 2.0 - np.eye(z.shape[-1])
+    weight = g * start * twice
+    # entries that never leave their reach: from expm1 on every sample
+    mode, i, j = np.nonzero(np.triu(whole))
+    w, rate = weight[mode, i, j, None], s[mode, i, j, None]
+    real = rate[:, 0].imag == 0.0  # real expm1 is far cheaper than complex
+    integral += np.sum(w[real].real * _growth(rate[real].real, times), axis=0)
+    integral += np.sum(w[~real] * _growth(rate[~real], times), axis=0).real
+    # the others: from expm1 on the samples within reach, in place of
+    # their part in h (which adds nothing at t = 0)
+    first = np.searchsorted(times, 0.0, side="right")
+    mode, i, j = np.nonzero(np.triu(~whole & (near > first)))
+    counts = near[mode, i, j] - first
+    entry = np.repeat(np.arange(mode.size), counts)
+    sample = first + np.arange(entry.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    mode, i, j = mode[entry], i[entry], j[entry]
+    exact = weight[mode, i, j] * _growth(s[mode, i, j], times[sample])
+    pairs = term[mode, i, sample].conj() * term[mode, j, sample]
+    direct = twice[i, j] * h[mode, i, j] * (pairs - start[mode, i, j])
+    integral += np.bincount(sample, (exact - direct).real, minlength=times.size)
     return out
+
+
+def _growth(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """int_0^t e^{s r} dr = (e^{s t} - 1)/s elementwise, from expm1."""
+    st = s * t
+    return np.where(st == 0.0, t, np.expm1(st) / s)
+
+
+def _stepwise_trajectory(m, x0, times, q, integral) -> np.ndarray:
+    """Fallback branch of `_mode_trajectory` for one mode; adds into
+    `integral`.
+
+    Stepwise Pade exponentials of Van Loan's block [[-M^H, q], [0, M]] dt,
+    whose blocks give exp(M dt) and int_0^dt exp(M^H s) q exp(M s) ds
+    (Van Loan 1978); one expm per distinct step, imported only here.
+    """
+    import scipy.linalg
+
+    n = m.shape[0]
+    block = np.block([[-m.T, q], [np.zeros_like(m), m]])
+    out = np.empty((n, times.size), dtype=complex)
+    propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    x = x0.astype(complex)
+    running = 0.0
+    prev = 0.0
+    for k, t in enumerate(times):
+        dt = t - prev
+        if dt != 0.0:
+            if dt not in propagators:
+                e = scipy.linalg.expm(block * dt)
+                propagators[dt] = (e[n:, n:], e[n:, n:].T @ e[:n, n:])
+            step, gram = propagators[dt]
+            running += (x.conj() @ gram @ x).real
+            x = step @ x
+        out[:, k] = x
+        integral[k] += running
+        prev = t
+    return out.real if np.isrealobj(x0) else out
 
 
 def evolve(
@@ -305,8 +414,9 @@ def evolve(
 
     `times` must start at 0 and increase strictly.  Per-mode evolution is
     independent (data-parallel by contract); the energy breakdown is
-    computed vectorized over the whole trajectory.  Overflow raises
-    NonFiniteResult tagged with the first offending time.
+    computed vectorized over the whole trajectory, and int_0^t D ds comes
+    from the kernel in closed form.  Overflow, of the states or of their
+    energy, raises NonFiniteResult tagged with the first offending time.
     """
     times = np.array(times, dtype=float)
     if times.size and times[0] != 0.0:
@@ -315,22 +425,20 @@ def evolve(
         raise ValueError("times must increase strictly")
 
     modes = tuple(mode for mode, _ in initial.modes)
-    per_mode = [
-        _mode_trajectory(
-            mode_matrix(params, mode.lam, direction).entries, mstate.as_array(), times
-        )
-        for mode, mstate in initial.modes
-    ]
+    lams = np.array([mode.lam for mode in modes])
+    blocks = mode_blocks(params, lams, direction)
+    x0 = np.array([mstate.as_array() for _, mstate in initial.modes]).reshape(len(modes), 3)
+    q = np.zeros((len(modes), 3, 3))
+    q[:, 2, 2] = params.heat_weight(lams)  # D_n = w_n theta_n^2
     # (modes, component, time)
-    x = np.stack(per_mode) if per_mode else np.zeros((0, 3, times.size))
+    x, dissipation_integral = _mode_trajectory(blocks, x0, times, q)
 
-    finite = np.all(np.isfinite(x), axis=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic, bending, thermal, total, dissipation = _energy_columns(params, lams, x)
+    finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
     if not np.all(finite):
         t_bad = float(times[int(np.argmin(finite))])
         raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
-
-    lams = np.array([mode.lam for mode in modes])
-    kinetic, bending, thermal, total, dissipation = _energy_columns(params, lams, x)
     return Trajectory(
         domain=initial.domain,
         modes=modes,
@@ -342,6 +450,7 @@ def evolve(
         thermal=thermal,
         total=total,
         dissipation=dissipation,
+        dissipation_integral=dissipation_integral,
     )
 
 
@@ -350,7 +459,8 @@ class EnergyBalanceReport:
     """Residuals of the integrated energy identity along a trajectory.
 
     residuals[k] = (E(t_k) + s * int_0^{t_k} D ds - E(0)) / denominator
-    with s = +1 forward, -1 backward, and denominator max(|E(0)|, floor).
+    with s = +1 forward, -1 backward, and denominator max(|E(0)|, floor);
+    max_abs_error is the largest numerator, for other normalizations.
     """
 
     direction: Direction
@@ -358,6 +468,7 @@ class EnergyBalanceReport:
     denominator: float
     residuals: np.ndarray
     max_abs_residual: float
+    max_abs_error: float
 
 
 def energy_balance_report(
@@ -366,18 +477,20 @@ def energy_balance_report(
 ) -> EnergyBalanceReport:
     if len(trajectory) < 3:
         raise InsufficientSamples("energy balance needs at least 3 samples")
-    t, e = trajectory.t, trajectory.total
-    integral = cumulative_integral(trajectory.dissipation, t)
+    e, integral = trajectory.total, trajectory.dissipation_integral
     sign = 1.0 if direction is Direction.FORWARD else -1.0
     e0 = e[0]
     denom = max(abs(e0), ENERGY_FLOOR)
-    residuals = (e + sign * integral - e0) / denom
+    errors = e + sign * integral - e0
+    with np.errstate(over="ignore"):  # E(t) may outgrow a tiny E(0)
+        residuals = errors / denom
     return EnergyBalanceReport(
         direction=direction,
         e0=float(e0),
         denominator=float(denom),
         residuals=residuals,
         max_abs_residual=float(np.max(np.abs(residuals))),
+        max_abs_error=float(np.max(np.abs(errors))),
     )
 
 

@@ -1,10 +1,11 @@
 """Independent reference computations the tests check the package against.
 
 Everything here deliberately avoids the code paths under test: trajectories
-come from adaptive Runge-Kutta integration, eigenvalues from the companion
-matrix, roots from bisection, the generator blocks from a
-finite-difference discretization of the underlying PDE on one eigenfunction,
-and resolvent norms from LAPACK's inverse and singular values.
+and their running time integrals come from adaptive Runge-Kutta
+integration, eigenvalues from the companion matrix, roots from bisection,
+the generator blocks from a finite-difference discretization of the
+underlying PDE on one eigenfunction, and resolvent norms from LAPACK's
+inverse and singular values.
 """
 
 from __future__ import annotations
@@ -29,6 +30,34 @@ def rk_mode_evolution(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
     )
     assert sol.success, sol.message
     return sol.y[:, -1]
+
+
+def rk_mode_integrals(
+    m: np.ndarray, x0, weight: float, phi: float, times
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running integrals of one mode by DOP853, carried as extra states.
+
+    Integrates x' = M x with I' = weight * theta^2, psi' = theta and
+    J' = weight * psi^2, from I = J = 0 and psi = phi.  Returns
+    (int_0^t weight theta^2, psi, int_0^t weight psi^2) at `times`.
+    """
+
+    def rhs(_, y):
+        theta, psi = y[2], y[4]
+        return np.concatenate((m @ y[:3], [weight * theta**2, theta, weight * psi**2]))
+
+    y0 = np.concatenate((np.asarray(x0, dtype=float), [0.0, phi, 0.0]))
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(times[-1])),
+        y0,
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14,
+        t_eval=times,
+    )
+    assert sol.success, sol.message
+    return sol.y[3], sol.y[4], sol.y[5]
 
 
 def rk_scalar_decay(rate: float, y0: float, t: float) -> float:

@@ -1,4 +1,5 @@
-"""Cumulative quadrature helpers for sampled trajectories.
+"""Sampled cumulative quadrature, the tests' independent cross-check of
+the exact time integrals that `gradiplate.propagator` computes.
 
 Composite Simpson with one Richardson step: the fine-grid cumulative
 integral is extrapolated against the integral on the doubled-spacing grid,
@@ -11,9 +12,8 @@ grids fall back to plain cumulative Simpson.
 The plain Simpson and trapezoid sums are a numpy transcription of
 `scipy.integrate.cumulative_simpson` / `cumulative_trapezoid` (scipy 1.17,
 1-D, `initial=0.0`), with every operation in scipy's order, so their
-results are bit-identical to scipy's (the tests compare them by bytes) and
-CSV output does not move.  Importing scipy.integrate costs more than most
-test-size CLI runs, so the CLI does not load it.
+results are bit-identical to scipy's (test_quadrature compares them by
+bytes).
 """
 
 from __future__ import annotations

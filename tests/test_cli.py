@@ -104,15 +104,102 @@ class TestSimulate:
         assert manifest["status"] == "nonfinite"
         assert manifest["exit_code"] == "4"
 
-    def test_coarse_unstable_fails_checks_with_manifest(self, tmp_path):
+    def test_coarse_unstable_passes_energy_identity(self, tmp_path):
         cfg = simulate_config(tmp_path, c="-1", t_end="10", dt="0.5")
         out = str(tmp_path / "o")
-        assert main(["simulate", "--config", cfg, "--out", out]) == 3
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        manifest = read_manifest(out)
+        assert manifest["check.energy_identity.pass"] == "true"
+        assert float(manifest["check.energy_identity.value"]) <= 1e-12
+
+    def test_failing_check_exits_3_with_manifest(self, tmp_path, monkeypatch):
+        def failing(cfg):
+            return cli.RunOutput(
+                csv_name="simulate.csv", header=["t"], rows=[(0.0,)],
+                checks=[cli.Check("energy_identity", False, 1.0, 1e-8)],
+                results={}, notes={},
+            )
+
+        monkeypatch.setitem(cli.HANDLERS, "simulate", failing)
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", simulate_config(tmp_path), "--out", out]) == 3
         manifest = read_manifest(out)
         assert manifest["status"] == "check_failure"
+        assert manifest["exit_code"] == "3"
         assert manifest["check.energy_identity.pass"] == "false"
         # CSV still written for inspection
         assert (tmp_path / "o" / "simulate.csv").exists()
+
+
+class TestRegressionConfigs:
+    """Valid configs that once exited 3; each must pass every check."""
+
+    README_SIMULATE = base_model() + [
+        "domain = interval", f"length = {PI}", "mode_count = 64", "t_end = 10",
+        "initial = first-mode-bend+thermal-pulse",
+    ]
+
+    def run(self, tmp_path, subcommand, lines):
+        out = str(tmp_path / "o")
+        code = main([subcommand, "--config", write_config(tmp_path, "run.cfg", lines), "--out", out])
+        return code, read_manifest(out)
+
+    def test_readme_simulate_at_dt_0_01(self, tmp_path):
+        code, manifest = self.run(tmp_path, "simulate", self.README_SIMULATE + ["dt = 0.01"])
+        assert code == 0
+        assert float(manifest["check.energy_identity.value"]) <= 1e-12
+
+    def test_readme_simulate_at_dt_0_1(self, tmp_path):
+        code, manifest = self.run(tmp_path, "simulate", self.README_SIMULATE + ["dt = 0.1"])
+        assert code == 0
+        assert float(manifest["check.energy_identity.value"]) <= 1e-12
+
+    def test_wide_plate_simulate(self, tmp_path):
+        lines = base_model() + [
+            "domain = rectangle", f"length1 = {PI}", "length2 = 2", "mode_count = 4096",
+            "t_end = 0.01", "dt = 0.001", "initial = first-mode-bend+thermal-pulse",
+        ]
+        code, manifest = self.run(tmp_path, "simulate", lines)
+        assert code == 0
+        assert float(manifest["check.energy_identity.value"]) <= 1e-12
+
+    # c < 0 with eta = d = 0: the plate mode grows like e^{lam t} while
+    # E = kinetic + bending stays 1/2, a difference of huge numbers
+    DECOUPLED_UNSTABLE = [
+        "rho = 1", "a = 1", "b = 1", "c = -1", "d = 0", "eta = 0",
+        "domain = rectangle", "length1 = 1", "length2 = 1", "mode_count = 1",
+        "dt = 0.1", "initial_u = 0", "initial_v = 1", "initial_theta = 0",
+    ]
+
+    def test_indefinite_energy_is_judged_against_the_energy_norm(self, tmp_path):
+        code, manifest = self.run(tmp_path, "simulate", self.DECOUPLED_UNSTABLE + ["t_end = 17.9"])
+        assert code == 0
+        assert float(manifest["check.energy_identity.value"]) <= 1e-12
+
+    def test_energy_past_the_float_range_exits_4(self, tmp_path):
+        code, manifest = self.run(tmp_path, "simulate", self.DECOUPLED_UNSTABLE + ["t_end = 18.1"])
+        assert code == 4
+        assert manifest["status"] == "nonfinite"
+
+    def test_growth_from_a_tiny_energy(self, tmp_path):
+        lines = [
+            "rho = 1", "a = 1", "b = 0.2353156980440316", "c = -0.2353156980440316",
+            "d = 0", "eta = 6.103515625e-05", "domain = rectangle",
+            "length1 = 1.475681121131099", "length2 = 0.8695679651124587",
+            "mode_count = 1", "dt = 0.06537774151018443", "t_end = 45.96055228165965",
+            "initial_u = 0", "initial_v = 1.175494351e-38", "initial_theta = 0",
+        ]
+        code, manifest = self.run(tmp_path, "simulate", lines)
+        assert code == 0
+        assert float(manifest["check.energy_identity.value"]) <= 1e-12
+
+    def test_quasistatic_past_the_underflow_of_the_envelope(self, tmp_path):
+        # rate1 is about 107, so exp(-2 rate1 t) underflows from t of about 3.5
+        lines = ["rho = 1", "a = 2", "b = 1", "c = -1", "d = 1", "eta = 1",
+                 "initial_theta = 1,0.5,0.25", "t_end = 10", "dt = 1e-3"]
+        code, manifest = self.run(tmp_path, "quasistatic", lines)
+        assert code == 0
+        assert manifest["check.envelope_holds.value"] != "nan"
 
 
 class TestOtherSubcommands:

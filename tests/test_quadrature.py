@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
-from gradiplate import _quadrature
-from gradiplate._quadrature import cumulative_integral
+import quadrature as _quadrature
+from quadrature import cumulative_integral
 
 
 def test_exact_for_cubics():
