@@ -323,6 +323,10 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
         if cfg.lambda_points < 2:
             raise ConfigError("lambda_points must be >= 2")
     elif subcommand == "backward":
+        # the identities use central differences, which need an interior
+        # sample of the grid dt * (0, 1, ..., round(t_end / dt))
+        if round(cfg.t_end / cfg.dt) < 2:
+            raise ConfigError("backward needs at least 3 time samples (round(t_end / dt) >= 2)")
         if "epsilon" in raw:
             cfg.epsilon = _as_float(raw, "epsilon")
             if not 0 < cfg.epsilon < 1:

@@ -435,7 +435,7 @@ def evolve(
 
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic, bending, thermal, total, dissipation = _energy_columns(params, lams, x)
-    finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
+        finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
     if not np.all(finite):
         t_bad = float(times[int(np.argmin(finite))])
         raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
@@ -475,8 +475,8 @@ def energy_balance_report(
     trajectory: Trajectory,
     direction: Direction = Direction.FORWARD,
 ) -> EnergyBalanceReport:
-    if len(trajectory) < 3:
-        raise InsufficientSamples("energy balance needs at least 3 samples")
+    if len(trajectory) < 2:
+        raise InsufficientSamples("energy balance needs at least 2 samples")
     e, integral = trajectory.total, trajectory.dissipation_integral
     sign = 1.0 if direction is Direction.FORWARD else -1.0
     e0 = e[0]

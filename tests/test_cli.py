@@ -3,11 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from gradiplate import cli, functionals, model, propagator, resolvent
 from gradiplate.cli import main
 from gradiplate.config import load_config
 from gradiplate.functionals import lyapunov_series
 from gradiplate.propagator import evolve
+from gradiplate.spectrum import mode_eigenvalues
 
 PI = "3.141592653589793"
 
@@ -200,6 +204,58 @@ class TestRegressionConfigs:
         code, manifest = self.run(tmp_path, "quasistatic", lines)
         assert code == 0
         assert manifest["check.envelope_holds.value"] != "nan"
+
+    def test_energy_sum_past_the_float_range_exits_4(self, tmp_path):
+        # the finiteness test itself overflowed, outside the errstate guard
+        lines = [
+            "rho = 1.333521432163324", "a = 1.0", "b = 1.0", "c = -10.0", "d = 0.0",
+            "eta = 0.0", "mode_count = 5", "dt = 0.001", "t_end = 1.313",
+            "domain = rectangle", "length1 = 1.0", "length2 = 1.0", "initial_u = 0.0",
+            "initial_v = 0.0,0.0,0.0,0.0,2.0", "initial_theta = 0.0",
+        ]
+        code, manifest = self.run(tmp_path, "simulate", lines)
+        assert code == 4
+        assert manifest["status"] == "nonfinite"
+
+    TWO_SAMPLES = base_model() + [
+        "domain = interval", f"length = {PI}", "mode_count = 2", "t_end = 0.1", "dt = 0.1",
+        "initial = first-mode-bend+thermal-pulse",
+    ]
+
+    def test_simulate_on_a_two_sample_grid(self, tmp_path):
+        code, manifest = self.run(tmp_path, "simulate", self.TWO_SAMPLES)
+        assert code == 0
+        assert float(manifest["check.energy_identity.value"]) <= 1e-12
+        rows = (tmp_path / "o" / "simulate.csv").read_text().splitlines()
+        assert len(rows) == 3
+
+    def test_backward_on_a_two_sample_grid_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        cfg = write_config(tmp_path, "run.cfg", self.TWO_SAMPLES)
+        assert main(["backward", "--config", cfg, "--out", out]) == 2
+        assert "at least 3 time samples" in capsys.readouterr().err
+
+    QUASISTATIC = ["rho = 1", "a = 1", "b = 1", "c = -2", "d = 1", "t_end = 0.02", "dt = 1e-4"]
+
+    def test_quasistatic_without_coupling(self, tmp_path):
+        # eta = 0: u and its seminorm vanish, so there is no decay to fit
+        code, manifest = self.run(tmp_path, "quasistatic", self.QUASISTATIC + ["eta = 0", "initial_theta = 1"])
+        assert code == 0
+        assert "check.decay_rate_fit.pass" not in manifest
+
+    def test_quasistatic_whose_seminorm_underflows_after_one_step(self, tmp_path):
+        # rate1 is about 2e6: h2 is normal at t = 0 and dt only
+        lines = ["rho = 1", "a = 1", "b = 1", "c = -2", "d = 10000", "eta = 1",
+                 "t_end = 0.001", "dt = 1e-4", "initial_theta = 1"]
+        code, manifest = self.run(tmp_path, "quasistatic", lines)
+        assert code == 0
+        assert float(manifest["check.decay_rate_fit.value"]) <= 1e-6
+
+    def test_quasistatic_with_the_first_mode_at_rest(self, tmp_path):
+        # the tail decays at twice the second mode's rate, not the first's
+        code, manifest = self.run(tmp_path, "quasistatic", self.QUASISTATIC + ["eta = 1", "initial_theta = 0,1"])
+        assert code == 0
+        assert float(manifest["check.decay_rate_fit.value"]) <= 1e-6
 
 
 class TestOtherSubcommands:
@@ -434,3 +490,53 @@ class TestParamsOverride:
             "simulate", "--config", cfg, "--out", str(tmp_path / "o"),
             "--params", "mode_count",
         ]) == 2
+
+
+class TestCsvOutput:
+    def test_writer_and_manifest_use_the_number_format(self, tmp_path):
+        rows = [
+            (0, 0.0, -0.0, "three_real", 5e-324),
+            (7, 1e300, float("nan"), "x", -1.0 / 3.0),
+            (np.int64(12), np.float64(-1e-310), float("-inf"), "a b", 2.5),
+        ]
+
+        def fmt(value):
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return value if isinstance(value, str) else f"{float(value):.16e}"
+
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["n", "p", "q", "kind", "r"], rows)
+        expected = "n,p,q,kind,r\n" + "".join(
+            ",".join(fmt(v) for v in row) + "\n" for row in rows
+        )
+        assert path.read_text(encoding="utf-8") == expected
+        assert [cli._fmt(v) for v in rows[1]] == [fmt(v) for v in rows[1]]
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["a", "b"], [])
+        assert path.read_text(encoding="utf-8") == "a,b\n"
+
+    # with eta = 0 the plate pair sits on the imaginary axis, so the
+    # abscissa check fails (exit 3) while the CSV is still written
+    @pytest.mark.parametrize("eta, exit_code", [("1", 0), ("0", 3)])
+    def test_spectrum_rows_match_the_per_lambda_solve(self, tmp_path, eta, exit_code):
+        lines = [l for l in base_model() if not l.startswith("eta ")] + [
+            f"eta = {eta}", "domain = interval", f"length = {PI}", "mode_count = 16",
+            "lambda_max = 1e8", "lambda_points = 200",
+        ]
+        out = str(tmp_path / "o")
+        cfg_path = write_config(tmp_path, "sp.cfg", lines)
+        assert main(["spectrum", "--config", cfg_path, "--out", out]) == exit_code
+        cfg = load_config(cfg_path, "spectrum")
+        expected = []
+        for lam in np.geomspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_points):
+            s = mode_eigenvalues(cfg.params, float(lam))
+            row = [s.lam]
+            for z in s.roots:
+                row += [z.real, z.imag]
+            row += [s.max_real, float(np.max(s.residuals)), s.classification.replace(" ", "_")]
+            expected.append(",".join(cli._fmt(v) for v in row))
+        got = (tmp_path / "o" / "spectrum.csv").read_text(encoding="utf-8").splitlines()
+        assert got[1:] == expected

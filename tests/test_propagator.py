@@ -308,9 +308,9 @@ class TestEnergyBalance:
                 sym = q @ m + m.T @ q
                 assert np.allclose(sym, np.diag([0.0, 0.0, sign * 2.0 * w]), atol=1e-12 * max(1.0, w))
 
-    def test_needs_three_samples(self, unit_params, pi_interval):
+    def test_needs_two_samples(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0)
-        samples = evolve(unit_params, init, [0.0, 1.0])
+        samples = evolve(unit_params, init, [0.0])
         with pytest.raises(InsufficientSamples):
             energy_balance_report(samples)
 

@@ -15,8 +15,18 @@ from gradiplate import (
     spectral_abscissa,
     state_from_coefficients,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import scalar_cubic
 from gradiplate.errors import InsufficientSamples
-from gradiplate.spectrum import REAL_PLUS_PAIR, THREE_REAL, characteristic_coefficients
+from gradiplate.spectrum import (
+    REAL_PLUS_PAIR,
+    THREE_REAL,
+    characteristic_coefficients,
+    mode_spectra,
+    row_max,
+)
 from oracles import bisect_real_root, companion_roots
 
 
@@ -185,3 +195,93 @@ class TestFitDecay:
         samples = evolve(unit_params, init, np.linspace(0.0, 1.0, 50))
         with pytest.raises(InsufficientSamples):
             fit_decay(samples, t_min=5.0)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# b = 5 sqrt(5)/2, eta = 3, d = 0 and rho = a = c = 1 give a double root
+# -sqrt(5) at lam = 1; nearby b and lam cross between the two branches
+DOUBLE_ROOT_B = 5.0 * math.sqrt(5.0) / 2.0
+
+general_params = st.builds(
+    ModelParams,
+    rho=log_uniform(0.1, 10.0),
+    a=log_uniform(0.1, 10.0),
+    b=log_uniform(0.1, 10.0),
+    c=st.sampled_from((1.0, -1.0)).flatmap(lambda s: log_uniform(0.1, 10.0).map(lambda v: s * v)),
+    d=st.one_of(st.just(0.0), log_uniform(0.01, 10.0)),
+    eta=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+)
+near_double_root = st.floats(-1e-6, 1e-6).map(
+    lambda e: ModelParams(1.0, 1.0, DOUBLE_ROOT_B * (1.0 + e), 1.0, 0.0, 3.0)
+)
+lam_lists = st.lists(log_uniform(1e-2, 1e10), min_size=1, max_size=30)
+near_one = st.lists(st.floats(1.0 - 1e-6, 1.0 + 1e-6), min_size=1, max_size=10)
+
+
+class TestBatchedRoots:
+    """`mode_spectra` solves every lam at once, and `cubic_roots` one cubic
+    on numpy scalars; both must give the scalar reference solver's answer,
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches_scalar_reference(params, lams):
+        roots, classification, residuals = mode_spectra(params, lams)
+        assert roots.shape == residuals.shape == (len(lams), 3)
+        for k, lam in enumerate(lams):
+            mu, kappa, eps = characteristic_coefficients(params, lam)
+            ref_roots, ref_class, ref_res = scalar_cubic.cubic_roots(mu, kappa + eps, kappa * mu)
+            assert roots[k].tobytes() == np.array(ref_roots).tobytes(), (params, lam)
+            assert classification[k] == ref_class
+            # the reference keeps the residuals in polishing order
+            assert np.sort(residuals[k]).tobytes() == np.sort(ref_res).tobytes()
+            # one cubic runs the same solver on numpy scalars
+            one_roots, one_class, one_res = cubic_roots(mu, kappa + eps, kappa * mu)
+            assert np.array(one_roots).tobytes() == roots[k].tobytes()
+            assert one_class == ref_class
+            assert one_res.tobytes() == residuals[k].tobytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(params=general_params, lams=lam_lists)
+    def test_equals_scalar_reference(self, params, lams):
+        self.assert_matches_scalar_reference(params, lams)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(params=near_double_root, lams=near_one)
+    def test_equals_scalar_reference_near_the_double_root(self, params, lams):
+        self.assert_matches_scalar_reference(params, lams)
+
+    def test_both_branches_meet_near_the_double_root(self):
+        params = ModelParams(1.0, 1.0, DOUBLE_ROOT_B, 1.0, 0.0, 3.0)
+        lams = [1.0 - 1e-9, 1.0, 1.0 + 1e-9]
+        _, classification, _ = mode_spectra(params, lams)
+        assert set(classification) == {THREE_REAL, REAL_PLUS_PAIR}
+        self.assert_matches_scalar_reference(params, lams)
+
+    def test_wrappers_are_rows_of_the_batch(self, unit_params):
+        lams = np.geomspace(1.0, 1e8, 17)
+        roots, classification, residuals = mode_spectra(unit_params, lams)
+        for k, lam in enumerate(lams):
+            spectrum = mode_eigenvalues(unit_params, float(lam))
+            assert spectrum.roots == tuple(roots[k].tolist())
+            assert spectrum.classification == classification[k]
+            assert spectrum.residuals.tobytes() == residuals[k].tobytes()
+
+    def test_rejects_nonpositive_lambda(self, unit_params):
+        with pytest.raises(ValueError):
+            mode_spectra(unit_params, [1.0, 0.0])
+
+    def test_strip_reads_the_upper_pair_member(self, unit_params):
+        lams = np.geomspace(10.0, 1e6, 25)
+        report = asymptotic_strip(unit_params, lams)
+        for k, lam in enumerate(lams):
+            pair = mode_eigenvalues(unit_params, float(lam)).pair
+            assert (report.pair_real[k], report.pair_imag[k]) == (pair.real, pair.imag)
+
+    def test_row_max_keeps_the_first_maximal_entry(self):
+        values = np.array([[-0.0, 0.0], [0.0, -0.0], [-1.0, 2.0]])
+        got = row_max(values)
+        assert np.signbit(got).tolist() == [True, False, False]
+        assert got[2] == 2.0
