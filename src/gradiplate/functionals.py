@@ -331,8 +331,6 @@ def convexity_trajectory(
     """
     if omega_const < 0 or t0 < 0:
         raise ValueError("omega_const and t0 must be nonnegative")
-    if len(trajectory) < 3:
-        raise InsufficientSamples("convexity functional needs at least 3 samples")
     _require_real(trajectory.x)
 
     t, lams = trajectory.t, trajectory.lams
@@ -440,7 +438,8 @@ def instability_lower_bound(
     Requires E(0) < 0, or E(0) = 0 with F'(0) > 0; and F'(0) > 2 nu (pick
     t0 with choose_weight_shift).  The reported growth rate is half the
     late-window slope of log F, the amplitude-equivalent convention, fitted
-    on `growth_window` (default: the last quarter of the samples).
+    on `growth_window` (default: the last quarter of the samples, and at
+    least the last two).
     """
     states = _as_convexity_trajectory(states)
     f0 = float(states.f[0])
@@ -464,7 +463,7 @@ def instability_lower_bound(
     holds = bool(np.min(margin) >= -1e-12 * np.max(np.abs(bound)))
 
     if growth_window is None:
-        growth_window = (float(t[0] + 0.75 * (t[-1] - t[0])), float(t[-1]))
+        growth_window = (float(min(t[0] + 0.75 * (t[-1] - t[0]), t[-2])), float(t[-1]))
     lo, hi = growth_window
     mask = (t >= lo) & (t <= hi) & (f > 0)
     if np.count_nonzero(mask) < 2:

@@ -29,6 +29,21 @@ does not.  Blocks go through the kernel BLOCK_BUDGET at a time, so the
 working set is fixed whatever the grid, and every operation is elementwise,
 so a block's norm has the same bits whichever pass holds it.
 
+A scan keeps one number per omega, the sup over modes, and at a given omega
+only the few modes near resonance can reach it.  The Gram matrix is
+positive semidefinite, so its top eigenvalue lies between its largest
+diagonal entry and its trace: from the diagonal and |det| alone, every
+block gets a lower bound `low` and an upper bound `high` on its norm.  In
+each omega row the bar is the largest `low`, and a block whose `high` is
+below the bar cannot hold the sup; it skips the off-diagonal entries and
+the Jacobi sweeps.  Both bounds are widened by _PRUNE_MARGIN, far above the
+few ulps by which Jacobi's top eigenvalue can leave [max diagonal, trace],
+before the power-of-two rescaling, whose rounding is monotone.  So the
+block that sets the bar is kept and its norm is at least the bar, every
+pruned norm is below it, and the sup has the bits of the max over all
+blocks.  The bar belongs to a row, not to a pass, and a nan or inf bound
+keeps its block.
+
 Driving mode n with the right-hand side (0, phi_n, 0) at the resonant
 frequency omega_n = sqrt(c/rho) lam_n produces the explicit solution
 
@@ -122,6 +137,9 @@ BLOCK_BUDGET = 1 << 13
 MAX_SWEEPS = 16
 # Off-diagonal entries below this fraction of the block's trace are roundoff.
 _ROUNDOFF = 2.0**-53
+# Relative slack on each side of a block's norm bounds, far above the few
+# ulps by which Jacobi's top eigenvalue can leave [max diagonal, trace].
+_PRUNE_MARGIN = 1e-12
 
 
 def _rotate(dp, dq, pq, pr, qr, thr2):
@@ -201,7 +219,9 @@ def _abs2(z):
 
 
 def _norm_pass(params: ModelParams, lams, omegas) -> np.ndarray:
-    """Weighted norms of the blocks (omega, lam), omegas (W, 1), lams (M,)."""
+    """Sup over `lams` (M,) of the weighted block norms, for each row of
+    `omegas` (W, 1).  Only the blocks whose bounds reach their row's bar
+    go through Jacobi."""
     k = math.sqrt(params.c / params.rho) * lams
     g = abs(params.eta) / math.sqrt(params.rho * params.a) * lams
     h = params.heat_weight(lams) / params.a
@@ -219,26 +239,38 @@ def _norm_pass(params: ModelParams, lams, omegas) -> np.ndarray:
         raise SingularSystem(f"singular resolvent block at omega={omega!r}, lam={lam!r}")
     # adj B = [[g^2 - w^2 + i w h, k (h + i w), -k g],
     #          [-k (h + i w), -w^2 + i w h, -i w g],
-    #          [-k g, i w g, delta]];  adj(B)^H adj(B) entry by entry:
+    #          [-k g, i w g, delta]];  the diagonal of adj(B)^H adj(B):
     diag = (
         ((g - w) * (g + w)) ** 2 + k2 * (h2 + w2 + g2) + w2 * h2,
         k2 * (h2 + w2) + w2 * (w2 + h2 + g2),
         g2 * (k2 + w2) + delta * delta,
     )
+    # an even exponent, so that the scale of sigma = sqrt(top) is a power of two too
+    gram_exp = np.frexp(np.maximum(np.maximum(diag[0], diag[1]), diag[2]))[1] // 2 * 2
+    d0, d1, d2 = (np.ldexp(x, -gram_exp) for x in diag)
+    det_exp = np.frexp(np.maximum(np.abs(det_re), np.abs(det_im)))[1]
+    det_re, det_im = np.ldexp(det_re, -det_exp), np.ldexp(det_im, -det_exp)
+    det2 = det_re * det_re + det_im * det_im
+    # ||A~^-1|| = sigma_max(adj B) / (|det B| mu), with sigma_max^2 between
+    # the Gram block's largest diagonal entry and its trace
+    scale = gram_exp // 2 - det_exp - mu_exp
+    max_diag = np.maximum(np.maximum(d0, d1), d2)
+    low = np.ldexp(np.sqrt(max_diag / det2) * (1.0 - _PRUNE_MARGIN), scale)
+    high = np.ldexp(np.sqrt((d0 + d1 + d2) / det2) * (1.0 + _PRUNE_MARGIN), scale)
+    # negated, so that a nan or inf bound keeps its block
+    keep = ~(high < np.max(low, axis=1, keepdims=True))
+
+    w, k, g, h, k2, g2, w2, h2, shift, gram_exp = (
+        x[keep] for x in (w, k, g, h, k2, g2, w2, h2, shift, gram_exp)
+    )
     g01 = (k * h * g2, -2.0 * (k * w) * (w2 + h2))
     g02 = (-(k * g) * (shift - 2.0 * w2), 2.0 * (k * g) * (w * h))
     g12 = (-(g * h) * (k2 + w2), 2.0 * (g * w) * w2)
-    # an even exponent, so that the scale of sigma = sqrt(top) is a power of two too
-    gram_exp = np.frexp(np.maximum(np.maximum(diag[0], diag[1]), diag[2]))[1] // 2 * 2
-    gram = [np.ldexp(x, -gram_exp).ravel() for x in (*diag, *g01, *g02, *g12)]
-    top = _gram_top(*gram[:3], tuple(gram[3:5]), tuple(gram[5:7]), tuple(gram[7:]))
-    det_exp = np.frexp(np.maximum(np.abs(det_re), np.abs(det_im)))[1]
-    det_re, det_im = np.ldexp(det_re, -det_exp), np.ldexp(det_im, -det_exp)
-    # ||A~^-1|| = sigma_max(adj B) / (|det B| mu)
-    return np.ldexp(
-        np.sqrt(top.reshape(gram_exp.shape) / (det_re * det_re + det_im * det_im)),
-        gram_exp // 2 - det_exp - mu_exp,
-    )
+    off = [np.ldexp(x, -gram_exp) for x in (*g01, *g02, *g12)]
+    top = _gram_top(d0[keep], d1[keep], d2[keep], tuple(off[:2]), tuple(off[2:4]), tuple(off[4:]))
+    norms = np.zeros(keep.shape)
+    norms[keep] = np.ldexp(np.sqrt(top / det2[keep]), scale[keep])
+    return np.max(norms, axis=1)
 
 
 def _sup_norms(params: ModelParams, lams, omegas) -> np.ndarray:
@@ -251,7 +283,7 @@ def _sup_norms(params: ModelParams, lams, omegas) -> np.ndarray:
     rows = max(1, BLOCK_BUDGET // lams.size)
     for start in range(0, omegas.size, rows):
         stop = start + rows
-        sups[start:stop] = np.max(_norm_pass(params, lams, omegas[start:stop, None]), axis=1)
+        sups[start:stop] = _norm_pass(params, lams, omegas[start:stop, None])
     if not np.all(np.isfinite(sups)):
         omega = float(omegas[np.argmin(np.isfinite(sups))])
         raise SingularSystem(f"resolvent norm overflows at omega={omega!r}")

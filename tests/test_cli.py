@@ -235,6 +235,25 @@ class TestRegressionConfigs:
         assert main(["backward", "--config", cfg, "--out", out]) == 2
         assert "at least 3 time samples" in capsys.readouterr().err
 
+    # the cold-start instability model on grids of 2, 3 and 4 samples: the
+    # convexity functional once wanted 3 samples, and the last quarter of
+    # the grid held fewer than the 2 samples the growth fit needs
+    SHORT_INSTABILITY = base_model(c="-1") + [
+        "domain = interval", f"length = {PI}", "mode_count = 1", "dt = 0.1", "initial_u = 1",
+    ]
+
+    def test_instability_on_a_two_sample_grid(self, tmp_path):
+        code, _ = self.run(tmp_path, "instability", self.SHORT_INSTABILITY + ["t_end = 0.1"])
+        assert code == 0
+
+    def test_instability_on_a_three_sample_grid(self, tmp_path):
+        code, _ = self.run(tmp_path, "instability", self.SHORT_INSTABILITY + ["t_end = 0.2"])
+        assert code == 0
+
+    def test_instability_on_a_four_sample_grid(self, tmp_path):
+        code, _ = self.run(tmp_path, "instability", self.SHORT_INSTABILITY + ["t_end = 0.3"])
+        assert code == 0
+
     QUASISTATIC = ["rho = 1", "a = 1", "b = 1", "c = -2", "d = 1", "t_end = 0.02", "dt = 1e-4"]
 
     def test_quasistatic_without_coupling(self, tmp_path):

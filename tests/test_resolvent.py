@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -214,6 +215,62 @@ class TestNormKernel:
         an eigenvalue of the block."""
         with pytest.raises(SingularSystem):
             mode_resolvent_norm(ModelParams.unit(eta=0.0), 4.0, 4.0)
+
+
+@st.composite
+def sup_params(draw):
+    """Stable parameters, d = 0 and weak coupling included."""
+    scale = st.floats(0.1, 10.0)
+    return ModelParams(
+        rho=draw(scale),
+        a=draw(scale),
+        b=draw(scale),
+        c=draw(scale),
+        d=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+        eta=draw(st.one_of(scale, st.floats(1e-4, 1e-2))) * draw(st.sampled_from((-1.0, 1.0))),
+    )
+
+
+@st.composite
+def lam_sets(draw):
+    """2-64 lambdas, some of them repeated as on a square."""
+    distinct = draw(st.lists(st.floats(1e-2, 1e6), min_size=1, max_size=32, unique=True))
+    repeats = draw(st.lists(st.sampled_from(distinct), min_size=max(0, 2 - len(distinct)), max_size=32))
+    return draw(st.permutations(distinct + repeats))
+
+
+class TestPrunedSup:
+    """The scan keeps one number per omega, the sup over modes, and sends to
+    Jacobi only the blocks whose upper bound reaches the row's bar."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(sup_params(), lam_sets(), st.lists(st.floats(-1e5, 1e5), max_size=4))
+    def test_sup_is_the_max_of_single_block_norms(self, params, lams, extra):
+        resonant = math.sqrt(params.c / params.rho) * np.array(lams[:4])
+        omegas = np.concatenate([[0.0, 1e-300, -1e-300, 1e300, -1e300], resonant, -resonant, extra])
+        # one lambda per row: each row is a single block, with nothing to
+        # prune, and its bits are mode_resolvent_norm's at every omega
+        singles = np.array([resolvent._sup_norms(params, [lam], omegas) for lam in lams])
+        assert np.all(singles > 0)
+        assert singles[0, 5] == mode_resolvent_norm(params, lams[0], omegas[5])
+        sups = resolvent._sup_norms(params, lams, omegas)
+        assert sups.tobytes() == np.max(singles, axis=0).tobytes()
+
+    def test_few_blocks_reach_jacobi(self, unit_params, pi_interval, monkeypatch):
+        """On the README-size scan about 4% of the blocks can hold their
+        row's sup; the rest are settled by their bounds."""
+        received = []
+        gram_top = resolvent._gram_top
+
+        def counting(d0, *rest):
+            received.append(d0.size)
+            return gram_top(d0, *rest)
+
+        monkeypatch.setattr(resolvent, "_gram_top", counting)
+        grid = np.geomspace(0.1, 1e4, 2000)
+        scan_imaginary_axis(unit_params, pi_interval, grid, 64)
+        # the scan adds -grid[0], its conjugation-symmetry probe
+        assert sum(received) <= 0.1 * (grid.size + 1) * 64
 
 
 class TestNondiffSequence:
