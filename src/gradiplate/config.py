@@ -10,7 +10,7 @@ are enforced at parse time so command handlers never see invalid params.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .model import (
     SpectralDomain,
     enumerate_modes,
 )
-from .propagator import SpectralState, state_from_coefficients
-from .quasistatic import effective_capacity
+
+if TYPE_CHECKING:
+    from .propagator import SpectralState
 
 PARAM_KEYS = ("rho", "a", "b", "c", "d", "eta")
 COMMON_KEYS = set(PARAM_KEYS) | {"regime"}
@@ -130,6 +131,8 @@ class RunConfig:
     length: float = 1.0
 
     def initial_state(self) -> SpectralState:
+        from .propagator import state_from_coefficients
+
         if self.domain is None or self.mode_count is None:
             raise ConfigError("initial state needs a domain and mode_count")
         return state_from_coefficients(
@@ -267,10 +270,15 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
             if not cfg.length > 0:
                 raise ConfigError("length must be > 0")
         _build_time(cfg, raw, subcommand)
+        # the decay report wants 10 samples of dt * (0, 1, ..., round(t_end / dt))
+        if round(cfg.t_end / cfg.dt) < 9:
+            raise ConfigError("quasistatic needs at least 10 time samples (round(t_end / dt) >= 9)")
         _require(raw, ("initial_theta",), subcommand)
         cfg.initial_theta = _as_float_list(raw, "initial_theta")
         if not cfg.initial_theta:
             raise ConfigError("initial_theta must contain at least one coefficient")
+        from .quasistatic import effective_capacity
+
         # refuse degenerate capacity at parse time
         try:
             effective_capacity(params)
@@ -303,6 +311,9 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
             raise ConfigError("nondiff requires the stable regime (c > 0)")
         if params.eta == 0:
             raise ConfigError("nondiff requires eta != 0")
+        # the resolvent limit d^2/eta^4 is nonzero only for d > 0
+        if not params.d > 0:
+            raise ConfigError("nondiff requires d > 0")
         _require(raw, ("n_max",), subcommand)
         cfg.n_max = _as_int(raw, "n_max")
         if cfg.n_max < 10:

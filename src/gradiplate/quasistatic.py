@@ -110,7 +110,9 @@ class QuasiDecayReport:
     -c*int|u_xx|^2 <= |eta| * (int theta^2)^(1/2) (int |u_xx|^2)^(1/2)
     is verified pointwise (it is an equality here, up to rounding).
     `fit_rel_residual` is None when h2 has fewer than two normal samples
-    to fit (zero theta data, or eta = 0, where u vanishes).
+    in which the slowest excited mode alone makes it up to rounding (zero
+    theta data, eta = 0, where u vanishes, or a horizon too short for the
+    faster modes to die out).
     """
 
     t: np.ndarray
@@ -146,7 +148,8 @@ def quasi_decay_report(
     column = t_grid[:, None]
     lams, theta, u = _decay(qparams, theta0, column)  # (samples, modes)
     theta_l2 = np.sum(theta**2, axis=1)
-    h2 = np.sum(lams**2 * u**2, axis=1)
+    h2_modes = lams**2 * u**2
+    h2 = np.sum(h2_modes, axis=1)
     rhs = p.eta * theta
     relation = np.abs(p.c * (-lams) * u - rhs) / np.maximum(np.abs(rhs), 1.0)
     rate1 = qparams.rate(1)
@@ -162,21 +165,25 @@ def quasi_decay_report(
     k_measured = float(np.max(h2_s)) / theta0_l2 if theta0_l2 else 0.0
     envelope_holds = bool(np.all(h2_s <= k_measured * theta0_l2 * (1.0 + 1e-12)))
 
-    # late-window fit of the decay rate, on normal (not subnormal) samples;
-    # none when h2 has fewer than two (zero theta data, or eta = 0)
+    # late-window fit of the decay rate, on the normal (not subnormal)
+    # samples of the tail, where the faster modes are below the rounding of
+    # the slowest excited one; none when fewer than two samples are there
     fitted_rate, fit_rel_residual = 0.0, None
-    normal = h2 >= np.finfo(float).tiny
-    if np.count_nonzero(normal) >= 2:
-        usable = normal & (t_grid >= 0.5 * t_grid[-1])
+    excited = np.flatnonzero(theta0)
+    slowest = int(excited[0]) if excited.size else 0
+    rest = np.sum(h2_modes[:, slowest + 1:], axis=1)
+    tail = (h2 >= np.finfo(float).tiny) & (rest <= np.finfo(float).eps * h2_modes[:, slowest])
+    if np.count_nonzero(tail) >= 2:
+        usable = tail & (t_grid >= 0.5 * t_grid[-1])
         if np.count_nonzero(usable) < 2:
-            # the tail underflowed: the later half of the normal samples,
-            # and never fewer than two
-            t_normal = t_grid[normal]
-            usable = normal & (t_grid >= min(0.5 * t_normal[-1], t_normal[-2]))
+            # the tail underflowed: its later half, and never fewer than
+            # two samples
+            t_tail = t_grid[tail]
+            usable = tail & (t_grid >= min(0.5 * t_tail[-1], t_tail[-2]))
         fitted_rate = float(-np.polyfit(t_grid[usable], np.log(h2[usable]), 1)[0])
         # the tail decays at twice the rate of the slowest excited mode
-        slowest = 2.0 * qparams.rate(int(np.flatnonzero(theta0)[0]) + 1)
-        fit_rel_residual = abs(fitted_rate - slowest) / slowest
+        expected = 2.0 * qparams.rate(slowest + 1)
+        fit_rel_residual = abs(fitted_rate - expected) / expected
 
     # Schwarz bound with k = |eta| (equality up to rounding)
     lhs = -p.c * h2_s

@@ -63,6 +63,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -74,7 +75,9 @@ from .model import (
     enumerate_modes,
     mode_matrix,
 )
-from .propagator import ModeState
+
+if TYPE_CHECKING:
+    from .propagator import ModeState
 
 RESIDUAL_LIMIT = 1e-12
 
@@ -108,6 +111,8 @@ def solve_mode_resolvent(
     reach that (only possible if i*omega sits on the block spectrum, which
     c > 0 and eta != 0 exclude) raises SingularSystem.
     """
+    from .propagator import ModeState
+
     _require_stable(params, "mode resolvent")
     m = mode_matrix(params, lam).entries
     a = 1j * omega * np.eye(3) - m

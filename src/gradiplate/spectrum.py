@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InsufficientSamples, NonDecreasingEnergy, NonPositiveEnergy
 from .model import ModelParams, SpectralDomain, enumerate_modes
-from .propagator import Trajectory
+
+if TYPE_CHECKING:
+    from .propagator import Trajectory
 
 THREE_REAL = "three real"
 REAL_PLUS_PAIR = "one real + complex pair"

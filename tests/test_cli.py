@@ -254,6 +254,28 @@ class TestRegressionConfigs:
         code, _ = self.run(tmp_path, "instability", self.SHORT_INSTABILITY + ["t_end = 0.3"])
         assert code == 0
 
+    def test_nondiff_without_gradient_conduction_is_a_config_error(self, tmp_path, capsys):
+        # d = 0 makes the limit d^2/eta^4 zero, and the gap to it divided by zero
+        lines = [l for l in base_model() if not l.startswith("d ")] + [
+            "d = 0", "domain = interval", f"length = {PI}", "mode_count = 4", "n_max = 10",
+        ]
+        out = str(tmp_path / "o")
+        assert main(["nondiff", "--config", write_config(tmp_path, "run.cfg", lines), "--out", out]) == 2
+        assert "nondiff requires d > 0" in capsys.readouterr().err
+
+    def test_spectrum_of_the_decoupled_plate(self, tmp_path):
+        # eta = 0: the plate roots +-i sqrt(c/rho) lam have real part 0 up to
+        # rounding, and no exponential stability is claimed without coupling
+        lines = [l for l in base_model() if not l.startswith("eta ")] + [
+            "eta = 0", "domain = interval", f"length = {PI}", "mode_count = 4",
+            "lambda_max = 100", "lambda_points = 10",
+        ]
+        code, manifest = self.run(tmp_path, "spectrum", lines)
+        assert code == 0
+        assert "check.abscissa_negative.pass" not in manifest
+        assert "result.abscissa_modes" in manifest
+        assert "result.abscissa_lambda_scan" in manifest
+
     QUASISTATIC = ["rho = 1", "a = 1", "b = 1", "c = -2", "d = 1", "t_end = 0.02", "dt = 1e-4"]
 
     def test_quasistatic_without_coupling(self, tmp_path):
@@ -269,6 +291,41 @@ class TestRegressionConfigs:
         code, manifest = self.run(tmp_path, "quasistatic", lines)
         assert code == 0
         assert float(manifest["check.decay_rate_fit.value"]) <= 1e-6
+
+    def test_quasistatic_before_the_faster_modes_die_out(self, tmp_path):
+        # three modes over a horizon of about 4.5 / rate1: modes 2 and 3 hold
+        # 4e-7 of h2 where the late window starts and 5e-13 at the end, above
+        # rounding, so no sample is the slowest mode's tail and none is fitted
+        lines = [
+            "rho = 1.224756853358419", "a = 0.34628957392427245", "b = 0.12962758538509214",
+            "c = -0.6364578084049854", "d = 0.0", "eta = 0.27841562126947395",
+            "length = 0.43498045443316646", "dt = 0.0001581489609547596",
+            "t_end = 0.15087410875084067", "initial_theta = 1.2,-0.7,0.4",
+        ]
+        code, manifest = self.run(tmp_path, "quasistatic", lines)
+        assert code == 0
+        assert "check.decay_rate_fit.pass" not in manifest
+
+    def test_quasistatic_whose_tail_is_one_sample_before_underflow(self, tmp_path):
+        # rate1 is about 1.25e4: h2 is normal at t = 0, where every mode
+        # counts, and at dt only
+        lines = [
+            "rho = 2.574713534884092", "a = 4.075327506134423", "b = 0.33826429962689186",
+            "c = -4.3926527139302225", "d = 5.393776808867527", "eta = -2.643806465947966",
+            "length = 0.3607054195438142", "dt = 0.02068467619812954",
+            "t_end = 29.66182566811776", "initial_theta = 1,0.5,0.25",
+        ]
+        code, manifest = self.run(tmp_path, "quasistatic", lines)
+        assert code == 0
+        assert "check.decay_rate_fit.pass" not in manifest
+
+    def test_quasistatic_on_a_nine_sample_grid_is_a_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        lines = ["rho = 1", "a = 1", "b = 1", "c = -2", "d = 1", "eta = 1",
+                 "t_end = 8e-4", "dt = 1e-4", "initial_theta = 1"]
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        assert main(["quasistatic", "--config", cfg, "--out", out]) == 2
+        assert "at least 10 time samples" in capsys.readouterr().err
 
     def test_quasistatic_with_the_first_mode_at_rest(self, tmp_path):
         # the tail decays at twice the second mode's rate, not the first's
@@ -417,7 +474,6 @@ class TestNoPerSampleObjects:
             calls.append(args)
             return lyapunov_series(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "lyapunov_series", counted)
         monkeypatch.setattr(functionals, "lyapunov_series", counted)
         cfg = simulate_config(tmp_path, mode_count="2", initial="thermal-pulse")
         assert main(["backward", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -437,7 +493,6 @@ class TestNoPerSampleObjects:
 
         for module in (cli, model, resolvent):
             counted(module, "enumerate_modes")
-        counted(cli, "nondiff_sequence")
         counted(resolvent, "nondiff_sequence")
         cfg = write_config(
             tmp_path, "nd.cfg",
@@ -476,6 +531,82 @@ class TestInstabilityEnergy:
 
 
 class TestImportFootprint:
+    CLI_MODULES = {"gradiplate", "gradiplate.cli", "gradiplate.config", "gradiplate.errors", "gradiplate.model"}
+    # the modules each subcommand adds to those of `import gradiplate.cli`,
+    # with a small config that exits 0
+    SUBCOMMANDS = {
+        "simulate": ({"propagator"}, base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 4", "t_end = 0.1", "dt = 0.01",
+            "initial = first-mode-bend",
+        ]),
+        "resolvent-scan": ({"resolvent"}, base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 4",
+            "omega_min = 1", "omega_max = 10", "omega_points = 5",
+        ]),
+        "nondiff": ({"resolvent"}, base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 30", "n_max = 30",
+        ]),
+        "spectrum": ({"spectrum"}, base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 4", "lambda_max = 100",
+            "lambda_points = 10",
+        ]),
+        "backward": ({"propagator", "functionals"}, base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 2", "t_end = 1.0", "dt = 0.001",
+            "initial_u = 1", "initial_theta = 1",
+        ]),
+        "instability": ({"propagator", "functionals"}, base_model(c="-1") + [
+            "domain = interval", f"length = {PI}", "mode_count = 1", "t_end = 0.1", "dt = 0.01",
+            "initial_u = 1",
+        ]),
+        "quasistatic": ({"quasistatic"}, [
+            "rho = 1", "a = 1", "b = 1", "c = -2", "d = 1", "eta = 1",
+            "t_end = 0.02", "dt = 1e-3", "initial_theta = 1",
+        ]),
+    }
+
+    @staticmethod
+    def loaded_modules(script: str) -> set[str]:
+        """The gradiplate modules loaded after `script` runs in a fresh process."""
+        script += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'gradiplate'))\n"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        return set(eval(out.stdout.strip().splitlines()[-1]))
+
+    def test_import_gradiplate_loads_no_submodule(self):
+        assert self.loaded_modules("import gradiplate") == {"gradiplate"}
+
+    def test_import_cli_loads_config_errors_and_model(self):
+        assert self.loaded_modules("import gradiplate.cli") == self.CLI_MODULES
+
+    @pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
+    def test_subcommand_loads_only_its_modules(self, tmp_path, subcommand):
+        extra, lines = self.SUBCOMMANDS[subcommand]
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        script = (
+            "import gradiplate.cli as cli\n"
+            f"code = cli.main([{subcommand!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            "assert code == 0, code\n"
+        )
+        expected = self.CLI_MODULES | {f"gradiplate.{name}" for name in extra}
+        assert self.loaded_modules(script) == expected
+
+    def test_lazy_names_are_the_submodule_objects(self):
+        import gradiplate
+
+        for name, module in gradiplate._SOURCE.items():
+            assert getattr(gradiplate, name) is getattr(getattr(gradiplate, module), name)
+        assert gradiplate.evolve is propagator.evolve
+        assert set(gradiplate._SOURCE) <= set(dir(gradiplate))
+
+    def test_unknown_name_raises_attribute_error(self):
+        import gradiplate
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gradiplate.no_such_name
+
     def test_cli_run_loads_no_scipy(self, tmp_path):
         """A CLI process never imports scipy (it costs more than the run)."""
         cfg = simulate_config(tmp_path)
@@ -537,9 +668,9 @@ class TestCsvOutput:
         cli._write_csv(str(path), ["a", "b"], [])
         assert path.read_text(encoding="utf-8") == "a,b\n"
 
-    # with eta = 0 the plate pair sits on the imaginary axis, so the
-    # abscissa check fails (exit 3) while the CSV is still written
-    @pytest.mark.parametrize("eta, exit_code", [("1", 0), ("0", 3)])
+    # with eta = 0 the plate pair sits on the imaginary axis, where the
+    # decoupled plate is not claimed to decay, so no abscissa check runs
+    @pytest.mark.parametrize("eta, exit_code", [("1", 0), ("0", 0)])
     def test_spectrum_rows_match_the_per_lambda_solve(self, tmp_path, eta, exit_code):
         lines = [l for l in base_model() if not l.startswith("eta ")] + [
             f"eta = {eta}", "domain = interval", f"length = {PI}", "mode_count = 16",
