@@ -7,9 +7,10 @@ Usage:
 Subcommands: simulate, resolvent-scan, nondiff, spectrum, backward,
 instability, quasistatic.  Each run writes `<subcommand>.csv` (fixed header
 row, 17-significant-digit scientific notation, '.') plus `manifest.txt`
-with the config echo, per-check pass/fail lines, measured values, and
-timings.  CSV bytes are identical across runs of the same config; the
-manifest's timing lines are the only nondeterministic output.
+with the config echo, per-check pass/fail lines, measured values, the
+time of each phase (parse, handler, write) and the peak RSS.  CSV bytes
+are identical across runs of the same config; the manifest's timing and
+peak RSS lines are the only nondeterministic output.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant-check failure,
 4 non-finite evolution (unstable overflow).  The manifest is written on
@@ -23,7 +24,9 @@ never sums the energy quadratic form twice.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -93,8 +96,7 @@ def _identity_scale(report: EnergyBalanceReport, trajectory: Trajectory) -> floa
     """Scale of the energy identity's residual: E(t) sums terms as large as
     the energy norm kinetic + |bending| + thermal, which for c < 0 can grow
     by hundreds of orders of magnitude while E stays near E(0)."""
-    norm = trajectory.kinetic + np.abs(trajectory.bending) + trajectory.thermal
-    return max(report.denominator, float(np.max(norm)))
+    return max(report.denominator, float(np.max(trajectory.energy_norm)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +292,8 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
     gronwall = gronwall_check(cfg.params, trajectory, cfg.epsilon, series=series)
     balance = energy_balance_report(trajectory, Direction.BACKWARD)
 
-    # second-order finite differences: residual ~ (2*rate)^2 dt^2 / 6,
-    # with the rate taken over the modes that actually carry data
-    active = np.any(trajectory.x[:, :, 0] != 0.0, axis=1)
-    active_rates = [
-        max(
-            cfg.params.heat_weight(m.lam) / cfg.params.a,
-            abs(cfg.params.c / cfg.params.rho) ** 0.5 * m.lam,
-        )
-        for m, on in zip(trajectory.modes, active)
-        if on
-    ]
-    rate = max(active_rates, default=0.0)
-    fd_tol = 10.0 * (2.0 * rate) ** 2 * cfg.dt**2 / 6.0
+    # second-order finite differences: residual ~ (2*rate)^2 dt^2 / 6
+    fd_tol = 10.0 * (2.0 * identities.rate) ** 2 * cfg.dt**2 / 6.0
 
     scale = _identity_scale(balance, trajectory)
     balance_scaled = balance.max_abs_error / scale
@@ -467,14 +458,34 @@ def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
         fh.writelines(line % row for row in rows)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB (1e6 bytes)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB elsewhere
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+
+
+class _Phases:
+    """Wall time of each phase of one run, for the manifest's timing lines."""
+
+    def __init__(self) -> None:
+        self.started = self.last = time.perf_counter()
+        self.seconds: dict[str, float] = {}
+
+    def end(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] = now - self.last
+        self.last = now
+
+
 def _write_manifest(
     out_dir: str,
     subcommand: str,
     status: str,
     exit_code: int,
-    cfg: RunConfig | None,
+    cfg: RunConfig,
     output: RunOutput | None,
-    started: float,
+    phases: _Phases,
     error: str | None = None,
 ) -> None:
     lines = [
@@ -485,9 +496,8 @@ def _write_manifest(
     ]
     if error is not None:
         lines.append(f"error = {error}")
-    if cfg is not None:
-        for key in sorted(cfg.raw):
-            lines.append(f"config.{key} = {cfg.raw[key]}")
+    for key in sorted(cfg.raw):
+        lines.append(f"config.{key} = {cfg.raw[key]}")
     if output is not None:
         for check in output.checks:
             lines.append(f"check.{check.name}.pass = {'true' if check.passed else 'false'}")
@@ -497,8 +507,12 @@ def _write_manifest(
             lines.append(f"result.{key} = {_fmt(output.results[key])}")
         for key in sorted(output.notes):
             lines.append(f"note.{key} = {output.notes[key]}")
-    lines.append(f"timing.total_seconds = {time.perf_counter() - started:.3f}")
-    os.makedirs(out_dir, exist_ok=True)
+    # the write phase covers the CSV and this manifest up to its timing lines
+    phases.end("write")
+    for phase, seconds in phases.seconds.items():
+        lines.append(f"timing.{phase}_seconds = {seconds:.6f}")
+    lines.append(f"timing.total_seconds = {phases.last - phases.started:.6f}")
+    lines.append(f"peak_rss_mb = {_peak_rss_mb():.1f}")
     with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -539,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    phases = _Phases()
     args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     subcommand = args.subcommand
 
     try:
@@ -548,35 +562,47 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    phases.end("parse")
 
+    output = error = message = None
     try:
         output = HANDLERS[subcommand](cfg)
     except NonFiniteResult as exc:
-        _write_manifest(
-            args.out, subcommand, "nonfinite", EXIT_NONFINITE, cfg, None, started,
-            error=f"{exc} (t={exc.time})",
-        )
-        print(f"non-finite result: {exc}", file=sys.stderr)
-        return EXIT_NONFINITE
+        status, exit_code, error = "nonfinite", EXIT_NONFINITE, f"{exc} (t={exc.time})"
+        message = f"non-finite result: {exc}"
     except GradiplateError as exc:
-        _write_manifest(
-            args.out, subcommand, "check_failure", EXIT_CHECK, cfg, None, started,
-            error=str(exc),
-        )
-        print(f"check failure: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        status, exit_code, error = "check_failure", EXIT_CHECK, str(exc)
+        message = f"check failure: {exc}"
+    else:
+        failed = [c.name for c in output.checks if not c.passed]
+        status, exit_code = ("check_failure", EXIT_CHECK) if failed else ("ok", EXIT_OK)
+        if failed:
+            message = f"checks failed: {', '.join(failed)}"
+    phases.end("handler")
 
-    all_passed = all(check.passed for check in output.checks)
-    status = "ok" if all_passed else "check_failure"
-    exit_code = EXIT_OK if all_passed else EXIT_CHECK
     os.makedirs(args.out, exist_ok=True)
-    _write_csv(os.path.join(args.out, output.csv_name), output.header, output.rows)
-    _write_manifest(args.out, subcommand, status, exit_code, cfg, output, started)
-    if not all_passed:
-        failed = ", ".join(c.name for c in output.checks if not c.passed)
-        print(f"checks failed: {failed}", file=sys.stderr)
+    if output is not None:
+        _write_csv(os.path.join(args.out, output.csv_name), output.header, output.rows)
+    _write_manifest(args.out, subcommand, status, exit_code, cfg, output, phases, error)
+    if message is not None:
+        print(message, file=sys.stderr)
     return exit_code
 
 
+def entry() -> None:
+    """Process entry of the `gradiplate` script and `python -m gradiplate.cli`.
+
+    The exiting process needs none of its heap, so it is frozen before the
+    exit: the interpreter's shutdown cycle collections skip frozen objects,
+    and would otherwise walk every object numpy made at import.  `main`
+    never freezes, so in-process callers keep their garbage collection.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -249,6 +249,11 @@ class Trajectory(SampleArrays):
     dissipation: np.ndarray
     dissipation_integral: np.ndarray
 
+    @property
+    def energy_norm(self) -> np.ndarray:
+        """kinetic + |bending| + thermal: the size of the terms E sums."""
+        return self.kinetic + np.abs(self.bending) + self.thermal
+
     def _sample(self, k: int) -> TrajectorySample:
         pairs = tuple(
             (mode, ModeState(*self.x[i, :, k])) for i, mode in enumerate(self.modes)

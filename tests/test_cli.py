@@ -1,4 +1,7 @@
+import ast
+import gc
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +244,18 @@ class TestRegressionConfigs:
     SHORT_INSTABILITY = base_model(c="-1") + [
         "domain = interval", f"length = {PI}", "mode_count = 1", "dt = 0.1", "initial_u = 1",
     ]
+
+    # D grows from 0 when only displacement carries data, so max |dL/dt|
+    # is no scale for the centered-difference error
+    @pytest.mark.parametrize("dt", ["0.01", "0.001", "0.0001"])
+    def test_backward_on_a_short_horizon_from_displacement_alone(self, tmp_path, dt):
+        lines = base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 2", "initial_u = 1",
+            "t_end = 0.1", f"dt = {dt}",
+        ]
+        code, manifest = self.run(tmp_path, "backward", lines)
+        assert code == 0
+        assert manifest["check.identity_residual.pass"] == "true"
 
     def test_instability_on_a_two_sample_grid(self, tmp_path):
         code, _ = self.run(tmp_path, "instability", self.SHORT_INSTABILITY + ["t_end = 0.1"])
@@ -502,6 +517,35 @@ class TestNoPerSampleObjects:
         assert calls == {"enumerate_modes": 1, "nondiff_sequence": 30}
 
 
+class TestManifestPhases:
+    PHASES = ("timing.parse_seconds", "timing.handler_seconds", "timing.write_seconds")
+    RESONANT_DECOUPLED_SCAN = [l for l in base_model() if not l.startswith("eta ")] + [
+        "eta = 0", "domain = interval", f"length = {PI}", "mode_count = 4",
+        "omega_min = 0.5", "omega_max = 20", "omega_points = 10", "omega_grid = resonant",
+    ]
+
+    @pytest.mark.parametrize("subcommand, overrides, exit_code", [
+        ("simulate", {"dt": "0.01"}, 0),
+        ("resolvent-scan", None, 3),
+        ("simulate", {"c": "-1", "t_end": "2000", "dt": "100"}, 4),
+    ], ids=["ok", "check_failure", "nonfinite"])
+    def test_phase_timers_and_peak_rss(self, tmp_path, subcommand, overrides, exit_code):
+        if overrides is None:
+            cfg = write_config(tmp_path, "run.cfg", self.RESONANT_DECOUPLED_SCAN)
+        else:
+            cfg = simulate_config(tmp_path, **overrides)
+        out = str(tmp_path / "o")
+        assert main([subcommand, "--config", cfg, "--out", out]) == exit_code
+        manifest = read_manifest(out)
+        seconds = [float(manifest[key]) for key in self.PHASES]
+        assert min(seconds) >= 0.0
+        # each line rounds to the microsecond
+        assert sum(seconds) == pytest.approx(float(manifest["timing.total_seconds"]), abs=3e-6)
+        peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        assert 0.0 < float(manifest["peak_rss_mb"]) <= peak_now + 0.05
+        assert list(manifest)[-5:] == [*self.PHASES, "timing.total_seconds", "peak_rss_mb"]
+
+
 class TestNoIdleKnobs:
     def test_seed_is_an_unknown_key(self, tmp_path, capsys):
         cfg = simulate_config(tmp_path, seed="1")
@@ -623,6 +667,77 @@ class TestImportFootprint:
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def run_fresh_python(args, tmp_path):
+    """Run the interpreter on `args` in a fresh process with `src` on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+
+
+class TestProcessExit:
+    """A CLI process freezes its heap before it exits, so the interpreter's
+    shutdown cycle collections have nothing to walk; `main` never freezes."""
+
+    def test_entry_freezes_the_heap_before_exit(self, tmp_path):
+        cfg = simulate_config(tmp_path, dt="0.01")
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"sys.argv = ['gradiplate', 'simulate', '--config', {cfg!r}, '--out', 'o']\n"
+            "runpy.run_module('gradiplate.cli', run_name='__main__')\n"
+        )
+        done = run_fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        label, count = done.stdout.split()
+        assert label == "frozen" and int(count) > 0
+
+    @pytest.mark.parametrize("exit_code", [0, 2, 3, 4])
+    def test_exit_codes_reach_the_parent(self, tmp_path, exit_code):
+        if exit_code == 3:
+            subcommand = "resolvent-scan"
+            cfg = write_config(tmp_path, "run.cfg", TestManifestPhases.RESONANT_DECOUPLED_SCAN)
+        else:
+            subcommand = "simulate"
+            cfg = simulate_config(tmp_path, **{
+                0: {"initial": "zero", "dt": "0.1"},
+                2: {"wavelength": "2"},
+                4: {"c": "-1", "t_end": "2000", "dt": "100"},
+            }[exit_code])
+        done = run_fresh_python(["-m", "gradiplate.cli", subcommand, "--config", cfg, "--out", "o"], tmp_path)
+        assert done.returncode == exit_code, done.stderr
+        if exit_code != 2:
+            assert read_manifest(tmp_path / "o")["exit_code"] == str(exit_code)
+
+    def test_main_leaves_the_gc_state_alone(self, tmp_path):
+        before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+        assert main(["simulate", "--config", simulate_config(tmp_path, dt="0.01"), "--out", str(tmp_path / "o")]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
+
+    def test_import_leaves_the_gc_state_alone(self, tmp_path):
+        script = (
+            "import gc\n"
+            "before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()\n"
+            "import gradiplate.cli\n"
+            "print((gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before)\n"
+        )
+        done = run_fresh_python(["-c", script], tmp_path)
+        assert done.stdout.strip() == "True", done.stderr
+
+    def test_script_and_main_block_call_the_same_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        source = Path(cli.__file__).resolve()
+        pyproject = tomllib.loads((source.parents[2] / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, function = pyproject["project"]["scripts"]["gradiplate"].partition(":")
+        assert module == "gradiplate.cli"
+        [block] = [
+            node for node in ast.parse(source.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"{function}()"]
 
 
 class TestParamsOverride:
