@@ -63,12 +63,12 @@ _EXPORTS = {
         "quasi_decay_report",
     ),
     "resolvent": (
-        "NondiffLimitReport",
-        "NondiffSequencePoint",
+        "NondiffSequence",
         "ResolventRHS",
         "ResolventScan",
+        "closed_form_gap",
+        "gap_reach",
         "mode_resolvent_norm",
-        "nondiff_limit_check",
         "nondiff_sequence",
         "resolvent_norm",
         "resonant_omega_grid",

@@ -14,7 +14,8 @@ peak RSS lines are the only nondeterministic output.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant-check failure,
 4 non-finite evolution (unstable overflow).  The manifest is written on
-the failure paths too.
+the check and overflow failure paths too; a configuration error, found by
+the parser or by a handler, writes no output.
 
 Every energy value a handler reports (E, D, L1, L2 and the E(0) of the
 instability bound) is read off the trajectory's energy columns, so one run
@@ -37,7 +38,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .errors import ConfigError, GradiplateError, NonFiniteResult
-from .model import Direction, Regime, enumerate_modes
+from .model import Direction, Regime
 
 # each handler imports the modules it runs when it runs, so a process loads
 # only the modules of its own subcommand
@@ -177,53 +178,44 @@ def _run_resolvent_scan(cfg: RunConfig) -> RunOutput:
 
 
 def _run_nondiff(cfg: RunConfig) -> RunOutput:
-    from .resolvent import nondiff_limit_check, nondiff_sequence
+    from .resolvent import closed_form_gap, gap_reach, nondiff_sequence
 
-    modes = enumerate_modes(cfg.domain, cfg.n_max)
-    points = [
-        nondiff_sequence(cfg.params, cfg.domain, n, cfg.branch, modes=modes)
-        for n in range(1, cfg.n_max + 1)
-    ]
-    report = nondiff_limit_check(
-        cfg.params, cfg.domain, cfg.n_max, cfg.branch, points=points
-    )
-    max_alg = max(max(p.alg1_residual, p.alg2_residual) for p in points)
+    params, tolerance = cfg.params, cfg.gap_tolerance
+    seq = nondiff_sequence(params, cfg.domain, cfg.n_max, cfg.branch)
+    lam = seq.lam
+    # the gap decreases in lambda: above tolerance at lambda_{n_max}, no run
+    # to this n_max can pass
+    end_gap = closed_form_gap(params, float(lam[-1]))
+    if end_gap > tolerance:
+        lam_star, n = gap_reach(params, cfg.domain, tolerance)
+        reach = f"it falls to that from lambda = {lam_star!r} on" if n is None else (
+            f"the smallest n_max that reaches it is {max(n, 10)}"
+        )
+        raise ConfigError(
+            f"nondiff: the limit gap at n_max = {cfg.n_max} is {end_gap!r} in closed "
+            f"form, above gap_tolerance = {tolerance!r}; {reach}"
+        )
+    max_alg = float(max(np.max(seq.alg1_residual), np.max(seq.alg2_residual)))
+    # |v_n|^2 against its real expansion in lambda_n, target (1 + gap), which
+    # also checks the gap formula the refusal above relies on
+    expansion = seq.target * (1.0 + closed_form_gap(params, lam))
+    expansion_error = float(np.max(np.abs(seq.norm_v_sq - expansion) / expansion))
     checks = [
         Check("amplitude_system_residual", max_alg <= 1e-12, max_alg, 1e-12),
-        Check("limit_gap", report.gap_at_end <= cfg.gap_tolerance, report.gap_at_end, cfg.gap_tolerance),
+        Check("norm_v_sq_expansion", expansion_error <= 1e-12, expansion_error, 1e-12),
+        Check("limit_gap", seq.gap_at_end <= tolerance, seq.gap_at_end, tolerance),
     ]
-    target = report.target
-    rows = [
-        (
-            p.n,
-            p.lam,
-            p.omega,
-            p.q,
-            p.p.real,
-            p.p.imag,
-            p.norm_v_sq,
-            p.norm_v_sq_weighted,
-            abs(p.norm_v_sq - target) / target,
-        )
-        for p in points
-    ]
+    rows = _columns_to_rows(
+        seq.n, lam, seq.omega, seq.q, seq.p.real, seq.p.imag, seq.norm_v_sq,
+        seq.norm_v_sq_weighted, seq.gap,
+    )
     return RunOutput(
         csv_name="nondiff.csv",
-        header=[
-            "n",
-            "lambda",
-            "omega",
-            "q",
-            "p_re",
-            "p_im",
-            "norm_v_sq",
-            "norm_v_sq_weighted",
-            "gap_to_limit",
-        ],
+        header=["n", "lambda", "omega", "q", "p_re", "p_im", "norm_v_sq", "norm_v_sq_weighted", "gap_to_limit"],
         rows=rows,
         checks=checks,
-        results={"target": target, "gap_at_n_max": report.gap_at_end},
-        notes={"matching_norm": report.matching_norm},
+        results={"target": seq.target, "gap_at_n_max": seq.gap_at_end},
+        notes={"matching_norm": seq.matching_norm},
     )
 
 
@@ -557,16 +549,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     subcommand = args.subcommand
 
-    try:
-        cfg = load_config(args.config, subcommand, args.params)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    phases.end("parse")
-
     output = error = message = None
     try:
+        cfg = load_config(args.config, subcommand, args.params)
+        phases.end("parse")
         output = HANDLERS[subcommand](cfg)
+    except ConfigError as exc:
+        # found by the parser, or by a handler that needs its modes to see it
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except NonFiniteResult as exc:
         status, exit_code, error = "nonfinite", EXIT_NONFINITE, f"{exc} (t={exc.time})"
         message = f"non-finite result: {exc}"

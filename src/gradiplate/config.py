@@ -9,6 +9,7 @@ are enforced at parse time so command handlers never see invalid params.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -324,6 +325,8 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
                 raise ConfigError("branch must be 1 or -1")
         if "gap_tolerance" in raw:
             cfg.gap_tolerance = _as_float(raw, "gap_tolerance")
+            if not (cfg.gap_tolerance > 0 and math.isfinite(cfg.gap_tolerance)):
+                raise ConfigError("gap_tolerance must be finite and > 0")
     elif subcommand == "spectrum":
         _require(raw, ("lambda_max", "lambda_points"), subcommand)
         cfg.lambda_min = _as_float(raw, "lambda_min") if "lambda_min" in raw else 1.0

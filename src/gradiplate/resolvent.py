@@ -61,20 +61,13 @@ which the scan exposes as a contrast diagnostic.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SingularSystem
-from .model import (
-    Mode,
-    ModelParams,
-    SpectralDomain,
-    enumerate_modes,
-    mode_matrix,
-)
+from .model import Interval, ModelParams, SpectralDomain, enumerate_modes, mode_matrix
 
 if TYPE_CHECKING:
     from .propagator import ModeState
@@ -387,54 +380,50 @@ def resonant_omega_grid(
     _require_stable(params, "resonant grid")
     if not 0 < omega_min < omega_max:
         raise ValueError("need 0 < omega_min < omega_max")
-    factor = math.sqrt(params.c / params.rho)
-    res = [
-        factor * mode.lam
-        for mode in enumerate_modes(domain, mode_count)
-        if omega_min <= factor * mode.lam <= omega_max
-    ]
-    pts = list(res)
+    lams = np.array([mode.lam for mode in enumerate_modes(domain, mode_count)])
+    omegas = math.sqrt(params.c / params.rho) * lams
+    omegas = omegas[(omega_min <= omegas) & (omegas <= omega_max)]
     if fill > 0:
-        pts.extend(np.geomspace(omega_min, omega_max, fill).tolist())
-    return np.unique(np.asarray(sorted(pts), dtype=float))
+        omegas = np.append(omegas, np.geomspace(omega_min, omega_max, fill))
+    return np.unique(omegas)
 
 
 @dataclass(frozen=True)
-class NondiffSequencePoint:
-    """One term of the resonant-drive sequence with its amplitudes.
+class NondiffSequence:
+    """The resonant-drive sequence n = 1..n_max as arrays, one entry per term.
 
-    `norm_v_sq` is the plain L2 value |v|^2 = omega^2 |p|^2 (the quantity
-    with limit d^2/eta^4); `norm_v_sq_weighted` carries the energy weight
-    rho.  `norm_u_sq` is the full energy norm of the solution.  Residuals
-    measure back-substitution into the 2x2 amplitude system.
+    `norm_v_sq` is the plain L2 value |v|^2 = omega^2 |p|^2, whose limit
+    `target` = d^2/eta^4 (`matching_norm` records that), and `gap` is
+    |norm_v_sq - target| / target; `norm_v_sq_weighted` carries the energy
+    weight rho, and `norm_u_sq` is the full energy norm of the solution.
+    The residuals measure back-substitution into the 2x2 amplitude system
+    at exact resonance, row by row.
     """
 
-    n: int
-    lam: float
-    omega: float
-    p: complex
-    q: float
-    norm_u_sq: float
-    norm_v_sq: float
-    norm_v_sq_weighted: float
-    alg1_residual: float
-    alg2_residual: float
+    n: np.ndarray
+    lam: np.ndarray
+    omega: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    norm_u_sq: np.ndarray
+    norm_v_sq: np.ndarray
+    norm_v_sq_weighted: np.ndarray
+    gap: np.ndarray
+    alg1_residual: np.ndarray
+    alg2_residual: np.ndarray
+    target: float
+    gap_at_end: float
+    matching_norm: str = "l2"
 
 
 def nondiff_sequence(
-    params: ModelParams,
-    domain: SpectralDomain,
-    n: int,
-    branch: int = +1,
-    *,
-    modes: Sequence[Mode] | None = None,
-) -> NondiffSequencePoint:
-    """Closed-form solution of the resonant-drive system for mode n.
+    params: ModelParams, domain: SpectralDomain, n_max: int, branch: int = +1
+) -> NondiffSequence:
+    """Closed-form solution of the resonant-drive system for the modes
+    n = 1..n_max, in one array pass.
 
     branch selects the sign of omega_n = +-sqrt(c/rho) lam_n; the negative
-    branch conjugates p and leaves |v|^2 unchanged.  `modes`, when given,
-    is `enumerate_modes(domain, N)` for some N >= n, computed once for a
-    whole sequence: its first n entries are `enumerate_modes(domain, n)`.
+    branch conjugates p and leaves |v|^2 unchanged.
 
     The amplitude pair (p, q) is normalized so the mass-scaled velocity row
     (the one multiplied through by rho) carries a unit load; driving
@@ -447,83 +436,95 @@ def nondiff_sequence(
         raise ValueError("resonant-drive sequence requires eta != 0")
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    if modes is None:
-        modes = enumerate_modes(domain, n)
-    elif len(modes) < n:
-        raise ValueError(f"modes holds {len(modes)} modes, need {n}")
-    lam = modes[n - 1].lam
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    lam = np.array([mode.lam for mode in enumerate_modes(domain, n_max)])
     root = math.sqrt(params.c / params.rho)
     omega = branch * root * lam
     q = 1.0 / (params.eta * lam)
-    p = branch * (
-        (1j * params.a * omega + params.d * lam**2 + params.b * lam)
-        / (1j * params.eta**2 * lam**3 * root)
-    )
+    # p = (i a omega + heat) / (i x) in real arithmetic, rounded as the
+    # complex division by a purely imaginary number rounds it
+    heat = params.d * lam**2 + params.b * lam
+    x = params.eta**2 * lam**3 * root
+    p = branch * (params.a * omega / x) - 1j * (branch * (heat / x))
 
-    # back-substitution into the amplitude system
-    alg1 = p * (params.c * lam**2 - params.rho * omega**2) + q * params.eta * lam
-    alg1_residual = abs(alg1 - 1.0)
-    alg2 = -1j * params.eta * omega * lam * p + q * (
-        1j * params.a * omega + params.d * lam**2 + params.b * lam
+    # back-substitution.  Row 1, p (c lam^2 - rho omega^2) + q eta lam = 1,
+    # reads q eta lam = 1 at exact resonance: the rounding of omega_n would
+    # leave |p| c lam^2 eps in it, however accurate p is.  p is checked by
+    # row 2, -i eta omega lam p + q (i a omega + heat) = 0, relative to the
+    # size of its terms.
+    alg2 = -1j * params.eta * omega * lam * p + q * (1j * params.a * omega + heat)
+    alg2_scale = np.abs(params.eta * omega * lam * p) + np.abs(q) * (
+        np.abs(params.a * omega) + heat
     )
-    alg2_scale = abs(params.eta * omega * lam * p) + abs(q) * (
-        abs(params.a * omega) + params.d * lam**2 + params.b * lam
-    )
-    alg2_residual = abs(alg2) / max(alg2_scale, 1e-300)
-
-    norm_v_sq = omega**2 * abs(p) ** 2
-    return NondiffSequencePoint(
-        n=n,
+    norm_p_sq = np.hypot(p.real, p.imag) ** 2
+    norm_v_sq = omega**2 * norm_p_sq
+    target = params.d**2 / params.eta**4
+    gap = np.abs(norm_v_sq - target) / target if target > 0 else np.full(n_max, math.inf)
+    return NondiffSequence(
+        n=np.arange(1, n_max + 1),
         lam=lam,
         omega=omega,
-        p=complex(p),
+        p=p,
         q=q,
-        norm_u_sq=params.c * lam**2 * abs(p) ** 2
-        + params.rho * norm_v_sq
-        + params.a * q**2,
+        norm_u_sq=params.c * lam**2 * norm_p_sq + params.rho * norm_v_sq + params.a * q**2,
         norm_v_sq=norm_v_sq,
         norm_v_sq_weighted=params.rho * norm_v_sq,
-        alg1_residual=float(alg1_residual),
-        alg2_residual=float(alg2_residual),
+        gap=gap,
+        alg1_residual=np.abs(q * params.eta * lam - 1.0),
+        alg2_residual=np.abs(alg2) / np.maximum(alg2_scale, 1e-300),
+        target=target,
+        gap_at_end=float(gap[-1]),
     )
 
 
-@dataclass(frozen=True)
-class NondiffLimitReport:
-    """Convergence of |v_n|^2 toward the limit d^2/eta^4.
+def closed_form_gap(params: ModelParams, lam):
+    """The gap |v|^2 / target - 1 at eigenvalue `lam`, from the expansion
+    |v|^2 = (d + b/lam)^2/eta^4 + a^2 c/(rho eta^4 lam^2):
+    2b/(d lam) + (b^2 + a^2 c/rho)/(d^2 lam^2).  It never increases with
+    lam, in floating point too, since every operation in it rounds
+    monotonically."""
+    dl = params.d * lam
+    return 2.0 * params.b / dl + (params.b**2 + params.a**2 * params.c / params.rho) / (dl * dl)
 
-    The limit is attained by the plain L2 velocity norm (`matching_norm`
-    records that); the energy-weighted value converges to rho * target.
+
+# Most lattice rows gap_reach counts on a rectangle.
+REACH_ROWS = 1 << 20
+
+
+def gap_reach(
+    params: ModelParams, domain: SpectralDomain, tolerance: float
+) -> tuple[float, int | None]:
+    """Where the closed-form gap falls to `tolerance` > 0: the eigenvalue
+    lam* at which it equals `tolerance`, and the smallest n with
+    closed_form_gap(lam_n) <= tolerance.  n is counted, not enumerated: in
+    closed form on an interval, by a lattice count over the rows of a
+    rectangle, and it is None past REACH_ROWS rows (2^52 modes on an interval).
     """
+    big = params.b**2 + params.a**2 * params.c / params.rho
+    # the positive root in 1/lam of gap = tolerance, in a form without cancellation
+    lam_star = (params.b + math.sqrt(params.b**2 + big * tolerance)) / params.d / tolerance
 
-    ns: np.ndarray
-    norm_v_sq: np.ndarray
-    target: float
-    gap_at_end: float
-    matching_norm: str = "l2"
+    def short(lam):
+        return closed_form_gap(params, lam) > tolerance
 
-
-def nondiff_limit_check(
-    params: ModelParams,
-    domain: SpectralDomain,
-    n_max: int,
-    branch: int = +1,
-    *,
-    points: Sequence[NondiffSequencePoint] | None = None,
-) -> NondiffLimitReport:
-    """`points`, when given, must be the sequence terms n = 1..n_max
-    already computed by `nondiff_sequence`."""
-    if n_max < 10:
-        raise ValueError("n_max must be >= 10")
-    ns = np.arange(1, n_max + 1)
-    if points is None:
-        modes = enumerate_modes(domain, n_max)
-        points = [nondiff_sequence(params, domain, int(n), branch, modes=modes) for n in ns]
-    elif [p.n for p in points] != ns.tolist():
-        raise ValueError(f"points must be the terms n = 1..{n_max}")
-    values = np.array([p.norm_v_sq for p in points])
-    target = params.d**2 / params.eta**4
-    gap = abs(values[-1] - target) / target if target > 0 else math.inf
-    return NondiffLimitReport(ns=ns, norm_v_sq=values, target=target, gap_at_end=float(gap))
+    # the mode counts from sqrt(lam*) are off by less than one: one step
+    # against the gap itself makes each exact
+    if isinstance(domain, Interval):
+        count = domain.length * math.sqrt(lam_star) / math.pi
+        if not count < 2.0**52:
+            return lam_star, None
+        n = int(count) + 1
+        if short(domain.eigenvalue(n)):
+            return lam_star, n + 1
+        return lam_star, n - 1 if n > 1 and not short(domain.eigenvalue(n - 1)) else n
+    l1, l2 = domain.length1, domain.length2
+    rows = l1 * math.sqrt(lam_star) / math.pi
+    if not rows < REACH_ROWS:
+        return lam_star, None
+    j = np.arange(1, int(rows) + 2)
+    k = np.floor(l2 * np.sqrt(np.maximum(lam_star / math.pi**2 - j**2 / l1**2, 0.0))).astype(int)
+    # lambda_jk as enumerate_modes evaluates it
+    lam_jk = [math.pi**2 * (j**2 / l1**2 + kk**2 / l2**2) for kk in (k, k + 1)]
+    k = np.where((k >= 1) & ~short(lam_jk[0]), k - 1, k + short(lam_jk[1]))
+    return lam_star, int(k.sum()) + 1

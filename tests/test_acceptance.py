@@ -29,7 +29,6 @@ from gradiplate import (
     instability_lower_bound,
     mode_eigenvalues,
     mode_matrix,
-    nondiff_limit_check,
     nondiff_sequence,
     quasi_decay_report,
     resonant_omega_grid,
@@ -78,18 +77,17 @@ def test_criterion_2_nondiff_sequence():
     ok = True
 
     params = ModelParams.unit()
+    seq = nondiff_sequence(params, PI_INTERVAL, 3)
     for n, expected in frozen.items():
-        point = nondiff_sequence(params, PI_INTERVAL, n)
-        solved = solve_mode_resolvent(
-            params, point.lam, point.omega, ResolventRHS(0.0, 1.0, 0.0)
-        )
-        closed_gap = abs(point.norm_v_sq - expected)
+        lam, omega, norm_v_sq = seq.lam[n - 1], seq.omega[n - 1], seq.norm_v_sq[n - 1]
+        solved = solve_mode_resolvent(params, lam, omega, ResolventRHS(0.0, 1.0, 0.0))
+        closed_gap = abs(norm_v_sq - expected)
         solve_gap = abs(abs(solved.v) ** 2 - expected)
         ok &= closed_gap <= 1e-10 and solve_gap <= 1e-10
         details.append(f"n={n}: closed {closed_gap:.1e}, solve {solve_gap:.1e}")
 
     for d, eta, target in ((1.0, 1.0, 1.0), (2.0, 1.0, 4.0), (1.0, 2.0, 0.0625)):
-        limit = nondiff_limit_check(ModelParams.unit(d=d, eta=eta), PI_INTERVAL, 30)
+        limit = nondiff_sequence(ModelParams.unit(d=d, eta=eta), PI_INTERVAL, 30)
         ok &= limit.target == target and limit.gap_at_end <= 0.01
         details.append(f"(d={d},eta={eta}): gap {limit.gap_at_end:.4f}")
 

@@ -278,6 +278,53 @@ class TestRegressionConfigs:
         assert main(["nondiff", "--config", write_config(tmp_path, "run.cfg", lines), "--out", out]) == 2
         assert "nondiff requires d > 0" in capsys.readouterr().err
 
+    # the CHANGES.md amplitude_system_residual config: lambda up to 3.1e6,
+    # where the rounding of omega_n left 2.8e-8 in the first amplitude row
+    SHORT_INTERVAL_NONDIFF = [
+        "rho = 5.621663183966992", "a = 4.434532059793753", "b = 0.3463945270226868",
+        "c = 1.1476015333699319", "d = 0.33725058003640007", "eta = 0.18661809685476657",
+        "domain = interval", "length = 0.3209124442613934", "mode_count = 9", "n_max = 181",
+    ]
+    # the CHANGES.md limit_gap config: a gap of 0.577 at n_max = 80
+    SLOW_GAP_NONDIFF = [
+        "rho = 0.2501765351593549", "a = 7.4610265612829565", "b = 0.18842040246272004",
+        "c = 0.7589503424477275", "d = 0.036873049084739984", "eta = -0.4510987167498154",
+        "domain = rectangle", "length1 = 0.8114113350270618", "length2 = 3.075990162996799",
+        "mode_count = 2",
+    ]
+
+    def test_nondiff_at_exact_resonance_on_a_short_interval(self, tmp_path):
+        code, manifest = self.run(tmp_path, "nondiff", self.SHORT_INTERVAL_NONDIFF)
+        assert code == 0
+        assert float(manifest["check.amplitude_system_residual.value"]) <= 1e-15
+
+    def test_nondiff_with_an_unreachable_gap_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.cfg", self.SLOW_GAP_NONDIFF + ["n_max = 80"])
+        assert main(["nondiff", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: nondiff: the limit gap at n_max = 80 is 0.577")
+        assert err.rstrip().endswith("the smallest n_max that reaches it is 772")
+        assert not out.exists()
+        # the n_max it names passes, and the one before it is refused
+        assert main(["nondiff", "--config", cfg, "--out", str(out), "--params", "n_max=771"]) == 2
+        code, manifest = self.run(tmp_path, "nondiff", self.SLOW_GAP_NONDIFF + ["n_max = 772"])
+        assert code == 0
+        assert float(manifest["check.limit_gap.value"]) <= 0.01
+
+    def test_resonant_scan_with_no_resonance_in_range_is_a_config_error(self, tmp_path, capsys):
+        # lam_n = n^2: no sqrt(c/rho) lam_n lies in [1.5, 3.5]
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.cfg", base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 4",
+            "omega_min = 1.5", "omega_max = 3.5", "omega_points = 10", "omega_grid = resonant",
+        ])
+        assert main(["resolvent-scan", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: no resonant frequencies fall inside [omega_min, omega_max]\n"
+        )
+        assert not out.exists()
+
     def test_spectrum_of_the_decoupled_plate(self, tmp_path):
         # eta = 0: the plate roots +-i sqrt(c/rho) lam have real part 0 up to
         # rounding, and no exponential stability is claimed without coupling
@@ -399,6 +446,7 @@ class TestOtherSubcommands:
         assert main(["nondiff", "--config", cfg, "--out", out]) == 0
         manifest = read_manifest(out)
         assert manifest["check.limit_gap.pass"] == "true"
+        assert manifest["check.norm_v_sq_expansion.pass"] == "true"
         assert float(manifest["result.gap_at_n_max"]) <= 0.01
         last = (tmp_path / "o" / "nondiff.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[-1]) <= 0.01
@@ -495,6 +543,7 @@ class TestNoPerSampleObjects:
         assert len(calls) == 1
 
     def test_nondiff_computes_each_term_once(self, tmp_path, monkeypatch):
+        """One mode enumeration and one array pass over all n_max terms."""
         calls = {"enumerate_modes": 0, "nondiff_sequence": 0}
 
         def counted(module, name):
@@ -506,7 +555,7 @@ class TestNoPerSampleObjects:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (cli, model, resolvent):
+        for module in (model, resolvent):
             counted(module, "enumerate_modes")
         counted(resolvent, "nondiff_sequence")
         cfg = write_config(
@@ -514,7 +563,7 @@ class TestNoPerSampleObjects:
             base_model() + ["domain = interval", f"length = {PI}", "mode_count = 30", "n_max = 30"],
         )
         assert main(["nondiff", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert calls == {"enumerate_modes": 1, "nondiff_sequence": 30}
+        assert calls == {"enumerate_modes": 1, "nondiff_sequence": 1}
 
 
 class TestManifestPhases:

@@ -121,6 +121,12 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="n_max"):
             build_config(raw, "nondiff")
 
+    @pytest.mark.parametrize("tolerance", ["0", "-0.01", "inf", "nan"])
+    def test_nondiff_gap_tolerance_must_be_positive_and_finite(self, tolerance):
+        raw = dict(BASE, n_max="30", gap_tolerance=tolerance)
+        with pytest.raises(ConfigError, match="gap_tolerance must be finite and > 0"):
+            build_config(raw, "nondiff")
+
 
 class TestPresets:
     def test_zero(self):

@@ -14,8 +14,9 @@ from gradiplate import (
     ResolventRHS,
     SingularSystem,
     mode_matrix,
+    closed_form_gap,
+    gap_reach,
     mode_resolvent_norm,
-    nondiff_limit_check,
     nondiff_sequence,
     resolvent_norm,
     resonant_omega_grid,
@@ -273,70 +274,79 @@ class TestPrunedSup:
         assert sum(received) <= 0.1 * (grid.size + 1) * 64
 
 
+def scalar_term(params, lam, branch):
+    """One term of the resonant-drive sequence in Python complex arithmetic."""
+    root = math.sqrt(params.c / params.rho)
+    omega = branch * root * lam
+    p = branch * (
+        (1j * params.a * omega + params.d * lam**2 + params.b * lam)
+        / (1j * params.eta**2 * lam**3 * root)
+    )
+    return omega, 1.0 / (params.eta * lam), p, omega**2 * abs(p) ** 2
+
+
 class TestNondiffSequence:
     def test_frozen_values_unit_params(self, unit_params, pi_interval):
-        p2 = nondiff_sequence(unit_params, pi_interval, 2)
-        assert p2.q == 0.25
-        assert p2.norm_v_sq == pytest.approx(1.625, rel=1e-14)
-        p3 = nondiff_sequence(unit_params, pi_interval, 3)
-        assert p3.norm_v_sq == pytest.approx(8181.0 / 6561.0, rel=1e-14)
+        seq = nondiff_sequence(unit_params, pi_interval, 3)
+        assert seq.q[1] == 0.25
+        assert seq.norm_v_sq[1] == pytest.approx(1.625, rel=1e-14)
+        assert seq.norm_v_sq[2] == pytest.approx(8181.0 / 6561.0, rel=1e-14)
 
     def test_amplitude_system_residuals(self, unit_params, pi_interval):
-        for n in range(1, 31):
-            point = nondiff_sequence(unit_params, pi_interval, n)
-            assert point.alg1_residual <= 1e-12
-            assert point.alg2_residual <= 1e-12
+        seq = nondiff_sequence(unit_params, pi_interval, 30)
+        assert np.max(seq.alg1_residual) <= 1e-12
+        assert np.max(seq.alg2_residual) <= 1e-12
 
     def test_closed_form_agrees_with_direct_solve(self, pi_interval):
         """|v_n|^2 from the closed form equals the resolvent solve at the
         resonant frequency (unit load on the mass-scaled velocity row, i.e.
         abstract right-hand side (0, 1/rho, 0))."""
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
+        seq = nondiff_sequence(params, pi_interval, 8)
         for n in (1, 2, 3, 5, 8):
-            point = nondiff_sequence(params, pi_interval, n)
-            out = solve_mode_resolvent(
-                params, point.lam, point.omega, ResolventRHS(0.0, 1.0 / params.rho, 0.0)
-            )
-            assert abs(out.u - point.p) <= 1e-10 * max(1.0, abs(point.p))
-            assert abs(out.theta - point.q) <= 1e-10 * max(1.0, abs(point.q))
-            assert abs(abs(out.v) ** 2 - point.norm_v_sq) <= 1e-10 * point.norm_v_sq
+            lam, omega, p, q = seq.lam[n - 1], seq.omega[n - 1], seq.p[n - 1], seq.q[n - 1]
+            out = solve_mode_resolvent(params, lam, omega, ResolventRHS(0.0, 1.0 / params.rho, 0.0))
+            assert abs(out.u - p) <= 1e-10 * max(1.0, abs(p))
+            assert abs(out.theta - q) <= 1e-10 * max(1.0, abs(q))
+            assert abs(abs(out.v) ** 2 - seq.norm_v_sq[n - 1]) <= 1e-10 * seq.norm_v_sq[n - 1]
             # v = i omega u for the constructed solution
-            assert cmath.isclose(out.v, 1j * point.omega * out.u, rel_tol=1e-9)
+            assert cmath.isclose(out.v, 1j * omega * out.u, rel_tol=1e-9)
 
     def test_negative_branch_conjugates(self, unit_params, pi_interval):
         plus = nondiff_sequence(unit_params, pi_interval, 4, branch=+1)
         minus = nondiff_sequence(unit_params, pi_interval, 4, branch=-1)
-        assert minus.omega == -plus.omega
+        assert np.array_equal(minus.omega, -plus.omega)
         assert minus.p == pytest.approx(plus.p.conjugate(), rel=1e-14)
         assert minus.norm_v_sq == pytest.approx(plus.norm_v_sq, rel=1e-14)
 
     def test_weighted_norm_carries_rho(self, pi_interval):
         params = ModelParams(rho=3.0, a=1.0, b=1.0, c=1.0, d=1.0, eta=1.0)
-        point = nondiff_sequence(params, pi_interval, 2)
-        assert point.norm_v_sq_weighted == pytest.approx(3.0 * point.norm_v_sq, rel=1e-14)
+        seq = nondiff_sequence(params, pi_interval, 2)
+        assert seq.norm_v_sq_weighted == pytest.approx(3.0 * seq.norm_v_sq, rel=1e-14)
 
     def test_norm_u_sq_accumulates_weights(self, unit_params, pi_interval):
-        point = nondiff_sequence(unit_params, pi_interval, 2)
-        expected = (
-            point.lam**2 * abs(point.p) ** 2
-            + point.omega**2 * abs(point.p) ** 2
-            + point.q**2
-        )
-        assert point.norm_u_sq == pytest.approx(expected, rel=1e-14)
+        seq = nondiff_sequence(unit_params, pi_interval, 2)
+        norm_p_sq = np.abs(seq.p) ** 2
+        expected = seq.lam**2 * norm_p_sq + seq.omega**2 * norm_p_sq + seq.q**2
+        assert seq.norm_u_sq == pytest.approx(expected, rel=1e-14)
 
     def test_eta_zero_rejected(self, pi_interval):
         with pytest.raises(ValueError):
             nondiff_sequence(ModelParams.unit(eta=0.0), pi_interval, 2)
 
-    def test_precomputed_modes_give_the_same_point(self, unit_params):
+    @pytest.mark.parametrize("branch", [1, -1])
+    def test_terms_match_the_scalar_formula(self, branch):
+        """Each entry is the term of its mode, in the rectangle's mode order:
+        n, lambda, omega and q to the bit, p and |v|^2 to a few ulps."""
+        params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
         domain = Rectangle(2.0, 1.0)
-        modes = enumerate_modes(domain, 40)
-        for n in (1, 7, 40):
-            assert nondiff_sequence(unit_params, domain, n, -1, modes=modes) == (
-                nondiff_sequence(unit_params, domain, n, -1)
-            )
-        with pytest.raises(ValueError):
-            nondiff_sequence(unit_params, domain, 41, modes=modes)
+        seq = nondiff_sequence(params, domain, 40, branch)
+        assert seq.n.tolist() == list(range(1, 41))
+        for i, mode in enumerate(enumerate_modes(domain, 40)):
+            omega, q, p, norm_v_sq = scalar_term(params, mode.lam, branch)
+            assert (seq.lam[i], seq.omega[i], seq.q[i]) == (mode.lam, omega, q)
+            assert seq.p[i] == pytest.approx(p, rel=1e-15)
+            assert seq.norm_v_sq[i] == pytest.approx(norm_v_sq, rel=1e-15)
 
 
 class TestNondiffLimit:
@@ -346,28 +356,46 @@ class TestNondiffLimit:
     )
     def test_limit_targets(self, pi_interval, d, eta, target):
         params = ModelParams.unit(d=d, eta=eta)
-        report = nondiff_limit_check(params, pi_interval, 30)
-        assert report.target == target
-        assert report.gap_at_end <= 0.01
-        assert report.matching_norm == "l2"
+        seq = nondiff_sequence(params, pi_interval, 30)
+        assert seq.target == target
+        assert seq.gap_at_end <= 0.01
+        assert seq.matching_norm == "l2"
 
     def test_rectangle_sequence_also_converges(self):
         params = ModelParams.unit()
-        report = nondiff_limit_check(params, Interval(1.0), 30)
-        assert report.gap_at_end <= 0.01
+        seq = nondiff_sequence(params, Interval(1.0), 30)
+        assert seq.gap_at_end <= 0.01
 
     def test_n_max_validation(self, unit_params, pi_interval):
         with pytest.raises(ValueError):
-            nondiff_limit_check(unit_params, pi_interval, 5)
+            nondiff_sequence(unit_params, pi_interval, 0)
 
-    def test_precomputed_points_give_the_same_report(self, unit_params, pi_interval):
-        points = [nondiff_sequence(unit_params, pi_interval, n) for n in range(1, 31)]
-        given = nondiff_limit_check(unit_params, pi_interval, 30, points=points)
-        fresh = nondiff_limit_check(unit_params, pi_interval, 30)
-        assert given.norm_v_sq.tobytes() == fresh.norm_v_sq.tobytes()
-        assert given.gap_at_end == fresh.gap_at_end
-        with pytest.raises(ValueError):
-            nondiff_limit_check(unit_params, pi_interval, 30, points=points[1:])
+    def test_gap_column_ends_in_gap_at_end(self, unit_params, pi_interval):
+        seq = nondiff_sequence(unit_params, pi_interval, 30)
+        assert np.array_equal(seq.gap, np.abs(seq.norm_v_sq - seq.target) / seq.target)
+        assert seq.gap_at_end == seq.gap[-1]
+
+    def test_closed_form_gap_is_the_measured_gap(self):
+        params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
+        seq = nondiff_sequence(params, Rectangle(2.0, 1.0), 200)
+        assert closed_form_gap(params, seq.lam) == pytest.approx(seq.gap, rel=1e-12)
+
+    @pytest.mark.parametrize("domain", [Interval(0.7), Interval(math.pi), Rectangle(2.0, 1.0), Rectangle(0.8, 3.1)])
+    @pytest.mark.parametrize("tolerance", [0.3, 0.01, 1e-3])
+    def test_gap_reach_is_the_first_mode_under_the_tolerance(self, domain, tolerance):
+        params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
+        lam_star, n = gap_reach(params, domain, tolerance)
+        assert closed_form_gap(params, lam_star) == pytest.approx(tolerance, rel=1e-12)
+        lams = np.array([mode.lam for mode in enumerate_modes(domain, n)])
+        gaps = closed_form_gap(params, lams)
+        assert gaps[-1] <= tolerance
+        assert np.all(gaps[:-1] > tolerance)
+
+    def test_gap_reach_past_the_row_limit_names_lambda_only(self):
+        params = ModelParams.unit(d=1e-6)
+        lam_star, n = gap_reach(params, Rectangle(1.0, 1.0), 1e-9)
+        assert n is None
+        assert closed_form_gap(params, lam_star) == pytest.approx(1e-9, rel=1e-12)
 
 
 class TestResonantGrid:

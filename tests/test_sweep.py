@@ -1,13 +1,14 @@
 """Config-space sweeps: subcommands on configs the parser accepts, small sizes.
 
-Every drawn config must exit 0 (all checks pass), or exit 4 when an
-unstable (c < 0) `simulate` run overflows.  A config a sweep finds failing
+Every drawn config must exit 0 (all checks pass), exit 4 when an
+unstable (c < 0) `simulate` run overflows, or exit 2 when a `nondiff`
+n_max is too small for its gap tolerance.  A config a sweep finds failing
 is a program bug: it gets a fix and a named regression test, never a wider
 gate.
 
 The configs come from fixed `random.Random` seeds, so each sweep runs the
 same configs whatever the package's source holds.  Sizes stay at or below
-16 modes, 200 omega or lambda points and 2,001 samples.
+16 modes, 200 omega or lambda points or nondiff terms and 2,001 samples.
 """
 
 import math
@@ -107,19 +108,40 @@ def quasistatic_config(rng):
     ]
 
 
+def nondiff_config(rng):
+    """A stable model with d > 0 and eta != 0, as the parser needs."""
+    while True:
+        lines = model_lines(rng, log_uniform(rng, 0.1, 10.0))
+        d, eta = (float(line.split(" = ")[1]) for line in (lines[4], lines[5]))
+        if d > 0 and eta != 0:
+            break
+    return lines + domain_lines(rng) + [
+        f"mode_count = {rng.randint(1, 16)}",
+        f"n_max = {rng.randint(10, 200)}",
+    ]
+
+
+def run(work, subcommand, lines):
+    """Exit code of `subcommand` on the config `lines`, run in `work`."""
+    work.mkdir()
+    config = work / "run.cfg"
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return main([subcommand, "--config", str(config), "--out", str(work / "o")])
+
+
+def failure(code, lines, work):
+    manifest = work / "o" / "manifest.txt"
+    return code, lines, manifest.read_text(encoding="utf-8") if manifest.exists() else None
+
+
 def sweep(tmp_path, subcommand, configs):
     """Run `subcommand` on each (lines, allowed exit codes); returns the
     runs that exit otherwise."""
     failures = []
     for n, (lines, exits) in enumerate(configs):
-        work = tmp_path / str(n)
-        work.mkdir()
-        config = work / "run.cfg"
-        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = main([subcommand, "--config", str(config), "--out", str(work / "o")])
+        code = run(tmp_path / str(n), subcommand, lines)
         if code not in exits:
-            manifest = work / "o" / "manifest.txt"
-            failures.append((code, lines, manifest.read_text(encoding="utf-8") if manifest.exists() else None))
+            failures.append(failure(code, lines, tmp_path / str(n)))
     return failures
 
 
@@ -152,3 +174,18 @@ def test_quasistatic_passes_its_checks(tmp_path):
     rng = random.Random(SEED + 4)
     failures = sweep(tmp_path, "quasistatic", [(quasistatic_config(rng), (0,)) for _ in range(100)])
     assert not failures, failures
+
+
+def test_nondiff_passes_or_refuses_an_unreachable_gap(tmp_path):
+    """Exit 2 is the refusal of an n_max whose closed-form gap is above
+    gap_tolerance; no config may fail a check, and most must pass."""
+    rng = random.Random(SEED + 5)
+    passed, failures = 0, []
+    for n in range(100):
+        lines = nondiff_config(rng)
+        code = run(tmp_path / str(n), "nondiff", lines)
+        passed += code == 0
+        if code not in (0, 2):
+            failures.append(failure(code, lines, tmp_path / str(n)))
+    assert not failures, failures
+    assert passed >= 50
