@@ -63,34 +63,25 @@ class Check:
 class RunOutput:
     csv_name: str
     header: list[str]
-    rows: list[tuple]
+    columns: list[np.ndarray]
     checks: list[Check]
     results: dict[str, float]
     notes: dict[str, str]
 
 
-def _conversion(value) -> str:
-    """The %-conversion of one CSV or manifest value: 17 significant
-    digits round-trip float64 exactly."""
-    if isinstance(value, (int, np.integer)):
-        return "%d"
-    if isinstance(value, str):
-        return "%s"
-    return "%.16e"
-
-
 def _fmt(value) -> str:
-    return _conversion(value) % (value,)
+    """One manifest value, in the number format of the CSV columns: 17
+    significant digits round-trip float64 exactly."""
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    if isinstance(value, str):
+        return value
+    return "%.16e" % value
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
     n = int(round(cfg.t_end / cfg.dt))
     return cfg.dt * np.arange(n + 1)
-
-
-def _columns_to_rows(*columns: np.ndarray) -> list[tuple]:
-    """CSV rows from equally long 1-D columns."""
-    return list(zip(*(col.tolist() for col in columns)))
 
 
 def _identity_scale(report: EnergyBalanceReport, trajectory: Trajectory) -> float:
@@ -123,14 +114,14 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
         slack = 1e-12 * scale
         checks.append(Check("energy_monotone", max_increase <= slack, max_increase, slack))
 
-    rows = _columns_to_rows(
+    columns = [
         trajectory.t, e, trajectory.kinetic, trajectory.bending, trajectory.thermal, d,
         report.residuals,
-    )
+    ]
     return RunOutput(
         csv_name="simulate.csv",
         header=["t", "E", "kinetic", "bending", "thermal", "D", "energy_balance_residual"],
-        rows=rows,
+        columns=columns,
         checks=checks,
         results={
             "e0": report.e0,
@@ -161,11 +152,11 @@ def _run_resolvent_scan(cfg: RunConfig) -> RunOutput:
         Check("norms_finite", bool(np.all(np.isfinite(scan.norms))), float(np.max(scan.norms)), float("inf")),
         Check("omega_sign_symmetry", scan.sign_gap <= 1e-10, scan.sign_gap, 1e-10),
     ]
-    rows = _columns_to_rows(scan.omegas, scan.norms)
+    columns = [scan.omegas, scan.norms]
     return RunOutput(
         csv_name="resolvent_scan.csv",
         header=["omega", "resolvent_norm"],
-        rows=rows,
+        columns=columns,
         checks=checks,
         results={
             "sup_norm": scan.sup_norm,
@@ -205,14 +196,14 @@ def _run_nondiff(cfg: RunConfig) -> RunOutput:
         Check("norm_v_sq_expansion", expansion_error <= 1e-12, expansion_error, 1e-12),
         Check("limit_gap", seq.gap_at_end <= tolerance, seq.gap_at_end, tolerance),
     ]
-    rows = _columns_to_rows(
+    columns = [
         seq.n, lam, seq.omega, seq.q, seq.p.real, seq.p.imag, seq.norm_v_sq,
         seq.norm_v_sq_weighted, seq.gap,
-    )
+    ]
     return RunOutput(
         csv_name="nondiff.csv",
         header=["n", "lambda", "omega", "q", "p_re", "p_im", "norm_v_sq", "norm_v_sq_weighted", "gap_to_limit"],
-        rows=rows,
+        columns=columns,
         checks=checks,
         results={"target": seq.target, "gap_at_n_max": seq.gap_at_end},
         notes={"matching_norm": seq.matching_norm},
@@ -238,10 +229,10 @@ def _run_spectrum(cfg: RunConfig) -> RunOutput:
         checks.append(Check("abscissa_negative", value < 0.0, value, 0.0))
 
     # roots.view(float) interleaves the columns root1_re, root1_im, ...
-    rows = _columns_to_rows(
+    columns = [
         lams, *roots.view(float).T, max_real, residual_max,
         np.char.replace(classification, " ", "_"),
-    )
+    ]
     results = {
         "abscissa_lambda_scan": scan_abscissa,
         "abscissa_modes": modal_abscissa,
@@ -263,7 +254,7 @@ def _run_spectrum(cfg: RunConfig) -> RunOutput:
             "residual_max",
             "classification",
         ],
-        rows=rows,
+        columns=columns,
         checks=checks,
         results=results,
         notes={},
@@ -304,7 +295,7 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
         checks.append(Check("k_star_finite", bool(np.isfinite(gronwall.k_star)), gronwall.k_star, float("inf")))
 
     # the finite differences exist at the interior samples only
-    rows = _columns_to_rows(
+    columns = [
         identities.t,
         series.l1[1:-1],
         series.l2[1:-1],
@@ -313,7 +304,7 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
         identities.dl1_analytic,
         identities.dl2_fd,
         identities.dl2_analytic,
-    )
+    ]
     results = {
         "identity_residual": identities.max_rel_residual,
         "l0": gronwall.l0,
@@ -324,7 +315,7 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
     return RunOutput(
         csv_name="backward.csv",
         header=["t", "L1", "L2", "L", "dL1_fd", "dL1_analytic", "dL2_fd", "dL2_analytic"],
-        rows=rows,
+        columns=columns,
         checks=checks,
         results=results,
         notes={},
@@ -364,7 +355,7 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
         Check("convexity_inequality", convexity.passed, convexity.min_residual, -convexity.tolerance),
         Check("exponential_lower_bound", bound.holds, bound.min_margin, 0.0),
     ]
-    rows = _columns_to_rows(
+    columns = [
         states.t,
         states.f,
         states.fdot,
@@ -372,11 +363,11 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
         convexity.residuals,
         bound.lower_bound,
         states.f - bound.lower_bound,
-    )
+    ]
     return RunOutput(
         csv_name="instability.csv",
         header=["t", "F", "Fdot", "Fddot", "convexity_residual", "lower_bound", "margin"],
-        rows=rows,
+        columns=columns,
         checks=checks,
         results={
             "e0": e0,
@@ -411,11 +402,11 @@ def _run_quasistatic(cfg: RunConfig) -> RunOutput:
             Check("decay_rate_fit", report.fit_rel_residual <= 1e-6, report.fit_rel_residual, 1e-6),
         )
     envelope = report.k_measured * np.exp(-2.0 * report.rate1 * report.t) * theta0_l2
-    rows = _columns_to_rows(report.t, report.theta_l2_sq, report.h2_seminorm, envelope)
+    columns = [report.t, report.theta_l2_sq, report.h2_seminorm, envelope]
     return RunOutput(
         csv_name="quasistatic.csv",
         header=["t", "theta_l2_sq", "u_h2_seminorm", "envelope"],
-        rows=rows,
+        columns=columns,
         checks=checks,
         results={
             "a_eff": qparams.a_eff,
@@ -441,14 +432,6 @@ HANDLERS = {
 # ---------------------------------------------------------------------------
 # output writers
 # ---------------------------------------------------------------------------
-
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    # every row has the column kinds of the first, so one format serves all
-    line = ",".join(_conversion(v) for v in rows[0]) + "\n" if rows else ""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
-
 
 def _peak_rss_mb() -> float:
     """Peak resident set size of this process so far, in MB (1e6 bytes)."""
@@ -573,7 +556,9 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     if output is not None:
-        _write_csv(os.path.join(args.out, output.csv_name), output.header, output.rows)
+        from .csvout import write_csv
+
+        write_csv(os.path.join(args.out, output.csv_name), output.header, output.columns)
     _write_manifest(args.out, subcommand, status, exit_code, cfg, output, phases, error)
     if message is not None:
         print(message, file=sys.stderr)

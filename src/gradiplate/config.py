@@ -315,6 +315,15 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
         # the resolvent limit d^2/eta^4 is nonzero only for d > 0
         if not params.d > 0:
             raise ConfigError("nondiff requires d > 0")
+        try:
+            target = params.d**2 / params.eta**4
+        except (OverflowError, ZeroDivisionError):
+            target = math.inf
+        if not (0 < target < math.inf):
+            raise ConfigError(
+                f"nondiff needs the limit d^2/eta^4 to be a finite positive float; "
+                f"with d = {params.d!r} and eta = {params.eta!r} it is outside the float range"
+            )
         _require(raw, ("n_max",), subcommand)
         cfg.n_max = _as_int(raw, "n_max")
         if cfg.n_max < 10:

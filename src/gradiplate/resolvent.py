@@ -385,7 +385,10 @@ def resonant_omega_grid(
     omegas = omegas[(omega_min <= omegas) & (omegas <= omega_max)]
     if fill > 0:
         omegas = np.append(omegas, np.geomspace(omega_min, omega_max, fill))
-    return np.unique(omegas)
+    # sorted and deduplicated as np.unique would, without the numpy.ma
+    # import that np.unique costs
+    omegas = np.sort(omegas)
+    return omegas[np.diff(omegas, prepend=-np.inf) != 0]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths under test: trajectories
 and their running time integrals come from adaptive Runge-Kutta
 integration, eigenvalues from the companion matrix, roots from bisection,
 the generator blocks from a finite-difference discretization of the
-underlying PDE on one eigenfunction, and resolvent norms from LAPACK's
-inverse and singular values.
+underlying PDE on one eigenfunction, resolvent norms from LAPACK's
+inverse and singular values, and CSV text from Python's own %-formatting,
+one row at a time.
 """
 
 from __future__ import annotations
@@ -190,3 +191,18 @@ def mp_resolvent_singular_values(params, lam, omega, digits=50) -> list[float]:
                 weighted[i, j] = w[i] * block[i, j] / w[j]
         values = mpmath.svd_c(weighted**-1, compute_uv=False)
         return sorted((float(v) for v in values), reverse=True)
+
+
+def csv_text(header, columns) -> str:
+    """The CSV of `columns` formatted one row and one value at a time:
+    floats as "%.16e", integers as "%d", strings as they are."""
+
+    def field(value):
+        if isinstance(value, (int, np.integer)):
+            return "%d" % value
+        if isinstance(value, str):
+            return value
+        return "%.16e" % value
+
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return "".join(",".join(map(field, row)) + "\n" for row in [header, *rows])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradiplate import cli, functionals, model, propagator, resolvent
+from gradiplate import cli, csvout, functionals, model, propagator, resolvent
 from gradiplate.cli import main
 from gradiplate.config import load_config
 from gradiplate.functionals import lyapunov_series
@@ -122,7 +122,7 @@ class TestSimulate:
     def test_failing_check_exits_3_with_manifest(self, tmp_path, monkeypatch):
         def failing(cfg):
             return cli.RunOutput(
-                csv_name="simulate.csv", header=["t"], rows=[(0.0,)],
+                csv_name="simulate.csv", header=["t"], columns=[np.array([0.0])],
                 checks=[cli.Check("energy_identity", False, 1.0, 1e-8)],
                 results={}, notes={},
             )
@@ -277,6 +277,17 @@ class TestRegressionConfigs:
         out = str(tmp_path / "o")
         assert main(["nondiff", "--config", write_config(tmp_path, "run.cfg", lines), "--out", out]) == 2
         assert "nondiff requires d > 0" in capsys.readouterr().err
+
+    # eta**4 overflows for 1e100 and underflows to 0 for 1e-100: both once
+    # crashed the run with a traceback and no manifest
+    @pytest.mark.parametrize("eta", ["1e100", "1e-100"])
+    def test_nondiff_with_an_extreme_coupling_is_a_config_error(self, tmp_path, capsys, eta):
+        lines = base_model() + ["domain = interval", f"length = {PI}", "mode_count = 4", "n_max = 10"]
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        assert main(["nondiff", "--config", cfg, "--out", str(out), "--params", f"eta={eta}"]) == 2
+        assert "d^2/eta^4 to be a finite positive float" in capsys.readouterr().err
+        assert not out.exists()
 
     # the CHANGES.md amplitude_system_residual config: lambda up to 3.1e6,
     # where the rounding of omega_n left 2.8e-8 in the first amplitude row
@@ -626,7 +637,9 @@ class TestInstabilityEnergy:
 class TestImportFootprint:
     CLI_MODULES = {"gradiplate", "gradiplate.cli", "gradiplate.config", "gradiplate.errors", "gradiplate.model"}
     # the modules each subcommand adds to those of `import gradiplate.cli`,
-    # with a small config that exits 0
+    # besides `csvout`, which every run that writes a CSV loads, with a
+    # small config that exits 0 ("resolvent-scan:resonant" scans the
+    # resonant grid)
     SUBCOMMANDS = {
         "simulate": ({"propagator"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 4", "t_end = 0.1", "dt = 0.01",
@@ -635,6 +648,10 @@ class TestImportFootprint:
         "resolvent-scan": ({"resolvent"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 4",
             "omega_min = 1", "omega_max = 10", "omega_points = 5",
+        ]),
+        "resolvent-scan:resonant": ({"resolvent"}, base_model() + [
+            "domain = interval", f"length = {PI}", "mode_count = 16",
+            "omega_min = 5", "omega_max = 200", "omega_points = 40", "omega_grid = resonant",
         ]),
         "nondiff": ({"resolvent"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 30", "n_max = 30",
@@ -659,8 +676,12 @@ class TestImportFootprint:
 
     @staticmethod
     def loaded_modules(script: str) -> set[str]:
-        """The gradiplate modules loaded after `script` runs in a fresh process."""
-        script += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'gradiplate'))\n"
+        """The gradiplate modules loaded after `script` runs in a fresh
+        process, and numpy.ma if it is loaded (np.unique imports it)."""
+        script += (
+            "\nimport sys\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gradiplate' or m == 'numpy.ma'))\n"
+        )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
@@ -674,16 +695,17 @@ class TestImportFootprint:
     def test_import_cli_loads_config_errors_and_model(self):
         assert self.loaded_modules("import gradiplate.cli") == self.CLI_MODULES
 
-    @pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
-    def test_subcommand_loads_only_its_modules(self, tmp_path, subcommand):
-        extra, lines = self.SUBCOMMANDS[subcommand]
+    @pytest.mark.parametrize("case", list(SUBCOMMANDS))
+    def test_subcommand_loads_only_its_modules(self, tmp_path, case):
+        extra, lines = self.SUBCOMMANDS[case]
+        subcommand = case.partition(":")[0]
         cfg = write_config(tmp_path, "run.cfg", lines)
         script = (
             "import gradiplate.cli as cli\n"
             f"code = cli.main([{subcommand!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
             "assert code == 0, code\n"
         )
-        expected = self.CLI_MODULES | {f"gradiplate.{name}" for name in extra}
+        expected = self.CLI_MODULES | {f"gradiplate.{name}" for name in extra | {"csvout"}}
         assert self.loaded_modules(script) == expected
 
     def test_lazy_names_are_the_submodule_objects(self):
@@ -808,10 +830,12 @@ class TestParamsOverride:
 
 class TestCsvOutput:
     def test_writer_and_manifest_use_the_number_format(self, tmp_path):
-        rows = [
-            (0, 0.0, -0.0, "three_real", 5e-324),
-            (7, 1e300, float("nan"), "x", -1.0 / 3.0),
-            (np.int64(12), np.float64(-1e-310), float("-inf"), "a b", 2.5),
+        columns = [
+            np.array([0, 7, 12]),
+            np.array([0.0, 1e300, -1e-310]),
+            np.array([-0.0, float("nan"), float("-inf")]),
+            np.array(["three_real", "x", "a b"]),
+            np.array([5e-324, -1.0 / 3.0, 2.5]),
         ]
 
         def fmt(value):
@@ -820,7 +844,8 @@ class TestCsvOutput:
             return value if isinstance(value, str) else f"{float(value):.16e}"
 
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), ["n", "p", "q", "kind", "r"], rows)
+        csvout.write_csv(str(path), ["n", "p", "q", "kind", "r"], columns)
+        rows = list(zip(*(col.tolist() for col in columns)))
         expected = "n,p,q,kind,r\n" + "".join(
             ",".join(fmt(v) for v in row) + "\n" for row in rows
         )
@@ -829,7 +854,7 @@ class TestCsvOutput:
 
     def test_empty_table_is_the_header(self, tmp_path):
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), ["a", "b"], [])
+        csvout.write_csv(str(path), ["a", "b"], [np.array([]), np.array([])])
         assert path.read_text(encoding="utf-8") == "a,b\n"
 
     # with eta = 0 the plate pair sits on the imaginary axis, where the

@@ -128,6 +128,19 @@ class TestBuildConfig:
             build_config(raw, "nondiff")
 
 
+    # d^2/eta^4 overflows (eta**4 underflows to 0) or underflows (eta**4
+    # overflows): the limit the run compares against is no float
+    @pytest.mark.parametrize("eta", ["1e100", "1e-100", "-1e80", "1e-78"])
+    def test_nondiff_limit_must_be_a_finite_positive_float(self, eta):
+        raw = dict(BASE, n_max="30", eta=eta)
+        with pytest.raises(ConfigError, match="d\\^2/eta\\^4 to be a finite positive float"):
+            build_config(raw, "nondiff")
+
+    @pytest.mark.parametrize("eta", ["1e-76", "1e76"])
+    def test_nondiff_accepts_a_small_or_large_finite_limit(self, eta):
+        assert build_config(dict(BASE, n_max="30", eta=eta), "nondiff").params.eta == float(eta)
+
+
 class TestPresets:
     def test_zero(self):
         u, v, theta = preset_coefficients("zero", np.array([1.0, 4.0]))

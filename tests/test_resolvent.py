@@ -403,6 +403,20 @@ class TestResonantGrid:
         grid = resonant_omega_grid(unit_params, pi_interval, 10, 3.0, 50.0)
         assert np.array_equal(grid, [4.0, 9.0, 16.0, 25.0, 36.0, 49.0])
 
+    @pytest.mark.parametrize("fill", [0, 7, 40])
+    def test_dedupe_keeps_the_bits_of_np_unique(self, unit_params, fill):
+        # the unit square repeats eigenvalues (lam_jk = lam_kj), and the
+        # filler can land on a resonance
+        domain = Rectangle(math.pi, math.pi)
+        grid = resonant_omega_grid(unit_params, domain, 60, 1.0, 100.0, fill=fill)
+        lams = np.array([mode.lam for mode in enumerate_modes(domain, 60)])
+        omegas = lams[(1.0 <= lams) & (lams <= 100.0)]
+        if fill:
+            omegas = np.append(omegas, np.geomspace(1.0, 100.0, fill))
+        expected = np.unique(omegas)
+        assert expected.size < omegas.size
+        assert grid.tobytes() == expected.tobytes()
+
     def test_fill_merges_sorted_unique(self, unit_params, pi_interval):
         grid = resonant_omega_grid(unit_params, pi_interval, 10, 3.0, 50.0, fill=7)
         assert np.all(np.diff(grid) > 0)
