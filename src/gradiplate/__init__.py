@@ -15,6 +15,7 @@ _EXPORTS = {
     "errors": (
         "ConfigError",
         "DegenerateCapacity",
+        "EigenvalueOutOfRange",
         "EpsilonOutOfRange",
         "GradiplateError",
         "InsufficientSamples",
@@ -29,9 +30,9 @@ _EXPORTS = {
         "Direction",
         "HilbertWeight",
         "Interval",
-        "Mode",
         "ModeMatrix",
         "ModelParams",
+        "Modes",
         "Rectangle",
         "Regime",
         "SpectralDomain",
@@ -46,7 +47,6 @@ _EXPORTS = {
         "ModeState",
         "SpectralState",
         "Trajectory",
-        "TrajectorySample",
         "energy_balance_report",
         "energy_of",
         "evolve",
@@ -70,6 +70,7 @@ _EXPORTS = {
         "gap_reach",
         "mode_resolvent_norm",
         "nondiff_sequence",
+        "nondiff_target",
         "resolvent_norm",
         "resonant_omega_grid",
         "scan_imaginary_axis",
@@ -88,7 +89,6 @@ _EXPORTS = {
     "functionals": (
         "BackwardIdentityReport",
         "ConvexityReport",
-        "ConvexityState",
         "ConvexityTrajectory",
         "GronwallReport",
         "InstabilityReport",

@@ -17,9 +17,11 @@ Exit codes: 0 success, 2 configuration error, 3 invariant-check failure,
 the check and overflow failure paths too; a configuration error, found by
 the parser or by a handler, writes no output.
 
-Every energy value a handler reports (E, D, L1, L2 and the E(0) of the
-instability bound) is read off the trajectory's energy columns, so one run
-never sums the energy quadratic form twice.
+Every energy value a handler reports along a trajectory (E, D, L1, L2)
+is read off the trajectory's energy columns, so one run never sums the
+energy quadratic form twice per sample.  `instability` sums it once more,
+for the initial state alone: its E(0) decides the theorem's hypotheses
+before anything is evolved.
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import ConfigError, GradiplateError, NonFiniteResult
+from .errors import (
+    ConfigError,
+    EigenvalueOutOfRange,
+    GradiplateError,
+    NonFiniteResult,
+    PreconditionUnmet,
+)
 from .model import Direction, Regime
 
 # each handler imports the modules it runs when it runs, so a process loads
@@ -331,25 +339,31 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
         convexity_trajectory,
         instability_lower_bound,
     )
-    from .propagator import evolve
+    from .propagator import energy_of, evolve
 
     initial = cfg.initial_state()
-    times = _time_grid(cfg)
-    trajectory = evolve(cfg.params, initial, times, Direction.FORWARD)
-    e0 = float(trajectory.total[0])
+    # the energy column's first entry, to the bit
+    e0 = energy_of(cfg.params, initial).total
     omega_const = cfg.omega_const
     if omega_const == "auto":
         omega_const = max(0.0, -e0)
-    t0 = cfg.t0
-    if t0 == "auto":
-        t0 = choose_weight_shift(cfg.params, initial, omega_const)
-
-    states = convexity_trajectory(cfg.params, trajectory, omega_const, t0)
-    convexity = convexity_residual_check(states, e0)
+    times = _time_grid(cfg)
     window = None
     if cfg.growth_fit_start is not None:
         window = (cfg.growth_fit_start, float(times[-1]))
-    bound = instability_lower_bound(states, e0, growth_window=window)
+    try:
+        t0 = cfg.t0
+        if t0 == "auto":
+            t0 = choose_weight_shift(cfg.params, initial, omega_const)
+        trajectory = evolve(cfg.params, initial, times, Direction.FORWARD)
+        states = convexity_trajectory(cfg.params, trajectory, omega_const, t0)
+        convexity = convexity_residual_check(states, e0)
+        bound = instability_lower_bound(states, e0, growth_window=window)
+    except PreconditionUnmet as exc:
+        # outside the instability theorem's hypotheses: the config is at fault
+        raise ConfigError(
+            f"instability: the data do not satisfy {exc.condition} (E(0) = {e0!r})"
+        ) from exc
 
     checks = [
         Check("convexity_inequality", convexity.passed, convexity.min_residual, -convexity.tolerance),
@@ -537,7 +551,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, subcommand, args.params)
         phases.end("parse")
         output = HANDLERS[subcommand](cfg)
-    except ConfigError as exc:
+    except (ConfigError, EigenvalueOutOfRange) as exc:
         # found by the parser, or by a handler that needs its modes to see it
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

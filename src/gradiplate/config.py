@@ -75,9 +75,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def _as_float(raw: dict[str, str], key: str) -> float:
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: not a number: {raw[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {raw[key]!r}")
+    return value
 
 
 def _as_int(raw: dict[str, str], key: str) -> int:
@@ -89,9 +92,12 @@ def _as_int(raw: dict[str, str], key: str) -> int:
 
 def _as_float_list(raw: dict[str, str], key: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw[key].split(",") if tok.strip()]
+        values = [float(tok) for tok in raw[key].split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"{key}: not a comma-separated number list: {raw[key]!r}") from exc
+    if not all(math.isfinite(value) for value in values):
+        raise ConfigError(f"{key}: not a list of finite numbers: {raw[key]!r}")
+    return values
 
 
 def _require(raw: dict[str, str], keys: Sequence[str], subcommand: str) -> None:
@@ -226,7 +232,7 @@ def _build_initial(cfg: RunConfig, raw: dict[str, str]) -> None:
     if not has_preset and not has_lists:
         raise ConfigError("missing initial data: set 'initial' or coefficient lists")
     if has_preset:
-        lams = np.array([m.lam for m in enumerate_modes(cfg.domain, cfg.mode_count)])
+        lams = enumerate_modes(cfg.domain, cfg.mode_count).lam
         cfg.initial_u, cfg.initial_v, cfg.initial_theta = preset_coefficients(
             raw["initial"], lams
         )
@@ -315,15 +321,12 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
         # the resolvent limit d^2/eta^4 is nonzero only for d > 0
         if not params.d > 0:
             raise ConfigError("nondiff requires d > 0")
+        from .resolvent import nondiff_target
+
         try:
-            target = params.d**2 / params.eta**4
-        except (OverflowError, ZeroDivisionError):
-            target = math.inf
-        if not (0 < target < math.inf):
-            raise ConfigError(
-                f"nondiff needs the limit d^2/eta^4 to be a finite positive float; "
-                f"with d = {params.d!r} and eta = {params.eta!r} it is outside the float range"
-            )
+            nondiff_target(params)
+        except ValueError as exc:
+            raise ConfigError(f"nondiff: {exc}") from exc
         _require(raw, ("n_max",), subcommand)
         cfg.n_max = _as_int(raw, "n_max")
         if cfg.n_max < 10:
@@ -334,8 +337,8 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
                 raise ConfigError("branch must be 1 or -1")
         if "gap_tolerance" in raw:
             cfg.gap_tolerance = _as_float(raw, "gap_tolerance")
-            if not (cfg.gap_tolerance > 0 and math.isfinite(cfg.gap_tolerance)):
-                raise ConfigError("gap_tolerance must be finite and > 0")
+            if not cfg.gap_tolerance > 0:
+                raise ConfigError("gap_tolerance must be > 0")
     elif subcommand == "spectrum":
         _require(raw, ("lambda_max", "lambda_points"), subcommand)
         cfg.lambda_min = _as_float(raw, "lambda_min") if "lambda_min" in raw else 1.0
@@ -369,6 +372,13 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
                 raise ConfigError("t0 must be nonnegative")
         if "growth_fit_start" in raw:
             cfg.growth_fit_start = _as_float(raw, "growth_fit_start")
+            # the fit needs two samples of dt * (0, 1, ..., n) at or after it
+            n = round(cfg.t_end / cfg.dt)
+            if not cfg.dt * (n - 1) >= cfg.growth_fit_start:
+                raise ConfigError(
+                    f"growth_fit_start = {cfg.growth_fit_start!r} leaves fewer than 2 time "
+                    f"samples to fit (the last two are {cfg.dt * (n - 1)!r} and {cfg.dt * n!r})"
+                )
     return cfg
 
 

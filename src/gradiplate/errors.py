@@ -36,6 +36,13 @@ class SingularSystem(GradiplateError):
     """
 
 
+class EigenvalueOutOfRange(GradiplateError, ValueError):
+    """The eigenvalues of a domain's first modes leave the positive float
+    range (they underflow to 0 or overflow).  The CLI reports it as a
+    configuration error: the domain keys or the mode count are at fault.
+    """
+
+
 class EpsilonOutOfRange(GradiplateError):
     """The Lyapunov mixing parameter must lie strictly in (0, 1)."""
 

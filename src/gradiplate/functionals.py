@@ -54,14 +54,13 @@ integral is taken by quadrature.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EpsilonOutOfRange, InsufficientSamples, PreconditionUnmet
+from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
 from .model import Direction, ModelParams, mode_blocks
-from .propagator import SampleArrays, SpectralState, Trajectory, _mode_trajectory, energy_of
+from .propagator import SpectralState, Trajectory, _mode_trajectory, energy_of
 
 # coefficient of E(0) in the closed form of F''; the Schwarz argument needs
 # only F'' >= 4K + 4*int(D) - 4E(0) + 2*omega, which holds with equality
@@ -75,12 +74,6 @@ CONVEXITY_TOLERANCE_FACTOR = 1e-8
 def _require_real(x: np.ndarray) -> None:
     if np.iscomplexobj(x):
         raise ValueError("functional diagnostics expect real states")
-
-
-def _arrays(state: SpectralState) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    lams, x = state.coefficient_arrays()
-    _require_real(x)
-    return lams, x[0], x[1], x[2]
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -103,27 +96,22 @@ def lagrange_functionals(
     params: ModelParams, state: SpectralState, epsilon: float, t: float = 0.0
 ) -> LyapunovSample:
     _check_epsilon(epsilon)
-    _require_real(state.coefficient_arrays()[1])
+    _require_real(state.x)
     e = energy_of(params, state)
     l2 = e.kinetic + e.bending - e.thermal
     return LyapunovSample(t=t, l1=e.total, l2=l2, l=l2 + epsilon * e.total, epsilon=epsilon)
 
 
 @dataclass(frozen=True, eq=False)
-class LyapunovSeries(SampleArrays):
+class LyapunovSeries:
     """L1, L2 and L = L2 + epsilon*L1 along a trajectory, one entry per
-    sample; indexing yields LyapunovSample values."""
+    sample."""
 
     t: np.ndarray
     l1: np.ndarray
     l2: np.ndarray
     l: np.ndarray
     epsilon: float
-
-    def _sample(self, k: int) -> LyapunovSample:
-        return LyapunovSample(
-            *(float(col[k]) for col in (self.t, self.l1, self.l2, self.l)), self.epsilon
-        )
 
 
 def lyapunov_series(
@@ -169,7 +157,7 @@ def verify_backward_identities(
     opposite dissipation sign.  L1 and L2 do not depend on epsilon, so a
     `series` already computed for this trajectory can be passed in.
     """
-    if len(trajectory) < 3:
+    if trajectory.t.size < 3:
         raise InsufficientSamples("identity check needs at least 3 samples")
     if series is None:
         series = lyapunov_series(params, trajectory, epsilon=0.5)
@@ -188,9 +176,9 @@ def verify_backward_identities(
     dl1_fd = center(l1)
     dl2_fd = center(l2)
     _require_real(trajectory.x)
-    x = trajectory.x[:, :, 1:-1]
+    lams, x = trajectory.modes.lam, trajectory.x[:, :, 1:-1]
     # (samples, modes) rows, so each sample sums as its own mode vector does
-    vth = np.ascontiguousarray((trajectory.lams[:, None] * x[:, 1] * x[:, 2]).T)
+    vth = np.ascontiguousarray((lams[:, None] * x[:, 1] * x[:, 2]).T)
     diss = trajectory.dissipation[1:-1]
     cross = 2.0 * params.eta * np.sum(vth, axis=1)
     if direction is Direction.BACKWARD:
@@ -198,9 +186,9 @@ def verify_backward_identities(
     else:
         dl1_an, dl2_an = -diss, diss - cross
     # the faster of the heat rate w/a and the plate frequency sqrt(|c|/rho) lam
-    lams = trajectory.lams[np.any(trajectory.x[:, :, 0] != 0.0, axis=1)]
+    live = lams[np.any(trajectory.x[:, :, 0] != 0.0, axis=1)]
     rate = float(np.max(
-        np.maximum(params.heat_weight(lams) / params.a, abs(params.c / params.rho) ** 0.5 * lams),
+        np.maximum(params.heat_weight(live) / params.a, abs(params.c / params.rho) ** 0.5 * live),
         initial=0.0,
     ))
     scale = max(2.0 * rate * float(np.max(trajectory.energy_norm)), 1e-300)
@@ -270,8 +258,9 @@ class PhiSolution:
 
 
 def phi_coefficients(params: ModelParams, initial_state: SpectralState) -> PhiSolution:
-    lams, u, _, th = _arrays(initial_state)
-    return _phi_solution(params, lams, u, th)
+    x = initial_state.x
+    _require_real(x)
+    return _phi_solution(params, initial_state.modes.lam, x[:, 0], x[:, 2])
 
 
 def _phi_solution(
@@ -289,24 +278,9 @@ def _phi_solution(
     )
 
 
-@dataclass(frozen=True)
-class ConvexityState:
-    """F and its analytic derivatives at one sample time."""
-
-    t: float
-    f: float
-    fdot: float
-    fddot: float
-    nu: float
-    omega_const: float
-    t0: float
-    phi: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
-class ConvexityTrajectory(SampleArrays):
-    """F, F' and F'' along a trajectory, one entry per sample; indexing
-    yields ConvexityState values."""
+class ConvexityTrajectory:
+    """F, F' and F'' along a trajectory, one entry per sample."""
 
     t: np.ndarray
     f: np.ndarray
@@ -316,12 +290,6 @@ class ConvexityTrajectory(SampleArrays):
     omega_const: float
     t0: float
     phi: np.ndarray
-
-    def _sample(self, k: int) -> ConvexityState:
-        return ConvexityState(
-            *(float(col[k]) for col in (self.t, self.f, self.fdot, self.fddot)),
-            self.nu, self.omega_const, self.t0, self.phi,
-        )
 
 
 def convexity_trajectory(
@@ -344,7 +312,7 @@ def convexity_trajectory(
         raise ValueError("omega_const and t0 must be nonnegative")
     _require_real(trajectory.x)
 
-    t, lams = trajectory.t, trajectory.lams
+    t, lams = trajectory.t, trajectory.modes.lam
     u, v = trajectory.x[:, 0, :], trajectory.x[:, 1, :]
     w = params.heat_weight(lams)
     sol = _phi_solution(params, lams, u[:, 0], trajectory.x[:, 2, 0])
@@ -375,19 +343,6 @@ def convexity_trajectory(
     return ConvexityTrajectory(t, f, fdot, fddot, sol.nu, omega_const, t0, sol.phi)
 
 
-def _as_convexity_trajectory(
-    states: ConvexityTrajectory | Sequence[ConvexityState],
-) -> ConvexityTrajectory:
-    """Arrays of a ConvexityTrajectory or of a plain list of its samples."""
-    if isinstance(states, ConvexityTrajectory):
-        return states
-    first = states[0]
-    t, f, fdot, fddot = (
-        np.array([getattr(s, name) for s in states]) for name in ("t", "f", "fdot", "fddot")
-    )
-    return ConvexityTrajectory(t, f, fdot, fddot, first.nu, first.omega_const, first.t0, first.phi)
-
-
 @dataclass(frozen=True)
 class ConvexityReport:
     """Pointwise convexity inequality F'' F - (F'-nu)^2 >= -2(omega+E0) F."""
@@ -399,18 +354,21 @@ class ConvexityReport:
     residuals: np.ndarray
 
 
-def convexity_residual_check(
-    states: ConvexityTrajectory | Sequence[ConvexityState], e0: float
-) -> ConvexityReport:
-    states = _as_convexity_trajectory(states)
+def convexity_residual_check(states: ConvexityTrajectory, e0: float) -> ConvexityReport:
+    """The convexity inequality at every sample.  A residual or scale that
+    overflows, which F F'' does first as F grows, raises NonFiniteResult
+    tagged with its first sample time."""
     f, fdot, fddot = states.f, states.fdot, states.fddot
     nu = states.nu
     omega = states.omega_const
-    residuals = fddot * f - (fdot - nu) ** 2 + 2.0 * (omega + e0) * f
-    scale = max(
-        float(np.max(np.abs(fddot * f) + (fdot - nu) ** 2 + 2.0 * abs(omega + e0) * f)),
-        1.0,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = fddot * f - (fdot - nu) ** 2 + 2.0 * (omega + e0) * f
+        terms = np.abs(fddot * f) + (fdot - nu) ** 2 + 2.0 * abs(omega + e0) * f
+    finite = np.isfinite(residuals) & np.isfinite(terms)
+    if not np.all(finite):
+        t_bad = float(states.t[int(np.argmin(finite))])
+        raise NonFiniteResult(f"convexity functional overflowed at t={t_bad}", time=t_bad)
+    scale = max(float(np.max(terms)), 1.0)
     tol = CONVEXITY_TOLERANCE_FACTOR * scale
     min_res = float(np.min(residuals))
     return ConvexityReport(
@@ -440,7 +398,7 @@ class InstabilityReport:
 
 
 def instability_lower_bound(
-    states: ConvexityTrajectory | Sequence[ConvexityState],
+    states: ConvexityTrajectory,
     e0: float,
     growth_window: tuple[float, float] | None = None,
 ) -> InstabilityReport:
@@ -452,7 +410,6 @@ def instability_lower_bound(
     on `growth_window` (default: the last quarter of the samples, and at
     least the last two).
     """
-    states = _as_convexity_trajectory(states)
     f0 = float(states.f[0])
     fdot0 = float(states.fdot[0])
     nu = states.nu
@@ -509,9 +466,9 @@ def choose_weight_shift(
     """
     if omega_const < 0:
         raise ValueError("omega_const must be nonnegative")
-    _, u0, v0, _ = _arrays(initial_state)
-    cross = 2.0 * params.rho * float(np.sum(u0 * v0))
     sol = phi_coefficients(params, initial_state)
+    x = initial_state.x
+    cross = 2.0 * params.rho * float(np.sum(x[:, 0] * x[:, 1]))
     needed = sol.nu - cross  # require 2*omega*t0 > needed
     if omega_const == 0.0:
         if needed < 0:

@@ -26,6 +26,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import EigenvalueOutOfRange
+
 
 class Regime(enum.Enum):
     """Sign regime of the elasticity coefficient c.
@@ -157,48 +159,69 @@ class Rectangle:
 SpectralDomain = Union[Interval, Rectangle]
 
 
-@dataclass(frozen=True)
-class Mode:
-    """A Dirichlet-Laplacian eigenvalue with its index on the domain."""
+@dataclass(frozen=True, eq=False)
+class Modes:
+    """Dirichlet-Laplacian modes of a domain, ascending in eigenvalue: lam[i]
+    and the index of mode i, n on an interval and the row (j, k) on a
+    rectangle."""
 
-    index: "int | tuple[int, int]"
-    lam: float
+    index: np.ndarray
+    lam: np.ndarray
 
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"eigenvalue must be > 0, got {self.lam}")
+    def __len__(self) -> int:
+        return self.lam.size
 
 
-def enumerate_modes(domain: SpectralDomain, count: int) -> tuple[Mode, ...]:
+def enumerate_modes(domain: SpectralDomain, count: int) -> Modes:
     """The `count` modes of smallest eigenvalue, ascending in lam.
 
     Degeneracies (possible on rectangles) are broken lexicographically on
-    (j, k) so the enumeration is deterministic.
+    (j, k) so the enumeration is deterministic.  Eigenvalues that underflow
+    to 0 or overflow raise EigenvalueOutOfRange, a ValueError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            modes = _smallest_modes(domain, count)
+        in_range = np.all((modes.lam > 0) & (modes.lam < math.inf))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise EigenvalueOutOfRange(
+            f"the first {count} eigenvalues of {domain!r} leave the positive float range"
+        )
+    return modes
+
+
+def _smallest_modes(domain: SpectralDomain, count: int) -> Modes:
     if isinstance(domain, Interval):
-        return tuple(Mode(n, domain.eigenvalue(n)) for n in range(1, count + 1))
+        # Python's float power, as Interval.eigenvalue rounds it
+        length = domain.length
+        lam = np.array([(n * math.pi / length) ** 2 for n in range(1, count + 1)])
+        return Modes(np.arange(1, count + 1), lam)
 
     # Rectangle: sort a box of (j, k) on (lam, j, k), lam evaluated as
     # Rectangle.eigenvalue does.  The box starts near the Weyl count for
-    # the domain's aspect ratio and doubles until no mode outside it can
-    # beat the count-th smallest inside it.
+    # the domain's aspect ratio, at most count wide either way, and doubles
+    # until no mode outside it can beat the count-th smallest inside it.
     l1, l2 = domain.length1, domain.length2
-    jn = math.ceil(2.0 * math.sqrt(count * l1 / (math.pi * l2))) + 1
-    kn = math.ceil(2.0 * math.sqrt(count * l2 / (math.pi * l1))) + 1
+    jn = min(math.ceil(2.0 * math.sqrt(count * l1 / (math.pi * l2))) + 1, count)
+    kn = min(math.ceil(2.0 * math.sqrt(count * l2 / (math.pi * l1))) + 1, count)
     while True:
         j, k = np.divmod(np.arange(jn * kn), kn)
         j += 1
         k += 1
         lam = math.pi**2 * (j**2 / l1**2 + k**2 / l2**2)
         order = np.lexsort((k, j, lam))[:count]
-        outside_min = math.pi**2 * min(
-            (jn + 1) ** 2 / l1**2 + 1.0 / l2**2, 1.0 / l1**2 + (kn + 1) ** 2 / l2**2
+        # the smallest (lam, j, k) keys right of and above the box
+        outside = min(
+            (math.pi**2 * ((jn + 1) ** 2 / l1**2 + 1.0 / l2**2), jn + 1, 1),
+            (math.pi**2 * (1.0 / l1**2 + (kn + 1) ** 2 / l2**2), 1, kn + 1),
         )
-        if order.size == count and lam[order[-1]] < outside_min:
-            picked = zip(j[order].tolist(), k[order].tolist(), lam[order].tolist())
-            return tuple(Mode((jj, kk), value) for jj, kk, value in picked)
+        last = order[-1]
+        if order.size == count and (lam[last], j[last], k[last]) < outside:
+            return Modes(np.stack([j[order], k[order]], axis=1), lam[order])
         jn *= 2
         kn *= 2
 

@@ -29,8 +29,7 @@ functionals (L1, L2, F'') read its columns instead of summing it again.
 `evolve` returns a `Trajectory` of arrays: the coefficients
 x[mode, (u, v, theta), sample], the columns of E (kinetic, bending,
 thermal, total) and D, one value per sample, and int_0^t D ds from the
-kernel.  Indexing it builds a `TrajectorySample` view of that one sample
-on demand.
+kernel.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from .errors import InsufficientSamples, NonFiniteResult, PointOutsideDomain
 from .model import (
     Direction,
     Interval,
-    Mode,
     ModeMatrix,
+    Modes,
     ModelParams,
     SpectralDomain,
     enumerate_modes,
@@ -88,48 +87,30 @@ class ModeState:
             return values.real.astype(float)
         return values
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.as_array())
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Truncated field: ordered (Mode, ModeState) pairs on one domain."""
+    """Truncated field on one domain: x[mode, (u, v, theta)] over `modes`.
+
+    x is float, or complex when some imaginary part is nonzero, so
+    resolvent solutions can be propagated too.
+    """
 
     domain: SpectralDomain
-    modes: tuple[tuple[Mode, ModeState], ...]
+    modes: Modes
+    x: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        prev = None
-        for mode, _ in self.modes:
-            if mode.index in seen:
-                raise ValueError(f"duplicate mode index {mode.index}")
-            seen.add(mode.index)
-            key = (mode.lam, _index_key(mode.index))
-            if prev is not None and key < prev:
-                raise ValueError("modes must be sorted ascending in (lam, index)")
-            prev = key
-
-    @classmethod
-    def _trusted(cls, domain, modes) -> "SpectralState":
-        # internal fast path for states built in enumeration order
-        state = object.__new__(cls)
-        object.__setattr__(state, "domain", domain)
-        object.__setattr__(state, "modes", modes)
-        return state
-
-    def coefficient_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lams, X) with X of shape (3, n_modes) holding u, v, theta rows."""
-        lams = np.array([mode.lam for mode, _ in self.modes])
-        cols = [state.as_array() for _, state in self.modes]
-        x = np.array(cols).T if cols else np.zeros((3, 0))
-        return lams, x
-
-
-def _index_key(index) -> tuple:
-    return (index,) if isinstance(index, int) else tuple(index)
+        x = np.array(self.x)
+        if x.shape != (len(self.modes), 3):
+            raise ValueError(f"x must have shape ({len(self.modes)}, 3), got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("state coefficients must be finite")
+        if np.iscomplexobj(x) and not np.any(x.imag):
+            x = x.real
+        x = x.astype(complex if np.iscomplexobj(x) else float)
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
 
 
 def state_from_coefficients(
@@ -141,18 +122,14 @@ def state_from_coefficients(
 ) -> SpectralState:
     """Build a state over the first `count` modes from coefficient lists.
 
-    Lists shorter than `count` are zero-padded.
+    Lists shorter than `count` are zero-padded; entries beyond `count`
+    are ignored.
     """
-    modes = enumerate_modes(domain, count)
-
-    def pick(seq, i):
-        return seq[i] if i < len(seq) else 0.0
-
-    pairs = tuple(
-        (mode, ModeState(pick(u, i), pick(v, i), pick(theta, i)))
-        for i, mode in enumerate(modes)
-    )
-    return SpectralState(domain, pairs)
+    columns = [np.asarray(seq)[:count] for seq in (u, v, theta)]
+    x = np.zeros((count, 3), dtype=np.result_type(float, *columns))
+    for i, column in enumerate(columns):
+        x[: column.size, i] = column
+    return SpectralState(domain, enumerate_modes(domain, count), x)
 
 
 @dataclass(frozen=True)
@@ -198,49 +175,22 @@ def _energy_columns(
 
 
 def energy_of(params: ModelParams, state: SpectralState) -> EnergyBreakdown:
-    lams, x = state.coefficient_arrays()
-    columns = _energy_columns(params, lams, x.T[:, :, None])
+    columns = _energy_columns(params, state.modes.lam, state.x[:, :, None])
     return EnergyBreakdown(*(float(col[0]) for col in columns))
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    state: SpectralState
-    energy: EnergyBreakdown
-
-
-class SampleArrays(Sequence):
-    """Read-only sequence over per-sample arrays (`t` and others).
-
-    Items are built by `_sample(k)` only when indexed; slices give lists.
-    """
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self._sample(i) for i in range(len(self))[k]]
-        return self._sample(range(len(self))[k])
-
-
 @dataclass(frozen=True, eq=False)
-class Trajectory(SampleArrays):
+class Trajectory:
     """Exact trajectory on a time grid, held as arrays.
 
-    x has shape (modes, 3, samples) with rows u, v, theta; lams and modes
-    follow the initial state's order.  The energy columns (see the module
-    docstring) and dissipation_integral, int_0^t D ds, have one entry per
-    sample.
+    x has shape (modes, 3, samples) with rows u, v, theta, over the initial
+    state's modes.  The energy columns (see the module docstring) and
+    dissipation_integral, int_0^t D ds, have one entry per sample.
     """
 
     domain: SpectralDomain
-    modes: tuple[Mode, ...]
+    modes: Modes
     t: np.ndarray
-    lams: np.ndarray
     x: np.ndarray
     kinetic: np.ndarray
     bending: np.ndarray
@@ -253,16 +203,6 @@ class Trajectory(SampleArrays):
     def energy_norm(self) -> np.ndarray:
         """kinetic + |bending| + thermal: the size of the terms E sums."""
         return self.kinetic + np.abs(self.bending) + self.thermal
-
-    def _sample(self, k: int) -> TrajectorySample:
-        pairs = tuple(
-            (mode, ModeState(*self.x[i, :, k])) for i, mode in enumerate(self.modes)
-        )
-        columns = (self.kinetic, self.bending, self.thermal, self.total, self.dissipation)
-        energy = EnergyBreakdown(*(float(col[k]) for col in columns))
-        return TrajectorySample(
-            float(self.t[k]), SpectralState._trusted(self.domain, pairs), energy
-        )
 
 
 def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
@@ -429,11 +369,10 @@ def evolve(
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must increase strictly")
 
-    modes = tuple(mode for mode, _ in initial.modes)
-    lams = np.array([mode.lam for mode in modes])
+    lams = initial.modes.lam
     blocks = mode_blocks(params, lams, direction)
-    x0 = np.array([mstate.as_array() for _, mstate in initial.modes]).reshape(len(modes), 3)
-    q = np.zeros((len(modes), 3, 3))
+    x0 = initial.x
+    q = np.zeros((lams.size, 3, 3))
     q[:, 2, 2] = params.heat_weight(lams)  # D_n = w_n theta_n^2
     # (modes, component, time)
     x, dissipation_integral = _mode_trajectory(blocks, x0, times, q)
@@ -446,9 +385,8 @@ def evolve(
         raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
     return Trajectory(
         domain=initial.domain,
-        modes=modes,
+        modes=initial.modes,
         t=times,
-        lams=lams,
         x=x,
         kinetic=kinetic,
         bending=bending,
@@ -480,7 +418,7 @@ def energy_balance_report(
     trajectory: Trajectory,
     direction: Direction = Direction.FORWARD,
 ) -> EnergyBalanceReport:
-    if len(trajectory) < 2:
+    if trajectory.t.size < 2:
         raise InsufficientSamples("energy balance needs at least 2 samples")
     e, integral = trajectory.total, trajectory.dissipation_integral
     sign = 1.0 if direction is Direction.FORWARD else -1.0
@@ -538,20 +476,8 @@ def synthesize_field(state: SpectralState, grid: Sequence) -> FieldValues:
             & (pts[:, 1] < domain.length2)
         )
 
-    n_pts = pts.shape[0]
-    complex_state = any(not s.is_real for _, s in state.modes)
-    dtype = complex if complex_state else float
-    u = np.zeros(n_pts, dtype=dtype)
-    ut = np.zeros(n_pts, dtype=dtype)
-    th = np.zeros(n_pts, dtype=dtype)
     inner = pts[interior]
-    for mode, mstate in state.modes:
-        phi = (
-            domain.eigenfunction(mode.index, inner)
-            if inner.size
-            else np.zeros(0)
-        )
-        u[interior] += mstate.u * phi
-        ut[interior] += mstate.v * phi
-        th[interior] += mstate.theta * phi
-    return FieldValues(u=u, u_t=ut, theta=th)
+    phi = np.array([domain.eigenfunction(i, inner) for i in state.modes.index.tolist()])
+    fields = np.zeros((3, pts.shape[0]), dtype=state.x.dtype)
+    fields[:, interior] = state.x.T @ phi
+    return FieldValues(*fields)

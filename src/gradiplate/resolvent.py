@@ -301,7 +301,7 @@ def resolvent_norm(
 ) -> float:
     """Sup over the first mode_count modes of the weighted block norm."""
     _require_stable(params, "resolvent norm")
-    lams = [mode.lam for mode in enumerate_modes(domain, mode_count)]
+    lams = enumerate_modes(domain, mode_count).lam
     return float(_sup_norms(params, lams, [omega])[0])
 
 
@@ -345,7 +345,7 @@ def scan_imaginary_axis(
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if omegas.size == 0:
         raise ValueError("omega grid must be nonempty")
-    lams = [m.lam for m in enumerate_modes(domain, mode_count)]
+    lams = enumerate_modes(domain, mode_count).lam
     # one more frequency, -omegas[0], for the conjugation-symmetry probe
     sups = _sup_norms(params, lams, np.append(omegas, -omegas[0]))
     norms = sups[:-1]
@@ -380,7 +380,7 @@ def resonant_omega_grid(
     _require_stable(params, "resonant grid")
     if not 0 < omega_min < omega_max:
         raise ValueError("need 0 < omega_min < omega_max")
-    lams = np.array([mode.lam for mode in enumerate_modes(domain, mode_count)])
+    lams = enumerate_modes(domain, mode_count).lam
     omegas = math.sqrt(params.c / params.rho) * lams
     omegas = omegas[(omega_min <= omegas) & (omegas <= omega_max)]
     if fill > 0:
@@ -419,6 +419,21 @@ class NondiffSequence:
     matching_norm: str = "l2"
 
 
+def nondiff_target(params: ModelParams) -> float:
+    """The limit d^2/eta^4 of |v_n|^2; ValueError unless it is a finite
+    positive float."""
+    try:
+        target = params.d**2 / params.eta**4
+    except (OverflowError, ZeroDivisionError):
+        target = math.inf
+    if not 0 < target < math.inf:
+        raise ValueError(
+            f"the resonant-drive limit needs d^2/eta^4 to be a finite positive float; "
+            f"with d = {params.d!r} and eta = {params.eta!r} it is not"
+        )
+    return target
+
+
 def nondiff_sequence(
     params: ModelParams, domain: SpectralDomain, n_max: int, branch: int = +1
 ) -> NondiffSequence:
@@ -441,7 +456,8 @@ def nondiff_sequence(
         raise ValueError("branch must be +1 or -1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    lam = np.array([mode.lam for mode in enumerate_modes(domain, n_max)])
+    target = nondiff_target(params)
+    lam = enumerate_modes(domain, n_max).lam
     root = math.sqrt(params.c / params.rho)
     omega = branch * root * lam
     q = 1.0 / (params.eta * lam)
@@ -462,8 +478,7 @@ def nondiff_sequence(
     )
     norm_p_sq = np.hypot(p.real, p.imag) ** 2
     norm_v_sq = omega**2 * norm_p_sq
-    target = params.d**2 / params.eta**4
-    gap = np.abs(norm_v_sq - target) / target if target > 0 else np.full(n_max, math.inf)
+    gap = np.abs(norm_v_sq - target) / target
     return NondiffSequence(
         n=np.arange(1, n_max + 1),
         lam=lam,

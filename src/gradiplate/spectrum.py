@@ -202,7 +202,7 @@ def spectral_abscissa(params: ModelParams, domain: SpectralDomain, mode_count: i
     """Max real part of any eigenvalue over the first mode_count modes."""
     if mode_count < 1:
         raise ValueError("mode_count must be >= 1")
-    lams = [mode.lam for mode in enumerate_modes(domain, mode_count)]
+    lams = enumerate_modes(domain, mode_count).lam
     roots, _, _ = mode_spectra(params, lams)
     return float(row_max(row_max(roots.real)))
 

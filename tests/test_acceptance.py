@@ -5,6 +5,7 @@ Each test computes its quantities, prints the measured value against the
 pinned tolerance, and asserts.
 """
 
+import dataclasses
 import math
 import time
 
@@ -53,8 +54,7 @@ def report(num, name, ok, detail):
 def test_criterion_1_energy_identity():
     started = time.perf_counter()
     params = ModelParams.unit()
-    modes = enumerate_modes(PI_INTERVAL, 64)
-    lams = np.array([m.lam for m in modes])
+    lams = enumerate_modes(PI_INTERVAL, 64).lam
     u, v, theta = preset_coefficients("first-mode-bend+thermal-pulse", lams)
     init = state_from_coefficients(PI_INTERVAL, 64, u=u, v=v, theta=theta)
     times = 1e-3 * np.arange(10001)
@@ -229,8 +229,9 @@ def test_criterion_7_convexity_instability():
     trajectory = evolve(params, init, times, Direction.FORWARD)
     states = convexity_trajectory(params, trajectory, omega, t0)
 
-    early = [s for s in states if s.t <= 5.0]
-    convexity = convexity_residual_check(early, e0)
+    early = states.t <= 5.0
+    columns = {name: getattr(states, name)[early] for name in ("t", "f", "fdot", "fddot")}
+    convexity = convexity_residual_check(dataclasses.replace(states, **columns), e0)
     bound = instability_lower_bound(states, e0, growth_window=(14.0, 18.0))
     root = bisect_real_root(lambda z: z**3 + 2.0 * z**2 - 2.0, 0.8, 0.9)
     rate_gap = abs(bound.growth_rate - root)

@@ -541,6 +541,20 @@ class TestNoPerSampleObjects:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(built) <= 4  # mode_count; 1001 samples would make 4004
 
+    def test_wide_plate_simulate_builds_no_mode_state(self, tmp_path, monkeypatch):
+        """Modes, initial state and trajectory are arrays: the 4,096-mode
+        rectangle of the benchmark builds no per-mode object."""
+        built = []
+        monkeypatch.setattr(
+            propagator.ModeState, "__post_init__", lambda self: built.append(self)
+        )
+        cfg = write_config(tmp_path, "run.cfg", base_model() + [
+            "domain = rectangle", f"length1 = {PI}", "length2 = 2", "mode_count = 4096",
+            "t_end = 0.01", "dt = 0.001", "initial = first-mode-bend+thermal-pulse",
+        ])
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert built == []
+
     def test_backward_computes_lyapunov_series_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -632,6 +646,107 @@ class TestInstabilityEnergy:
         ]), "instability")
         trajectory = evolve(cfg.params, cfg.initial_state(), cli._time_grid(cfg))
         assert cli._run_instability(cfg).results["e0"] == trajectory.total[0]
+
+
+class TestRefusedConfigs:
+    """Configs outside what the program can compute, or outside a theorem's
+    hypotheses, exit 2 with a config error naming the cause and write
+    nothing.  Each once exited 1 with a traceback, or 3."""
+
+    INTERVAL = base_model() + ["domain = interval", f"length = {PI}", "mode_count = 4"]
+    BASES = {
+        "simulate": INTERVAL + ["t_end = 1.0", "dt = 0.01", "initial_u = 1"],
+        "resolvent-scan": INTERVAL + ["omega_min = 1", "omega_max = 10", "omega_points = 5"],
+        "nondiff": INTERVAL + ["n_max = 10"],
+        "spectrum": INTERVAL + ["lambda_max = 100", "lambda_points = 10"],
+        "quasistatic": [
+            "rho = 1", "a = 1", "b = 1", "c = -2", "d = 1", "eta = 1", "length = 1",
+            "t_end = 0.02", "dt = 1e-3", "initial_theta = 1",
+        ],
+        "instability": base_model(c="-1") + [
+            "domain = interval", f"length = {PI}", "mode_count = 1", "t_end = 1.0",
+            "dt = 0.001", "initial_u = 1",
+        ],
+    }
+
+    def refused(self, tmp_path, capsys, subcommand, lines):
+        """The stderr of a run that must exit 2 and write nothing."""
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        return err
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("simulate", "initial_u", "nan"),
+        ("simulate", "t_end", "inf"),
+        ("simulate", "rho", "inf"),
+        ("simulate", "length", "1e300"),  # lambda underflows to 0
+        ("simulate", "length", "1e-300"),  # lambda overflows
+        ("resolvent-scan", "omega_max", "inf"),
+        ("spectrum", "lambda_max", "inf"),
+        ("quasistatic", "initial_theta", "inf"),
+        ("quasistatic", "length", "inf"),
+        ("instability", "t0", "inf"),
+        ("instability", "growth_fit_start", "nan"),
+    ])
+    def test_non_finite_numbers_and_out_of_range_eigenvalues(
+        self, tmp_path, capsys, subcommand, key, value
+    ):
+        lines = [l for l in self.BASES[subcommand] if not l.startswith(f"{key} ")]
+        err = self.refused(tmp_path, capsys, subcommand, lines + [f"{key} = {value}"])
+        assert key in err
+
+    @pytest.mark.parametrize("subcommand", ["resolvent-scan", "nondiff", "spectrum"])
+    def test_eigenvalue_range_found_by_the_handler(self, tmp_path, capsys, subcommand):
+        """These subcommands enumerate their modes first in the handler."""
+        lines = [l for l in self.BASES[subcommand] if not l.startswith("length ")]
+        err = self.refused(tmp_path, capsys, subcommand, lines + ["length = 1e-300"])
+        assert "Interval(length=1e-300)" in err
+
+    def test_growth_fit_start_past_the_last_two_samples(self, tmp_path, capsys):
+        err = self.refused(
+            tmp_path, capsys, "instability", self.BASES["instability"] + ["growth_fit_start = 0.9999"]
+        )
+        assert "growth_fit_start = 0.9999 leaves fewer than 2 time samples" in err
+
+    # the first instability sweep config (c forced negative) of each kind
+    # that once exited 3
+    POSITIVE_ENERGY = [
+        "rho = 7.466065839430128", "a = 4.429330943950683", "b = 8.78536076593636",
+        "c = -7.155102657621115", "d = 0.07987277354201366", "eta = 0.0", "mode_count = 4",
+        "dt = 0.004271135102602633", "t_end = 4.24977942708962", "domain = rectangle",
+        "length1 = 0.603116324009811", "length2 = 1.0172472485408206", "initial = thermal-pulse",
+    ]
+    CONVEXITY_OVERFLOW = [
+        "rho = 0.4679830489044979", "a = 1.614917818195902", "b = 9.58191470298622",
+        "c = -3.408843191015938", "d = 8.80640323821838", "eta = 0.0", "mode_count = 9",
+        "dt = 0.0008313702595406049", "t_end = 1.070804894288299", "domain = interval",
+        "length = 2.3096401244650226",
+        "initial_u = -1.9824905292733188,0.9617275809388532,-1.5531856260950638,"
+        "1.2459736681603735,0.8466997325206944,-1.8931385862824839,-0.12544020965337843,"
+        "-0.6310299341349719",
+        "initial_v = -1.4226001803187311,-1.312733568237896,0.9637074573011946,"
+        "1.9872235180836695,1.7791482672444872,-1.4518075339049141",
+        "initial_theta = -1.2586686696100462,-0.20383736482423975,-0.7226841108252637",
+    ]
+
+    def test_instability_with_positive_initial_energy(self, tmp_path, capsys):
+        err = self.refused(tmp_path, capsys, "instability", self.POSITIVE_ENERGY)
+        assert "Fdot(0) > 2*nu is unreachable with omega_const = 0" in err
+        e0 = float(err.rstrip().rsplit("E(0) = ", 1)[1].rstrip(")"))
+        assert e0 > 0
+
+    def test_instability_convexity_overflow_exits_4(self, tmp_path):
+        out = str(tmp_path / "o")
+        cfg = write_config(tmp_path, "run.cfg", self.CONVEXITY_OVERFLOW)
+        assert main(["instability", "--config", cfg, "--out", out]) == 4
+        manifest = read_manifest(out)
+        assert manifest["status"] == "nonfinite"
+        assert manifest["error"].startswith("convexity functional overflowed at t=")
+        assert not (tmp_path / "o" / "instability.csv").exists()
 
 
 class TestImportFootprint:

@@ -53,7 +53,7 @@ class TestBuildConfig:
         assert cfg.domain == Interval(math.pi)
         assert cfg.mode_count == 4
         state = cfg.initial_state()
-        assert state.modes[0][1].u == 1.0
+        assert state.x[0, 0] == 1.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -121,10 +121,15 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="n_max"):
             build_config(raw, "nondiff")
 
-    @pytest.mark.parametrize("tolerance", ["0", "-0.01", "inf", "nan"])
-    def test_nondiff_gap_tolerance_must_be_positive_and_finite(self, tolerance):
+    @pytest.mark.parametrize("tolerance, message", [
+        ("0", "gap_tolerance must be > 0"),
+        ("-0.01", "gap_tolerance must be > 0"),
+        ("inf", "gap_tolerance: not a finite number"),
+        ("nan", "gap_tolerance: not a finite number"),
+    ])
+    def test_nondiff_gap_tolerance_must_be_positive_and_finite(self, tolerance, message):
         raw = dict(BASE, n_max="30", gap_tolerance=tolerance)
-        with pytest.raises(ConfigError, match="gap_tolerance must be finite and > 0"):
+        with pytest.raises(ConfigError, match=message):
             build_config(raw, "nondiff")
 
 

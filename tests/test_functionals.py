@@ -9,6 +9,7 @@ from gradiplate import (
     InsufficientSamples,
     ModelParams,
     PreconditionUnmet,
+    SpectralState,
     choose_weight_shift,
     convexity_residual_check,
     convexity_trajectory,
@@ -29,6 +30,11 @@ UNSTABLE = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 
 def one_mode(domain, u=0.0, v=0.0, theta=0.0):
     return state_from_coefficients(domain, 1, u=[u], v=[v], theta=[theta])
+
+
+def sample_state(trajectory, k):
+    """The state of sample k of a trajectory."""
+    return SpectralState(trajectory.domain, trajectory.modes, trajectory.x[:, :, k])
 
 
 class TestLagrangeFunctionals:
@@ -55,8 +61,7 @@ class TestLagrangeFunctionals:
                 theta=rng.standard_normal(3).tolist(),
             )
             s = lagrange_functionals(params, state, 0.5)
-            _, x = state.coefficient_arrays()
-            thermal = params.a * float(np.sum(x[2] ** 2))
+            thermal = params.a * float(np.sum(state.x[:, 2] ** 2))
             assert s.l1 - s.l2 == pytest.approx(thermal, rel=1e-14)
             assert s.l1 >= abs(s.l2)  # c > 0 here
 
@@ -129,17 +134,17 @@ class TestVectorizedFunctionals:
     def test_lyapunov_series_matches_lagrange_functionals(self, case):
         params, traj, _ = case
         series = lyapunov_series(params, traj, 0.3)
-        assert len(series) == len(traj)
-        for k, sample in enumerate(traj):
-            ref = lagrange_functionals(params, sample.state, 0.3, t=sample.t)
-            assert series[k] == ref
+        assert series.t is traj.t
+        for k, t in enumerate(traj.t):
+            ref = lagrange_functionals(params, sample_state(traj, k), 0.3, t=t)
             assert (series.l1[k], series.l2[k], series.l[k]) == (ref.l1, ref.l2, ref.l)
 
     def test_identity_right_hand_sides_match_per_sample_forms(self, case):
         params, traj, direction = case
         report = verify_backward_identities(params, traj, direction)
-        for j, sample in enumerate(traj[1:-1]):
-            lams, (u, v, th) = sample.state.coefficient_arrays()
+        lams = traj.modes.lam
+        for j in range(traj.t.size - 2):
+            u, v, th = traj.x[:, :, j + 1].T
             diss = float(np.sum(params.heat_weight(lams) * th**2))
             cross = float(2.0 * params.eta * np.sum(lams * v * th))
             if direction is Direction.BACKWARD:
@@ -181,8 +186,8 @@ class TestGronwall:
         assert report.k_star is not None and np.isfinite(report.k_star)
         # the bound it certifies actually holds on the samples
         series = lyapunov_series(unit_params, traj, 0.5)
-        for s in series[1:]:
-            assert s.l <= report.l0 * math.exp(report.k_star * s.t) * (1.0 + 1e-12)
+        for l, t in zip(series.l[1:], series.t[1:]):
+            assert l <= report.l0 * math.exp(report.k_star * t) * (1.0 + 1e-12)
 
     def test_epsilon_sweep_reported(self, unit_params, pi_interval):
         init = one_mode(pi_interval, u=1.0, theta=1.0)
@@ -229,16 +234,16 @@ class TestConvexityTrajectory:
     def test_zero_data_zero_functional(self, pi_interval):
         traj = evolve(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(51))
         states = convexity_trajectory(UNSTABLE, traj, 0.0, 0.0)
-        assert all(s.f == 0.0 and s.fdot == 0.0 for s in states)
+        assert np.all(states.f == 0.0) and np.all(states.fdot == 0.0)
 
     def test_pure_weight_term(self, pi_interval):
         """Zero data with omega = 1, t0 = 2: F = (t+2)^2 exactly."""
         traj = evolve(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(51))
         states = convexity_trajectory(UNSTABLE, traj, 1.0, 2.0)
-        for s in states:
-            assert s.f == pytest.approx((s.t + 2.0) ** 2, rel=1e-14)
-            assert s.fdot == pytest.approx(2.0 * (s.t + 2.0), rel=1e-14)
-            assert s.fddot == pytest.approx(2.0, rel=1e-14)
+        for t, f, fdot, fddot in zip(states.t, states.f, states.fdot, states.fddot):
+            assert f == pytest.approx((t + 2.0) ** 2, rel=1e-14)
+            assert fdot == pytest.approx(2.0 * (t + 2.0), rel=1e-14)
+            assert fddot == pytest.approx(2.0, rel=1e-14)
 
     def test_derivatives_match_finite_differences(self, pi_interval):
         """F' and F'' from the closed forms agree with dense FD of F."""
@@ -246,10 +251,7 @@ class TestConvexityTrajectory:
         times = 1e-4 * np.arange(20001)  # t <= 2
         traj = evolve(UNSTABLE, init, times)
         states = convexity_trajectory(UNSTABLE, traj, 0.5, 2.0)
-        f = np.array([s.f for s in states])
-        fdot = np.array([s.fdot for s in states])
-        fddot = np.array([s.fddot for s in states])
-        t = np.array([s.t for s in states])
+        t, f, fdot, fddot = states.t, states.f, states.fdot, states.fddot
         fdot_fd = np.gradient(f, t)
         fddot_fd = np.gradient(fdot_fd, t)
         inner = slice(100, -100)
@@ -273,8 +275,7 @@ class TestConvexityInequality:
         report = convexity_residual_check(states, e0)
         assert report.passed
         assert report.min_residual >= -report.tolerance
-        f = np.array([s.f for s in states])
-        assert np.all(np.diff(f) > 0.0)
+        assert np.all(np.diff(states.f) > 0.0)
 
     def test_uniqueness_branch_zero_energy(self, pi_interval):
         """E(0) = 0, omega = 0, nu = 0 data: F''F >= (F')^2 pointwise."""
@@ -284,9 +285,7 @@ class TestConvexityInequality:
         assert phi_coefficients(UNSTABLE, init).nu == 0.0
         traj = evolve(UNSTABLE, init, 1e-3 * np.arange(3001))
         states = convexity_trajectory(UNSTABLE, traj, 0.0, 0.0)
-        f = np.array([s.f for s in states])
-        fdot = np.array([s.fdot for s in states])
-        fddot = np.array([s.fddot for s in states])
+        f, fdot, fddot = states.f, states.fdot, states.fddot
         scale = np.max(fddot * f + fdot**2)
         assert np.all(fddot * f - fdot**2 >= -1e-8 * scale)
 
@@ -321,8 +320,7 @@ class TestInstabilityBound:
         traj = evolve(UNSTABLE, init, 1e-3 * np.arange(8001))
         states = convexity_trajectory(UNSTABLE, traj, -e0, t0)
         report = instability_lower_bound(states, e0)
-        t = np.array([s.t for s in states])
-        f = np.array([s.f for s in states])
+        t, f = states.t, states.f
         late = t >= 6.0
         slope = np.polyfit(t[late], np.log(f[late]), 1)[0]
         assert slope >= report.bound_exponent - 1e-9
@@ -361,7 +359,7 @@ class TestChooseWeightShift:
             t0 = choose_weight_shift(UNSTABLE, init, omega, pad=0.5)
             traj = evolve(UNSTABLE, init, [0.0, 0.01, 0.02])
             states = convexity_trajectory(UNSTABLE, traj, omega, t0)
-            assert states[0].fdot > 2.0 * states[0].nu
+            assert states.fdot[0] > 2.0 * states.nu
 
     def test_omega_zero_unreachable(self, pi_interval):
         init = one_mode(pi_interval, u=1.0)  # cross term 0 < nu

@@ -37,10 +37,10 @@ def random_state(domain, count, seed):
 
 def oracle_sums(params, state, times, direction=Direction.FORWARD, phi=None):
     """Mode sums of the three DOP853 integrals; psi is returned per mode."""
-    lams, x = state.coefficient_arrays()
+    lams, x = state.modes.lam, state.x
     phi = np.zeros(lams.size) if phi is None else phi
     d_int, psi, q_int = np.zeros(times.size), [], np.zeros(times.size)
-    for lam, x0, phi_n in zip(lams, x.T, phi):
+    for lam, x0, phi_n in zip(lams, x, phi):
         m = mode_matrix(params, lam, direction).entries
         d_n, psi_n, q_n = rk_mode_integrals(m, x0, params.heat_weight(lam), phi_n, times)
         d_int += d_n
@@ -108,7 +108,7 @@ class TestConvexityIntegrals:
         phi = phi_coefficients(params, state).phi
         d_int, psi, q_int = oracle_sums(params, state, times, phi=phi)
 
-        lams, x = trajectory.lams, trajectory.x
+        lams, x = trajectory.modes.lam, trajectory.x
         w = params.heat_weight(lams)
         shifted = times + t0
         rho_u2 = params.rho * np.sum(x[:, 0] ** 2, axis=0)

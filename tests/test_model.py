@@ -5,6 +5,7 @@ import pytest
 
 from gradiplate import (
     Direction,
+    EigenvalueOutOfRange,
     Interval,
     ModelParams,
     Rectangle,
@@ -43,28 +44,29 @@ class TestModelParams:
 class TestEnumerateModes:
     def test_interval_pi(self, pi_interval):
         modes = enumerate_modes(pi_interval, 3)
-        assert [m.lam for m in modes] == [1.0, 4.0, 9.0]
-        assert [m.index for m in modes] == [1, 2, 3]
+        assert len(modes) == 3
+        assert modes.lam.tolist() == [1.0, 4.0, 9.0]
+        assert modes.index.tolist() == [1, 2, 3]
 
     def test_unit_interval_first_eigenvalue(self):
-        (mode,) = enumerate_modes(Interval(1.0), 1)
-        assert mode.lam == pytest.approx(math.pi**2, rel=1e-15)
+        (lam,) = enumerate_modes(Interval(1.0), 1).lam
+        assert lam == pytest.approx(math.pi**2, rel=1e-15)
 
     def test_square_degeneracy_tie_break(self):
         modes = enumerate_modes(Rectangle(math.pi, math.pi), 4)
-        assert [m.index for m in modes] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-        assert np.allclose([m.lam for m in modes], [2.0, 5.0, 5.0, 8.0])
+        assert modes.index.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
+        assert np.allclose(modes.lam, [2.0, 5.0, 5.0, 8.0])
 
     def test_rectangle_ordering_is_global(self):
         # elongated rectangle: many (1, k) modes precede (2, 1)
         modes = enumerate_modes(Rectangle(1.0, 10.0), 50)
-        lams = [m.lam for m in modes]
+        lams = modes.lam.tolist()
         assert lams == sorted(lams)
         assert all(lams[i] > 0 for i in range(50))
         # anything outside the returned set must be no smaller
         worst = lams[-1]
         dom = Rectangle(1.0, 10.0)
-        included = {m.index for m in modes}
+        included = set(map(tuple, modes.index.tolist()))
         for j in range(1, 12):
             for k in range(1, 80):
                 if (j, k) not in included:
@@ -73,6 +75,28 @@ class TestEnumerateModes:
     def test_count_validation(self, pi_interval):
         with pytest.raises(ValueError):
             enumerate_modes(pi_interval, 0)
+
+    @pytest.mark.parametrize("domain", [
+        Interval(1e300),  # lambda underflows to 0
+        Interval(1e-300),  # (n pi / L)^2 overflows
+        Rectangle(1e200, 1.0),
+        Rectangle(1.0, 1e-200),
+    ])
+    def test_eigenvalues_outside_the_float_range_raise(self, domain):
+        with pytest.raises(EigenvalueOutOfRange, match="positive float range"):
+            enumerate_modes(domain, 4)
+        assert issubclass(EigenvalueOutOfRange, ValueError)
+
+    def test_ties_in_lam_end_the_box_search(self):
+        # 1/L1^2 swamps k^2/L2^2: the modes (1, k) share one float eigenvalue
+        modes = enumerate_modes(Rectangle(1e-5, 1e5), 10)
+        assert modes.index.tolist() == [[1, k] for k in range(1, 11)]
+        assert np.all(modes.lam == modes.lam[0])
+
+    def test_extreme_aspect_ratio_box_stays_small(self):
+        # the Weyl box would be about 2e10 modes wide; count bounds it
+        modes = enumerate_modes(Rectangle(1e20, 1.0), 4)
+        assert modes.index.tolist() == [[1, 1], [2, 1], [3, 1], [4, 1]]
 
     @pytest.mark.parametrize(
         "domain, count",
@@ -87,7 +111,9 @@ class TestEnumerateModes:
         # nondiff enumerates n_max modes once and reads mode n from it
         modes = enumerate_modes(domain, count)
         for n in range(1, count + 1):
-            assert modes[n - 1] == enumerate_modes(domain, n)[-1]
+            prefix = enumerate_modes(domain, n)
+            assert np.array_equal(prefix.index, modes.index[:n])
+            assert prefix.lam.tobytes() == modes.lam[:n].tobytes()
 
 
 class TestModeMatrix:

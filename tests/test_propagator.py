@@ -10,6 +10,7 @@ from gradiplate import (
     NonFiniteResult,
     PointOutsideDomain,
     Rectangle,
+    SpectralState,
     energy_balance_report,
     energy_of,
     evolve,
@@ -25,6 +26,11 @@ from oracles import rk_mode_evolution
 
 def single_mode_state(domain, u=0.0, v=0.0, theta=0.0):
     return state_from_coefficients(domain, 1, u=[u], v=[v], theta=[theta])
+
+
+def sample_state(trajectory, k):
+    """The state of sample k of a trajectory."""
+    return SpectralState(trajectory.domain, trajectory.modes, trajectory.x[:, :, k])
 
 
 class TestEvolveMode:
@@ -61,10 +67,9 @@ class TestEvolveMode:
 class TestEvolve:
     def test_zero_initial_data_stays_zero(self, unit_params, pi_interval):
         init = state_from_coefficients(pi_interval, 3)
-        for sample in evolve(unit_params, init, [0.0, 0.5, 1.0]):
-            _, x = sample.state.coefficient_arrays()
-            assert np.all(x == 0.0)
-            assert sample.energy.total == 0.0
+        trajectory = evolve(unit_params, init, [0.0, 0.5, 1.0])
+        assert np.all(trajectory.x == 0.0)
+        assert np.all(trajectory.total == 0.0)
 
     def test_decoupled_closed_forms(self, pi_interval):
         """With eta = 0 the plate is an undamped oscillator and the heat
@@ -75,18 +80,17 @@ class TestEvolve:
         times = np.linspace(0.0, 2.0, 41)
         freq = math.sqrt(params.c / params.rho) * lam
         rate = (params.b * lam + params.d * lam**2) / params.a
-        for k, sample in enumerate(evolve(params, init, times)):
-            t = times[k]
-            _, x = sample.state.coefficient_arrays()
-            assert x[0, 1] == pytest.approx(math.cos(freq * t), abs=1e-12)
-            assert x[1, 1] == pytest.approx(-freq * math.sin(freq * t), abs=1e-12)
-            assert x[2, 1] == pytest.approx(2.0 * math.exp(-rate * t), rel=1e-12)
+        trajectory = evolve(params, init, times)
+        for k, t in enumerate(times):
+            u, v, theta = trajectory.x[1, :, k]
+            assert u == pytest.approx(math.cos(freq * t), abs=1e-12)
+            assert v == pytest.approx(-freq * math.sin(freq * t), abs=1e-12)
+            assert theta == pytest.approx(2.0 * math.exp(-rate * t), rel=1e-12)
 
     def test_energy_dissipates(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0)
         times = np.linspace(0.0, 10.0, 2001)
-        samples = evolve(unit_params, init, times)
-        e = np.array([s.energy.total for s in samples])
+        e = evolve(unit_params, init, times).total
         assert e[-1] < e[0]
         assert np.all(np.diff(e) <= 1e-12 * e[0])
 
@@ -98,12 +102,8 @@ class TestEvolve:
         t_both = evolve(unit_params, both, times)
         t_1 = evolve(unit_params, only1, times)
         t_2 = evolve(unit_params, only2, times)
-        for sb, s1, s2 in zip(t_both, t_1, t_2):
-            _, xb = sb.state.coefficient_arrays()
-            _, x1 = s1.state.coefficient_arrays()
-            _, x2 = s2.state.coefficient_arrays()
-            assert np.array_equal(xb[:, 0], x1[:, 0])
-            assert np.array_equal(xb[:, 1], x2[:, 1])
+        assert np.array_equal(t_both.x[0], t_1.x[0])
+        assert np.array_equal(t_both.x[1], t_2.x[1])
 
     def test_time_reversal_round_trip(self, pi_interval):
         """Forward by t, reflect (v -> -v), backward by t, reflect again
@@ -121,18 +121,11 @@ class TestEvolve:
                 pi_interval, lam_n, u=[0.0] * (lam_n - 1) + [u0],
                 v=[0.0] * (lam_n - 1) + [v0], theta=[0.0] * (lam_n - 1) + [th0],
             )
-            fwd = evolve(params, init, [0.0, 1.0])[-1].state
-            reflected = state_from_coefficients(
-                pi_interval,
-                lam_n,
-                u=[s.u for _, s in fwd.modes],
-                v=[-s.v for _, s in fwd.modes],
-                theta=[s.theta for _, s in fwd.modes],
-            )
-            back = evolve(params, reflected, [0.0, 1.0], Direction.BACKWARD)[-1].state
-            got = np.array([[s.u, -s.v, s.theta] for _, s in back.modes])
-            want = np.array([[s.u, s.v, s.theta] for _, s in init.modes])
-            assert np.allclose(got, want, atol=1e-6)
+            reflect = np.array([1.0, -1.0, 1.0])
+            fwd = evolve(params, init, [0.0, 1.0]).x[:, :, -1]
+            reflected = SpectralState(pi_interval, init.modes, fwd * reflect)
+            back = evolve(params, reflected, [0.0, 1.0], Direction.BACKWARD).x[:, :, -1]
+            assert np.allclose(back * reflect, init.x, atol=1e-6)
 
     def test_times_validation(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0)
@@ -155,14 +148,14 @@ class TestEvolve:
         backward = evolve(
             ModelParams.unit(), init, [0.0, 0.5, 1.0], Direction.BACKWARD
         )
-        _, x = backward[-1].state.coefficient_arrays()
-        assert np.all(x[:, 1:] == 0.0)
+        x = backward.x[:, :, -1]
+        assert np.all(x[1:] == 0.0)
         assert np.all(np.isfinite(x))
 
         unstable = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         forward = evolve(unstable, init, [0.0, 5.0, 10.0])
-        _, y = forward[-1].state.coefficient_arrays()
-        assert np.all(y[:, 1:] == 0.0)
+        y = forward.x[:, :, -1]
+        assert np.all(y[1:] == 0.0)
         assert np.all(np.isfinite(y))
 
 
@@ -215,7 +208,7 @@ class TestExpmFallback:
 
 
 class TestTrajectoryArrays:
-    """evolve returns arrays; indexing builds per-sample views of them."""
+    """evolve returns a record of arrays."""
 
     @pytest.fixture(params=[Direction.FORWARD, Direction.BACKWARD])
     def trajectory(self, request, unit_params, pi_interval):
@@ -226,33 +219,16 @@ class TestTrajectoryArrays:
         )
         return evolve(unit_params, init, 1e-4 * np.arange(201), request.param)
 
-    def test_samples_view_the_coefficient_array(self, trajectory):
+    def test_coefficient_array_layout(self, trajectory):
         assert trajectory.x.shape == (8, 3, 201)
-        assert trajectory.lams.shape == (8,)
-        for k in (0, 100, -1):
-            lams, x = trajectory[k].state.coefficient_arrays()
-            assert np.array_equal(x, trajectory.x[:, :, k].T)
-            assert np.array_equal(lams, trajectory.lams)
-            assert trajectory[k].t == trajectory.t[k]
-            assert trajectory[k].energy.total == trajectory.total[k]
-
-    def test_behaves_as_a_sequence(self, trajectory):
-        assert len(trajectory) == 201
-        assert trajectory[-1].t == trajectory[200].t == trajectory.t[-1]
-        assert trajectory[-201].t == 0.0
-        with pytest.raises(IndexError):
-            trajectory[201]
-        with pytest.raises(IndexError):
-            trajectory[-202]
-        times = [sample.t for sample in trajectory]
-        assert times == trajectory.t.tolist()
-        assert [s.t for s in trajectory[1:4]] == trajectory.t[1:4].tolist()
+        assert trajectory.t.shape == trajectory.total.shape == (201,)
+        assert len(trajectory.modes) == 8
+        assert trajectory.modes.lam.shape == (8,)
 
     def test_energy_columns_match_energy_of(self, unit_params, trajectory):
         for k in (0, 100, -1):
-            sample = trajectory[k]
-            assert energy_of(unit_params, sample.state).total == pytest.approx(
-                sample.energy.total, rel=1e-14
+            assert energy_of(unit_params, sample_state(trajectory, k)).total == pytest.approx(
+                trajectory.total[k], rel=1e-14
             )
 
     def test_energy_columns_equal_energy_of_exactly(self, unit_params, trajectory):
@@ -261,8 +237,8 @@ class TestTrajectoryArrays:
             trajectory.kinetic, trajectory.bending, trajectory.thermal,
             trajectory.total, trajectory.dissipation,
         )
-        for k, sample in enumerate(trajectory):
-            e = energy_of(unit_params, sample.state)
+        for k in range(trajectory.t.size):
+            e = energy_of(unit_params, sample_state(trajectory, k))
             expected = (e.kinetic, e.bending, e.thermal, e.total, e.dissipation_rate)
             assert tuple(col[k] for col in columns) == expected
 
@@ -313,6 +289,29 @@ class TestEnergyBalance:
         samples = evolve(unit_params, init, [0.0])
         with pytest.raises(InsufficientSamples):
             energy_balance_report(samples)
+
+
+class TestSpectralState:
+    def test_coefficients_padded_and_truncated(self, pi_interval):
+        state = state_from_coefficients(pi_interval, 3, u=[1, 2, 3, 4], theta=[0.5])
+        assert state.x.tolist() == [[1.0, 0.0, 0.5], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
+        assert state.x.dtype == float
+        assert state.modes.lam.tolist() == [1.0, 4.0, 9.0]
+
+    def test_complex_only_when_an_imaginary_part_is_nonzero(self, pi_interval):
+        real = state_from_coefficients(pi_interval, 2, u=[1.0 + 0.0j])
+        assert real.x.dtype == float
+        state = state_from_coefficients(pi_interval, 2, u=[1.0], theta=[0.0, 2.0j])
+        assert state.x.dtype == complex
+        assert state.x[1, 2] == 2.0j
+
+    def test_shape_and_finiteness_checked(self, pi_interval):
+        modes = state_from_coefficients(pi_interval, 2).modes
+        with pytest.raises(ValueError, match="shape"):
+            SpectralState(pi_interval, modes, np.zeros((3, 3)))
+        for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                SpectralState(pi_interval, modes, [[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
 
 
 class TestEnergyBreakdown:

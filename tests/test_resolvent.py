@@ -334,6 +334,13 @@ class TestNondiffSequence:
         with pytest.raises(ValueError):
             nondiff_sequence(ModelParams.unit(eta=0.0), pi_interval, 2)
 
+    # eta**4 overflows for 1e100 and underflows to 0 for 1e-100, and d = 0
+    # leaves a zero limit: none is a finite positive d^2/eta^4
+    @pytest.mark.parametrize("overrides", [{"eta": 1e100}, {"eta": 1e-100}, {"d": 0.0}])
+    def test_limit_outside_the_float_range_rejected(self, pi_interval, overrides):
+        with pytest.raises(ValueError, match="d\\^2/eta\\^4 to be a finite positive float"):
+            nondiff_sequence(ModelParams.unit(**overrides), pi_interval, 2)
+
     @pytest.mark.parametrize("branch", [1, -1])
     def test_terms_match_the_scalar_formula(self, branch):
         """Each entry is the term of its mode, in the rectangle's mode order:
@@ -342,9 +349,9 @@ class TestNondiffSequence:
         domain = Rectangle(2.0, 1.0)
         seq = nondiff_sequence(params, domain, 40, branch)
         assert seq.n.tolist() == list(range(1, 41))
-        for i, mode in enumerate(enumerate_modes(domain, 40)):
-            omega, q, p, norm_v_sq = scalar_term(params, mode.lam, branch)
-            assert (seq.lam[i], seq.omega[i], seq.q[i]) == (mode.lam, omega, q)
+        for i, lam in enumerate(enumerate_modes(domain, 40).lam.tolist()):
+            omega, q, p, norm_v_sq = scalar_term(params, lam, branch)
+            assert (seq.lam[i], seq.omega[i], seq.q[i]) == (lam, omega, q)
             assert seq.p[i] == pytest.approx(p, rel=1e-15)
             assert seq.norm_v_sq[i] == pytest.approx(norm_v_sq, rel=1e-15)
 
@@ -386,7 +393,7 @@ class TestNondiffLimit:
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
         lam_star, n = gap_reach(params, domain, tolerance)
         assert closed_form_gap(params, lam_star) == pytest.approx(tolerance, rel=1e-12)
-        lams = np.array([mode.lam for mode in enumerate_modes(domain, n)])
+        lams = enumerate_modes(domain, n).lam
         gaps = closed_form_gap(params, lams)
         assert gaps[-1] <= tolerance
         assert np.all(gaps[:-1] > tolerance)
@@ -409,7 +416,7 @@ class TestResonantGrid:
         # filler can land on a resonance
         domain = Rectangle(math.pi, math.pi)
         grid = resonant_omega_grid(unit_params, domain, 60, 1.0, 100.0, fill=fill)
-        lams = np.array([mode.lam for mode in enumerate_modes(domain, 60)])
+        lams = enumerate_modes(domain, 60).lam
         omegas = lams[(1.0 <= lams) & (lams <= 100.0)]
         if fill:
             omegas = np.append(omegas, np.geomspace(1.0, 100.0, fill))

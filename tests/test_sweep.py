@@ -1,8 +1,9 @@
 """Config-space sweeps: subcommands on configs the parser accepts, small sizes.
 
 Every drawn config must exit 0 (all checks pass), exit 4 when an
-unstable (c < 0) `simulate` run overflows, or exit 2 when a `nondiff`
-n_max is too small for its gap tolerance.  A config a sweep finds failing
+unstable (c < 0) `simulate` or `instability` run overflows, or exit 2 when
+a `nondiff` n_max is too small for its gap tolerance or `instability`
+data lie outside the instability theorem's hypotheses.  A config a sweep finds failing
 is a program bug: it gets a fix and a named regression test, never a wider
 gate.
 
@@ -189,3 +190,21 @@ def test_nondiff_passes_or_refuses_an_unreachable_gap(tmp_path):
             failures.append(failure(code, lines, tmp_path / str(n)))
     assert not failures, failures
     assert passed >= 50
+
+
+def test_instability_passes_refuses_or_overflows(tmp_path):
+    """The simulate configs with c forced negative.  Exit 2 refuses data
+    outside the theorem's hypotheses (E(0) > 0, or Fdot(0) > 2 nu out of
+    reach), exit 4 an overflow of the trajectory or of F F''; no config
+    may fail a check, and most must pass."""
+    rng = random.Random(SEED + 7)
+    passed, failures = 0, []
+    for n in range(EXAMPLES):
+        lines, c = simulate_config(rng)
+        lines = [f"c = {-abs(c)!r}" if line.startswith("c = ") else line for line in lines]
+        code = run(tmp_path / str(n), "instability", lines)
+        passed += code == 0
+        if code not in (0, 2, 4):
+            failures.append(failure(code, lines, tmp_path / str(n)))
+    assert not failures, failures
+    assert passed >= 60
