@@ -43,6 +43,8 @@ _EXPORTS = {
     "propagator": (
         "EnergyBalanceReport",
         "EnergyBreakdown",
+        "EnergyHistory",
+        "Evolution",
         "FieldValues",
         "ModeState",
         "SpectralState",

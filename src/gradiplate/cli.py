@@ -32,7 +32,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,7 +51,7 @@ from .model import Direction, Regime
 # each handler imports the modules it runs when it runs, so a process loads
 # only the modules of its own subcommand
 if TYPE_CHECKING:
-    from .propagator import EnergyBalanceReport, Trajectory
+    from .propagator import EnergyBalanceReport, EnergyHistory, Evolution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,6 +75,7 @@ class RunOutput:
     checks: list[Check]
     results: dict[str, float]
     notes: dict[str, str]
+    sizes: dict[str, int] = field(default_factory=dict)
 
 
 def _fmt(value) -> str:
@@ -92,11 +93,20 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return cfg.dt * np.arange(n + 1)
 
 
-def _identity_scale(report: EnergyBalanceReport, trajectory: Trajectory) -> float:
+def _identity_scale(report: EnergyBalanceReport, history: EnergyHistory) -> float:
     """Scale of the energy identity's residual: E(t) sums terms as large as
     the energy norm kinetic + |bending| + thermal, which for c < 0 can grow
     by hundreds of orders of magnitude while E stays near E(0)."""
-    return max(report.denominator, float(np.max(trajectory.energy_norm)))
+    return max(report.denominator, float(np.max(history.energy_norm)))
+
+
+def _evolution_sizes(evolution: Evolution) -> dict[str, int]:
+    return {
+        "modes": len(evolution.modes),
+        "live_modes": int(np.count_nonzero(np.any(evolution.initial.x != 0.0, axis=1))),
+        "samples": evolution.t.size,
+        "time_blocks": len(evolution.time_blocks),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +114,14 @@ def _identity_scale(report: EnergyBalanceReport, trajectory: Trajectory) -> floa
 # ---------------------------------------------------------------------------
 
 def _run_simulate(cfg: RunConfig) -> RunOutput:
-    from .propagator import energy_balance_report, evolve
+    from .propagator import Evolution, energy_balance_report
 
-    times = _time_grid(cfg)
-    trajectory = evolve(cfg.params, cfg.initial_state(), times, Direction.FORWARD)
-    report = energy_balance_report(trajectory, Direction.FORWARD)
+    evolution = Evolution(cfg.params, cfg.initial_state(), _time_grid(cfg), Direction.FORWARD)
+    history = evolution.trajectory(states=False)
+    report = energy_balance_report(history, Direction.FORWARD)
 
-    e, d = trajectory.total, trajectory.dissipation
-    scale = _identity_scale(report, trajectory)
+    e, d = history.total, history.dissipation
+    scale = _identity_scale(report, history)
     residual_scaled = report.max_abs_error / scale
     checks = [
         Check("energy_identity", residual_scaled <= 1e-8, residual_scaled, 1e-8),
@@ -123,7 +133,7 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
         checks.append(Check("energy_monotone", max_increase <= slack, max_increase, slack))
 
     columns = [
-        trajectory.t, e, trajectory.kinetic, trajectory.bending, trajectory.thermal, d,
+        history.t, e, history.kinetic, history.bending, history.thermal, d,
         report.residuals,
     ]
     return RunOutput(
@@ -137,6 +147,7 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
             "max_residual_vs_scale": residual_scaled,
         },
         notes={},
+        sizes=_evolution_sizes(evolution),
     )
 
 
@@ -339,7 +350,7 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
         convexity_trajectory,
         instability_lower_bound,
     )
-    from .propagator import energy_of, evolve
+    from .propagator import Evolution, energy_of
 
     initial = cfg.initial_state()
     # the energy column's first entry, to the bit
@@ -355,8 +366,8 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
         t0 = cfg.t0
         if t0 == "auto":
             t0 = choose_weight_shift(cfg.params, initial, omega_const)
-        trajectory = evolve(cfg.params, initial, times, Direction.FORWARD)
-        states = convexity_trajectory(cfg.params, trajectory, omega_const, t0)
+        evolution = Evolution(cfg.params, initial, times, Direction.FORWARD)
+        states = convexity_trajectory(cfg.params, evolution, omega_const, t0)
         convexity = convexity_residual_check(states, e0)
         bound = instability_lower_bound(states, e0, growth_window=window)
     except PreconditionUnmet as exc:
@@ -395,6 +406,7 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
             "weight_convention": WEIGHT_CONVENTION,
             "fddot_e0_coefficient": str(FDDOT_E0_COEFFICIENT),
         },
+        sizes=_evolution_sizes(evolution),
     )
 
 
@@ -496,6 +508,8 @@ def _write_manifest(
             lines.append(f"result.{key} = {_fmt(output.results[key])}")
         for key in sorted(output.notes):
             lines.append(f"note.{key} = {output.notes[key]}")
+        for key, size in output.sizes.items():
+            lines.append(f"size.{key} = {size}")
     # the write phase covers the CSV and this manifest up to its timing lines
     phases.end("write")
     for phase, seconds in phases.seconds.items():

@@ -24,8 +24,6 @@ stays flat in the row count.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 BLOCK_VALUES = 4096
@@ -74,9 +72,13 @@ def _exponents() -> np.ndarray:
 _HEADS = _heads()
 _GROUPS = _digit_table(4).view(np.uint32).ravel()
 _EXPONENTS = _exponents()
+# _power_of_ten(p) for p = 16 - e, by row p - _P_MIN; a row is computed the
+# first time a value needs it, once per process
+_P_MIN = 16 - _MAX_EXPONENT
+_POWERS = np.zeros((2 * _MAX_EXPONENT + 1, 4))
+_KNOWN = np.zeros(2 * _MAX_EXPONENT + 1, dtype=bool)
 
 
-@functools.cache
 def _power_of_ten(p: int) -> tuple[float, float, float, float]:
     """10^p as hi + lo (hi the double nearest 10^p, lo the double nearest
     the rest), with hi split in two 26-bit halves for Dekker's product."""
@@ -98,10 +100,12 @@ def format_floats(x: np.ndarray) -> np.ndarray:
     fast = (a >= _MIN_FAST) & (a <= _MAX_FAST)
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    p = 16 - e
-    p_min = int(p.min())
-    powers = np.array([_power_of_ten(q) for q in range(p_min, int(p.max()) + 1)])
-    hi, hi_hi, hi_lo, lo = powers.take(p - p_min, axis=0).T
+    rows = 16 - e - _P_MIN
+    first, stop = int(rows.min()), int(rows.max()) + 1
+    for row in first + np.flatnonzero(~_KNOWN[first:stop]):
+        _POWERS[row] = _power_of_ten(int(row) + _P_MIN)
+    _KNOWN[first:stop] = True
+    hi, hi_hi, hi_lo, lo = _POWERS.take(rows, axis=0).T
 
     # y = |x| 10^p = head + tail, head = fl(|x| hi) and tail exact but for
     # the rounding of lo and of its own sum

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
 from .model import Direction, ModelParams, mode_blocks
-from .propagator import SpectralState, Trajectory, _mode_trajectory, energy_of
+from .propagator import Evolution, SpectralState, Trajectory, _ModeTrajectory, energy_of
 
 # coefficient of E(0) in the closed form of F''; the Schwarz argument needs
 # only F'' >= 4K + 4*int(D) - 4E(0) + 2*omega, which holds with equality
@@ -294,52 +294,69 @@ class ConvexityTrajectory:
 
 def convexity_trajectory(
     params: ModelParams,
-    trajectory: Trajectory,
+    trajectory: Trajectory | Evolution,
     omega_const: float,
     t0: float,
 ) -> ConvexityTrajectory:
-    """Evaluate F, F', F'' along a forward trajectory.
+    """Evaluate F, F', F'' along a forward trajectory, block by block.
 
     The running integrals are exact: int_0^t D ds is the trajectory's
     `dissipation_integral`, and Psi_n = Phi_n + int_0^t theta_n ds with
     int_0^t w_n Psi_n^2 ds come from the per-mode exponential kernel run on
-    the block [[M_n, 0], [e_theta^T, 0]] from (u_n, v_n, theta_n, Phi_n).
-    F' and F'' come from the closed forms, not finite differences.
-    Intended for the negative-elasticity regime but runs in any regime as
-    a diagnostic.
+    the block [[M_n, 0], [e_theta^T, 0]] from (u_n, v_n, theta_n, Phi_n),
+    over the same time blocks as the trajectory's.  Given an `Evolution`,
+    no state outlives its block.  F' and F'' come from the closed forms,
+    not finite differences.  Intended for the negative-elasticity regime
+    but runs in any regime as a diagnostic.
     """
     if omega_const < 0 or t0 < 0:
         raise ValueError("omega_const and t0 must be nonnegative")
-    _require_real(trajectory.x)
 
     t, lams = trajectory.t, trajectory.modes.lam
-    u, v = trajectory.x[:, 0, :], trajectory.x[:, 1, :]
+    blocks = trajectory.blocks()
+    first = next(blocks)
+    _require_real(first[1].x)
+    x0 = first[1].x[:, :, 0].copy()
+    e0 = first[1].total[0]
     w = params.heat_weight(lams)
-    sol = _phi_solution(params, lams, u[:, 0], trajectory.x[:, 2, 0])
+    sol = _phi_solution(params, lams, x0[:, 0], x0[:, 2])
 
-    blocks = np.zeros((lams.size, 4, 4))
-    blocks[:, :3, :3] = mode_blocks(params, lams)
-    blocks[:, 3, 2] = 1.0  # Psi_n' = theta_n
-    x0 = np.concatenate([trajectory.x[:, :, 0], sol.phi[:, None]], axis=1)
+    matrices = np.zeros((lams.size, 4, 4))
+    matrices[:, :3, :3] = mode_blocks(params, lams)
+    matrices[:, 3, 2] = 1.0  # Psi_n' = theta_n
     q = np.zeros((lams.size, 4, 4))
     q[:, 3, 3] = w
-    states, q_int = _mode_trajectory(blocks, x0, t, q)
-    s_now = w @ states[:, 3] ** 2  # sum_n w_n Psi_n^2; q_int is its integral
+    augmented = _ModeTrajectory(matrices, np.concatenate([x0, sol.phi[:, None]], axis=1), t, q)
 
-    e0 = trajectory.total[0]
-    shifted = t + t0
-    f = params.rho * np.sum(u**2, axis=0) + q_int + omega_const * shifted**2
-    fdot = (
-        2.0 * params.rho * np.sum(u * v, axis=0)
-        + s_now
-        + 2.0 * omega_const * shifted
-    )
-    fddot = (
-        8.0 * trajectory.kinetic  # 4 rho sum v_n^2
-        + 4.0 * trajectory.dissipation_integral
-        - FDDOT_E0_COEFFICIENT * e0
-        + 2.0 * omega_const
-    )
+    f, fdot, fddot = (np.empty(t.size) for _ in range(3))
+
+    def fill(item: tuple[int, Trajectory]) -> None:
+        lo, block = item
+        hi = lo + block.t.size
+        states, q_int = augmented.block(lo, hi)
+        # sum_n w_n Psi_n^2 (q_int is its integral), summed over modes in order
+        # as u^2 and u v are: a BLAS product's bits follow how it splits the
+        # samples among its threads
+        s_now = np.sum(w[:, None] * states[:, 3] ** 2, axis=0)
+        u, v = block.x[:, 0, :], block.x[:, 1, :]
+        shifted = block.t + t0
+        f[lo:hi] = params.rho * np.sum(u**2, axis=0) + q_int + omega_const * shifted**2
+        fdot[lo:hi] = (
+            2.0 * params.rho * np.sum(u * v, axis=0)
+            + s_now
+            + 2.0 * omega_const * shifted
+        )
+        fddot[lo:hi] = (
+            8.0 * block.kinetic  # 4 rho sum v_n^2
+            + 4.0 * block.dissipation_integral
+            - FDDOT_E0_COEFFICIENT * e0
+            + 2.0 * omega_const
+        )
+
+    fill(first)
+    del first
+    for _ in map(fill, blocks):  # no block outlives its turn
+        pass
     return ConvexityTrajectory(t, f, fdot, fddot, sol.nu, omega_const, t0, sol.phi)
 
 

@@ -2,8 +2,9 @@
 
 The truncated generator is block-diagonal over modes, so trajectories are
 computed from 3x3 matrix exponentials with no time-discretization error.
-One kernel, `_mode_trajectory`, serves `evolve`, `evolve_mode` and the
-convexity functional; it evolves a stack of modes at once.  Each block is
+One kernel, `_ModeTrajectory`, serves `evolve`, `evolve_mode` and the
+convexity functional; it evolves a stack of modes at once, and runs its
+per-mode setup once and then one time block after another.  Each block is
 exponentiated through its eigendecomposition.  Blocks whose eigenvector
 matrix, rows equilibrated, has a condition number above 1e3 (nearly
 defective blocks, at isolated parameter/eigenvalue coincidences) fall back
@@ -26,16 +27,19 @@ the package's one energy quadratic form: `_energy_columns` sums it, for a
 single state (`energy_of`) and for every trajectory sample alike, and the
 functionals (L1, L2, F'') read its columns instead of summing it again.
 
-`evolve` returns a `Trajectory` of arrays: the coefficients
-x[mode, (u, v, theta), sample], the columns of E (kinetic, bending,
-thermal, total) and D, one value per sample, and int_0^t D ds from the
-kernel.
+An `Evolution` yields its trajectory in time blocks of about
+BLOCK_MODE_SAMPLES mode-samples, each a `Trajectory` of its own samples:
+the coefficients x[mode, (u, v, theta), sample], the columns of E
+(kinetic, bending, thermal, total) and D, and int_0^t D ds from the
+kernel.  `evolve` holds them all in one `Trajectory`; a run that needs
+only the columns keeps them (`EnergyHistory`), and its memory grows by a
+few numbers per sample.  The blocks do not change a bit of the output.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +63,14 @@ EIGVEC_COND_LIMIT = 1e3
 # below |s t| = EXPM1_LIMIT a closed-form integral takes (e^{st} - 1)/s
 # from expm1, where the difference of exponentials would cancel
 EXPM1_LIMIT = 0.5
-# mode-samples per kernel call: bounds the kernel's temporaries
+# mode-samples of the whole grid per kernel group: bounds the kernel's
+# temporaries
 CHUNK_SAMPLES = 2**13
+# mode-samples per time block: a time-domain run holds the states of one
+# block, and 1-D columns of the whole grid
+BLOCK_MODE_SAMPLES = 2**16
+# block starts are multiples of this many samples (see `time_blocks`)
+_BLOCK_ALIGN = 64
 ENERGY_FLOOR = 1e-300
 
 
@@ -180,18 +190,11 @@ def energy_of(params: ModelParams, state: SpectralState) -> EnergyBreakdown:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Exact trajectory on a time grid, held as arrays.
+class EnergyHistory:
+    """The energy columns of a trajectory (see the module docstring) and
+    dissipation_integral, int_0^t D ds, one entry per sample."""
 
-    x has shape (modes, 3, samples) with rows u, v, theta, over the initial
-    state's modes.  The energy columns (see the module docstring) and
-    dissipation_integral, int_0^t D ds, have one entry per sample.
-    """
-
-    domain: SpectralDomain
-    modes: Modes
     t: np.ndarray
-    x: np.ndarray
     kinetic: np.ndarray
     bending: np.ndarray
     thermal: np.ndarray
@@ -205,6 +208,44 @@ class Trajectory:
         return self.kinetic + np.abs(self.bending) + self.thermal
 
 
+_COLUMNS = ("kinetic", "bending", "thermal", "total", "dissipation", "dissipation_integral")
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory(EnergyHistory):
+    """Exact trajectory on a time grid, held as arrays: the energy columns
+    and x, shape (modes, 3, samples) with rows u, v, theta, over the initial
+    state's modes."""
+
+    domain: SpectralDomain
+    modes: Modes
+    x: np.ndarray
+
+    def blocks(self) -> Iterator[tuple[int, Trajectory]]:
+        """A held trajectory is a single block, from sample 0."""
+        yield 0, self
+
+
+def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
+    """The (lo, hi) sample ranges of the time blocks of a grid.
+
+    A block holds about BLOCK_MODE_SAMPLES mode-samples: a power of two of
+    samples, and at least _BLOCK_ALIGN.  BLAS takes the sample axis of a
+    matmul in groups of a few columns and finishes a ragged tail, or a
+    single column, in other kernels.  Blocks that start at multiples of
+    _BLOCK_ALIGN, with a one-sample tail joined to the block before it,
+    keep each sample in the place it has in one whole-grid call, so its
+    bits do not depend on the blocking.
+    """
+    per = _BLOCK_ALIGN
+    while 2 * per * modes <= BLOCK_MODE_SAMPLES:
+        per *= 2
+    starts = list(range(0, samples, per))
+    if len(starts) > 1 and samples - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [samples]))
+
+
 def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
     """exp(dt*M) applied to one mode state.
 
@@ -215,46 +256,62 @@ def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     x0 = state.as_array()[None]
-    x, _ = _mode_trajectory(matrix.entries[None], x0, np.array([dt]), np.zeros((1, 3, 3)))
+    kernel = _ModeTrajectory(matrix.entries[None], x0, np.array([dt]), np.zeros((1, 3, 3)))
+    x, _ = kernel.block(0, 1)
     if not np.all(np.isfinite(x)):
         raise NonFiniteResult("mode evolution overflowed", time=dt)
     return ModeState(*x[0, :, 0])
 
 
-def _mode_trajectory(
-    m: np.ndarray, x0: np.ndarray, times: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """States of a stack of modes at all times, shape (modes, n, len(times)),
-    and the running integral int_0^t sum_modes x^H q x ds, shape (len(times),).
+class _ModeTrajectory:
+    """States of a stack of modes on a time grid, shape (modes, n, samples),
+    and the running integral int_0^t sum_modes x^H q x ds, one block of
+    samples at a time.
 
     The one per-mode exponential kernel: m holds the (modes, n, n) blocks,
     x0 the (modes, n) initial states and q the real symmetric (modes, n, n)
-    weights.  Modes at rest stay exactly at rest; the others go through in
-    stacks of about CHUNK_SAMPLES mode-samples.  Overflow is not raised
+    weights.  The per-mode setup runs once, against the whole grid, and
+    `block` evaluates samples lo:hi; blocks come in order from sample 0,
+    since the fallback carries its state from one to the next.  Modes at
+    rest stay exactly at rest; the others go through in groups of about
+    CHUNK_SAMPLES mode-samples of the whole grid.  Overflow is not raised
     here: it leaves non-finite entries for the caller to report as
     NonFiniteResult.
     """
-    out = np.zeros(x0.shape + times.shape, dtype=x0.dtype)
-    integral = np.zeros(times.size)
-    live = np.flatnonzero(np.any(x0 != 0.0, axis=1))
-    step = max(1, CHUNK_SAMPLES // max(times.size, 1))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for chunk in (live[lo : lo + step] for lo in range(0, live.size, step)):
-            z, vecs = np.linalg.eig(m[chunk])
-            # rows equilibrated first: u, v and theta differ in scale by
-            # powers of lam, which costs no accuracy; near-coincident roots do
-            rows = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-            good = np.linalg.cond(rows) <= EIGVEC_COND_LIMIT
-            out[chunk[good]] = _eig_trajectories(
-                z[good], vecs[good], x0[chunk[good]], times, q[chunk[good]], integral
-            )
-            for k in chunk[~good]:
-                out[k] = _stepwise_trajectory(m[k], x0[k], times, q[k], integral)
-    return out, integral
+
+    def __init__(self, m, x0, times, q):
+        self.x0, self.times, self.groups = x0, times, []
+        live = np.flatnonzero(np.any(x0 != 0.0, axis=1))
+        step = max(1, CHUNK_SAMPLES // max(times.size, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for chunk in (live[lo : lo + step] for lo in range(0, live.size, step)):
+                z, vecs = np.linalg.eig(m[chunk])
+                # rows equilibrated first: u, v and theta differ in scale by
+                # powers of lam, which costs no accuracy; near-coincident roots do
+                rows = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+                good = np.linalg.cond(rows) <= EIGVEC_COND_LIMIT
+                k = chunk[good]
+                eig = _EigenModes(z[good], vecs[good], x0[k], times, q[k])
+                stepwise = [(j, _StepwiseMode(m[j], x0[j], q[j])) for j in chunk[~good]]
+                self.groups.append((k, eig, stepwise))
+
+    def block(self, lo: int, hi: int, out: np.ndarray | None = None):
+        """States and running integral at samples lo:hi; the states go into
+        `out`, zeros of shape (modes, n, hi - lo), when it is given."""
+        t = self.times[lo:hi]
+        if out is None:
+            out = np.zeros(self.x0.shape + t.shape, dtype=self.x0.dtype)
+        integral = np.zeros(t.size)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for modes, eig, stepwise in self.groups:
+                out[modes] = eig.block(lo, hi, integral)
+                for j, mode in stepwise:
+                    out[j] = mode.advance(t, integral)
+        return out, integral
 
 
-def _eig_trajectories(z, vecs, x0, times, q, integral) -> np.ndarray:
-    """Eigenvector branch of `_mode_trajectory`; adds into `integral`.
+class _EigenModes:
+    """Eigenvector branch of `_ModeTrajectory`; `block` adds into `integral`.
 
     With x(t) = V term(t), term = coeff e^{z t}, g = V^H q V and
     s_ij = conj(z_i) + z_j, the integral of each mode is
@@ -262,53 +319,67 @@ def _eig_trajectories(z, vecs, x0, times, q, integral) -> np.ndarray:
     conj(coeff_i) coeff_j e^{s_ij t} = conj(term_i) term_j reuses the
     exponentials of the states.  That difference cancels while
     |s_ij t| < EXPM1_LIMIT, so there the entry is taken from expm1
-    instead.
+    instead; which entries and samples those are is settled on the whole
+    grid.
     """
-    coeff = np.linalg.solve(vecs, x0.astype(complex)[..., None])[..., 0]
-    term = np.exp(z[..., None] * times) * coeff[..., None]
-    term[coeff == 0.0] = 0.0  # inf * 0 must stay exactly zero
-    out = vecs @ term
-    if times.size and times[0] == 0.0:
-        out[..., 0] = x0  # keep the initial sample exact
-    if np.isrealobj(x0):
-        out = out.real
-    if not times.size:
+
+    def __init__(self, z, vecs, x0, times, q):
+        self.z, self.vecs, self.x0, self.times = z, vecs, x0, times
+        self.coeff = coeff = np.linalg.solve(vecs, x0.astype(complex)[..., None])[..., 0]
+        g = vecs.conj().swapaxes(-1, -2) @ q @ vecs
+        s = z.conj()[..., :, None] + z[..., None, :]
+        start = coeff.conj()[..., :, None] * coeff[..., None, :]
+        reach = EXPM1_LIMIT / np.abs(s)  # |s t| < EXPM1_LIMIT while t < reach
+        near = np.searchsorted(times, reach)  # leading samples within reach
+        whole = near == times.size  # entries that never leave their reach
+        self.h = h = np.where(whole, 0.0, g / s)
+        self.h_start = np.sum(coeff.conj() * (h @ coeff[..., None])[..., 0]).real
+
+        # g is Hermitian: entry (i, j) of the upper triangle stands for (j, i) too
+        twice = 2.0 - np.eye(z.shape[-1])
+        weight = g * start * twice
+        # entries that never leave their reach: from expm1 on every sample
+        mode, i, j = np.nonzero(np.triu(whole))
+        w, rate = weight[mode, i, j, None], s[mode, i, j, None]
+        real = rate[:, 0].imag == 0.0  # real expm1 is far cheaper than complex
+        self.growth = (w[real].real, rate[real].real), (w[~real], rate[~real])
+        # the others: from expm1 on the samples within reach, in place of
+        # their part in h (which adds nothing at t = 0)
+        self.first = np.searchsorted(times, 0.0, side="right")
+        mode, i, j = np.nonzero(np.triu(~whole & (near > self.first)))
+        self.near = (mode, i, j, near[mode, i, j], weight[mode, i, j], s[mode, i, j],
+                     twice[i, j] * h[mode, i, j], start[mode, i, j])
+
+    def block(self, lo, hi, integral) -> np.ndarray:
+        t = self.times[lo:hi]
+        term = np.exp(self.z[..., None] * t) * self.coeff[..., None]
+        term[self.coeff == 0.0] = 0.0  # inf * 0 must stay exactly zero
+        out = self.vecs @ term
+        if t[0] == 0.0:
+            out[..., 0] = self.x0  # keep the initial sample exact
+        if np.isrealobj(self.x0):
+            out = out.real
+
+        y = self.h @ term  # Re(conj(term) y) is the sum below, over modes and i
+        integral += np.einsum("mit,mit->t", term.real, y.real)
+        integral += np.einsum("mit,mit->t", term.imag, y.imag)
+        integral -= self.h_start
+        (w, rate), (cw, crate) = self.growth
+        integral += np.sum(w * _growth(rate, t), axis=0)
+        integral += np.sum(cw * _growth(crate, t), axis=0).real
+
+        # near entries, on their samples within reach that fall in lo:hi
+        mode, i, j, stop, weight, s, scale, start = self.near
+        begin = max(self.first, lo)
+        counts = np.maximum(np.minimum(stop, hi) - begin, 0)
+        entry = np.repeat(np.arange(mode.size), counts)
+        sample = begin + np.arange(entry.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        col = sample - lo
+        mode, i, j = mode[entry], i[entry], j[entry]
+        exact = weight[entry] * _growth(s[entry], self.times[sample])
+        direct = scale[entry] * (term[mode, i, col].conj() * term[mode, j, col] - start[entry])
+        integral += np.bincount(col, (exact - direct).real, minlength=t.size)
         return out
-
-    g = vecs.conj().swapaxes(-1, -2) @ q @ vecs
-    s = z.conj()[..., :, None] + z[..., None, :]
-    start = coeff.conj()[..., :, None] * coeff[..., None, :]
-    reach = EXPM1_LIMIT / np.abs(s)  # |s t| < EXPM1_LIMIT while t < reach
-    near = np.searchsorted(times, reach)  # leading samples within reach
-    whole = near == times.size  # entries that never leave their reach
-    h = np.where(whole, 0.0, g / s)
-    y = h @ term  # Re(conj(term) y) is the sum below, over modes and i
-    integral += np.einsum("mit,mit->t", term.real, y.real)
-    integral += np.einsum("mit,mit->t", term.imag, y.imag)
-    integral -= np.sum(coeff.conj() * (h @ coeff[..., None])[..., 0]).real
-
-    # g is Hermitian: entry (i, j) of the upper triangle stands for (j, i) too
-    twice = 2.0 - np.eye(z.shape[-1])
-    weight = g * start * twice
-    # entries that never leave their reach: from expm1 on every sample
-    mode, i, j = np.nonzero(np.triu(whole))
-    w, rate = weight[mode, i, j, None], s[mode, i, j, None]
-    real = rate[:, 0].imag == 0.0  # real expm1 is far cheaper than complex
-    integral += np.sum(w[real].real * _growth(rate[real].real, times), axis=0)
-    integral += np.sum(w[~real] * _growth(rate[~real], times), axis=0).real
-    # the others: from expm1 on the samples within reach, in place of
-    # their part in h (which adds nothing at t = 0)
-    first = np.searchsorted(times, 0.0, side="right")
-    mode, i, j = np.nonzero(np.triu(~whole & (near > first)))
-    counts = near[mode, i, j] - first
-    entry = np.repeat(np.arange(mode.size), counts)
-    sample = first + np.arange(entry.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    mode, i, j = mode[entry], i[entry], j[entry]
-    exact = weight[mode, i, j] * _growth(s[mode, i, j], times[sample])
-    pairs = term[mode, i, sample].conj() * term[mode, j, sample]
-    direct = twice[i, j] * h[mode, i, j] * (pairs - start[mode, i, j])
-    integral += np.bincount(sample, (exact - direct).real, minlength=times.size)
-    return out
 
 
 def _growth(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -317,36 +388,109 @@ def _growth(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(st == 0.0, t, np.expm1(st) / s)
 
 
-def _stepwise_trajectory(m, x0, times, q, integral) -> np.ndarray:
-    """Fallback branch of `_mode_trajectory` for one mode; adds into
-    `integral`.
+class _StepwiseMode:
+    """Fallback branch of `_ModeTrajectory` for one mode; `advance` adds
+    into `integral`.
 
     Stepwise Pade exponentials of Van Loan's block [[-M^H, q], [0, M]] dt,
     whose blocks give exp(M dt) and int_0^dt exp(M^H s) q exp(M s) ds
-    (Van Loan 1978); one expm per distinct step, imported only here.
+    (Van Loan 1978); one expm per distinct step, imported only here.  The
+    state and its running integral carry from one block to the next.
     """
-    import scipy.linalg
 
-    n = m.shape[0]
-    block = np.block([[-m.T, q], [np.zeros_like(m), m]])
-    out = np.empty((n, times.size), dtype=complex)
-    propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    x = x0.astype(complex)
-    running = 0.0
-    prev = 0.0
-    for k, t in enumerate(times):
-        dt = t - prev
-        if dt != 0.0:
-            if dt not in propagators:
-                e = scipy.linalg.expm(block * dt)
-                propagators[dt] = (e[n:, n:], e[n:, n:].T @ e[:n, n:])
-            step, gram = propagators[dt]
-            running += (x.conj() @ gram @ x).real
-            x = step @ x
-        out[:, k] = x
-        integral[k] += running
-        prev = t
-    return out.real if np.isrealobj(x0) else out
+    def __init__(self, m, x0, q):
+        self.block = np.block([[-m.T, q], [np.zeros_like(m), m]])
+        self.real, self.x = np.isrealobj(x0), x0.astype(complex)
+        self.propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.running = self.prev = 0.0
+
+    def advance(self, times, integral) -> np.ndarray:
+        import scipy.linalg
+
+        n = self.x.size
+        out = np.empty((n, times.size), dtype=complex)
+        for k, t in enumerate(times):
+            dt = t - self.prev
+            if dt != 0.0:
+                if dt not in self.propagators:
+                    e = scipy.linalg.expm(self.block * dt)
+                    self.propagators[dt] = (e[n:, n:], e[n:, n:].T @ e[:n, n:])
+                step, gram = self.propagators[dt]
+                self.running += (self.x.conj() @ gram @ self.x).real
+                self.x = step @ self.x
+            out[:, k] = self.x
+            integral[k] += self.running
+            self.prev = t
+        return out.real if self.real else out
+
+
+class Evolution:
+    """The exact trajectory of `initial` at `times`, evaluated one time
+    block at a time.
+
+    `times` must start at 0 and increase strictly.  Per-mode evolution is
+    independent (data-parallel by contract).  Each pass over `blocks`
+    runs the kernel's per-mode setup once; a block holds the states of its
+    own samples, their energy columns, and int_0^t D ds from the kernel in
+    closed form.  Overflow, of the states or of their energy, raises
+    NonFiniteResult tagged with the first offending time.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        initial: SpectralState,
+        times: Sequence[float],
+        direction: Direction = Direction.FORWARD,
+    ):
+        times = np.array(times, dtype=float)
+        if times.size and times[0] != 0.0:
+            raise ValueError("times must start at 0")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("times must increase strictly")
+        self.params, self.initial, self.t, self.direction = params, initial, times, direction
+        self.modes = initial.modes
+        self.time_blocks = time_blocks(len(self.modes), times.size)
+
+    def blocks(self, into: np.ndarray | None = None) -> Iterator[tuple[int, Trajectory]]:
+        """(lo, trajectory of samples lo:hi) in time order; given `into`,
+        zeros of shape (modes, 3, samples), the states go into its slices."""
+        params, lams = self.params, self.modes.lam
+        q = np.zeros((lams.size, 3, 3))
+        q[:, 2, 2] = params.heat_weight(lams)  # D_n = w_n theta_n^2
+        blocks = mode_blocks(params, lams, self.direction)
+        kernel = _ModeTrajectory(blocks, self.initial.x, self.t, q)
+        for lo, hi in self.time_blocks:
+            yield lo, self._block(kernel, lo, hi, None if into is None else into[..., lo:hi])
+
+    def _block(self, kernel, lo, hi, out) -> Trajectory:
+        x, integral = kernel.block(lo, hi, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            columns = _energy_columns(self.params, self.modes.lam, x)
+            kinetic, bending, thermal, _, dissipation = columns
+            finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
+        if not np.all(finite):
+            t_bad = float(self.t[lo + int(np.argmin(finite))])
+            raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
+        return Trajectory(self.t[lo:hi], *columns, integral, self.initial.domain, self.modes, x)
+
+    def trajectory(self, states: bool = True) -> Trajectory | EnergyHistory:
+        """The whole trajectory; with states=False only its energy columns,
+        and no state outlives its block."""
+        shape = self.initial.x.shape + self.t.shape
+        x = np.zeros(shape, self.initial.x.dtype) if states else None
+        columns = {name: np.empty(self.t.size) for name in _COLUMNS}
+
+        def store(item: tuple[int, Trajectory]) -> None:
+            lo, block = item
+            for name, column in columns.items():
+                column[lo : lo + block.t.size] = getattr(block, name)
+
+        for _ in map(store, self.blocks(x)):  # no block outlives its turn
+            pass
+        if not states:
+            return EnergyHistory(self.t, **columns)
+        return Trajectory(self.t, **columns, domain=self.initial.domain, modes=self.modes, x=x)
 
 
 def evolve(
@@ -355,46 +499,9 @@ def evolve(
     times: Sequence[float],
     direction: Direction = Direction.FORWARD,
 ) -> Trajectory:
-    """Exact trajectory of the truncated system at the requested times.
-
-    `times` must start at 0 and increase strictly.  Per-mode evolution is
-    independent (data-parallel by contract); the energy breakdown is
-    computed vectorized over the whole trajectory, and int_0^t D ds comes
-    from the kernel in closed form.  Overflow, of the states or of their
-    energy, raises NonFiniteResult tagged with the first offending time.
-    """
-    times = np.array(times, dtype=float)
-    if times.size and times[0] != 0.0:
-        raise ValueError("times must start at 0")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must increase strictly")
-
-    lams = initial.modes.lam
-    blocks = mode_blocks(params, lams, direction)
-    x0 = initial.x
-    q = np.zeros((lams.size, 3, 3))
-    q[:, 2, 2] = params.heat_weight(lams)  # D_n = w_n theta_n^2
-    # (modes, component, time)
-    x, dissipation_integral = _mode_trajectory(blocks, x0, times, q)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        kinetic, bending, thermal, total, dissipation = _energy_columns(params, lams, x)
-        finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
-    if not np.all(finite):
-        t_bad = float(times[int(np.argmin(finite))])
-        raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
-    return Trajectory(
-        domain=initial.domain,
-        modes=initial.modes,
-        t=times,
-        x=x,
-        kinetic=kinetic,
-        bending=bending,
-        thermal=thermal,
-        total=total,
-        dissipation=dissipation,
-        dissipation_integral=dissipation_integral,
-    )
+    """Exact trajectory of the truncated system at the requested times,
+    held whole (see `Evolution`)."""
+    return Evolution(params, initial, times, direction).trajectory()
 
 
 @dataclass(frozen=True)
@@ -415,12 +522,12 @@ class EnergyBalanceReport:
 
 
 def energy_balance_report(
-    trajectory: Trajectory,
+    history: EnergyHistory,
     direction: Direction = Direction.FORWARD,
 ) -> EnergyBalanceReport:
-    if trajectory.t.size < 2:
+    if history.t.size < 2:
         raise InsufficientSamples("energy balance needs at least 2 samples")
-    e, integral = trajectory.total, trajectory.dissipation_integral
+    e, integral = history.total, history.dissipation_integral
     sign = 1.0 if direction is Direction.FORWARD else -1.0
     e0 = e[0]
     denom = max(abs(e0), ENERGY_FLOOR)

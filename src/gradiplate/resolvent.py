@@ -25,9 +25,10 @@ entries.  Each Gram block is scaled by a power of two near its largest
 entry, and its top eigenvalue comes from cyclic complex Jacobi sweeps run
 until every off-diagonal entry is below roundoff; Jacobi keeps that
 eigenvalue accurate where the top two coincide, which a closed-form cubic
-does not.  Blocks go through the kernel BLOCK_BUDGET at a time, so the
-working set is fixed whatever the grid, and every operation is elementwise,
-so a block's norm has the same bits whichever pass holds it.
+does not.  Blocks go through the kernel BLOCK_BUDGET at a time, and so do
+the kept blocks of successive passes through Jacobi, so the working set is
+fixed whatever the grid; every operation is elementwise, so a block's norm
+has the same bits whichever pass or Jacobi call holds it.
 
 A scan keeps one number per omega, the sup over modes, and at a given omega
 only the few modes near resonance can reach it.  The Gram matrix is
@@ -216,10 +217,11 @@ def _abs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _norm_pass(params: ModelParams, lams, omegas) -> np.ndarray:
-    """Sup over `lams` (M,) of the weighted block norms, for each row of
-    `omegas` (W, 1).  Only the blocks whose bounds reach their row's bar
-    go through Jacobi."""
+def _kept_blocks(params: ModelParams, lams, omegas) -> tuple[np.ndarray, ...]:
+    """The blocks of `lams` (M,) x `omegas` (W, 1) whose norm bounds reach
+    their row's bar, as flat arrays: the row of each, its Gram diagonal and
+    off-diagonal entries, |det|^2 and the scale exponent of its norm.
+    Only these go through Jacobi."""
     k = math.sqrt(params.c / params.rho) * lams
     g = abs(params.eta) / math.sqrt(params.rho * params.a) * lams
     h = params.heat_weight(lams) / params.a
@@ -264,24 +266,37 @@ def _norm_pass(params: ModelParams, lams, omegas) -> np.ndarray:
     g01 = (k * h * g2, -2.0 * (k * w) * (w2 + h2))
     g02 = (-(k * g) * (shift - 2.0 * w2), 2.0 * (k * g) * (w * h))
     g12 = (-(g * h) * (k2 + w2), 2.0 * (g * w) * w2)
-    off = [np.ldexp(x, -gram_exp) for x in (*g01, *g02, *g12)]
-    top = _gram_top(d0[keep], d1[keep], d2[keep], tuple(off[:2]), tuple(off[2:4]), tuple(off[4:]))
-    norms = np.zeros(keep.shape)
-    norms[keep] = np.ldexp(np.sqrt(top / det2[keep]), scale[keep])
-    return np.max(norms, axis=1)
+    off = (np.ldexp(x, -gram_exp) for x in (*g01, *g02, *g12))
+    kept = (d0[keep], d1[keep], d2[keep], *off, det2[keep], scale[keep])
+    return (np.nonzero(keep)[0], *kept)
 
 
 def _sup_norms(params: ModelParams, lams, omegas) -> np.ndarray:
     """Sup over `lams` of ||W^(1/2) (i omega - M_lam)^(-1) W^(-1/2)||, for
-    each omega, computed in passes of at most BLOCK_BUDGET blocks (or one
-    omega's worth, if more)."""
+    each omega.  The bounds run in passes of at most BLOCK_BUDGET blocks
+    (or one omega's worth, if more); the kept blocks of successive passes
+    gather until they reach BLOCK_BUDGET, and then go through one Jacobi
+    call."""
     lams = np.asarray(lams, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
-    sups = np.empty(omegas.size)
+    sups = np.zeros(omegas.size)
+    pending: list[tuple[np.ndarray, ...]] = []
+
+    def sweep() -> None:
+        row, d0, d1, d2, *off, det2, scale = (np.concatenate(x) for x in zip(*pending))
+        top = _gram_top(d0, d1, d2, tuple(off[:2]), tuple(off[2:4]), tuple(off[4:]))
+        # a pruned block's norm is below its row's sup, and above 0
+        np.maximum.at(sups, row, np.ldexp(np.sqrt(top / det2), scale))
+        pending.clear()
+
     rows = max(1, BLOCK_BUDGET // lams.size)
     for start in range(0, omegas.size, rows):
-        stop = start + rows
-        sups[start:stop] = _norm_pass(params, lams, omegas[start:stop, None])
+        row, *kept = _kept_blocks(params, lams, omegas[start : start + rows, None])
+        pending.append((start + row, *kept))
+        if sum(x[0].size for x in pending) >= BLOCK_BUDGET:
+            sweep()
+    if pending:
+        sweep()
     if not np.all(np.isfinite(sups)):
         omega = float(omegas[np.argmin(np.isfinite(sups))])
         raise SingularSystem(f"resolvent norm overflows at omega={omega!r}")

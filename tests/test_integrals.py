@@ -132,9 +132,9 @@ class TestIdentityIsNotVacuous:
         assert self.residual(unit_params, pi_interval) <= 1e-13
 
     def test_dissipation_weight_one_percent_off_fails(self, unit_params, pi_interval, monkeypatch):
-        kernel = propagator._mode_trajectory
+        kernel = propagator._ModeTrajectory
         monkeypatch.setattr(
-            propagator, "_mode_trajectory", lambda m, x0, t, q: kernel(m, x0, t, 1.01 * q)
+            propagator, "_ModeTrajectory", lambda m, x0, t, q: kernel(m, x0, t, 1.01 * q)
         )
         assert self.residual(unit_params, pi_interval) > 1e-8
 
