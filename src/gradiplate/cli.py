@@ -5,9 +5,10 @@ Usage:
     gradiplate <subcommand> --config <path> [--out <dir>] [--params k=v ...]
 
 Subcommands: simulate, resolvent-scan, nondiff, spectrum, backward,
-instability, quasistatic.  Each run writes `<subcommand>.csv` (fixed header
-row, 17-significant-digit scientific notation, '.') plus `manifest.txt`
-with the config echo, per-check pass/fail lines, measured values, the
+instability, quasistatic.  Each run writes `<subcommand>.csv`
+(`resolvent_scan.csv` for resolvent-scan; fixed header row,
+17-significant-digit scientific notation, '.') plus `manifest.txt` with
+the config echo, per-check pass/fail lines, measured values, the
 time of each phase (parse, handler, write) and the peak RSS.  CSV bytes
 are identical across runs of the same config; the manifest's timing and
 peak RSS lines are the only nondeterministic output.
@@ -17,8 +18,8 @@ Exit codes: 0 success, 2 configuration error, 3 invariant-check failure,
 the check and overflow failure paths too; a configuration error, found by
 the parser or by a handler, writes no output.
 
-Every energy value a handler reports along a trajectory (E, D, L1, L2)
-is read off the trajectory's energy columns, so one run never sums the
+Every energy value a handler reports along a trajectory (E, D, L1, L2,
+F'') is read off the trajectory's energy columns, so one run never sums the
 energy quadratic form twice per sample.  `instability` sums it once more,
 for the initial state alone: its E(0) decides the theorem's hypotheses
 before anything is evolved.
@@ -51,7 +52,7 @@ from .model import Direction, Regime
 # each handler imports the modules it runs when it runs, so a process loads
 # only the modules of its own subcommand
 if TYPE_CHECKING:
-    from .propagator import EnergyBalanceReport, EnergyHistory, Evolution
+    from .propagator import EnergyBalanceReport, EnergyHistory, SpectralState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,12 +101,14 @@ def _identity_scale(report: EnergyBalanceReport, history: EnergyHistory) -> floa
     return max(report.denominator, float(np.max(history.energy_norm)))
 
 
-def _evolution_sizes(evolution: Evolution) -> dict[str, int]:
+def _evolution_sizes(initial: SpectralState, times: np.ndarray) -> dict[str, int]:
+    from .propagator import time_blocks
+
     return {
-        "modes": len(evolution.modes),
-        "live_modes": int(np.count_nonzero(np.any(evolution.initial.x != 0.0, axis=1))),
-        "samples": evolution.t.size,
-        "time_blocks": len(evolution.time_blocks),
+        "modes": len(initial.modes),
+        "live_modes": int(np.count_nonzero(np.any(initial.x != 0.0, axis=1))),
+        "samples": times.size,
+        "time_blocks": len(time_blocks(len(initial.modes), times.size)),
     }
 
 
@@ -147,7 +150,7 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
             "max_residual_vs_scale": residual_scaled,
         },
         notes={},
-        sizes=_evolution_sizes(evolution),
+        sizes=_evolution_sizes(evolution.initial, evolution.t),
     )
 
 
@@ -343,14 +346,13 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
 
 def _run_instability(cfg: RunConfig) -> RunOutput:
     from .functionals import (
-        FDDOT_E0_COEFFICIENT,
         WEIGHT_CONVENTION,
         choose_weight_shift,
         convexity_residual_check,
         convexity_trajectory,
         instability_lower_bound,
     )
-    from .propagator import Evolution, energy_of
+    from .propagator import energy_of
 
     initial = cfg.initial_state()
     # the energy column's first entry, to the bit
@@ -366,8 +368,7 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
         t0 = cfg.t0
         if t0 == "auto":
             t0 = choose_weight_shift(cfg.params, initial, omega_const)
-        evolution = Evolution(cfg.params, initial, times, Direction.FORWARD)
-        states = convexity_trajectory(cfg.params, evolution, omega_const, t0)
+        states = convexity_trajectory(cfg.params, initial, times, omega_const, t0)
         convexity = convexity_residual_check(states, e0)
         bound = instability_lower_bound(states, e0, growth_window=window)
     except PreconditionUnmet as exc:
@@ -378,7 +379,7 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
 
     checks = [
         Check("convexity_inequality", convexity.passed, convexity.min_residual, -convexity.tolerance),
-        Check("exponential_lower_bound", bound.holds, bound.min_margin, 0.0),
+        Check("exponential_lower_bound", bound.holds, bound.min_margin, -bound.tolerance),
     ]
     columns = [
         states.t,
@@ -402,11 +403,8 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
             "growth_rate": bound.growth_rate,
             "bound_exponent": bound.bound_exponent,
         },
-        notes={
-            "weight_convention": WEIGHT_CONVENTION,
-            "fddot_e0_coefficient": str(FDDOT_E0_COEFFICIENT),
-        },
-        sizes=_evolution_sizes(evolution),
+        notes={"weight_convention": WEIGHT_CONVENTION},
+        sizes=_evolution_sizes(initial, times),
     )
 
 

@@ -18,7 +18,7 @@ energy columns (see `propagator`), as is the dissipation sum.
 Convexity / instability (negative elasticity).  With Phi solving
 
     b Lap Phi - d Lap^2 Phi = a theta(0) + eta Lap u(0)
-    (per mode: Phi_n = -(a theta_n(0) - eta lam_n u_n(0)) / w_n)
+    (per mode: w_n Phi_n = eta lam_n u_n(0) - a theta_n(0))
 
 and Psi = Phi + int_0^t theta ds, the functional
 
@@ -27,9 +27,10 @@ and Psi = Phi + int_0^t theta ds, the functional
 has the closed derivatives
 
     F'(t)  = 2 rho sum u_n v_n + sum w_n Psi_n^2 + 2 omega (t+t0)
-    F''(t) = 4 sum rho v_n^2 + 4 int_0^t D ds - 4 E(0) + 2 omega
+    F''(t) = 2 rho sum v_n^2 - 2 c sum lam_n^2 u_n^2 - 2 a sum theta_n^2 + 2 omega
+           = 4 (kinetic - bending - thermal) + 2 omega
 
-(the second uses the energy identity), and the Schwarz inequality yields
+and the Schwarz inequality yields
 
     F'' F - (F' - nu)^2 >= -2 (omega + E(0)) F,   nu = sum w_n Phi_n^2,
 
@@ -39,17 +40,17 @@ that F'(0) > 2 nu gives the pointwise exponential lower bound
     F(t) >= (F'(0) F(0) / (F'(0) - 2 nu)) exp(((F'(0) - 2 nu)/F(0)) t)
             - 2 nu F(0) / (F'(0) - 2 nu).
 
-Conventions worth noting: the time weight is implemented as
-omega*(t+t0)^2, the form consistent with the derivatives 2*omega*(t+t0)
-and 2*omega used throughout, and E(0) enters F'' with coefficient 4 - the
-value the derivatives of F actually have (verified by finite differences
-in the test suite); see FDDOT_E0_COEFFICIENT.  Because Psi(0) = Phi, the
-shift condition F'(0) > 2 nu reduces to a closed form and t0 never needs a
-numerical search (choose_weight_shift).  The terms 4 rho sum v_n^2 and
-E(0) of F'' come from the same energy columns, and int_0^t D ds is the
-trajectory's exact dissipation integral.  Psi_n and int_0^t w_n Psi_n^2 ds
-come from the per-mode exponential kernel as well, in closed form; no time
-integral is taken by quadrature.
+Psi is a function of the state: the heat equation integrated once gives
+w_n Psi_n(t) = eta lam_n u_n(t) - a theta_n(t), the problem of Phi with
+the data at time t.  So F' sums that square over w_n, F'' follows from the
+plate row (by the energy identity it equals
+4 sum rho v_n^2 + 4 int_0^t D ds - 4 E(0) + 2 omega), and
+int_0^t sum w_n Psi_n^2 ds is the running integral of a quadratic form of
+the state, which the per-mode exponential kernel gives in closed form; no
+time integral is taken by quadrature.  The time weight omega*(t+t0)^2 is
+the form consistent with the derivatives 2*omega*(t+t0) and 2*omega.
+Because Psi(0) = Phi, the shift condition F'(0) > 2 nu reduces to a
+closed form and t0 never needs a numerical search (choose_weight_shift).
 """
 
 from __future__ import annotations
@@ -60,15 +61,15 @@ import numpy as np
 
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
 from .model import Direction, ModelParams, mode_blocks
-from .propagator import Evolution, SpectralState, Trajectory, _ModeTrajectory, energy_of
-
-# coefficient of E(0) in the closed form of F''; the Schwarz argument needs
-# only F'' >= 4K + 4*int(D) - 4E(0) + 2*omega, which holds with equality
-FDDOT_E0_COEFFICIENT = 4.0
+from .propagator import (
+    SpectralState, Trajectory, _checked_block, _checked_times, _ModeTrajectory, energy_of, time_blocks,
+)
 
 WEIGHT_CONVENTION = "omega*(t+t0)^2"
 
 CONVEXITY_TOLERANCE_FACTOR = 1e-8
+# F - bound may fall below 0 by this fraction of the largest bound
+LOWER_BOUND_TOLERANCE_FACTOR = 1e-12
 
 
 def _require_real(x: np.ndarray) -> None:
@@ -294,69 +295,53 @@ class ConvexityTrajectory:
 
 def convexity_trajectory(
     params: ModelParams,
-    trajectory: Trajectory | Evolution,
+    initial: SpectralState,
+    times,
     omega_const: float,
     t0: float,
 ) -> ConvexityTrajectory:
-    """Evaluate F, F', F'' along a forward trajectory, block by block.
-
-    The running integrals are exact: int_0^t D ds is the trajectory's
-    `dissipation_integral`, and Psi_n = Phi_n + int_0^t theta_n ds with
-    int_0^t w_n Psi_n^2 ds come from the per-mode exponential kernel run on
-    the block [[M_n, 0], [e_theta^T, 0]] from (u_n, v_n, theta_n, Phi_n),
-    over the same time blocks as the trajectory's.  Given an `Evolution`,
-    no state outlives its block.  F' and F'' come from the closed forms,
-    not finite differences.  Intended for the negative-elasticity regime
-    but runs in any regime as a diagnostic.
+    """F, F', F'' of the forward trajectory of `initial` at `times` (as for
+    `Evolution`), in one pass of the per-mode exponential kernel, one time
+    block at a time.  Its weight is q_n = r_n r_n^T / w_n, r_n =
+    (eta lam_n, 0, -a): w_n Psi_n = r_n . x_n, so its running integral is
+    int_0^t sum w_n Psi_n^2 ds.  F' and F'' are the closed forms of the
+    module docstring.  Overflow of the states raises NonFiniteResult.
+    Intended for negative elasticity but runs in any regime.
     """
     if omega_const < 0 or t0 < 0:
         raise ValueError("omega_const and t0 must be nonnegative")
-
-    t, lams = trajectory.t, trajectory.modes.lam
-    blocks = trajectory.blocks()
-    first = next(blocks)
-    _require_real(first[1].x)
-    x0 = first[1].x[:, :, 0].copy()
-    e0 = first[1].total[0]
-    w = params.heat_weight(lams)
+    t, lams, x0 = _checked_times(times), initial.modes.lam, initial.x
+    _require_real(x0)
     sol = _phi_solution(params, lams, x0[:, 0], x0[:, 2])
+    w = params.heat_weight(lams)
+    r = np.zeros((lams.size, 3))
+    r[:, 0], r[:, 2] = params.eta * lams, -params.a
+    q = r[:, :, None] * r[:, None, :] / w[:, None, None]
+    kernel = _ModeTrajectory(mode_blocks(params, lams), x0, t, q)
 
-    matrices = np.zeros((lams.size, 4, 4))
-    matrices[:, :3, :3] = mode_blocks(params, lams)
-    matrices[:, 3, 2] = 1.0  # Psi_n' = theta_n
-    q = np.zeros((lams.size, 4, 4))
-    q[:, 3, 3] = w
-    augmented = _ModeTrajectory(matrices, np.concatenate([x0, sol.phi[:, None]], axis=1), t, q)
-
+    blocks = time_blocks(lams.size, t.size)
+    # dead modes are never written, so they stay exactly 0 in every block
+    buffer = np.zeros(x0.shape + (max((hi - lo for lo, hi in blocks), default=0),))
     f, fdot, fddot = (np.empty(t.size) for _ in range(3))
 
-    def fill(item: tuple[int, Trajectory]) -> None:
-        lo, block = item
-        hi = lo + block.t.size
-        states, q_int = augmented.block(lo, hi)
-        # sum_n w_n Psi_n^2 (q_int is its integral), summed over modes in order
-        # as u^2 and u v are: a BLAS product's bits follow how it splits the
-        # samples among its threads
-        s_now = np.sum(w[:, None] * states[:, 3] ** 2, axis=0)
-        u, v = block.x[:, 0, :], block.x[:, 1, :]
-        shifted = block.t + t0
+    def fill(lo: int, hi: int) -> None:  # no temporary outlives its block
+        x, columns, q_int = _checked_block(params, lams, t, kernel, lo, hi, buffer[..., : hi - lo])
+        kinetic, bending, thermal = columns[:3]
+        u, v = x[:, 0], x[:, 1]
+        w_psi = r[:, :1] * u + r[:, 2:] * x[:, 2]
+        shifted = t[lo:hi] + t0
+        # mode sums over axis 0, not BLAS products: a product's bits follow
+        # how it splits the samples among its threads
         f[lo:hi] = params.rho * np.sum(u**2, axis=0) + q_int + omega_const * shifted**2
         fdot[lo:hi] = (
             2.0 * params.rho * np.sum(u * v, axis=0)
-            + s_now
+            + np.sum(w_psi**2 / w[:, None], axis=0)
             + 2.0 * omega_const * shifted
         )
-        fddot[lo:hi] = (
-            8.0 * block.kinetic  # 4 rho sum v_n^2
-            + 4.0 * block.dissipation_integral
-            - FDDOT_E0_COEFFICIENT * e0
-            + 2.0 * omega_const
-        )
+        fddot[lo:hi] = 4.0 * (kinetic - bending - thermal) + 2.0 * omega_const
 
-    fill(first)
-    del first
-    for _ in map(fill, blocks):  # no block outlives its turn
-        pass
+    for lo, hi in blocks:
+        fill(lo, hi)
     return ConvexityTrajectory(t, f, fdot, fddot, sol.nu, omega_const, t0, sol.phi)
 
 
@@ -401,11 +386,13 @@ def convexity_residual_check(states: ConvexityTrajectory, e0: float) -> Convexit
 class InstabilityReport:
     """Pointwise check of the exponential lower bound on F.
 
-    lower_bound holds C exp(m t) - B at every sample time.
+    lower_bound holds C exp(m t) - B at every sample time; the bound holds
+    when min_margin, the least F - lower_bound, is at least -tolerance.
     """
 
     holds: bool
     min_margin: float
+    tolerance: float
     bound_exponent: float
     bound_coefficient: float
     bound_offset: float
@@ -442,10 +429,11 @@ def instability_lower_bound(
     coeff = fdot0 * f0 / (fdot0 - 2.0 * nu)
     offset = 2.0 * nu * f0 / (fdot0 - 2.0 * nu)
     t, f = states.t, states.f
-    bound = coeff * np.exp(m * t) - offset
-    margin = f - bound
-    min_margin = float(np.min(margin / np.maximum(np.abs(bound), 1.0)))
-    holds = bool(np.min(margin) >= -1e-12 * np.max(np.abs(bound)))
+    # C - B = F(0): C e^{mt} - B = F(0) e^{mt} + B (e^{mt} - 1), which does
+    # not cancel when C and B are both far larger than F(0)
+    bound = f0 * np.exp(m * t) + offset * np.expm1(m * t)
+    min_margin = float(np.min(f - bound))
+    tolerance = LOWER_BOUND_TOLERANCE_FACTOR * float(np.max(np.abs(bound)))
 
     if growth_window is None:
         growth_window = (float(min(t[0] + 0.75 * (t[-1] - t[0]), t[-2])), float(t[-1]))
@@ -455,8 +443,9 @@ def instability_lower_bound(
         raise InsufficientSamples("growth window contains fewer than 2 samples")
     slope = np.polyfit(t[mask], np.log(f[mask]), 1)[0]
     return InstabilityReport(
-        holds=holds,
+        holds=min_margin >= -tolerance,
         min_margin=min_margin,
+        tolerance=tolerance,
         bound_exponent=float(m),
         bound_coefficient=float(coeff),
         bound_offset=float(offset),

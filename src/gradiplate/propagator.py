@@ -221,10 +221,6 @@ class Trajectory(EnergyHistory):
     modes: Modes
     x: np.ndarray
 
-    def blocks(self) -> Iterator[tuple[int, Trajectory]]:
-        """A held trajectory is a single block, from sample 0."""
-        yield 0, self
-
 
 def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     """The (lo, hi) sample ranges of the time blocks of a grid.
@@ -424,6 +420,31 @@ class _StepwiseMode:
         return out.real if self.real else out
 
 
+def _checked_times(times: Sequence[float]) -> np.ndarray:
+    """`times` as a float array; they must start at 0 and increase strictly."""
+    times = np.array(times, dtype=float)
+    if times.size and times[0] != 0.0:
+        raise ValueError("times must start at 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must increase strictly")
+    return times
+
+
+def _checked_block(params, lams, times, kernel, lo, hi, out):
+    """States, energy columns and running integral of `kernel` at samples
+    lo:hi.  Overflow, of the states or of their energy, raises
+    NonFiniteResult tagged with the first offending time."""
+    x, integral = kernel.block(lo, hi, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _energy_columns(params, lams, x)
+        kinetic, bending, thermal, _, dissipation = columns
+        finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
+    if not np.all(finite):
+        t_bad = float(times[lo + int(np.argmin(finite))])
+        raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
+    return x, columns, integral
+
+
 class Evolution:
     """The exact trajectory of `initial` at `times`, evaluated one time
     block at a time.
@@ -443,12 +464,8 @@ class Evolution:
         times: Sequence[float],
         direction: Direction = Direction.FORWARD,
     ):
-        times = np.array(times, dtype=float)
-        if times.size and times[0] != 0.0:
-            raise ValueError("times must start at 0")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must increase strictly")
-        self.params, self.initial, self.t, self.direction = params, initial, times, direction
+        self.params, self.initial, self.direction = params, initial, direction
+        self.t = times = _checked_times(times)
         self.modes = initial.modes
         self.time_blocks = time_blocks(len(self.modes), times.size)
 
@@ -464,14 +481,7 @@ class Evolution:
             yield lo, self._block(kernel, lo, hi, None if into is None else into[..., lo:hi])
 
     def _block(self, kernel, lo, hi, out) -> Trajectory:
-        x, integral = kernel.block(lo, hi, out)
-        with np.errstate(over="ignore", invalid="ignore"):
-            columns = _energy_columns(self.params, self.modes.lam, x)
-            kinetic, bending, thermal, _, dissipation = columns
-            finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
-        if not np.all(finite):
-            t_bad = float(self.t[lo + int(np.argmin(finite))])
-            raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
+        x, columns, integral = _checked_block(self.params, self.modes.lam, self.t, kernel, lo, hi, out)
         return Trajectory(self.t[lo:hi], *columns, integral, self.initial.domain, self.modes, x)
 
     def trajectory(self, states: bool = True) -> Trajectory | EnergyHistory:

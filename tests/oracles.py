@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: trajectories
 and their running time integrals come from adaptive Runge-Kutta
-integration, eigenvalues from the companion matrix, roots from bisection,
+integration or from mpmath eigendecompositions summed as exponentials,
+eigenvalues from the companion matrix, roots from bisection,
 the generator blocks from a finite-difference discretization of the
 underlying PDE on one eigenfunction, resolvent norms from LAPACK's
 inverse and singular values, and CSV text from Python's own %-formatting,
@@ -59,6 +60,64 @@ def rk_mode_integrals(
     )
     assert sol.success, sol.message
     return sol.y[3], sol.y[4], sol.y[5]
+
+
+def mp_convexity_functional(params, lams, x0, times, omega, t0, digits=50):
+    """F and F' of the convexity functional at `times`, in mpmath at
+    `digits` significant digits from the exact values of the float inputs.
+
+    Each mode's block M = V diag(z) V^-1 comes from `mpmath.eig`, so
+    x(t) = V diag(e^{z t}) V^-1 x0.  Psi = Phi + int_0^t theta ds is
+    integrated term by term as a sum of exponentials, Psi = alpha +
+    sum_k beta_k e^{z_k t}, and int_0^t w Psi^2 ds as one over products
+    of those terms; Phi is the elliptic solution at t = 0 only.  Returns
+    float arrays (F, F').
+    """
+    import mpmath
+
+    def growth(s, t):  # int_0^t e^{s r} dr
+        return t if s == 0 else mpmath.expm1(s * t) / s
+
+    with mpmath.workdps(digits):
+        rho, a, b, c, d, eta, omega, t0 = (
+            mpmath.mpf(x) for x in (
+                params.rho, params.a, params.b, params.c, params.d, params.eta, omega, t0,
+            )
+        )
+        ts = [mpmath.mpf(float(t)) for t in times]
+        f = [omega * (t + t0) ** 2 for t in ts]
+        fdot = [2 * omega * (t + t0) for t in ts]
+        for lam, x in zip(lams, x0):
+            lam = mpmath.mpf(float(lam))
+            u0, v0, th0 = (mpmath.mpf(float(v)) for v in x)
+            w = b * lam + d * lam**2
+            m = mpmath.matrix([
+                [0, 1, 0],
+                [-c / rho * lam**2, 0, -eta / rho * lam],
+                [0, eta / a * lam, -w / a],
+            ])
+            z, vecs = mpmath.eig(m)  # det M = -c lam^2 w / (rho a): no zero root
+            coeff = mpmath.lu_solve(vecs, mpmath.matrix([u0, v0, th0]))
+            phi = (eta * lam * u0 - a * th0) / w
+            # theta = sum_k vecs[2, k] coeff_k e^{z_k t}, integrated from 0
+            beta = [vecs[2, k] * coeff[k] / z[k] for k in range(3)]
+            alpha = phi - sum(beta)
+            for i, t in enumerate(ts):
+                ex = [mpmath.exp(z[k] * t) for k in range(3)]
+                u = sum(vecs[0, k] * coeff[k] * ex[k] for k in range(3))
+                v = sum(vecs[1, k] * coeff[k] * ex[k] for k in range(3))
+                psi = alpha + sum(beta[k] * ex[k] for k in range(3))
+                integral = alpha**2 * t + 2 * alpha * sum(
+                    beta[k] * growth(z[k], t) for k in range(3)
+                ) + sum(
+                    beta[j] * beta[k] * growth(z[j] + z[k], t) for j in range(3) for k in range(3)
+                )
+                f[i] += rho * u**2 + w * integral
+                fdot[i] += 2 * rho * u * v + w * psi**2
+        return (
+            np.array([float(mpmath.re(x)) for x in f]),
+            np.array([float(mpmath.re(x)) for x in fdot]),
+        )
 
 
 def rk_scalar_decay(rate: float, y0: float, t: float) -> float:

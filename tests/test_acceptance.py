@@ -226,8 +226,7 @@ def test_criterion_7_convexity_instability():
     t0 = choose_weight_shift(params, init, omega)
 
     times = 1e-3 * np.arange(18001)
-    trajectory = evolve(params, init, times, Direction.FORWARD)
-    states = convexity_trajectory(params, trajectory, omega, t0)
+    states = convexity_trajectory(params, init, times, omega, t0)
 
     early = states.t <= 5.0
     columns = {name: getattr(states, name)[early] for name in ("t", "f", "fdot", "fddot")}

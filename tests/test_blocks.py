@@ -137,7 +137,7 @@ class TestSetupRunsOnce:
 
     LINES = EIGHT_MODES + ["t_end = 2.048", "dt = 0.001"]
 
-    @pytest.mark.parametrize("subcommand, kernels", [("simulate", 1), ("instability", 2)])
+    @pytest.mark.parametrize("subcommand, kernels", [("simulate", 1), ("instability", 1)])
     def test_eig_once_per_mode_group(self, tmp_path, monkeypatch, subcommand, kernels):
         calls = []
         eig = np.linalg.eig

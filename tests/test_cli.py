@@ -269,6 +269,24 @@ class TestRegressionConfigs:
         code, _ = self.run(tmp_path, "instability", self.SHORT_INSTABILITY + ["t_end = 0.3"])
         assert code == 0
 
+    def test_instability_whose_bound_nearly_equals_f(self, tmp_path):
+        # t0 = 8,880 makes the bound's C and B about 4.5e7 against F(0) =
+        # 2,524: C e^{mt} - B rounded to a margin of -1.0e-8 against a
+        # gate of -2.5e-9
+        lines = base_model(c="-1e-6") + [
+            "domain = interval", f"length = {PI}", "mode_count = 64", "t_end = 2",
+            "dt = 2e-4", "initial_u = " + ",".join(repr(1.0 / n**2) for n in range(1, 65)),
+        ]
+        code, manifest = self.run(tmp_path, "instability", lines)
+        assert code == 0
+        assert manifest["check.exponential_lower_bound.pass"] == "true"
+        # the manifest reports the gate as applied: min(F - bound) against
+        # -1e-12 max|bound|
+        bound = np.loadtxt(tmp_path / "o" / "instability.csv", delimiter=",", skiprows=1)[:, 5]
+        tolerance = float(manifest["check.exponential_lower_bound.tolerance"])
+        assert tolerance == -1e-12 * np.max(np.abs(bound))
+        assert float(manifest["check.exponential_lower_bound.value"]) >= tolerance
+
     def test_nondiff_without_gradient_conduction_is_a_config_error(self, tmp_path, capsys):
         # d = 0 makes the limit d^2/eta^4 zero, and the gap to it divided by zero
         lines = [l for l in base_model() if not l.startswith("d ")] + [

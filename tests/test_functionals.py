@@ -232,14 +232,12 @@ class TestPhiCoefficients:
 
 class TestConvexityTrajectory:
     def test_zero_data_zero_functional(self, pi_interval):
-        traj = evolve(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(51))
-        states = convexity_trajectory(UNSTABLE, traj, 0.0, 0.0)
+        states = convexity_trajectory(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(51), 0.0, 0.0)
         assert np.all(states.f == 0.0) and np.all(states.fdot == 0.0)
 
     def test_pure_weight_term(self, pi_interval):
         """Zero data with omega = 1, t0 = 2: F = (t+2)^2 exactly."""
-        traj = evolve(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(51))
-        states = convexity_trajectory(UNSTABLE, traj, 1.0, 2.0)
+        states = convexity_trajectory(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(51), 1.0, 2.0)
         for t, f, fdot, fddot in zip(states.t, states.f, states.fdot, states.fddot):
             assert f == pytest.approx((t + 2.0) ** 2, rel=1e-14)
             assert fdot == pytest.approx(2.0 * (t + 2.0), rel=1e-14)
@@ -249,8 +247,7 @@ class TestConvexityTrajectory:
         """F' and F'' from the closed forms agree with dense FD of F."""
         init = one_mode(pi_interval, u=1.0)
         times = 1e-4 * np.arange(20001)  # t <= 2
-        traj = evolve(UNSTABLE, init, times)
-        states = convexity_trajectory(UNSTABLE, traj, 0.5, 2.0)
+        states = convexity_trajectory(UNSTABLE, init, times, 0.5, 2.0)
         t, f, fdot, fddot = states.t, states.f, states.fdot, states.fddot
         fdot_fd = np.gradient(f, t)
         fddot_fd = np.gradient(fdot_fd, t)
@@ -261,17 +258,15 @@ class TestConvexityTrajectory:
         assert np.max(np.abs(fddot[inner] - fddot_fd[inner])) <= 1e-4 * scale_2
 
     def test_validation(self, pi_interval):
-        traj = evolve(UNSTABLE, one_mode(pi_interval), [0.0, 0.1, 0.2])
         with pytest.raises(ValueError):
-            convexity_trajectory(UNSTABLE, traj, -1.0, 0.0)
+            convexity_trajectory(UNSTABLE, one_mode(pi_interval), [0.0, 0.1, 0.2], -1.0, 0.0)
 
 
 class TestConvexityInequality:
     def test_unstable_run_nonnegative(self, pi_interval):
         init = one_mode(pi_interval, u=1.0)
         e0 = energy_of(UNSTABLE, init).total
-        traj = evolve(UNSTABLE, init, 1e-3 * np.arange(5001))
-        states = convexity_trajectory(UNSTABLE, traj, max(0.0, -e0), 2.0)
+        states = convexity_trajectory(UNSTABLE, init, 1e-3 * np.arange(5001), max(0.0, -e0), 2.0)
         report = convexity_residual_check(states, e0)
         assert report.passed
         assert report.min_residual >= -report.tolerance
@@ -283,15 +278,13 @@ class TestConvexityInequality:
         e0 = energy_of(UNSTABLE, init).total
         assert e0 == 0.0
         assert phi_coefficients(UNSTABLE, init).nu == 0.0
-        traj = evolve(UNSTABLE, init, 1e-3 * np.arange(3001))
-        states = convexity_trajectory(UNSTABLE, traj, 0.0, 0.0)
+        states = convexity_trajectory(UNSTABLE, init, 1e-3 * np.arange(3001), 0.0, 0.0)
         f, fdot, fddot = states.f, states.fdot, states.fddot
         scale = np.max(fddot * f + fdot**2)
         assert np.all(fddot * f - fdot**2 >= -1e-8 * scale)
 
     def test_zero_data_zero_residual(self, pi_interval):
-        traj = evolve(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(11))
-        states = convexity_trajectory(UNSTABLE, traj, 0.0, 0.0)
+        states = convexity_trajectory(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(11), 0.0, 0.0)
         report = convexity_residual_check(states, 0.0)
         assert report.min_residual == 0.0
 
@@ -303,8 +296,7 @@ class TestInstabilityBound:
         assert e0 == -0.5
         omega = -e0
         t0 = choose_weight_shift(UNSTABLE, init, omega)
-        traj = evolve(UNSTABLE, init, 1e-3 * np.arange(5001))
-        states = convexity_trajectory(UNSTABLE, traj, omega, t0)
+        states = convexity_trajectory(UNSTABLE, init, 1e-3 * np.arange(5001), omega, t0)
         report = instability_lower_bound(states, e0)
         assert report.holds
         # growth rate approaches the positive root of the mode cubic; the
@@ -317,8 +309,7 @@ class TestInstabilityBound:
         init = one_mode(pi_interval, u=1.0)
         e0 = energy_of(UNSTABLE, init).total
         t0 = choose_weight_shift(UNSTABLE, init, -e0)
-        traj = evolve(UNSTABLE, init, 1e-3 * np.arange(8001))
-        states = convexity_trajectory(UNSTABLE, traj, -e0, t0)
+        states = convexity_trajectory(UNSTABLE, init, 1e-3 * np.arange(8001), -e0, t0)
         report = instability_lower_bound(states, e0)
         t, f = states.t, states.f
         late = t >= 6.0
@@ -326,16 +317,14 @@ class TestInstabilityBound:
         assert slope >= report.bound_exponent - 1e-9
 
     def test_zero_data_rejected(self, pi_interval):
-        traj = evolve(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(11))
-        states = convexity_trajectory(UNSTABLE, traj, 0.0, 0.0)
+        states = convexity_trajectory(UNSTABLE, one_mode(pi_interval), 1e-2 * np.arange(11), 0.0, 0.0)
         with pytest.raises(PreconditionUnmet):
             instability_lower_bound(states, 0.0)
 
     def test_insufficient_shift_rejected(self, pi_interval):
         init = one_mode(pi_interval, u=1.0)
         e0 = energy_of(UNSTABLE, init).total
-        traj = evolve(UNSTABLE, init, 1e-2 * np.arange(101))
-        states = convexity_trajectory(UNSTABLE, traj, -e0, 0.0)  # t0 too small
+        states = convexity_trajectory(UNSTABLE, init, 1e-2 * np.arange(101), -e0, 0.0)  # t0 too small
         with pytest.raises(PreconditionUnmet):
             instability_lower_bound(states, e0)
 
@@ -357,8 +346,7 @@ class TestChooseWeightShift:
             )
             omega = float(rng.uniform(0.1, 2.0))
             t0 = choose_weight_shift(UNSTABLE, init, omega, pad=0.5)
-            traj = evolve(UNSTABLE, init, [0.0, 0.01, 0.02])
-            states = convexity_trajectory(UNSTABLE, traj, omega, t0)
+            states = convexity_trajectory(UNSTABLE, init, [0.0, 0.01, 0.02], omega, t0)
             assert states.fdot[0] > 2.0 * states.nu
 
     def test_omega_zero_unreachable(self, pi_interval):

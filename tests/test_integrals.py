@@ -1,14 +1,19 @@
 """Exact running time integrals against independent references.
 
 int_0^t D ds (the trajectory's `dissipation_integral`) and the convexity
-functional's Psi_n = Phi_n + int_0^t theta_n ds and int_0^t w_n Psi_n^2 ds
-all come from the per-mode exponential kernel in closed form.  They are
+functional's int_0^t w_n Psi_n^2 ds, with Psi_n = Phi_n + int_0^t theta_n ds,
+come from the per-mode exponential kernel in closed form.  They are
 checked against DOP853 carrying them as extra states, on both branches of
-the kernel, and against the sampled Richardson-Simpson quadrature.
+the kernel, against mpmath sums of exponentials, and against the sampled
+Richardson-Simpson quadrature.  The convexity functional rests on Psi being
+a function of the state, w_n Psi_n = eta lam_n u_n - a theta_n, which is
+checked along DOP853's Psi.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradiplate import (
     Direction,
@@ -19,8 +24,10 @@ from gradiplate import (
     state_from_coefficients,
 )
 from gradiplate import propagator
+from gradiplate.cli import main
+from gradiplate.config import load_config
 from gradiplate.functionals import convexity_trajectory, phi_coefficients
-from oracles import rk_mode_integrals
+from oracles import mp_convexity_functional, rk_mode_evolution, rk_mode_integrals
 from quadrature import cumulative_integral
 
 # the double root of TestExpmFallback: the kernel's Van Loan branch
@@ -104,7 +111,7 @@ class TestConvexityIntegrals:
         times = np.linspace(0.0, 1.0, 11)
         trajectory = evolve(params, state, times)
         omega, t0 = 0.5, 2.0
-        states = convexity_trajectory(params, trajectory, omega, t0)
+        states = convexity_trajectory(params, state, times, omega, t0)
         phi = phi_coefficients(params, state).phi
         d_int, psi, q_int = oracle_sums(params, state, times, phi=phi)
 
@@ -118,6 +125,76 @@ class TestConvexityIntegrals:
         ref_s = np.sum(w[:, None] * psi**2, axis=0)
         assert np.max(np.abs(got_s - ref_s)) <= 1e-9 * np.max(np.abs(ref_s))
         assert np.max(np.abs(trajectory.dissipation_integral - d_int)) <= 1e-9 * np.max(np.abs(d_int))
+
+
+class TestConvexityClosedForm:
+    """F and F' against mpmath sums of exponentials, to 1e-12 relative at
+    every compared sample."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+    def test_time_domain_bench_config(self, tmp_path):
+        lines = [
+            "rho = 1", "a = 1", "b = 1", "c = -1", "d = 1", "eta = 1", "domain = interval",
+            "length = 3.141592653589793", "mode_count = 64", "t_end = 10", "dt = 0.001",
+            "initial = first-mode-bend",
+        ]
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["instability", "--config", str(config), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "instability.csv", delimiter=",", skiprows=1)[::250]
+        manifest = dict(
+            line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
+        )
+        cfg = load_config(str(config), "instability")
+        state = cfg.initial_state()
+        live = np.any(state.x != 0.0, axis=1)
+        f, fdot = mp_convexity_functional(
+            cfg.params, state.modes.lam[live], state.x[live], rows[:, 0],
+            float(manifest["result.omega_const"]), float(manifest["result.t0"]),
+        )
+        self.assert_close(rows[:, 1], f)
+        self.assert_close(rows[:, 2], fdot)
+
+    def test_random_three_mode_config(self, pi_interval):
+        rng = np.random.default_rng(17)
+        rho, a, b, d = rng.uniform(0.5, 2.0, size=4)
+        params = ModelParams(rho, a, b, -rng.uniform(0.5, 2.0), d, rng.uniform(-2.0, 2.0))
+        state = random_state(pi_interval, 3, seed=17)
+        times = 1e-3 * np.arange(2001)
+        states = convexity_trajectory(params, state, times, 1.0, 2.0)
+        f, fdot = mp_convexity_functional(params, state.modes.lam, state.x, times[::50], 1.0, 2.0)
+        self.assert_close(states.f[::50], f)
+        self.assert_close(states.fdot[::50], fdot)
+
+
+class TestPsiIsAStateFunction:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.floats(0.25, 4.0), min_size=3, max_size=3),
+        st.floats(0.25, 4.0).flatmap(lambda c: st.sampled_from((c, -c))),
+        st.floats(0.0, 4.0),
+        st.floats(-4.0, 4.0),
+        st.floats(0.5, 4.0),
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        st.floats(0.05, 1.0),
+    )
+    def test_w_psi_is_eta_lam_u_minus_a_theta(self, rab, c, d, eta, lam, x0, t):
+        """Along DOP853's Psi = Phi + int theta, with Phi from the data at
+        t = 0 only."""
+        params = ModelParams(rab[0], rab[1], rab[2], c, d, eta)
+        m = mode_matrix(params, lam).entries
+        w = params.heat_weight(lam)
+        phi = (eta * lam * x0[0] - params.a * x0[2]) / w
+        times = np.array([0.0, t / 2.0, t])
+        _, psi, _ = rk_mode_integrals(m, x0, w, phi, times)
+        for k in (1, 2):
+            u, _, theta = rk_mode_evolution(m, x0, times[k])
+            scale = max(abs(eta * lam * u), abs(params.a * theta), abs(w * psi[k]))
+            assert abs(w * psi[k] - (eta * lam * u - params.a * theta)) <= 1e-9 * scale + 1e-12
 
 
 class TestIdentityIsNotVacuous:
