@@ -33,8 +33,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -60,23 +59,33 @@ EXIT_CHECK = 3
 EXIT_NONFINITE = 4
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    value: float
-    tolerance: float
+    """One pass/fail line of the manifest: a measured value and its gate."""
+
+    __slots__ = ("name", "passed", "value", "tolerance")
+
+    def __init__(self, name: str, passed: bool, value: float, tolerance: float):
+        self.name, self.passed, self.value, self.tolerance = name, passed, value, tolerance
 
 
-@dataclass
 class RunOutput:
-    csv_name: str
-    header: list[str]
-    columns: list[np.ndarray]
-    checks: list[Check]
-    results: dict[str, float]
-    notes: dict[str, str]
-    sizes: dict[str, int] = field(default_factory=dict)
+    """What a handler hands to the writers: the CSV and the manifest lines."""
+
+    __slots__ = ("csv_name", "header", "columns", "checks", "results", "notes", "sizes")
+
+    def __init__(
+        self,
+        csv_name: str,
+        header: list[str],
+        columns: list[np.ndarray],
+        checks: list[Check],
+        results: dict[str, float],
+        notes: dict[str, str],
+        sizes: dict[str, int] | None = None,
+    ):
+        self.csv_name, self.header, self.columns = csv_name, header, columns
+        self.checks, self.results, self.notes = checks, results, notes
+        self.sizes = {} if sizes is None else sizes
 
 
 def _fmt(value) -> str:
@@ -522,7 +531,25 @@ def _write_manifest(
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand -> the help line of its parser
+DESCRIPTIONS = {
+    "simulate": "evolve the truncated system and audit the energy identity",
+    "resolvent-scan": "scan the resolvent norm along the imaginary axis",
+    "nondiff": "resonant-drive sequence and its nonzero resolvent limit",
+    "spectrum": "mode eigenvalues, abscissa, and the vertical-strip limit",
+    "backward": "time-reversed evolution identities and Gronwall bound",
+    "instability": "convexity functional and exponential lower bound (c < 0)",
+    "quasistatic": "scalar quasi-static reduction and plate decay (c < 0)",
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the command line `argv`.
+
+    When argv's first entry names a subcommand, that is the only subparser
+    built; the usage line still lists every subcommand, so the help, usage
+    and error texts are those of the parser with all seven.
+    """
     parser = argparse.ArgumentParser(
         prog="gradiplate",
         description="Spectral diagnostics for hinged thermoelastic plates "
@@ -530,16 +557,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gradiplate {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "simulate": "evolve the truncated system and audit the energy identity",
-        "resolvent-scan": "scan the resolvent norm along the imaginary axis",
-        "nondiff": "resonant-drive sequence and its nonzero resolvent limit",
-        "spectrum": "mode eigenvalues, abscissa, and the vertical-strip limit",
-        "backward": "time-reversed evolution identities and Gronwall bound",
-        "instability": "convexity functional and exponential lower bound (c < 0)",
-        "quasistatic": "scalar quasi-static reduction and plate decay (c < 0)",
-    }
-    for name, desc in descriptions.items():
+    names = list(DESCRIPTIONS)
+    if argv and argv[0] in DESCRIPTIONS:
+        names = [argv[0]]
+        sub.metavar = "{%s}" % ",".join(DESCRIPTIONS)
+    for name in names:
+        desc = DESCRIPTIONS[name]
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--config", required=True, help="path to key=value config file")
         p.add_argument("--out", default="gradiplate-out", help="output directory")
@@ -555,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     phases = _Phases()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     subcommand = args.subcommand
 
     output = error = message = None
@@ -566,6 +590,10 @@ def main(argv=None) -> int:
     except (ConfigError, EigenvalueOutOfRange) as exc:
         # found by the parser, or by a handler that needs its modes to see it
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # an accepted config can still ask for arrays larger than memory
+        print(f"config error: the run does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteResult as exc:
         status, exit_code, error = "nonfinite", EXIT_NONFINITE, f"{exc} (t={exc.time})"

@@ -10,7 +10,7 @@ are enforced at parse time so command handlers never see invalid params.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -91,8 +91,14 @@ def _as_int(raw: dict[str, str], key: str) -> int:
 
 
 def _as_float_list(raw: dict[str, str], key: str) -> list[float]:
+    tokens = raw[key].split(",")
+    if len(tokens) > 1 and not tokens[-1].strip():
+        tokens.pop()  # one trailing comma
+    # an empty entry would shift every later coefficient to a lower mode
+    if not all(tok.strip() for tok in tokens):
+        raise ConfigError(f"{key}: empty entry in the number list {raw[key]!r}")
     try:
-        values = [float(tok) for tok in raw[key].split(",") if tok.strip()]
+        values = [float(tok) for tok in tokens]
     except ValueError as exc:
         raise ConfigError(f"{key}: not a comma-separated number list: {raw[key]!r}") from exc
     if not all(math.isfinite(value) for value in values):
@@ -106,36 +112,57 @@ def _require(raw: dict[str, str], keys: Sequence[str], subcommand: str) -> None:
         raise ConfigError(f"{subcommand}: missing required keys: {', '.join(missing)}")
 
 
-@dataclass
 class RunConfig:
     """Typed view of one run configuration (subcommand-specific fields may
     be None when the subcommand does not use them)."""
 
-    subcommand: str
-    raw: dict[str, str]
-    params: ModelParams
-    domain: SpectralDomain | None = None
-    mode_count: int | None = None
-    t_end: float | None = None
-    dt: float | None = None
-    initial_u: list[float] = field(default_factory=list)
-    initial_v: list[float] = field(default_factory=list)
-    initial_theta: list[float] = field(default_factory=list)
-    omega_min: float | None = None
-    omega_max: float | None = None
-    omega_points: int | None = None
-    omega_grid_kind: str = "log"
-    n_max: int | None = None
-    branch: int = +1
-    gap_tolerance: float = 0.01
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    lambda_points: int | None = None
-    epsilon: float = 0.5
-    omega_const: "float | str | None" = None
-    t0: "float | str | None" = None
-    growth_fit_start: float | None = None
-    length: float = 1.0
+    __slots__ = (
+        "subcommand", "raw", "params", "domain", "mode_count", "t_end", "dt",
+        "initial_u", "initial_v", "initial_theta", "omega_min", "omega_max",
+        "omega_points", "omega_grid_kind", "n_max", "branch", "gap_tolerance",
+        "lambda_min", "lambda_max", "lambda_points", "epsilon", "omega_const",
+        "t0", "growth_fit_start", "length",
+    )
+
+    def __init__(
+        self,
+        subcommand: str,
+        raw: dict[str, str],
+        params: ModelParams,
+        domain: SpectralDomain | None = None,
+        mode_count: int | None = None,
+        t_end: float | None = None,
+        dt: float | None = None,
+        initial_u: list[float] | None = None,
+        initial_v: list[float] | None = None,
+        initial_theta: list[float] | None = None,
+        omega_min: float | None = None,
+        omega_max: float | None = None,
+        omega_points: int | None = None,
+        omega_grid_kind: str = "log",
+        n_max: int | None = None,
+        branch: int = +1,
+        gap_tolerance: float = 0.01,
+        lambda_min: float | None = None,
+        lambda_max: float | None = None,
+        lambda_points: int | None = None,
+        epsilon: float = 0.5,
+        omega_const: float | str | None = None,
+        t0: float | str | None = None,
+        growth_fit_start: float | None = None,
+        length: float = 1.0,
+    ):
+        self.subcommand, self.raw, self.params = subcommand, raw, params
+        self.domain, self.mode_count, self.t_end, self.dt = domain, mode_count, t_end, dt
+        self.initial_u = [] if initial_u is None else initial_u
+        self.initial_v = [] if initial_v is None else initial_v
+        self.initial_theta = [] if initial_theta is None else initial_theta
+        self.omega_min, self.omega_max, self.omega_points = omega_min, omega_max, omega_points
+        self.omega_grid_kind = omega_grid_kind
+        self.n_max, self.branch, self.gap_tolerance = n_max, branch, gap_tolerance
+        self.lambda_min, self.lambda_max, self.lambda_points = lambda_min, lambda_max, lambda_points
+        self.epsilon, self.omega_const, self.t0 = epsilon, omega_const, t0
+        self.growth_fit_start, self.length = growth_fit_start, length
 
     def initial_state(self) -> SpectralState:
         from .propagator import state_from_coefficients
@@ -255,6 +282,10 @@ def _build_time(cfg: RunConfig, raw: dict[str, str], subcommand: str) -> None:
     cfg.dt = _as_float(raw, "dt")
     if not (cfg.t_end > 0 and cfg.dt > 0 and cfg.dt <= cfg.t_end):
         raise ConfigError("need 0 < dt <= t_end")
+    # the grid of round(t_end / dt) + 1 samples must be an array numpy can index
+    steps = cfg.t_end / cfg.dt
+    if not steps < sys.maxsize:
+        raise ConfigError(f"t_end / dt = {steps!r} samples: more than an array can hold")
 
 
 def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:

@@ -55,8 +55,6 @@ closed form and t0 never needs a numerical search (choose_weight_shift).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
@@ -82,15 +80,13 @@ def _check_epsilon(epsilon: float) -> None:
         raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
 
 
-@dataclass(frozen=True)
 class LyapunovSample:
     """L1, L2 and the mixture L = L2 + epsilon*L1 at one time."""
 
-    t: float
-    l1: float
-    l2: float
-    l: float
-    epsilon: float
+    __slots__ = ("t", "l1", "l2", "l", "epsilon")
+
+    def __init__(self, t: float, l1: float, l2: float, l: float, epsilon: float):
+        self.t, self.l1, self.l2, self.l, self.epsilon = t, l1, l2, l, epsilon
 
 
 def lagrange_functionals(
@@ -103,16 +99,17 @@ def lagrange_functionals(
     return LyapunovSample(t=t, l1=e.total, l2=l2, l=l2 + epsilon * e.total, epsilon=epsilon)
 
 
-@dataclass(frozen=True, eq=False)
 class LyapunovSeries:
     """L1, L2 and L = L2 + epsilon*L1 along a trajectory, one entry per
     sample."""
 
-    t: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    l: np.ndarray
-    epsilon: float
+    __slots__ = ("t", "l1", "l2", "l", "epsilon")
+
+    def __init__(
+        self, t: np.ndarray, l1: np.ndarray, l2: np.ndarray, l: np.ndarray,
+        epsilon: float,
+    ):
+        self.t, self.l1, self.l2, self.l, self.epsilon = t, l1, l2, l, epsilon
 
 
 def lyapunov_series(
@@ -126,7 +123,6 @@ def lyapunov_series(
     return LyapunovSeries(trajectory.t, l1, l2, l2 + epsilon * l1, epsilon)
 
 
-@dataclass(frozen=True)
 class BackwardIdentityReport:
     """Centered-difference check of the L1/L2 evolution identities.
 
@@ -137,13 +133,19 @@ class BackwardIdentityReport:
     energy norm; they shrink like (2 rate)^2 dt^2 / 6.
     """
 
-    t: np.ndarray
-    dl1_fd: np.ndarray
-    dl1_analytic: np.ndarray
-    dl2_fd: np.ndarray
-    dl2_analytic: np.ndarray
-    max_rel_residual: float
-    rate: float
+    __slots__ = (
+        "t", "dl1_fd", "dl1_analytic", "dl2_fd", "dl2_analytic", "max_rel_residual",
+        "rate",
+    )
+
+    def __init__(
+        self, t: np.ndarray, dl1_fd: np.ndarray, dl1_analytic: np.ndarray,
+        dl2_fd: np.ndarray, dl2_analytic: np.ndarray, max_rel_residual: float,
+        rate: float,
+    ):
+        self.t, self.dl1_fd, self.dl1_analytic = t, dl1_fd, dl1_analytic
+        self.dl2_fd, self.dl2_analytic = dl2_fd, dl2_analytic
+        self.max_rel_residual, self.rate = max_rel_residual, rate
 
 
 def verify_backward_identities(
@@ -208,7 +210,6 @@ def verify_backward_identities(
     )
 
 
-@dataclass(frozen=True)
 class GronwallReport:
     """Smallest empirical k* with L(t) <= L(0) e^{k* t} along the samples.
 
@@ -216,11 +217,21 @@ class GronwallReport:
     None when L(0) < 0, where the bound carries no information.
     """
 
-    k_star: float | None
-    l0: float
-    zero_data: bool
-    max_abs_l: float
-    epsilon: float
+    __slots__ = ("k_star", "l0", "zero_data", "max_abs_l", "epsilon")
+
+    def __init__(
+        self, k_star: float | None, l0: float, zero_data: bool, max_abs_l: float,
+        epsilon: float,
+    ):
+        self.k_star, self.l0, self.zero_data = k_star, l0, zero_data
+        self.max_abs_l, self.epsilon = max_abs_l, epsilon
+
+    def __eq__(self, other):
+        """Field by field: a report holds scalars only."""
+        if other.__class__ is not GronwallReport:
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, n) for n in fields] == [getattr(other, n) for n in fields]
 
 
 def gronwall_check(
@@ -249,13 +260,13 @@ def gronwall_check(
     return GronwallReport(float(max(k, 0.0)), l0, False, max_abs, epsilon)
 
 
-@dataclass(frozen=True)
 class PhiSolution:
     """Per-mode solution of b Lap Phi - d Lap^2 Phi = a theta(0) + eta Lap u(0)."""
 
-    phi: np.ndarray
-    nu: float
-    residual_max: float
+    __slots__ = ("phi", "nu", "residual_max")
+
+    def __init__(self, phi: np.ndarray, nu: float, residual_max: float):
+        self.phi, self.nu, self.residual_max = phi, nu, residual_max
 
 
 def phi_coefficients(params: ModelParams, initial_state: SpectralState) -> PhiSolution:
@@ -279,18 +290,17 @@ def _phi_solution(
     )
 
 
-@dataclass(frozen=True, eq=False)
 class ConvexityTrajectory:
     """F, F' and F'' along a trajectory, one entry per sample."""
 
-    t: np.ndarray
-    f: np.ndarray
-    fdot: np.ndarray
-    fddot: np.ndarray
-    nu: float
-    omega_const: float
-    t0: float
-    phi: np.ndarray
+    __slots__ = ("t", "f", "fdot", "fddot", "nu", "omega_const", "t0", "phi")
+
+    def __init__(
+        self, t: np.ndarray, f: np.ndarray, fdot: np.ndarray, fddot: np.ndarray,
+        nu: float, omega_const: float, t0: float, phi: np.ndarray,
+    ):
+        self.t, self.f, self.fdot, self.fddot, self.nu = t, f, fdot, fddot, nu
+        self.omega_const, self.t0, self.phi = omega_const, t0, phi
 
 
 def convexity_trajectory(
@@ -345,15 +355,17 @@ def convexity_trajectory(
     return ConvexityTrajectory(t, f, fdot, fddot, sol.nu, omega_const, t0, sol.phi)
 
 
-@dataclass(frozen=True)
 class ConvexityReport:
     """Pointwise convexity inequality F'' F - (F'-nu)^2 >= -2(omega+E0) F."""
 
-    min_residual: float
-    scale: float
-    tolerance: float
-    passed: bool
-    residuals: np.ndarray
+    __slots__ = ("min_residual", "scale", "tolerance", "passed", "residuals")
+
+    def __init__(
+        self, min_residual: float, scale: float, tolerance: float, passed: bool,
+        residuals: np.ndarray,
+    ):
+        self.min_residual, self.scale, self.tolerance = min_residual, scale, tolerance
+        self.passed, self.residuals = passed, residuals
 
 
 def convexity_residual_check(states: ConvexityTrajectory, e0: float) -> ConvexityReport:
@@ -382,7 +394,6 @@ def convexity_residual_check(states: ConvexityTrajectory, e0: float) -> Convexit
     )
 
 
-@dataclass(frozen=True)
 class InstabilityReport:
     """Pointwise check of the exponential lower bound on F.
 
@@ -390,15 +401,20 @@ class InstabilityReport:
     when min_margin, the least F - lower_bound, is at least -tolerance.
     """
 
-    holds: bool
-    min_margin: float
-    tolerance: float
-    bound_exponent: float
-    bound_coefficient: float
-    bound_offset: float
-    growth_rate: float
-    growth_window: tuple[float, float]
-    lower_bound: np.ndarray
+    __slots__ = (
+        "holds", "min_margin", "tolerance", "bound_exponent", "bound_coefficient",
+        "bound_offset", "growth_rate", "growth_window", "lower_bound",
+    )
+
+    def __init__(
+        self, holds: bool, min_margin: float, tolerance: float, bound_exponent: float,
+        bound_coefficient: float, bound_offset: float, growth_rate: float,
+        growth_window: tuple[float, float], lower_bound: np.ndarray,
+    ):
+        self.holds, self.min_margin, self.tolerance = holds, min_margin, tolerance
+        self.bound_exponent, self.bound_coefficient = bound_exponent, bound_coefficient
+        self.bound_offset, self.growth_rate = bound_offset, growth_rate
+        self.growth_window, self.lower_bound = growth_window, lower_bound
 
 
 def instability_lower_bound(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -49,7 +48,6 @@ class Direction(enum.Enum):
     BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
 class ModelParams:
     """Constitutive constants of the plate/heat system.
 
@@ -68,32 +66,29 @@ class ModelParams:
     regime : optional explicit tag; inferred from sign(c) when omitted.
     """
 
-    rho: float
-    a: float
-    b: float
-    c: float
-    d: float
-    eta: float
-    regime: Regime = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("rho", "a", "b", "c", "d", "eta", "regime")
 
-    def __post_init__(self):
-        for name in ("rho", "a", "b"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not self.d >= 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
-        if self.c == 0:
+    def __init__(
+        self, rho: float, a: float, b: float, c: float, d: float, eta: float,
+        regime: Regime | None = None,
+    ):
+        for name, value in (("rho", rho), ("a", a), ("b", b)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not d >= 0:
+            raise ValueError(f"d must be >= 0, got {d}")
+        if c == 0:
             raise ValueError("c must be nonzero")
-        if not np.isfinite(self.eta):
+        if not np.isfinite(eta):
             raise ValueError("eta must be finite")
-        if self.regime is None:
-            inferred = Regime.STABLE if self.c > 0 else Regime.UNSTABLE
-            object.__setattr__(self, "regime", inferred)
-        else:
-            if self.regime is Regime.STABLE and not self.c > 0:
-                raise ValueError("regime Stable requires c > 0")
-            if self.regime in (Regime.UNSTABLE, Regime.QUASISTATIC) and not self.c < 0:
-                raise ValueError(f"regime {self.regime.value} requires c < 0")
+        if regime is None:
+            regime = Regime.STABLE if c > 0 else Regime.UNSTABLE
+        elif regime is Regime.STABLE and not c > 0:
+            raise ValueError("regime Stable requires c > 0")
+        elif regime in (Regime.UNSTABLE, Regime.QUASISTATIC) and not c < 0:
+            raise ValueError(f"regime {regime.value} requires c < 0")
+        self.rho, self.a, self.b, self.c, self.d, self.eta = rho, a, b, c, d, eta
+        self.regime = regime
 
     @classmethod
     def unit(cls, **overrides) -> "ModelParams":
@@ -107,15 +102,27 @@ class ModelParams:
         return self.b * lam + self.d * lam * lam
 
 
-@dataclass(frozen=True)
 class Interval:
-    """One-dimensional domain (0, length) with sine eigenfunctions."""
+    """One-dimensional domain (0, length) with sine eigenfunctions; equal
+    lengths make equal domains."""
 
-    length: float
+    __slots__ = ("length",)
 
-    def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+    def __init__(self, length: float):
+        if not length > 0:
+            raise ValueError(f"length must be > 0, got {length}")
+        self.length = length
+
+    def __repr__(self) -> str:
+        return f"Interval(length={self.length!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.length,))
 
     def eigenvalue(self, n: int) -> float:
         """Dirichlet-Laplacian eigenvalue (n*pi/L)^2, n >= 1."""
@@ -128,16 +135,27 @@ class Interval:
         return math.sqrt(2.0 / self.length) * np.sin(n * math.pi * x / self.length)
 
 
-@dataclass(frozen=True)
 class Rectangle:
-    """Two-dimensional domain (0, L1) x (0, L2) with product sine basis."""
+    """Two-dimensional domain (0, L1) x (0, L2) with product sine basis;
+    equal sides make equal domains."""
 
-    length1: float
-    length2: float
+    __slots__ = ("length1", "length2")
 
-    def __post_init__(self):
-        if not (self.length1 > 0 and self.length2 > 0):
+    def __init__(self, length1: float, length2: float):
+        if not (length1 > 0 and length2 > 0):
             raise ValueError("rectangle side lengths must be > 0")
+        self.length1, self.length2 = length1, length2
+
+    def __repr__(self) -> str:
+        return f"Rectangle(length1={self.length1!r}, length2={self.length2!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not Rectangle:
+            return NotImplemented
+        return (self.length1, self.length2) == (other.length1, other.length2)
+
+    def __hash__(self) -> int:
+        return hash((self.length1, self.length2))
 
     def eigenvalue(self, index: tuple[int, int]) -> float:
         """Eigenvalue pi^2 (j^2/L1^2 + k^2/L2^2), j, k >= 1."""
@@ -159,14 +177,15 @@ class Rectangle:
 SpectralDomain = Union[Interval, Rectangle]
 
 
-@dataclass(frozen=True, eq=False)
 class Modes:
     """Dirichlet-Laplacian modes of a domain, ascending in eigenvalue: lam[i]
     and the index of mode i, n on an interval and the row (j, k) on a
     rectangle."""
 
-    index: np.ndarray
-    lam: np.ndarray
+    __slots__ = ("index", "lam")
+
+    def __init__(self, index: np.ndarray, lam: np.ndarray):
+        self.index, self.lam = index, lam
 
     def __len__(self) -> int:
         return self.lam.size
@@ -226,7 +245,6 @@ def _smallest_modes(domain: SpectralDomain, count: int) -> Modes:
         kn *= 2
 
 
-@dataclass(frozen=True)
 class ModeMatrix:
     """3x3 real generator block acting on one mode's (u, v, theta).
 
@@ -237,16 +255,15 @@ class ModeMatrix:
     Backward is identical except the (3, 3) entry flips sign.
     """
 
-    entries: np.ndarray
-    direction: Direction
+    __slots__ = ("entries", "direction")
 
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries: np.ndarray, direction: Direction):
+        arr = np.asarray(entries, dtype=float)
         if arr.shape != (3, 3):
             raise ValueError("mode matrix must be 3x3")
         arr = arr.copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        self.entries, self.direction = arr, direction
 
 
 def mode_matrix(
@@ -273,7 +290,6 @@ def mode_blocks(
     return blocks
 
 
-@dataclass(frozen=True)
 class HilbertWeight:
     """Diagonal weights of the energy inner product on one mode.
 
@@ -283,10 +299,10 @@ class HilbertWeight:
     quadratic form is then not a norm, but diagnostics still need a scale.
     """
 
-    w_u: float
-    w_v: float
-    w_theta: float
-    pseudo_norm: bool
+    __slots__ = ("w_u", "w_v", "w_theta", "pseudo_norm")
+
+    def __init__(self, w_u: float, w_v: float, w_theta: float, pseudo_norm: bool):
+        self.w_u, self.w_v, self.w_theta, self.pseudo_norm = w_u, w_v, w_theta, pseudo_norm
 
 
 def hilbert_weight(params: ModelParams, lam: float) -> HilbertWeight:

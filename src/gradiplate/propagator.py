@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,22 +73,16 @@ _BLOCK_ALIGN = 64
 ENERGY_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
 class ModeState:
     """Coefficients (u, v, theta) of one mode; complex values are allowed
     so resolvent solutions can be propagated too."""
 
-    u: complex
-    v: complex
-    theta: complex
+    __slots__ = ("u", "v", "theta")
 
-    def __post_init__(self):
-        if not (
-            cmath.isfinite(self.u)
-            and cmath.isfinite(self.v)
-            and cmath.isfinite(self.theta)
-        ):
+    def __init__(self, u: complex, v: complex, theta: complex):
+        if not (cmath.isfinite(u) and cmath.isfinite(v) and cmath.isfinite(theta)):
             raise ValueError("mode state coefficients must be finite")
+        self.u, self.v, self.theta = u, v, theta
 
     def as_array(self) -> np.ndarray:
         values = np.array([self.u, self.v, self.theta])
@@ -98,7 +91,6 @@ class ModeState:
         return values
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralState:
     """Truncated field on one domain: x[mode, (u, v, theta)] over `modes`.
 
@@ -106,21 +98,19 @@ class SpectralState:
     resolvent solutions can be propagated too.
     """
 
-    domain: SpectralDomain
-    modes: Modes
-    x: np.ndarray
+    __slots__ = ("domain", "modes", "x")
 
-    def __post_init__(self):
-        x = np.array(self.x)
-        if x.shape != (len(self.modes), 3):
-            raise ValueError(f"x must have shape ({len(self.modes)}, 3), got {x.shape}")
+    def __init__(self, domain: SpectralDomain, modes: Modes, x: np.ndarray):
+        x = np.array(x)
+        if x.shape != (len(modes), 3):
+            raise ValueError(f"x must have shape ({len(modes)}, 3), got {x.shape}")
         if not np.all(np.isfinite(x)):
             raise ValueError("state coefficients must be finite")
         if np.iscomplexobj(x) and not np.any(x.imag):
             x = x.real
         x = x.astype(complex if np.iscomplexobj(x) else float)
         x.flags.writeable = False
-        object.__setattr__(self, "x", x)
+        self.domain, self.modes, self.x = domain, modes, x
 
 
 def state_from_coefficients(
@@ -142,15 +132,17 @@ def state_from_coefficients(
     return SpectralState(domain, enumerate_modes(domain, count), x)
 
 
-@dataclass(frozen=True)
 class EnergyBreakdown:
     """E(t) split into kinetic / bending / thermal parts plus D(t)."""
 
-    kinetic: float
-    bending: float
-    thermal: float
-    total: float
-    dissipation_rate: float
+    __slots__ = ("kinetic", "bending", "thermal", "total", "dissipation_rate")
+
+    def __init__(
+        self, kinetic: float, bending: float, thermal: float, total: float,
+        dissipation_rate: float,
+    ):
+        self.kinetic, self.bending, self.thermal = kinetic, bending, thermal
+        self.total, self.dissipation_rate = total, dissipation_rate
 
 
 def _energy_columns(
@@ -189,18 +181,23 @@ def energy_of(params: ModelParams, state: SpectralState) -> EnergyBreakdown:
     return EnergyBreakdown(*(float(col[0]) for col in columns))
 
 
-@dataclass(frozen=True, eq=False)
+_COLUMNS = ("kinetic", "bending", "thermal", "total", "dissipation", "dissipation_integral")
+
+
 class EnergyHistory:
     """The energy columns of a trajectory (see the module docstring) and
     dissipation_integral, int_0^t D ds, one entry per sample."""
 
-    t: np.ndarray
-    kinetic: np.ndarray
-    bending: np.ndarray
-    thermal: np.ndarray
-    total: np.ndarray
-    dissipation: np.ndarray
-    dissipation_integral: np.ndarray
+    __slots__ = ("t",) + _COLUMNS
+
+    def __init__(
+        self, t: np.ndarray, kinetic: np.ndarray, bending: np.ndarray,
+        thermal: np.ndarray, total: np.ndarray, dissipation: np.ndarray,
+        dissipation_integral: np.ndarray,
+    ):
+        self.t, self.kinetic, self.bending, self.thermal = t, kinetic, bending, thermal
+        self.total, self.dissipation = total, dissipation
+        self.dissipation_integral = dissipation_integral
 
     @property
     def energy_norm(self) -> np.ndarray:
@@ -208,18 +205,21 @@ class EnergyHistory:
         return self.kinetic + np.abs(self.bending) + self.thermal
 
 
-_COLUMNS = ("kinetic", "bending", "thermal", "total", "dissipation", "dissipation_integral")
-
-
-@dataclass(frozen=True, eq=False)
 class Trajectory(EnergyHistory):
     """Exact trajectory on a time grid, held as arrays: the energy columns
     and x, shape (modes, 3, samples) with rows u, v, theta, over the initial
     state's modes."""
 
-    domain: SpectralDomain
-    modes: Modes
-    x: np.ndarray
+    __slots__ = ("domain", "modes", "x")
+
+    def __init__(
+        self, t: np.ndarray, kinetic: np.ndarray, bending: np.ndarray,
+        thermal: np.ndarray, total: np.ndarray, dissipation: np.ndarray,
+        dissipation_integral: np.ndarray, domain: SpectralDomain, modes: Modes,
+        x: np.ndarray,
+    ):
+        super().__init__(t, kinetic, bending, thermal, total, dissipation, dissipation_integral)
+        self.domain, self.modes, self.x = domain, modes, x
 
 
 def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
@@ -514,7 +514,6 @@ def evolve(
     return Evolution(params, initial, times, direction).trajectory()
 
 
-@dataclass(frozen=True)
 class EnergyBalanceReport:
     """Residuals of the integrated energy identity along a trajectory.
 
@@ -523,12 +522,17 @@ class EnergyBalanceReport:
     max_abs_error is the largest numerator, for other normalizations.
     """
 
-    direction: Direction
-    e0: float
-    denominator: float
-    residuals: np.ndarray
-    max_abs_residual: float
-    max_abs_error: float
+    __slots__ = (
+        "direction", "e0", "denominator", "residuals", "max_abs_residual", "max_abs_error",
+    )
+
+    def __init__(
+        self, direction: Direction, e0: float, denominator: float,
+        residuals: np.ndarray, max_abs_residual: float, max_abs_error: float,
+    ):
+        self.direction, self.e0, self.denominator = direction, e0, denominator
+        self.residuals, self.max_abs_residual = residuals, max_abs_residual
+        self.max_abs_error = max_abs_error
 
 
 def energy_balance_report(
@@ -554,13 +558,13 @@ def energy_balance_report(
     )
 
 
-@dataclass(frozen=True)
 class FieldValues:
     """Point values of the synthesized fields on a spatial grid."""
 
-    u: np.ndarray
-    u_t: np.ndarray
-    theta: np.ndarray
+    __slots__ = ("u", "u_t", "theta")
+
+    def __init__(self, u: np.ndarray, u_t: np.ndarray, theta: np.ndarray):
+        self.u, self.u_t, self.theta = u, u_t, theta
 
 
 def synthesize_field(state: SpectralState, grid: Sequence) -> FieldValues:

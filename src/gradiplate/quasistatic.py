@@ -19,7 +19,6 @@ outside the model's claim).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,17 +42,15 @@ def effective_capacity(params: ModelParams) -> float:
     return a_eff
 
 
-@dataclass(frozen=True)
 class QuasiParams:
     """Validated constants of the reduced scalar problem."""
 
-    params: ModelParams
-    a_eff: float
-    length: float = 1.0
+    __slots__ = ("params", "a_eff", "length")
 
-    def __post_init__(self):
-        if not self.length > 0:
+    def __init__(self, params: ModelParams, a_eff: float, length: float = 1.0):
+        if not length > 0:
             raise ValueError("length must be > 0")
+        self.params, self.a_eff, self.length = params, a_eff, length
 
     @classmethod
     def from_params(cls, params: ModelParams, length: float = 1.0) -> "QuasiParams":
@@ -68,14 +65,13 @@ class QuasiParams:
         return (self.params.b * lam + self.params.d * lam**2) / self.a_eff
 
 
-@dataclass(frozen=True)
 class QuasiState:
     """Per-mode theta coefficients with the recovered plate coefficients."""
 
-    t: float
-    lams: np.ndarray
-    theta: np.ndarray
-    u: np.ndarray
+    __slots__ = ("t", "lams", "theta", "u")
+
+    def __init__(self, t: float, lams: np.ndarray, theta: np.ndarray, u: np.ndarray):
+        self.t, self.lams, self.theta, self.u = t, lams, theta, u
 
     def relation_residual(self, params: ModelParams) -> float:
         """Max residual of c*u_xx = eta*theta per mode (should be ~0)."""
@@ -100,7 +96,6 @@ def _decay(qparams: QuasiParams, theta0: np.ndarray, t, shift: float = 0.0):
     return lams, theta, -p.eta * theta / (p.c * lams)
 
 
-@dataclass(frozen=True)
 class QuasiDecayReport:
     """Decay of the plate H^2-seminorm against the slowest thermal rate.
 
@@ -115,16 +110,22 @@ class QuasiDecayReport:
     faster modes to die out).
     """
 
-    t: np.ndarray
-    theta_l2_sq: np.ndarray
-    h2_seminorm: np.ndarray
-    rate1: float
-    fitted_rate: float
-    fit_rel_residual: float | None
-    k_measured: float
-    envelope_holds: bool
-    schwarz_max_ratio: float
-    relation_residual_max: float
+    __slots__ = (
+        "t", "theta_l2_sq", "h2_seminorm", "rate1", "fitted_rate", "fit_rel_residual",
+        "k_measured", "envelope_holds", "schwarz_max_ratio", "relation_residual_max",
+    )
+
+    def __init__(
+        self, t: np.ndarray, theta_l2_sq: np.ndarray, h2_seminorm: np.ndarray,
+        rate1: float, fitted_rate: float, fit_rel_residual: float | None,
+        k_measured: float, envelope_holds: bool, schwarz_max_ratio: float,
+        relation_residual_max: float,
+    ):
+        self.t, self.theta_l2_sq, self.h2_seminorm = t, theta_l2_sq, h2_seminorm
+        self.rate1, self.fitted_rate = rate1, fitted_rate
+        self.fit_rel_residual, self.k_measured = fit_rel_residual, k_measured
+        self.envelope_holds, self.schwarz_max_ratio = envelope_holds, schwarz_max_ratio
+        self.relation_residual_max = relation_residual_max
 
 
 def quasi_decay_report(

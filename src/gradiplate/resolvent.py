@@ -62,7 +62,6 @@ which the scan exposes as a contrast diagnostic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,13 +75,13 @@ if TYPE_CHECKING:
 RESIDUAL_LIMIT = 1e-12
 
 
-@dataclass(frozen=True)
 class ResolventRHS:
     """Coefficients of one mode of the driving term G = (g1, g2, g3)."""
 
-    g1: complex
-    g2: complex
-    g3: complex
+    __slots__ = ("g1", "g2", "g3")
+
+    def __init__(self, g1: complex, g2: complex, g3: complex):
+        self.g1, self.g2, self.g3 = g1, g2, g3
 
     def as_array(self) -> np.ndarray:
         arr = np.array([self.g1, self.g2, self.g3], dtype=complex)
@@ -320,7 +319,6 @@ def resolvent_norm(
     return float(_sup_norms(params, lams, [omega])[0])
 
 
-@dataclass(frozen=True)
 class ResolventScan:
     """Imaginary-axis scan of the truncated resolvent norm.
 
@@ -333,14 +331,18 @@ class ResolventScan:
     grid point; conjugation symmetry makes it vanish up to roundoff.
     """
 
-    omegas: np.ndarray
-    norms: np.ndarray
-    mode_count: int
-    sup_norm: float
-    tail_min: float
-    tail_start: float
-    limit_peak: float
-    sign_gap: float
+    __slots__ = (
+        "omegas", "norms", "mode_count", "sup_norm", "tail_min", "tail_start",
+        "limit_peak", "sign_gap",
+    )
+
+    def __init__(
+        self, omegas: np.ndarray, norms: np.ndarray, mode_count: int, sup_norm: float,
+        tail_min: float, tail_start: float, limit_peak: float, sign_gap: float,
+    ):
+        self.omegas, self.norms, self.mode_count = omegas, norms, mode_count
+        self.sup_norm, self.tail_min, self.tail_start = sup_norm, tail_min, tail_start
+        self.limit_peak, self.sign_gap = limit_peak, sign_gap
 
 
 def scan_imaginary_axis(
@@ -406,7 +408,6 @@ def resonant_omega_grid(
     return omegas[np.diff(omegas, prepend=-np.inf) != 0]
 
 
-@dataclass(frozen=True)
 class NondiffSequence:
     """The resonant-drive sequence n = 1..n_max as arrays, one entry per term.
 
@@ -418,20 +419,25 @@ class NondiffSequence:
     at exact resonance, row by row.
     """
 
-    n: np.ndarray
-    lam: np.ndarray
-    omega: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    norm_u_sq: np.ndarray
-    norm_v_sq: np.ndarray
-    norm_v_sq_weighted: np.ndarray
-    gap: np.ndarray
-    alg1_residual: np.ndarray
-    alg2_residual: np.ndarray
-    target: float
-    gap_at_end: float
-    matching_norm: str = "l2"
+    __slots__ = (
+        "n", "lam", "omega", "p", "q", "norm_u_sq", "norm_v_sq", "norm_v_sq_weighted",
+        "gap", "alg1_residual", "alg2_residual", "target", "gap_at_end",
+        "matching_norm",
+    )
+
+    def __init__(
+        self, n: np.ndarray, lam: np.ndarray, omega: np.ndarray, p: np.ndarray,
+        q: np.ndarray, norm_u_sq: np.ndarray, norm_v_sq: np.ndarray,
+        norm_v_sq_weighted: np.ndarray, gap: np.ndarray, alg1_residual: np.ndarray,
+        alg2_residual: np.ndarray, target: float, gap_at_end: float,
+        matching_norm: str = "l2",
+    ):
+        self.n, self.lam, self.omega, self.p, self.q = n, lam, omega, p, q
+        self.norm_u_sq, self.norm_v_sq = norm_u_sq, norm_v_sq
+        self.norm_v_sq_weighted, self.gap = norm_v_sq_weighted, gap
+        self.alg1_residual, self.alg2_residual = alg1_residual, alg2_residual
+        self.target, self.gap_at_end = target, gap_at_end
+        self.matching_norm = matching_norm
 
 
 def nondiff_target(params: ModelParams) -> float:

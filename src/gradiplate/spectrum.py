@@ -24,7 +24,6 @@ one-mode functions run it on scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -170,14 +169,17 @@ def row_max(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, first, axis=-1)[..., 0]
 
 
-@dataclass(frozen=True)
 class ModeSpectrum:
     """Eigenvalues of one mode block with their backward-error residuals."""
 
-    lam: float
-    roots: tuple[complex, complex, complex]
-    classification: str
-    residuals: np.ndarray
+    __slots__ = ("lam", "roots", "classification", "residuals")
+
+    def __init__(
+        self, lam: float, roots: tuple[complex, complex, complex], classification: str,
+        residuals: np.ndarray,
+    ):
+        self.lam, self.roots, self.classification = lam, roots, classification
+        self.residuals = residuals
 
     @property
     def max_real(self) -> float:
@@ -207,7 +209,6 @@ def spectral_abscissa(params: ModelParams, domain: SpectralDomain, mode_count: i
     return float(row_max(row_max(roots.real)))
 
 
-@dataclass(frozen=True)
 class StripReport:
     """Complex-pair real parts along an eigenvalue sweep.
 
@@ -216,12 +217,14 @@ class StripReport:
     three real roots carry NaN and are excluded from `gap_at_end`.
     """
 
-    lams: np.ndarray
-    pair_real: np.ndarray
-    pair_imag: np.ndarray
-    target: float
-    gaps: np.ndarray
-    gap_at_end: float
+    __slots__ = ("lams", "pair_real", "pair_imag", "target", "gaps", "gap_at_end")
+
+    def __init__(
+        self, lams: np.ndarray, pair_real: np.ndarray, pair_imag: np.ndarray,
+        target: float, gaps: np.ndarray, gap_at_end: float,
+    ):
+        self.lams, self.pair_real, self.pair_imag = lams, pair_real, pair_imag
+        self.target, self.gaps, self.gap_at_end = target, gaps, gap_at_end
 
 
 def asymptotic_strip(params: ModelParams, lams: Sequence[float]) -> StripReport:
@@ -245,15 +248,17 @@ def asymptotic_strip(params: ModelParams, lams: Sequence[float]) -> StripReport:
     return StripReport(lams, pair_real, pair_imag, target, gaps, gap_at_end)
 
 
-@dataclass(frozen=True)
 class DecayFit:
     """Least-squares exponential fit E(t) ~ prefactor * exp(-2 gamma t)."""
 
-    gamma: float
-    prefactor: float
-    rms_residual: float
-    window: tuple[float, float]
-    n_samples: int
+    __slots__ = ("gamma", "prefactor", "rms_residual", "window", "n_samples")
+
+    def __init__(
+        self, gamma: float, prefactor: float, rms_residual: float,
+        window: tuple[float, float], n_samples: int,
+    ):
+        self.gamma, self.prefactor, self.rms_residual = gamma, prefactor, rms_residual
+        self.window, self.n_samples = window, n_samples
 
 
 def fit_decay(trajectory: Trajectory, t_min: float = 5.0) -> DecayFit:

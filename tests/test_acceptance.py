@@ -5,13 +5,13 @@ Each test computes its quantities, prints the measured value against the
 pinned tolerance, and asserts.
 """
 
-import dataclasses
 import math
 import time
 
 import numpy as np
 
 from gradiplate import (
+    ConvexityTrajectory,
     DegenerateCapacity,
     Direction,
     ModelParams,
@@ -229,8 +229,11 @@ def test_criterion_7_convexity_instability():
     states = convexity_trajectory(params, init, times, omega, t0)
 
     early = states.t <= 5.0
-    columns = {name: getattr(states, name)[early] for name in ("t", "f", "fdot", "fddot")}
-    convexity = convexity_residual_check(dataclasses.replace(states, **columns), e0)
+    head = ConvexityTrajectory(
+        states.t[early], states.f[early], states.fdot[early], states.fddot[early],
+        states.nu, states.omega_const, states.t0, states.phi,
+    )
+    convexity = convexity_residual_check(head, e0)
     bound = instability_lower_bound(states, e0, growth_window=(14.0, 18.0))
     root = bisect_real_root(lambda z: z**3 + 2.0 * z**2 - 2.0, 0.8, 0.9)
     rate_gap = abs(bound.growth_rate - root)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import os
@@ -547,14 +548,24 @@ class TestOtherSubcommands:
         assert "DegenerateCapacity" in capsys.readouterr().err
 
 
+def record_mode_states(monkeypatch) -> list:
+    """The list of every ModeState built from here on in the test."""
+    built = []
+    init = propagator.ModeState.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(propagator.ModeState, "__init__", recorded)
+    return built
+
+
 class TestNoPerSampleObjects:
     """Guards on work counts, not timings: trajectories stay arrays."""
 
     def test_simulate_builds_mode_states_only_for_initial_data(self, tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(
-            propagator.ModeState, "__post_init__", lambda self: built.append(self)
-        )
+        built = record_mode_states(monkeypatch)
         cfg = simulate_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(built) <= 4  # mode_count; 1001 samples would make 4004
@@ -562,10 +573,7 @@ class TestNoPerSampleObjects:
     def test_wide_plate_simulate_builds_no_mode_state(self, tmp_path, monkeypatch):
         """Modes, initial state and trajectory are arrays: the 4,096-mode
         rectangle of the benchmark builds no per-mode object."""
-        built = []
-        monkeypatch.setattr(
-            propagator.ModeState, "__post_init__", lambda self: built.append(self)
-        )
+        built = record_mode_states(monkeypatch)
         cfg = write_config(tmp_path, "run.cfg", base_model() + [
             "domain = rectangle", f"length1 = {PI}", "length2 = 2", "mode_count = 4096",
             "t_end = 0.01", "dt = 0.001", "initial = first-mode-bend+thermal-pulse",
@@ -751,6 +759,22 @@ class TestRefusedConfigs:
         "initial_theta = -1.2586686696100462,-0.20383736482423975,-0.7226841108252637",
     ]
 
+    def test_grid_larger_than_memory(self, tmp_path, capsys):
+        """numpy refuses the 1e18-sample grid (6.94 EiB) at once: it is
+        beyond the 64-bit address space, so nothing is allocated."""
+        lines = [l for l in self.BASES["simulate"] if not l.startswith(("t_end ", "dt "))]
+        err = self.refused(tmp_path, capsys, "simulate", lines + ["t_end = 1e9", "dt = 1e-9"])
+        assert "does not fit in memory" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "backward", "quasistatic"])
+    @pytest.mark.parametrize("t_end, dt", [("1e20", "1"), ("1e300", "1e-10")])
+    def test_grid_beyond_an_array(self, tmp_path, capsys, subcommand, t_end, dt):
+        base = self.BASES["quasistatic" if subcommand == "quasistatic" else "simulate"]
+        lines = [l for l in base if not l.startswith(("t_end ", "dt "))]
+        err = self.refused(tmp_path, capsys, subcommand, lines + [f"t_end = {t_end}", f"dt = {dt}"])
+        assert "more than an array can hold" in err
+
     def test_instability_with_positive_initial_energy(self, tmp_path, capsys):
         err = self.refused(tmp_path, capsys, "instability", self.POSITIVE_ENERGY)
         assert "Fdot(0) > 2*nu is unreachable with omega_const = 0" in err
@@ -765,6 +789,30 @@ class TestRefusedConfigs:
         assert manifest["status"] == "nonfinite"
         assert manifest["error"].startswith("convexity functional overflowed at t=")
         assert not (tmp_path / "o" / "instability.csv").exists()
+
+
+class TestOneSubparser:
+    """A command line that names a subcommand builds only its subparser;
+    what the user reads and the exit code are those of the full parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["--version"], ["bogus"], [], ["simulate"], ["simulate", "--help"],
+        ["simulate", "--config", "run.cfg", "--bogus"],
+    ])
+    def test_texts_and_exit_code_match_the_full_parser(self, capsys, argv):
+        def outcome(parser):
+            with pytest.raises(SystemExit) as exited:
+                parser.parse_args(argv)
+            printed = capsys.readouterr()
+            return exited.value.code, printed.out, printed.err
+
+        assert outcome(cli.build_parser(argv)) == outcome(cli.build_parser())
+
+    def test_only_the_named_subparser_is_built(self):
+        parser = cli.build_parser(["nondiff", "--config", "run.cfg"])
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["nondiff"]
+        assert parser.parse_args(["nondiff", "--config", "run.cfg"]).config == "run.cfg"
 
 
 class TestImportFootprint:
@@ -810,10 +858,12 @@ class TestImportFootprint:
     @staticmethod
     def loaded_modules(script: str) -> set[str]:
         """The gradiplate modules loaded after `script` runs in a fresh
-        process, and numpy.ma if it is loaded (np.unique imports it)."""
+        process, and numpy.ma if it is loaded (np.unique imports it), and
+        dataclasses if it is (creating a dataclass costs about 1 ms)."""
         script += (
             "\nimport sys\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gradiplate' or m == 'numpy.ma'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gradiplate'"
+            " or m in ('numpy.ma', 'dataclasses')))\n"
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -101,6 +101,21 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="longer than mode_count"):
             build_config(raw, "simulate")
 
+    @pytest.mark.parametrize("value", ["1,,2", ",1", "1, ,2", "1,2,,"])
+    def test_empty_list_entry_rejected(self, value):
+        """An empty entry would move each later coefficient down one mode."""
+        raw = simulate_raw()
+        del raw["initial"]
+        raw["initial_u"] = value
+        with pytest.raises(ConfigError, match="initial_u: empty entry"):
+            build_config(raw, "simulate")
+
+    def test_one_trailing_comma_accepted(self):
+        raw = simulate_raw()
+        del raw["initial"]
+        raw["initial_u"] = "1,2,"
+        assert build_config(raw, "simulate").initial_u == [1.0, 2.0]
+
     def test_quasistatic_degenerate_capacity_rejected(self):
         raw = {
             "rho": "1", "a": "1", "b": "1", "c": "-1", "d": "1", "eta": "1",
