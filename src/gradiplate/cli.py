@@ -111,13 +111,14 @@ def _identity_scale(report: EnergyBalanceReport, history: EnergyHistory) -> floa
 
 
 def _evolution_sizes(initial: SpectralState, times: np.ndarray) -> dict[str, int]:
-    from .propagator import time_blocks
+    from .propagator import live_modes, time_blocks
 
+    live = live_modes(initial.x).size
     return {
         "modes": len(initial.modes),
-        "live_modes": int(np.count_nonzero(np.any(initial.x != 0.0, axis=1))),
+        "live_modes": live,
         "samples": times.size,
-        "time_blocks": len(time_blocks(len(initial.modes), times.size)),
+        "time_blocks": len(time_blocks(live, times.size)),
     }
 
 

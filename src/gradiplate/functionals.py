@@ -60,7 +60,8 @@ import numpy as np
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
 from .model import Direction, ModelParams, mode_blocks
 from .propagator import (
-    SpectralState, Trajectory, _checked_block, _checked_times, _ModeTrajectory, energy_of, time_blocks,
+    SpectralState, Trajectory, _checked_block, _checked_times, _ModeTrajectory, energy_of,
+    live_modes, time_blocks,
 )
 
 WEIGHT_CONVENTION = "omega*(t+t0)^2"
@@ -179,7 +180,9 @@ def verify_backward_identities(
     dl1_fd = center(l1)
     dl2_fd = center(l2)
     _require_real(trajectory.x)
-    lams, x = trajectory.modes.lam, trajectory.x[:, :, 1:-1]
+    # modes at rest stay at rest: the sums run over the live ones only
+    live = live_modes(trajectory.x[:, :, 0])
+    lams, x = trajectory.modes.lam[live], trajectory.x[live, :, 1:-1]
     # (samples, modes) rows, so each sample sums as its own mode vector does
     vth = np.ascontiguousarray((lams[:, None] * x[:, 1] * x[:, 2]).T)
     diss = trajectory.dissipation[1:-1]
@@ -189,9 +192,8 @@ def verify_backward_identities(
     else:
         dl1_an, dl2_an = -diss, diss - cross
     # the faster of the heat rate w/a and the plate frequency sqrt(|c|/rho) lam
-    live = lams[np.any(trajectory.x[:, :, 0] != 0.0, axis=1)]
     rate = float(np.max(
-        np.maximum(params.heat_weight(live) / params.a, abs(params.c / params.rho) ** 0.5 * live),
+        np.maximum(params.heat_weight(lams) / params.a, abs(params.c / params.rho) ** 0.5 * lams),
         initial=0.0,
     ))
     scale = max(2.0 * rate * float(np.max(trajectory.energy_norm)), 1e-300)
@@ -272,20 +274,20 @@ class PhiSolution:
 def phi_coefficients(params: ModelParams, initial_state: SpectralState) -> PhiSolution:
     x = initial_state.x
     _require_real(x)
-    return _phi_solution(params, initial_state.modes.lam, x[:, 0], x[:, 2])
+    return _phi_solution(params, initial_state.modes.lam, x)
 
 
-def _phi_solution(
-    params: ModelParams, lams: np.ndarray, u: np.ndarray, th: np.ndarray
-) -> PhiSolution:
+def _phi_solution(params: ModelParams, lams: np.ndarray, x: np.ndarray) -> PhiSolution:
+    """Phi of the states x[mode, (u, v, theta)]; nu sums over the live modes."""
     w = params.heat_weight(lams)
-    rhs = params.a * th - params.eta * lams * u
+    rhs = params.a * x[:, 2] - params.eta * lams * x[:, 0]
     phi = -rhs / w if lams.size else np.zeros(0)
     residual = np.abs(-w * phi - rhs)
     scale = np.maximum(np.abs(rhs), 1.0)
+    live = live_modes(x)
     return PhiSolution(
         phi=phi,
-        nu=float(np.sum(w * phi**2)),
+        nu=float(np.sum(w[live] * phi[live] ** 2)),
         residual_max=float(np.max(residual / scale, initial=0.0)),
     )
 
@@ -320,18 +322,20 @@ def convexity_trajectory(
     """
     if omega_const < 0 or t0 < 0:
         raise ValueError("omega_const and t0 must be nonnegative")
-    t, lams, x0 = _checked_times(times), initial.modes.lam, initial.x
+    t, x0 = _checked_times(times), initial.x
     _require_real(x0)
-    sol = _phi_solution(params, lams, x0[:, 0], x0[:, 2])
+    sol = _phi_solution(params, initial.modes.lam, x0)
+    # modes at rest add nothing to F: only the live ones are evolved and summed
+    live = live_modes(x0)
+    lams = initial.modes.lam[live]
     w = params.heat_weight(lams)
-    r = np.zeros((lams.size, 3))
+    r = np.zeros((live.size, 3))
     r[:, 0], r[:, 2] = params.eta * lams, -params.a
     q = r[:, :, None] * r[:, None, :] / w[:, None, None]
-    kernel = _ModeTrajectory(mode_blocks(params, lams), x0, t, q)
+    kernel = _ModeTrajectory(mode_blocks(params, lams), x0[live], t, q)
 
-    blocks = time_blocks(lams.size, t.size)
-    # dead modes are never written, so they stay exactly 0 in every block
-    buffer = np.zeros(x0.shape + (max((hi - lo for lo, hi in blocks), default=0),))
+    blocks = time_blocks(live.size, t.size)
+    buffer = np.empty((live.size, 3, max((hi - lo for lo, hi in blocks), default=0)))
     f, fdot, fddot = (np.empty(t.size) for _ in range(3))
 
     def fill(lo: int, hi: int) -> None:  # no temporary outlives its block
@@ -489,7 +493,7 @@ def choose_weight_shift(
     if omega_const < 0:
         raise ValueError("omega_const must be nonnegative")
     sol = phi_coefficients(params, initial_state)
-    x = initial_state.x
+    x = initial_state.x[live_modes(initial_state.x)]
     cross = 2.0 * params.rho * float(np.sum(x[:, 0] * x[:, 1]))
     needed = sol.nu - cross  # require 2*omega*t0 > needed
     if omega_const == 0.0:

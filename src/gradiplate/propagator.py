@@ -27,13 +27,17 @@ the package's one energy quadratic form: `_energy_columns` sums it, for a
 single state (`energy_of`) and for every trajectory sample alike, and the
 functionals (L1, L2, F'') read its columns instead of summing it again.
 
-An `Evolution` yields its trajectory in time blocks of about
-BLOCK_MODE_SAMPLES mode-samples, each a `Trajectory` of its own samples:
-the coefficients x[mode, (u, v, theta), sample], the columns of E
-(kinetic, bending, thermal, total) and D, and int_0^t D ds from the
-kernel.  `evolve` holds them all in one `Trajectory`; a run that needs
-only the columns keeps them (`EnergyHistory`), and its memory grows by a
-few numbers per sample.  The blocks do not change a bit of the output.
+Modes whose initial data are zero stay exactly at rest, so no
+time-domain array holds them: the kernel evolves, and the energy form
+sums, only the live modes (`live_modes`).  An `Evolution` yields its
+trajectory in time blocks of about BLOCK_MODE_SAMPLES live mode-samples,
+each the columns of E (kinetic, bending, thermal, total) and D, and
+int_0^t D ds from the kernel, of its own samples; the states of the live
+modes go into a caller's (modes, 3, samples) array when one is given.
+`evolve` holds them all in one `Trajectory`; a run that needs only the
+columns keeps them (`EnergyHistory`), and its memory grows by a few
+numbers per sample.  Neither the blocks nor the modes at rest change a
+bit of the output.
 """
 
 from __future__ import annotations
@@ -65,9 +69,12 @@ EXPM1_LIMIT = 0.5
 # mode-samples of the whole grid per kernel group: bounds the kernel's
 # temporaries
 CHUNK_SAMPLES = 2**13
-# mode-samples per time block: a time-domain run holds the states of one
-# block, and 1-D columns of the whole grid
+# live mode-samples per time block: a time-domain run holds the states of
+# one block, and 1-D columns of the whole grid
 BLOCK_MODE_SAMPLES = 2**16
+# samples per time block at most: a block's energy columns and the
+# kernel's per-sample terms do not shrink with the live mode count
+BLOCK_SAMPLES_MAX = 2**14
 # block starts are multiples of this many samples (see `time_blocks`)
 _BLOCK_ALIGN = 64
 ENERGY_FLOOR = 1e-300
@@ -145,6 +152,12 @@ class EnergyBreakdown:
         self.total, self.dissipation_rate = total, dissipation_rate
 
 
+def live_modes(x: np.ndarray) -> np.ndarray:
+    """Indices of the rows of x[mode, ...] that are not all zero: the modes
+    that carry data.  The others stay exactly at rest."""
+    return np.flatnonzero(np.any(x != 0.0, axis=1))
+
+
 def _energy_columns(
     params: ModelParams, lams: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -177,7 +190,10 @@ def _energy_columns(
 
 
 def energy_of(params: ModelParams, state: SpectralState) -> EnergyBreakdown:
-    columns = _energy_columns(params, state.modes.lam, state.x[:, :, None])
+    """E and D of one state, summed over its live modes as a trajectory's
+    energy columns are: E is their first entry to the bit."""
+    live = live_modes(state.x)
+    columns = _energy_columns(params, state.modes.lam[live], state.x[live, :, None])
     return EnergyBreakdown(*(float(col[0]) for col in columns))
 
 
@@ -225,16 +241,18 @@ class Trajectory(EnergyHistory):
 def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     """The (lo, hi) sample ranges of the time blocks of a grid.
 
-    A block holds about BLOCK_MODE_SAMPLES mode-samples: a power of two of
-    samples, and at least _BLOCK_ALIGN.  BLAS takes the sample axis of a
-    matmul in groups of a few columns and finishes a ragged tail, or a
-    single column, in other kernels.  Blocks that start at multiples of
+    A block holds about BLOCK_MODE_SAMPLES mode-samples of `modes` live
+    modes: a power of two of samples, at least _BLOCK_ALIGN and at most
+    BLOCK_SAMPLES_MAX, or the whole grid when that is shorter (so a grid
+    with no live mode is one block up to that size).  BLAS takes the
+    sample axis of a matmul in groups of a few columns and finishes a
+    ragged tail, or a single column, in other kernels.  Blocks that start at multiples of
     _BLOCK_ALIGN, with a one-sample tail joined to the block before it,
     keep each sample in the place it has in one whole-grid call, so its
     bits do not depend on the blocking.
     """
     per = _BLOCK_ALIGN
-    while 2 * per * modes <= BLOCK_MODE_SAMPLES:
+    while per < min(samples, BLOCK_SAMPLES_MAX) and 2 * per * modes <= BLOCK_MODE_SAMPLES:
         per *= 2
     starts = list(range(0, samples, per))
     if len(starts) > 1 and samples - starts[-1] == 1:
@@ -268,19 +286,20 @@ class _ModeTrajectory:
     x0 the (modes, n) initial states and q the real symmetric (modes, n, n)
     weights.  The per-mode setup runs once, against the whole grid, and
     `block` evaluates samples lo:hi; blocks come in order from sample 0,
-    since the fallback carries its state from one to the next.  Modes at
-    rest stay exactly at rest; the others go through in groups of about
-    CHUNK_SAMPLES mode-samples of the whole grid.  Overflow is not raised
-    here: it leaves non-finite entries for the caller to report as
-    NonFiniteResult.
+    since the fallback carries its state from one to the next.  The modes
+    go through in groups of about CHUNK_SAMPLES mode-samples of the whole
+    grid.  A mode at rest stays exactly at rest, but costs as much as any
+    other: callers pass the live modes only (`live_modes`).  Overflow is
+    not raised here: it leaves non-finite entries for the caller to report
+    as NonFiniteResult.
     """
 
     def __init__(self, m, x0, times, q):
         self.x0, self.times, self.groups = x0, times, []
-        live = np.flatnonzero(np.any(x0 != 0.0, axis=1))
         step = max(1, CHUNK_SAMPLES // max(times.size, 1))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for chunk in (live[lo : lo + step] for lo in range(0, live.size, step)):
+            for lo in range(0, len(x0), step):
+                chunk = np.arange(lo, min(lo + step, len(x0)))
                 z, vecs = np.linalg.eig(m[chunk])
                 # rows equilibrated first: u, v and theta differ in scale by
                 # powers of lam, which costs no accuracy; near-coincident roots do
@@ -293,10 +312,10 @@ class _ModeTrajectory:
 
     def block(self, lo: int, hi: int, out: np.ndarray | None = None):
         """States and running integral at samples lo:hi; the states go into
-        `out`, zeros of shape (modes, n, hi - lo), when it is given."""
+        `out`, shape (modes, n, hi - lo), when it is given."""
         t = self.times[lo:hi]
         if out is None:
-            out = np.zeros(self.x0.shape + t.shape, dtype=self.x0.dtype)
+            out = np.empty(self.x0.shape + t.shape, dtype=self.x0.dtype)
         integral = np.zeros(t.size)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for modes, eig, stepwise in self.groups:
@@ -430,10 +449,11 @@ def _checked_times(times: Sequence[float]) -> np.ndarray:
     return times
 
 
-def _checked_block(params, lams, times, kernel, lo, hi, out):
+def _checked_block(params, lams, times, kernel, lo, hi, out=None):
     """States, energy columns and running integral of `kernel` at samples
-    lo:hi.  Overflow, of the states or of their energy, raises
-    NonFiniteResult tagged with the first offending time."""
+    lo:hi; `lams` are the eigenvalues of its modes.  Overflow, of the
+    states or of their energy, raises NonFiniteResult tagged with the first
+    offending time."""
     x, integral = kernel.block(lo, hi, out)
     with np.errstate(over="ignore", invalid="ignore"):
         columns = _energy_columns(params, lams, x)
@@ -450,11 +470,12 @@ class Evolution:
     block at a time.
 
     `times` must start at 0 and increase strictly.  Per-mode evolution is
-    independent (data-parallel by contract).  Each pass over `blocks`
-    runs the kernel's per-mode setup once; a block holds the states of its
-    own samples, their energy columns, and int_0^t D ds from the kernel in
-    closed form.  Overflow, of the states or of their energy, raises
-    NonFiniteResult tagged with the first offending time.
+    independent (data-parallel by contract), and only the live modes are
+    evolved.  Each pass over `blocks` runs the kernel's per-mode setup
+    once; a block holds the states of its own samples, their energy
+    columns, and int_0^t D ds from the kernel in closed form.  Overflow,
+    of the states or of their energy, raises NonFiniteResult tagged with
+    the first offending time.
     """
 
     def __init__(
@@ -466,23 +487,28 @@ class Evolution:
     ):
         self.params, self.initial, self.direction = params, initial, direction
         self.t = times = _checked_times(times)
-        self.modes = initial.modes
-        self.time_blocks = time_blocks(len(self.modes), times.size)
+        self.modes, self.live = initial.modes, live_modes(initial.x)
+        self.time_blocks = time_blocks(self.live.size, times.size)
 
-    def blocks(self, into: np.ndarray | None = None) -> Iterator[tuple[int, Trajectory]]:
-        """(lo, trajectory of samples lo:hi) in time order; given `into`,
-        zeros of shape (modes, 3, samples), the states go into its slices."""
-        params, lams = self.params, self.modes.lam
-        q = np.zeros((lams.size, 3, 3))
+    def blocks(self, into: np.ndarray | None = None) -> Iterator[tuple[int, EnergyHistory]]:
+        """(lo, energy columns of samples lo:hi) in time order; given `into`,
+        zeros of shape (modes, 3, samples), the states of the live modes go
+        into its slices."""
+        params, live = self.params, self.live
+        lams = self.modes.lam[live]
+        q = np.zeros((live.size, 3, 3))
         q[:, 2, 2] = params.heat_weight(lams)  # D_n = w_n theta_n^2
         blocks = mode_blocks(params, lams, self.direction)
-        kernel = _ModeTrajectory(blocks, self.initial.x, self.t, q)
+        kernel = _ModeTrajectory(blocks, self.initial.x[live], self.t, q)
         for lo, hi in self.time_blocks:
-            yield lo, self._block(kernel, lo, hi, None if into is None else into[..., lo:hi])
+            yield lo, self._block(kernel, lams, lo, hi, into)
 
-    def _block(self, kernel, lo, hi, out) -> Trajectory:
-        x, columns, integral = _checked_block(self.params, self.modes.lam, self.t, kernel, lo, hi, out)
-        return Trajectory(self.t[lo:hi], *columns, integral, self.initial.domain, self.modes, x)
+    def _block(self, kernel, lams, lo, hi, into) -> EnergyHistory:
+        # a function of its own, so that no state outlives its block
+        x, columns, integral = _checked_block(self.params, lams, self.t, kernel, lo, hi)
+        if into is not None:
+            into[self.live, :, lo:hi] = x
+        return EnergyHistory(self.t[lo:hi], *columns, integral)
 
     def trajectory(self, states: bool = True) -> Trajectory | EnergyHistory:
         """The whole trajectory; with states=False only its energy columns,
@@ -491,7 +517,7 @@ class Evolution:
         x = np.zeros(shape, self.initial.x.dtype) if states else None
         columns = {name: np.empty(self.t.size) for name in _COLUMNS}
 
-        def store(item: tuple[int, Trajectory]) -> None:
+        def store(item: tuple[int, EnergyHistory]) -> None:
             lo, block = item
             for name, column in columns.items():
                 column[lo : lo + block.t.size] = getattr(block, name)

@@ -22,7 +22,8 @@ PI = "3.141592653589793"
 ONE_BLOCK = 2**40
 UNIT = ["rho = 1", "a = 1", "b = 1", "c = 1", "d = 1", "eta = 1"]
 UNSTABLE = ["rho = 1", "a = 1", "b = 1", "c = -1", "d = 1", "eta = 1"]
-INTERVAL_64 = ["domain = interval", f"length = {PI}", "mode_count = 64"]
+INTERVAL = ["domain = interval", f"length = {PI}"]
+INTERVAL_64 = INTERVAL + ["mode_count = 64"]
 # the time-domain bench invocations at a tenth of their horizon or less, on
 # 1,025 samples: 16 blocks of the smallest size and a one-sample tail
 REDUCED_TIME_DOMAIN = {
@@ -48,7 +49,7 @@ def run(tmp_path, subcommand, lines, block, monkeypatch):
     config = work / "run.cfg"
     config.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = cli.main([subcommand, "--config", str(config), "--out", str(work / "o")])
-    csv = work / "o" / ("simulate.csv" if subcommand == "simulate" else "instability.csv")
+    csv = work / "o" / f"{subcommand}.csv"
     manifest = work / "o" / "manifest.txt"
     sizes = {}
     if manifest.exists():
@@ -73,6 +74,9 @@ class TestTimeBlocks:
         assert time_blocks(64, 10001)[-1] == (9216, 10001)
         assert time_blocks(4096, 11) == [(0, 11)]
         assert time_blocks(64, 0) == []
+        assert time_blocks(0, 1025) == [(0, 1025)]
+        assert time_blocks(0, 0) == []
+        assert time_blocks(1, 200001)[:2] == [(0, 2**14), (2**14, 2**15)]
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 1)
         blocks = time_blocks(64, 1025)
         assert [hi - lo for lo, hi in blocks] == [64] * 15 + [65]
@@ -107,6 +111,50 @@ class TestTimeBlocks:
             lines, c = test_sweep.simulate_config(rng)
             lines = [f"c = {-abs(c)!r}" if line.startswith("c = ") else line for line in lines]
             assert_block_invariant(tmp_path / str(n), "instability", lines, monkeypatch)
+
+
+class TestRestModes:
+    """Modes whose initial data are zero are never evolved or summed, so
+    appending them changes no CSV byte: every mode sum runs over the same
+    live rows in the same order."""
+
+    LIVE = [
+        "initial_u = " + ",".join(repr(1.0 / n**2) for n in range(1, 13)),
+        "initial_theta = 0.5",
+    ]
+    CONFIGS = {
+        "simulate": UNIT + ["t_end = 1", "dt = 1e-3"],
+        "instability": UNSTABLE + ["t_end = 1", "dt = 1e-3"],
+        "backward": UNIT + ["t_end = 0.01", "dt = 1e-4"],
+    }
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability", "backward"])
+    def test_csv_bytes_do_not_depend_on_the_mode_count(self, tmp_path, monkeypatch, subcommand):
+        block = propagator.BLOCK_MODE_SAMPLES
+        runs = [
+            run(tmp_path / str(modes), subcommand,
+                self.CONFIGS[subcommand] + INTERVAL + [f"mode_count = {modes}"] + self.LIVE,
+                block, monkeypatch)
+            for modes in (12, 64)
+        ]
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[0][1] == runs[1][1]
+        if subcommand != "backward":
+            assert runs[0][2]["live_modes"] == runs[1][2]["live_modes"] == 12
+            assert runs[0][2]["time_blocks"] == runs[1][2]["time_blocks"]
+
+    def test_evolve_scatters_the_live_rows(self, unit_params, pi_interval):
+        """`evolve` keeps the (modes, 3, samples) layout: rest rows are
+        exactly 0, and the live ones are those of a run without the rest."""
+        data = {"u": [1.0, 0.0, 0.5], "theta": [0.0, 0.0, 0.0, 0.25]}
+        times = 1e-2 * np.arange(101)
+        wide = evolve(unit_params, state_from_coefficients(pi_interval, 8, **data), times)
+        narrow = evolve(unit_params, state_from_coefficients(pi_interval, 4, **data), times)
+        assert wide.x.shape == (8, 3, 101)
+        assert not np.any(wide.x[[1, 4, 5, 6, 7]])
+        assert np.array_equal(wide.x[:4], narrow.x)
+        for name in propagator._COLUMNS:
+            assert np.array_equal(getattr(wide, name), getattr(narrow, name)), name
 
 
 class TestEvolveBlocks:
@@ -161,15 +209,19 @@ class TestMemory:
     """From 2e4 to 2e5 samples at 64 modes, the in-process peak of a handler
     grows by what its 1-D per-sample columns need, not by a (modes x
     samples) array: at most BYTES_PER_SAMPLE, sixteen float64 columns.  A
-    (64, 3, samples) float array alone is 1,536 bytes per sample."""
+    (64, 3, samples) float array alone is 1,536 bytes per sample.  Modes at
+    rest cost at most BYTES_PER_REST_MODE each, as the config's per-mode
+    records do: the smallest time block, (modes, 3, 64), alone would be
+    1,536 bytes per mode."""
 
     BYTES_PER_SAMPLE = 16 * 8
+    BYTES_PER_REST_MODE = 1024
 
-    def peak(self, tmp_path, subcommand, dt):
+    def peak(self, tmp_path, subcommand, dt, modes=64):
         model = UNSTABLE if subcommand == "instability" else UNIT
-        path = tmp_path / f"{subcommand}-{dt}.cfg"
-        path.write_text("\n".join(model + INTERVAL_64 + [
-            "t_end = 2", f"dt = {dt}", "initial = first-mode-bend",
+        path = tmp_path / f"{subcommand}-{dt}-{modes}.cfg"
+        path.write_text("\n".join(model + INTERVAL + [
+            f"mode_count = {modes}", "t_end = 2", f"dt = {dt}", "initial = first-mode-bend",
         ]) + "\n", encoding="utf-8")
         cfg = load_config(str(path), subcommand)
         tracemalloc.start()
@@ -183,3 +235,8 @@ class TestMemory:
     def test_peak_grows_by_the_columns_only(self, tmp_path, subcommand):
         growth = self.peak(tmp_path, subcommand, "1e-5") - self.peak(tmp_path, subcommand, "1e-4")
         assert growth <= self.BYTES_PER_SAMPLE * (200_001 - 20_001)
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability"])
+    def test_peak_does_not_grow_with_rest_modes(self, tmp_path, subcommand):
+        growth = self.peak(tmp_path, subcommand, "1e-4", 4096) - self.peak(tmp_path, subcommand, "1e-4")
+        assert growth <= self.BYTES_PER_REST_MODE * (4096 - 64)
