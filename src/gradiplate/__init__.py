@@ -19,73 +19,49 @@ _EXPORTS = {
         "EpsilonOutOfRange",
         "GradiplateError",
         "InsufficientSamples",
-        "NonDecreasingEnergy",
         "NonFiniteResult",
-        "NonPositiveEnergy",
-        "PointOutsideDomain",
         "PreconditionUnmet",
         "SingularSystem",
     ),
     "model": (
         "Direction",
-        "HilbertWeight",
         "Interval",
-        "ModeMatrix",
         "ModelParams",
         "Modes",
         "Rectangle",
         "Regime",
         "SpectralDomain",
         "enumerate_modes",
-        "hilbert_weight",
-        "mode_matrix",
     ),
     "propagator": (
         "EnergyBalanceReport",
         "EnergyBreakdown",
         "EnergyHistory",
         "Evolution",
-        "FieldValues",
-        "ModeState",
         "SpectralState",
         "Trajectory",
         "energy_balance_report",
         "energy_of",
         "evolve",
-        "evolve_mode",
         "state_from_coefficients",
-        "synthesize_field",
     ),
     "quasistatic": (
         "QuasiDecayReport",
         "QuasiParams",
-        "QuasiState",
         "effective_capacity",
-        "evolve_theta",
         "quasi_decay_report",
     ),
     "resolvent": (
         "NondiffSequence",
-        "ResolventRHS",
         "ResolventScan",
         "closed_form_gap",
         "gap_reach",
-        "mode_resolvent_norm",
         "nondiff_sequence",
         "nondiff_target",
-        "resolvent_norm",
         "resonant_omega_grid",
         "scan_imaginary_axis",
-        "solve_mode_resolvent",
     ),
     "spectrum": (
-        "DecayFit",
-        "ModeSpectrum",
-        "StripReport",
-        "asymptotic_strip",
-        "cubic_roots",
-        "fit_decay",
-        "mode_eigenvalues",
         "spectral_abscissa",
     ),
     "functionals": (
@@ -94,7 +70,6 @@ _EXPORTS = {
         "ConvexityTrajectory",
         "GronwallReport",
         "InstabilityReport",
-        "LyapunovSample",
         "LyapunovSeries",
         "PhiSolution",
         "choose_weight_shift",
@@ -102,7 +77,6 @@ _EXPORTS = {
         "convexity_trajectory",
         "gronwall_check",
         "instability_lower_bound",
-        "lagrange_functionals",
         "lyapunov_series",
         "phi_coefficients",
         "verify_backward_identities",

@@ -315,13 +315,26 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
         cfg.initial_theta = _as_float_list(raw, "initial_theta")
         if not cfg.initial_theta:
             raise ConfigError("initial_theta must contain at least one coefficient")
-        from .quasistatic import effective_capacity
+        from .quasistatic import QuasiParams
 
         # refuse degenerate capacity at parse time
         try:
-            effective_capacity(params)
+            qparams = QuasiParams.from_params(params, cfg.length)
         except DegenerateCapacity as exc:
             raise ConfigError(f"DegenerateCapacity: {exc}") from exc
+        # the run squares lam_n = (n pi / length)^2, which grows with n:
+        # lam_1^2 and lam_N^2 must be normal floats, and the fastest rate finite
+        count = len(cfg.initial_theta)
+        try:
+            squares = [qparams.lam(n) ** 2 for n in (1, count)]
+            fastest = qparams.rate(count)
+        except OverflowError:
+            squares, fastest = [], math.inf
+        if not (fastest < math.inf and all(sys.float_info.min <= x < math.inf for x in squares)):
+            raise ConfigError(
+                f"length = {cfg.length!r}: for the initial_theta modes n = 1..{count}, "
+                "lam_n^2 = (n pi / length)^4 or the decay rate leaves the float range"
+            )
         return cfg
 
     cfg.domain, cfg.mode_count = _build_domain(raw, subcommand)

@@ -22,10 +22,6 @@ class InsufficientSamples(GradiplateError):
     """A trajectory-based diagnostic was given too few samples."""
 
 
-class PointOutsideDomain(GradiplateError):
-    """A field-evaluation point lies outside the spatial domain."""
-
-
 class SingularSystem(GradiplateError):
     """A mode resolvent system was (numerically) singular.
 
@@ -45,14 +41,6 @@ class EigenvalueOutOfRange(GradiplateError, ValueError):
 
 class EpsilonOutOfRange(GradiplateError):
     """The Lyapunov mixing parameter must lie strictly in (0, 1)."""
-
-
-class NonPositiveEnergy(GradiplateError):
-    """Decay fitting requires strictly positive energies."""
-
-
-class NonDecreasingEnergy(GradiplateError):
-    """Decay fitting requires decreasing energies (signals misuse with c <= 0)."""
 
 
 class DegenerateCapacity(GradiplateError):

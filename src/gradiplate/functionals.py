@@ -60,8 +60,8 @@ import numpy as np
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
 from .model import Direction, ModelParams, mode_blocks
 from .propagator import (
-    SpectralState, Trajectory, _checked_block, _checked_times, _ModeTrajectory, energy_of,
-    live_modes, time_blocks,
+    SpectralState, Trajectory, _checked_block, _checked_times, _ModeTrajectory, live_modes,
+    time_blocks,
 )
 
 WEIGHT_CONVENTION = "omega*(t+t0)^2"
@@ -81,25 +81,6 @@ def _check_epsilon(epsilon: float) -> None:
         raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
 
 
-class LyapunovSample:
-    """L1, L2 and the mixture L = L2 + epsilon*L1 at one time."""
-
-    __slots__ = ("t", "l1", "l2", "l", "epsilon")
-
-    def __init__(self, t: float, l1: float, l2: float, l: float, epsilon: float):
-        self.t, self.l1, self.l2, self.l, self.epsilon = t, l1, l2, l, epsilon
-
-
-def lagrange_functionals(
-    params: ModelParams, state: SpectralState, epsilon: float, t: float = 0.0
-) -> LyapunovSample:
-    _check_epsilon(epsilon)
-    _require_real(state.x)
-    e = energy_of(params, state)
-    l2 = e.kinetic + e.bending - e.thermal
-    return LyapunovSample(t=t, l1=e.total, l2=l2, l=l2 + epsilon * e.total, epsilon=epsilon)
-
-
 class LyapunovSeries:
     """L1, L2 and L = L2 + epsilon*L1 along a trajectory, one entry per
     sample."""
@@ -116,7 +97,7 @@ class LyapunovSeries:
 def lyapunov_series(
     params: ModelParams, trajectory: Trajectory, epsilon: float
 ) -> LyapunovSeries:
-    """lagrange_functionals at every sample, read off the energy columns."""
+    """L1, L2 and L at every sample, read off the energy columns."""
     _check_epsilon(epsilon)
     _require_real(trajectory.x)
     l1 = trajectory.total

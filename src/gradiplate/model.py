@@ -10,8 +10,7 @@ diagonalized exactly by the Dirichlet-Laplacian sine eigenbasis on an
 interval or a rectangle.  On the eigenspace of -Lap with eigenvalue lam the
 operators reduce to Lap -> -lam and Lap^2 -> lam^2, so the whole dynamics
 splits into independent 3x3 blocks acting on the coefficients (u, v, theta)
-with v = u_t.  This module builds those blocks and the weights of the
-natural energy inner product.
+with v = u_t.  This module builds those blocks.
 
 Eigenfunctions are unit-normalized in L2, so per-mode quadratic forms carry
 no domain-volume factors.
@@ -130,10 +129,6 @@ class Interval:
             raise ValueError("mode index must be >= 1")
         return (n * math.pi / self.length) ** 2
 
-    def eigenfunction(self, n: int, x: np.ndarray) -> np.ndarray:
-        """Unit L2-normalized eigenfunction sqrt(2/L) sin(n pi x / L)."""
-        return math.sqrt(2.0 / self.length) * np.sin(n * math.pi * x / self.length)
-
 
 class Rectangle:
     """Two-dimensional domain (0, L1) x (0, L2) with product sine basis;
@@ -163,15 +158,6 @@ class Rectangle:
         if j < 1 or k < 1:
             raise ValueError("mode indices must be >= 1")
         return math.pi**2 * (j**2 / self.length1**2 + k**2 / self.length2**2)
-
-    def eigenfunction(self, index: tuple[int, int], xy: np.ndarray) -> np.ndarray:
-        j, k = index
-        x = xy[..., 0]
-        y = xy[..., 1]
-        norm = 2.0 / math.sqrt(self.length1 * self.length2)
-        return norm * np.sin(j * math.pi * x / self.length1) * np.sin(
-            k * math.pi * y / self.length2
-        )
 
 
 SpectralDomain = Union[Interval, Rectangle]
@@ -245,8 +231,11 @@ def _smallest_modes(domain: SpectralDomain, count: int) -> Modes:
         kn *= 2
 
 
-class ModeMatrix:
-    """3x3 real generator block acting on one mode's (u, v, theta).
+def mode_blocks(
+    params: ModelParams, lams: np.ndarray, direction: Direction = Direction.FORWARD
+) -> np.ndarray:
+    """The 3x3 generator blocks acting on (u, v, theta) of every lam in
+    `lams`, shape (len(lams), 3, 3).
 
     Forward rows:
         (0, 1, 0)
@@ -254,31 +243,6 @@ class ModeMatrix:
         (0, (eta/a) lam, -(b lam + d lam^2)/a)
     Backward is identical except the (3, 3) entry flips sign.
     """
-
-    __slots__ = ("entries", "direction")
-
-    def __init__(self, entries: np.ndarray, direction: Direction):
-        arr = np.asarray(entries, dtype=float)
-        if arr.shape != (3, 3):
-            raise ValueError("mode matrix must be 3x3")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.entries, self.direction = arr, direction
-
-
-def mode_matrix(
-    params: ModelParams, lam: float, direction: Direction = Direction.FORWARD
-) -> ModeMatrix:
-    """Generator block of one mode, exact in host float arithmetic."""
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    return ModeMatrix(mode_blocks(params, np.array([lam]), direction)[0], direction)
-
-
-def mode_blocks(
-    params: ModelParams, lams: np.ndarray, direction: Direction = Direction.FORWARD
-) -> np.ndarray:
-    """The ModeMatrix entries of every lam in `lams`, shape (len(lams), 3, 3)."""
     heat = params.heat_weight(lams) / params.a
     sign = -1.0 if direction is Direction.FORWARD else 1.0
     blocks = np.zeros((lams.size, 3, 3))
@@ -288,29 +252,3 @@ def mode_blocks(
     blocks[:, 2, 1] = (params.eta / params.a) * lams
     blocks[:, 2, 2] = sign * heat
     return blocks
-
-
-class HilbertWeight:
-    """Diagonal weights of the energy inner product on one mode.
-
-    ||U||^2 = c ||Lap u||^2 + rho ||v||^2 + a ||theta||^2 restricted to a
-    unit mode reads c lam^2 |u|^2 + rho |v|^2 + a |theta|^2.  For c < 0 the
-    magnitude |c| is used and the result is flagged `pseudo_norm`: the
-    quadratic form is then not a norm, but diagnostics still need a scale.
-    """
-
-    __slots__ = ("w_u", "w_v", "w_theta", "pseudo_norm")
-
-    def __init__(self, w_u: float, w_v: float, w_theta: float, pseudo_norm: bool):
-        self.w_u, self.w_v, self.w_theta, self.pseudo_norm = w_u, w_v, w_theta, pseudo_norm
-
-
-def hilbert_weight(params: ModelParams, lam: float) -> HilbertWeight:
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    return HilbertWeight(
-        w_u=abs(params.c) * lam * lam,
-        w_v=params.rho,
-        w_theta=params.a,
-        pseudo_norm=params.c < 0,
-    )

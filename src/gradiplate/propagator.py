@@ -1,10 +1,10 @@
-"""Exact per-mode evolution, energy bookkeeping, and field synthesis.
+"""Exact per-mode evolution and energy bookkeeping.
 
 The truncated generator is block-diagonal over modes, so trajectories are
 computed from 3x3 matrix exponentials with no time-discretization error.
-One kernel, `_ModeTrajectory`, serves `evolve`, `evolve_mode` and the
-convexity functional; it evolves a stack of modes at once, and runs its
-per-mode setup once and then one time block after another.  Each block is
+One kernel, `_ModeTrajectory`, serves `evolve` and the convexity
+functional; it evolves a stack of modes at once, and runs its per-mode
+setup once and then one time block after another.  Each block is
 exponentiated through its eigendecomposition.  Blocks whose eigenvector
 matrix, rows equilibrated, has a condition number above 1e3 (nearly
 defective blocks, at isolated parameter/eigenvalue coincidences) fall back
@@ -42,22 +42,12 @@ bit of the output.
 
 from __future__ import annotations
 
-import cmath
 from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InsufficientSamples, NonFiniteResult, PointOutsideDomain
-from .model import (
-    Direction,
-    Interval,
-    ModeMatrix,
-    Modes,
-    ModelParams,
-    SpectralDomain,
-    enumerate_modes,
-    mode_blocks,
-)
+from .errors import InsufficientSamples, NonFiniteResult
+from .model import Direction, Modes, ModelParams, SpectralDomain, enumerate_modes, mode_blocks
 
 # the eigenvector route is taken below this condition number of the
 # row-equilibrated eigenvector matrix; its closed-form integrals lose about
@@ -78,24 +68,6 @@ BLOCK_SAMPLES_MAX = 2**14
 # block starts are multiples of this many samples (see `time_blocks`)
 _BLOCK_ALIGN = 64
 ENERGY_FLOOR = 1e-300
-
-
-class ModeState:
-    """Coefficients (u, v, theta) of one mode; complex values are allowed
-    so resolvent solutions can be propagated too."""
-
-    __slots__ = ("u", "v", "theta")
-
-    def __init__(self, u: complex, v: complex, theta: complex):
-        if not (cmath.isfinite(u) and cmath.isfinite(v) and cmath.isfinite(theta)):
-            raise ValueError("mode state coefficients must be finite")
-        self.u, self.v, self.theta = u, v, theta
-
-    def as_array(self) -> np.ndarray:
-        values = np.array([self.u, self.v, self.theta])
-        if np.isrealobj(values) or not np.any(values.imag):
-            return values.real.astype(float)
-        return values
 
 
 class SpectralState:
@@ -258,23 +230,6 @@ def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     if len(starts) > 1 and samples - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [samples]))
-
-
-def evolve_mode(matrix: ModeMatrix, state: ModeState, dt: float) -> ModeState:
-    """exp(dt*M) applied to one mode state.
-
-    Negative dt is accepted but time-reversed studies should prefer the
-    Backward-direction matrix with positive dt, which matches the
-    time-reversed system directly.
-    """
-    if not np.isfinite(dt):
-        raise ValueError("dt must be finite")
-    x0 = state.as_array()[None]
-    kernel = _ModeTrajectory(matrix.entries[None], x0, np.array([dt]), np.zeros((1, 3, 3)))
-    x, _ = kernel.block(0, 1)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteResult("mode evolution overflowed", time=dt)
-    return ModeState(*x[0, :, 0])
 
 
 class _ModeTrajectory:
@@ -582,49 +537,3 @@ def energy_balance_report(
         max_abs_residual=float(np.max(np.abs(residuals))),
         max_abs_error=float(np.max(np.abs(errors))),
     )
-
-
-class FieldValues:
-    """Point values of the synthesized fields on a spatial grid."""
-
-    __slots__ = ("u", "u_t", "theta")
-
-    def __init__(self, u: np.ndarray, u_t: np.ndarray, theta: np.ndarray):
-        self.u, self.u_t, self.theta = u, u_t, theta
-
-
-def synthesize_field(state: SpectralState, grid: Sequence) -> FieldValues:
-    """Evaluate the sine series of (u, u_t, theta) at the grid points.
-
-    Boundary points evaluate to exactly zero; points outside the domain
-    raise PointOutsideDomain.
-    """
-    domain = state.domain
-    if isinstance(domain, Interval):
-        pts = np.atleast_1d(np.asarray(grid, dtype=float))
-        if np.any(pts < 0) or np.any(pts > domain.length):
-            raise PointOutsideDomain("grid point outside the interval")
-        interior = (pts > 0) & (pts < domain.length)
-    else:
-        pts = np.atleast_2d(np.asarray(grid, dtype=float))
-        if pts.shape[-1] != 2:
-            raise ValueError("rectangle grid points must be (x, y) pairs")
-        if (
-            np.any(pts[:, 0] < 0)
-            or np.any(pts[:, 0] > domain.length1)
-            or np.any(pts[:, 1] < 0)
-            or np.any(pts[:, 1] > domain.length2)
-        ):
-            raise PointOutsideDomain("grid point outside the rectangle")
-        interior = (
-            (pts[:, 0] > 0)
-            & (pts[:, 0] < domain.length1)
-            & (pts[:, 1] > 0)
-            & (pts[:, 1] < domain.length2)
-        )
-
-    inner = pts[interior]
-    phi = np.array([domain.eigenfunction(i, inner) for i in state.modes.index.tolist()])
-    fields = np.zeros((3, pts.shape[0]), dtype=state.x.dtype)
-    fields[:, interior] = state.x.T @ phi
-    return FieldValues(*fields)

@@ -65,28 +65,6 @@ class QuasiParams:
         return (self.params.b * lam + self.params.d * lam**2) / self.a_eff
 
 
-class QuasiState:
-    """Per-mode theta coefficients with the recovered plate coefficients."""
-
-    __slots__ = ("t", "lams", "theta", "u")
-
-    def __init__(self, t: float, lams: np.ndarray, theta: np.ndarray, u: np.ndarray):
-        self.t, self.lams, self.theta, self.u = t, lams, theta, u
-
-    def relation_residual(self, params: ModelParams) -> float:
-        """Max residual of c*u_xx = eta*theta per mode (should be ~0)."""
-        lhs = params.c * (-self.lams) * self.u
-        rhs = params.eta * self.theta
-        scale = np.maximum(np.abs(rhs), 1.0)
-        return float(np.max(np.abs(lhs - rhs) / scale, initial=0.0))
-
-
-def evolve_theta(qparams: QuasiParams, theta0: Sequence[float], t: float) -> QuasiState:
-    """Exact scalar evolution of the first len(theta0) modes to time t."""
-    theta0 = np.asarray(theta0, dtype=float)
-    return QuasiState(float(t), *_decay(qparams, theta0, t))
-
-
 def _decay(qparams: QuasiParams, theta0: np.ndarray, t, shift: float = 0.0):
     """lams, theta_n = theta_n(0) exp(-(rate_n - shift) t) and u_n; a column
     of times t (shape (T, 1)) gives one row of modes per time."""

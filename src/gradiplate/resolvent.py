@@ -1,5 +1,5 @@
-"""Per-mode resolvent solves, imaginary-axis norm scans, and the
-high-frequency sequence that keeps the resolvent from vanishing.
+"""Imaginary-axis resolvent norm scans, and the high-frequency sequence
+that keeps the resolvent from vanishing.
 
 For c > 0 and eta != 0 the imaginary axis lies in the resolvent set, so
 every block system (i omega I - M_lam) x = g is solvable.  With eta = 0 the
@@ -62,69 +62,16 @@ which the scan exposes as a contrast diagnostic.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SingularSystem
-from .model import Interval, ModelParams, SpectralDomain, enumerate_modes, mode_matrix
-
-if TYPE_CHECKING:
-    from .propagator import ModeState
-
-RESIDUAL_LIMIT = 1e-12
-
-
-class ResolventRHS:
-    """Coefficients of one mode of the driving term G = (g1, g2, g3)."""
-
-    __slots__ = ("g1", "g2", "g3")
-
-    def __init__(self, g1: complex, g2: complex, g3: complex):
-        self.g1, self.g2, self.g3 = g1, g2, g3
-
-    def as_array(self) -> np.ndarray:
-        arr = np.array([self.g1, self.g2, self.g3], dtype=complex)
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValueError("right-hand side must be finite")
-        return arr
+from .model import Interval, ModelParams, SpectralDomain, enumerate_modes
 
 
 def _require_stable(params: ModelParams, what: str) -> None:
     if not params.c > 0:
         raise ValueError(f"{what} requires c > 0")
-
-
-def solve_mode_resolvent(
-    params: ModelParams, lam: float, omega: float, rhs: ResolventRHS
-) -> ModeState:
-    """Solve (i omega I - M_lam) x = g for one mode block.
-
-    The solution is refined to a relative residual <= 1e-12; failure to
-    reach that (only possible if i*omega sits on the block spectrum, which
-    c > 0 and eta != 0 exclude) raises SingularSystem.
-    """
-    from .propagator import ModeState
-
-    _require_stable(params, "mode resolvent")
-    m = mode_matrix(params, lam).entries
-    a = 1j * omega * np.eye(3) - m
-    g = rhs.as_array()
-    try:
-        x = np.linalg.solve(a, g)
-        # one step of iterative refinement tightens the worst cases
-        x = x + np.linalg.solve(a, g - a @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"singular resolvent block at omega={omega}, lam={lam}") from exc
-    g_norm = np.linalg.norm(g)
-    if g_norm > 0:
-        residual = np.linalg.norm(a @ x - g) / g_norm
-        if not residual <= RESIDUAL_LIMIT:
-            raise SingularSystem(
-                f"resolvent residual {residual:.3e} exceeds {RESIDUAL_LIMIT} "
-                f"at omega={omega}, lam={lam}"
-            )
-    return ModeState(*x)
 
 
 # Blocks per kernel pass.  The pass holds a few dozen float arrays of this
@@ -302,23 +249,6 @@ def _sup_norms(params: ModelParams, lams, omegas) -> np.ndarray:
     return sups
 
 
-def mode_resolvent_norm(params: ModelParams, lam: float, omega: float) -> float:
-    """Energy-weighted operator norm of one block's resolvent."""
-    _require_stable(params, "resolvent norm")
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    return float(_sup_norms(params, [lam], [omega])[0])
-
-
-def resolvent_norm(
-    params: ModelParams, domain: SpectralDomain, omega: float, mode_count: int
-) -> float:
-    """Sup over the first mode_count modes of the weighted block norm."""
-    _require_stable(params, "resolvent norm")
-    lams = enumerate_modes(domain, mode_count).lam
-    return float(_sup_norms(params, lams, [omega])[0])
-
-
 class ResolventScan:
     """Imaginary-axis scan of the truncated resolvent norm.
 
@@ -465,8 +395,8 @@ def nondiff_sequence(
     branch conjugates p and leaves |v|^2 unchanged.
 
     The amplitude pair (p, q) is normalized so the mass-scaled velocity row
-    (the one multiplied through by rho) carries a unit load; driving
-    solve_mode_resolvent with the abstract right-hand side (0, 1/rho, 0)
+    (the one multiplied through by rho) carries a unit load: solving the
+    block system with the abstract right-hand side (0, 1/rho, 0)
     reproduces exactly (p, i omega p, q).  For rho = 1 the two conventions
     coincide.
     """

@@ -4,10 +4,10 @@ Everything here deliberately avoids the code paths under test: trajectories
 and their running time integrals come from adaptive Runge-Kutta
 integration or from mpmath eigendecompositions summed as exponentials,
 eigenvalues from the companion matrix, roots from bisection,
-the generator blocks from a finite-difference discretization of the
-underlying PDE on one eigenfunction, resolvent norms from LAPACK's
-inverse and singular values, and CSV text from Python's own %-formatting,
-one row at a time.
+the generator blocks written out from the PDE or from a finite-difference
+discretization of it on one eigenfunction, resolvent solves and norms
+from LAPACK's solve, inverse and singular values, and CSV text from
+Python's own %-formatting, one row at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from gradiplate.model import hilbert_weight
+from gradiplate.model import Direction
 
 
 def rk_mode_evolution(m: np.ndarray, x0: np.ndarray, t: float) -> np.ndarray:
@@ -201,25 +201,43 @@ def fd_generator_column(
     return np.array([project(du), project(dv), project(dtheta)])
 
 
+def generator_block(params, lam, direction=Direction.FORWARD) -> np.ndarray:
+    """The 3x3 block of (u, v, theta) of one mode, or a stack of them for
+    an array of lam, written out from the PDE on a sine mode:
+    u' = v, rho v' = -c lam^2 u - eta lam theta and
+    a theta' = eta lam v - (b lam + d lam^2) theta, the heat term's sign
+    flipped backward in time."""
+    lam = np.asarray(lam, dtype=float)
+    heat = (params.b * lam + params.d * lam**2) / params.a
+    m = np.zeros(lam.shape + (3, 3))
+    m[..., 0, 1] = 1.0
+    m[..., 1, 0] = -(params.c / params.rho) * lam**2
+    m[..., 1, 2] = -(params.eta / params.rho) * lam
+    m[..., 2, 1] = (params.eta / params.a) * lam
+    m[..., 2, 2] = -heat if direction is Direction.FORWARD else heat
+    return m
+
+
+def lapack_resolvent_solve(params, lam, omega, g) -> np.ndarray:
+    """x with (i omega I - M_lam) x = g, from LAPACK's solve."""
+    block = 1j * omega * np.eye(3) - generator_block(params, lam)
+    return np.linalg.solve(block, np.asarray(g, dtype=complex))
+
+
 def lapack_resolvent_norms(params, lams, omegas) -> np.ndarray:
     """Energy-weighted resolvent norms for every (omega, lam), shape (W, M).
 
     Inverts the unweighted blocks i omega I - M_lam with LAPACK, weights the
-    inverse by W^(1/2) . W^(-1/2) from `hilbert_weight`, and takes the top
-    singular value from LAPACK's SVD.
+    inverse by W^(1/2) . W^(-1/2) with W = diag(|c| lam^2, rho, a), the
+    energy inner product on one mode, and takes the top singular value from
+    LAPACK's SVD.
     """
     lams = np.asarray(lams, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
-    m = np.zeros((lams.size, 3, 3))
-    m[:, 0, 1] = 1.0
-    m[:, 1, 0] = -(params.c / params.rho) * lams**2
-    m[:, 1, 2] = -(params.eta / params.rho) * lams
-    m[:, 2, 1] = (params.eta / params.a) * lams
-    m[:, 2, 2] = -(params.b * lams + params.d * lams**2) / params.a
-    blocks = 1j * omegas[:, None, None, None] * np.eye(3) - m[None]
+    blocks = 1j * omegas[:, None, None, None] * np.eye(3) - generator_block(params, lams)[None]
     inverse = np.linalg.inv(blocks)
-    weights = [hilbert_weight(params, lam) for lam in lams]
-    w_sqrt = np.sqrt([[w.w_u, w.w_v, w.w_theta] for w in weights])  # (M, 3)
+    w_sqrt = np.sqrt(np.stack([abs(params.c) * lams**2, np.full(lams.shape, params.rho),
+                               np.full(lams.shape, params.a)], axis=-1))  # (M, 3)
     weighted = inverse * w_sqrt[None, :, :, None] / w_sqrt[None, :, None, :]
     return np.linalg.svd(weighted, compute_uv=False)[..., 0]
 

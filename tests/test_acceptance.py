@@ -15,33 +15,27 @@ from gradiplate import (
     DegenerateCapacity,
     Direction,
     ModelParams,
-    ModeState,
     QuasiParams,
-    ResolventRHS,
     choose_weight_shift,
     convexity_residual_check,
     convexity_trajectory,
     energy_balance_report,
     energy_of,
     evolve,
-    evolve_mode,
-    evolve_theta,
     gronwall_check,
     instability_lower_bound,
-    mode_eigenvalues,
-    mode_matrix,
     nondiff_sequence,
     quasi_decay_report,
     resonant_omega_grid,
     scan_imaginary_axis,
-    solve_mode_resolvent,
     state_from_coefficients,
     verify_backward_identities,
 )
 from gradiplate.cli import main
 from gradiplate.config import preset_coefficients
 from gradiplate.model import Interval, enumerate_modes
-from oracles import bisect_real_root, rk_mode_evolution
+from gradiplate.spectrum import mode_spectra
+from oracles import bisect_real_root, generator_block, lapack_resolvent_solve, rk_mode_evolution
 
 PI_INTERVAL = Interval(math.pi)
 
@@ -80,9 +74,9 @@ def test_criterion_2_nondiff_sequence():
     seq = nondiff_sequence(params, PI_INTERVAL, 3)
     for n, expected in frozen.items():
         lam, omega, norm_v_sq = seq.lam[n - 1], seq.omega[n - 1], seq.norm_v_sq[n - 1]
-        solved = solve_mode_resolvent(params, lam, omega, ResolventRHS(0.0, 1.0, 0.0))
+        solved = lapack_resolvent_solve(params, lam, omega, (0.0, 1.0, 0.0))
         closed_gap = abs(norm_v_sq - expected)
-        solve_gap = abs(abs(solved.v) ** 2 - expected)
+        solve_gap = abs(abs(solved[1]) ** 2 - expected)
         ok &= closed_gap <= 1e-10 and solve_gap <= 1e-10
         details.append(f"n={n}: closed {closed_gap:.1e}, solve {solve_gap:.1e}")
 
@@ -125,17 +119,13 @@ def test_criterion_4_stability_spectrum():
     lams = np.geomspace(1.0, 1e8, 10000)
     target = -params.eta**2 / (2.0 * params.rho * params.d)
 
-    max_real = -np.inf
-    max_residual = 0.0
-    max_tail_gap = 0.0
-    for lam in lams:
-        spectrum = mode_eigenvalues(params, float(lam))
-        max_real = max(max_real, spectrum.max_real)
-        max_residual = max(max_residual, float(np.max(spectrum.residuals)))
-        if lam >= 1e4:
-            pair = spectrum.pair
-            assert pair is not None
-            max_tail_gap = max(max_tail_gap, abs(pair.real - target))
+    roots, _, residuals = mode_spectra(params, lams)
+    max_real = float(np.max(roots.real))
+    max_residual = float(np.max(residuals))
+    # a row holds at most one root above the real axis: its pair's upper member
+    upper = roots[lams >= 1e4].imag > 0
+    assert upper.any(axis=1).all()
+    max_tail_gap = float(np.max(np.abs(roots[lams >= 1e4][upper].real - target)))
     elapsed = time.perf_counter() - started
 
     ok = (
@@ -164,12 +154,14 @@ def test_criterion_5_oracle_equivalence():
             eta = rng.uniform(-5.0, 5.0)
         lam = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         params = ModelParams(rho, a, b, c, d, eta)
-        matrix = mode_matrix(params, lam)
         x0 = rng.standard_normal(3)
         t = float(rng.uniform(0.05, 1.0))
-        out = evolve_mode(matrix, ModeState(*x0), t)
-        got = np.array([out.u, out.v, out.theta])
-        ref = rk_mode_evolution(matrix.entries, x0, t)
+        # one mode whose eigenvalue is lam up to rounding
+        init = state_from_coefficients(
+            Interval(math.pi / math.sqrt(lam)), 1, u=[x0[0]], v=[x0[1]], theta=[x0[2]]
+        )
+        got = evolve(params, init, [0.0, t]).x[0, :, 1]
+        ref = rk_mode_evolution(generator_block(params, init.modes.lam[0]), x0, t)
         err = np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-30)
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
@@ -258,13 +250,12 @@ def test_criterion_8_quasistatic():
     qparams = QuasiParams.from_params(params)
     expected_rate = 2.0 * (math.pi**2 + math.pi**4)
 
-    t_probe = 0.01
-    state = evolve_theta(qparams, [1.0], t_probe)
-    measured_rate = -math.log(state.theta[0]) / t_probe
-    rate_gap = abs(measured_rate - expected_rate) / expected_rate
-
     t_grid = 1e-4 * np.arange(201)
     decay = quasi_decay_report(qparams, [1.0], t_grid)
+    # theta_1(t)^2 = exp(-2 rate t), read at t = 0.01
+    t_probe = decay.t[100]
+    measured_rate = -math.log(decay.theta_l2_sq[100]) / (2.0 * t_probe)
+    rate_gap = abs(measured_rate - expected_rate) / expected_rate
 
     try:
         QuasiParams.from_params(ModelParams(1.0, 1.0, 1.0, -2.0, 1.0, 2.0))

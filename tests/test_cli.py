@@ -15,7 +15,8 @@ from gradiplate.cli import main
 from gradiplate.config import load_config
 from gradiplate.functionals import lyapunov_series
 from gradiplate.propagator import evolve
-from gradiplate.spectrum import mode_eigenvalues
+from gradiplate.spectrum import characteristic_coefficients
+from scalar_cubic import cubic_roots
 
 PI = "3.141592653589793"
 
@@ -548,38 +549,39 @@ class TestOtherSubcommands:
         assert "DegenerateCapacity" in capsys.readouterr().err
 
 
-def record_mode_states(monkeypatch) -> list:
-    """The list of every ModeState built from here on in the test."""
+def record_spectral_states(monkeypatch) -> list:
+    """The list of every SpectralState built from here on in the test."""
     built = []
-    init = propagator.ModeState.__init__
+    init = propagator.SpectralState.__init__
 
     def recorded(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(propagator.ModeState, "__init__", recorded)
+    monkeypatch.setattr(propagator.SpectralState, "__init__", recorded)
     return built
 
 
 class TestNoPerSampleObjects:
     """Guards on work counts, not timings: trajectories stay arrays."""
 
-    def test_simulate_builds_mode_states_only_for_initial_data(self, tmp_path, monkeypatch):
-        built = record_mode_states(monkeypatch)
+    def test_simulate_builds_one_state_for_initial_data(self, tmp_path, monkeypatch):
+        built = record_spectral_states(monkeypatch)
         cfg = simulate_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert len(built) <= 4  # mode_count; 1001 samples would make 4004
+        assert len(built) == 1  # 1001 samples would make 1001 more
 
-    def test_wide_plate_simulate_builds_no_mode_state(self, tmp_path, monkeypatch):
-        """Modes, initial state and trajectory are arrays: the 4,096-mode
-        rectangle of the benchmark builds no per-mode object."""
-        built = record_mode_states(monkeypatch)
+    def test_wide_plate_simulate_builds_one_state(self, tmp_path, monkeypatch):
+        """The 4,096-mode rectangle of the benchmark builds its initial
+        state and no per-sample one."""
+        built = record_spectral_states(monkeypatch)
         cfg = write_config(tmp_path, "run.cfg", base_model() + [
             "domain = rectangle", f"length1 = {PI}", "length2 = 2", "mode_count = 4096",
             "t_end = 0.01", "dt = 0.001", "initial = first-mode-bend+thermal-pulse",
         ])
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert built == []
+        assert len(built) == 1
+        assert built[0].x.shape == (4096, 3)
 
     def test_backward_computes_lyapunov_series_once(self, tmp_path, monkeypatch):
         calls = []
@@ -715,6 +717,15 @@ class TestRefusedConfigs:
         ("spectrum", "lambda_max", "inf"),
         ("quasistatic", "initial_theta", "inf"),
         ("quasistatic", "length", "inf"),
+        # lam_1^2 = (pi / length)^4 overflows (small lengths) or is subnormal
+        ("quasistatic", "length", "1e-150"),
+        ("quasistatic", "length", "1e-120"),
+        ("quasistatic", "length", "1e-100"),
+        ("quasistatic", "length", "1e-80"),
+        ("quasistatic", "length", "1e78"),
+        ("quasistatic", "length", "1e80"),
+        ("quasistatic", "length", "1e100"),
+        ("quasistatic", "length", "1e150"),
         ("instability", "t0", "inf"),
         ("instability", "growth_fit_start", "nan"),
     ])
@@ -724,6 +735,19 @@ class TestRefusedConfigs:
         lines = [l for l in self.BASES[subcommand] if not l.startswith(f"{key} ")]
         err = self.refused(tmp_path, capsys, subcommand, lines + [f"{key} = {value}"])
         assert key in err
+
+    @pytest.mark.parametrize("length, theta", [("1e-76", "1, 0, 0, 1"), ("6.2e-77", "1, 0.5")])
+    def test_quasistatic_length_checks_the_last_mode(self, tmp_path, capsys, length, theta):
+        """Mode 1 is in range, but lam_4^2 overflows (1e-76) or the decay
+        rate of mode 2 does (6.2e-77)."""
+        lines = [
+            l for l in self.BASES["quasistatic"] if not l.startswith(("length ", "initial_theta "))
+        ]
+        err = self.refused(
+            tmp_path, capsys, "quasistatic",
+            lines + [f"length = {length}", f"initial_theta = {theta}"],
+        )
+        assert "length" in err
 
     @pytest.mark.parametrize("subcommand", ["resolvent-scan", "nondiff", "spectrum"])
     def test_eigenvalue_range_found_by_the_handler(self, tmp_path, capsys, subcommand):
@@ -1054,11 +1078,13 @@ class TestCsvOutput:
         cfg = load_config(cfg_path, "spectrum")
         expected = []
         for lam in np.geomspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_points):
-            s = mode_eigenvalues(cfg.params, float(lam))
-            row = [s.lam]
-            for z in s.roots:
+            mu, kappa, eps = characteristic_coefficients(cfg.params, float(lam))
+            roots, classification, residuals = cubic_roots(mu, kappa + eps, kappa * mu)
+            row = [float(lam)]
+            for z in roots:
                 row += [z.real, z.imag]
-            row += [s.max_real, float(np.max(s.residuals)), s.classification.replace(" ", "_")]
+            row += [max(z.real for z in roots), float(np.max(residuals))]
+            row.append(classification.replace(" ", "_"))
             expected.append(",".join(cli._fmt(v) for v in row))
         got = (tmp_path / "o" / "spectrum.csv").read_text(encoding="utf-8").splitlines()
         assert got[1:] == expected

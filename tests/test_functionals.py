@@ -17,7 +17,6 @@ from gradiplate import (
     evolve,
     gronwall_check,
     instability_lower_bound,
-    lagrange_functionals,
     lyapunov_series,
     phi_coefficients,
     state_from_coefficients,
@@ -37,18 +36,23 @@ def sample_state(trajectory, k):
     return SpectralState(trajectory.domain, trajectory.modes, trajectory.x[:, :, k])
 
 
+def one_sample_l(params, state, epsilon):
+    """L1, L2 and L of one state: the one-sample series of its trajectory."""
+    series = lyapunov_series(params, evolve(params, state, [0.0]), epsilon)
+    return series.l1[0], series.l2[0], series.l[0]
+
+
 class TestLagrangeFunctionals:
     def test_zero_state(self, unit_params, pi_interval):
-        s = lagrange_functionals(unit_params, one_mode(pi_interval), 0.5)
-        assert (s.l1, s.l2, s.l) == (0.0, 0.0, 0.0)
+        assert one_sample_l(unit_params, one_mode(pi_interval), 0.5) == (0.0, 0.0, 0.0)
 
     def test_no_thermal_part_means_equal(self, unit_params, pi_interval):
-        s = lagrange_functionals(unit_params, one_mode(pi_interval, u=0.7, v=-0.2), 0.25)
-        assert s.l1 == s.l2
+        l1, l2, _ = one_sample_l(unit_params, one_mode(pi_interval, u=0.7, v=-0.2), 0.25)
+        assert l1 == l2
 
     def test_unit_example(self, unit_params, pi_interval):
-        s = lagrange_functionals(unit_params, one_mode(pi_interval, u=1.0, theta=1.0), 0.5)
-        assert (s.l1, s.l2, s.l) == (1.0, 0.0, 0.5)
+        s = one_sample_l(unit_params, one_mode(pi_interval, u=1.0, theta=1.0), 0.5)
+        assert s == (1.0, 0.0, 0.5)
 
     def test_difference_is_thermal_mass(self, pi_interval):
         rng = np.random.default_rng(23)
@@ -60,15 +64,15 @@ class TestLagrangeFunctionals:
                 v=rng.standard_normal(3).tolist(),
                 theta=rng.standard_normal(3).tolist(),
             )
-            s = lagrange_functionals(params, state, 0.5)
+            l1, l2, _ = one_sample_l(params, state, 0.5)
             thermal = params.a * float(np.sum(state.x[:, 2] ** 2))
-            assert s.l1 - s.l2 == pytest.approx(thermal, rel=1e-14)
-            assert s.l1 >= abs(s.l2)  # c > 0 here
+            assert l1 - l2 == pytest.approx(thermal, rel=1e-14)
+            assert l1 >= abs(l2)  # c > 0 here
 
     def test_epsilon_range(self, unit_params, pi_interval):
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(EpsilonOutOfRange):
-                lagrange_functionals(unit_params, one_mode(pi_interval), bad)
+                one_sample_l(unit_params, one_mode(pi_interval), bad)
 
 
 class TestBackwardIdentities:
@@ -131,13 +135,14 @@ class TestVectorizedFunctionals:
         params = ModelParams(1.3, 0.7, 0.4, 2.1, 0.3, -0.9)
         return params, evolve(params, init, 1e-4 * np.arange(101), request.param), request.param
 
-    def test_lyapunov_series_matches_lagrange_functionals(self, case):
+    def test_lyapunov_series_matches_energy_of(self, case):
         params, traj, _ = case
         series = lyapunov_series(params, traj, 0.3)
         assert series.t is traj.t
-        for k, t in enumerate(traj.t):
-            ref = lagrange_functionals(params, sample_state(traj, k), 0.3, t=t)
-            assert (series.l1[k], series.l2[k], series.l[k]) == (ref.l1, ref.l2, ref.l)
+        for k in range(traj.t.size):
+            e = energy_of(params, sample_state(traj, k))
+            l2 = e.kinetic + e.bending - e.thermal
+            assert (series.l1[k], series.l2[k], series.l[k]) == (e.total, l2, l2 + 0.3 * e.total)
 
     def test_identity_right_hand_sides_match_per_sample_forms(self, case):
         params, traj, direction = case

@@ -20,14 +20,13 @@ from gradiplate import (
     ModelParams,
     energy_balance_report,
     evolve,
-    mode_matrix,
     state_from_coefficients,
 )
 from gradiplate import propagator
 from gradiplate.cli import main
 from gradiplate.config import load_config
 from gradiplate.functionals import convexity_trajectory, phi_coefficients
-from oracles import mp_convexity_functional, rk_mode_evolution, rk_mode_integrals
+from oracles import generator_block, mp_convexity_functional, rk_mode_evolution, rk_mode_integrals
 from quadrature import cumulative_integral
 
 # the double root of TestExpmFallback: the kernel's Van Loan branch
@@ -48,7 +47,7 @@ def oracle_sums(params, state, times, direction=Direction.FORWARD, phi=None):
     phi = np.zeros(lams.size) if phi is None else phi
     d_int, psi, q_int = np.zeros(times.size), [], np.zeros(times.size)
     for lam, x0, phi_n in zip(lams, x, phi):
-        m = mode_matrix(params, lam, direction).entries
+        m = generator_block(params, lam, direction)
         d_n, psi_n, q_n = rk_mode_integrals(m, x0, params.heat_weight(lam), phi_n, times)
         d_int += d_n
         psi.append(psi_n)
@@ -186,7 +185,7 @@ class TestPsiIsAStateFunction:
         """Along DOP853's Psi = Phi + int theta, with Phi from the data at
         t = 0 only."""
         params = ModelParams(rab[0], rab[1], rab[2], c, d, eta)
-        m = mode_matrix(params, lam).entries
+        m = generator_block(params, lam)
         w = params.heat_weight(lam)
         phi = (eta * lam * x0[0] - params.a * x0[2]) / w
         times = np.array([0.0, t / 2.0, t])

@@ -11,9 +11,8 @@ from gradiplate import (
     Rectangle,
     Regime,
     enumerate_modes,
-    hilbert_weight,
-    mode_matrix,
 )
+from gradiplate.model import mode_blocks
 from oracles import fd_generator_column
 
 
@@ -116,13 +115,18 @@ class TestEnumerateModes:
             assert prefix.lam.tobytes() == modes.lam[:n].tobytes()
 
 
-class TestModeMatrix:
+def block(params, lam, direction=Direction.FORWARD):
+    """The generator block of one lam."""
+    return mode_blocks(params, np.array([lam]), direction)[0]
+
+
+class TestModeBlocks:
     def test_unit_forward_rows(self, unit_params):
-        m = mode_matrix(unit_params, 1.0, Direction.FORWARD).entries
+        m = block(unit_params, 1.0, Direction.FORWARD)
         assert np.array_equal(m, np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 1.0, -2.0]]))
 
     def test_unit_backward_rows(self, unit_params):
-        m = mode_matrix(unit_params, 1.0, Direction.BACKWARD).entries
+        m = block(unit_params, 1.0, Direction.BACKWARD)
         assert np.array_equal(m, np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 1.0, 2.0]]))
 
     def test_matches_pde_finite_difference_oracle(self):
@@ -133,7 +137,7 @@ class TestModeMatrix:
         length = math.pi
         for n in (1, 2):
             lam = (n * math.pi / length) ** 2
-            m = mode_matrix(params, lam).entries
+            m = block(params, lam)
             for col in range(3):
                 oracle = fd_generator_column(rho, a, b, c, d, eta, length, n, col)
                 scale = max(np.max(np.abs(m[:, col])), 1.0)
@@ -144,11 +148,11 @@ class TestModeMatrix:
     def test_trace_is_heat_rate(self):
         params = ModelParams(2.0, 3.0, 0.5, 4.0, 1.5, 1.0)
         for lam in (0.5, 1.0, 7.0):
-            m = mode_matrix(params, lam).entries
+            m = block(params, lam)
             assert np.trace(m) == -(params.b * lam + params.d * lam**2) / params.a
 
     def test_decoupled_when_eta_zero(self):
-        m = mode_matrix(ModelParams.unit(eta=0.0), 3.0).entries
+        m = block(ModelParams.unit(eta=0.0), 3.0)
         assert m[1, 2] == 0.0 and m[2, 1] == 0.0
 
     def test_forward_backward_differ_only_in_heat_sign(self):
@@ -158,8 +162,8 @@ class TestModeMatrix:
             eta = rng.uniform(-3.0, 3.0)
             lam = rng.uniform(0.1, 50.0)
             params = ModelParams(rho, a, b, c, d, eta)
-            fw = mode_matrix(params, lam, Direction.FORWARD).entries
-            bw = mode_matrix(params, lam, Direction.BACKWARD).entries
+            fw = block(params, lam, Direction.FORWARD)
+            bw = block(params, lam, Direction.BACKWARD)
             assert np.array_equal(fw[:2], bw[:2])
             assert fw[2, :2].tolist() == bw[2, :2].tolist()
             assert fw[2, 2] == -bw[2, 2]
@@ -172,30 +176,15 @@ class TestModeMatrix:
             rho, a, b, c, d = rng.uniform(0.1, 5.0, size=5)
             eta = rng.uniform(-3.0, 3.0)
             lam = rng.uniform(0.1, 50.0)
-            m_plus = mode_matrix(ModelParams(rho, a, b, c, d, eta), lam).entries
-            m_minus = mode_matrix(ModelParams(rho, a, b, c, d, -eta), lam).entries
+            m_plus = block(ModelParams(rho, a, b, c, d, eta), lam)
+            m_minus = block(ModelParams(rho, a, b, c, d, -eta), lam)
             assert np.array_equal(m_minus, s @ m_plus @ s)
 
-    def test_lambda_validation(self, unit_params):
-        with pytest.raises(ValueError):
-            mode_matrix(unit_params, 0.0)
-
-
-class TestHilbertWeight:
-    def test_unit_values(self, unit_params):
-        w = hilbert_weight(unit_params, 2.0)
-        assert (w.w_u, w.w_v, w.w_theta) == (4.0, 1.0, 1.0)
-        assert not w.pseudo_norm
-
-    def test_negative_c_flagged(self):
-        w = hilbert_weight(ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0), 1.0)
-        assert (w.w_u, w.w_v, w.w_theta) == (1.0, 1.0, 1.0)
-        assert w.pseudo_norm
-
-    def test_homogeneity(self):
-        params = ModelParams(2.0, 3.0, 1.0, 5.0, 1.0, 1.0)
-        for lam in (0.5, 1.0, 4.0):
-            w1 = hilbert_weight(params, lam)
-            w2 = hilbert_weight(params, 2.0 * lam)
-            assert w2.w_u == 4.0 * w1.w_u
-            assert w2.w_v == w1.w_v and w2.w_theta == w1.w_theta
+    def test_rows_are_the_single_lam_blocks(self):
+        """A block does not depend on the lams batched beside it."""
+        params = ModelParams(2.0, 3.0, 0.5, 4.0, 1.5, -1.0)
+        lams = np.geomspace(0.1, 1e6, 13)
+        for direction in Direction:
+            batch = mode_blocks(params, lams, direction)
+            for k, lam in enumerate(lams):
+                assert batch[k].tobytes() == block(params, lam, direction).tobytes()

@@ -5,23 +5,19 @@ import pytest
 
 from gradiplate import (
     Direction,
+    Interval,
     ModelParams,
-    ModeState,
     NonFiniteResult,
-    PointOutsideDomain,
-    Rectangle,
     SpectralState,
     energy_balance_report,
     energy_of,
     evolve,
-    evolve_mode,
-    mode_matrix,
     state_from_coefficients,
-    synthesize_field,
 )
 from gradiplate import propagator
 from gradiplate.errors import InsufficientSamples
-from oracles import rk_mode_evolution
+from gradiplate.model import mode_blocks
+from oracles import generator_block, rk_mode_evolution
 
 
 def single_mode_state(domain, u=0.0, v=0.0, theta=0.0):
@@ -33,35 +29,33 @@ def sample_state(trajectory, k):
     return SpectralState(trajectory.domain, trajectory.modes, trajectory.x[:, :, k])
 
 
-class TestEvolveMode:
-    def test_zero_state_stays_zero(self, unit_params):
-        m = mode_matrix(unit_params, 2.5)
-        out = evolve_mode(m, ModeState(0.0, 0.0, 0.0), 0.7)
-        assert (out.u, out.v, out.theta) == (0.0, 0.0, 0.0)
+class TestOneModeEvolution:
+    """`evolve` on the one mode of the pi interval, lam = 1."""
 
-    def test_generator_consistency(self, unit_params):
+    @staticmethod
+    def at(params, domain, t, u=0.0, theta=0.0):
+        """The state at time t of the mode started at (u, 0, theta)."""
+        return evolve(params, single_mode_state(domain, u=u, theta=theta), [0.0, t]).x[0, :, 1]
+
+    def test_generator_consistency(self, unit_params, pi_interval):
         """(state(dt) - state(0))/dt approaches M (1,0,0)^T = (0,-1,0)."""
-        m = mode_matrix(unit_params, 1.0)
         dt = 1e-6
-        out = evolve_mode(m, ModeState(1.0, 0.0, 0.0), dt)
-        rate = (np.array([out.u, out.v, out.theta]) - np.array([1.0, 0.0, 0.0])) / dt
+        out = self.at(unit_params, pi_interval, dt, u=1.0)
+        rate = (out - np.array([1.0, 0.0, 0.0])) / dt
         assert np.allclose(rate, [0.0, -1.0, 0.0], atol=5e-6)
 
-    def test_against_adaptive_rk_oracle(self, unit_params):
-        m = mode_matrix(unit_params, 1.0)
-        out = evolve_mode(m, ModeState(1.0, 0.0, 0.0), 0.1)
-        ref = rk_mode_evolution(m.entries, [1.0, 0.0, 0.0], 0.1)
-        got = np.array([out.u, out.v, out.theta])
+    def test_against_adaptive_rk_oracle(self, unit_params, pi_interval):
+        got = self.at(unit_params, pi_interval, 0.1, u=1.0)
+        ref = rk_mode_evolution(generator_block(unit_params, 1.0), [1.0, 0.0, 0.0], 0.1)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
 
-    def test_complex_state_supported(self, unit_params):
-        m = mode_matrix(unit_params, 1.0)
-        out = evolve_mode(m, ModeState(1.0 + 1.0j, 0.0, -2.0j), 0.3)
+    def test_complex_state_supported(self, unit_params, pi_interval):
+        out = self.at(unit_params, pi_interval, 0.3, u=1.0 + 1.0j, theta=-2.0j)
         # linearity: real and imaginary parts evolve independently
-        re = evolve_mode(m, ModeState(1.0, 0.0, 0.0), 0.3)
-        im = evolve_mode(m, ModeState(1.0, 0.0, -2.0), 0.3)
-        assert out.u == pytest.approx(re.u + 1j * im.u, rel=1e-14)
-        assert out.theta == pytest.approx(re.theta + 1j * im.theta, rel=1e-14)
+        re = self.at(unit_params, pi_interval, 0.3, u=1.0)
+        im = self.at(unit_params, pi_interval, 0.3, u=1.0, theta=-2.0)
+        assert out[0] == pytest.approx(re[0] + 1j * im[0], rel=1e-14)
+        assert out[2] == pytest.approx(re[2] + 1j * im[2], rel=1e-14)
 
 
 class TestEvolve:
@@ -182,14 +176,15 @@ class TestExpmFallback:
         return calls
 
     def test_block_is_past_the_condition_limit(self):
-        _, vecs = np.linalg.eig(mode_matrix(self.PARAMS, 1.0).entries)
+        _, vecs = np.linalg.eig(mode_blocks(self.PARAMS, np.array([1.0]))[0])
         assert np.linalg.cond(vecs) > propagator.EIGVEC_COND_LIMIT
 
-    def test_evolve_mode_against_adaptive_rk_oracle(self, expm_calls):
-        m = mode_matrix(self.PARAMS, 1.0)
-        out = evolve_mode(m, ModeState(*self.X0), 0.7)
-        ref = rk_mode_evolution(m.entries, self.X0, 0.7)
-        got = np.array([out.u, out.v, out.theta])
+    def test_one_step_against_adaptive_rk_oracle(self, pi_interval, expm_calls):
+        init = state_from_coefficients(
+            pi_interval, 1, u=[self.X0[0]], v=[self.X0[1]], theta=[self.X0[2]]
+        )
+        got = evolve(self.PARAMS, init, [0.0, 0.7]).x[0, :, 1]
+        ref = rk_mode_evolution(generator_block(self.PARAMS, 1.0), self.X0, 0.7)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
         assert len(expm_calls) == 1
 
@@ -199,7 +194,7 @@ class TestExpmFallback:
         )
         times = 0.01 * np.arange(101)
         trajectory = evolve(self.PARAMS, init, times)
-        m = mode_matrix(self.PARAMS, 1.0).entries
+        m = generator_block(self.PARAMS, 1.0)
         for k in (10, 50, 100):
             ref = rk_mode_evolution(m, self.X0, times[k])
             got = trajectory.x[0, :, k]
@@ -280,7 +275,7 @@ class TestEnergyBalance:
             q = np.diag([c * lam**2, rho, a])
             w = b * lam + d * lam**2
             for direction, sign in ((Direction.FORWARD, -1.0), (Direction.BACKWARD, 1.0)):
-                m = mode_matrix(params, lam, direction).entries
+                m = mode_blocks(params, np.array([lam]), direction)[0]
                 sym = q @ m + m.T @ q
                 assert np.allclose(sym, np.diag([0.0, 0.0, sign * 2.0 * w]), atol=1e-12 * max(1.0, w))
 
@@ -326,49 +321,28 @@ class TestEnergyBreakdown:
         assert e.total == e.kinetic + e.bending + e.thermal
         assert e.dissipation_rate >= 0.0
 
+    def test_unit_weights(self, unit_params, pi_interval):
+        """Mode 2 of the pi interval (lam = 4) weighs u by c lam^2 = 16,
+        v by rho and theta by a; D weighs theta by b lam + d lam^2."""
+        state = state_from_coefficients(pi_interval, 2, u=[0.0, 1.0], v=[0.0, 1.0], theta=[0.0, 1.0])
+        e = energy_of(unit_params, state)
+        assert (e.kinetic, e.bending, e.thermal) == (0.5, 8.0, 0.5)
+        assert e.dissipation_rate == 20.0
+
+    def test_only_bending_scales_with_lam(self, pi_interval):
+        """Halving the interval multiplies lam by 4: the bending weight
+        grows 16-fold and the kinetic and thermal weights stay."""
+        params = ModelParams(2.0, 3.0, 1.0, 5.0, 1.0, 1.0)
+        half = Interval(math.pi / 2.0)
+        assert half.eigenvalue(1) == 4.0
+        coefficients = dict(u=[0.7], v=[-1.3], theta=[0.4])
+        e1 = energy_of(params, state_from_coefficients(pi_interval, 1, **coefficients))
+        e4 = energy_of(params, state_from_coefficients(half, 1, **coefficients))
+        assert e4.bending == 16.0 * e1.bending
+        assert (e4.kinetic, e4.thermal) == (e1.kinetic, e1.thermal)
+
     def test_negative_bending_when_c_negative(self, pi_interval):
         params = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         state = single_mode_state(pi_interval, u=1.0)
         e = energy_of(params, state)
         assert e.total == pytest.approx(-0.5)
-
-
-class TestSynthesizeField:
-    def test_boundary_exactly_zero(self, pi_interval):
-        state = state_from_coefficients(pi_interval, 3, u=[1.0, 2.0, 3.0], theta=[1.0, 0.0, -1.0])
-        values = synthesize_field(state, [0.0, math.pi])
-        assert np.all(values.u == 0.0)
-        assert np.all(values.u_t == 0.0)
-        assert np.all(values.theta == 0.0)
-
-    def test_first_mode_peak(self, pi_interval):
-        state = state_from_coefficients(pi_interval, 1, u=[1.0])
-        values = synthesize_field(state, [math.pi / 2.0])
-        assert values.u[0] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
-
-    def test_superposition(self, pi_interval):
-        s12 = state_from_coefficients(pi_interval, 2, u=[1.0, -0.5])
-        s1 = state_from_coefficients(pi_interval, 2, u=[1.0, 0.0])
-        s2 = state_from_coefficients(pi_interval, 2, u=[0.0, -0.5])
-        grid = np.linspace(0.0, math.pi, 17)
-        v12 = synthesize_field(s12, grid)
-        v1 = synthesize_field(s1, grid)
-        v2 = synthesize_field(s2, grid)
-        assert np.allclose(v12.u, v1.u + v2.u, rtol=1e-14, atol=1e-16)
-
-    def test_outside_domain_rejected(self, pi_interval):
-        state = state_from_coefficients(pi_interval, 1, u=[1.0])
-        with pytest.raises(PointOutsideDomain):
-            synthesize_field(state, [-0.1])
-        with pytest.raises(PointOutsideDomain):
-            synthesize_field(state, [math.pi + 0.1])
-
-    def test_rectangle_fields(self):
-        dom = Rectangle(1.0, 2.0)
-        state = state_from_coefficients(dom, 1, u=[1.0])
-        border = synthesize_field(state, [[0.0, 1.0], [1.0, 0.5], [0.3, 0.0]])
-        assert np.all(border.u == 0.0)
-        mid = synthesize_field(state, [[0.5, 1.0]])
-        assert mid.u[0] == pytest.approx(2.0 / math.sqrt(2.0), rel=1e-14)
-        with pytest.raises(PointOutsideDomain):
-            synthesize_field(state, [[1.5, 0.5]])

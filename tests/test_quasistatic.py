@@ -8,7 +8,6 @@ from gradiplate import (
     ModelParams,
     QuasiParams,
     effective_capacity,
-    evolve_theta,
     quasi_decay_report,
 )
 from oracles import rk_scalar_decay
@@ -35,34 +34,31 @@ class TestEffectiveCapacity:
             effective_capacity(unit_params)
 
 
-class TestEvolveTheta:
+class TestScalarEvolution:
+    """The exact per-mode decay, read off the decay report's columns."""
+
     def test_rate_matches_adaptive_ode_oracle(self):
         qp = QuasiParams.from_params(quasi())
         lam1 = math.pi**2
         rate1 = (qp.params.b * lam1 + qp.params.d * lam1**2) / qp.a_eff
         assert rate1 == pytest.approx(2.0 * (math.pi**2 + math.pi**4), rel=1e-15)
         t = 0.02
-        state = evolve_theta(qp, [1.0], t)
-        oracle = rk_scalar_decay(rate1, 1.0, t)
-        assert state.theta[0] == pytest.approx(oracle, rel=1e-10)
-
-    def test_zero_data_stays_zero(self):
-        qp = QuasiParams.from_params(quasi())
-        state = evolve_theta(qp, [0.0, 0.0], 0.1)
-        assert np.all(state.theta == 0.0)
-        assert np.all(state.u == 0.0)
+        report = quasi_decay_report(qp, [1.0], (t / 10) * np.arange(11))
+        oracle = rk_scalar_decay(rate1, 1.0, report.t[-1])
+        assert math.sqrt(report.theta_l2_sq[-1]) == pytest.approx(oracle, rel=1e-10)
 
     def test_plate_recovery_factor(self):
-        # c = -2: u_n = -eta theta_n/(c lam_n) = theta_n/(2 lam_n)
+        # c = -2: u_n = -eta theta_n/(c lam_n) = theta_n/(2 lam_n), so
+        # lam_1^2 u_1^2 = theta_1^2 / 4
         qp = QuasiParams.from_params(quasi())
-        state = evolve_theta(qp, [1.0], 0.001)
-        assert state.u[0] == pytest.approx(state.theta[0] / (2.0 * math.pi**2), rel=1e-14)
+        report = quasi_decay_report(qp, [1.0], 1e-4 * np.arange(11))
+        assert report.h2_seminorm == pytest.approx(report.theta_l2_sq / 4.0, rel=1e-14)
 
     def test_elliptic_relation_residual(self):
+        """c u_xx = eta theta per mode, at t = 0, 0.001, ..., 0.01."""
         qp = QuasiParams.from_params(quasi(b=0.3, d=0.7, eta=-0.5))
-        for t in (0.0, 0.001, 0.01):
-            state = evolve_theta(qp, [1.0, -0.5, 0.25], t)
-            assert state.relation_residual(qp.params) <= 1e-12
+        report = quasi_decay_report(qp, [1.0, -0.5, 0.25], 1e-3 * np.arange(11))
+        assert report.relation_residual_max <= 1e-12
 
     def test_rates_strictly_increasing(self):
         qp = QuasiParams.from_params(quasi())

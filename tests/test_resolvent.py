@@ -11,69 +11,33 @@ from gradiplate import (
     Interval,
     ModelParams,
     Rectangle,
-    ResolventRHS,
     SingularSystem,
-    mode_matrix,
     closed_form_gap,
     gap_reach,
-    mode_resolvent_norm,
     nondiff_sequence,
-    resolvent_norm,
     resonant_omega_grid,
     scan_imaginary_axis,
-    solve_mode_resolvent,
 )
 from gradiplate import resolvent
-from gradiplate.model import enumerate_modes
-from oracles import lapack_resolvent_norms, mp_resolvent_singular_values
+from gradiplate.model import enumerate_modes, mode_blocks
+from oracles import lapack_resolvent_norms, lapack_resolvent_solve, mp_resolvent_singular_values
 
 
-def h_inner(params, lam, x, g):
-    """Energy inner product <x, g> on one mode."""
-    w = np.array([params.c * lam**2, params.rho, params.a])
-    return complex(np.sum(w * x * np.conj(g)))
+def block_norm(params, lam, omega):
+    """The energy-weighted resolvent norm of one block."""
+    return float(resolvent._sup_norms(params, [lam], [omega])[0])
 
 
-class TestSolveModeResolvent:
-    def test_zero_rhs_zero_solution(self, unit_params):
-        out = solve_mode_resolvent(unit_params, 1.0, 0.0, ResolventRHS(0.0, 0.0, 0.0))
-        assert (out.u, out.v, out.theta) == (0.0, 0.0, 0.0)
-
-    def test_backsubstitution_residual(self, unit_params):
-        rhs = ResolventRHS(1.0, 0.0, 0.0)
-        out = solve_mode_resolvent(unit_params, 1.0, 0.0, rhs)
-        m = mode_matrix(unit_params, 1.0).entries
-        x = np.array([out.u, out.v, out.theta])
-        residual = np.linalg.norm(-m @ x - np.array([1.0, 0.0, 0.0]))
-        assert residual <= 1e-12
-
-    def test_dissipation_identity_sweep(self):
-        """Re<U, G>_H equals (b lam + d lam^2) |theta|^2 for every solve."""
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            rho, a, b, c, d = rng.uniform(0.2, 4.0, size=5)
-            eta = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
-            params = ModelParams(rho, a, b, c, d, eta)
-            lam = float(rng.uniform(0.3, 40.0))
-            omega = float(rng.uniform(-60.0, 60.0))
-            g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            out = solve_mode_resolvent(params, lam, omega, ResolventRHS(*g))
-            x = np.array([out.u, out.v, out.theta])
-            lhs = h_inner(params, lam, x, g).real
-            rhs = (b * lam + d * lam**2) * abs(out.theta) ** 2
-            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1e-30)
-
-    def test_requires_stable_regime(self):
-        params = ModelParams(1, 1, 1, -1.0, 1, 1)
-        with pytest.raises(ValueError):
-            solve_mode_resolvent(params, 1.0, 0.0, ResolventRHS(1.0, 0.0, 0.0))
+def sup_norm(params, domain, omega, mode_count):
+    """The sup of block_norm over the first mode_count modes of a domain."""
+    return float(resolvent._sup_norms(params, enumerate_modes(domain, mode_count).lam, [omega])[0])
 
 
 class TestResolventNorm:
     def test_zero_frequency_dominated_by_first_mode(self, unit_params, pi_interval):
-        total = resolvent_norm(unit_params, pi_interval, 0.0, 16)
+        total = sup_norm(unit_params, pi_interval, 0.0, 16)
         per_block = [
-            mode_resolvent_norm(unit_params, float(n * n), 0.0) for n in range(1, 17)
+            block_norm(unit_params, float(n * n), 0.0) for n in range(1, 17)
         ]
         assert total == max(per_block)
         assert np.argmax(per_block) == 0
@@ -81,20 +45,20 @@ class TestResolventNorm:
 
     def test_sign_symmetry(self, unit_params, pi_interval):
         for omega in (0.5, 3.0, 41.0):
-            plus = resolvent_norm(unit_params, pi_interval, omega, 8)
-            minus = resolvent_norm(unit_params, pi_interval, -omega, 8)
+            plus = sup_norm(unit_params, pi_interval, omega, 8)
+            minus = sup_norm(unit_params, pi_interval, -omega, 8)
             assert plus == pytest.approx(minus, rel=1e-12)
 
     def test_mode_count_monotonicity(self, unit_params, pi_interval):
         for omega in (0.0, 2.0, 10.0, 100.0):
-            lo = resolvent_norm(unit_params, pi_interval, omega, 8)
-            hi = resolvent_norm(unit_params, pi_interval, omega, 16)
+            lo = sup_norm(unit_params, pi_interval, omega, 8)
+            hi = sup_norm(unit_params, pi_interval, omega, 16)
             assert hi >= lo
 
     def test_bounded_over_wide_sweep(self, unit_params, pi_interval):
         positive = np.geomspace(1e-2, 1e4, 60)
         omegas = np.concatenate([-positive[::-1], [0.0], positive])
-        norms = [resolvent_norm(unit_params, pi_interval, float(w), 32) for w in omegas]
+        norms = [sup_norm(unit_params, pi_interval, float(w), 32) for w in omegas]
         assert np.all(np.isfinite(norms))
         assert max(norms) < 10.0
 
@@ -111,7 +75,7 @@ class TestScan:
         scan = scan_imaginary_axis(unit_params, pi_interval, grid, 12)
         for k, omega in enumerate(grid):
             assert scan.norms[k] == pytest.approx(
-                resolvent_norm(unit_params, pi_interval, omega, 12), rel=1e-12
+                sup_norm(unit_params, pi_interval, omega, 12), rel=1e-12
             )
 
     def test_resonant_tail_does_not_vanish(self, unit_params, pi_interval):
@@ -136,6 +100,11 @@ class TestScan:
         hi = scan_imaginary_axis(unit_params, pi_interval, grid, 16)
         assert np.all(hi.norms >= lo.norms)
 
+    def test_requires_stable_regime(self, pi_interval):
+        """For c < 0 the energy is not a norm and the scan has no meaning."""
+        with pytest.raises(ValueError, match="requires c > 0"):
+            scan_imaginary_axis(ModelParams.unit(c=-1.0), pi_interval, [0.0, 1.0], 4)
+
 
 @st.composite
 def stable_params(draw):
@@ -155,7 +124,7 @@ class TestNormKernel:
     @given(stable_params(), st.floats(1e-2, 1e4), st.floats(-1e5, 1e5))
     def test_matches_lapack_oracle(self, params, lam, omega):
         expected = lapack_resolvent_norms(params, [lam], [omega])[0, 0]
-        assert mode_resolvent_norm(params, lam, omega) == pytest.approx(expected, rel=1e-12)
+        assert block_norm(params, lam, omega) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "params, lam, omega",
@@ -175,7 +144,7 @@ class TestNormKernel:
     def test_matches_mpmath_at_extremes(self, params, lam, omega):
         pytest.importorskip("mpmath")
         expected = mp_resolvent_singular_values(params, lam, omega)[0]
-        assert mode_resolvent_norm(params, lam, omega) == pytest.approx(expected, rel=1e-14)
+        assert block_norm(params, lam, omega) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("lam, omega", [(1e4, 1.0), (1e10, 1.0), (1e10, -1e-3)])
     def test_coincident_top_singular_values(self, unit_params, lam, omega):
@@ -185,15 +154,15 @@ class TestNormKernel:
         pytest.importorskip("mpmath")
         values = mp_resolvent_singular_values(unit_params, lam, omega)
         assert values[0] - values[1] <= 1e-3 * values[0]
-        assert mode_resolvent_norm(unit_params, lam, omega) == pytest.approx(values[0], rel=1e-14)
+        assert block_norm(unit_params, lam, omega) == pytest.approx(values[0], rel=1e-14)
 
     def test_scan_bits_do_not_depend_on_passes(self, unit_params, pi_interval):
         grid = np.geomspace(0.1, 1e4, 300)
         assert grid.size * 64 > 2 * resolvent.BLOCK_BUDGET
         scan = scan_imaginary_axis(unit_params, pi_interval, grid, 64)
-        pointwise = [resolvent_norm(unit_params, pi_interval, w, 64) for w in grid]
+        pointwise = [sup_norm(unit_params, pi_interval, w, 64) for w in grid]
         assert scan.norms.tobytes() == np.array(pointwise).tobytes()
-        mirror = resolvent_norm(unit_params, pi_interval, -grid[0], 64)
+        mirror = sup_norm(unit_params, pi_interval, -grid[0], 64)
         assert scan.sign_gap == abs(scan.norms[0] - mirror) / scan.norms[0]
 
     def test_scan_memory_is_bounded(self, unit_params, pi_interval):
@@ -215,7 +184,7 @@ class TestNormKernel:
         """eta = 0 leaves the plate undamped: i*omega = i*sqrt(c/rho)*lam is
         an eigenvalue of the block."""
         with pytest.raises(SingularSystem):
-            mode_resolvent_norm(ModelParams.unit(eta=0.0), 4.0, 4.0)
+            block_norm(ModelParams.unit(eta=0.0), 4.0, 4.0)
 
 
 @st.composite
@@ -249,13 +218,21 @@ class TestPrunedSup:
     def test_sup_is_the_max_of_single_block_norms(self, params, lams, extra):
         resonant = math.sqrt(params.c / params.rho) * np.array(lams[:4])
         omegas = np.concatenate([[0.0, 1e-300, -1e-300, 1e300, -1e300], resonant, -resonant, extra])
-        # one lambda per row: each row is a single block, with nothing to
-        # prune, and its bits are mode_resolvent_norm's at every omega
+        # one lambda per row: each row is a single block, with nothing to prune
         singles = np.array([resolvent._sup_norms(params, [lam], omegas) for lam in lams])
         assert np.all(singles > 0)
-        assert singles[0, 5] == mode_resolvent_norm(params, lams[0], omegas[5])
         sups = resolvent._sup_norms(params, lams, omegas)
         assert sups.tobytes() == np.max(singles, axis=0).tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sup_params(), lam_sets(), st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=4))
+    def test_eta_sign_leaves_the_norms(self, params, lams, omegas):
+        """diag(1, 1, -1) is an isometry of the energy space that maps the
+        block of eta onto the block of -eta, so the norms agree."""
+        flipped = ModelParams(params.rho, params.a, params.b, params.c, params.d, -params.eta)
+        plus = resolvent._sup_norms(params, lams, omegas)
+        minus = resolvent._sup_norms(flipped, lams, omegas)
+        assert minus == pytest.approx(plus, rel=1e-12)
 
     def test_few_blocks_reach_jacobi(self, unit_params, pi_interval, monkeypatch):
         """On the README-size scan about 4% of the blocks can hold their
@@ -305,12 +282,12 @@ class TestNondiffSequence:
         seq = nondiff_sequence(params, pi_interval, 8)
         for n in (1, 2, 3, 5, 8):
             lam, omega, p, q = seq.lam[n - 1], seq.omega[n - 1], seq.p[n - 1], seq.q[n - 1]
-            out = solve_mode_resolvent(params, lam, omega, ResolventRHS(0.0, 1.0 / params.rho, 0.0))
-            assert abs(out.u - p) <= 1e-10 * max(1.0, abs(p))
-            assert abs(out.theta - q) <= 1e-10 * max(1.0, abs(q))
-            assert abs(abs(out.v) ** 2 - seq.norm_v_sq[n - 1]) <= 1e-10 * seq.norm_v_sq[n - 1]
+            u, v, theta = lapack_resolvent_solve(params, lam, omega, (0.0, 1.0 / params.rho, 0.0))
+            assert abs(u - p) <= 1e-10 * max(1.0, abs(p))
+            assert abs(theta - q) <= 1e-10 * max(1.0, abs(q))
+            assert abs(abs(v) ** 2 - seq.norm_v_sq[n - 1]) <= 1e-10 * seq.norm_v_sq[n - 1]
             # v = i omega u for the constructed solution
-            assert cmath.isclose(out.v, 1j * omega * out.u, rel_tol=1e-9)
+            assert cmath.isclose(v, 1j * omega * u, rel_tol=1e-9)
 
     def test_negative_branch_conjugates(self, unit_params, pi_interval):
         plus = nondiff_sequence(unit_params, pi_interval, 4, branch=+1)
@@ -318,6 +295,34 @@ class TestNondiffSequence:
         assert np.array_equal(minus.omega, -plus.omega)
         assert minus.p == pytest.approx(plus.p.conjugate(), rel=1e-14)
         assert minus.norm_v_sq == pytest.approx(plus.norm_v_sq, rel=1e-14)
+
+    @pytest.mark.parametrize("branch", [+1, -1])
+    def test_dissipation_identity(self, branch, pi_interval):
+        """Re<G, U>_H = (b lam + d lam^2) |theta|^2 for the solution U of
+        (i omega - M) U = G.  With G = (0, 1/rho, 0) the left side is
+        Re v = Re(i omega p)."""
+        params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
+        seq = nondiff_sequence(params, pi_interval, 12, branch=branch)
+        lhs = (1j * seq.omega * seq.p).real
+        rhs = (params.b * seq.lam + params.d * seq.lam**2) * seq.q**2
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_solves_the_generator_block(self, pi_interval):
+        """(p, i omega p, q) solves (i omega - M) U = (0, 1/rho, 0) with M
+        the forward block the time-domain runs use, to the rounding of the
+        largest term of each row."""
+        params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
+        seq = nondiff_sequence(params, pi_interval, 8)
+        blocks = mode_blocks(params, seq.lam)
+        u = np.stack([seq.p, 1j * seq.omega * seq.p, seq.q + 0j], axis=1)
+        lhs = 1j * seq.omega[:, None] * u - np.einsum("nij,nj->ni", blocks, u)
+        rhs = np.array([0.0, 1.0 / params.rho, 0.0])
+        terms = np.abs(seq.omega[:, None] * u) + np.einsum("nij,nj->ni", np.abs(blocks), np.abs(u))
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * np.maximum(terms, 1.0))
+
+    def test_requires_stable_regime(self, pi_interval):
+        with pytest.raises(ValueError, match="requires c > 0"):
+            nondiff_sequence(ModelParams.unit(c=-1.0), pi_interval, 2)
 
     def test_weighted_norm_carries_rho(self, pi_interval):
         params = ModelParams(rho=3.0, a=1.0, b=1.0, c=1.0, d=1.0, eta=1.0)

@@ -5,13 +5,7 @@ import pytest
 
 from gradiplate import (
     ModelParams,
-    NonDecreasingEnergy,
-    NonPositiveEnergy,
-    asymptotic_strip,
-    cubic_roots,
     evolve,
-    fit_decay,
-    mode_eigenvalues,
     spectral_abscissa,
     state_from_coefficients,
 )
@@ -19,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_cubic
-from gradiplate.errors import InsufficientSamples
 from gradiplate.spectrum import (
     REAL_PLUS_PAIR,
     THREE_REAL,
+    _solve_cubics,
     characteristic_coefficients,
     mode_spectra,
     row_max,
@@ -34,11 +28,37 @@ def sorted_by_real_imag(roots):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
+def one_cubic(a2, a1, a0):
+    """Roots, classification and residuals of z^3 + a2 z^2 + a1 z + a0 from
+    the batched solver, as one row."""
+    roots, classification, residuals = _solve_cubics(np.array([a2]), np.array([a1]), np.array([a0]))
+    return tuple(roots[0].tolist()), classification[0], residuals[0]
+
+
+def upper_pair(params, lams):
+    """The upper member of each lam's complex pair, NaN where the block has
+    three real roots."""
+    roots, _, _ = mode_spectra(params, lams)
+    upper = roots.imag > 0  # at most one root of a row is above the real axis
+    pair = np.full(len(lams), np.nan + 0j)
+    pair[upper.any(axis=1)] = roots[upper]
+    return pair
+
+
+def log_rate(trajectory, t_min):
+    """gamma and the rms residual of the least-squares fit
+    E(t) ~ exp(-2 gamma t) on t >= t_min."""
+    mask = trajectory.t >= t_min
+    t, log_e = trajectory.t[mask], np.log(trajectory.total[mask])
+    slope, intercept = np.polyfit(t, log_e, 1)
+    return -slope / 2.0, float(np.sqrt(np.mean((log_e - (slope * t + intercept)) ** 2)))
+
+
 class TestCubicRoots:
     def test_unit_lambda_one_cubic(self, unit_params):
         mu, kappa, eps = characteristic_coefficients(unit_params, 1.0)
         assert (mu, kappa + eps, kappa * mu) == (2.0, 2.0, 2.0)
-        roots, classification, residuals = cubic_roots(2.0, 2.0, 2.0)
+        roots, classification, residuals = (x[0] for x in mode_spectra(unit_params, [1.0]))
         assert classification == REAL_PLUS_PAIR
         oracle = sorted_by_real_imag(companion_roots(2.0, 2.0, 2.0))
         for got, want in zip(roots, oracle):
@@ -55,11 +75,11 @@ class TestCubicRoots:
         undamped plate pair."""
         params = ModelParams(2.0, 3.0, 0.5, 4.0, 0.25, 0.0)
         lam = 5.0
-        spectrum = mode_eigenvalues(params, lam)
+        roots, _, _ = mode_spectra(params, [lam])
         mu = (params.b * lam + params.d * lam**2) / params.a
         freq = math.sqrt(params.c / params.rho) * lam
         expected = sorted_by_real_imag([-mu, 1j * freq, -1j * freq])
-        for got, want in zip(spectrum.roots, expected):
+        for got, want in zip(roots[0], expected):
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_unstable_real_root_via_bisection(self):
@@ -68,13 +88,13 @@ class TestCubicRoots:
         mu, kappa, eps = characteristic_coefficients(params, 1.0)
         assert (mu, kappa + eps, kappa * mu) == (2.0, 0.0, -2.0)
         oracle = bisect_real_root(lambda z: z**3 + 2.0 * z**2 - 2.0, 0.8, 0.9)
-        spectrum = mode_eigenvalues(params, 1.0)
-        assert spectrum.max_real == pytest.approx(oracle, abs=1e-12)
-        assert spectrum.max_real == pytest.approx(0.8393, abs=1e-4)
+        max_real = np.max(mode_spectra(params, [1.0])[0].real)
+        assert max_real == pytest.approx(oracle, abs=1e-12)
+        assert max_real == pytest.approx(0.8393, abs=1e-4)
 
     def test_three_real_classification(self):
         # (z+1)(z+2)(z+4) = z^3 + 7z^2 + 14z + 8
-        roots, classification, residuals = cubic_roots(7.0, 14.0, 8.0)
+        roots, classification, residuals = one_cubic(7.0, 14.0, 8.0)
         assert classification == THREE_REAL
         assert np.allclose([z.real for z in roots], [-4.0, -2.0, -1.0], atol=1e-13)
         assert all(z.imag == 0 for z in roots)
@@ -84,7 +104,7 @@ class TestCubicRoots:
         rng = np.random.default_rng(13)
         for _ in range(200):
             a2, a1, a0 = rng.uniform(-10.0, 10.0, size=3)
-            roots, _, residuals = cubic_roots(a2, a1, a0)
+            roots, _, residuals = one_cubic(a2, a1, a0)
             assert np.max(residuals) <= 1e-12
             oracle = sorted_by_real_imag(companion_roots(a2, a1, a0))
             for got, want in zip(roots, oracle):
@@ -92,15 +112,14 @@ class TestCubicRoots:
 
     def test_extreme_lambda_residuals(self, unit_params):
         """Backward-error residuals stay at machine level up to lam = 1e8."""
-        for lam in np.geomspace(1.0, 1e8, 60):
-            spectrum = mode_eigenvalues(unit_params, float(lam))
-            assert np.max(spectrum.residuals) <= 1e-10
+        _, _, residuals = mode_spectra(unit_params, np.geomspace(1.0, 1e8, 60))
+        assert np.max(residuals) <= 1e-10
 
     def test_coefficient_consistency(self, unit_params):
         """Root sums and products reproduce the cubic coefficients."""
-        for lam in np.geomspace(0.5, 1e8, 40):
+        lams = np.geomspace(0.5, 1e8, 40)
+        for lam, r in zip(lams, mode_spectra(unit_params, lams)[0]):
             mu, kappa, eps = characteristic_coefficients(unit_params, float(lam))
-            r = mode_eigenvalues(unit_params, float(lam)).roots
             s1 = sum(z for z in r)
             s2 = r[0] * r[1] + r[0] * r[2] + r[1] * r[2]
             s3 = r[0] * r[1] * r[2]
@@ -112,9 +131,8 @@ class TestCubicRoots:
 class TestSpectralAbscissa:
     def test_stable_negative_and_matches_modewise_max(self, unit_params, pi_interval):
         value = spectral_abscissa(unit_params, pi_interval, 64)
-        per_mode = [
-            mode_eigenvalues(unit_params, float(n * n)).max_real for n in range(1, 65)
-        ]
+        roots, _, _ = mode_spectra(unit_params, [float(n * n) for n in range(1, 65)])
+        per_mode = [max(z.real for z in row) for row in roots.tolist()]
         assert value == max(per_mode)
         assert value < 0.0
 
@@ -122,79 +140,65 @@ class TestSpectralAbscissa:
         params = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         assert spectral_abscissa(params, pi_interval, 8) > 0.0
 
+    def test_mode_count_validation(self, unit_params, pi_interval):
+        with pytest.raises(ValueError, match="mode_count"):
+            spectral_abscissa(unit_params, pi_interval, 0)
+
     def test_order_invariance(self, unit_params):
         lams = [9.0, 1.0, 4.0]
-        values = [mode_eigenvalues(unit_params, lam).max_real for lam in lams]
-        assert max(values) == max(reversed(values))
+        forward = np.max(mode_spectra(unit_params, lams)[0].real)
+        assert forward == np.max(mode_spectra(unit_params, lams[::-1])[0].real)
 
 
 class TestAsymptoticStrip:
+    """The complex pair approaches the line Re z = -eta^2/(2 rho d)."""
+
     def test_unit_limit_and_convergence(self, unit_params):
-        report = asymptotic_strip(unit_params, np.geomspace(10.0, 1e6, 25))
-        assert report.target == -0.5
-        tail = report.gaps[report.lams >= 1e4]
+        lams = np.geomspace(10.0, 1e6, 25)
+        target = -unit_params.eta**2 / (2.0 * unit_params.rho * unit_params.d)
+        assert target == -0.5
+        pair = upper_pair(unit_params, lams)
+        tail = np.abs(pair.real - target)[lams >= 1e4]
         assert np.all(tail <= 1e-3)
         # monotone approach from above along this sweep
-        assert report.pair_real[-1] == pytest.approx(-0.5, abs=1e-5)
+        assert pair[-1].real == pytest.approx(-0.5, abs=1e-5)
 
     def test_eta_scaling_quadruples_limit(self):
-        base = asymptotic_strip(ModelParams.unit(), [1e6]).target
-        doubled = asymptotic_strip(ModelParams.unit(eta=2.0), [1e6]).target
-        assert doubled == 4.0 * base
+        base = upper_pair(ModelParams.unit(), [1e7])[0].real
+        doubled = upper_pair(ModelParams.unit(eta=2.0), [1e7])[0].real
+        assert doubled == pytest.approx(4.0 * base, rel=1e-5)
         # the computed pair tracks the scaled limit too
-        got = asymptotic_strip(ModelParams.unit(eta=2.0), [1e7]).pair_real[-1]
-        assert got == pytest.approx(-2.0, rel=1e-5)
+        assert doubled == pytest.approx(-2.0, rel=1e-5)
 
     def test_pair_frequency_ratio(self):
         params = ModelParams(rho=4.0, a=1.0, b=1.0, c=9.0, d=1.0, eta=1.0)
-        report = asymptotic_strip(params, [1e5, 1e6])
-        ratio = report.pair_imag / report.lams
+        lams = np.array([1e5, 1e6])
+        ratio = upper_pair(params, lams).imag / lams
         assert np.allclose(ratio, math.sqrt(params.c / params.rho), rtol=1e-6)
-
-    def test_requires_stable(self):
-        with pytest.raises(ValueError):
-            asymptotic_strip(ModelParams(1, 1, 1, -1.0, 1, 1), [10.0])
 
 
 class TestFitDecay:
+    """The rate of a log-linear fit to the tail of E(t)."""
+
     def test_pure_heat_mode_rate_exact(self, pi_interval):
         params = ModelParams(rho=1.0, a=2.0, b=0.5, c=1.0, d=0.25, eta=0.0)
         lam = 1.0
         rate = (params.b * lam + params.d * lam**2) / params.a
         init = state_from_coefficients(pi_interval, 1, theta=[1.0])
         times = np.linspace(0.0, 20.0, 3001)
-        fit = fit_decay(evolve(params, init, times), t_min=5.0)
-        assert fit.gamma == pytest.approx(rate, rel=1e-10)
-        assert fit.rms_residual <= 1e-10
+        gamma, rms_residual = log_rate(evolve(params, init, times), t_min=5.0)
+        assert gamma == pytest.approx(rate, rel=1e-10)
+        assert rms_residual <= 1e-10
 
     def test_multimode_gamma_close_to_abscissa(self, unit_params, pi_interval):
         init = state_from_coefficients(
             pi_interval, 8, u=[1.0, 0.2], theta=[0.5, 0.1, 0.05]
         )
         times = np.linspace(0.0, 50.0, 5001)
-        fit = fit_decay(evolve(unit_params, init, times), t_min=5.0)
+        gamma, _ = log_rate(evolve(unit_params, init, times), t_min=5.0)
         abscissa = spectral_abscissa(unit_params, pi_interval, 8)
-        assert fit.gamma > 0
-        assert abs(fit.gamma - abs(abscissa)) / abs(abscissa) <= 0.05
-
-    def test_zero_trajectory_rejected(self, unit_params, pi_interval):
-        init = state_from_coefficients(pi_interval, 1)
-        samples = evolve(unit_params, init, np.linspace(0.0, 10.0, 200))
-        with pytest.raises(NonPositiveEnergy):
-            fit_decay(samples)
-
-    def test_growing_energy_rejected(self, pi_interval):
-        params = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
-        init = state_from_coefficients(pi_interval, 1, u=[0.0], v=[1.0], theta=[1.0])
-        samples = evolve(params, init, np.linspace(0.0, 10.0, 300))
-        with pytest.raises((NonDecreasingEnergy, NonPositiveEnergy)):
-            fit_decay(samples)
-
-    def test_short_window_rejected(self, unit_params, pi_interval):
-        init = state_from_coefficients(pi_interval, 1, u=[1.0])
-        samples = evolve(unit_params, init, np.linspace(0.0, 1.0, 50))
-        with pytest.raises(InsufficientSamples):
-            fit_decay(samples, t_min=5.0)
+        assert gamma > 0
+        assert abs(gamma - abs(abscissa)) / abs(abscissa) <= 0.05
 
 
 def log_uniform(lo, hi):
@@ -222,9 +226,8 @@ near_one = st.lists(st.floats(1.0 - 1e-6, 1.0 + 1e-6), min_size=1, max_size=10)
 
 
 class TestBatchedRoots:
-    """`mode_spectra` solves every lam at once, and `cubic_roots` one cubic
-    on numpy scalars; both must give the scalar reference solver's answer,
-    bit for bit."""
+    """`mode_spectra` solves every lam at once and must give the scalar
+    reference solver's answer, bit for bit."""
 
     @staticmethod
     def assert_matches_scalar_reference(params, lams):
@@ -237,11 +240,6 @@ class TestBatchedRoots:
             assert classification[k] == ref_class
             # the reference keeps the residuals in polishing order
             assert np.sort(residuals[k]).tobytes() == np.sort(ref_res).tobytes()
-            # one cubic runs the same solver on numpy scalars
-            one_roots, one_class, one_res = cubic_roots(mu, kappa + eps, kappa * mu)
-            assert np.array(one_roots).tobytes() == roots[k].tobytes()
-            assert one_class == ref_class
-            assert one_res.tobytes() == residuals[k].tobytes()
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(params=general_params, lams=lam_lists)
@@ -260,25 +258,20 @@ class TestBatchedRoots:
         assert set(classification) == {THREE_REAL, REAL_PLUS_PAIR}
         self.assert_matches_scalar_reference(params, lams)
 
-    def test_wrappers_are_rows_of_the_batch(self, unit_params):
-        lams = np.geomspace(1.0, 1e8, 17)
-        roots, classification, residuals = mode_spectra(unit_params, lams)
-        for k, lam in enumerate(lams):
-            spectrum = mode_eigenvalues(unit_params, float(lam))
-            assert spectrum.roots == tuple(roots[k].tolist())
-            assert spectrum.classification == classification[k]
-            assert spectrum.residuals.tobytes() == residuals[k].tobytes()
-
     def test_rejects_nonpositive_lambda(self, unit_params):
         with pytest.raises(ValueError):
             mode_spectra(unit_params, [1.0, 0.0])
 
-    def test_strip_reads_the_upper_pair_member(self, unit_params):
-        lams = np.geomspace(10.0, 1e6, 25)
-        report = asymptotic_strip(unit_params, lams)
+    def test_rows_do_not_depend_on_the_batch(self, unit_params):
+        """A spectrum CSV row is the same whatever lambda_points puts
+        beside it."""
+        lams = np.geomspace(1.0, 1e8, 17)
+        roots, classification, residuals = mode_spectra(unit_params, lams)
         for k, lam in enumerate(lams):
-            pair = mode_eigenvalues(unit_params, float(lam)).pair
-            assert (report.pair_real[k], report.pair_imag[k]) == (pair.real, pair.imag)
+            one = mode_spectra(unit_params, [lam])
+            assert one[0].tobytes() == roots[k].tobytes()
+            assert one[1][0] == classification[k]
+            assert one[2].tobytes() == residuals[k].tobytes()
 
     def test_row_max_keeps_the_first_maximal_entry(self):
         values = np.array([[-0.0, 0.0], [0.0, -0.0], [-1.0, 2.0]])
