@@ -308,7 +308,7 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
     balance = energy_balance_report(trajectory, Direction.BACKWARD)
 
     # second-order finite differences: residual ~ (2*rate)^2 dt^2 / 6
-    fd_tol = 10.0 * (2.0 * identities.rate) ** 2 * cfg.dt**2 / 6.0
+    fd_tol = 10.0 * (2.0 * identities.rate * cfg.dt) ** 2 / 6.0
 
     scale = _identity_scale(balance, trajectory)
     balance_scaled = balance.max_abs_error / scale

@@ -248,6 +248,14 @@ def _build_domain(raw: dict[str, str], subcommand: str) -> tuple[SpectralDomain,
     mode_count = _as_int(raw, "mode_count")
     if mode_count < 1:
         raise ConfigError("mode_count must be >= 1")
+    # the mode blocks square lam: lam_1^2 and lam_N^2 must be normal floats
+    try:
+        lams = enumerate_modes(domain, mode_count).lam[[0, -1]]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not all(sys.float_info.min <= lam * lam < math.inf for lam in lams.tolist()):
+        keys = "length" if kind == "interval" else "length1, length2"
+        raise ConfigError(f"{keys}, mode_count: lam_1^2 or lam_N^2 of {domain!r} leaves the normal float range")
     return domain, mode_count
 
 
@@ -315,6 +323,9 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
         cfg.initial_theta = _as_float_list(raw, "initial_theta")
         if not cfg.initial_theta:
             raise ConfigError("initial_theta must contain at least one coefficient")
+        squares, ratio = sum(x * x for x in cfg.initial_theta), params.eta / params.c
+        if not (squares < math.inf and ratio * ratio * squares < math.inf):
+            raise ConfigError("initial_theta: sum theta_n^2 or (eta/c)^2 sum theta_n^2 overflows")
         from .quasistatic import QuasiParams
 
         # refuse degenerate capacity at parse time

@@ -58,9 +58,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
-from .model import Direction, ModelParams, mode_blocks
+from .model import Direction, ModelParams
 from .propagator import (
-    SpectralState, Trajectory, _checked_block, _checked_times, _ModeTrajectory, live_modes,
+    SpectralState, Trajectory, _checked_block, _checked_times, _ModeKernel, live_modes,
     time_blocks,
 )
 
@@ -158,8 +158,8 @@ def verify_backward_identities(
             + h1 / (h2 * (h1 + h2)) * y[2:]
         )
 
-    dl1_fd = center(l1)
-    dl2_fd = center(l2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # dt near underflow
+        dl1_fd, dl2_fd = center(l1), center(l2)
     _require_real(trajectory.x)
     # modes at rest stay at rest: the sums run over the live ones only
     live = live_modes(trajectory.x[:, :, 0])
@@ -313,7 +313,7 @@ def convexity_trajectory(
     r = np.zeros((live.size, 3))
     r[:, 0], r[:, 2] = params.eta * lams, -params.a
     q = r[:, :, None] * r[:, None, :] / w[:, None, None]
-    kernel = _ModeTrajectory(mode_blocks(params, lams), x0[live], t, q)
+    kernel = _ModeKernel(params, lams, Direction.FORWARD, x0[live], t, q)
 
     blocks = time_blocks(live.size, t.size)
     buffer = np.empty((live.size, 3, max((hi - lo for lo, hi in blocks), default=0)))

@@ -2,19 +2,11 @@
 
 The truncated generator is block-diagonal over modes, so trajectories are
 computed from 3x3 matrix exponentials with no time-discretization error.
-One kernel, `_ModeTrajectory`, serves `evolve` and the convexity
-functional; it evolves a stack of modes at once, and runs its per-mode
-setup once and then one time block after another.  Each block is
-exponentiated through its eigendecomposition.  Blocks whose eigenvector
-matrix, rows equilibrated, has a condition number above 1e3 (nearly
-defective blocks, at isolated parameter/eigenvalue coincidences) fall back
-to Pade exponentials of Van Loan's block matrix applied stepwise
-(`scipy.linalg.expm`, imported only on that path).
-
-The kernel also returns the exact running integral int_0^t x^H Q x ds of
-a per-mode quadratic form Q: from the eigen-coefficients in closed form,
-or from Van Loan's block on the fallback path.  Time integrals are never
-taken by quadrature of the samples.
+One kernel, `_ModeKernel`, serves `evolve` and the convexity functional:
+it evolves a stack of modes at once, in closed form from the roots of each
+block's cubic (`spectrum.mode_spectra`), and gives the exact running
+integral int_0^t x^H Q x ds of a per-mode quadratic form Q with them, for
+any block of samples.  Time integrals are never taken by quadrature.
 
 Energy along a trajectory:
 
@@ -46,27 +38,26 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from . import spectrum
 from .errors import InsufficientSamples, NonFiniteResult
 from .model import Direction, Modes, ModelParams, SpectralDomain, enumerate_modes, mode_blocks
 
-# the eigenvector route is taken below this condition number of the
-# row-equilibrated eigenvector matrix; its closed-form integrals lose about
-# eps * cond^2 of their scale
-EIGVEC_COND_LIMIT = 1e3
+# a block whose separated root has a larger condition than this, and
+# whose roots lie within CLUSTER_REACH / t of their mean over the grid, is
+# a cluster near a triple root: it takes the power series, undeflated
+CLUSTER_LIMIT = 10.0
+CLUSTER_REACH = 6.0
+# samples of the power series evaluated at once: bounds its temporaries
+SERIES_CHUNK = 2**11
 # below |s t| = EXPM1_LIMIT a closed-form integral takes (e^{st} - 1)/s
 # from expm1, where the difference of exponentials would cancel
 EXPM1_LIMIT = 0.5
-# mode-samples of the whole grid per kernel group: bounds the kernel's
-# temporaries
-CHUNK_SAMPLES = 2**13
 # live mode-samples per time block: a time-domain run holds the states of
 # one block, and 1-D columns of the whole grid
-BLOCK_MODE_SAMPLES = 2**16
-# samples per time block at most: a block's energy columns and the
-# kernel's per-sample terms do not shrink with the live mode count
-BLOCK_SAMPLES_MAX = 2**14
-# block starts are multiples of this many samples (see `time_blocks`)
-_BLOCK_ALIGN = 64
+BLOCK_MODE_SAMPLES = 2**15
+# samples per time block at least and at most: a block's energy columns
+# and the kernel's per-sample terms do not shrink with the live mode count
+BLOCK_SAMPLES_MIN, BLOCK_SAMPLES_MAX = 64, 2**14
 ENERGY_FLOOR = 1e-300
 
 
@@ -214,16 +205,15 @@ def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     """The (lo, hi) sample ranges of the time blocks of a grid.
 
     A block holds about BLOCK_MODE_SAMPLES mode-samples of `modes` live
-    modes: a power of two of samples, at least _BLOCK_ALIGN and at most
+    modes: a power of two of samples, from BLOCK_SAMPLES_MIN to
     BLOCK_SAMPLES_MAX, or the whole grid when that is shorter (so a grid
-    with no live mode is one block up to that size).  BLAS takes the
-    sample axis of a matmul in groups of a few columns and finishes a
-    ragged tail, or a single column, in other kernels.  Blocks that start at multiples of
-    _BLOCK_ALIGN, with a one-sample tail joined to the block before it,
-    keep each sample in the place it has in one whole-grid call, so its
-    bits do not depend on the blocking.
+    with no live mode is one block up to that size).  The kernel works on
+    each sample apart, and the sums over modes run along axis 0, except in
+    a one-sample block, where numpy sums the contiguous modes pairwise: a
+    one-sample tail joins the block before it, so no bit depends on the
+    blocking.
     """
-    per = _BLOCK_ALIGN
+    per = BLOCK_SAMPLES_MIN
     while per < min(samples, BLOCK_SAMPLES_MAX) and 2 * per * modes <= BLOCK_MODE_SAMPLES:
         per *= 2
     starts = list(range(0, samples, per))
@@ -232,166 +222,245 @@ def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [samples]))
 
 
-class _ModeTrajectory:
-    """States of a stack of modes on a time grid, shape (modes, n, samples),
-    and the running integral int_0^t sum_modes x^H q x ds, one block of
-    samples at a time.
+class _ModeKernel:
+    """States of a stack of modes on a time grid, (modes, 3, samples), and the running
+    integral int_0^t sum_modes x^H q x ds, for any block of samples, in closed form from
+    the roots of each block's cubic (negated backward: M_back = D (-M_fwd) D, D =
+    diag(1, -1, 1)), in energy coordinates y = s x, s = (sqrt|c| lam, sqrt rho, sqrt a).
 
-    The one per-mode exponential kernel: m holds the (modes, n, n) blocks,
-    x0 the (modes, n) initial states and q the real symmetric (modes, n, n)
-    weights.  The per-mode setup runs once, against the whole grid, and
-    `block` evaluates samples lo:hi; blocks come in order from sample 0,
-    since the fallback carries its state from one to the next.  The modes
-    go through in groups of about CHUNK_SAMPLES mode-samples of the whole
-    grid.  A mode at rest stays exactly at rest, but costs as much as any
-    other: callers pass the live modes only (`live_modes`).  Overflow is
-    not raised here: it leaves non-finite entries for the caller to report
-    as NonFiniteResult.
+    The separated root z1 (the real one; of three real roots the one farther from the
+    closer two, or the heat root when eta = 0) is deflated: p = v1 (u1.y0)/(u1.v1) from the null vectors of A - z1; the
+    rest y_p of y0 lies in the plane u1.y = 0, where N = A - a has N^2 = omega^2 for the
+    pair a +- omega.  So y(t) = e^{z1 t} p + e^{at} (ch y_p + sh N y_p), ch =
+    cosh(omega t), sh = sinh(omega t)/omega (cos and sin for a complex pair), and the
+    integral sums (e^{st} - 1)/s over sums s of two roots.  A pair with |2 omega t| < 1
+    over the grid, or a cluster near a triple root (z1's condition above CLUSTER_LIMIT,
+    N = A - m about the mean root m), takes the power series of e^{Nt} in r t (r >=
+    |omega|), integrated by moments int_0^1 s^k e^{us} ds.  The sizes of p and y_p are
+    folded into their exponentials (data of 1e-38 may grow past e^700); overflow leaves
+    non-finite entries for the caller to report.  x0 holds the (modes, 3) initial states
+    and q the real symmetric (modes, 3, 3) weights, in x; a mode at rest costs as much as
+    any other, so callers pass the live modes only (`live_modes`).
     """
 
-    def __init__(self, m, x0, times, q):
-        self.x0, self.times, self.groups = x0, times, []
-        step = max(1, CHUNK_SAMPLES // max(times.size, 1))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lo in range(0, len(x0), step):
-                chunk = np.arange(lo, min(lo + step, len(x0)))
-                z, vecs = np.linalg.eig(m[chunk])
-                # rows equilibrated first: u, v and theta differ in scale by
-                # powers of lam, which costs no accuracy; near-coincident roots do
-                rows = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
-                good = np.linalg.cond(rows) <= EIGVEC_COND_LIMIT
-                k = chunk[good]
-                eig = _EigenModes(z[good], vecs[good], x0[k], times, q[k])
-                stepwise = [(j, _StepwiseMode(m[j], x0[j], q[j])) for j in chunk[~good]]
-                self.groups.append((k, eig, stepwise))
+    def __init__(self, params, lams, direction, x0, times, q):
+        z = spectrum.mode_spectra(params, lams)[0] * (1.0 if direction is Direction.FORWARD else -1.0)
+        s = np.stack(np.broadcast_arrays(np.sqrt(abs(params.c)) * lams, np.sqrt(params.rho), np.sqrt(params.a)), -1)
+        a_mat = mode_blocks(params, lams, direction) * s[:, :, None] / s[:, None, :]
+        self.x0, self.times = x0, times
+        if np.iscomplexobj(x0):  # real and imaginary parts evolve as modes of their own
+            x0 = np.concatenate([x0.real, x0.imag])
+            z, s, a_mat, q = (np.concatenate([v, v]) for v in (z, s, a_mat, q))
+        y0, rows, eye = x0 * s, np.arange(len(z)), np.eye(3)
+        t_end = times[-1] if times.size > 1 else 1.0
+        with np.errstate(all="ignore"):
+            pair, r, top = np.any(z.imag != 0.0, axis=1), np.sort(z.real, axis=1), z[rows, np.argmax(z.imag, 1)]
+            # of three real roots z1 is the one farther from the closer two; with eta = 0 the
+            # heat root (the block's (2, 2) entry), unless a plate root is near it, so that
+            # the decoupled fields stay exactly apart
+            far = np.where(r[:, 1] - r[:, 0] <= r[:, 2] - r[:, 1], 2, 0)
+            if params.eta == 0.0:
+                heat = np.argmin(abs(r - a_mat[:, 2, 2, None]), axis=1)
+                gap = np.where(np.arange(3) == heat[:, None], np.inf, abs(r - r[rows, heat, None]))
+                far = np.where(np.min(gap, axis=1) > 1e-3 * np.max(abs(r), axis=1), heat, far)
+            lo, hi = np.sort(np.where(np.arange(3) == far[:, None], np.inf, r), axis=1)[:, :2].T
+            z1 = np.where(pair, z[rows, np.argmin(abs(z.imag), 1)].real, r[rows, far])
+            a, omega = np.where(pair, top.real, 0.5 * (hi + lo)), np.where(pair, 1j * top.imag, 0.5 * (hi - lo))
+            b = a_mat - z1[:, None, None] * eye
+            v1 = _null_vector(b, abs(a_mat).max(axis=2) + abs(z1)[:, None])
+            u1 = _null_vector(b.swapaxes(1, 2), abs(a_mat).max(axis=1) + abs(z1)[:, None])
+            dot, m = np.sum(u1 * v1, axis=1), np.mean(z.real, axis=1)
+            d = z - m[:, None]
+            spread = np.max(abs(d), axis=1)
+            cluster = (abs(dot) * CLUSTER_LIMIT < 1.0) & (spread * t_end <= CLUSTER_REACH)
+            p = np.where(cluster[:, None], 0.0, v1 * (np.sum(u1 * y0, axis=1) / dot)[:, None])
+            # the plane u1.y = 0 over its coordinates other than j = argmax |u1|
+            j = np.argmax(abs(u1), axis=1)
+            plane = eye - eye[j][:, :, None] * (u1 / u1[rows, j, None])[:, None, :]
+            a, omega = np.where(cluster, m, a), np.where(cluster, 0.0, omega)
+            nil = np.where(cluster[:, None, None], a_mat - m[:, None, None] * eye,
+                           plane @ a_mat @ plane - a[:, None, None] * plane)
+            r = np.maximum(np.where(cluster, spread, abs(omega)), 1.0 / t_end)
+            # (N/r)^3 + c2 (N/r)^2 + c1 N/r + c0 = 0, from the roots of N: d, or 0 and +-omega
+            d = np.where(cluster[:, None], d, np.stack([0.0 * omega, omega, -omega], 1)) / r[:, None]
+            total = np.sum(d, axis=1)
+            cubic = np.stack([-np.prod(d, axis=1), 0.5 * (total * total - np.sum(d * d, axis=1)), -total], 1).real
+            # the basis p, y_p, N y_p / r, N^2 y_p / r^2, its sizes folded out
+            basis = [p, np.where(cluster[:, None], y0, np.einsum("lij,lj->li", plane, y0 - p))]
+            for _ in range(2):
+                basis.append(np.einsum("lij,lj->li", nil, basis[-1]) / r[:, None])
+            n_p, n_w = np.max(abs(basis[0]), axis=1), np.max(abs(np.array(basis[1:])), axis=(0, 2))
+            sizes = np.stack([n_p, n_w, n_w, n_w], axis=1)
+            basis = np.stack(basis, axis=2) / np.where(sizes > 0.0, sizes, 1.0)[:, None]
+            gram = basis.swapaxes(1, 2) @ (q / (s[:, :, None] * s[:, None, :])) @ basis
+            # per-mode constants as (modes, 1) columns; pp, pw and ww are n_p^2, n_p n_w, n_w^2
+            beta, b, nu = omega.real, omega.imag, (omega**2).real
+            (self.z1, self.a, self.beta, self.b, self.r, self.log_p, self.log_w, self.s1, self.nu_r,
+             self.r_b, self.r_beta, self.pp, self.pw, self.ww) = (v[:, None] for v in (
+                z1, a, beta, b, r, np.log(n_p), np.log(n_w), z1 + a, nu / r**2,
+                np.where(b != 0.0, r / b, 0.0), np.where(beta != 0.0, r / beta, 0.0),
+                n_p * n_p, n_p * n_w, n_w * n_w))
+            self.over1, self.over2 = _over(self.s1, nu[:, None], self.r), _over(2.0 * self.a, 4.0 * nu[:, None], self.r)
+            # the closed form's weights of G(2 z1), P and Q at the two nodes, (r sh)^2,
+            # r ch r sh and G(2a), from G00, 2 G01, 2 G02, G11 / 2, 2 G12 and 2 G22
+            g = gram[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]] * [1, 2, 2, 0.5, 2, 2]
+            s2, _, r2, rr2 = (v[:, 0] for v in self.over2)
+            self.weights = np.stack([*g[:, :5].T, 0.5 * s2 * g[:, 5], r2 * g[:, 5], g[:, 3] + rr2 * g[:, 5]])[..., None]
+        self.real = np.flatnonzero(beta != 0.0)
+        self.basis, self.gram = basis / s[:, :, None], gram
+        self.slow = np.flatnonzero(2.0 * abs(omega) * t_end < 1.0)
+        reach, k, term = 2.0 * np.max(r[cluster] * t_end, initial=1.0), 1, float(self.slow.size > 0)
+        while term > 1e-17 or (term and k < reach):
+            term, k = term * reach / k, k + 1
+        psi = np.zeros((self.slow.size, 3, k))
+        psi[:, 0, 0], c = 1.0, cubic[self.slow]
+        for i in range(1, k):  # (N/r)^i / i! in the basis 1, N/r, (N/r)^2
+            psi[:, 1:, i] = psi[:, :2, i - 1]
+            psi[:, :, i] = (psi[:, :, i] - psi[:, 2:, i - 1] * c) / i
+        g = gram[self.slow]
+        self.terms, self.psi, self.cross = k, psi, 2.0 * np.einsum("lj,ljk->lk", g[:, 0, 1:], psi)
+        gpsi, self.square = np.einsum("ljm,lmk->ljk", g[:, 1:, 1:], psi), np.zeros((self.slow.size, k))
+        for i in range(k):
+            self.square[:, i:] += np.einsum("lj,ljk->lk", psi[:, :, i], gpsi[:, :, : k - i])
 
     def block(self, lo: int, hi: int, out: np.ndarray | None = None):
-        """States and running integral at samples lo:hi; the states go into
-        `out`, shape (modes, n, hi - lo), when it is given."""
-        t = self.times[lo:hi]
-        if out is None:
-            out = np.empty(self.x0.shape + t.shape, dtype=self.x0.dtype)
-        integral = np.zeros(t.size)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for modes, eig, stepwise in self.groups:
-                out[modes] = eig.block(lo, hi, integral)
-                for j, mode in stepwise:
-                    out[j] = mode.advance(t, integral)
-        return out, integral
+        """States (into `out`, (modes, 3, hi - lo), if given) and running integral at lo:hi."""
+        t, r, a, w, i = self.times[lo:hi], self.r, self.a, self.weights, self.real
+        # the order keeps few (modes, samples) temporaries alive at once
+        with np.errstate(all="ignore"):
+            e1, ew = np.exp(self.z1 * t + self.log_p), np.exp(a * t + self.log_w)
+            integral = w[7] * _gamma(ew * ew, self.ww, 2.0 * a, t)
+            ch, rsh = ew * np.cos(self.b * t), ew * np.sin(self.b * t)
+            del ew
+            rsh *= self.r_b
+            if i.size:  # a real pair: cosh and sinh from its two exponentials apart
+                ep = np.exp((a[i] + self.beta[i]) * t + self.log_w[i])
+                em = np.exp((a[i] - self.beta[i]) * t + self.log_w[i])
+                ch[i], rsh[i] = 0.5 * (ep + em), 0.5 * (ep - em) * self.r_beta[i]
+            g11 = _gamma(e1 * e1, self.pp, 2.0 * self.z1, t)
+            integral += w[0] * g11
+            g11 = g11[self.slow]
+            # P = (G(s + omega) + G(s - omega))/2 and Q = r (G(s + omega) - G(s - omega))/(2 omega),
+            # G(s) = (e^{st} - 1)/s, at s = z1 + a and (omega doubled) 2a; a real pair's apart
+            p, q = _pq(e1 * ch - self.pw, e1 * rsh, self.over1)
+            _near(p, q, self.pw, self.s1, self.b, self.r_b, t)
+            if i.size:
+                p[i], q[i] = _halves(e1[i] * ep, e1[i] * em, self.pw[i], self.s1[i], self.beta[i], r[i], t)
+            integral += w[1] * p + w[2] * q
+            square, cross = rsh * rsh, ch * rsh
+            p, q = _pq(ch * ch + self.nu_r * square - self.ww, cross, self.over2)
+            _near(p, q, self.ww, 2.0 * a, 2.0 * self.b, 0.5 * self.r_b, t)
+            if i.size:
+                p[i], q[i] = _halves(ep * ep, em * em, self.ww[i], 2.0 * a[i], 2.0 * self.beta[i], r[i], t)
+            # int (r sh)^2 = r^2 (P(2a) - G(2a))/(2 omega^2), without that difference: its
+            # weights are w[5], w[6] and the part of w[7] beyond G11/2
+            integral += w[3] * p + w[4] * q + w[5] * square - w[6] * cross
+            del p, q, square, cross
+            out = np.empty((len(self.x0), 3, t.size), self.x0.dtype) if out is None else out
+            x = out if len(out) == len(self.basis) else np.empty((len(self.basis), 3, t.size))
+            for k, basis in enumerate(self.basis[:, :, :3, None].transpose(1, 2, 0, 3)):
+                np.multiply(basis[0], e1, out=x[:, k])
+                x[:, k] += basis[1] * ch
+                x[:, k] += basis[2] * rsh
+            self._series(t, x, integral, g11)
+        if x is not out:  # real and imaginary parts
+            out[...] = x[: len(out)] + 1j * x[len(out) :]
+        out[:, :, t == 0.0] = self.x0[..., None]  # keep the initial sample exact
+        return out, np.sum(integral, axis=0)
+
+    def _series(self, t, x, integral, g11):
+        """The power series in place of the closed form on the slow rows, in chunks;
+        elementwise sums only, so that no bit depends on the chunk."""
+        slow, sample = np.divmod(np.arange(self.slow.size * t.size), t.size)
+        for lo in range(0, slow.size, SERIES_CHUNK):
+            i, k = slow[lo : lo + SERIES_CHUNK], sample[lo : lo + SERIES_CHUNK]
+            mode, tk = self.slow[i], t[k]
+            log_p, log_w, s1, a = (v[mode, 0] for v in (self.log_p, self.log_w, self.s1, self.a))
+            rt, pair = self.r[mode, 0] * tk, self.psi[i, :, -1]
+            for n in range(self.terms - 2, -1, -1):  # Horner
+                pair = pair * rt[:, None] + self.psi[i, :, n]
+            pair *= np.exp(a * tk + log_w)[:, None]
+            basis = self.basis[mode]
+            x[mode, :, k] = (basis[:, :, 0] * np.exp(self.z1[mode, 0] * tk + log_p)[:, None] + basis[:, :, 1] * pair[:, :1]
+                             + basis[:, :, 2] * pair[:, 1:2] + basis[:, :, 3] * pair[:, 2:])
+            near, own = _moments(s1 * tk, self.terms, log_p + log_w), _moments(2.0 * a * tk, self.terms, 2.0 * log_w)
+            total, power = np.zeros(tk.size), np.ones(tk.size)
+            for n in range(self.terms):
+                total += power * (self.cross[i, n] * near[:, n] + self.square[i, n] * own[:, n])
+                power *= rt
+            integral[mode, k] = self.gram[mode, 0, 0] * g11[i, k] + tk * total
 
 
-class _EigenModes:
-    """Eigenvector branch of `_ModeTrajectory`; `block` adds into `integral`.
-
-    With x(t) = V term(t), term = coeff e^{z t}, g = V^H q V and
-    s_ij = conj(z_i) + z_j, the integral of each mode is
-    sum_ij g_ij conj(coeff_i) coeff_j (e^{s_ij t} - 1)/s_ij, and
-    conj(coeff_i) coeff_j e^{s_ij t} = conj(term_i) term_j reuses the
-    exponentials of the states.  That difference cancels while
-    |s_ij t| < EXPM1_LIMIT, so there the entry is taken from expm1
-    instead; which entries and samples those are is settled on the whole
-    grid.
-    """
-
-    def __init__(self, z, vecs, x0, times, q):
-        self.z, self.vecs, self.x0, self.times = z, vecs, x0, times
-        self.coeff = coeff = np.linalg.solve(vecs, x0.astype(complex)[..., None])[..., 0]
-        g = vecs.conj().swapaxes(-1, -2) @ q @ vecs
-        s = z.conj()[..., :, None] + z[..., None, :]
-        start = coeff.conj()[..., :, None] * coeff[..., None, :]
-        reach = EXPM1_LIMIT / np.abs(s)  # |s t| < EXPM1_LIMIT while t < reach
-        near = np.searchsorted(times, reach)  # leading samples within reach
-        whole = near == times.size  # entries that never leave their reach
-        self.h = h = np.where(whole, 0.0, g / s)
-        self.h_start = np.sum(coeff.conj() * (h @ coeff[..., None])[..., 0]).real
-
-        # g is Hermitian: entry (i, j) of the upper triangle stands for (j, i) too
-        twice = 2.0 - np.eye(z.shape[-1])
-        weight = g * start * twice
-        # entries that never leave their reach: from expm1 on every sample
-        mode, i, j = np.nonzero(np.triu(whole))
-        w, rate = weight[mode, i, j, None], s[mode, i, j, None]
-        real = rate[:, 0].imag == 0.0  # real expm1 is far cheaper than complex
-        self.growth = (w[real].real, rate[real].real), (w[~real], rate[~real])
-        # the others: from expm1 on the samples within reach, in place of
-        # their part in h (which adds nothing at t = 0)
-        self.first = np.searchsorted(times, 0.0, side="right")
-        mode, i, j = np.nonzero(np.triu(~whole & (near > self.first)))
-        self.near = (mode, i, j, near[mode, i, j], weight[mode, i, j], s[mode, i, j],
-                     twice[i, j] * h[mode, i, j], start[mode, i, j])
-
-    def block(self, lo, hi, integral) -> np.ndarray:
-        t = self.times[lo:hi]
-        term = np.exp(self.z[..., None] * t) * self.coeff[..., None]
-        term[self.coeff == 0.0] = 0.0  # inf * 0 must stay exactly zero
-        out = self.vecs @ term
-        if t[0] == 0.0:
-            out[..., 0] = self.x0  # keep the initial sample exact
-        if np.isrealobj(self.x0):
-            out = out.real
-
-        y = self.h @ term  # Re(conj(term) y) is the sum below, over modes and i
-        integral += np.einsum("mit,mit->t", term.real, y.real)
-        integral += np.einsum("mit,mit->t", term.imag, y.imag)
-        integral -= self.h_start
-        (w, rate), (cw, crate) = self.growth
-        integral += np.sum(w * _growth(rate, t), axis=0)
-        integral += np.sum(cw * _growth(crate, t), axis=0).real
-
-        # near entries, on their samples within reach that fall in lo:hi
-        mode, i, j, stop, weight, s, scale, start = self.near
-        begin = max(self.first, lo)
-        counts = np.maximum(np.minimum(stop, hi) - begin, 0)
-        entry = np.repeat(np.arange(mode.size), counts)
-        sample = begin + np.arange(entry.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        col = sample - lo
-        mode, i, j = mode[entry], i[entry], j[entry]
-        exact = weight[entry] * _growth(s[entry], self.times[sample])
-        direct = scale[entry] * (term[mode, i, col].conj() * term[mode, j, col] - start[entry])
-        integral += np.bincount(col, (exact - direct).real, minlength=t.size)
-        return out
+def _pq(c, rs, over):
+    """P and Q at one node from c = norm (e^{st} ch - 1) and rs = norm r e^{st} sh."""
+    s, n, r, _ = over
+    return s * c - n * rs, s * rs - r * c
 
 
-def _growth(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """int_0^t e^{s r} dr = (e^{s t} - 1)/s elementwise, from expm1."""
-    st = s * t
-    return np.where(st == 0.0, t, np.expm1(st) / s)
+def _over(s, nu, r):
+    """s, nu / r, r and r^2, each over s^2 - nu, with no overflow on the way."""
+    m = np.maximum(abs(s), np.sqrt(abs(nu)))
+    den = s * (s / m) - nu / m  # (s^2 - nu)/m
+    return s / m / den, nu / m / r / den, r / m / den, r / m * r / den
 
 
-class _StepwiseMode:
-    """Fallback branch of `_ModeTrajectory` for one mode; `advance` adds
-    into `integral`.
+def _null_vector(b: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Unit vectors orthogonal to the rows of each rank-2 3x3 matrix b: the largest cross
+    product of two rows, each over `size`, the scale of its rounding."""
+    rows = b / np.where(size > 0.0, size, 1.0)[..., None]
+    first, second = rows[:, [1, 2, 0]], rows[:, [2, 0, 1]]
+    cross = first[..., [1, 2, 0]] * second[..., [2, 0, 1]] - first[..., [2, 0, 1]] * second[..., [1, 2, 0]]
+    best = cross[np.arange(len(b)), np.argmax(np.linalg.norm(cross, axis=2), axis=1)]
+    best /= np.max(abs(best), axis=1, keepdims=True)  # no square underflows
+    return best / np.linalg.norm(best, axis=1, keepdims=True)
 
-    Stepwise Pade exponentials of Van Loan's block [[-M^H, q], [0, M]] dt,
-    whose blocks give exp(M dt) and int_0^dt exp(M^H s) q exp(M s) ds
-    (Van Loan 1978); one expm per distinct step, imported only here.  The
-    state and its running integral carry from one block to the next.
-    """
 
-    def __init__(self, m, x0, q):
-        self.block = np.block([[-m.T, q], [np.zeros_like(m), m]])
-        self.real, self.x = np.isrealobj(x0), x0.astype(complex)
-        self.propagators: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self.running = self.prev = 0.0
+def _near(p, q, norm, s, b, scale, t):
+    """P, Q = Re, scale Im of norm G(s + ib), in place where |s + ib| t < EXPM1_LIMIT."""
+    i, k = np.nonzero(np.hypot(s, b) * t < EXPM1_LIMIT)
+    g = norm[i, 0] * t[k] * _phi1((s[i, 0] + 1j * b[i, 0]) * t[k])
+    p[i, k], q[i, k] = g.real, g.imag * scale[i, 0]
 
-    def advance(self, times, integral) -> np.ndarray:
-        import scipy.linalg
 
-        n = self.x.size
-        out = np.empty((n, times.size), dtype=complex)
-        for k, t in enumerate(times):
-            dt = t - self.prev
-            if dt != 0.0:
-                if dt not in self.propagators:
-                    e = scipy.linalg.expm(self.block * dt)
-                    self.propagators[dt] = (e[n:, n:], e[n:, n:].T @ e[:n, n:])
-                step, gram = self.propagators[dt]
-                self.running += (self.x.conj() @ gram @ self.x).real
-                self.x = step @ self.x
-            out[:, k] = self.x
-            integral[k] += self.running
-            self.prev = t
-        return out.real if self.real else out
+def _halves(plus, minus, norm, s, beta, r, t):
+    """P, Q = (G+ + G-)/2, r (G+ - G-)/(2 beta) of G+- = norm G(s +- beta), G(s) =
+    (e^{st} - 1)/s, from plus and minus = norm e^{(s +- beta) t}."""
+    g_plus, g_minus = _gamma(plus, norm, s + beta, t), _gamma(minus, norm, s - beta, t)
+    return 0.5 * (g_plus + g_minus), (g_plus - g_minus) * (0.5 * r / beta)
+
+
+def _gamma(num, norm, s, t):
+    """norm (e^{st} - 1)/s in place of num = norm e^{st}, from expm1 where |s t| < EXPM1_LIMIT."""
+    num -= norm
+    num /= s
+    i, k = np.nonzero(abs(s) * t < EXPM1_LIMIT)
+    num[i, k] = norm[i, 0] * t[k] * _phi1(s[i, 0] * t[k])
+    return num
+
+
+def _phi1(u):
+    """expm1(u)/u elementwise, 1 at u = 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(u == 0.0, 1.0, np.expm1(u) / u)
+
+
+def _moments(u, terms, log_scale):
+    """e^log_scale int_0^1 s^k e^{us} ds for k < terms, by k mu_{k-1} = e^u - u mu_k:
+    forward where |u| >= k, else backward from where the start's error has died out."""
+    eu, size = np.exp(u + log_scale), min(np.max(abs(u), initial=0.0), terms)
+    mu = np.empty(u.shape + (terms,))
+    mu[:, 0] = value = np.exp(log_scale) * _phi1(u)
+    for k in range(1, min(terms, int(size) + 1)):
+        mu[:, k] = value = (eu - k * value) / u
+    top, damp = terms, 1.0
+    while damp > 1e-17:
+        top, damp = top + 1, damp * size / (top + 1)
+    value = eu / (top + 1 + u)
+    for k in range(top, 1, -1):
+        value = (eu - u * value) / k  # mu_{k-1}
+        if k <= terms:
+            mu[:, k - 1] = np.where(abs(u) < k - 1, value, mu[:, k - 1])
+    return mu
 
 
 def _checked_times(times: Sequence[float]) -> np.ndarray:
@@ -453,8 +522,7 @@ class Evolution:
         lams = self.modes.lam[live]
         q = np.zeros((live.size, 3, 3))
         q[:, 2, 2] = params.heat_weight(lams)  # D_n = w_n theta_n^2
-        blocks = mode_blocks(params, lams, self.direction)
-        kernel = _ModeTrajectory(blocks, self.initial.x[live], self.t, q)
+        kernel = _ModeKernel(params, lams, self.direction, self.initial.x[live], self.t, q)
         for lo, hi in self.time_blocks:
             yield lo, self._block(kernel, lams, lo, hi, into)
 

@@ -16,8 +16,12 @@ Roots are found by the depressed-cubic trigonometric formula (three real
 roots) or a cancellation-safe Cardano form (one real root plus a pair) and
 then polished by Newton iterations in 80-bit extended precision, which
 keeps the backward-error residual near machine level even for lam ~ 1e8
-where coefficients span 32 orders of magnitude.  `mode_spectra` runs the
-solver on a whole array of lam at once.
+where coefficients span 32 orders of magnitude.  Past lam of about 5e9
+(with d > 0) the roots spread beyond long double's precision and the
+depressed cubic loses the small two: those cubics restart from the large
+root and Vieta's relations.  `mode_spectra` runs the solver on a whole
+array of lam at once, rescaling a cubic whose coefficients would leave
+the float range.
 """
 
 from __future__ import annotations
@@ -50,6 +54,31 @@ def _horner(a2, a1, a0, z):
     return p, dp
 
 
+def _polish(a2, a1, a0, z):
+    """Newton's method from the starts z, at most 6 steps, a root stopping unmoved at a
+    zero derivative or after a step within 1e-20 max(|z|, 1)."""
+    live = True
+    for _ in range(6):
+        val, der = _horner(a2, a1, a0, z)
+        live = live & (der != 0)
+        step = val / der
+        moved = z - step
+        z = np.where(live, moved, z)
+        # |step| > 1e-20 max(|moved|, 1)
+        size = abs(step)
+        live = live & (size > 1e-20 * abs(moved)) & (size > 1e-20)
+        if not live.any():
+            break
+    return z
+
+
+def _residuals(a2, a1, a0, z):
+    """|p(z)| normalized by the largest term magnitude."""
+    val, _ = _horner(a2, a1, a0, z)
+    scale = abs(z) ** 3 + abs(a2) * abs(z) ** 2 + abs(a1) * abs(z) + abs(a0)
+    return abs(val) / np.maximum(scale, np.longdouble(1e-300))
+
+
 def _solve_cubics(a2, a1, a0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of z^3 + a2 z^2 + a1 z + a0 for each element of the arrays.
 
@@ -68,9 +97,7 @@ def _solve_cubics(a2, a1, a0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # every element runs both starts and keeps its own: the trigonometric
     # form for three distinct real roots (disc > 0), else Cardano with the
     # larger-magnitude cube root to avoid cancellation; then the Newton
-    # polish, at most 6 steps per root, a root stopping unmoved at a zero
-    # derivative or after a step within 1e-20 max(|z|, 1)
-    polished = []
+    # polish of the three roots of every element at once
     with np.errstate(all="ignore"):
         r = 2.0 * np.sqrt(-p / 3.0)
         phi = np.arccos(np.clip(np.longdouble(3.0) * q / (p * r), -1.0, 1.0))
@@ -81,22 +108,22 @@ def _solve_cubics(a2, a1, a0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         re = -t1 / 2.0 - shift
         im = 1j * (np.sqrt(np.longdouble(3.0)) / 2.0 * (u - v))
         cardano = (np.clongdouble(t1 - shift), re + im, re - im)
-        for k in range(3):
-            trig = np.clongdouble(r * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift)
-            z = np.where(disc > 0, trig, cardano[k])
-            live = True
-            for _ in range(6):
-                val, der = _horner(a2, a1, a0, z)
-                live = live & (der != 0)
-                step = val / der
-                moved = z - step
-                z = np.where(live, moved, z)
-                # |step| > 1e-20 max(|moved|, 1)
-                size = abs(step)
-                live = live & (size > 1e-20 * abs(moved)) & (size > 1e-20)
-                if not live.any():
-                    break
-            polished.append(z)
+        trig = [np.clongdouble(r * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift) for k in range(3)]
+        z = _polish(a2, a1, a0, np.where(disc > 0, np.array(trig), np.array(cardano)))
+        # roots too far apart for long double lose the small two in the
+        # depressed cubic: those restart from the large root near -a2 and
+        # the pair's product and sum by Vieta, z2 z3 = -a0/z1 and
+        # z2 + z3 = (a1 - z2 z3)/z1
+        bad = np.flatnonzero(np.max(_residuals(a2, a1, a0, z), axis=0) > 1e-9)
+        if bad.size:
+            b2, b1, b0 = a2[bad], a1[bad], a0[bad]
+            big = _polish(b2, b1, b0, np.clongdouble(-b2))
+            total = (b1 + b0 / big) / big
+            spread = total * total + 4.0 * b0 / big  # (z2 - z3)^2
+            half = 0.5 * (total + np.where(total.real >= 0, 1.0, -1.0) * np.sqrt(spread))
+            z[:, bad] = _polish(b2, b1, b0, np.array([big, half, -b0 / big / half]))
+            three_real[bad] = spread.real >= 0
+        polished = list(z)
 
     # real roots lose their imaginary part; the pair is made exactly conjugate
     zp, upper = polished[1].real, 1j * abs(polished[1].imag)
@@ -105,16 +132,10 @@ def _solve_cubics(a2, a1, a0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.where(three_real, np.clongdouble(polished[1].real), zp + upper),
         np.where(three_real, np.clongdouble(polished[2].real), zp - upper),
     ]
-    residuals = []
-    floor = np.longdouble(1e-300)
-    for z in polished:
-        val, _ = _horner(a2, a1, a0, z)
-        scale = abs(z) ** 3 + abs(a2) * abs(z) ** 2 + abs(a1) * abs(z) + abs(a0)
-        residuals.append(abs(val) / np.where(floor > scale, floor, scale))
-
+    polished = np.array(polished)
     # one root per row of the (3, ...) stacks; .T puts the roots last
     roots = np.array(polished, dtype=complex).T
-    residuals = np.array(residuals, dtype=float).T
+    residuals = np.array(_residuals(a2, a1, a0, polished), dtype=float).T
     # numpy orders complex numbers by (real, imag)
     order = np.argsort(roots, axis=-1, kind="stable")
     classification = np.where(three_real, THREE_REAL, REAL_PLUS_PAIR)
@@ -129,10 +150,20 @@ def mode_spectra(params: ModelParams, lams) -> tuple[np.ndarray, np.ndarray, np.
     """Eigenvalues of the mode blocks of every lam in one batched solve.
 
     Returns the (L, 3) roots, each row sorted by (real, imag), the (L,)
-    classification strings, and the (L, 3) residuals of the roots.
+    classification strings, and the (L, 3) residuals of the roots.  A cubic
+    whose mu, kappa + eps or kappa mu leaves the normal float range is
+    solved for z / 2^k instead, k the nearest integer to log2(kappa mu)/3.
     """
     mu, kappa, eps = characteristic_coefficients(params, np.array(lams, dtype=float, ndmin=1))
-    return _solve_cubics(mu, kappa + eps, kappa * mu)
+    with np.errstate(all="ignore"):
+        a1, a0 = kappa + eps, kappa * mu
+        normal = [(np.finfo(float).tiny <= abs(x)) & (abs(x) < np.inf) for x in (mu, a1, a0)]
+        normal[1] |= a1 == 0.0
+        k = np.where(np.all(normal, axis=0), 0, np.round((np.log2(abs(kappa)) + np.log2(mu)) / 3.0)).astype(int)
+        roots, kinds, residuals = _solve_cubics(
+            np.ldexp(mu, -k), np.ldexp(a1, -2 * k), np.ldexp(kappa, -k) * np.ldexp(mu, -2 * k))
+    roots[k != 0] *= np.ldexp(1.0, k[k != 0])[:, None]
+    return roots, kinds, residuals
 
 
 def row_max(values: np.ndarray) -> np.ndarray:

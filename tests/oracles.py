@@ -120,6 +120,36 @@ def mp_convexity_functional(params, lams, x0, times, omega, t0, digits=50):
         )
 
 
+def mp_mode_evolution(params, lam, x0, times, direction=Direction.FORWARD, digits=50):
+    """States and int_0^t w theta^2 ds of one mode at `times`, in mpmath at
+    `digits` significant digits from the exact values of the float inputs:
+    x(t) = V e^{zt} V^-1 x0 from `mpmath.eig`, and the integral summed over
+    pairs of its exponential terms.  Returns float arrays (3, T) and (T,)."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        rho, a, b, c, d, eta, lam = (
+            mpmath.mpf(float(x)) for x in (params.rho, params.a, params.b, params.c, params.d, params.eta, lam)
+        )
+        w = b * lam + d * lam**2
+        heat = -w / a if direction is Direction.FORWARD else w / a
+        m = mpmath.matrix([[0, 1, 0], [-c / rho * lam**2, 0, -eta / rho * lam], [0, eta / a * lam, heat]])
+        z, vecs = mpmath.eig(m)
+        coeff = mpmath.lu_solve(vecs, mpmath.matrix([mpmath.mpf(float(v)) for v in x0]))
+        terms = [[vecs[i, k] * coeff[k] for i in range(3)] for k in range(3)]
+        states, integral = [], []
+        for t in times:
+            t = mpmath.mpf(float(t))
+            ex = [mpmath.exp(z[k] * t) for k in range(3)]
+            states.append([float(mpmath.re(sum(terms[k][i] * ex[k] for k in range(3)))) for i in range(3)])
+            total = sum(
+                w * terms[j][2] * terms[k][2] * (t if z[j] + z[k] == 0 else mpmath.expm1((z[j] + z[k]) * t) / (z[j] + z[k]))
+                for j in range(3) for k in range(3)
+            )
+            integral.append(float(mpmath.re(total)))
+        return np.array(states).T, np.array(integral)
+
+
 def rk_scalar_decay(rate: float, y0: float, t: float) -> float:
     """Adaptive integration of y' = -rate * y."""
     sol = solve_ivp(

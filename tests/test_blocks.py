@@ -6,7 +6,6 @@ small that every block has the least number of samples and once so large
 that the whole grid is one block, and compares the CSV bytes.
 """
 
-import math
 import random
 import tracemalloc
 
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 import test_sweep
-from gradiplate import ModelParams, cli, propagator
+from gradiplate import ModelParams, cli, propagator, spectrum
 from gradiplate.config import load_config
 from gradiplate.propagator import Evolution, evolve, state_from_coefficients, time_blocks
 
@@ -160,9 +159,8 @@ class TestRestModes:
 class TestEvolveBlocks:
     DOUBLE_ROOT = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta=3.0)
 
-    def test_evolve_through_the_expm_fallback(self, pi_interval, monkeypatch):
-        """Mode 1 sits on the double root and takes the Van Loan fallback,
-        whose state and running integral carry from block to block."""
+    def test_evolve_at_a_double_root(self, pi_interval, monkeypatch):
+        """Mode 1 sits on the double root of the block cubic."""
         state = state_from_coefficients(pi_interval, 3, u=[1.0, 0.5, -0.2], v=[-0.5], theta=[0.25, 0.1])
         times = 1e-3 * np.arange(1025)
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", ONE_BLOCK)
@@ -180,29 +178,26 @@ class TestEvolveBlocks:
 
 
 class TestSetupRunsOnce:
-    """The per-mode setup (eig, cond, solve and the expm1 classification)
-    runs once per mode group of the whole grid, not once per block."""
+    """The per-mode setup (the roots of every live mode's cubic, in one
+    `mode_spectra` call) runs once per run, not once per block."""
 
     LINES = EIGHT_MODES + ["t_end = 2.048", "dt = 0.001"]
 
-    @pytest.mark.parametrize("subcommand, kernels", [("simulate", 1), ("instability", 1)])
-    def test_eig_once_per_mode_group(self, tmp_path, monkeypatch, subcommand, kernels):
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability"])
+    def test_one_root_solve_per_run(self, tmp_path, monkeypatch, subcommand):
         calls = []
-        eig = np.linalg.eig
+        solve = spectrum.mode_spectra
 
-        def counted(a):
-            calls.append(a.shape[0])
-            return eig(a)
+        def counted(params, lams):
+            calls.append(len(lams))
+            return solve(params, lams)
 
-        monkeypatch.setattr(np.linalg, "eig", counted)
+        monkeypatch.setattr(spectrum, "mode_spectra", counted)
         lines = (UNSTABLE if subcommand == "instability" else UNIT) + self.LINES
         code, _, sizes = run(tmp_path, subcommand, lines, 1, monkeypatch)
         assert code == 0
         assert sizes["samples"] == 2049 and sizes["time_blocks"] == 32
-        step = max(1, propagator.CHUNK_SAMPLES // sizes["samples"])
-        groups = math.ceil(sizes["live_modes"] / step)
-        assert len(calls) == kernels * groups
-        assert sum(calls) == kernels * sizes["live_modes"]
+        assert calls == [sizes["live_modes"]]
 
 
 class TestMemory:

@@ -185,6 +185,47 @@ class TestRegressionConfigs:
         assert code == 0
         assert float(manifest["check.energy_identity.value"]) <= 1e-12
 
+    # the cubic's three roots coincide at -1 (no root is separated)
+    TRIPLE_ROOT = [
+        "rho = 1", "a = 1", "b = 3", "c = 0.3333333333333333", "d = 0", "eta = 1.632993161855452",
+        "domain = interval", f"length = {PI}", "mode_count = 1", "initial_u = 1",
+        "initial_v = -0.5", "initial_theta = 0.25", "t_end = 3", "dt = 0.01",
+    ]
+    # the double root of test_propagator.TestDoubleRoot
+    DOUBLE_ROOT = [
+        "rho = 1", "a = 1", "b = 5.590169943749474", "c = 1", "d = 0", "eta = 3",
+        "domain = interval", f"length = {PI}", "mode_count = 1", "initial_u = 1",
+        "initial_v = -0.5", "initial_theta = 0.25", "t_end = 3", "dt = 0.01",
+    ]
+
+    @pytest.mark.parametrize("subcommand, check", [
+        ("simulate", "energy_identity"), ("backward", "energy_identity_reversed"),
+    ])
+    def test_triple_root(self, tmp_path, subcommand, check):
+        code, manifest = self.run(tmp_path, subcommand, self.TRIPLE_ROOT)
+        assert code == 0
+        assert float(manifest[f"check.{check}.value"]) <= 1e-12
+
+    def test_spectrum_on_a_long_interval(self, tmp_path):
+        # lam = (pi / 1e60)^2: the cubic's constant term kappa mu underflows
+        lines = base_model() + [
+            "domain = interval", "length = 1e60", "mode_count = 2",
+            "lambda_max = 100", "lambda_points = 10",
+        ]
+        code, manifest = self.run(tmp_path, "spectrum", lines)
+        assert code == 0
+        assert float(manifest["result.abscissa_modes"]) < 0.0
+
+    def test_backward_at_a_roundoff_level_dt(self, tmp_path):
+        # (2 rate)^2 dt^2 once overflowed in Python's float power (exit 1)
+        lines = base_model() + [
+            "domain = interval", "length = 1e-60", "mode_count = 2", "t_end = 2e-300",
+            "dt = 1e-300", "initial = first-mode-bend",
+        ]
+        code, manifest = self.run(tmp_path, "backward", lines)
+        assert code in (0, 3, 4)
+        assert manifest["status"] in ("ok", "check_failure", "nonfinite")
+
     def test_energy_past_the_float_range_exits_4(self, tmp_path):
         code, manifest = self.run(tmp_path, "simulate", self.DECOUPLED_UNSTABLE + ["t_end = 18.1"])
         assert code == 4
@@ -726,6 +767,17 @@ class TestRefusedConfigs:
         ("quasistatic", "length", "1e80"),
         ("quasistatic", "length", "1e100"),
         ("quasistatic", "length", "1e150"),
+        # theta^2 of the data overflows
+        ("quasistatic", "initial_theta", "1e155"),
+        ("quasistatic", "initial_theta", "1e200"),
+        # lam_1^2 of the interval overflows or is subnormal
+        ("simulate", "length", "1e-90"),
+        ("simulate", "length", "1e90"),
+        ("instability", "length", "1e-90"),
+        ("instability", "length", "1e90"),
+        ("nondiff", "length", "1e-90"),
+        ("resolvent-scan", "length", "1e90"),
+        ("spectrum", "length", "1e-90"),
         ("instability", "t0", "inf"),
         ("instability", "growth_fit_start", "nan"),
     ])
@@ -750,8 +802,8 @@ class TestRefusedConfigs:
         assert "length" in err
 
     @pytest.mark.parametrize("subcommand", ["resolvent-scan", "nondiff", "spectrum"])
-    def test_eigenvalue_range_found_by_the_handler(self, tmp_path, capsys, subcommand):
-        """These subcommands enumerate their modes first in the handler."""
+    def test_eigenvalue_range_of_the_frequency_subcommands(self, tmp_path, capsys, subcommand):
+        """Refused by the parser, as the time-domain subcommands are."""
         lines = [l for l in self.BASES[subcommand] if not l.startswith("length ")]
         err = self.refused(tmp_path, capsys, subcommand, lines + ["length = 1e-300"])
         assert "Interval(length=1e-300)" in err
@@ -846,7 +898,7 @@ class TestImportFootprint:
     # small config that exits 0 ("resolvent-scan:resonant" scans the
     # resonant grid)
     SUBCOMMANDS = {
-        "simulate": ({"propagator"}, base_model() + [
+        "simulate": ({"propagator", "spectrum"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 4", "t_end = 0.1", "dt = 0.01",
             "initial = first-mode-bend",
         ]),
@@ -865,11 +917,11 @@ class TestImportFootprint:
             "domain = interval", f"length = {PI}", "mode_count = 4", "lambda_max = 100",
             "lambda_points = 10",
         ]),
-        "backward": ({"propagator", "functionals"}, base_model() + [
+        "backward": ({"propagator", "functionals", "spectrum"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 2", "t_end = 1.0", "dt = 0.001",
             "initial_u = 1", "initial_theta = 1",
         ]),
-        "instability": ({"propagator", "functionals"}, base_model(c="-1") + [
+        "instability": ({"propagator", "functionals", "spectrum"}, base_model(c="-1") + [
             "domain = interval", f"length = {PI}", "mode_count = 1", "t_end = 0.1", "dt = 0.01",
             "initial_u = 1",
         ]),
@@ -929,13 +981,19 @@ class TestImportFootprint:
         with pytest.raises(AttributeError, match="no_such_name"):
             gradiplate.no_such_name
 
-    def test_cli_run_loads_no_scipy(self, tmp_path):
-        """A CLI process never imports scipy (it costs more than the run)."""
-        cfg = simulate_config(tmp_path)
+    @pytest.mark.parametrize("subcommand, lines", [
+        ("simulate", None),
+        ("simulate", TestRegressionConfigs.DOUBLE_ROOT),
+        ("simulate", TestRegressionConfigs.TRIPLE_ROOT),
+        ("backward", TestRegressionConfigs.TRIPLE_ROOT),
+    ])
+    def test_cli_run_loads_no_scipy(self, tmp_path, subcommand, lines):
+        """A CLI process never imports scipy, at a double or a triple root too."""
+        cfg = simulate_config(tmp_path) if lines is None else write_config(tmp_path, "run.cfg", lines)
         script = (
             "import sys\n"
             "import gradiplate.cli as cli\n"
-            f"code = cli.main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
+            f"code = cli.main([{subcommand!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
             "assert code == 0, code\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )

@@ -3,8 +3,8 @@
 int_0^t D ds (the trajectory's `dissipation_integral`) and the convexity
 functional's int_0^t w_n Psi_n^2 ds, with Psi_n = Phi_n + int_0^t theta_n ds,
 come from the per-mode exponential kernel in closed form.  They are
-checked against DOP853 carrying them as extra states, on both branches of
-the kernel, against mpmath sums of exponentials, and against the sampled
+checked against DOP853 carrying them as extra states, at a double root
+too, against mpmath sums of exponentials, and against the sampled
 Richardson-Simpson quadrature.  The convexity functional rests on Psi being
 a function of the state, w_n Psi_n = eta lam_n u_n - a theta_n, which is
 checked along DOP853's Psi.
@@ -26,10 +26,11 @@ from gradiplate import propagator
 from gradiplate.cli import main
 from gradiplate.config import load_config
 from gradiplate.functionals import convexity_trajectory, phi_coefficients
+from gradiplate.spectrum import mode_spectra
 from oracles import generator_block, mp_convexity_functional, rk_mode_evolution, rk_mode_integrals
 from quadrature import cumulative_integral
 
-# the double root of TestExpmFallback: the kernel's Van Loan branch
+# the double root of test_propagator.TestDoubleRoot: a defective block
 DOUBLE_ROOT = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta=3.0)
 
 
@@ -70,16 +71,12 @@ class TestDissipationIntegral:
         balance = energy_balance_report(trajectory, direction)
         assert balance.max_abs_residual <= 1e-13
 
-    def test_double_root_takes_van_loan_branch(self, pi_interval, monkeypatch):
-        import scipy.linalg
-
-        calls = []
-        expm = scipy.linalg.expm
-        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
+    def test_double_root(self, pi_interval):
+        roots = np.sort_complex(mode_spectra(DOUBLE_ROOT, [1.0])[0][0])
+        assert abs(roots[0] - roots[1]) <= 1e-6 * abs(roots[0])
         state = state_from_coefficients(pi_interval, 1, u=[1.0], v=[-0.5], theta=[0.25])
         times = 0.01 * np.arange(101)
         trajectory = evolve(DOUBLE_ROOT, state, times)
-        assert calls and calls[0].shape == (6, 6)
         reference, _, _ = oracle_sums(DOUBLE_ROOT, state, times)
         assert np.max(np.abs(trajectory.dissipation_integral - reference)) <= 1e-9 * reference[-1]
         assert energy_balance_report(trajectory).max_abs_residual <= 1e-12
@@ -158,6 +155,17 @@ class TestConvexityClosedForm:
         self.assert_close(rows[:, 1], f)
         self.assert_close(rows[:, 2], fdot)
 
+    def test_near_zero_elasticity(self, pi_interval):
+        """c = -1e-6 with u_n = 1/n^2: F' to 1e-14 where the stepwise
+        exponential once drifted to 1e-13."""
+        params = ModelParams(1.0, 1.0, 1.0, -1e-6, 1.0, 1.0)
+        state = state_from_coefficients(pi_interval, 3, u=[1.0, 0.25, 1.0 / 9.0])
+        times = 2e-4 * np.arange(5001)
+        states = convexity_trajectory(params, state, times, 0.0, 0.0)
+        picks = [1000, 2500, 5000]
+        _, fdot = mp_convexity_functional(params, state.modes.lam, state.x, times[picks], 0.0, 0.0)
+        assert np.max(np.abs(states.fdot[picks] - fdot) / np.abs(fdot)) <= 1e-14
+
     def test_random_three_mode_config(self, pi_interval):
         rng = np.random.default_rng(17)
         rho, a, b, d = rng.uniform(0.5, 2.0, size=4)
@@ -208,9 +216,9 @@ class TestIdentityIsNotVacuous:
         assert self.residual(unit_params, pi_interval) <= 1e-13
 
     def test_dissipation_weight_one_percent_off_fails(self, unit_params, pi_interval, monkeypatch):
-        kernel = propagator._ModeTrajectory
+        kernel = propagator._ModeKernel
         monkeypatch.setattr(
-            propagator, "_ModeTrajectory", lambda m, x0, t, q: kernel(m, x0, t, 1.01 * q)
+            propagator, "_ModeKernel", lambda *args: kernel(*args[:-1], 1.01 * args[-1])
         )
         assert self.residual(unit_params, pi_interval) > 1e-8
 

@@ -17,7 +17,10 @@ from gradiplate import (
 from gradiplate import propagator
 from gradiplate.errors import InsufficientSamples
 from gradiplate.model import mode_blocks
-from oracles import generator_block, rk_mode_evolution
+from gradiplate.spectrum import mode_spectra
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import generator_block, mp_mode_evolution, rk_mode_evolution
 
 
 def single_mode_state(domain, u=0.0, v=0.0, theta=0.0):
@@ -135,6 +138,26 @@ class TestEvolve:
             evolve(params, init, [0.0, 1.0, 2000.0])
         assert err.value.time == 2000.0
 
+    def test_growth_past_the_float_range_of_the_exponential(self, pi_interval):
+        """Data of 1e-300 grown by e^750: u = v0 sinh(t) on the decoupled
+        unstable mode, finite although e^750 is not."""
+        params = ModelParams(1.0, 1.0, 1.0, -1.0, 0.0, 0.0)
+        trajectory = evolve(params, single_mode_state(pi_interval, v=1e-300), [0.0, 750.0])
+        u = trajectory.x[0, 0, 1]
+        assert u == pytest.approx(math.exp(750.0 + math.log(1e-300) - math.log(2.0)), rel=1e-12)
+
+    def test_decoupled_heat_stays_apart_backward(self, pi_interval):
+        """eta = 0, c < 0: the heat root lies between the plate roots -k and k.
+        Heat-only data grow backward as theta0 e^{ht} alone; no rounding may
+        put it on the plate root k, which grows far faster."""
+        params = ModelParams(0.22, 2.94, 0.157, -1.79, 0.0, 0.0)
+        state = single_mode_state(Interval(0.2), theta=1.0)
+        lam = state.modes.lam[0]
+        trajectory = evolve(params, state, np.linspace(0.0, 10.0, 11), Direction.BACKWARD)
+        h = params.heat_weight(lam) / params.a
+        assert not np.any(trajectory.x[0, :2])
+        assert np.allclose(trajectory.x[0, 2], np.exp(h * trajectory.t), rtol=1e-12)
+
     def test_zero_modes_immune_to_overflowing_eigendirections(self, pi_interval):
         """A silent high mode must stay exactly zero even when its growing
         eigendirection would overflow (inf * 0 must not poison the state)."""
@@ -153,42 +176,26 @@ class TestEvolve:
         assert np.all(np.isfinite(y))
 
 
-class TestExpmFallback:
+class TestDoubleRoot:
     """At a double root of the block cubic (b = 5 sqrt(5)/2, eta = 3, d = 0,
-    lam = 1) the eigenvector matrix is past EIGVEC_COND_LIMIT, so evolution
-    takes the scipy expm fallback."""
+    lam = 1) the block is defective; the kernel's closed form still holds."""
 
     PARAMS = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta=3.0)
     X0 = [1.0, -0.5, 0.25]
 
-    @pytest.fixture
-    def expm_calls(self, monkeypatch):
-        import scipy.linalg
+    def test_pair_coincides(self):
+        roots = np.sort_complex(mode_spectra(self.PARAMS, [1.0])[0][0])
+        assert abs(roots[0] - roots[1]) <= 1e-6 * abs(roots[0])
 
-        calls = []
-        expm = scipy.linalg.expm
-
-        def counted(a):
-            calls.append(a)
-            return expm(a)
-
-        monkeypatch.setattr(scipy.linalg, "expm", counted)
-        return calls
-
-    def test_block_is_past_the_condition_limit(self):
-        _, vecs = np.linalg.eig(mode_blocks(self.PARAMS, np.array([1.0]))[0])
-        assert np.linalg.cond(vecs) > propagator.EIGVEC_COND_LIMIT
-
-    def test_one_step_against_adaptive_rk_oracle(self, pi_interval, expm_calls):
+    def test_one_step_against_adaptive_rk_oracle(self, pi_interval):
         init = state_from_coefficients(
             pi_interval, 1, u=[self.X0[0]], v=[self.X0[1]], theta=[self.X0[2]]
         )
         got = evolve(self.PARAMS, init, [0.0, 0.7]).x[0, :, 1]
         ref = rk_mode_evolution(generator_block(self.PARAMS, 1.0), self.X0, 0.7)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
-        assert len(expm_calls) == 1
 
-    def test_evolve_against_adaptive_rk_oracle(self, pi_interval, expm_calls):
+    def test_evolve_against_adaptive_rk_oracle(self, pi_interval):
         init = state_from_coefficients(
             pi_interval, 1, u=[self.X0[0]], v=[self.X0[1]], theta=[self.X0[2]]
         )
@@ -199,7 +206,69 @@ class TestExpmFallback:
             ref = rk_mode_evolution(m, self.X0, times[k])
             got = trajectory.x[0, :, k]
             assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
-        assert expm_calls
+
+
+def energy_norm_error(params, lam, got, want):
+    """The largest energy-norm distance of got from want, (3, T) each, over
+    the largest energy norm of want."""
+    weights = np.array([abs(params.c) * lam * lam, params.rho, params.a])[:, None]
+    norm = lambda x: np.sqrt(np.sum(weights * x * x, axis=0))
+    return np.max(norm(got - want)) / np.max(norm(want))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestKernelAgainstMpmath:
+    """States and int_0^t D ds of one mode against mpmath's
+    eigendecomposition of the exact float parameters, to 1e-11 of the
+    largest energy norm and of the largest integral."""
+
+    @staticmethod
+    def check(params, lam, x0, times, direction):
+        domain = Interval(math.pi / math.sqrt(lam))
+        state = state_from_coefficients(domain, 1, u=[x0[0]], v=[x0[1]], theta=[x0[2]])
+        trajectory = evolve(params, state, times, direction)
+        lam = state.modes.lam[0]
+        states, integral = mp_mode_evolution(params, lam, x0, times, direction)
+        assert energy_norm_error(params, lam, trajectory.x[0], states) <= 1e-11
+        error = np.max(np.abs(trajectory.dissipation_integral - integral))
+        assert error <= 1e-11 * max(np.max(np.abs(integral)), 1e-300)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(log_uniform(0.1, 10.0), min_size=4, max_size=4),
+        st.sampled_from((1.0, -1.0)),
+        st.one_of(st.just(0.0), log_uniform(0.1, 10.0)),
+        st.sampled_from((1.0, -1.0, 1e-6, -1e-6)),
+        log_uniform(0.3, 30.0),
+        st.floats(0.1, 3.0),
+        st.sampled_from(tuple(Direction)),
+    )
+    def test_random_blocks(self, rho_a_b_c, c_sign, d, eta_scale, lam, horizon, direction):
+        rho, a, b, c = rho_a_b_c
+        params = ModelParams(rho, a, b, c_sign * c, d, eta_scale * rho_a_b_c[0])
+        rate = max(math.sqrt(c / rho) * lam, (b * lam + d * lam * lam) / a, 1.0)
+        # a horizon of a few e-folds of the fastest rate
+        t_end = horizon / rate * (1.0 if direction is Direction.BACKWARD else 10.0)
+        self.check(params, lam, [1.0, -0.5, 0.25], np.linspace(0.0, t_end, 9), direction)
+
+    @pytest.mark.parametrize("direction, reach", [
+        (Direction.FORWARD, 3.0), (Direction.FORWARD, 5.0), (Direction.FORWARD, 20.0),
+        (Direction.BACKWARD, 3.0), (Direction.BACKWARD, 5.0),
+    ])
+    @pytest.mark.parametrize("b", [3.003, 2.997])
+    def test_near_a_triple_root(self, b, direction, reach):
+        """Roots within 0.2 of -1 (of +1 backward) over a horizon of `reach`
+        times 1/spread: the undeflated power series up to CLUSTER_REACH,
+        the deflation past it."""
+        params = ModelParams(1.0, 1.0, b, 0.3333333333333333, 0.0, 1.632993161855452)
+        roots = mode_spectra(params, [1.0])[0][0]
+        spread = np.max(np.abs(roots - np.mean(roots)))
+        assert 0.1 < spread < 0.2
+        t_end = reach / spread
+        self.check(params, 1.0, [1.0, -0.5, 0.25], np.linspace(0.0, t_end, 31), direction)
 
 
 class TestTrajectoryArrays:

@@ -128,6 +128,35 @@ class TestCubicRoots:
             assert abs(s3.real + kappa * mu) <= 1e-9 * kappa * mu
 
 
+class TestFloatRange:
+    """Roots where the cubic's coefficients leave the float range (kappa mu
+    past 1e308 or below 1e-308) or its roots spread past long double's
+    precision (d lam^2 against sqrt(c/rho) lam), against mpmath's roots of
+    the exact float coefficients."""
+
+    @pytest.mark.parametrize("lam", [1e-150, 1e-100, 1e10, 1e77, 1e80, 1e150])
+    @pytest.mark.parametrize("params", [
+        ModelParams.unit(), ModelParams.unit(c=-1.0), ModelParams.unit(d=0.0),
+        ModelParams(0.7, 1.3, 3.0, 2.0, 0.5, 2.0),
+    ])
+    def test_roots_against_mpmath(self, params, lam):
+        import mpmath
+
+        roots, _, residuals = mode_spectra(params, [lam])
+        with mpmath.workdps(60):
+            lam_mp = mpmath.mpf(lam)
+            mu = (params.b * lam_mp + params.d * lam_mp**2) / params.a
+            kappa = mpmath.mpf(params.c) / params.rho * lam_mp**2
+            eps = mpmath.mpf(params.eta) ** 2 / (params.rho * params.a) * lam_mp**2
+            scale = mpmath.cbrt(abs(kappa * mu))
+            ref = [scale * w for w in mpmath.polyroots(
+                [1, mu / scale, (kappa + eps) / scale**2, kappa * mu / scale**3], maxsteps=200, extraprec=200
+            )]
+        for got in roots[0]:
+            assert min(abs(got - complex(want)) / abs(complex(want)) for want in ref) <= 1e-13
+        assert np.max(residuals) <= 1e-15
+
+
 class TestSpectralAbscissa:
     def test_stable_negative_and_matches_modewise_max(self, unit_params, pi_interval):
         value = spectral_abscissa(unit_params, pi_interval, 64)
@@ -227,7 +256,8 @@ near_one = st.lists(st.floats(1.0 - 1e-6, 1.0 + 1e-6), min_size=1, max_size=10)
 
 class TestBatchedRoots:
     """`mode_spectra` solves every lam at once and must give the scalar
-    reference solver's answer, bit for bit."""
+    reference solver's answer, bit for bit, wherever the reference solves
+    the cubic (from lam of about 5e9 on, with d > 0, it loses the pair)."""
 
     @staticmethod
     def assert_matches_scalar_reference(params, lams):
@@ -236,6 +266,9 @@ class TestBatchedRoots:
         for k, lam in enumerate(lams):
             mu, kappa, eps = characteristic_coefficients(params, lam)
             ref_roots, ref_class, ref_res = scalar_cubic.cubic_roots(mu, kappa + eps, kappa * mu)
+            if max(ref_res) > 1e-9:  # roots too far apart for the reference: the restart's
+                assert np.max(residuals[k]) <= 1e-15, (params, lam)
+                continue
             assert roots[k].tobytes() == np.array(ref_roots).tobytes(), (params, lam)
             assert classification[k] == ref_class
             # the reference keeps the residuals in polishing order
