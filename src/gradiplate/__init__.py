@@ -75,7 +75,9 @@ _EXPORTS = {
         "choose_weight_shift",
         "convexity_residual_check",
         "convexity_trajectory",
+        "coupling_sums",
         "gronwall_check",
+        "identity_rate",
         "instability_lower_bound",
         "lyapunov_series",
         "phi_coefficients",

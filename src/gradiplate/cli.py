@@ -130,7 +130,7 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
     from .propagator import Evolution, energy_balance_report
 
     evolution = Evolution(cfg.params, cfg.initial_state(), _time_grid(cfg), Direction.FORWARD)
-    history = evolution.trajectory(states=False)
+    history = evolution.history()
     report = energy_balance_report(history, Direction.FORWARD)
 
     e, d = history.total, history.dissipation
@@ -294,23 +294,29 @@ def _run_spectrum(cfg: RunConfig) -> RunOutput:
 
 
 def _run_backward(cfg: RunConfig) -> RunOutput:
-    from .functionals import gronwall_check, lyapunov_series, verify_backward_identities
-    from .propagator import energy_balance_report, evolve
-
-    times = _time_grid(cfg)
-    trajectory = evolve(cfg.params, cfg.initial_state(), times, Direction.BACKWARD)
-    # L1 and L2 do not depend on epsilon: one series serves every check
-    series = lyapunov_series(cfg.params, trajectory, cfg.epsilon)
-    identities = verify_backward_identities(
-        cfg.params, trajectory, Direction.BACKWARD, series=series
+    from .functionals import (
+        coupling_sums, gronwall_check, identity_rate, lyapunov_series, verify_backward_identities,
     )
-    gronwall = gronwall_check(cfg.params, trajectory, cfg.epsilon, series=series)
-    balance = energy_balance_report(trajectory, Direction.BACKWARD)
+    from .propagator import Evolution, energy_balance_report
+
+    evolution = Evolution(cfg.params, cfg.initial_state(), _time_grid(cfg), Direction.BACKWARD)
+    coupling = np.empty(evolution.t.size)
+
+    def couple(lo: int, x: np.ndarray) -> None:
+        coupling[lo : lo + x.shape[2]] = coupling_sums(evolution.lams, x)
+
+    history = evolution.history(couple)
+    # L1 and L2 do not depend on epsilon: one series serves every check
+    series = lyapunov_series(history, cfg.epsilon)
+    rate = identity_rate(cfg.params, evolution.lams)
+    identities = verify_backward_identities(cfg.params, history, series, coupling, rate, Direction.BACKWARD)
+    gronwall = gronwall_check(series)
+    balance = energy_balance_report(history, Direction.BACKWARD)
 
     # second-order finite differences: residual ~ (2*rate)^2 dt^2 / 6
     fd_tol = 10.0 * (2.0 * identities.rate * cfg.dt) ** 2 / 6.0
 
-    scale = _identity_scale(balance, trajectory)
+    scale = _identity_scale(balance, history)
     balance_scaled = balance.max_abs_error / scale
     checks = [
         Check("identity_residual", identities.max_rel_residual <= fd_tol, identities.max_rel_residual, fd_tol),
@@ -351,6 +357,7 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
         checks=checks,
         results=results,
         notes={},
+        sizes=_evolution_sizes(evolution.initial, evolution.t),
     )
 
 

@@ -59,10 +59,7 @@ import numpy as np
 
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
 from .model import Direction, ModelParams
-from .propagator import (
-    SpectralState, Trajectory, _checked_block, _checked_times, _ModeKernel, live_modes,
-    time_blocks,
-)
+from .propagator import EnergyHistory, Evolution, SpectralState, live_modes
 
 WEIGHT_CONVENTION = "omega*(t+t0)^2"
 
@@ -94,15 +91,29 @@ class LyapunovSeries:
         self.t, self.l1, self.l2, self.l, self.epsilon = t, l1, l2, l, epsilon
 
 
-def lyapunov_series(
-    params: ModelParams, trajectory: Trajectory, epsilon: float
-) -> LyapunovSeries:
+def lyapunov_series(history: EnergyHistory, epsilon: float) -> LyapunovSeries:
     """L1, L2 and L at every sample, read off the energy columns."""
     _check_epsilon(epsilon)
-    _require_real(trajectory.x)
-    l1 = trajectory.total
-    l2 = trajectory.kinetic + trajectory.bending - trajectory.thermal
-    return LyapunovSeries(trajectory.t, l1, l2, l2 + epsilon * l1, epsilon)
+    l1 = history.total
+    l2 = history.kinetic + history.bending - history.thermal
+    return LyapunovSeries(history.t, l1, l2, l2 + epsilon * l1, epsilon)
+
+
+def coupling_sums(lams: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_n lam_n v_n theta_n of the real states x[mode, (u, v, theta),
+    sample], one entry per sample, summed over (samples, modes) rows, so
+    each sample sums as its own mode vector does."""
+    _require_real(x)
+    return np.sum(np.ascontiguousarray((lams[:, None] * x[:, 1] * x[:, 2]).T), axis=1)
+
+
+def identity_rate(params: ModelParams, lams: np.ndarray) -> float:
+    """The fastest rate of the modes `lams`: the faster of the heat rate
+    w/a and the plate frequency sqrt(|c|/rho) lam."""
+    return float(np.max(
+        np.maximum(params.heat_weight(lams) / params.a, abs(params.c / params.rho) ** 0.5 * lams),
+        initial=0.0,
+    ))
 
 
 class BackwardIdentityReport:
@@ -111,8 +122,8 @@ class BackwardIdentityReport:
     The centered difference errs by about h^2/6 |L'''|, and the third
     derivative of a quadratic form is of the order (2 rate)^3 times the
     energy norm, where `rate` is the fastest rate of the modes that carry
-    data.  Residuals are therefore normalized by 2 rate times the largest
-    energy norm; they shrink like (2 rate)^2 dt^2 / 6.
+    data (`identity_rate`).  Residuals are therefore normalized by 2 rate
+    times the largest energy norm; they shrink like (2 rate)^2 dt^2 / 6.
     """
 
     __slots__ = (
@@ -132,21 +143,22 @@ class BackwardIdentityReport:
 
 def verify_backward_identities(
     params: ModelParams,
-    trajectory: Trajectory,
+    history: EnergyHistory,
+    series: LyapunovSeries,
+    coupling: np.ndarray,
+    rate: float,
     direction: Direction = Direction.BACKWARD,
-    series: LyapunovSeries | None = None,
 ) -> BackwardIdentityReport:
     """Compare d(L1)/dt, d(L2)/dt finite differences with the closed forms.
 
-    Works for either orientation; the forward identities carry the
-    opposite dissipation sign.  L1 and L2 do not depend on epsilon, so a
-    `series` already computed for this trajectory can be passed in.
+    `series` holds L1 and L2 of the energy columns `history` (of any
+    epsilon), `coupling` the `coupling_sums` of its live modes and `rate`
+    their `identity_rate`.  Works for either orientation; the forward
+    identities carry the opposite dissipation sign.
     """
-    if trajectory.t.size < 3:
-        raise InsufficientSamples("identity check needs at least 3 samples")
-    if series is None:
-        series = lyapunov_series(params, trajectory, epsilon=0.5)
     t, l1, l2 = series.t, series.l1, series.l2
+    if t.size < 3:
+        raise InsufficientSamples("identity check needs at least 3 samples")
 
     # centered three-point derivative, valid on non-uniform grids
     h1 = t[1:-1] - t[:-2]
@@ -160,24 +172,13 @@ def verify_backward_identities(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # dt near underflow
         dl1_fd, dl2_fd = center(l1), center(l2)
-    _require_real(trajectory.x)
-    # modes at rest stay at rest: the sums run over the live ones only
-    live = live_modes(trajectory.x[:, :, 0])
-    lams, x = trajectory.modes.lam[live], trajectory.x[live, :, 1:-1]
-    # (samples, modes) rows, so each sample sums as its own mode vector does
-    vth = np.ascontiguousarray((lams[:, None] * x[:, 1] * x[:, 2]).T)
-    diss = trajectory.dissipation[1:-1]
-    cross = 2.0 * params.eta * np.sum(vth, axis=1)
+    diss = history.dissipation[1:-1]
+    cross = 2.0 * params.eta * coupling[1:-1]
     if direction is Direction.BACKWARD:
         dl1_an, dl2_an = diss, -diss - cross
     else:
         dl1_an, dl2_an = -diss, diss - cross
-    # the faster of the heat rate w/a and the plate frequency sqrt(|c|/rho) lam
-    rate = float(np.max(
-        np.maximum(params.heat_weight(lams) / params.a, abs(params.c / params.rho) ** 0.5 * lams),
-        initial=0.0,
-    ))
-    scale = max(2.0 * rate * float(np.max(trajectory.energy_norm)), 1e-300)
+    scale = max(2.0 * rate * float(np.max(history.energy_norm)), 1e-300)
     resid = max(
         np.max(np.abs(dl1_fd - dl1_an), initial=0.0),
         np.max(np.abs(dl2_fd - dl2_an), initial=0.0),
@@ -217,19 +218,9 @@ class GronwallReport:
         return [getattr(self, n) for n in fields] == [getattr(other, n) for n in fields]
 
 
-def gronwall_check(
-    params: ModelParams,
-    trajectory: Trajectory,
-    epsilon: float,
-    series: LyapunovSeries | None = None,
-) -> GronwallReport:
-    """Gronwall bound of L = L2 + epsilon*L1; `series`, when given, must
-    have been computed for this trajectory with the same epsilon."""
-    if series is None:
-        series = lyapunov_series(params, trajectory, epsilon)
-    elif series.epsilon != epsilon:
-        raise ValueError(f"series has epsilon {series.epsilon}, expected {epsilon}")
-    l, t = series.l, series.t
+def gronwall_check(series: LyapunovSeries) -> GronwallReport:
+    """Gronwall bound of the series' L = L2 + epsilon*L1."""
+    l, t, epsilon = series.l, series.t, series.epsilon
     l0 = float(l[0])
     max_abs = float(np.max(np.abs(l)))
     if l0 == 0.0:
@@ -253,13 +244,9 @@ class PhiSolution:
 
 
 def phi_coefficients(params: ModelParams, initial_state: SpectralState) -> PhiSolution:
-    x = initial_state.x
+    """Phi of the state's data; nu sums over its live modes."""
+    x, lams = initial_state.x, initial_state.modes.lam
     _require_real(x)
-    return _phi_solution(params, initial_state.modes.lam, x)
-
-
-def _phi_solution(params: ModelParams, lams: np.ndarray, x: np.ndarray) -> PhiSolution:
-    """Phi of the states x[mode, (u, v, theta)]; nu sums over the live modes."""
     w = params.heat_weight(lams)
     rhs = params.a * x[:, 2] - params.eta * lams * x[:, 0]
     phi = -rhs / w if lams.size else np.zeros(0)
@@ -293,34 +280,29 @@ def convexity_trajectory(
     omega_const: float,
     t0: float,
 ) -> ConvexityTrajectory:
-    """F, F', F'' of the forward trajectory of `initial` at `times` (as for
-    `Evolution`), in one pass of the per-mode exponential kernel, one time
-    block at a time.  Its weight is q_n = r_n r_n^T / w_n, r_n =
-    (eta lam_n, 0, -a): w_n Psi_n = r_n . x_n, so its running integral is
-    int_0^t sum w_n Psi_n^2 ds.  F' and F'' are the closed forms of the
+    """F, F', F'' of the forward trajectory of `initial` at `times`, in
+    one pass over the time blocks of an `Evolution` whose weight is
+    q_n = r_n r_n^T / w_n, r_n = (eta lam_n, 0, -a): w_n Psi_n = r_n . x_n,
+    so its running integral is int_0^t sum w_n Psi_n^2 ds.  F' and F'' are the closed forms of the
     module docstring.  Overflow of the states raises NonFiniteResult.
     Intended for negative elasticity but runs in any regime.
     """
     if omega_const < 0 or t0 < 0:
         raise ValueError("omega_const and t0 must be nonnegative")
-    t, x0 = _checked_times(times), initial.x
-    _require_real(x0)
-    sol = _phi_solution(params, initial.modes.lam, x0)
+    sol = phi_coefficients(params, initial)
     # modes at rest add nothing to F: only the live ones are evolved and summed
-    live = live_modes(x0)
-    lams = initial.modes.lam[live]
+    lams = initial.modes.lam[live_modes(initial.x)]
     w = params.heat_weight(lams)
-    r = np.zeros((live.size, 3))
+    r = np.zeros((lams.size, 3))
     r[:, 0], r[:, 2] = params.eta * lams, -params.a
-    q = r[:, :, None] * r[:, None, :] / w[:, None, None]
-    kernel = _ModeKernel(params, lams, Direction.FORWARD, x0[live], t, q)
-
-    blocks = time_blocks(live.size, t.size)
-    buffer = np.empty((live.size, 3, max((hi - lo for lo, hi in blocks), default=0)))
+    evolution = Evolution(
+        params, initial, times, Direction.FORWARD, r[:, :, None] * r[:, None, :] / w[:, None, None]
+    )
+    t = evolution.t
     f, fdot, fddot = (np.empty(t.size) for _ in range(3))
 
-    def fill(lo: int, hi: int) -> None:  # no temporary outlives its block
-        x, columns, q_int = _checked_block(params, lams, t, kernel, lo, hi, buffer[..., : hi - lo])
+    def fill(lo, x, columns, q_int) -> None:  # no temporary outlives its block
+        hi = lo + x.shape[2]
         kinetic, bending, thermal = columns[:3]
         u, v = x[:, 0], x[:, 1]
         w_psi = r[:, :1] * u + r[:, 2:] * x[:, 2]
@@ -335,8 +317,9 @@ def convexity_trajectory(
         )
         fddot[lo:hi] = 4.0 * (kinetic - bending - thermal) + 2.0 * omega_const
 
-    for lo, hi in blocks:
-        fill(lo, hi)
+    for block in evolution.blocks():
+        fill(*block)
+        del block  # no block outlives its turn
     return ConvexityTrajectory(t, f, fdot, fddot, sol.nu, omega_const, t0, sol.phi)
 
 

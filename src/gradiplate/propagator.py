@@ -2,11 +2,12 @@
 
 The truncated generator is block-diagonal over modes, so trajectories are
 computed from 3x3 matrix exponentials with no time-discretization error.
-One kernel, `_ModeKernel`, serves `evolve` and the convexity functional:
-it evolves a stack of modes at once, in closed form from the roots of each
-block's cubic (`spectrum.mode_spectra`), and gives the exact running
-integral int_0^t x^H Q x ds of a per-mode quadratic form Q with them, for
-any block of samples.  Time integrals are never taken by quadrature.
+One kernel, `_ModeKernel`, serves every time-domain run through
+`Evolution`: it evolves a stack of modes at once, in closed form from the
+roots of each block's cubic (`spectrum.mode_spectra`), and gives the exact
+running integral int_0^t x^H Q x ds of a per-mode quadratic form Q with
+them, for any block of samples.  Time integrals are never taken by
+quadrature.
 
 Energy along a trajectory:
 
@@ -21,20 +22,21 @@ functionals (L1, L2, F'') read its columns instead of summing it again.
 
 Modes whose initial data are zero stay exactly at rest, so no
 time-domain array holds them: the kernel evolves, and the energy form
-sums, only the live modes (`live_modes`).  An `Evolution` yields its
-trajectory in time blocks of about BLOCK_MODE_SAMPLES live mode-samples,
-each the columns of E (kinetic, bending, thermal, total) and D, and
-int_0^t D ds from the kernel, of its own samples; the states of the live
-modes go into a caller's (modes, 3, samples) array when one is given.
-`evolve` holds them all in one `Trajectory`; a run that needs only the
-columns keeps them (`EnergyHistory`), and its memory grows by a few
-numbers per sample.  Neither the blocks nor the modes at rest change a
-bit of the output.
+sums, only the live modes (`live_modes`).  An `Evolution` is the one
+driver of the kernel: it walks the time blocks of about
+BLOCK_MODE_SAMPLES live mode-samples and yields, for each, the states of
+the live modes, the columns of E (kinetic, bending, thermal, total) and
+D, and the running integral of its weight q (by default D's, so
+int_0^t D ds).  `history` keeps the columns of the whole grid, and its
+memory grows by a few numbers per sample; a hook sees each block's
+states on the way, which is how `evolve` fills its whole
+(modes, 3, samples) `Trajectory`.  Neither the blocks nor the modes at
+rest change a bit of the output.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -463,43 +465,17 @@ def _moments(u, terms, log_scale):
     return mu
 
 
-def _checked_times(times: Sequence[float]) -> np.ndarray:
-    """`times` as a float array; they must start at 0 and increase strictly."""
-    times = np.array(times, dtype=float)
-    if times.size and times[0] != 0.0:
-        raise ValueError("times must start at 0")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must increase strictly")
-    return times
-
-
-def _checked_block(params, lams, times, kernel, lo, hi, out=None):
-    """States, energy columns and running integral of `kernel` at samples
-    lo:hi; `lams` are the eigenvalues of its modes.  Overflow, of the
-    states or of their energy, raises NonFiniteResult tagged with the first
-    offending time."""
-    x, integral = kernel.block(lo, hi, out)
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = _energy_columns(params, lams, x)
-        kinetic, bending, thermal, _, dissipation = columns
-        finite = np.isfinite(kinetic + np.abs(bending) + thermal + dissipation)
-    if not np.all(finite):
-        t_bad = float(times[lo + int(np.argmin(finite))])
-        raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
-    return x, columns, integral
-
-
 class Evolution:
     """The exact trajectory of `initial` at `times`, evaluated one time
-    block at a time.
+    block at a time, with the running integral int_0^t sum_n x_n^T q_n x_n ds.
 
-    `times` must start at 0 and increase strictly.  Per-mode evolution is
+    `times` must start at 0 and increase strictly.  q holds the real
+    symmetric (3, 3) weights of the live modes (`live_modes(initial.x)`, in
+    that order); by default D's, q_n[2, 2] = w_n.  Per-mode evolution is
     independent (data-parallel by contract), and only the live modes are
-    evolved.  Each pass over `blocks` runs the kernel's per-mode setup
-    once; a block holds the states of its own samples, their energy
-    columns, and int_0^t D ds from the kernel in closed form.  Overflow,
-    of the states or of their energy, raises NonFiniteResult tagged with
-    the first offending time.
+    evolved.  Each pass over `blocks` runs the kernel's per-mode setup once.
+    Overflow, of the states or of their energy, raises NonFiniteResult
+    tagged with the first offending time.
     """
 
     def __init__(
@@ -508,48 +484,55 @@ class Evolution:
         initial: SpectralState,
         times: Sequence[float],
         direction: Direction = Direction.FORWARD,
+        q: np.ndarray | None = None,
     ):
-        self.params, self.initial, self.direction = params, initial, direction
-        self.t = times = _checked_times(times)
+        times = np.array(times, dtype=float)
+        if times.size and times[0] != 0.0:
+            raise ValueError("times must start at 0")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("times must increase strictly")
+        self.params, self.initial, self.direction, self.t = params, initial, direction, times
         self.modes, self.live = initial.modes, live_modes(initial.x)
+        self.lams = self.modes.lam[self.live]
+        if q is None:
+            q = np.zeros((self.live.size, 3, 3))
+            q[:, 2, 2] = params.heat_weight(self.lams)  # D_n = w_n theta_n^2
+        self.q = q
         self.time_blocks = time_blocks(self.live.size, times.size)
 
-    def blocks(self, into: np.ndarray | None = None) -> Iterator[tuple[int, EnergyHistory]]:
-        """(lo, energy columns of samples lo:hi) in time order; given `into`,
-        zeros of shape (modes, 3, samples), the states of the live modes go
-        into its slices."""
-        params, live = self.params, self.live
-        lams = self.modes.lam[live]
-        q = np.zeros((live.size, 3, 3))
-        q[:, 2, 2] = params.heat_weight(lams)  # D_n = w_n theta_n^2
-        kernel = _ModeKernel(params, lams, self.direction, self.initial.x[live], self.t, q)
+    def blocks(self) -> Iterator[tuple[int, np.ndarray, tuple[np.ndarray, ...], np.ndarray]]:
+        """(lo, states, energy columns, integral) of samples lo:hi, in time
+        order: the live modes' states, (live, 3, hi - lo); kinetic, bending,
+        thermal, total and D; and the running integral of q.  The loop drops
+        each block before it evaluates the next, so a caller that drops it
+        too holds one block at a time, and none while the kernel's
+        temporaries of the next are alive."""
+        params, lams, t = self.params, self.lams, self.t
+        kernel = _ModeKernel(params, lams, self.direction, self.initial.x[self.live], t, self.q)
         for lo, hi in self.time_blocks:
-            yield lo, self._block(kernel, lams, lo, hi, into)
+            x, integral = kernel.block(lo, hi)
+            with np.errstate(over="ignore", invalid="ignore"):
+                columns = _energy_columns(params, lams, x)
+                # kinetic + |bending| + thermal + D
+                finite = np.isfinite(columns[0] + np.abs(columns[1]) + columns[2] + columns[4])
+            if not np.all(finite):
+                t_bad = float(t[lo + int(np.argmin(finite))])
+                raise NonFiniteResult(f"evolution overflowed at t={t_bad}", time=t_bad)
+            yield lo, x, columns, integral
+            del x, integral, columns
 
-    def _block(self, kernel, lams, lo, hi, into) -> EnergyHistory:
-        # a function of its own, so that no state outlives its block
-        x, columns, integral = _checked_block(self.params, lams, self.t, kernel, lo, hi)
-        if into is not None:
-            into[self.live, :, lo:hi] = x
-        return EnergyHistory(self.t[lo:hi], *columns, integral)
-
-    def trajectory(self, states: bool = True) -> Trajectory | EnergyHistory:
-        """The whole trajectory; with states=False only its energy columns,
-        and no state outlives its block."""
-        shape = self.initial.x.shape + self.t.shape
-        x = np.zeros(shape, self.initial.x.dtype) if states else None
+    def history(self, hook: Callable[[int, np.ndarray], None] | None = None) -> EnergyHistory:
+        """The energy columns on the whole grid, the running integral of q
+        as `dissipation_integral`; `hook(lo, states)` sees each block's
+        states as `blocks` yields them."""
         columns = {name: np.empty(self.t.size) for name in _COLUMNS}
-
-        def store(item: tuple[int, EnergyHistory]) -> None:
-            lo, block = item
-            for name, column in columns.items():
-                column[lo : lo + block.t.size] = getattr(block, name)
-
-        for _ in map(store, self.blocks(x)):  # no block outlives its turn
-            pass
-        if not states:
-            return EnergyHistory(self.t, **columns)
-        return Trajectory(self.t, **columns, domain=self.initial.domain, modes=self.modes, x=x)
+        for lo, x, block, integral in self.blocks():
+            for column, values in zip(columns.values(), (*block, integral)):
+                column[lo : lo + values.size] = values
+            if hook is not None:
+                hook(lo, x)
+            del x, block, integral, values  # no block outlives its turn
+        return EnergyHistory(self.t, **columns)
 
 
 def evolve(
@@ -559,8 +542,17 @@ def evolve(
     direction: Direction = Direction.FORWARD,
 ) -> Trajectory:
     """Exact trajectory of the truncated system at the requested times,
-    held whole (see `Evolution`)."""
-    return Evolution(params, initial, times, direction).trajectory()
+    held whole: the live modes' states are scattered into a zero
+    (modes, 3, samples) array block by block (see `Evolution`)."""
+    evolution = Evolution(params, initial, times, direction)
+    x = np.zeros(initial.x.shape + evolution.t.shape, initial.x.dtype)
+
+    def scatter(lo: int, states: np.ndarray) -> None:
+        x[evolution.live, :, lo : lo + states.shape[2]] = states
+
+    history = evolution.history(scatter)
+    columns = {name: getattr(history, name) for name in _COLUMNS}
+    return Trajectory(evolution.t, **columns, domain=initial.domain, modes=evolution.modes, x=x)
 
 
 class EnergyBalanceReport:

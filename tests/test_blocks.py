@@ -1,5 +1,6 @@
-"""Time-blocked evolution: `simulate` and `instability` hold the states of one
-time block at a time, and their output does not depend on the blocking.
+"""Time-blocked evolution: `simulate`, `instability` and `backward` hold the
+states of one time block at a time, and their output does not depend on the
+blocking.
 
 Each check runs the CLI in-process twice, once with `BLOCK_MODE_SAMPLES` so
 small that every block has the least number of samples and once so large
@@ -30,6 +31,9 @@ REDUCED_TIME_DOMAIN = {
         "t_end = 1.024", "dt = 0.001", "initial = first-mode-bend+thermal-pulse",
     ],
     "instability": UNSTABLE + INTERVAL_64 + [
+        "t_end = 1.024", "dt = 0.001", "initial = first-mode-bend",
+    ],
+    "backward": UNIT + INTERVAL_64 + [
         "t_end = 1.024", "dt = 0.001", "initial = first-mode-bend",
     ],
 }
@@ -81,7 +85,7 @@ class TestTimeBlocks:
         assert [hi - lo for lo, hi in blocks] == [64] * 15 + [65]
         assert time_blocks(3, 1) == [(0, 1)]
 
-    @pytest.mark.parametrize("subcommand", ["simulate", "instability"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability", "backward"])
     def test_reduced_time_domain_configs(self, tmp_path, monkeypatch, subcommand):
         lines = REDUCED_TIME_DOMAIN[subcommand]
         small, whole = assert_block_invariant(tmp_path, subcommand, lines, monkeypatch)
@@ -111,6 +115,18 @@ class TestTimeBlocks:
             lines = [f"c = {-abs(c)!r}" if line.startswith("c = ") else line for line in lines]
             assert_block_invariant(tmp_path / str(n), "instability", lines, monkeypatch)
 
+    def test_backward_sweep_configs(self, tmp_path, monkeypatch):
+        """Every draw gives the same exit code and CSV bytes in blocks of
+        either size; most overflow backward in time, and at least a third
+        pass their checks."""
+        rng = random.Random(test_sweep.SEED + 6)
+        passed = 0
+        for n in range(test_sweep.EXAMPLES):
+            lines, _ = test_sweep.simulate_config(rng)
+            small, _ = assert_block_invariant(tmp_path / str(n), "backward", lines, monkeypatch)
+            passed += small[0] == 0
+        assert passed >= test_sweep.EXAMPLES // 3
+
 
 class TestRestModes:
     """Modes whose initial data are zero are never evolved or summed, so
@@ -138,9 +154,8 @@ class TestRestModes:
         ]
         assert runs[0][0] == runs[1][0] == 0
         assert runs[0][1] == runs[1][1]
-        if subcommand != "backward":
-            assert runs[0][2]["live_modes"] == runs[1][2]["live_modes"] == 12
-            assert runs[0][2]["time_blocks"] == runs[1][2]["time_blocks"]
+        assert runs[0][2]["live_modes"] == runs[1][2]["live_modes"] == 12
+        assert runs[0][2]["time_blocks"] == runs[1][2]["time_blocks"]
 
     def test_evolve_scatters_the_live_rows(self, unit_params, pi_interval):
         """`evolve` keeps the (modes, 3, samples) layout: rest rows are
@@ -168,11 +183,11 @@ class TestEvolveBlocks:
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 1)
         evolution = Evolution(self.DOUBLE_ROOT, state, times)
         assert len(evolution.time_blocks) == 16
-        blocked = evolution.trajectory()
+        blocked = evolve(self.DOUBLE_ROOT, state, times)
         assert np.array_equal(blocked.x, whole.x)
         for name in propagator._COLUMNS:
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name
-        energies = evolution.trajectory(states=False)
+        energies = evolution.history()
         assert not hasattr(energies, "x")
         assert np.array_equal(energies.dissipation_integral, whole.dissipation_integral)
 
@@ -181,9 +196,15 @@ class TestSetupRunsOnce:
     """The per-mode setup (the roots of every live mode's cubic, in one
     `mode_spectra` call) runs once per run, not once per block."""
 
-    LINES = EIGHT_MODES + ["t_end = 2.048", "dt = 0.001"]
+    # backward in time, mode 8's heat grows like e^{4160 t}: `backward`
+    # takes a shorter horizon on as many samples
+    LINES = {
+        "simulate": UNIT + EIGHT_MODES + ["t_end = 2.048", "dt = 0.001"],
+        "instability": UNSTABLE + EIGHT_MODES + ["t_end = 2.048", "dt = 0.001"],
+        "backward": UNIT + EIGHT_MODES + ["t_end = 0.02048", "dt = 1e-5"],
+    }
 
-    @pytest.mark.parametrize("subcommand", ["simulate", "instability"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability", "backward"])
     def test_one_root_solve_per_run(self, tmp_path, monkeypatch, subcommand):
         calls = []
         solve = spectrum.mode_spectra
@@ -193,8 +214,7 @@ class TestSetupRunsOnce:
             return solve(params, lams)
 
         monkeypatch.setattr(spectrum, "mode_spectra", counted)
-        lines = (UNSTABLE if subcommand == "instability" else UNIT) + self.LINES
-        code, _, sizes = run(tmp_path, subcommand, lines, 1, monkeypatch)
+        code, _, sizes = run(tmp_path, subcommand, self.LINES[subcommand], 1, monkeypatch)
         assert code == 0
         assert sizes["samples"] == 2049 and sizes["time_blocks"] == 32
         assert calls == [sizes["live_modes"]]
@@ -204,12 +224,16 @@ class TestMemory:
     """From 2e4 to 2e5 samples at 64 modes, the in-process peak of a handler
     grows by what its 1-D per-sample columns need, not by a (modes x
     samples) array: at most BYTES_PER_SAMPLE, sixteen float64 columns.  A
-    (64, 3, samples) float array alone is 1,536 bytes per sample.  Modes at
-    rest cost at most BYTES_PER_REST_MODE each, as the config's per-mode
-    records do: the smallest time block, (modes, 3, 64), alone would be
-    1,536 bytes per mode."""
+    (64, 3, samples) float array alone is 1,536 bytes per sample.
+    `backward` keeps sixteen columns too: t, the six energy columns, the
+    coupling sums, L2, L, the two centered differences, the cross term,
+    dL2/dt, and the energy balance's errors and residuals; it may hold four
+    temporaries of its checks on top.  Modes at rest cost at most
+    BYTES_PER_REST_MODE each, as the config's per-mode records do: the
+    smallest time block, (modes, 3, 64), alone would be 1,536 bytes per
+    mode."""
 
-    BYTES_PER_SAMPLE = 16 * 8
+    BYTES_PER_SAMPLE = {"simulate": 16 * 8, "instability": 16 * 8, "backward": (16 + 4) * 8}
     BYTES_PER_REST_MODE = 1024
 
     def peak(self, tmp_path, subcommand, dt, modes=64):
@@ -226,12 +250,12 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("subcommand", ["simulate", "instability"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability", "backward"])
     def test_peak_grows_by_the_columns_only(self, tmp_path, subcommand):
         growth = self.peak(tmp_path, subcommand, "1e-5") - self.peak(tmp_path, subcommand, "1e-4")
-        assert growth <= self.BYTES_PER_SAMPLE * (200_001 - 20_001)
+        assert growth <= self.BYTES_PER_SAMPLE[subcommand] * (200_001 - 20_001)
 
-    @pytest.mark.parametrize("subcommand", ["simulate", "instability"])
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability", "backward"])
     def test_peak_does_not_grow_with_rest_modes(self, tmp_path, subcommand):
         growth = self.peak(tmp_path, subcommand, "1e-4", 4096) - self.peak(tmp_path, subcommand, "1e-4")
         assert growth <= self.BYTES_PER_REST_MODE * (4096 - 64)

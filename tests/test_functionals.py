@@ -6,6 +6,7 @@ import pytest
 from gradiplate import (
     Direction,
     EpsilonOutOfRange,
+    Evolution,
     InsufficientSamples,
     ModelParams,
     PreconditionUnmet,
@@ -13,15 +14,19 @@ from gradiplate import (
     choose_weight_shift,
     convexity_residual_check,
     convexity_trajectory,
+    coupling_sums,
     energy_of,
     evolve,
     gronwall_check,
+    identity_rate,
     instability_lower_bound,
     lyapunov_series,
     phi_coefficients,
+    propagator,
     state_from_coefficients,
     verify_backward_identities,
 )
+from gradiplate.propagator import live_modes
 from oracles import bisect_real_root
 
 UNSTABLE = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
@@ -38,8 +43,19 @@ def sample_state(trajectory, k):
 
 def one_sample_l(params, state, epsilon):
     """L1, L2 and L of one state: the one-sample series of its trajectory."""
-    series = lyapunov_series(params, evolve(params, state, [0.0]), epsilon)
+    series = lyapunov_series(evolve(params, state, [0.0]), epsilon)
     return series.l1[0], series.l2[0], series.l[0]
+
+
+def identities(params, trajectory, direction=Direction.BACKWARD):
+    """The identity check of a whole trajectory: its coupling column and
+    rate over the live modes, as the `backward` subcommand takes them."""
+    live = live_modes(trajectory.x[:, :, 0])
+    lams = trajectory.modes.lam[live]
+    return verify_backward_identities(
+        params, trajectory, lyapunov_series(trajectory, 0.5),
+        coupling_sums(lams, trajectory.x[live]), identity_rate(params, lams), direction,
+    )
 
 
 class TestLagrangeFunctionals:
@@ -78,13 +94,13 @@ class TestLagrangeFunctionals:
 class TestBackwardIdentities:
     def test_zero_data_zero_residuals(self, unit_params, pi_interval):
         traj = evolve(unit_params, one_mode(pi_interval), 1e-2 * np.arange(11), Direction.BACKWARD)
-        report = verify_backward_identities(unit_params, traj)
+        report = identities(unit_params, traj)
         assert report.max_rel_residual == 0.0
 
     def test_one_mode_dense_residual(self, unit_params, pi_interval):
         init = one_mode(pi_interval, u=1.0, theta=1.0)
         traj = evolve(unit_params, init, 1e-3 * np.arange(1001), Direction.BACKWARD)
-        report = verify_backward_identities(unit_params, traj)
+        report = identities(unit_params, traj)
         assert report.max_rel_residual <= 1e-5
 
     def test_grid_halving_is_second_order(self, unit_params, pi_interval):
@@ -93,7 +109,7 @@ class TestBackwardIdentities:
         def residual(dt):
             times = dt * np.arange(int(round(1.0 / dt)) + 1)
             traj = evolve(unit_params, init, times, Direction.BACKWARD)
-            return verify_backward_identities(unit_params, traj).max_rel_residual
+            return identities(unit_params, traj).max_rel_residual
 
         r_coarse = residual(2e-3)
         r_fine = residual(1e-3)
@@ -107,7 +123,7 @@ class TestBackwardIdentities:
         def residual(dt):
             times = dt * np.arange(int(round(1.0 / dt)) + 1)
             traj = evolve(unit_params, init, times, Direction.FORWARD)
-            return verify_backward_identities(unit_params, traj, Direction.FORWARD)
+            return identities(unit_params, traj, Direction.FORWARD)
 
         report = residual(1e-3)
         assert report.max_rel_residual <= 1e-5
@@ -119,7 +135,7 @@ class TestBackwardIdentities:
     def test_too_few_samples_rejected(self, unit_params, pi_interval):
         traj = evolve(unit_params, one_mode(pi_interval, u=1.0), [0.0, 0.1], Direction.BACKWARD)
         with pytest.raises(InsufficientSamples):
-            verify_backward_identities(unit_params, traj)
+            identities(unit_params, traj)
 
 
 class TestVectorizedFunctionals:
@@ -137,7 +153,7 @@ class TestVectorizedFunctionals:
 
     def test_lyapunov_series_matches_energy_of(self, case):
         params, traj, _ = case
-        series = lyapunov_series(params, traj, 0.3)
+        series = lyapunov_series(traj, 0.3)
         assert series.t is traj.t
         for k in range(traj.t.size):
             e = energy_of(params, sample_state(traj, k))
@@ -146,7 +162,7 @@ class TestVectorizedFunctionals:
 
     def test_identity_right_hand_sides_match_per_sample_forms(self, case):
         params, traj, direction = case
-        report = verify_backward_identities(params, traj, direction)
+        report = identities(params, traj, direction)
         lams = traj.modes.lam
         for j in range(traj.t.size - 2):
             u, v, th = traj.x[:, :, j + 1].T
@@ -160,26 +176,31 @@ class TestVectorizedFunctionals:
 
     def test_lyapunov_series_reads_the_energy_columns(self, case):
         params, traj, _ = case
-        series = lyapunov_series(params, traj, 0.3)
+        series = lyapunov_series(traj, 0.3)
         assert np.array_equal(series.l1, traj.total)
         assert np.array_equal(series.l2, traj.kinetic + traj.bending - traj.thermal)
 
-    def test_shared_series_gives_identical_reports(self, case):
+    def test_streamed_coupling_equals_the_whole_trajectory(self, case, monkeypatch):
+        """The coupling column a hook gathers block by block, as `backward`
+        does, is that of the whole trajectory to the bit."""
         params, traj, direction = case
-        series = lyapunov_series(params, traj, 0.7)
-        shared = verify_backward_identities(params, traj, direction, series=series)
-        own = verify_backward_identities(params, traj, direction)
-        assert np.array_equal(shared.dl1_fd, own.dl1_fd)
-        assert np.array_equal(shared.dl2_fd, own.dl2_fd)
-        assert gronwall_check(params, traj, 0.7, series=series) == gronwall_check(params, traj, 0.7)
-        with pytest.raises(ValueError):
-            gronwall_check(params, traj, 0.5, series=series)
+        monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 1)
+        evolution = Evolution(params, SpectralState(traj.domain, traj.modes, traj.x[:, :, 0]), traj.t, direction)
+        assert len(evolution.time_blocks) > 1
+        coupling = np.empty(traj.t.size)
+
+        def couple(lo, x):
+            coupling[lo : lo + x.shape[2]] = coupling_sums(evolution.lams, x)
+
+        history = evolution.history(couple)
+        assert np.array_equal(coupling, coupling_sums(traj.modes.lam, traj.x))
+        assert np.array_equal(history.dissipation_integral, traj.dissipation_integral)
 
 
 class TestGronwall:
     def test_zero_data_certified(self, unit_params, pi_interval):
         traj = evolve(unit_params, one_mode(pi_interval), 1e-2 * np.arange(101), Direction.BACKWARD)
-        report = gronwall_check(unit_params, traj, 0.5)
+        report = gronwall_check(lyapunov_series(traj, 0.5))
         assert report.zero_data
         assert report.max_abs_l == 0.0
         assert report.k_star is None
@@ -187,17 +208,17 @@ class TestGronwall:
     def test_one_mode_finite_k_star(self, unit_params, pi_interval):
         init = one_mode(pi_interval, u=1.0, theta=1.0)
         traj = evolve(unit_params, init, 1e-3 * np.arange(2001), Direction.BACKWARD)
-        report = gronwall_check(unit_params, traj, 0.5)
+        report = gronwall_check(lyapunov_series(traj, 0.5))
         assert report.k_star is not None and np.isfinite(report.k_star)
         # the bound it certifies actually holds on the samples
-        series = lyapunov_series(unit_params, traj, 0.5)
+        series = lyapunov_series(traj, 0.5)
         for l, t in zip(series.l[1:], series.t[1:]):
             assert l <= report.l0 * math.exp(report.k_star * t) * (1.0 + 1e-12)
 
     def test_epsilon_sweep_reported(self, unit_params, pi_interval):
         init = one_mode(pi_interval, u=1.0, theta=1.0)
         traj = evolve(unit_params, init, 1e-3 * np.arange(1001), Direction.BACKWARD)
-        values = [gronwall_check(unit_params, traj, eps).k_star for eps in (0.25, 0.5, 0.9)]
+        values = [gronwall_check(lyapunov_series(traj, eps)).k_star for eps in (0.25, 0.5, 0.9)]
         assert all(v is not None and np.isfinite(v) for v in values)
 
 
