@@ -51,7 +51,7 @@ from .model import Direction, Regime
 # each handler imports the modules it runs when it runs, so a process loads
 # only the modules of its own subcommand
 if TYPE_CHECKING:
-    from .propagator import EnergyBalanceReport, EnergyHistory, SpectralState
+    from .propagator import EnergyBalanceReport, SpectralState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,11 +103,12 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return cfg.dt * np.arange(n + 1)
 
 
-def _identity_scale(report: EnergyBalanceReport, history: EnergyHistory) -> float:
+def _identity_scale(report: EnergyBalanceReport, norm_max: float) -> float:
     """Scale of the energy identity's residual: E(t) sums terms as large as
-    the energy norm kinetic + |bending| + thermal, which for c < 0 can grow
-    by hundreds of orders of magnitude while E stays near E(0)."""
-    return max(report.denominator, float(np.max(history.energy_norm)))
+    the energy norm kinetic + |bending| + thermal, whose largest value over
+    the grid is `norm_max`, and which for c < 0 can grow by hundreds of
+    orders of magnitude while E stays near E(0)."""
+    return max(report.denominator, norm_max)
 
 
 def _evolution_sizes(initial: SpectralState, times: np.ndarray) -> dict[str, int]:
@@ -134,7 +135,7 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
     report = energy_balance_report(history, Direction.FORWARD)
 
     e, d = history.total, history.dissipation
-    scale = _identity_scale(report, history)
+    scale = _identity_scale(report, float(np.max(history.energy_norm)))
     residual_scaled = report.max_abs_error / scale
     checks = [
         Check("energy_identity", residual_scaled <= 1e-8, residual_scaled, 1e-8),
@@ -197,6 +198,12 @@ def _run_resolvent_scan(cfg: RunConfig) -> RunOutput:
             "limit_peak": scan.limit_peak,
         },
         notes={},
+        sizes={
+            "modes": scan.mode_count,
+            "omegas": scan.omegas.size,
+            "kept_blocks": scan.kept_blocks,
+            "jacobi_calls": scan.jacobi_calls,
+        },
     )
 
 
@@ -309,14 +316,18 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
     # L1 and L2 do not depend on epsilon: one series serves every check
     series = lyapunov_series(history, cfg.epsilon)
     rate = identity_rate(cfg.params, evolution.lams)
-    identities = verify_backward_identities(cfg.params, history, series, coupling, rate, Direction.BACKWARD)
+    # the largest energy norm scales both identity checks: summed once
+    norm_max = float(np.max(history.energy_norm))
+    identities = verify_backward_identities(
+        cfg.params, history, series, coupling, rate, norm_max, Direction.BACKWARD
+    )
     gronwall = gronwall_check(series)
     balance = energy_balance_report(history, Direction.BACKWARD)
 
     # second-order finite differences: residual ~ (2*rate)^2 dt^2 / 6
     fd_tol = 10.0 * (2.0 * identities.rate * cfg.dt) ** 2 / 6.0
 
-    scale = _identity_scale(balance, history)
+    scale = _identity_scale(balance, norm_max)
     balance_scaled = balance.max_abs_error / scale
     checks = [
         Check("identity_residual", identities.max_rel_residual <= fd_tol, identities.max_rel_residual, fd_tol),

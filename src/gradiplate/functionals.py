@@ -58,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
-from .model import Direction, ModelParams
+from .model import Direction, ModelParams, log_slope
 from .propagator import EnergyHistory, Evolution, SpectralState, live_modes
 
 WEIGHT_CONVENTION = "omega*(t+t0)^2"
@@ -147,13 +147,15 @@ def verify_backward_identities(
     series: LyapunovSeries,
     coupling: np.ndarray,
     rate: float,
+    norm_max: float,
     direction: Direction = Direction.BACKWARD,
 ) -> BackwardIdentityReport:
     """Compare d(L1)/dt, d(L2)/dt finite differences with the closed forms.
 
     `series` holds L1 and L2 of the energy columns `history` (of any
-    epsilon), `coupling` the `coupling_sums` of its live modes and `rate`
-    their `identity_rate`.  Works for either orientation; the forward
+    epsilon), `coupling` the `coupling_sums` of its live modes, `rate`
+    their `identity_rate` and `norm_max` the largest of
+    `history.energy_norm`.  Works for either orientation; the forward
     identities carry the opposite dissipation sign.
     """
     t, l1, l2 = series.t, series.l1, series.l2
@@ -178,7 +180,7 @@ def verify_backward_identities(
         dl1_an, dl2_an = diss, -diss - cross
     else:
         dl1_an, dl2_an = -diss, diss - cross
-    scale = max(2.0 * rate * float(np.max(history.energy_norm)), 1e-300)
+    scale = max(2.0 * rate * norm_max, 1e-300)
     resid = max(
         np.max(np.abs(dl1_fd - dl1_an), initial=0.0),
         np.max(np.abs(dl2_fd - dl2_an), initial=0.0),
@@ -370,18 +372,16 @@ class InstabilityReport:
     """
 
     __slots__ = (
-        "holds", "min_margin", "tolerance", "bound_exponent", "bound_coefficient",
-        "bound_offset", "growth_rate", "growth_window", "lower_bound",
+        "holds", "min_margin", "tolerance", "bound_exponent", "growth_rate",
+        "growth_window", "lower_bound",
     )
 
     def __init__(
         self, holds: bool, min_margin: float, tolerance: float, bound_exponent: float,
-        bound_coefficient: float, bound_offset: float, growth_rate: float,
-        growth_window: tuple[float, float], lower_bound: np.ndarray,
+        growth_rate: float, growth_window: tuple[float, float], lower_bound: np.ndarray,
     ):
         self.holds, self.min_margin, self.tolerance = holds, min_margin, tolerance
-        self.bound_exponent, self.bound_coefficient = bound_exponent, bound_coefficient
-        self.bound_offset, self.growth_rate = bound_offset, growth_rate
+        self.bound_exponent, self.growth_rate = bound_exponent, growth_rate
         self.growth_window, self.lower_bound = growth_window, lower_bound
 
 
@@ -410,7 +410,6 @@ def instability_lower_bound(
         raise PreconditionUnmet("F(0) > 0")
 
     m = (fdot0 - 2.0 * nu) / f0
-    coeff = fdot0 * f0 / (fdot0 - 2.0 * nu)
     offset = 2.0 * nu * f0 / (fdot0 - 2.0 * nu)
     t, f = states.t, states.f
     # C - B = F(0): C e^{mt} - B = F(0) e^{mt} + B (e^{mt} - 1), which does
@@ -425,15 +424,12 @@ def instability_lower_bound(
     mask = (t >= lo) & (t <= hi) & (f > 0)
     if np.count_nonzero(mask) < 2:
         raise InsufficientSamples("growth window contains fewer than 2 samples")
-    slope = np.polyfit(t[mask], np.log(f[mask]), 1)[0]
     return InstabilityReport(
         holds=min_margin >= -tolerance,
         min_margin=min_margin,
         tolerance=tolerance,
         bound_exponent=float(m),
-        bound_coefficient=float(coeff),
-        bound_offset=float(offset),
-        growth_rate=float(slope / 2.0),
+        growth_rate=log_slope(t[mask], f[mask]) / 2.0,
         growth_window=(lo, hi),
         lower_bound=bound,
     )

@@ -14,6 +14,10 @@ with v = u_t.  This module builds those blocks.
 
 Eigenfunctions are unit-normalized in L2, so per-mode quadratic forms carry
 no domain-volume factors.
+
+`log_slope` is the line fit of the growth rate (`instability`) and the
+decay rate (`quasistatic`): both modules import this one, and neither the
+other.
 """
 
 from __future__ import annotations
@@ -252,3 +256,13 @@ def mode_blocks(
     blocks[:, 2, 1] = (params.eta / params.a) * lams
     blocks[:, 2, 2] = sign * heat
     return blocks
+
+
+def log_slope(t: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of log(y) against t, for y > 0 on at least two
+    distinct t.  Both coordinates are centered on their means, and the
+    slope is the ratio of the two sums in closed form: no LAPACK routine
+    runs, whose first call costs a process more than 1 MB of memory."""
+    dt = t - np.mean(t)
+    log_y = np.log(y)
+    return float(np.sum(dt * (log_y - np.mean(log_y))) / np.sum(dt * dt))

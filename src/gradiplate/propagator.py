@@ -55,8 +55,9 @@ SERIES_CHUNK = 2**11
 # from expm1, where the difference of exponentials would cancel
 EXPM1_LIMIT = 0.5
 # live mode-samples per time block: a time-domain run holds the states of
-# one block, and 1-D columns of the whole grid
-BLOCK_MODE_SAMPLES = 2**15
+# one block and the kernel's temporaries, a few dozen arrays of this
+# length, and 1-D columns of the whole grid
+BLOCK_MODE_SAMPLES = 2**13
 # samples per time block at least and at most: a block's energy columns
 # and the kernel's per-sample terms do not shrink with the live mode count
 BLOCK_SAMPLES_MIN, BLOCK_SAMPLES_MAX = 64, 2**14

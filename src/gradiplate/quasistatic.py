@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateCapacity
-from .model import ModelParams
+from .model import ModelParams, log_slope
 
 RELATION_TOLERANCE = 1e-12
 
@@ -159,7 +159,7 @@ def quasi_decay_report(
             # two samples
             t_tail = t_grid[tail]
             usable = tail & (t_grid >= min(0.5 * t_tail[-1], t_tail[-2]))
-        fitted_rate = float(-np.polyfit(t_grid[usable], np.log(h2[usable]), 1)[0])
+        fitted_rate = -log_slope(t_grid[usable], h2[usable])
         # the tail decays at twice the rate of the slowest excited mode
         expected = 2.0 * qparams.rate(slowest + 1)
         fit_rel_residual = abs(fitted_rate - expected) / expected

@@ -25,10 +25,11 @@ entries.  Each Gram block is scaled by a power of two near its largest
 entry, and its top eigenvalue comes from cyclic complex Jacobi sweeps run
 until every off-diagonal entry is below roundoff; Jacobi keeps that
 eigenvalue accurate where the top two coincide, which a closed-form cubic
-does not.  Blocks go through the kernel BLOCK_BUDGET at a time, and so do
-the kept blocks of successive passes through Jacobi, so the working set is
-fixed whatever the grid; every operation is elementwise, so a block's norm
-has the same bits whichever pass or Jacobi call holds it.
+does not.  Blocks go through the kernel BLOCK_BUDGET at a time, and the
+kept blocks of successive passes go through Jacobi exactly BLOCK_BUDGET at
+a time (the last call takes the rest), so the working set is fixed
+whatever the grid; every operation is elementwise, so a block's norm has
+the same bits whichever pass or Jacobi call holds it.
 
 A scan keeps one number per omega, the sup over modes, and at a given omega
 only the few modes near resonance can reach it.  The Gram matrix is
@@ -74,8 +75,9 @@ def _require_stable(params: ModelParams, what: str) -> None:
         raise ValueError(f"{what} requires c > 0")
 
 
-# Blocks per kernel pass.  The pass holds a few dozen float arrays of this
-# length, so the scan's working set stays fixed whatever its W x M.
+# Blocks per kernel pass, and kept blocks per Jacobi call.  Each holds a few
+# dozen float arrays of this length, so the scan's working set stays fixed
+# whatever its W x M.
 BLOCK_BUDGET = 1 << 13
 # Cyclic Jacobi sweeps per pass; Gram blocks have reached roundoff within 4
 # sweeps on every grid tried.
@@ -217,36 +219,53 @@ def _kept_blocks(params: ModelParams, lams, omegas) -> tuple[np.ndarray, ...]:
     return (np.nonzero(keep)[0], *kept)
 
 
-def _sup_norms(params: ModelParams, lams, omegas) -> np.ndarray:
+def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]:
     """Sup over `lams` of ||W^(1/2) (i omega - M_lam)^(-1) W^(-1/2)||, for
-    each omega.  The bounds run in passes of at most BLOCK_BUDGET blocks
-    (or one omega's worth, if more); the kept blocks of successive passes
-    gather until they reach BLOCK_BUDGET, and then go through one Jacobi
-    call."""
+    each omega, with the number of kept blocks and of Jacobi calls.
+
+    The bounds run in passes of at most BLOCK_BUDGET blocks (or one
+    omega's worth, if more).  Kept blocks wait until BLOCK_BUDGET of them
+    are pending; then exactly BLOCK_BUDGET go through one Jacobi call, and
+    the rest wait for the next.  Only the last call takes fewer, so the
+    calls number ceil(kept / BLOCK_BUDGET) and none is larger than the
+    budget."""
     lams = np.asarray(lams, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     sups = np.zeros(omegas.size)
     pending: list[tuple[np.ndarray, ...]] = []
+    held = kept = calls = 0
 
-    def sweep() -> None:
-        row, d0, d1, d2, *off, det2, scale = (np.concatenate(x) for x in zip(*pending))
+    def sweep(size: int) -> None:
+        nonlocal calls
+        # the last pending pass fills the batch up to `size`; its rest is
+        # copied, so that pass's arrays are gone before Jacobi runs
+        last = pending.pop()
+        need = size - sum(x[0].size for x in pending)
+        row, d0, d1, d2, *off, det2, scale = (
+            np.concatenate(x) for x in zip(*pending, tuple(x[:need] for x in last))
+        )
+        pending[:] = [tuple(x[need:].copy() for x in last)] if last[0].size > need else []
+        del last
         top = _gram_top(d0, d1, d2, tuple(off[:2]), tuple(off[2:4]), tuple(off[4:]))
         # a pruned block's norm is below its row's sup, and above 0
         np.maximum.at(sups, row, np.ldexp(np.sqrt(top / det2), scale))
-        pending.clear()
+        calls += 1
 
     rows = max(1, BLOCK_BUDGET // lams.size)
     for start in range(0, omegas.size, rows):
-        row, *kept = _kept_blocks(params, lams, omegas[start : start + rows, None])
-        pending.append((start + row, *kept))
-        if sum(x[0].size for x in pending) >= BLOCK_BUDGET:
-            sweep()
-    if pending:
-        sweep()
+        row, *blocks = _kept_blocks(params, lams, omegas[start : start + rows, None])
+        pending.append((start + row, *blocks))
+        held += row.size
+        kept += row.size
+        while held >= BLOCK_BUDGET:
+            sweep(BLOCK_BUDGET)
+            held -= BLOCK_BUDGET
+    if held:
+        sweep(held)
     if not np.all(np.isfinite(sups)):
         omega = float(omegas[np.argmin(np.isfinite(sups))])
         raise SingularSystem(f"resolvent norm overflows at omega={omega!r}")
-    return sups
+    return sups, kept, calls
 
 
 class ResolventScan:
@@ -259,20 +278,24 @@ class ResolventScan:
     i.e. d/eta^2 scaled by the normalization constant 2 rho.
     `sign_gap` is |N(omega_0) - N(-omega_0)| / N(omega_0) at the first
     grid point; conjugation symmetry makes it vanish up to roundoff.
+    `kept_blocks` counts the (omega, mode) blocks that went through Jacobi,
+    the probe's included, and `jacobi_calls` the calls they took.
     """
 
     __slots__ = (
         "omegas", "norms", "mode_count", "sup_norm", "tail_min", "tail_start",
-        "limit_peak", "sign_gap",
+        "limit_peak", "sign_gap", "kept_blocks", "jacobi_calls",
     )
 
     def __init__(
         self, omegas: np.ndarray, norms: np.ndarray, mode_count: int, sup_norm: float,
         tail_min: float, tail_start: float, limit_peak: float, sign_gap: float,
+        kept_blocks: int, jacobi_calls: int,
     ):
         self.omegas, self.norms, self.mode_count = omegas, norms, mode_count
         self.sup_norm, self.tail_min, self.tail_start = sup_norm, tail_min, tail_start
         self.limit_peak, self.sign_gap = limit_peak, sign_gap
+        self.kept_blocks, self.jacobi_calls = kept_blocks, jacobi_calls
 
 
 def scan_imaginary_axis(
@@ -294,7 +317,7 @@ def scan_imaginary_axis(
         raise ValueError("omega grid must be nonempty")
     lams = enumerate_modes(domain, mode_count).lam
     # one more frequency, -omegas[0], for the conjugation-symmetry probe
-    sups = _sup_norms(params, lams, np.append(omegas, -omegas[0]))
+    sups, kept, calls = _sup_norms(params, lams, np.append(omegas, -omegas[0]))
     norms = sups[:-1]
 
     tail_start = 0.5 * float(np.max(np.abs(omegas)))
@@ -311,6 +334,8 @@ def scan_imaginary_axis(
         tail_start=tail_start,
         limit_peak=limit_peak,
         sign_gap=float(abs(norms[0] - sups[-1]) / max(norms[0], 1e-300)),
+        kept_blocks=kept,
+        jacobi_calls=calls,
     )
 
 

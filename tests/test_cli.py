@@ -486,6 +486,34 @@ class TestOtherSubcommands:
         rows = (tmp_path / "o" / "resolvent_scan.csv").read_text().splitlines()
         assert rows[0] == "omega,resolvent_norm"
 
+    def test_wide_scan_sends_jacobi_budget_sized_batches(self, tmp_path, monkeypatch):
+        """The bench's wide-plate scan keeps more than BLOCK_BUDGET blocks in
+        its first passes: they go through Jacobi BLOCK_BUDGET at a time, and
+        the manifest records the batch rule's counts."""
+        received = []
+        gram_top = resolvent._gram_top
+
+        def counting(d0, *rest):
+            received.append(d0.size)
+            return gram_top(d0, *rest)
+
+        monkeypatch.setattr(resolvent, "_gram_top", counting)
+        cfg = write_config(
+            tmp_path, "scan.cfg",
+            base_model() + [
+                "domain = rectangle", f"length1 = {PI}", "length2 = 2", "mode_count = 2048",
+                "omega_min = 0.1", "omega_max = 1e4", "omega_points = 200", "omega_grid = log",
+            ],
+        )
+        out = str(tmp_path / "o")
+        assert main(["resolvent-scan", "--config", cfg, "--out", out]) == 0
+        manifest = read_manifest(out)
+        sizes = {key: int(manifest[f"size.{key}"]) for key in ("modes", "omegas", "kept_blocks", "jacobi_calls")}
+        assert sizes["modes"] == 2048 and sizes["omegas"] == 200
+        assert sizes["kept_blocks"] == sum(received) > resolvent.BLOCK_BUDGET
+        assert sizes["jacobi_calls"] == len(received) == -(-sizes["kept_blocks"] // resolvent.BLOCK_BUDGET)
+        assert max(received) <= resolvent.BLOCK_BUDGET
+
     def test_resonant_scan_of_decoupled_plate_exits_3_with_manifest(self, tmp_path, capsys):
         """With eta = 0 the undamped plate has i*omega = +-i*sqrt(c/rho)*lam
         on its spectrum, and the resonant grid lands on it exactly."""
@@ -579,6 +607,27 @@ class TestOtherSubcommands:
         manifest = read_manifest(out)
         assert float(manifest["result.a_eff"]) == 0.5
         assert manifest["check.decay_rate_fit.pass"] == "true"
+
+    @pytest.mark.parametrize("subcommand, lines", [
+        ("instability", base_model(c="-1") + [
+            "domain = interval", f"length = {PI}", "mode_count = 1", "t_end = 6.0",
+            "dt = 0.001", "initial_u = 1.0",
+        ]),
+        ("quasistatic", [
+            "rho = 1", "a = 1", "b = 1", "c = -2", "d = 1", "eta = 1",
+            "t_end = 0.02", "dt = 0.0001", "initial_theta = 1.0",
+        ]),
+    ])
+    def test_line_fits_call_no_lapack(self, tmp_path, monkeypatch, subcommand, lines):
+        """The log-linear fits are closed forms: the first LAPACK call of a
+        process costs it more than 1 MB of memory."""
+        def refused(*args, **kwargs):
+            raise AssertionError("a LAPACK least-squares fit ran")
+
+        monkeypatch.setattr(np, "polyfit", refused)
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_quasistatic_degenerate_exits_2(self, tmp_path, capsys):
         cfg = write_config(

@@ -54,7 +54,8 @@ def identities(params, trajectory, direction=Direction.BACKWARD):
     lams = trajectory.modes.lam[live]
     return verify_backward_identities(
         params, trajectory, lyapunov_series(trajectory, 0.5),
-        coupling_sums(lams, trajectory.x[live]), identity_rate(params, lams), direction,
+        coupling_sums(lams, trajectory.x[live]), identity_rate(params, lams),
+        float(np.max(trajectory.energy_norm)), direction,
     )
 
 

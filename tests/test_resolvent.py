@@ -25,12 +25,12 @@ from oracles import lapack_resolvent_norms, lapack_resolvent_solve, mp_resolvent
 
 def block_norm(params, lam, omega):
     """The energy-weighted resolvent norm of one block."""
-    return float(resolvent._sup_norms(params, [lam], [omega])[0])
+    return float(resolvent._sup_norms(params, [lam], [omega])[0][0])
 
 
 def sup_norm(params, domain, omega, mode_count):
     """The sup of block_norm over the first mode_count modes of a domain."""
-    return float(resolvent._sup_norms(params, enumerate_modes(domain, mode_count).lam, [omega])[0])
+    return float(resolvent._sup_norms(params, enumerate_modes(domain, mode_count).lam, [omega])[0][0])
 
 
 class TestResolventNorm:
@@ -180,6 +180,23 @@ class TestNormKernel:
         assert np.all(np.isfinite(scan.norms))
         assert peak < 12 * 2**20
 
+    def test_wide_scan_memory_is_its_working_set(self, unit_params):
+        """The bench's wide-plate scan, 200 frequencies x 2048 rectangle
+        modes, peaked at 6.5 MB when a pass's kept blocks joined the pending
+        ones in one Jacobi call of up to twice BLOCK_BUDGET.  With every call
+        at most BLOCK_BUDGET it stays below 5 MB."""
+        domain = Rectangle(math.pi, 2.0)
+        grid = np.geomspace(0.1, 1e4, 200)
+        scan_imaginary_axis(unit_params, domain, grid[:2], 2048)
+        tracemalloc.start()
+        try:
+            scan = scan_imaginary_axis(unit_params, domain, grid, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert scan.kept_blocks > resolvent.BLOCK_BUDGET
+
     def test_decoupled_resonance_is_singular(self):
         """eta = 0 leaves the plate undamped: i*omega = i*sqrt(c/rho)*lam is
         an eigenvalue of the block."""
@@ -219,9 +236,9 @@ class TestPrunedSup:
         resonant = math.sqrt(params.c / params.rho) * np.array(lams[:4])
         omegas = np.concatenate([[0.0, 1e-300, -1e-300, 1e300, -1e300], resonant, -resonant, extra])
         # one lambda per row: each row is a single block, with nothing to prune
-        singles = np.array([resolvent._sup_norms(params, [lam], omegas) for lam in lams])
+        singles = np.array([resolvent._sup_norms(params, [lam], omegas)[0] for lam in lams])
         assert np.all(singles > 0)
-        sups = resolvent._sup_norms(params, lams, omegas)
+        sups = resolvent._sup_norms(params, lams, omegas)[0]
         assert sups.tobytes() == np.max(singles, axis=0).tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -230,9 +247,24 @@ class TestPrunedSup:
         """diag(1, 1, -1) is an isometry of the energy space that maps the
         block of eta onto the block of -eta, so the norms agree."""
         flipped = ModelParams(params.rho, params.a, params.b, params.c, params.d, -params.eta)
-        plus = resolvent._sup_norms(params, lams, omegas)
-        minus = resolvent._sup_norms(flipped, lams, omegas)
+        plus = resolvent._sup_norms(params, lams, omegas)[0]
+        minus = resolvent._sup_norms(flipped, lams, omegas)[0]
         assert minus == pytest.approx(plus, rel=1e-12)
+
+    @pytest.mark.parametrize("budget", [7, 64, 300])
+    def test_sup_bits_do_not_depend_on_the_budget(self, unit_params, pi_interval, monkeypatch, budget):
+        """Kept blocks carried from one Jacobi call to the next, and passes
+        of one omega that fill several calls (budget 7 < 64 modes), leave
+        every bit of the sups as one call over all the kept blocks does."""
+        lams = enumerate_modes(pi_interval, 64).lam
+        omegas = np.geomspace(0.1, 1e4, 300)
+        whole, kept, calls = resolvent._sup_norms(unit_params, lams, omegas)
+        assert calls == 1
+        monkeypatch.setattr(resolvent, "BLOCK_BUDGET", budget)
+        sups, kept_now, calls_now = resolvent._sup_norms(unit_params, lams, omegas)
+        assert sups.tobytes() == whole.tobytes()
+        assert kept_now == kept
+        assert calls_now == -(-kept // budget) > 1
 
     def test_few_blocks_reach_jacobi(self, unit_params, pi_interval, monkeypatch):
         """On the README-size scan about 4% of the blocks can hold their
