@@ -27,7 +27,6 @@ _EXPORTS = {
         "Direction",
         "Interval",
         "ModelParams",
-        "Modes",
         "Rectangle",
         "Regime",
         "SpectralDomain",
@@ -38,12 +37,10 @@ _EXPORTS = {
         "EnergyBreakdown",
         "EnergyHistory",
         "Evolution",
-        "SpectralState",
         "Trajectory",
         "energy_balance_report",
         "energy_of",
         "evolve",
-        "state_from_coefficients",
     ),
     "quasistatic": (
         "QuasiDecayReport",

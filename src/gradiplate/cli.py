@@ -51,7 +51,7 @@ from .model import Direction, Regime
 # each handler imports the modules it runs when it runs, so a process loads
 # only the modules of its own subcommand
 if TYPE_CHECKING:
-    from .propagator import EnergyBalanceReport, SpectralState
+    from .propagator import EnergyBalanceReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,12 +111,12 @@ def _identity_scale(report: EnergyBalanceReport, norm_max: float) -> float:
     return max(report.denominator, norm_max)
 
 
-def _evolution_sizes(initial: SpectralState, times: np.ndarray) -> dict[str, int]:
+def _evolution_sizes(cfg: RunConfig, times: np.ndarray) -> dict[str, int]:
     from .propagator import live_modes, time_blocks
 
-    live = live_modes(initial.x).size
+    live = live_modes(cfg.x0).size
     return {
-        "modes": len(initial.modes),
+        "modes": cfg.lams.size,
         "live_modes": live,
         "samples": times.size,
         "time_blocks": len(time_blocks(live, times.size)),
@@ -130,7 +130,7 @@ def _evolution_sizes(initial: SpectralState, times: np.ndarray) -> dict[str, int
 def _run_simulate(cfg: RunConfig) -> RunOutput:
     from .propagator import Evolution, energy_balance_report
 
-    evolution = Evolution(cfg.params, cfg.initial_state(), _time_grid(cfg), Direction.FORWARD)
+    evolution = Evolution(cfg.params, cfg.lams, cfg.x0, _time_grid(cfg), Direction.FORWARD)
     history = evolution.history()
     report = energy_balance_report(history, Direction.FORWARD)
 
@@ -161,7 +161,7 @@ def _run_simulate(cfg: RunConfig) -> RunOutput:
             "max_residual_vs_scale": residual_scaled,
         },
         notes={},
-        sizes=_evolution_sizes(evolution.initial, evolution.t),
+        sizes=_evolution_sizes(cfg, evolution.t),
     )
 
 
@@ -173,14 +173,12 @@ def _run_resolvent_scan(cfg: RunConfig) -> RunOutput:
     elif cfg.omega_grid_kind == "linear":
         grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.omega_points)
     else:
-        grid = resonant_omega_grid(
-            cfg.params, cfg.domain, cfg.mode_count, cfg.omega_min, cfg.omega_max
-        )
+        grid = resonant_omega_grid(cfg.params, cfg.lams, cfg.omega_min, cfg.omega_max)
         if grid.size == 0:
             raise ConfigError(
                 "no resonant frequencies fall inside [omega_min, omega_max]"
             )
-    scan = scan_imaginary_axis(cfg.params, cfg.domain, grid, cfg.mode_count)
+    scan = scan_imaginary_axis(cfg.params, cfg.lams, grid)
     checks = [
         Check("norms_finite", bool(np.all(np.isfinite(scan.norms))), float(np.max(scan.norms)), float("inf")),
         Check("omega_sign_symmetry", scan.sign_gap <= 1e-10, scan.sign_gap, 1e-10),
@@ -199,7 +197,7 @@ def _run_resolvent_scan(cfg: RunConfig) -> RunOutput:
         },
         notes={},
         sizes={
-            "modes": scan.mode_count,
+            "modes": cfg.lams.size,
             "omegas": scan.omegas.size,
             "kept_blocks": scan.kept_blocks,
             "jacobi_calls": scan.jacobi_calls,
@@ -258,7 +256,7 @@ def _run_spectrum(cfg: RunConfig) -> RunOutput:
     residual_max = residuals.max(axis=-1)
     max_residual = float(np.max(residual_max))
     scan_abscissa = float(row_max(max_real))
-    modal_abscissa = spectral_abscissa(cfg.params, cfg.domain, cfg.mode_count)
+    modal_abscissa = spectral_abscissa(cfg.params, cfg.lams)
 
     checks = [Check("root_residuals", max_residual <= 1e-10, max_residual, 1e-10)]
     # exponential stability needs the coupling: with eta = 0 the plate roots
@@ -306,7 +304,7 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
     )
     from .propagator import Evolution, energy_balance_report
 
-    evolution = Evolution(cfg.params, cfg.initial_state(), _time_grid(cfg), Direction.BACKWARD)
+    evolution = Evolution(cfg.params, cfg.lams, cfg.x0, _time_grid(cfg), Direction.BACKWARD)
     coupling = np.empty(evolution.t.size)
 
     def couple(lo: int, x: np.ndarray) -> None:
@@ -368,7 +366,7 @@ def _run_backward(cfg: RunConfig) -> RunOutput:
         checks=checks,
         results=results,
         notes={},
-        sizes=_evolution_sizes(evolution.initial, evolution.t),
+        sizes=_evolution_sizes(cfg, evolution.t),
     )
 
 
@@ -382,9 +380,9 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
     )
     from .propagator import energy_of
 
-    initial = cfg.initial_state()
+    lams, x0 = cfg.lams, cfg.x0
     # the energy column's first entry, to the bit
-    e0 = energy_of(cfg.params, initial).total
+    e0 = energy_of(cfg.params, lams, x0).total
     omega_const = cfg.omega_const
     if omega_const == "auto":
         omega_const = max(0.0, -e0)
@@ -395,8 +393,8 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
     try:
         t0 = cfg.t0
         if t0 == "auto":
-            t0 = choose_weight_shift(cfg.params, initial, omega_const)
-        states = convexity_trajectory(cfg.params, initial, times, omega_const, t0)
+            t0 = choose_weight_shift(cfg.params, lams, x0, omega_const)
+        states = convexity_trajectory(cfg.params, lams, x0, times, omega_const, t0)
         convexity = convexity_residual_check(states, e0)
         bound = instability_lower_bound(states, e0, growth_window=window)
     except PreconditionUnmet as exc:
@@ -432,14 +430,14 @@ def _run_instability(cfg: RunConfig) -> RunOutput:
             "bound_exponent": bound.bound_exponent,
         },
         notes={"weight_convention": WEIGHT_CONVENTION},
-        sizes=_evolution_sizes(initial, times),
+        sizes=_evolution_sizes(cfg, times),
     )
 
 
 def _run_quasistatic(cfg: RunConfig) -> RunOutput:
-    from .quasistatic import QuasiParams, quasi_decay_report
+    from .quasistatic import quasi_decay_report
 
-    qparams = QuasiParams.from_params(cfg.params, cfg.length)
+    qparams = cfg.qparams
     report = quasi_decay_report(qparams, cfg.initial_theta, _time_grid(cfg))
 
     theta0_l2 = float(np.sum(np.asarray(cfg.initial_theta) ** 2))

@@ -26,7 +26,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .propagator import SpectralState
+    from .quasistatic import QuasiParams
 
 PARAM_KEYS = ("rho", "a", "b", "c", "d", "eta")
 COMMON_KEYS = set(PARAM_KEYS) | {"regime"}
@@ -114,14 +114,20 @@ def _require(raw: dict[str, str], keys: Sequence[str], subcommand: str) -> None:
 
 class RunConfig:
     """Typed view of one run configuration (subcommand-specific fields may
-    be None when the subcommand does not use them)."""
+    be None when the subcommand does not use them).
+
+    `lams` holds the eigenvalues of the first mode_count modes, ascending:
+    the run's one enumeration of its modes.  `x0` holds the initial data
+    x0[mode, (u, v, theta)] over them, and `qparams` the reduced constants
+    of `quasistatic`.
+    """
 
     __slots__ = (
-        "subcommand", "raw", "params", "domain", "mode_count", "t_end", "dt",
-        "initial_u", "initial_v", "initial_theta", "omega_min", "omega_max",
+        "subcommand", "raw", "params", "domain", "lams", "x0", "t_end", "dt",
+        "initial_theta", "omega_min", "omega_max",
         "omega_points", "omega_grid_kind", "n_max", "branch", "gap_tolerance",
         "lambda_min", "lambda_max", "lambda_points", "epsilon", "omega_const",
-        "t0", "growth_fit_start", "length",
+        "t0", "growth_fit_start", "qparams",
     )
 
     def __init__(
@@ -130,11 +136,10 @@ class RunConfig:
         raw: dict[str, str],
         params: ModelParams,
         domain: SpectralDomain | None = None,
-        mode_count: int | None = None,
+        lams: np.ndarray | None = None,
+        x0: np.ndarray | None = None,
         t_end: float | None = None,
         dt: float | None = None,
-        initial_u: list[float] | None = None,
-        initial_v: list[float] | None = None,
         initial_theta: list[float] | None = None,
         omega_min: float | None = None,
         omega_max: float | None = None,
@@ -150,61 +155,42 @@ class RunConfig:
         omega_const: float | str | None = None,
         t0: float | str | None = None,
         growth_fit_start: float | None = None,
-        length: float = 1.0,
+        qparams: QuasiParams | None = None,
     ):
         self.subcommand, self.raw, self.params = subcommand, raw, params
-        self.domain, self.mode_count, self.t_end, self.dt = domain, mode_count, t_end, dt
-        self.initial_u = [] if initial_u is None else initial_u
-        self.initial_v = [] if initial_v is None else initial_v
+        self.domain, self.lams, self.x0, self.t_end, self.dt = domain, lams, x0, t_end, dt
         self.initial_theta = [] if initial_theta is None else initial_theta
         self.omega_min, self.omega_max, self.omega_points = omega_min, omega_max, omega_points
         self.omega_grid_kind = omega_grid_kind
         self.n_max, self.branch, self.gap_tolerance = n_max, branch, gap_tolerance
         self.lambda_min, self.lambda_max, self.lambda_points = lambda_min, lambda_max, lambda_points
         self.epsilon, self.omega_const, self.t0 = epsilon, omega_const, t0
-        self.growth_fit_start, self.length = growth_fit_start, length
-
-    def initial_state(self) -> SpectralState:
-        from .propagator import state_from_coefficients
-
-        if self.domain is None or self.mode_count is None:
-            raise ConfigError("initial state needs a domain and mode_count")
-        return state_from_coefficients(
-            self.domain,
-            self.mode_count,
-            u=self.initial_u,
-            v=self.initial_v,
-            theta=self.initial_theta,
-        )
+        self.growth_fit_start, self.qparams = growth_fit_start, qparams
 
 
-def preset_coefficients(
-    names: str, lams: np.ndarray
-) -> tuple[list[float], list[float], list[float]]:
-    """Initial coefficient lists for a '+'-joined preset expression.
+def preset_coefficients(names: str, lams: np.ndarray) -> np.ndarray:
+    """Initial data x0[mode, (u, v, theta)] over the modes `lams` for a
+    '+'-joined preset expression.
 
     zero: all coefficients zero.
     first-mode-bend: unit displacement in the lowest mode.
     thermal-pulse: smooth temperature bump theta_n = exp(1 - lam_n/lam_1),
     spectrally concentrated so sampled trajectories resolve its decay.
     """
-    n = lams.size
-    u = np.zeros(n)
-    v = np.zeros(n)
-    theta = np.zeros(n)
+    x0 = np.zeros((lams.size, 3))
     for name in names.split("+"):
         name = name.strip()
         if name == "zero":
             continue
         elif name == "first-mode-bend":
-            u[0] += 1.0
+            x0[0, 0] += 1.0
         elif name == "thermal-pulse":
-            theta += np.exp(1.0 - lams / lams[0])
+            x0[:, 2] += np.exp(1.0 - lams / lams[0])
         else:
             raise ConfigError(
                 f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}"
             )
-    return u.tolist(), v.tolist(), theta.tolist()
+    return x0
 
 
 def _build_params(raw: dict[str, str], subcommand: str) -> ModelParams:
@@ -231,7 +217,7 @@ def _build_params(raw: dict[str, str], subcommand: str) -> ModelParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _build_domain(raw: dict[str, str], subcommand: str) -> tuple[SpectralDomain, int]:
+def _build_domain(raw: dict[str, str], subcommand: str) -> tuple[SpectralDomain, np.ndarray]:
     _require(raw, ("domain", "mode_count"), subcommand)
     kind = raw["domain"]
     try:
@@ -248,40 +234,38 @@ def _build_domain(raw: dict[str, str], subcommand: str) -> tuple[SpectralDomain,
     mode_count = _as_int(raw, "mode_count")
     if mode_count < 1:
         raise ConfigError("mode_count must be >= 1")
-    # the mode blocks square lam: lam_1^2 and lam_N^2 must be normal floats
     try:
-        lams = enumerate_modes(domain, mode_count).lam[[0, -1]]
+        lams = enumerate_modes(domain, mode_count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not all(sys.float_info.min <= lam * lam < math.inf for lam in lams.tolist()):
+    # the mode blocks square lam: lam_1^2 and lam_N^2 must be normal floats
+    if not all(sys.float_info.min <= lam * lam < math.inf for lam in lams[[0, -1]].tolist()):
         keys = "length" if kind == "interval" else "length1, length2"
         raise ConfigError(f"{keys}, mode_count: lam_1^2 or lam_N^2 of {domain!r} leaves the normal float range")
-    return domain, mode_count
+    return domain, lams
 
 
 def _build_initial(cfg: RunConfig, raw: dict[str, str]) -> None:
+    keys = ("initial_u", "initial_v", "initial_theta")
     has_preset = "initial" in raw
-    has_lists = any(k in raw for k in ("initial_u", "initial_v", "initial_theta"))
+    has_lists = any(k in raw for k in keys)
     if has_preset and has_lists:
         raise ConfigError("give either 'initial' presets or coefficient lists, not both")
     if not has_preset and not has_lists:
         raise ConfigError("missing initial data: set 'initial' or coefficient lists")
     if has_preset:
-        lams = enumerate_modes(cfg.domain, cfg.mode_count).lam
-        cfg.initial_u, cfg.initial_v, cfg.initial_theta = preset_coefficients(
-            raw["initial"], lams
+        cfg.x0 = preset_coefficients(raw["initial"], cfg.lams)
+        return
+    # every list parses before any length is judged
+    columns = [_as_float_list(raw, key) if key in raw else [] for key in keys]
+    too_long = max(map(len, columns))
+    if too_long > cfg.lams.size:
+        raise ConfigError(
+            f"initial coefficient list longer than mode_count ({too_long} > {cfg.lams.size})"
         )
-    else:
-        cfg.initial_u = _as_float_list(raw, "initial_u") if "initial_u" in raw else []
-        cfg.initial_v = _as_float_list(raw, "initial_v") if "initial_v" in raw else []
-        cfg.initial_theta = (
-            _as_float_list(raw, "initial_theta") if "initial_theta" in raw else []
-        )
-        too_long = max(len(cfg.initial_u), len(cfg.initial_v), len(cfg.initial_theta))
-        if too_long > cfg.mode_count:
-            raise ConfigError(
-                f"initial coefficient list longer than mode_count ({too_long} > {cfg.mode_count})"
-            )
+    cfg.x0 = np.zeros((cfg.lams.size, 3))
+    for i, column in enumerate(columns):
+        cfg.x0[: len(column), i] = column
 
 
 def _build_time(cfg: RunConfig, raw: dict[str, str], subcommand: str) -> None:
@@ -311,9 +295,10 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
     if subcommand == "quasistatic":
         if not params.c < 0:
             raise ConfigError("quasistatic requires c < 0")
+        length = 1.0
         if "length" in raw:
-            cfg.length = _as_float(raw, "length")
-            if not cfg.length > 0:
+            length = _as_float(raw, "length")
+            if not length > 0:
                 raise ConfigError("length must be > 0")
         _build_time(cfg, raw, subcommand)
         # the decay report wants 10 samples of dt * (0, 1, ..., round(t_end / dt))
@@ -330,7 +315,7 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
 
         # refuse degenerate capacity at parse time
         try:
-            qparams = QuasiParams.from_params(params, cfg.length)
+            cfg.qparams = qparams = QuasiParams.from_params(params, length)
         except DegenerateCapacity as exc:
             raise ConfigError(f"DegenerateCapacity: {exc}") from exc
         # the run squares lam_n = (n pi / length)^2, which grows with n:
@@ -343,12 +328,12 @@ def build_config(raw: dict[str, str], subcommand: str) -> RunConfig:
             squares, fastest = [], math.inf
         if not (fastest < math.inf and all(sys.float_info.min <= x < math.inf for x in squares)):
             raise ConfigError(
-                f"length = {cfg.length!r}: for the initial_theta modes n = 1..{count}, "
+                f"length = {length!r}: for the initial_theta modes n = 1..{count}, "
                 "lam_n^2 = (n pi / length)^4 or the decay rate leaves the float range"
             )
         return cfg
 
-    cfg.domain, cfg.mode_count = _build_domain(raw, subcommand)
+    cfg.domain, cfg.lams = _build_domain(raw, subcommand)
 
     if subcommand in ("simulate", "backward", "instability"):
         _build_time(cfg, raw, subcommand)

@@ -59,18 +59,15 @@ import numpy as np
 
 from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
 from .model import Direction, ModelParams, log_slope
-from .propagator import EnergyHistory, Evolution, SpectralState, live_modes
+from .propagator import EnergyHistory, Evolution, live_modes
 
 WEIGHT_CONVENTION = "omega*(t+t0)^2"
+# choose_weight_shift adds this to the least shift that makes F'(0) > 2 nu
+WEIGHT_SHIFT_PAD = 1.0
 
 CONVEXITY_TOLERANCE_FACTOR = 1e-8
 # F - bound may fall below 0 by this fraction of the largest bound
 LOWER_BOUND_TOLERANCE_FACTOR = 1e-12
-
-
-def _require_real(x: np.ndarray) -> None:
-    if np.iscomplexobj(x):
-        raise ValueError("functional diagnostics expect real states")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -100,10 +97,9 @@ def lyapunov_series(history: EnergyHistory, epsilon: float) -> LyapunovSeries:
 
 
 def coupling_sums(lams: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_n lam_n v_n theta_n of the real states x[mode, (u, v, theta),
+    """sum_n lam_n v_n theta_n of the states x[mode, (u, v, theta),
     sample], one entry per sample, summed over (samples, modes) rows, so
     each sample sums as its own mode vector does."""
-    _require_real(x)
     return np.sum(np.ascontiguousarray((lams[:, None] * x[:, 1] * x[:, 2]).T), axis=1)
 
 
@@ -212,13 +208,6 @@ class GronwallReport:
         self.k_star, self.l0, self.zero_data = k_star, l0, zero_data
         self.max_abs_l, self.epsilon = max_abs_l, epsilon
 
-    def __eq__(self, other):
-        """Field by field: a report holds scalars only."""
-        if other.__class__ is not GronwallReport:
-            return NotImplemented
-        fields = self.__slots__
-        return [getattr(self, n) for n in fields] == [getattr(other, n) for n in fields]
-
 
 def gronwall_check(series: LyapunovSeries) -> GronwallReport:
     """Gronwall bound of the series' L = L2 + epsilon*L1."""
@@ -245,10 +234,9 @@ class PhiSolution:
         self.phi, self.nu, self.residual_max = phi, nu, residual_max
 
 
-def phi_coefficients(params: ModelParams, initial_state: SpectralState) -> PhiSolution:
-    """Phi of the state's data; nu sums over its live modes."""
-    x, lams = initial_state.x, initial_state.modes.lam
-    _require_real(x)
+def phi_coefficients(params: ModelParams, lams: np.ndarray, x: np.ndarray) -> PhiSolution:
+    """Phi of the data x[mode, (u, v, theta)] over the modes `lams`; nu
+    sums over its live modes."""
     w = params.heat_weight(lams)
     rhs = params.a * x[:, 2] - params.eta * lams * x[:, 0]
     phi = -rhs / w if lams.size else np.zeros(0)
@@ -277,28 +265,30 @@ class ConvexityTrajectory:
 
 def convexity_trajectory(
     params: ModelParams,
-    initial: SpectralState,
+    lams: np.ndarray,
+    x0: np.ndarray,
     times,
     omega_const: float,
     t0: float,
 ) -> ConvexityTrajectory:
-    """F, F', F'' of the forward trajectory of `initial` at `times`, in
-    one pass over the time blocks of an `Evolution` whose weight is
-    q_n = r_n r_n^T / w_n, r_n = (eta lam_n, 0, -a): w_n Psi_n = r_n . x_n,
-    so its running integral is int_0^t sum w_n Psi_n^2 ds.  F' and F'' are the closed forms of the
+    """F, F', F'' of the forward trajectory from x0 over the modes `lams`
+    at `times`, in one pass over the time blocks of an `Evolution` whose
+    weight is q_n = r_n r_n^T / w_n, r_n = (eta lam_n, 0, -a):
+    w_n Psi_n = r_n . x_n, so its running integral is
+    int_0^t sum w_n Psi_n^2 ds.  F' and F'' are the closed forms of the
     module docstring.  Overflow of the states raises NonFiniteResult.
     Intended for negative elasticity but runs in any regime.
     """
     if omega_const < 0 or t0 < 0:
         raise ValueError("omega_const and t0 must be nonnegative")
-    sol = phi_coefficients(params, initial)
+    sol = phi_coefficients(params, lams, x0)
     # modes at rest add nothing to F: only the live ones are evolved and summed
-    lams = initial.modes.lam[live_modes(initial.x)]
-    w = params.heat_weight(lams)
-    r = np.zeros((lams.size, 3))
-    r[:, 0], r[:, 2] = params.eta * lams, -params.a
+    live = lams[live_modes(x0)]
+    w = params.heat_weight(live)
+    r = np.zeros((live.size, 3))
+    r[:, 0], r[:, 2] = params.eta * live, -params.a
     evolution = Evolution(
-        params, initial, times, Direction.FORWARD, r[:, :, None] * r[:, None, :] / w[:, None, None]
+        params, lams, x0, times, Direction.FORWARD, r[:, :, None] * r[:, None, :] / w[:, None, None]
     )
     t = evolution.t
     f, fdot, fddot = (np.empty(t.size) for _ in range(3))
@@ -436,24 +426,20 @@ def instability_lower_bound(
 
 
 def choose_weight_shift(
-    params: ModelParams,
-    initial_state: SpectralState,
-    omega_const: float,
-    pad: float = 1.0,
-    t0_max: float | None = None,
+    params: ModelParams, lams: np.ndarray, x0: np.ndarray, omega_const: float
 ) -> float:
-    """Smallest comfortable t0 making F'(0) > 2 nu.
+    """Smallest comfortable t0 making F'(0) > 2 nu for the data x0 over the
+    modes `lams`: the least shift that works, plus WEIGHT_SHIFT_PAD.
 
     Psi(0) = Phi gives F'(0) = 2 rho <u0, v0> + nu + 2 omega t0 in closed
     form, so the shift is solved for directly instead of searched.  Raises
     PreconditionUnmet when no shift can work (omega_const = 0 with
-    insufficient initial cross term) or when the needed shift exceeds
-    t0_max.
+    insufficient initial cross term).
     """
     if omega_const < 0:
         raise ValueError("omega_const must be nonnegative")
-    sol = phi_coefficients(params, initial_state)
-    x = initial_state.x[live_modes(initial_state.x)]
+    sol = phi_coefficients(params, lams, x0)
+    x = x0[live_modes(x0)]
     cross = 2.0 * params.rho * float(np.sum(x[:, 0] * x[:, 1]))
     needed = sol.nu - cross  # require 2*omega*t0 > needed
     if omega_const == 0.0:
@@ -462,7 +448,4 @@ def choose_weight_shift(
         raise PreconditionUnmet(
             "Fdot(0) > 2*nu is unreachable with omega_const = 0"
         )
-    t0 = max(0.0, needed / (2.0 * omega_const)) + pad
-    if t0_max is not None and t0 > t0_max:
-        raise PreconditionUnmet(f"required t0 {t0} exceeds t0_max {t0_max}")
-    return t0
+    return max(0.0, needed / (2.0 * omega_const)) + WEIGHT_SHIFT_PAD

@@ -167,70 +167,51 @@ class Rectangle:
 SpectralDomain = Union[Interval, Rectangle]
 
 
-class Modes:
-    """Dirichlet-Laplacian modes of a domain, ascending in eigenvalue: lam[i]
-    and the index of mode i, n on an interval and the row (j, k) on a
-    rectangle."""
+def enumerate_modes(domain: SpectralDomain, count: int) -> np.ndarray:
+    """The `count` smallest eigenvalues lam of the domain, ascending.
 
-    __slots__ = ("index", "lam")
-
-    def __init__(self, index: np.ndarray, lam: np.ndarray):
-        self.index, self.lam = index, lam
-
-    def __len__(self) -> int:
-        return self.lam.size
-
-
-def enumerate_modes(domain: SpectralDomain, count: int) -> Modes:
-    """The `count` modes of smallest eigenvalue, ascending in lam.
-
-    Degeneracies (possible on rectangles) are broken lexicographically on
-    (j, k) so the enumeration is deterministic.  Eigenvalues that underflow
-    to 0 or overflow raise EigenvalueOutOfRange, a ValueError.
+    Modes tied in lam (possible on rectangles) are interchangeable: no
+    output can tell their order.  Eigenvalues that underflow to 0 or
+    overflow raise EigenvalueOutOfRange, a ValueError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     try:
         with np.errstate(over="ignore", divide="ignore"):
-            modes = _smallest_modes(domain, count)
-        in_range = np.all((modes.lam > 0) & (modes.lam < math.inf))
+            lam = _smallest_eigenvalues(domain, count)
+        in_range = np.all((lam > 0) & (lam < math.inf))
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
         raise EigenvalueOutOfRange(
             f"the first {count} eigenvalues of {domain!r} leave the positive float range"
         )
-    return modes
+    return lam
 
 
-def _smallest_modes(domain: SpectralDomain, count: int) -> Modes:
+def _smallest_eigenvalues(domain: SpectralDomain, count: int) -> np.ndarray:
     if isinstance(domain, Interval):
         # Python's float power, as Interval.eigenvalue rounds it
         length = domain.length
-        lam = np.array([(n * math.pi / length) ** 2 for n in range(1, count + 1)])
-        return Modes(np.arange(1, count + 1), lam)
+        return np.array([(n * math.pi / length) ** 2 for n in range(1, count + 1)])
 
-    # Rectangle: sort a box of (j, k) on (lam, j, k), lam evaluated as
-    # Rectangle.eigenvalue does.  The box starts near the Weyl count for
-    # the domain's aspect ratio, at most count wide either way, and doubles
-    # until no mode outside it can beat the count-th smallest inside it.
+    # Rectangle: sort a box of (j, k), lam evaluated as Rectangle.eigenvalue
+    # does.  The box starts near the Weyl count for the domain's aspect
+    # ratio, at most count wide either way, and doubles until no mode
+    # outside it can be smaller than the count-th smallest inside it.
     l1, l2 = domain.length1, domain.length2
     jn = min(math.ceil(2.0 * math.sqrt(count * l1 / (math.pi * l2))) + 1, count)
     kn = min(math.ceil(2.0 * math.sqrt(count * l2 / (math.pi * l1))) + 1, count)
     while True:
         j, k = np.divmod(np.arange(jn * kn), kn)
-        j += 1
-        k += 1
-        lam = math.pi**2 * (j**2 / l1**2 + k**2 / l2**2)
-        order = np.lexsort((k, j, lam))[:count]
-        # the smallest (lam, j, k) keys right of and above the box
+        lam = np.sort(math.pi**2 * ((j + 1) ** 2 / l1**2 + (k + 1) ** 2 / l2**2))[:count]
+        # the smallest lam right of and above the box
         outside = min(
-            (math.pi**2 * ((jn + 1) ** 2 / l1**2 + 1.0 / l2**2), jn + 1, 1),
-            (math.pi**2 * (1.0 / l1**2 + (kn + 1) ** 2 / l2**2), 1, kn + 1),
+            math.pi**2 * ((jn + 1) ** 2 / l1**2 + 1.0 / l2**2),
+            math.pi**2 * (1.0 / l1**2 + (kn + 1) ** 2 / l2**2),
         )
-        last = order[-1]
-        if order.size == count and (lam[last], j[last], k[last]) < outside:
-            return Modes(np.stack([j[order], k[order]], axis=1), lam[order])
+        if lam.size == count and lam[-1] <= outside:
+            return lam
         jn *= 2
         kn *= 2
 

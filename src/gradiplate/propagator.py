@@ -5,7 +5,7 @@ computed from 3x3 matrix exponentials with no time-discretization error.
 One kernel, `_ModeKernel`, serves every time-domain run through
 `Evolution`: it evolves a stack of modes at once, in closed form from the
 roots of each block's cubic (`spectrum.mode_spectra`), and gives the exact
-running integral int_0^t x^H Q x ds of a per-mode quadratic form Q with
+running integral int_0^t x^T Q x ds of a per-mode quadratic form Q with
 them, for any block of samples.  Time integrals are never taken by
 quadrature.
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import InsufficientSamples, NonFiniteResult
-from .model import Direction, Modes, ModelParams, SpectralDomain, enumerate_modes, mode_blocks
+from .model import Direction, ModelParams, mode_blocks
 
 # a block whose separated root has a larger condition than this, and
 # whose roots lie within CLUSTER_REACH / t of their mean over the grid, is
@@ -62,47 +62,6 @@ BLOCK_MODE_SAMPLES = 2**13
 # and the kernel's per-sample terms do not shrink with the live mode count
 BLOCK_SAMPLES_MIN, BLOCK_SAMPLES_MAX = 64, 2**14
 ENERGY_FLOOR = 1e-300
-
-
-class SpectralState:
-    """Truncated field on one domain: x[mode, (u, v, theta)] over `modes`.
-
-    x is float, or complex when some imaginary part is nonzero, so
-    resolvent solutions can be propagated too.
-    """
-
-    __slots__ = ("domain", "modes", "x")
-
-    def __init__(self, domain: SpectralDomain, modes: Modes, x: np.ndarray):
-        x = np.array(x)
-        if x.shape != (len(modes), 3):
-            raise ValueError(f"x must have shape ({len(modes)}, 3), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("state coefficients must be finite")
-        if np.iscomplexobj(x) and not np.any(x.imag):
-            x = x.real
-        x = x.astype(complex if np.iscomplexobj(x) else float)
-        x.flags.writeable = False
-        self.domain, self.modes, self.x = domain, modes, x
-
-
-def state_from_coefficients(
-    domain: SpectralDomain,
-    count: int,
-    u: Sequence[float] = (),
-    v: Sequence[float] = (),
-    theta: Sequence[float] = (),
-) -> SpectralState:
-    """Build a state over the first `count` modes from coefficient lists.
-
-    Lists shorter than `count` are zero-padded; entries beyond `count`
-    are ignored.
-    """
-    columns = [np.asarray(seq)[:count] for seq in (u, v, theta)]
-    x = np.zeros((count, 3), dtype=np.result_type(float, *columns))
-    for i, column in enumerate(columns):
-        x[: column.size, i] = column
-    return SpectralState(domain, enumerate_modes(domain, count), x)
 
 
 class EnergyBreakdown:
@@ -137,8 +96,6 @@ def _energy_columns(
 
     def squares(i: int) -> np.ndarray:
         rows = np.array(x[:, i, :].T, order="C")
-        if np.iscomplexobj(rows):
-            rows = np.abs(rows)
         return np.square(rows, out=rows)
 
     v2 = squares(1)
@@ -155,11 +112,12 @@ def _energy_columns(
     return kinetic, bending, thermal, kinetic + bending + thermal, dissipation
 
 
-def energy_of(params: ModelParams, state: SpectralState) -> EnergyBreakdown:
-    """E and D of one state, summed over its live modes as a trajectory's
-    energy columns are: E is their first entry to the bit."""
-    live = live_modes(state.x)
-    columns = _energy_columns(params, state.modes.lam[live], state.x[live, :, None])
+def energy_of(params: ModelParams, lams: np.ndarray, x: np.ndarray) -> EnergyBreakdown:
+    """E and D of one state x[mode, (u, v, theta)] over the modes `lams`,
+    summed over its live modes as a trajectory's energy columns are: E is
+    their first entry to the bit."""
+    live = live_modes(x)
+    columns = _energy_columns(params, lams[live], x[live, :, None])
     return EnergyBreakdown(*(float(col[0]) for col in columns))
 
 
@@ -188,20 +146,19 @@ class EnergyHistory:
 
 
 class Trajectory(EnergyHistory):
-    """Exact trajectory on a time grid, held as arrays: the energy columns
-    and x, shape (modes, 3, samples) with rows u, v, theta, over the initial
-    state's modes."""
+    """Exact trajectory on a time grid, held as arrays: the energy columns,
+    the modes' eigenvalues `lams` and x, shape (modes, 3, samples) with
+    rows u, v, theta."""
 
-    __slots__ = ("domain", "modes", "x")
+    __slots__ = ("lams", "x")
 
     def __init__(
         self, t: np.ndarray, kinetic: np.ndarray, bending: np.ndarray,
         thermal: np.ndarray, total: np.ndarray, dissipation: np.ndarray,
-        dissipation_integral: np.ndarray, domain: SpectralDomain, modes: Modes,
-        x: np.ndarray,
+        dissipation_integral: np.ndarray, lams: np.ndarray, x: np.ndarray,
     ):
         super().__init__(t, kinetic, bending, thermal, total, dissipation, dissipation_integral)
-        self.domain, self.modes, self.x = domain, modes, x
+        self.lams, self.x = lams, x
 
 
 def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
@@ -227,7 +184,7 @@ def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
 
 class _ModeKernel:
     """States of a stack of modes on a time grid, (modes, 3, samples), and the running
-    integral int_0^t sum_modes x^H q x ds, for any block of samples, in closed form from
+    integral int_0^t sum_modes x^T q x ds, for any block of samples, in closed form from
     the roots of each block's cubic (negated backward: M_back = D (-M_fwd) D, D =
     diag(1, -1, 1)), in energy coordinates y = s x, s = (sqrt|c| lam, sqrt rho, sqrt a).
 
@@ -251,9 +208,6 @@ class _ModeKernel:
         s = np.stack(np.broadcast_arrays(np.sqrt(abs(params.c)) * lams, np.sqrt(params.rho), np.sqrt(params.a)), -1)
         a_mat = mode_blocks(params, lams, direction) * s[:, :, None] / s[:, None, :]
         self.x0, self.times = x0, times
-        if np.iscomplexobj(x0):  # real and imaginary parts evolve as modes of their own
-            x0 = np.concatenate([x0.real, x0.imag])
-            z, s, a_mat, q = (np.concatenate([v, v]) for v in (z, s, a_mat, q))
         y0, rows, eye = x0 * s, np.arange(len(z)), np.eye(3)
         t_end = times[-1] if times.size > 1 else 1.0
         with np.errstate(all="ignore"):
@@ -326,8 +280,8 @@ class _ModeKernel:
         for i in range(k):
             self.square[:, i:] += np.einsum("lj,ljk->lk", psi[:, :, i], gpsi[:, :, : k - i])
 
-    def block(self, lo: int, hi: int, out: np.ndarray | None = None):
-        """States (into `out`, (modes, 3, hi - lo), if given) and running integral at lo:hi."""
+    def block(self, lo: int, hi: int):
+        """States, (modes, 3, hi - lo), and running integral at lo:hi."""
         t, r, a, w, i = self.times[lo:hi], self.r, self.a, self.weights, self.real
         # the order keeps few (modes, samples) temporaries alive at once
         with np.errstate(all="ignore"):
@@ -359,17 +313,14 @@ class _ModeKernel:
             # weights are w[5], w[6] and the part of w[7] beyond G11/2
             integral += w[3] * p + w[4] * q + w[5] * square - w[6] * cross
             del p, q, square, cross
-            out = np.empty((len(self.x0), 3, t.size), self.x0.dtype) if out is None else out
-            x = out if len(out) == len(self.basis) else np.empty((len(self.basis), 3, t.size))
+            x = np.empty((len(self.basis), 3, t.size))
             for k, basis in enumerate(self.basis[:, :, :3, None].transpose(1, 2, 0, 3)):
                 np.multiply(basis[0], e1, out=x[:, k])
                 x[:, k] += basis[1] * ch
                 x[:, k] += basis[2] * rsh
             self._series(t, x, integral, g11)
-        if x is not out:  # real and imaginary parts
-            out[...] = x[: len(out)] + 1j * x[len(out) :]
-        out[:, :, t == 0.0] = self.x0[..., None]  # keep the initial sample exact
-        return out, np.sum(integral, axis=0)
+        x[:, :, t == 0.0] = self.x0[..., None]  # keep the initial sample exact
+        return x, np.sum(integral, axis=0)
 
     def _series(self, t, x, integral, g11):
         """The power series in place of the closed form on the slow rows, in chunks;
@@ -467,12 +418,13 @@ def _moments(u, terms, log_scale):
 
 
 class Evolution:
-    """The exact trajectory of `initial` at `times`, evaluated one time
-    block at a time, with the running integral int_0^t sum_n x_n^T q_n x_n ds.
+    """The exact trajectory from the initial data x0[mode, (u, v, theta)]
+    over the modes `lams` at `times`, evaluated one time block at a time,
+    with the running integral int_0^t sum_n x_n^T q_n x_n ds.
 
     `times` must start at 0 and increase strictly.  q holds the real
-    symmetric (3, 3) weights of the live modes (`live_modes(initial.x)`, in
-    that order); by default D's, q_n[2, 2] = w_n.  Per-mode evolution is
+    symmetric (3, 3) weights of the live modes (`live_modes(x0)`, in that
+    order); by default D's, q_n[2, 2] = w_n.  Per-mode evolution is
     independent (data-parallel by contract), and only the live modes are
     evolved.  Each pass over `blocks` runs the kernel's per-mode setup once.
     Overflow, of the states or of their energy, raises NonFiniteResult
@@ -482,7 +434,8 @@ class Evolution:
     def __init__(
         self,
         params: ModelParams,
-        initial: SpectralState,
+        lams: np.ndarray,
+        x0: np.ndarray,
         times: Sequence[float],
         direction: Direction = Direction.FORWARD,
         q: np.ndarray | None = None,
@@ -492,9 +445,10 @@ class Evolution:
             raise ValueError("times must start at 0")
         if np.any(np.diff(times) <= 0):
             raise ValueError("times must increase strictly")
-        self.params, self.initial, self.direction, self.t = params, initial, direction, times
-        self.modes, self.live = initial.modes, live_modes(initial.x)
-        self.lams = self.modes.lam[self.live]
+        self.params, self.direction, self.t = params, direction, times
+        # the live modes: their eigenvalues and initial data
+        self.live = live_modes(x0)
+        self.lams, self.x0 = lams[self.live], x0[self.live]
         if q is None:
             q = np.zeros((self.live.size, 3, 3))
             q[:, 2, 2] = params.heat_weight(self.lams)  # D_n = w_n theta_n^2
@@ -509,7 +463,7 @@ class Evolution:
         too holds one block at a time, and none while the kernel's
         temporaries of the next are alive."""
         params, lams, t = self.params, self.lams, self.t
-        kernel = _ModeKernel(params, lams, self.direction, self.initial.x[self.live], t, self.q)
+        kernel = _ModeKernel(params, lams, self.direction, self.x0, t, self.q)
         for lo, hi in self.time_blocks:
             x, integral = kernel.block(lo, hi)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -538,22 +492,24 @@ class Evolution:
 
 def evolve(
     params: ModelParams,
-    initial: SpectralState,
+    lams: np.ndarray,
+    x0: np.ndarray,
     times: Sequence[float],
     direction: Direction = Direction.FORWARD,
 ) -> Trajectory:
-    """Exact trajectory of the truncated system at the requested times,
-    held whole: the live modes' states are scattered into a zero
-    (modes, 3, samples) array block by block (see `Evolution`)."""
-    evolution = Evolution(params, initial, times, direction)
-    x = np.zeros(initial.x.shape + evolution.t.shape, initial.x.dtype)
+    """Exact trajectory of the truncated system from x0 over the modes
+    `lams` at the requested times, held whole: the live modes' states are
+    scattered into a zero (modes, 3, samples) array block by block (see
+    `Evolution`)."""
+    evolution = Evolution(params, lams, x0, times, direction)
+    x = np.zeros(x0.shape + evolution.t.shape)
 
     def scatter(lo: int, states: np.ndarray) -> None:
         x[evolution.live, :, lo : lo + states.shape[2]] = states
 
     history = evolution.history(scatter)
     columns = {name: getattr(history, name) for name in _COLUMNS}
-    return Trajectory(evolution.t, **columns, domain=initial.domain, modes=evolution.modes, x=x)
+    return Trajectory(evolution.t, **columns, lams=lams, x=x)
 
 
 class EnergyBalanceReport:

@@ -26,8 +26,6 @@ import numpy as np
 from .errors import DegenerateCapacity
 from .model import ModelParams, log_slope
 
-RELATION_TOLERANCE = 1e-12
-
 
 def effective_capacity(params: ModelParams) -> float:
     """a + eta^2/c; requires c < 0 and a positive result."""

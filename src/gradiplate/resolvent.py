@@ -283,28 +283,24 @@ class ResolventScan:
     """
 
     __slots__ = (
-        "omegas", "norms", "mode_count", "sup_norm", "tail_min", "tail_start",
+        "omegas", "norms", "sup_norm", "tail_min", "tail_start",
         "limit_peak", "sign_gap", "kept_blocks", "jacobi_calls",
     )
 
     def __init__(
-        self, omegas: np.ndarray, norms: np.ndarray, mode_count: int, sup_norm: float,
+        self, omegas: np.ndarray, norms: np.ndarray, sup_norm: float,
         tail_min: float, tail_start: float, limit_peak: float, sign_gap: float,
         kept_blocks: int, jacobi_calls: int,
     ):
-        self.omegas, self.norms, self.mode_count = omegas, norms, mode_count
+        self.omegas, self.norms = omegas, norms
         self.sup_norm, self.tail_min, self.tail_start = sup_norm, tail_min, tail_start
         self.limit_peak, self.sign_gap = limit_peak, sign_gap
         self.kept_blocks, self.jacobi_calls = kept_blocks, jacobi_calls
 
 
-def scan_imaginary_axis(
-    params: ModelParams,
-    domain: SpectralDomain,
-    omega_grid,
-    mode_count: int,
-) -> ResolventScan:
-    """Weighted resolvent norms over an omega grid (sup over modes).
+def scan_imaginary_axis(params: ModelParams, lams: np.ndarray, omega_grid) -> ResolventScan:
+    """Weighted resolvent norms over an omega grid (sup over the modes
+    `lams`).
 
     The grid is the caller's choice; aligning it with the resonant
     frequencies sqrt(c/rho)*lam_n (see resonant_omega_grid) makes the tail
@@ -315,7 +311,6 @@ def scan_imaginary_axis(
     omegas = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     if omegas.size == 0:
         raise ValueError("omega grid must be nonempty")
-    lams = enumerate_modes(domain, mode_count).lam
     # one more frequency, -omegas[0], for the conjugation-symmetry probe
     sups, kept, calls = _sup_norms(params, lams, np.append(omegas, -omegas[0]))
     norms = sups[:-1]
@@ -328,7 +323,6 @@ def scan_imaginary_axis(
     return ResolventScan(
         omegas=omegas,
         norms=norms,
-        mode_count=mode_count,
         sup_norm=float(np.max(norms)),
         tail_min=float(np.min(tail)),
         tail_start=tail_start,
@@ -340,23 +334,15 @@ def scan_imaginary_axis(
 
 
 def resonant_omega_grid(
-    params: ModelParams,
-    domain: SpectralDomain,
-    mode_count: int,
-    omega_min: float,
-    omega_max: float,
-    fill: int = 0,
+    params: ModelParams, lams: np.ndarray, omega_min: float, omega_max: float
 ) -> np.ndarray:
-    """Frequencies sqrt(c/rho)*lam_n within [omega_min, omega_max], plus an
-    optional log-spaced filler, sorted and deduplicated."""
+    """Frequencies sqrt(c/rho)*lam_n of the modes `lams` within
+    [omega_min, omega_max], sorted and deduplicated."""
     _require_stable(params, "resonant grid")
     if not 0 < omega_min < omega_max:
         raise ValueError("need 0 < omega_min < omega_max")
-    lams = enumerate_modes(domain, mode_count).lam
     omegas = math.sqrt(params.c / params.rho) * lams
     omegas = omegas[(omega_min <= omegas) & (omegas <= omega_max)]
-    if fill > 0:
-        omegas = np.append(omegas, np.geomspace(omega_min, omega_max, fill))
     # sorted and deduplicated as np.unique would, without the numpy.ma
     # import that np.unique costs
     omegas = np.sort(omegas)
@@ -433,7 +419,7 @@ def nondiff_sequence(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     target = nondiff_target(params)
-    lam = enumerate_modes(domain, n_max).lam
+    lam = enumerate_modes(domain, n_max)
     root = math.sqrt(params.c / params.rho)
     omega = branch * root * lam
     q = 1.0 / (params.eta * lam)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, SpectralDomain, enumerate_modes
+from .model import ModelParams
 
 THREE_REAL = "three real"
 REAL_PLUS_PAIR = "one real + complex pair"
@@ -173,10 +173,7 @@ def row_max(values: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, first, axis=-1)[..., 0]
 
 
-def spectral_abscissa(params: ModelParams, domain: SpectralDomain, mode_count: int) -> float:
-    """Max real part of any eigenvalue over the first mode_count modes."""
-    if mode_count < 1:
-        raise ValueError("mode_count must be >= 1")
-    lams = enumerate_modes(domain, mode_count).lam
+def spectral_abscissa(params: ModelParams, lams: np.ndarray) -> float:
+    """Max real part of any eigenvalue of the modes `lams`."""
     roots, _, _ = mode_spectra(params, lams)
     return float(row_max(row_max(roots.real)))

@@ -29,13 +29,13 @@ from gradiplate import (
     quasi_decay_report,
     resonant_omega_grid,
     scan_imaginary_axis,
-    state_from_coefficients,
 )
 from gradiplate.cli import main
 from gradiplate.config import preset_coefficients
 from gradiplate.model import Interval, enumerate_modes
 from gradiplate.spectrum import mode_spectra
 from oracles import bisect_real_root, generator_block, lapack_resolvent_solve, rk_mode_evolution
+from states import initial
 from test_functionals import identities
 
 PI_INTERVAL = Interval(math.pi)
@@ -49,11 +49,10 @@ def report(num, name, ok, detail):
 def test_criterion_1_energy_identity():
     started = time.perf_counter()
     params = ModelParams.unit()
-    lams = enumerate_modes(PI_INTERVAL, 64).lam
-    u, v, theta = preset_coefficients("first-mode-bend+thermal-pulse", lams)
-    init = state_from_coefficients(PI_INTERVAL, 64, u=u, v=v, theta=theta)
+    lams = enumerate_modes(PI_INTERVAL, 64)
+    x0 = preset_coefficients("first-mode-bend+thermal-pulse", lams)
     times = 1e-3 * np.arange(10001)
-    trajectory = evolve(params, init, times, Direction.FORWARD)
+    trajectory = evolve(params, lams, x0, times, Direction.FORWARD)
     balance = energy_balance_report(trajectory, Direction.FORWARD)
     elapsed = time.perf_counter() - started
     ok = balance.max_abs_residual <= 1e-8 and elapsed <= 10.0
@@ -94,12 +93,13 @@ def test_criterion_2_nondiff_sequence():
 def test_criterion_3_nonvanishing_scan():
     started = time.perf_counter()
     params = ModelParams.unit()
-    grid = resonant_omega_grid(params, PI_INTERVAL, 128, 10.0, 1e4)
-    scan = scan_imaginary_axis(params, PI_INTERVAL, grid, 128)
+    lams = enumerate_modes(PI_INTERVAL, 128)
+    grid = resonant_omega_grid(params, lams, 10.0, 1e4)
+    scan = scan_imaginary_axis(params, lams, grid)
     midpoint = scan.norms[scan.norms.size // 2]
     tail_ok = scan.tail_min >= 0.1 * midpoint
 
-    classical = scan_imaginary_axis(ModelParams.unit(d=0.0), PI_INTERVAL, grid, 128)
+    classical = scan_imaginary_axis(ModelParams.unit(d=0.0), lams, grid)
     contrast_ok = classical.tail_min <= classical.norms[0] / 10.0
 
     elapsed = time.perf_counter() - started
@@ -158,11 +158,11 @@ def test_criterion_5_oracle_equivalence():
         x0 = rng.standard_normal(3)
         t = float(rng.uniform(0.05, 1.0))
         # one mode whose eigenvalue is lam up to rounding
-        init = state_from_coefficients(
+        init = initial(
             Interval(math.pi / math.sqrt(lam)), 1, u=[x0[0]], v=[x0[1]], theta=[x0[2]]
         )
-        got = evolve(params, init, [0.0, t]).x[0, :, 1]
-        ref = rk_mode_evolution(generator_block(params, init.modes.lam[0]), x0, t)
+        got = evolve(params, *init, [0.0, t]).x[0, :, 1]
+        ref = rk_mode_evolution(generator_block(params, init[0][0]), x0, t)
         err = np.linalg.norm(got - ref) / max(np.linalg.norm(ref), 1e-30)
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
@@ -177,22 +177,22 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_backward_identities():
     params = ModelParams.unit()
-    init = state_from_coefficients(PI_INTERVAL, 1, u=[1.0], theta=[1.0])
+    init = initial(PI_INTERVAL, 1, u=[1.0], theta=[1.0])
 
     def residual(dt):
         times = dt * np.arange(int(round(1.0 / dt)) + 1)
-        traj = evolve(params, init, times, Direction.BACKWARD)
+        traj = evolve(params, *init, times, Direction.BACKWARD)
         return identities(params, traj, Direction.BACKWARD).max_rel_residual
 
     r2, r1 = residual(2e-3), residual(1e-3)
     order = math.log2(r2 / r1)
 
     zero_traj = evolve(
-        params, state_from_coefficients(PI_INTERVAL, 1), 1e-2 * np.arange(101), Direction.BACKWARD
+        params, *initial(PI_INTERVAL, 1), 1e-2 * np.arange(101), Direction.BACKWARD
     )
     zero_report = gronwall_check(lyapunov_series(zero_traj, 0.5))
 
-    data_traj = evolve(params, init, 1e-3 * np.arange(1001), Direction.BACKWARD)
+    data_traj = evolve(params, *init, 1e-3 * np.arange(1001), Direction.BACKWARD)
     data_report = gronwall_check(lyapunov_series(data_traj, 0.5))
 
     ok = (
@@ -213,13 +213,13 @@ def test_criterion_6_backward_identities():
 
 def test_criterion_7_convexity_instability():
     params = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
-    init = state_from_coefficients(PI_INTERVAL, 1, u=[1.0])
-    e0 = energy_of(params, init).total
+    init = initial(PI_INTERVAL, 1, u=[1.0])
+    e0 = energy_of(params, *init).total
     omega = -e0
-    t0 = choose_weight_shift(params, init, omega)
+    t0 = choose_weight_shift(params, *init, omega)
 
     times = 1e-3 * np.arange(18001)
-    states = convexity_trajectory(params, init, times, omega, t0)
+    states = convexity_trajectory(params, *init, times, omega, t0)
 
     early = states.t <= 5.0
     head = ConvexityTrajectory(

@@ -16,7 +16,8 @@ import pytest
 import test_sweep
 from gradiplate import ModelParams, cli, propagator, spectrum
 from gradiplate.config import load_config
-from gradiplate.propagator import Evolution, evolve, state_from_coefficients, time_blocks
+from gradiplate.propagator import Evolution, evolve, time_blocks
+from states import initial
 
 PI = "3.141592653589793"
 ONE_BLOCK = 2**40
@@ -162,8 +163,8 @@ class TestRestModes:
         exactly 0, and the live ones are those of a run without the rest."""
         data = {"u": [1.0, 0.0, 0.5], "theta": [0.0, 0.0, 0.0, 0.25]}
         times = 1e-2 * np.arange(101)
-        wide = evolve(unit_params, state_from_coefficients(pi_interval, 8, **data), times)
-        narrow = evolve(unit_params, state_from_coefficients(pi_interval, 4, **data), times)
+        wide = evolve(unit_params, *initial(pi_interval, 8, **data), times)
+        narrow = evolve(unit_params, *initial(pi_interval, 4, **data), times)
         assert wide.x.shape == (8, 3, 101)
         assert not np.any(wide.x[[1, 4, 5, 6, 7]])
         assert np.array_equal(wide.x[:4], narrow.x)
@@ -176,14 +177,14 @@ class TestEvolveBlocks:
 
     def test_evolve_at_a_double_root(self, pi_interval, monkeypatch):
         """Mode 1 sits on the double root of the block cubic."""
-        state = state_from_coefficients(pi_interval, 3, u=[1.0, 0.5, -0.2], v=[-0.5], theta=[0.25, 0.1])
+        state = initial(pi_interval, 3, u=[1.0, 0.5, -0.2], v=[-0.5], theta=[0.25, 0.1])
         times = 1e-3 * np.arange(1025)
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", ONE_BLOCK)
-        whole = evolve(self.DOUBLE_ROOT, state, times)
+        whole = evolve(self.DOUBLE_ROOT, *state, times)
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 1)
-        evolution = Evolution(self.DOUBLE_ROOT, state, times)
+        evolution = Evolution(self.DOUBLE_ROOT, *state, times)
         assert len(evolution.time_blocks) == 16
-        blocked = evolve(self.DOUBLE_ROOT, state, times)
+        blocked = evolve(self.DOUBLE_ROOT, *state, times)
         assert np.array_equal(blocked.x, whole.x)
         for name in propagator._COLUMNS:
             assert np.array_equal(getattr(blocked, name), getattr(whole, name)), name

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import gc
+import importlib
 import os
 import resource
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradiplate
 from gradiplate import cli, csvout, functionals, model, propagator, resolvent
 from gradiplate.cli import main
 from gradiplate.config import load_config
@@ -639,39 +641,54 @@ class TestOtherSubcommands:
         assert "DegenerateCapacity" in capsys.readouterr().err
 
 
-def record_spectral_states(monkeypatch) -> list:
-    """The list of every SpectralState built from here on in the test."""
-    built = []
-    init = propagator.SpectralState.__init__
+class TestModesEnumeratedOnce:
+    """The parser enumerates a run's modes once, and every handler reads its
+    eigenvalues and initial data; `nondiff` enumerates its own n_max modes
+    on top."""
 
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
+    INTERVAL = ["domain = interval", f"length = {PI}"]
+    TIME = INTERVAL + ["mode_count = 4", "t_end = 0.1", "dt = 0.01"]
+    SCAN = INTERVAL + ["mode_count = 16", "omega_min = 5", "omega_max = 200", "omega_points = 40"]
+    RUNS = {
+        "simulate-preset": ("simulate", base_model() + TIME + ["initial = first-mode-bend+thermal-pulse"]),
+        "simulate-lists": ("simulate", base_model() + TIME + ["initial_u = 1, 0.5", "initial_theta = 0.25"]),
+        "backward-preset": ("backward", base_model() + TIME + ["initial = first-mode-bend"]),
+        "backward-lists": ("backward", base_model() + TIME + ["initial_u = 1", "initial_theta = 1"]),
+        "instability-preset": ("instability", base_model("-1") + TIME + ["initial = first-mode-bend"]),
+        "instability-lists": ("instability", base_model("-1") + TIME + ["initial_u = 1, 0.5"]),
+        "resolvent-scan-log": ("resolvent-scan", base_model() + SCAN + ["omega_grid = log"]),
+        "resolvent-scan-linear": ("resolvent-scan", base_model() + SCAN + ["omega_grid = linear"]),
+        "resolvent-scan-resonant": ("resolvent-scan", base_model() + SCAN + ["omega_grid = resonant"]),
+        "spectrum": ("spectrum", base_model() + INTERVAL + [
+            "mode_count = 16", "lambda_max = 1e6", "lambda_points = 50",
+        ]),
+        "nondiff": ("nondiff", base_model() + INTERVAL + ["mode_count = 4", "n_max = 30"]),
+    }
 
-    monkeypatch.setattr(propagator.SpectralState, "__init__", recorded)
-    return built
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_one_enumeration_per_run(self, tmp_path, monkeypatch, run):
+        # every module that can bind it is loaded before the bindings are patched
+        for name in gradiplate._EXPORTS:
+            importlib.import_module(f"gradiplate.{name}")
+        counts = []
+        original = model.enumerate_modes
+
+        def counted(domain, count):
+            counts.append(count)
+            return original(domain, count)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("gradiplate.") and vars(module).get("enumerate_modes") is original:
+                monkeypatch.setattr(module, "enumerate_modes", counted)
+        subcommand, lines = self.RUNS[run]
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        mode_count = int(next(l for l in lines if l.startswith("mode_count")).split("=")[1])
+        assert counts == ([mode_count, 30] if subcommand == "nondiff" else [mode_count])
 
 
 class TestNoPerSampleObjects:
     """Guards on work counts, not timings: trajectories stay arrays."""
-
-    def test_simulate_builds_one_state_for_initial_data(self, tmp_path, monkeypatch):
-        built = record_spectral_states(monkeypatch)
-        cfg = simulate_config(tmp_path)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert len(built) == 1  # 1001 samples would make 1001 more
-
-    def test_wide_plate_simulate_builds_one_state(self, tmp_path, monkeypatch):
-        """The 4,096-mode rectangle of the benchmark builds its initial
-        state and no per-sample one."""
-        built = record_spectral_states(monkeypatch)
-        cfg = write_config(tmp_path, "run.cfg", base_model() + [
-            "domain = rectangle", f"length1 = {PI}", "length2 = 2", "mode_count = 4096",
-            "t_end = 0.01", "dt = 0.001", "initial = first-mode-bend+thermal-pulse",
-        ])
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert len(built) == 1
-        assert built[0].x.shape == (4096, 3)
 
     def test_backward_computes_lyapunov_series_once(self, tmp_path, monkeypatch):
         calls = []
@@ -762,7 +779,7 @@ class TestInstabilityEnergy:
             "initial_v = 0.365, 0.294, 0.028, 0.547, -0.736, -0.163, -0.482, 0.599",
             "initial_theta = 0.04, -0.292, -0.782, -0.257, 0.008, -0.276, 1.294, 1.007",
         ]), "instability")
-        trajectory = evolve(cfg.params, cfg.initial_state(), cli._time_grid(cfg))
+        trajectory = evolve(cfg.params, cfg.lams, cfg.x0, cli._time_grid(cfg))
         assert cli._run_instability(cfg).results["e0"] == trajectory.total[0]
 
 

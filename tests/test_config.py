@@ -51,9 +51,8 @@ class TestBuildConfig:
         cfg = build_config(simulate_raw(), "simulate")
         assert cfg.params.rho == 1.0
         assert cfg.domain == Interval(math.pi)
-        assert cfg.mode_count == 4
-        state = cfg.initial_state()
-        assert state.x[0, 0] == 1.0
+        assert cfg.lams.tolist() == [1.0, 4.0, 9.0, 16.0]
+        assert cfg.x0.tolist() == [[1.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 3
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -87,8 +86,10 @@ class TestBuildConfig:
         raw["initial_u"] = "1.0, 0.5"
         raw["initial_theta"] = "0.25"
         cfg = build_config(raw, "simulate")
-        assert cfg.initial_u == [1.0, 0.5]
-        assert cfg.initial_theta == [0.25]
+        # zero-padded to mode_count
+        assert cfg.x0[:, 0].tolist() == [1.0, 0.5, 0.0, 0.0]
+        assert not cfg.x0[:, 1].any()
+        assert cfg.x0[:, 2].tolist() == [0.25, 0.0, 0.0, 0.0]
 
     def test_initial_both_given_rejected(self):
         with pytest.raises(ConfigError, match="not both"):
@@ -114,7 +115,7 @@ class TestBuildConfig:
         raw = simulate_raw()
         del raw["initial"]
         raw["initial_u"] = "1,2,"
-        assert build_config(raw, "simulate").initial_u == [1.0, 2.0]
+        assert build_config(raw, "simulate").x0[:, 0].tolist() == [1.0, 2.0, 0.0, 0.0]
 
     def test_quasistatic_degenerate_capacity_rejected(self):
         raw = {
@@ -163,14 +164,14 @@ class TestBuildConfig:
 
 class TestPresets:
     def test_zero(self):
-        u, v, theta = preset_coefficients("zero", np.array([1.0, 4.0]))
-        assert u == [0.0, 0.0] and v == [0.0, 0.0] and theta == [0.0, 0.0]
+        x0 = preset_coefficients("zero", np.array([1.0, 4.0]))
+        assert x0.shape == (2, 3) and not x0.any()
 
     def test_combination(self):
         lams = np.array([1.0, 4.0, 9.0])
-        u, v, theta = preset_coefficients("first-mode-bend+thermal-pulse", lams)
-        assert u == [1.0, 0.0, 0.0]
-        assert v == [0.0, 0.0, 0.0]
+        u, v, theta = preset_coefficients("first-mode-bend+thermal-pulse", lams).T
+        assert u.tolist() == [1.0, 0.0, 0.0]
+        assert v.tolist() == [0.0, 0.0, 0.0]
         assert theta[0] == 1.0
         assert theta[1] == pytest.approx(math.exp(-3.0))
         assert theta[2] == pytest.approx(math.exp(-8.0))

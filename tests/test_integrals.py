@@ -20,7 +20,6 @@ from gradiplate import (
     ModelParams,
     energy_balance_report,
     evolve,
-    state_from_coefficients,
 )
 from gradiplate import propagator
 from gradiplate.cli import main
@@ -29,6 +28,7 @@ from gradiplate.functionals import convexity_trajectory, phi_coefficients
 from gradiplate.spectrum import mode_spectra
 from oracles import generator_block, mp_convexity_functional, rk_mode_evolution, rk_mode_integrals
 from quadrature import cumulative_integral
+from states import initial
 
 # the double root of test_propagator.TestDoubleRoot: a defective block
 DOUBLE_ROOT = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta=3.0)
@@ -36,7 +36,7 @@ DOUBLE_ROOT = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta
 
 def random_state(domain, count, seed):
     rng = np.random.default_rng(seed)
-    return state_from_coefficients(
+    return initial(
         domain, count, u=rng.standard_normal(count), v=rng.standard_normal(count),
         theta=rng.standard_normal(count),
     )
@@ -44,7 +44,7 @@ def random_state(domain, count, seed):
 
 def oracle_sums(params, state, times, direction=Direction.FORWARD, phi=None):
     """Mode sums of the three DOP853 integrals; psi is returned per mode."""
-    lams, x = state.modes.lam, state.x
+    lams, x = state
     phi = np.zeros(lams.size) if phi is None else phi
     d_int, psi, q_int = np.zeros(times.size), [], np.zeros(times.size)
     for lam, x0, phi_n in zip(lams, x, phi):
@@ -64,7 +64,7 @@ class TestDissipationIntegral:
     def test_matches_rk_oracle_on_a_coarse_grid(self, unit_params, pi_interval, direction, count, t_end):
         state = random_state(pi_interval, count, seed=11)
         times = np.linspace(0.0, t_end, 7)
-        trajectory = evolve(unit_params, state, times, direction)
+        trajectory = evolve(unit_params, *state, times, direction)
         reference, _, _ = oracle_sums(unit_params, state, times, direction)
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(trajectory.dissipation_integral - reference)) <= 1e-10 * scale
@@ -74,9 +74,9 @@ class TestDissipationIntegral:
     def test_double_root(self, pi_interval):
         roots = np.sort_complex(mode_spectra(DOUBLE_ROOT, [1.0])[0][0])
         assert abs(roots[0] - roots[1]) <= 1e-6 * abs(roots[0])
-        state = state_from_coefficients(pi_interval, 1, u=[1.0], v=[-0.5], theta=[0.25])
+        state = initial(pi_interval, 1, u=[1.0], v=[-0.5], theta=[0.25])
         times = 0.01 * np.arange(101)
-        trajectory = evolve(DOUBLE_ROOT, state, times)
+        trajectory = evolve(DOUBLE_ROOT, *state, times)
         reference, _, _ = oracle_sums(DOUBLE_ROOT, state, times)
         assert np.max(np.abs(trajectory.dissipation_integral - reference)) <= 1e-9 * reference[-1]
         assert energy_balance_report(trajectory).max_abs_residual <= 1e-12
@@ -84,18 +84,18 @@ class TestDissipationIntegral:
     def test_agrees_with_sampled_quadrature_on_a_fine_grid(self, unit_params, pi_interval):
         # the README data: a bend and a thermal pulse the grid resolves
         lams = (np.arange(1, 9)) ** 2.0
-        state = state_from_coefficients(pi_interval, 8, u=[1.0], theta=np.exp(1.0 - lams))
+        state = initial(pi_interval, 8, u=[1.0], theta=np.exp(1.0 - lams))
         times = 1e-3 * np.arange(2001)
-        trajectory = evolve(unit_params, state, times)
+        trajectory = evolve(unit_params, *state, times)
         sampled = cumulative_integral(trajectory.dissipation, times)
         gap = np.max(np.abs(trajectory.dissipation_integral - sampled))
         assert gap <= 1e-8 * trajectory.total[0]
 
     def test_zero_modes_add_nothing(self, unit_params, pi_interval):
-        state = state_from_coefficients(pi_interval, 5, u=[1.0])
+        state = initial(pi_interval, 5, u=[1.0])
         times = np.linspace(0.0, 1.0, 11)
-        alone = evolve(unit_params, state_from_coefficients(pi_interval, 1, u=[1.0]), times)
-        assert np.array_equal(evolve(unit_params, state, times).dissipation_integral,
+        alone = evolve(unit_params, *initial(pi_interval, 1, u=[1.0]), times)
+        assert np.array_equal(evolve(unit_params, *state, times).dissipation_integral,
                               alone.dissipation_integral)
 
 
@@ -105,13 +105,13 @@ class TestConvexityIntegrals:
         count = 3 if params.c < 0 else 1
         state = random_state(pi_interval, count, seed=2)
         times = np.linspace(0.0, 1.0, 11)
-        trajectory = evolve(params, state, times)
+        trajectory = evolve(params, *state, times)
         omega, t0 = 0.5, 2.0
-        states = convexity_trajectory(params, state, times, omega, t0)
-        phi = phi_coefficients(params, state).phi
+        states = convexity_trajectory(params, *state, times, omega, t0)
+        phi = phi_coefficients(params, *state).phi
         d_int, psi, q_int = oracle_sums(params, state, times, phi=phi)
 
-        lams, x = trajectory.modes.lam, trajectory.x
+        lams, x = trajectory.lams, trajectory.x
         w = params.heat_weight(lams)
         shifted = times + t0
         rho_u2 = params.rho * np.sum(x[:, 0] ** 2, axis=0)
@@ -146,10 +146,9 @@ class TestConvexityClosedForm:
             line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()
         )
         cfg = load_config(str(config), "instability")
-        state = cfg.initial_state()
-        live = np.any(state.x != 0.0, axis=1)
+        live = np.any(cfg.x0 != 0.0, axis=1)
         f, fdot = mp_convexity_functional(
-            cfg.params, state.modes.lam[live], state.x[live], rows[:, 0],
+            cfg.params, cfg.lams[live], cfg.x0[live], rows[:, 0],
             float(manifest["result.omega_const"]), float(manifest["result.t0"]),
         )
         self.assert_close(rows[:, 1], f)
@@ -159,11 +158,11 @@ class TestConvexityClosedForm:
         """c = -1e-6 with u_n = 1/n^2: F' to 1e-14 where the stepwise
         exponential once drifted to 1e-13."""
         params = ModelParams(1.0, 1.0, 1.0, -1e-6, 1.0, 1.0)
-        state = state_from_coefficients(pi_interval, 3, u=[1.0, 0.25, 1.0 / 9.0])
+        state = initial(pi_interval, 3, u=[1.0, 0.25, 1.0 / 9.0])
         times = 2e-4 * np.arange(5001)
-        states = convexity_trajectory(params, state, times, 0.0, 0.0)
+        states = convexity_trajectory(params, *state, times, 0.0, 0.0)
         picks = [1000, 2500, 5000]
-        _, fdot = mp_convexity_functional(params, state.modes.lam, state.x, times[picks], 0.0, 0.0)
+        _, fdot = mp_convexity_functional(params, *state, times[picks], 0.0, 0.0)
         assert np.max(np.abs(states.fdot[picks] - fdot) / np.abs(fdot)) <= 1e-14
 
     def test_random_three_mode_config(self, pi_interval):
@@ -172,8 +171,8 @@ class TestConvexityClosedForm:
         params = ModelParams(rho, a, b, -rng.uniform(0.5, 2.0), d, rng.uniform(-2.0, 2.0))
         state = random_state(pi_interval, 3, seed=17)
         times = 1e-3 * np.arange(2001)
-        states = convexity_trajectory(params, state, times, 1.0, 2.0)
-        f, fdot = mp_convexity_functional(params, state.modes.lam, state.x, times[::50], 1.0, 2.0)
+        states = convexity_trajectory(params, *state, times, 1.0, 2.0)
+        f, fdot = mp_convexity_functional(params, *state, times[::50], 1.0, 2.0)
         self.assert_close(states.f[::50], f)
         self.assert_close(states.fdot[::50], fdot)
 
@@ -209,7 +208,7 @@ class TestIdentityIsNotVacuous:
 
     def residual(self, params, domain):
         state = random_state(domain, 4, seed=9)
-        trajectory = evolve(params, state, np.linspace(0.0, 2.0, 21))
+        trajectory = evolve(params, *state, np.linspace(0.0, 2.0, 21))
         return energy_balance_report(trajectory).max_abs_residual
 
     def test_exact_model_passes(self, unit_params, pi_interval):

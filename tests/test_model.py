@@ -42,34 +42,28 @@ class TestModelParams:
 
 class TestEnumerateModes:
     def test_interval_pi(self, pi_interval):
-        modes = enumerate_modes(pi_interval, 3)
-        assert len(modes) == 3
-        assert modes.lam.tolist() == [1.0, 4.0, 9.0]
-        assert modes.index.tolist() == [1, 2, 3]
+        lams = enumerate_modes(pi_interval, 3)
+        assert lams.tolist() == [1.0, 4.0, 9.0]
 
     def test_unit_interval_first_eigenvalue(self):
-        (lam,) = enumerate_modes(Interval(1.0), 1).lam
+        (lam,) = enumerate_modes(Interval(1.0), 1)
         assert lam == pytest.approx(math.pi**2, rel=1e-15)
 
-    def test_square_degeneracy_tie_break(self):
-        modes = enumerate_modes(Rectangle(math.pi, math.pi), 4)
-        assert modes.index.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
-        assert np.allclose(modes.lam, [2.0, 5.0, 5.0, 8.0])
+    def test_square_degeneracy(self):
+        # (1, 2) and (2, 1) share lam = 5
+        lams = enumerate_modes(Rectangle(math.pi, math.pi), 4)
+        assert np.allclose(lams, [2.0, 5.0, 5.0, 8.0])
 
     def test_rectangle_ordering_is_global(self):
         # elongated rectangle: many (1, k) modes precede (2, 1)
-        modes = enumerate_modes(Rectangle(1.0, 10.0), 50)
-        lams = modes.lam.tolist()
-        assert lams == sorted(lams)
-        assert all(lams[i] > 0 for i in range(50))
-        # anything outside the returned set must be no smaller
-        worst = lams[-1]
         dom = Rectangle(1.0, 10.0)
-        included = set(map(tuple, modes.index.tolist()))
-        for j in range(1, 12):
-            for k in range(1, 80):
-                if (j, k) not in included:
-                    assert dom.eigenvalue((j, k)) >= worst
+        lams = enumerate_modes(dom, 50).tolist()
+        assert lams == sorted(lams)
+        assert all(lam > 0 for lam in lams)
+        # the 50 smallest of a box that holds them, lam as Rectangle.eigenvalue rounds it
+        assert min(dom.eigenvalue((12, 1)), dom.eigenvalue((1, 80))) > lams[-1]
+        box = sorted(dom.eigenvalue((j, k)) for j in range(1, 12) for k in range(1, 80))
+        assert lams == box[:50]
 
     def test_count_validation(self, pi_interval):
         with pytest.raises(ValueError):
@@ -88,14 +82,15 @@ class TestEnumerateModes:
 
     def test_ties_in_lam_end_the_box_search(self):
         # 1/L1^2 swamps k^2/L2^2: the modes (1, k) share one float eigenvalue
-        modes = enumerate_modes(Rectangle(1e-5, 1e5), 10)
-        assert modes.index.tolist() == [[1, k] for k in range(1, 11)]
-        assert np.all(modes.lam == modes.lam[0])
+        dom = Rectangle(1e-5, 1e5)
+        lams = enumerate_modes(dom, 10)
+        assert lams.tolist() == [dom.eigenvalue((1, 1))] * 10
 
     def test_extreme_aspect_ratio_box_stays_small(self):
         # the Weyl box would be about 2e10 modes wide; count bounds it
-        modes = enumerate_modes(Rectangle(1e20, 1.0), 4)
-        assert modes.index.tolist() == [[1, 1], [2, 1], [3, 1], [4, 1]]
+        dom = Rectangle(1e20, 1.0)
+        lams = enumerate_modes(dom, 4)
+        assert lams.tolist() == [dom.eigenvalue((j, 1)) for j in range(1, 5)]
 
     @pytest.mark.parametrize(
         "domain, count",
@@ -108,11 +103,9 @@ class TestEnumerateModes:
     )
     def test_enumeration_is_a_prefix_of_a_longer_one(self, domain, count):
         # nondiff enumerates n_max modes once and reads mode n from it
-        modes = enumerate_modes(domain, count)
+        lams = enumerate_modes(domain, count)
         for n in range(1, count + 1):
-            prefix = enumerate_modes(domain, n)
-            assert np.array_equal(prefix.index, modes.index[:n])
-            assert prefix.lam.tobytes() == modes.lam[:n].tobytes()
+            assert enumerate_modes(domain, n).tobytes() == lams[:n].tobytes()
 
 
 def block(params, lam, direction=Direction.FORWARD):

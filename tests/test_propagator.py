@@ -8,11 +8,9 @@ from gradiplate import (
     Interval,
     ModelParams,
     NonFiniteResult,
-    SpectralState,
     energy_balance_report,
     energy_of,
     evolve,
-    state_from_coefficients,
 )
 from gradiplate import propagator
 from gradiplate.errors import InsufficientSamples
@@ -21,15 +19,16 @@ from gradiplate.spectrum import mode_spectra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import generator_block, mp_mode_evolution, rk_mode_evolution
+from states import initial
 
 
 def single_mode_state(domain, u=0.0, v=0.0, theta=0.0):
-    return state_from_coefficients(domain, 1, u=[u], v=[v], theta=[theta])
+    return initial(domain, 1, u=[u], v=[v], theta=[theta])
 
 
 def sample_state(trajectory, k):
-    """The state of sample k of a trajectory."""
-    return SpectralState(trajectory.domain, trajectory.modes, trajectory.x[:, :, k])
+    """(lams, x) of sample k of a trajectory."""
+    return trajectory.lams, trajectory.x[:, :, k]
 
 
 class TestOneModeEvolution:
@@ -38,7 +37,7 @@ class TestOneModeEvolution:
     @staticmethod
     def at(params, domain, t, u=0.0, theta=0.0):
         """The state at time t of the mode started at (u, 0, theta)."""
-        return evolve(params, single_mode_state(domain, u=u, theta=theta), [0.0, t]).x[0, :, 1]
+        return evolve(params, *single_mode_state(domain, u=u, theta=theta), [0.0, t]).x[0, :, 1]
 
     def test_generator_consistency(self, unit_params, pi_interval):
         """(state(dt) - state(0))/dt approaches M (1,0,0)^T = (0,-1,0)."""
@@ -52,19 +51,11 @@ class TestOneModeEvolution:
         ref = rk_mode_evolution(generator_block(unit_params, 1.0), [1.0, 0.0, 0.0], 0.1)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
 
-    def test_complex_state_supported(self, unit_params, pi_interval):
-        out = self.at(unit_params, pi_interval, 0.3, u=1.0 + 1.0j, theta=-2.0j)
-        # linearity: real and imaginary parts evolve independently
-        re = self.at(unit_params, pi_interval, 0.3, u=1.0)
-        im = self.at(unit_params, pi_interval, 0.3, u=1.0, theta=-2.0)
-        assert out[0] == pytest.approx(re[0] + 1j * im[0], rel=1e-14)
-        assert out[2] == pytest.approx(re[2] + 1j * im[2], rel=1e-14)
-
 
 class TestEvolve:
     def test_zero_initial_data_stays_zero(self, unit_params, pi_interval):
-        init = state_from_coefficients(pi_interval, 3)
-        trajectory = evolve(unit_params, init, [0.0, 0.5, 1.0])
+        init = initial(pi_interval, 3)
+        trajectory = evolve(unit_params, *init, [0.0, 0.5, 1.0])
         assert np.all(trajectory.x == 0.0)
         assert np.all(trajectory.total == 0.0)
 
@@ -73,11 +64,11 @@ class TestEvolve:
         coefficient decays at exactly (b lam + d lam^2)/a."""
         params = ModelParams(rho=2.0, a=3.0, b=0.5, c=4.5, d=0.25, eta=0.0)
         lam = 4.0  # n = 2 on the pi interval
-        init = state_from_coefficients(pi_interval, 2, u=[0.0, 1.0], theta=[0.0, 2.0])
+        init = initial(pi_interval, 2, u=[0.0, 1.0], theta=[0.0, 2.0])
         times = np.linspace(0.0, 2.0, 41)
         freq = math.sqrt(params.c / params.rho) * lam
         rate = (params.b * lam + params.d * lam**2) / params.a
-        trajectory = evolve(params, init, times)
+        trajectory = evolve(params, *init, times)
         for k, t in enumerate(times):
             u, v, theta = trajectory.x[1, :, k]
             assert u == pytest.approx(math.cos(freq * t), abs=1e-12)
@@ -87,18 +78,18 @@ class TestEvolve:
     def test_energy_dissipates(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0)
         times = np.linspace(0.0, 10.0, 2001)
-        e = evolve(unit_params, init, times).total
+        e = evolve(unit_params, *init, times).total
         assert e[-1] < e[0]
         assert np.all(np.diff(e) <= 1e-12 * e[0])
 
     def test_mode_decoupling_exact(self, unit_params, pi_interval):
-        both = state_from_coefficients(pi_interval, 2, u=[0.3, -1.2], theta=[0.5, 0.25])
-        only1 = state_from_coefficients(pi_interval, 2, u=[0.3, 0.0], theta=[0.5, 0.0])
-        only2 = state_from_coefficients(pi_interval, 2, u=[0.0, -1.2], theta=[0.0, 0.25])
+        both = initial(pi_interval, 2, u=[0.3, -1.2], theta=[0.5, 0.25])
+        only1 = initial(pi_interval, 2, u=[0.3, 0.0], theta=[0.5, 0.0])
+        only2 = initial(pi_interval, 2, u=[0.0, -1.2], theta=[0.0, 0.25])
         times = [0.0, 0.4, 1.1]
-        t_both = evolve(unit_params, both, times)
-        t_1 = evolve(unit_params, only1, times)
-        t_2 = evolve(unit_params, only2, times)
+        t_both = evolve(unit_params, *both, times)
+        t_1 = evolve(unit_params, *only1, times)
+        t_2 = evolve(unit_params, *only2, times)
         assert np.array_equal(t_both.x[0], t_1.x[0])
         assert np.array_equal(t_both.x[1], t_2.x[1])
 
@@ -114,35 +105,35 @@ class TestEvolve:
         for lam_n in (1, 2, 3):
             params = ModelParams.unit(b=0.1, d=0.1)
             u0, v0, th0 = rng.standard_normal(3)
-            init = state_from_coefficients(
+            init = initial(
                 pi_interval, lam_n, u=[0.0] * (lam_n - 1) + [u0],
                 v=[0.0] * (lam_n - 1) + [v0], theta=[0.0] * (lam_n - 1) + [th0],
             )
+            lams, x0 = init
             reflect = np.array([1.0, -1.0, 1.0])
-            fwd = evolve(params, init, [0.0, 1.0]).x[:, :, -1]
-            reflected = SpectralState(pi_interval, init.modes, fwd * reflect)
-            back = evolve(params, reflected, [0.0, 1.0], Direction.BACKWARD).x[:, :, -1]
-            assert np.allclose(back * reflect, init.x, atol=1e-6)
+            fwd = evolve(params, lams, x0, [0.0, 1.0]).x[:, :, -1]
+            back = evolve(params, lams, fwd * reflect, [0.0, 1.0], Direction.BACKWARD).x[:, :, -1]
+            assert np.allclose(back * reflect, x0, atol=1e-6)
 
     def test_times_validation(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0)
         with pytest.raises(ValueError):
-            evolve(unit_params, init, [0.5, 1.0])
+            evolve(unit_params, *init, [0.5, 1.0])
         with pytest.raises(ValueError):
-            evolve(unit_params, init, [0.0, 1.0, 1.0])
+            evolve(unit_params, *init, [0.0, 1.0, 1.0])
 
     def test_unstable_overflow_reports_time(self, pi_interval):
         params = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         init = single_mode_state(pi_interval, u=1.0)
         with pytest.raises(NonFiniteResult) as err:
-            evolve(params, init, [0.0, 1.0, 2000.0])
+            evolve(params, *init, [0.0, 1.0, 2000.0])
         assert err.value.time == 2000.0
 
     def test_growth_past_the_float_range_of_the_exponential(self, pi_interval):
         """Data of 1e-300 grown by e^750: u = v0 sinh(t) on the decoupled
         unstable mode, finite although e^750 is not."""
         params = ModelParams(1.0, 1.0, 1.0, -1.0, 0.0, 0.0)
-        trajectory = evolve(params, single_mode_state(pi_interval, v=1e-300), [0.0, 750.0])
+        trajectory = evolve(params, *single_mode_state(pi_interval, v=1e-300), [0.0, 750.0])
         u = trajectory.x[0, 0, 1]
         assert u == pytest.approx(math.exp(750.0 + math.log(1e-300) - math.log(2.0)), rel=1e-12)
 
@@ -151,9 +142,9 @@ class TestEvolve:
         Heat-only data grow backward as theta0 e^{ht} alone; no rounding may
         put it on the plate root k, which grows far faster."""
         params = ModelParams(0.22, 2.94, 0.157, -1.79, 0.0, 0.0)
-        state = single_mode_state(Interval(0.2), theta=1.0)
-        lam = state.modes.lam[0]
-        trajectory = evolve(params, state, np.linspace(0.0, 10.0, 11), Direction.BACKWARD)
+        lams, x0 = single_mode_state(Interval(0.2), theta=1.0)
+        lam = lams[0]
+        trajectory = evolve(params, lams, x0, np.linspace(0.0, 10.0, 11), Direction.BACKWARD)
         h = params.heat_weight(lam) / params.a
         assert not np.any(trajectory.x[0, :2])
         assert np.allclose(trajectory.x[0, 2], np.exp(h * trajectory.t), rtol=1e-12)
@@ -161,16 +152,16 @@ class TestEvolve:
     def test_zero_modes_immune_to_overflowing_eigendirections(self, pi_interval):
         """A silent high mode must stay exactly zero even when its growing
         eigendirection would overflow (inf * 0 must not poison the state)."""
-        init = state_from_coefficients(pi_interval, 32, u=[1.0], theta=[1.0])
+        init = initial(pi_interval, 32, u=[1.0], theta=[1.0])
         backward = evolve(
-            ModelParams.unit(), init, [0.0, 0.5, 1.0], Direction.BACKWARD
+            ModelParams.unit(), *init, [0.0, 0.5, 1.0], Direction.BACKWARD
         )
         x = backward.x[:, :, -1]
         assert np.all(x[1:] == 0.0)
         assert np.all(np.isfinite(x))
 
         unstable = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
-        forward = evolve(unstable, init, [0.0, 5.0, 10.0])
+        forward = evolve(unstable, *init, [0.0, 5.0, 10.0])
         y = forward.x[:, :, -1]
         assert np.all(y[1:] == 0.0)
         assert np.all(np.isfinite(y))
@@ -188,19 +179,19 @@ class TestDoubleRoot:
         assert abs(roots[0] - roots[1]) <= 1e-6 * abs(roots[0])
 
     def test_one_step_against_adaptive_rk_oracle(self, pi_interval):
-        init = state_from_coefficients(
+        init = initial(
             pi_interval, 1, u=[self.X0[0]], v=[self.X0[1]], theta=[self.X0[2]]
         )
-        got = evolve(self.PARAMS, init, [0.0, 0.7]).x[0, :, 1]
+        got = evolve(self.PARAMS, *init, [0.0, 0.7]).x[0, :, 1]
         ref = rk_mode_evolution(generator_block(self.PARAMS, 1.0), self.X0, 0.7)
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-9
 
     def test_evolve_against_adaptive_rk_oracle(self, pi_interval):
-        init = state_from_coefficients(
+        init = initial(
             pi_interval, 1, u=[self.X0[0]], v=[self.X0[1]], theta=[self.X0[2]]
         )
         times = 0.01 * np.arange(101)
-        trajectory = evolve(self.PARAMS, init, times)
+        trajectory = evolve(self.PARAMS, *init, times)
         m = generator_block(self.PARAMS, 1.0)
         for k in (10, 50, 100):
             ref = rk_mode_evolution(m, self.X0, times[k])
@@ -228,9 +219,9 @@ class TestKernelAgainstMpmath:
     @staticmethod
     def check(params, lam, x0, times, direction):
         domain = Interval(math.pi / math.sqrt(lam))
-        state = state_from_coefficients(domain, 1, u=[x0[0]], v=[x0[1]], theta=[x0[2]])
-        trajectory = evolve(params, state, times, direction)
-        lam = state.modes.lam[0]
+        state = initial(domain, 1, u=[x0[0]], v=[x0[1]], theta=[x0[2]])
+        trajectory = evolve(params, *state, times, direction)
+        lam = state[0][0]
         states, integral = mp_mode_evolution(params, lam, x0, times, direction)
         assert energy_norm_error(params, lam, trajectory.x[0], states) <= 1e-11
         error = np.max(np.abs(trajectory.dissipation_integral - integral))
@@ -277,21 +268,20 @@ class TestTrajectoryArrays:
     @pytest.fixture(params=[Direction.FORWARD, Direction.BACKWARD])
     def trajectory(self, request, unit_params, pi_interval):
         rng = np.random.default_rng(5)
-        init = state_from_coefficients(
+        init = initial(
             pi_interval, 8, u=rng.standard_normal(8), v=rng.standard_normal(8),
             theta=rng.standard_normal(8),
         )
-        return evolve(unit_params, init, 1e-4 * np.arange(201), request.param)
+        return evolve(unit_params, *init, 1e-4 * np.arange(201), request.param)
 
     def test_coefficient_array_layout(self, trajectory):
         assert trajectory.x.shape == (8, 3, 201)
         assert trajectory.t.shape == trajectory.total.shape == (201,)
-        assert len(trajectory.modes) == 8
-        assert trajectory.modes.lam.shape == (8,)
+        assert trajectory.lams.shape == (8,)
 
     def test_energy_columns_match_energy_of(self, unit_params, trajectory):
         for k in (0, 100, -1):
-            assert energy_of(unit_params, sample_state(trajectory, k)).total == pytest.approx(
+            assert energy_of(unit_params, *sample_state(trajectory, k)).total == pytest.approx(
                 trajectory.total[k], rel=1e-14
             )
 
@@ -302,28 +292,28 @@ class TestTrajectoryArrays:
             trajectory.total, trajectory.dissipation,
         )
         for k in range(trajectory.t.size):
-            e = energy_of(unit_params, sample_state(trajectory, k))
+            e = energy_of(unit_params, *sample_state(trajectory, k))
             expected = (e.kinetic, e.bending, e.thermal, e.total, e.dissipation_rate)
             assert tuple(col[k] for col in columns) == expected
 
 
 class TestEnergyBalance:
     def test_zero_trajectory_residual_zero(self, unit_params, pi_interval):
-        init = state_from_coefficients(pi_interval, 2)
-        samples = evolve(unit_params, init, np.linspace(0.0, 1.0, 11))
+        init = initial(pi_interval, 2)
+        samples = evolve(unit_params, *init, np.linspace(0.0, 1.0, 11))
         report = energy_balance_report(samples)
         assert report.max_abs_residual == 0.0
 
     def test_forward_identity_dense(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0, theta=0.5)
         times = 1e-3 * np.arange(5001)
-        report = energy_balance_report(evolve(unit_params, init, times))
+        report = energy_balance_report(evolve(unit_params, *init, times))
         assert report.max_abs_residual <= 1e-8
 
     def test_backward_identity_sign_flipped(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0, theta=1.0)
         times = 1e-3 * np.arange(1001)
-        samples = evolve(unit_params, init, times, Direction.BACKWARD)
+        samples = evolve(unit_params, *init, times, Direction.BACKWARD)
         report = energy_balance_report(samples, Direction.BACKWARD)
         assert report.max_abs_residual <= 1e-8
         # energy grows along the reversed heat flow here, so the forward
@@ -350,51 +340,28 @@ class TestEnergyBalance:
 
     def test_needs_two_samples(self, unit_params, pi_interval):
         init = single_mode_state(pi_interval, u=1.0)
-        samples = evolve(unit_params, init, [0.0])
+        samples = evolve(unit_params, *init, [0.0])
         with pytest.raises(InsufficientSamples):
             energy_balance_report(samples)
-
-
-class TestSpectralState:
-    def test_coefficients_padded_and_truncated(self, pi_interval):
-        state = state_from_coefficients(pi_interval, 3, u=[1, 2, 3, 4], theta=[0.5])
-        assert state.x.tolist() == [[1.0, 0.0, 0.5], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]]
-        assert state.x.dtype == float
-        assert state.modes.lam.tolist() == [1.0, 4.0, 9.0]
-
-    def test_complex_only_when_an_imaginary_part_is_nonzero(self, pi_interval):
-        real = state_from_coefficients(pi_interval, 2, u=[1.0 + 0.0j])
-        assert real.x.dtype == float
-        state = state_from_coefficients(pi_interval, 2, u=[1.0], theta=[0.0, 2.0j])
-        assert state.x.dtype == complex
-        assert state.x[1, 2] == 2.0j
-
-    def test_shape_and_finiteness_checked(self, pi_interval):
-        modes = state_from_coefficients(pi_interval, 2).modes
-        with pytest.raises(ValueError, match="shape"):
-            SpectralState(pi_interval, modes, np.zeros((3, 3)))
-        for bad in (np.nan, np.inf, complex(0.0, np.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                SpectralState(pi_interval, modes, [[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
 
 
 class TestEnergyBreakdown:
     def test_total_is_exact_sum(self, pi_interval):
         rng = np.random.default_rng(21)
         params = ModelParams(1.7, 0.9, 1.1, 2.2, 0.8, -1.1)
-        state = state_from_coefficients(
+        state = initial(
             pi_interval, 4, u=rng.standard_normal(4).tolist(),
             v=rng.standard_normal(4).tolist(), theta=rng.standard_normal(4).tolist(),
         )
-        e = energy_of(params, state)
+        e = energy_of(params, *state)
         assert e.total == e.kinetic + e.bending + e.thermal
         assert e.dissipation_rate >= 0.0
 
     def test_unit_weights(self, unit_params, pi_interval):
         """Mode 2 of the pi interval (lam = 4) weighs u by c lam^2 = 16,
         v by rho and theta by a; D weighs theta by b lam + d lam^2."""
-        state = state_from_coefficients(pi_interval, 2, u=[0.0, 1.0], v=[0.0, 1.0], theta=[0.0, 1.0])
-        e = energy_of(unit_params, state)
+        state = initial(pi_interval, 2, u=[0.0, 1.0], v=[0.0, 1.0], theta=[0.0, 1.0])
+        e = energy_of(unit_params, *state)
         assert (e.kinetic, e.bending, e.thermal) == (0.5, 8.0, 0.5)
         assert e.dissipation_rate == 20.0
 
@@ -405,13 +372,13 @@ class TestEnergyBreakdown:
         half = Interval(math.pi / 2.0)
         assert half.eigenvalue(1) == 4.0
         coefficients = dict(u=[0.7], v=[-1.3], theta=[0.4])
-        e1 = energy_of(params, state_from_coefficients(pi_interval, 1, **coefficients))
-        e4 = energy_of(params, state_from_coefficients(half, 1, **coefficients))
+        e1 = energy_of(params, *initial(pi_interval, 1, **coefficients))
+        e4 = energy_of(params, *initial(half, 1, **coefficients))
         assert e4.bending == 16.0 * e1.bending
         assert (e4.kinetic, e4.thermal) == (e1.kinetic, e1.thermal)
 
     def test_negative_bending_when_c_negative(self, pi_interval):
         params = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
         state = single_mode_state(pi_interval, u=1.0)
-        e = energy_of(params, state)
+        e = energy_of(params, *state)
         assert e.total == pytest.approx(-0.5)

@@ -30,7 +30,7 @@ def block_norm(params, lam, omega):
 
 def sup_norm(params, domain, omega, mode_count):
     """The sup of block_norm over the first mode_count modes of a domain."""
-    return float(resolvent._sup_norms(params, enumerate_modes(domain, mode_count).lam, [omega])[0][0])
+    return float(resolvent._sup_norms(params, enumerate_modes(domain, mode_count), [omega])[0][0])
 
 
 class TestResolventNorm:
@@ -65,22 +65,22 @@ class TestResolventNorm:
 
 class TestScan:
     def test_single_point_grid(self, unit_params, pi_interval):
-        scan = scan_imaginary_axis(unit_params, pi_interval, [0.0], 4)
+        scan = scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 4), [0.0])
         assert scan.norms.shape == (1,)
         assert np.isfinite(scan.norms[0])
         assert scan.sup_norm == scan.tail_min == scan.norms[0]
 
     def test_matches_pointwise_norm(self, unit_params, pi_interval):
         grid = [0.0, 1.0, 5.0, 25.0]
-        scan = scan_imaginary_axis(unit_params, pi_interval, grid, 12)
+        scan = scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 12), grid)
         for k, omega in enumerate(grid):
             assert scan.norms[k] == pytest.approx(
                 sup_norm(unit_params, pi_interval, omega, 12), rel=1e-12
             )
 
     def test_resonant_tail_does_not_vanish(self, unit_params, pi_interval):
-        grid = resonant_omega_grid(unit_params, pi_interval, 64, 5.0, 2000.0)
-        scan = scan_imaginary_axis(unit_params, pi_interval, grid, 64)
+        lams = enumerate_modes(pi_interval, 64)
+        scan = scan_imaginary_axis(unit_params, lams, resonant_omega_grid(unit_params, lams, 5.0, 2000.0))
         # tail minimum stays within 10% of the verified asymptotic peak
         assert scan.limit_peak == 2.0
         assert scan.tail_min >= 0.9 * scan.limit_peak
@@ -89,21 +89,21 @@ class TestScan:
         """d = 0 restores resolvent decay ~ 1/omega along the resonances."""
         stable = ModelParams.unit()
         classical = ModelParams.unit(d=0.0)
-        grid = resonant_omega_grid(stable, pi_interval, 64, 5.0, 2000.0)
-        scan = scan_imaginary_axis(classical, pi_interval, grid, 64)
+        lams = enumerate_modes(pi_interval, 64)
+        scan = scan_imaginary_axis(classical, lams, resonant_omega_grid(stable, lams, 5.0, 2000.0))
         head = scan.norms[0]
         assert scan.tail_min <= head / 10.0
 
     def test_mode_count_monotone(self, unit_params, pi_interval):
         grid = np.linspace(1.0, 50.0, 9)
-        lo = scan_imaginary_axis(unit_params, pi_interval, grid, 8)
-        hi = scan_imaginary_axis(unit_params, pi_interval, grid, 16)
+        lo = scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 8), grid)
+        hi = scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 16), grid)
         assert np.all(hi.norms >= lo.norms)
 
     def test_requires_stable_regime(self, pi_interval):
         """For c < 0 the energy is not a norm and the scan has no meaning."""
         with pytest.raises(ValueError, match="requires c > 0"):
-            scan_imaginary_axis(ModelParams.unit(c=-1.0), pi_interval, [0.0, 1.0], 4)
+            scan_imaginary_axis(ModelParams.unit(c=-1.0), enumerate_modes(pi_interval, 4), [0.0, 1.0])
 
 
 @st.composite
@@ -159,7 +159,7 @@ class TestNormKernel:
     def test_scan_bits_do_not_depend_on_passes(self, unit_params, pi_interval):
         grid = np.geomspace(0.1, 1e4, 300)
         assert grid.size * 64 > 2 * resolvent.BLOCK_BUDGET
-        scan = scan_imaginary_axis(unit_params, pi_interval, grid, 64)
+        scan = scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 64), grid)
         pointwise = [sup_norm(unit_params, pi_interval, w, 64) for w in grid]
         assert scan.norms.tobytes() == np.array(pointwise).tobytes()
         mirror = sup_norm(unit_params, pi_interval, -grid[0], 64)
@@ -173,7 +173,7 @@ class TestNormKernel:
         grid = np.geomspace(0.1, 1e4, 4000)
         tracemalloc.start()
         try:
-            scan = scan_imaginary_axis(unit_params, pi_interval, grid, 512)
+            scan = scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 512), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -187,10 +187,10 @@ class TestNormKernel:
         at most BLOCK_BUDGET it stays below 5 MB."""
         domain = Rectangle(math.pi, 2.0)
         grid = np.geomspace(0.1, 1e4, 200)
-        scan_imaginary_axis(unit_params, domain, grid[:2], 2048)
+        scan_imaginary_axis(unit_params, enumerate_modes(domain, 2048), grid[:2])
         tracemalloc.start()
         try:
-            scan = scan_imaginary_axis(unit_params, domain, grid, 2048)
+            scan = scan_imaginary_axis(unit_params, enumerate_modes(domain, 2048), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,7 +256,7 @@ class TestPrunedSup:
         """Kept blocks carried from one Jacobi call to the next, and passes
         of one omega that fill several calls (budget 7 < 64 modes), leave
         every bit of the sups as one call over all the kept blocks does."""
-        lams = enumerate_modes(pi_interval, 64).lam
+        lams = enumerate_modes(pi_interval, 64)
         omegas = np.geomspace(0.1, 1e4, 300)
         whole, kept, calls = resolvent._sup_norms(unit_params, lams, omegas)
         assert calls == 1
@@ -278,7 +278,7 @@ class TestPrunedSup:
 
         monkeypatch.setattr(resolvent, "_gram_top", counting)
         grid = np.geomspace(0.1, 1e4, 2000)
-        scan_imaginary_axis(unit_params, pi_interval, grid, 64)
+        scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 64), grid)
         # the scan adds -grid[0], its conjugation-symmetry probe
         assert sum(received) <= 0.1 * (grid.size + 1) * 64
 
@@ -386,7 +386,7 @@ class TestNondiffSequence:
         domain = Rectangle(2.0, 1.0)
         seq = nondiff_sequence(params, domain, 40, branch)
         assert seq.n.tolist() == list(range(1, 41))
-        for i, lam in enumerate(enumerate_modes(domain, 40).lam.tolist()):
+        for i, lam in enumerate(enumerate_modes(domain, 40).tolist()):
             omega, q, p, norm_v_sq = scalar_term(params, lam, branch)
             assert (seq.lam[i], seq.omega[i], seq.q[i]) == (lam, omega, q)
             assert seq.p[i] == pytest.approx(p, rel=1e-15)
@@ -430,7 +430,7 @@ class TestNondiffLimit:
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
         lam_star, n = gap_reach(params, domain, tolerance)
         assert closed_form_gap(params, lam_star) == pytest.approx(tolerance, rel=1e-12)
-        lams = enumerate_modes(domain, n).lam
+        lams = enumerate_modes(domain, n)
         gaps = closed_form_gap(params, lams)
         assert gaps[-1] <= tolerance
         assert np.all(gaps[:-1] > tolerance)
@@ -444,24 +444,14 @@ class TestNondiffLimit:
 
 class TestResonantGrid:
     def test_grid_contents(self, unit_params, pi_interval):
-        grid = resonant_omega_grid(unit_params, pi_interval, 10, 3.0, 50.0)
+        grid = resonant_omega_grid(unit_params, enumerate_modes(pi_interval, 10), 3.0, 50.0)
         assert np.array_equal(grid, [4.0, 9.0, 16.0, 25.0, 36.0, 49.0])
 
-    @pytest.mark.parametrize("fill", [0, 7, 40])
-    def test_dedupe_keeps_the_bits_of_np_unique(self, unit_params, fill):
-        # the unit square repeats eigenvalues (lam_jk = lam_kj), and the
-        # filler can land on a resonance
-        domain = Rectangle(math.pi, math.pi)
-        grid = resonant_omega_grid(unit_params, domain, 60, 1.0, 100.0, fill=fill)
-        lams = enumerate_modes(domain, 60).lam
+    def test_dedupe_keeps_the_bits_of_np_unique(self, unit_params):
+        # the unit square repeats eigenvalues (lam_jk = lam_kj)
+        lams = enumerate_modes(Rectangle(math.pi, math.pi), 60)
+        grid = resonant_omega_grid(unit_params, lams, 1.0, 100.0)
         omegas = lams[(1.0 <= lams) & (lams <= 100.0)]
-        if fill:
-            omegas = np.append(omegas, np.geomspace(1.0, 100.0, fill))
         expected = np.unique(omegas)
         assert expected.size < omegas.size
         assert grid.tobytes() == expected.tobytes()
-
-    def test_fill_merges_sorted_unique(self, unit_params, pi_interval):
-        grid = resonant_omega_grid(unit_params, pi_interval, 10, 3.0, 50.0, fill=7)
-        assert np.all(np.diff(grid) > 0)
-        assert {4.0, 9.0, 16.0, 25.0, 36.0, 49.0} <= set(grid.tolist())

@@ -5,9 +5,9 @@ import pytest
 
 from gradiplate import (
     ModelParams,
+    enumerate_modes,
     evolve,
     spectral_abscissa,
-    state_from_coefficients,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +22,7 @@ from gradiplate.spectrum import (
     row_max,
 )
 from oracles import bisect_real_root, companion_roots
+from states import initial
 
 
 def sorted_by_real_imag(roots):
@@ -159,7 +160,7 @@ class TestFloatRange:
 
 class TestSpectralAbscissa:
     def test_stable_negative_and_matches_modewise_max(self, unit_params, pi_interval):
-        value = spectral_abscissa(unit_params, pi_interval, 64)
+        value = spectral_abscissa(unit_params, enumerate_modes(pi_interval, 64))
         roots, _, _ = mode_spectra(unit_params, [float(n * n) for n in range(1, 65)])
         per_mode = [max(z.real for z in row) for row in roots.tolist()]
         assert value == max(per_mode)
@@ -167,11 +168,7 @@ class TestSpectralAbscissa:
 
     def test_unstable_positive(self, pi_interval):
         params = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
-        assert spectral_abscissa(params, pi_interval, 8) > 0.0
-
-    def test_mode_count_validation(self, unit_params, pi_interval):
-        with pytest.raises(ValueError, match="mode_count"):
-            spectral_abscissa(unit_params, pi_interval, 0)
+        assert spectral_abscissa(params, enumerate_modes(pi_interval, 8)) > 0.0
 
     def test_order_invariance(self, unit_params):
         lams = [9.0, 1.0, 4.0]
@@ -213,19 +210,19 @@ class TestFitDecay:
         params = ModelParams(rho=1.0, a=2.0, b=0.5, c=1.0, d=0.25, eta=0.0)
         lam = 1.0
         rate = (params.b * lam + params.d * lam**2) / params.a
-        init = state_from_coefficients(pi_interval, 1, theta=[1.0])
+        init = initial(pi_interval, 1, theta=[1.0])
         times = np.linspace(0.0, 20.0, 3001)
-        gamma, rms_residual = log_rate(evolve(params, init, times), t_min=5.0)
+        gamma, rms_residual = log_rate(evolve(params, *init, times), t_min=5.0)
         assert gamma == pytest.approx(rate, rel=1e-10)
         assert rms_residual <= 1e-10
 
     def test_multimode_gamma_close_to_abscissa(self, unit_params, pi_interval):
-        init = state_from_coefficients(
+        init = initial(
             pi_interval, 8, u=[1.0, 0.2], theta=[0.5, 0.1, 0.05]
         )
         times = np.linspace(0.0, 50.0, 5001)
-        gamma, _ = log_rate(evolve(unit_params, init, times), t_min=5.0)
-        abscissa = spectral_abscissa(unit_params, pi_interval, 8)
+        gamma, _ = log_rate(evolve(unit_params, *init, times), t_min=5.0)
+        abscissa = spectral_abscissa(unit_params, init[0])
         assert gamma > 0
         assert abs(gamma - abs(abscissa)) / abs(abscissa) <= 0.05
 
