@@ -309,9 +309,13 @@ def convexity_trajectory(
         )
         fddot[lo:hi] = 4.0 * (kinetic - bending - thermal) + 2.0 * omega_const
 
-    for block in evolution.blocks():
-        fill(*block)
-        del block  # no block outlives its turn
+    # the sums of F and F' may overflow in a block before the one whose
+    # energy columns overflow, which then ends the run;
+    # convexity_residual_check reports any others
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in evolution.blocks():
+            fill(*block)
+            del block  # no block outlives its turn
     return ConvexityTrajectory(t, f, fdot, fddot, sol.nu, omega_const, t0, sol.phi)
 
 

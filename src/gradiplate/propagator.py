@@ -23,7 +23,7 @@ functionals (L1, L2, F'') read its columns instead of summing it again.
 Modes whose initial data are zero stay exactly at rest, so no
 time-domain array holds them: the kernel evolves, and the energy form
 sums, only the live modes (`live_modes`).  An `Evolution` is the one
-driver of the kernel: it walks the time blocks of about
+driver of the kernel: it walks the time blocks of at most
 BLOCK_MODE_SAMPLES live mode-samples and yields, for each, the states of
 the live modes, the columns of E (kinetic, bending, thermal, total) and
 D, and the running integral of its weight q (by default D's, so
@@ -56,11 +56,11 @@ SERIES_CHUNK = 2**11
 EXPM1_LIMIT = 0.5
 # live mode-samples per time block: a time-domain run holds the states of
 # one block and the kernel's temporaries, a few dozen arrays of this
-# length, and 1-D columns of the whole grid
+# length, and 1-D columns of the whole grid, whatever the live mode count
 BLOCK_MODE_SAMPLES = 2**13
-# samples per time block at least and at most: a block's energy columns
-# and the kernel's per-sample terms do not shrink with the live mode count
-BLOCK_SAMPLES_MIN, BLOCK_SAMPLES_MAX = 64, 2**14
+# samples per time block at most: past it the per-sample terms of the
+# kernel, not its per-block calls, set the time of a block
+BLOCK_SAMPLES_MAX = 2**14
 ENERGY_FLOOR = 1e-300
 
 
@@ -164,8 +164,8 @@ class Trajectory(EnergyHistory):
 def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     """The (lo, hi) sample ranges of the time blocks of a grid.
 
-    A block holds about BLOCK_MODE_SAMPLES mode-samples of `modes` live
-    modes: a power of two of samples, from BLOCK_SAMPLES_MIN to
+    A block holds at most BLOCK_MODE_SAMPLES mode-samples of `modes` live
+    modes: the largest power of two of samples that fits, from 2 to
     BLOCK_SAMPLES_MAX, or the whole grid when that is shorter (so a grid
     with no live mode is one block up to that size).  The kernel works on
     each sample apart, and the sums over modes run along axis 0, except in
@@ -173,7 +173,7 @@ def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     one-sample tail joins the block before it, so no bit depends on the
     blocking.
     """
-    per = BLOCK_SAMPLES_MIN
+    per = 2
     while per < min(samples, BLOCK_SAMPLES_MAX) and 2 * per * modes <= BLOCK_MODE_SAMPLES:
         per *= 2
     starts = list(range(0, samples, per))

@@ -32,6 +32,9 @@ from .model import ModelParams
 
 THREE_REAL = "three real"
 REAL_PLUS_PAIR = "one real + complex pair"
+# cubics solved at once: the solver holds a few dozen long double arrays of
+# three roots per cubic, so its working set stays fixed whatever the count
+CUBIC_BATCH = 512
 
 
 def characteristic_coefficients(params: ModelParams, lam: float | np.ndarray):
@@ -153,6 +156,8 @@ def mode_spectra(params: ModelParams, lams) -> tuple[np.ndarray, np.ndarray, np.
     classification strings, and the (L, 3) residuals of the roots.  A cubic
     whose mu, kappa + eps or kappa mu leaves the normal float range is
     solved for z / 2^k instead, k the nearest integer to log2(kappa mu)/3.
+    The cubics go through the solver CUBIC_BATCH at a time; every step of
+    it is elementwise, so no bit depends on the batch.
     """
     mu, kappa, eps = characteristic_coefficients(params, np.array(lams, dtype=float, ndmin=1))
     with np.errstate(all="ignore"):
@@ -160,8 +165,13 @@ def mode_spectra(params: ModelParams, lams) -> tuple[np.ndarray, np.ndarray, np.
         normal = [(np.finfo(float).tiny <= abs(x)) & (abs(x) < np.inf) for x in (mu, a1, a0)]
         normal[1] |= a1 == 0.0
         k = np.where(np.all(normal, axis=0), 0, np.round((np.log2(abs(kappa)) + np.log2(mu)) / 3.0)).astype(int)
-        roots, kinds, residuals = _solve_cubics(
-            np.ldexp(mu, -k), np.ldexp(a1, -2 * k), np.ldexp(kappa, -k) * np.ldexp(mu, -2 * k))
+        a2, a1, a0 = np.ldexp(mu, -k), np.ldexp(a1, -2 * k), np.ldexp(kappa, -k) * np.ldexp(mu, -2 * k)
+        # one batch at least, so that no live mode gives empty arrays
+        batches = [
+            _solve_cubics(a2[lo : lo + CUBIC_BATCH], a1[lo : lo + CUBIC_BATCH], a0[lo : lo + CUBIC_BATCH])
+            for lo in range(0, max(k.size, 1), CUBIC_BATCH)
+        ]
+        roots, kinds, residuals = (np.concatenate(parts) for parts in zip(*batches))
     roots[k != 0] *= np.ldexp(1.0, k[k != 0])[:, None]
     return roots, kinds, residuals
 

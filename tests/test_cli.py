@@ -277,6 +277,19 @@ class TestRegressionConfigs:
         rows = (tmp_path / "o" / "simulate.csv").read_text().splitlines()
         assert len(rows) == 3
 
+    def test_nondiff_whose_terms_overflow_is_a_config_error(self, tmp_path, capsys):
+        # lam_1 = 1e152 passes the range check of mode_count = 1, but the
+        # sequence cubes lam_1 .. lam_30, and squares them, which overflows
+        # from lam_12 on: it exited 3 after numpy's overflow warnings
+        lines = base_model() + [
+            "domain = interval", "length = 3.141592653589793e-76", "mode_count = 1", "n_max = 30",
+        ]
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        assert main(["nondiff", "--config", cfg, "--out", str(out)]) == 2
+        assert "lam^2, lam^3 and their products" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_backward_on_a_two_sample_grid_is_a_config_error(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         cfg = write_config(tmp_path, "run.cfg", self.TWO_SAMPLES)

@@ -19,6 +19,7 @@ from gradiplate import (
     scan_imaginary_axis,
 )
 from gradiplate import resolvent
+from gradiplate.errors import EigenvalueOutOfRange
 from gradiplate.model import enumerate_modes, mode_blocks
 from oracles import lapack_resolvent_norms, lapack_resolvent_solve, mp_resolvent_singular_values
 
@@ -196,6 +197,28 @@ class TestNormKernel:
             tracemalloc.stop()
         assert peak < 5e6
         assert scan.kept_blocks > resolvent.BLOCK_BUDGET
+
+    # float arrays of BLOCK_BUDGET entries that a pass of the norm bounds
+    # and a Jacobi call hold at once, at most
+    BLOCK_ARRAYS = 48
+
+    def test_wide_scan_memory_does_not_grow_with_the_mode_count(self, unit_params, pi_interval):
+        """65,536 modes x 20 frequencies, more modes than BLOCK_BUDGET: each
+        omega row takes two passes over its mode slices, one for its bar and
+        one for its kept blocks, so the peak stays within BLOCK_ARRAYS arrays
+        of the budget (1.6 MB).  A pass over a whole row peaked at 13.2 MB."""
+        lams = enumerate_modes(pi_interval, 65536)
+        grid = np.geomspace(0.1, 1e4, 20)
+        assert lams.size > resolvent.BLOCK_BUDGET
+        scan_imaginary_axis(unit_params, lams[:2], grid[:2])
+        tracemalloc.start()
+        try:
+            scan = scan_imaginary_axis(unit_params, lams, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(scan.norms))
+        assert peak <= self.BLOCK_ARRAYS * 8 * resolvent.BLOCK_BUDGET
 
     def test_decoupled_resonance_is_singular(self):
         """eta = 0 leaves the plate undamped: i*omega = i*sqrt(c/rho)*lam is
@@ -413,6 +436,15 @@ class TestNondiffLimit:
     def test_n_max_validation(self, unit_params, pi_interval):
         with pytest.raises(ValueError):
             nondiff_sequence(unit_params, pi_interval, 0)
+
+    @pytest.mark.parametrize("length, n_max", [
+        (math.pi * 1e-76, 30), (math.pi * 1e-50, 1000), (math.pi * 1e160, 10),
+    ])
+    def test_terms_out_of_the_float_range(self, unit_params, length, n_max):
+        """lam^3 overflows at lam_1 = 1e152, and at lam_1000 = 1e106 although
+        not at lam_1 = 1e100; at lam_1 = 1e-320, 1/(eta lam) does."""
+        with pytest.raises(EigenvalueOutOfRange):
+            nondiff_sequence(unit_params, Interval(length), n_max)
 
     def test_gap_column_ends_in_gap_at_end(self, unit_params, pi_interval):
         seq = nondiff_sequence(unit_params, pi_interval, 30)
