@@ -23,7 +23,7 @@ functionals (L1, L2, F'') read its columns instead of summing it again.
 Modes whose initial data are zero stay exactly at rest, so no
 time-domain array holds them: the kernel evolves, and the energy form
 sums, only the live modes (`live_modes`).  An `Evolution` is the one
-driver of the kernel: it walks the time blocks of at most
+driver of the kernel: it walks the time blocks of about
 BLOCK_MODE_SAMPLES live mode-samples and yields, for each, the states of
 the live modes, the columns of E (kinetic, bending, thermal, total) and
 D, and the running integral of its weight q (by default D's, so
@@ -56,11 +56,16 @@ SERIES_CHUNK = 2**11
 EXPM1_LIMIT = 0.5
 # live mode-samples per time block: a time-domain run holds the states of
 # one block and the kernel's temporaries, a few dozen arrays of this
-# length, and 1-D columns of the whole grid, whatever the live mode count
+# length, and 1-D columns of the whole grid
 BLOCK_MODE_SAMPLES = 2**13
-# samples per time block at most: past it the per-sample terms of the
-# kernel, not its per-block calls, set the time of a block
-BLOCK_SAMPLES_MAX = 2**14
+# samples per time block at least and at most.  A block holds about 12
+# floats a live mode-sample and the kernel's per-mode setup peaks at about
+# 1.3 KB a live mode, so past 1,024 live modes a block of 8 samples holds
+# about as much as the setup: narrower ones would lower the run's peak by a
+# few percent at most, and add per-block calls.  Past the most, the
+# per-sample terms of the kernel, not its per-block calls, set the time of
+# a block
+BLOCK_SAMPLES_MIN, BLOCK_SAMPLES_MAX = 8, 2**14
 ENERGY_FLOOR = 1e-300
 
 
@@ -164,8 +169,9 @@ class Trajectory(EnergyHistory):
 def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     """The (lo, hi) sample ranges of the time blocks of a grid.
 
-    A block holds at most BLOCK_MODE_SAMPLES mode-samples of `modes` live
-    modes: the largest power of two of samples that fits, from 2 to
+    A block holds about BLOCK_MODE_SAMPLES mode-samples of `modes` live
+    modes: the largest power of two of samples that fits, from
+    BLOCK_SAMPLES_MIN (which more than 1,024 live modes overfill) to
     BLOCK_SAMPLES_MAX, or the whole grid when that is shorter (so a grid
     with no live mode is one block up to that size).  The kernel works on
     each sample apart, and the sums over modes run along axis 0, except in
@@ -173,7 +179,7 @@ def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     one-sample tail joins the block before it, so no bit depends on the
     blocking.
     """
-    per = 2
+    per = BLOCK_SAMPLES_MIN
     while per < min(samples, BLOCK_SAMPLES_MAX) and 2 * per * modes <= BLOCK_MODE_SAMPLES:
         per *= 2
     starts = list(range(0, samples, per))

@@ -28,7 +28,8 @@ eigenvalue accurate where the top two coincide, which a closed-form cubic
 does not.  Blocks go through the kernel BLOCK_BUDGET at a time, and the
 kept blocks of successive passes go through Jacobi exactly BLOCK_BUDGET at
 a time (the last call takes the rest), so the working set is fixed
-whatever the number of frequencies or modes; every operation is
+whatever the number of frequencies (a pass takes one omega row whole, so
+past BLOCK_BUDGET modes it grows with the mode count); every operation is
 elementwise, so a block's norm has the same bits whichever pass or Jacobi
 call holds it.
 
@@ -78,7 +79,7 @@ def _require_stable(params: ModelParams, what: str) -> None:
 
 # Blocks per kernel pass, and kept blocks per Jacobi call.  Each holds a few
 # dozen float arrays of this length, so the scan's working set stays fixed
-# whatever its W and M.
+# whatever its W, and its M up to BLOCK_BUDGET.
 BLOCK_BUDGET = 1 << 12
 # Cyclic Jacobi sweeps per pass; Gram blocks have reached roundoff within 4
 # sweeps on every grid tried.
@@ -166,9 +167,11 @@ def _abs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _bounds(params: ModelParams, lams, omegas) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """The blocks of `lams` (M,) x `omegas` (W, 1), scaled, and the lower
-    and upper bounds on their norms, all (W, M)."""
+def _kept_blocks(params: ModelParams, lams, omegas) -> tuple[np.ndarray, ...]:
+    """The blocks of `lams` (M,) x `omegas` (W, 1) whose norm bounds reach
+    their row's bar, as flat arrays: the row of each, its Gram diagonal and
+    off-diagonal entries, |det|^2 and the scale exponent of its norm.
+    Only these go through Jacobi."""
     k = math.sqrt(params.c / params.rho) * lams
     g = abs(params.eta) / math.sqrt(params.rho * params.a) * lams
     h = params.heat_weight(lams) / params.a
@@ -204,42 +207,30 @@ def _bounds(params: ModelParams, lams, omegas) -> tuple[tuple[np.ndarray, ...], 
     max_diag = np.maximum(np.maximum(d0, d1), d2)
     low = np.ldexp(np.sqrt(max_diag / det2) * (1.0 - _PRUNE_MARGIN), scale)
     high = np.ldexp(np.sqrt((d0 + d1 + d2) / det2) * (1.0 + _PRUNE_MARGIN), scale)
-    return (w, k, g, h, k2, g2, w2, h2, shift, gram_exp, d0, d1, d2, det2, scale), low, high
-
-
-def _kept_blocks(params: ModelParams, lams, omegas, bar=None) -> tuple[np.ndarray, ...]:
-    """The blocks of `lams` (M,) x `omegas` (W, 1) whose norm bounds reach
-    their row's bar, as flat arrays: the row of each, its Gram diagonal and
-    off-diagonal entries, |det|^2 and the scale exponent of its norm.
-    Only these go through Jacobi.  The bar, (W, 1), is the largest lower
-    bound of each row, taken from these blocks unless given."""
-    blocks, low, high = _bounds(params, lams, omegas)
-    if bar is None:
-        bar = np.max(low, axis=1, keepdims=True)
     # negated, so that a nan or inf bound keeps its block
-    keep = ~(high < bar)
-    del low, high
-    w, k, g, h, k2, g2, w2, h2, shift, gram_exp, d0, d1, d2, det2, scale = (x[keep] for x in blocks)
-    del blocks
+    keep = ~(high < np.max(low, axis=1, keepdims=True))
+
+    w, k, g, h, k2, g2, w2, h2, shift, gram_exp = (
+        x[keep] for x in (w, k, g, h, k2, g2, w2, h2, shift, gram_exp)
+    )
     g01 = (k * h * g2, -2.0 * (k * w) * (w2 + h2))
     g02 = (-(k * g) * (shift - 2.0 * w2), 2.0 * (k * g) * (w * h))
     g12 = (-(g * h) * (k2 + w2), 2.0 * (g * w) * w2)
     off = (np.ldexp(x, -gram_exp) for x in (*g01, *g02, *g12))
-    return (np.nonzero(keep)[0], d0, d1, d2, *off, det2, scale)
+    kept = (d0[keep], d1[keep], d2[keep], *off, det2[keep], scale[keep])
+    return (np.nonzero(keep)[0], *kept)
 
 
 def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]:
     """Sup over `lams` of ||W^(1/2) (i omega - M_lam)^(-1) W^(-1/2)||, for
     each omega, with the number of kept blocks and of Jacobi calls.
 
-    The bounds run in passes of at most BLOCK_BUDGET blocks: whole omega
-    rows, or above BLOCK_BUDGET modes, slices of one row.  A row's bar
-    needs the whole row, so then the passes run twice: first for each
-    row's bar over its slices, then for the kept blocks of each slice.
-    Kept blocks wait until BLOCK_BUDGET of them are pending; then exactly
-    BLOCK_BUDGET go through one Jacobi call, and the rest wait for the
-    next.  Only the last call takes fewer, so the calls number
-    ceil(kept / BLOCK_BUDGET) and none is larger than the budget."""
+    The bounds run in passes of at most BLOCK_BUDGET blocks (or one
+    omega's worth, if more).  Kept blocks wait until BLOCK_BUDGET of them
+    are pending; then exactly BLOCK_BUDGET go through one Jacobi call, and
+    the rest wait for the next.  Only the last call takes fewer, so the
+    calls number ceil(kept / BLOCK_BUDGET) and none is larger than the
+    budget."""
     lams = np.asarray(lams, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     sups = np.zeros(omegas.size)
@@ -262,26 +253,10 @@ def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]
         np.maximum.at(sups, row, np.ldexp(np.sqrt(top / det2), scale))
         calls += 1
 
-    span = min(lams.size, BLOCK_BUDGET)
-    rows = BLOCK_BUDGET // span
-
-    def passes():
-        for start in range(0, omegas.size, rows):
-            for lo in range(0, lams.size, span):
-                yield slice(start, start + rows), slice(lo, lo + span)
-
-    bars = None
-    if span < lams.size:  # step 1: each row's bar over its slices
-        bars = np.full((omegas.size, 1), -np.inf)
-        for at, modes in passes():
-            low = _bounds(params, lams[modes], omegas[at, None])[1]
-            bars[at] = np.maximum(bars[at], np.max(low, axis=1, keepdims=True))
-    for at, modes in passes():
-        row, *blocks = _kept_blocks(
-            params, lams[modes], omegas[at, None], None if bars is None else bars[at]
-        )
-        if row.size:  # an empty pass would still hold its arrays' headers
-            pending.append((at.start + row, *blocks))
+    rows = max(1, BLOCK_BUDGET // lams.size)
+    for start in range(0, omegas.size, rows):
+        row, *blocks = _kept_blocks(params, lams, omegas[start : start + rows, None])
+        pending.append((start + row, *blocks))
         held += row.size
         kept += row.size
         while held >= BLOCK_BUDGET:

@@ -3,7 +3,7 @@ states of one time block at a time, and their output does not depend on the
 blocking.
 
 Each check runs the CLI in-process twice, once with `BLOCK_MODE_SAMPLES` so
-small that every block has a few samples (64, or the least number, 2) and
+small that every block has a few samples (64, or the least number, 8) and
 once so large that the whole grid is one block, and compares the CSV bytes.
 """
 
@@ -26,7 +26,8 @@ UNSTABLE = ["rho = 1", "a = 1", "b = 1", "c = -1", "d = 1", "eta = 1"]
 INTERVAL = ["domain = interval", f"length = {PI}"]
 INTERVAL_64 = INTERVAL + ["mode_count = 64"]
 # the time-domain bench invocations at a tenth of their horizon or less, on
-# 1,025 samples: 16 blocks of 64 samples and a one-sample tail
+# 1,025 samples: blocks of 64 samples, or of the least number, 8, and a
+# one-sample tail
 REDUCED_TIME_DOMAIN = {
     "simulate": UNIT + INTERVAL_64 + [
         "t_end = 1.024", "dt = 0.001", "initial = first-mode-bend+thermal-pulse",
@@ -73,8 +74,8 @@ def budget(subcommand, lines, samples):
 
 def assert_block_invariant(tmp_path, subcommand, lines, monkeypatch, samples=64):
     """Runs in blocks of `samples` samples and in one block give the same
-    exit code and CSV bytes; the sweeps take 64, since 2-sample blocks
-    would run them several times as long."""
+    exit code and CSV bytes; the sweeps take 64, since blocks of the least
+    size would run them several times as long."""
     small = run(tmp_path, subcommand, lines, budget(subcommand, lines, samples), monkeypatch)
     whole = run(tmp_path, subcommand, lines, ONE_BLOCK, monkeypatch)
     assert small[:2] == whole[:2]
@@ -93,31 +94,32 @@ class TestTimeBlocks:
         assert time_blocks(1, 200001)[:2] == [(0, 2**14), (2**14, 2**15)]
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 1)
         blocks = time_blocks(64, 1025)
-        assert [hi - lo for lo, hi in blocks] == [2] * 511 + [3]
+        assert [hi - lo for lo, hi in blocks] == [8] * 127 + [9]
         assert time_blocks(3, 1) == [(0, 1)]
-        assert time_blocks(3, 2) == [(0, 2)]
-        assert time_blocks(3, 3) == [(0, 3)]
+        assert time_blocks(3, 9) == [(0, 9)]
+        assert time_blocks(3, 10) == [(0, 8), (8, 10)]
 
-    def test_blocks_hold_the_budget_down_to_two_samples(self, monkeypatch):
+    def test_blocks_hold_the_budget_down_to_the_least_samples(self, monkeypatch):
         """At the default budget of 2^13 live mode-samples: the time-domain
-        bench's 27 live modes take 256 samples a block, the wide plate's
-        1,254 take 4, and from 2,049 live modes on a block has 2 samples."""
+        bench's 27 live modes take 256 samples a block, and from 1,024 live
+        modes on, the wide plate's 1,254 among them, a block has 8."""
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 2**13)
         assert time_blocks(27, 10001)[:2] == [(0, 256), (256, 512)]
-        assert time_blocks(1254, 11) == [(0, 4), (4, 8), (8, 11)]
-        assert time_blocks(2048, 65)[0] == (0, 4)
-        assert [hi - lo for lo, hi in time_blocks(8192, 65)] == [2] * 31 + [3]
-        for modes in (1, 27, 1254, 2048, 2049, 8192):
+        assert time_blocks(1254, 11) == [(0, 8), (8, 11)]
+        assert time_blocks(1024, 65)[0] == (0, 8)
+        assert [hi - lo for lo, hi in time_blocks(8192, 65)] == [8] * 7 + [9]
+        for modes in (1, 27, 1023, 1024, 1025, 8192):
             per = time_blocks(modes, 10001)[0][1]
-            assert per * modes <= 2**13 < 2 * per * modes or per == 2
+            assert per * modes <= 2**13 < 2 * per * modes or per == 8
 
+    @pytest.mark.parametrize("samples, blocks", [(64, 16), (8, 128)])
     @pytest.mark.parametrize("subcommand", ["simulate", "instability", "backward"])
-    def test_reduced_time_domain_configs(self, tmp_path, monkeypatch, subcommand):
+    def test_reduced_time_domain_configs(self, tmp_path, monkeypatch, subcommand, samples, blocks):
         lines = REDUCED_TIME_DOMAIN[subcommand]
-        small, whole = assert_block_invariant(tmp_path, subcommand, lines, monkeypatch)
+        small, whole = assert_block_invariant(tmp_path, subcommand, lines, monkeypatch, samples)
         assert small[0] == 0
         live = 27 if subcommand == "simulate" else 1
-        assert small[2] == {"modes": 64, "live_modes": live, "samples": 1025, "time_blocks": 16}
+        assert small[2] == {"modes": 64, "live_modes": live, "samples": 1025, "time_blocks": blocks}
         assert whole[2]["time_blocks"] == 1
 
     EVERY_MODE_INSTABILITY = UNSTABLE + EIGHT_MODES + [
@@ -130,13 +132,13 @@ class TestTimeBlocks:
         assert small[0] == 0
         assert small[2] == {"modes": 8, "live_modes": 8, "samples": 1025, "time_blocks": 16}
 
-    def test_instability_in_two_sample_blocks(self, tmp_path, monkeypatch):
+    def test_instability_in_the_least_blocks(self, tmp_path, monkeypatch):
         """The mode sums of F, F' and F'' over eight live modes in blocks of
-        the least size, 2 samples, with a 3-sample tail."""
+        the least size, 8 samples, with a 9-sample tail."""
         lines = self.EVERY_MODE_INSTABILITY
-        small, _ = assert_block_invariant(tmp_path, "instability", lines, monkeypatch, 2)
+        small, _ = assert_block_invariant(tmp_path, "instability", lines, monkeypatch, 8)
         assert small[0] == 0
-        assert small[2] == {"modes": 8, "live_modes": 8, "samples": 1025, "time_blocks": 512}
+        assert small[2] == {"modes": 8, "live_modes": 8, "samples": 1025, "time_blocks": 128}
 
     def test_simulate_sweep_configs(self, tmp_path, monkeypatch):
         rng = random.Random(test_sweep.SEED)
@@ -151,16 +153,16 @@ class TestTimeBlocks:
             lines = [f"c = {-abs(c)!r}" if line.startswith("c = ") else line for line in lines]
             assert_block_invariant(tmp_path / str(n), "instability", lines, monkeypatch)
 
-    def test_instability_overflow_in_two_sample_blocks(self, tmp_path, monkeypatch):
+    def test_instability_overflow_in_the_least_blocks(self, tmp_path, monkeypatch):
         """Draws of the instability sweep whose F or F' mode sums overflow in
-        a 2-sample block before the next block's energy columns do: the run
+        an 8-sample block before the next block's energy columns do: the run
         exits 4 at the time one block gives, with no warning."""
         rng = random.Random(test_sweep.SEED + 7)
         draws = [test_sweep.simulate_config(rng) for _ in range(46)]
-        for n in (12, 16, 45):
+        for n in (16, 45):
             lines, c = draws[n]
             lines = [f"c = {-abs(c)!r}" if line.startswith("c = ") else line for line in lines]
-            small, _ = assert_block_invariant(tmp_path / str(n), "instability", lines, monkeypatch, 2)
+            small, _ = assert_block_invariant(tmp_path / str(n), "instability", lines, monkeypatch, 8)
             assert small[0] == 4
 
     def test_backward_sweep_configs(self, tmp_path, monkeypatch):
@@ -223,15 +225,15 @@ class TestEvolveBlocks:
     DOUBLE_ROOT = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta=3.0)
 
     def test_evolve_at_a_double_root(self, pi_interval, monkeypatch):
-        """Mode 1 sits on the double root of the block cubic; blocks of 64
-        samples of the three live modes give the bits of one block."""
+        """Mode 1 sits on the double root of the block cubic; blocks of the
+        least size, 8 samples, give the bits of one block."""
         state = initial(pi_interval, 3, u=[1.0, 0.5, -0.2], v=[-0.5], theta=[0.25, 0.1])
         times = 1e-3 * np.arange(1025)
         monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", ONE_BLOCK)
         whole = evolve(self.DOUBLE_ROOT, *state, times)
-        monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 64 * 3)
+        monkeypatch.setattr(propagator, "BLOCK_MODE_SAMPLES", 1)
         evolution = Evolution(self.DOUBLE_ROOT, *state, times)
-        assert len(evolution.time_blocks) == 16
+        assert len(evolution.time_blocks) == 128
         blocked = evolve(self.DOUBLE_ROOT, *state, times)
         assert np.array_equal(blocked.x, whole.x)
         for name in propagator._COLUMNS:
@@ -280,14 +282,12 @@ class TestMemory:
     dL2/dt, and the energy balance's errors and residuals; it may hold four
     temporaries of its checks on top.  Modes at rest cost at most
     BYTES_PER_REST_MODE each, as the config's per-mode records do.  A live
-    mode costs at most BYTES_PER_LIVE_MODE in the kernel's per-mode setup,
-    and a time block holds BLOCK_ARRAYS float arrays of its
-    max(BLOCK_MODE_SAMPLES, 2 x live) mode-samples at most."""
+    mode costs at most BYTES_PER_LIVE_MODE at the peak of the kernel's
+    per-mode setup, which a time block of the least size does not pass."""
 
     BYTES_PER_SAMPLE = {"simulate": 16 * 8, "instability": 16 * 8, "backward": (16 + 4) * 8}
     BYTES_PER_REST_MODE = 1024
     BYTES_PER_LIVE_MODE = 1536
-    BLOCK_ARRAYS = 32
 
     def peak(self, tmp_path, subcommand, dt, modes=64):
         model = UNSTABLE if subcommand == "instability" else UNIT
@@ -314,10 +314,10 @@ class TestMemory:
         assert growth <= self.BYTES_PER_REST_MODE * (4096 - 64)
 
     def test_wide_simulate_peak_is_bounded_by_the_budgets(self, tmp_path):
-        """8,192 live modes x 65 samples: the blocks have 2 samples, so the
-        run holds the per-mode setup and one block of 16,384 mode-samples
-        (16.8 MB by the bound).  Blocks of at least 64 samples held the
-        whole grid in one block and peaked at 55.9 MB."""
+        """8,192 live modes x 65 samples: the blocks have 8 samples, so the
+        run's peak is that of the per-mode setup (12.6 MB by the bound).
+        Blocks of 16 samples peaked at 18.2 MB, and blocks of at least 64
+        held the whole grid in one block and peaked at 55.9 MB."""
         live = 8192
         path = tmp_path / "wide.cfg"
         path.write_text("\n".join(UNIT + INTERVAL + [
@@ -331,7 +331,6 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = max(propagator.BLOCK_MODE_SAMPLES, 2 * live)
-        assert peak <= self.BYTES_PER_LIVE_MODE * live + self.BLOCK_ARRAYS * 8 * block
-        assert output.sizes == {"modes": live, "live_modes": live, "samples": 65, "time_blocks": 32}
+        assert peak <= self.BYTES_PER_LIVE_MODE * live
+        assert output.sizes == {"modes": live, "live_modes": live, "samples": 65, "time_blocks": 8}
         assert all(check.passed for check in output.checks)
