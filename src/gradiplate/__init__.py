@@ -49,36 +49,40 @@ _EXPORTS = {
         "quasi_decay_report",
     ),
     "resolvent": (
-        "NondiffSequence",
         "ResolventScan",
+        "resonant_omega_grid",
+        "scan_imaginary_axis",
+    ),
+    "nondiff": (
+        "NondiffSequence",
         "closed_form_gap",
         "gap_reach",
         "nondiff_sequence",
         "nondiff_target",
-        "resonant_omega_grid",
-        "scan_imaginary_axis",
     ),
-    "spectrum": (
+    "abscissa": (
         "spectral_abscissa",
     ),
-    "functionals": (
+    "backward": (
         "BackwardIdentityReport",
+        "GronwallReport",
+        "LyapunovSeries",
+        "coupling_sums",
+        "gronwall_check",
+        "identity_rate",
+        "lyapunov_series",
+        "verify_backward_identities",
+    ),
+    "instability": (
         "ConvexityReport",
         "ConvexityTrajectory",
-        "GronwallReport",
         "InstabilityReport",
-        "LyapunovSeries",
         "PhiSolution",
         "choose_weight_shift",
         "convexity_residual_check",
         "convexity_trajectory",
-        "coupling_sums",
-        "gronwall_check",
-        "identity_rate",
         "instability_lower_bound",
-        "lyapunov_series",
         "phi_coefficients",
-        "verify_backward_identities",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

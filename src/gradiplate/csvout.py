@@ -176,7 +176,8 @@ def _block(columns: list[np.ndarray]) -> bytes:
         [fields[k] if k in fields else _text_field(col) for k, col in enumerate(columns)], axis=1
     )
     table[:, -1] = _NEWLINE
-    return table[table != 0].tobytes()
+    # C order is row order: dropping the zero padding leaves the lines
+    return table.tobytes().translate(None, b"\0")
 
 
 def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:

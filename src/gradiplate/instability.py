@@ -1,26 +1,12 @@
-"""Lagrange-identity functionals and the convexity functional.
+"""The `instability` subcommand: the convexity functional of negative
+elasticity and its exponential lower bound.
 
-Two families of diagnostics live here.
-
-Backward uniqueness.  Along the time-reversed system the quadratic forms
-
-    L1 = 1/2 sum_n (rho |v_n|^2 + c lam_n^2 |u_n|^2 + a |theta_n|^2)
-    L2 = 1/2 sum_n (rho |v_n|^2 + c lam_n^2 |u_n|^2 - a |theta_n|^2)
-
-satisfy dL1/dt = + sum_n w_n theta_n^2 and
-dL2/dt = - sum_n w_n theta_n^2 - 2 eta sum_n lam_n v_n theta_n with
-w_n = b lam_n + d lam_n^2, and the mixture L = L2 + eps*L1 obeys a
-Gronwall bound L(t) <= L(0) e^{k* t}.  Zero initial data therefore forces
-the zero solution, which is the uniqueness witness.  L1 is the energy E and
-L2 = kinetic + bending - thermal, so both are read off the trajectory's
-energy columns (see `propagator`), as is the dissipation sum.
-
-Convexity / instability (negative elasticity).  With Phi solving
+With Phi solving
 
     b Lap Phi - d Lap^2 Phi = a theta(0) + eta Lap u(0)
-    (per mode: w_n Phi_n = eta lam_n u_n(0) - a theta_n(0))
+    (per mode: w_n Phi_n = eta lam_n u_n(0) - a theta_n(0)),
 
-and Psi = Phi + int_0^t theta ds, the functional
+w_n = b lam_n + d lam_n^2, and Psi = Phi + int_0^t theta ds, the functional
 
     F(t) = sum_n rho u_n^2 + int_0^t sum_n w_n Psi_n^2 ds + omega (t+t0)^2
 
@@ -57,9 +43,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EpsilonOutOfRange, InsufficientSamples, NonFiniteResult, PreconditionUnmet
+from .config import RunConfig, as_float, build_evolution
+from .errors import ConfigError, InsufficientSamples, NonFiniteResult, PreconditionUnmet
+from .manifest import Check, RunOutput
 from .model import Direction, ModelParams, log_slope
-from .propagator import EnergyHistory, Evolution, live_modes
+from .propagator import Evolution, energy_of, evolution_sizes, live_modes
 
 WEIGHT_CONVENTION = "omega*(t+t0)^2"
 # choose_weight_shift adds this to the least shift that makes F'(0) > 2 nu
@@ -68,161 +56,6 @@ WEIGHT_SHIFT_PAD = 1.0
 CONVEXITY_TOLERANCE_FACTOR = 1e-8
 # F - bound may fall below 0 by this fraction of the largest bound
 LOWER_BOUND_TOLERANCE_FACTOR = 1e-12
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
-
-
-class LyapunovSeries:
-    """L1, L2 and L = L2 + epsilon*L1 along a trajectory, one entry per
-    sample."""
-
-    __slots__ = ("t", "l1", "l2", "l", "epsilon")
-
-    def __init__(
-        self, t: np.ndarray, l1: np.ndarray, l2: np.ndarray, l: np.ndarray,
-        epsilon: float,
-    ):
-        self.t, self.l1, self.l2, self.l, self.epsilon = t, l1, l2, l, epsilon
-
-
-def lyapunov_series(history: EnergyHistory, epsilon: float) -> LyapunovSeries:
-    """L1, L2 and L at every sample, read off the energy columns."""
-    _check_epsilon(epsilon)
-    l1 = history.total
-    l2 = history.kinetic + history.bending - history.thermal
-    return LyapunovSeries(history.t, l1, l2, l2 + epsilon * l1, epsilon)
-
-
-def coupling_sums(lams: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_n lam_n v_n theta_n of the states x[mode, (u, v, theta),
-    sample], one entry per sample, summed over (samples, modes) rows, so
-    each sample sums as its own mode vector does."""
-    return np.sum(np.ascontiguousarray((lams[:, None] * x[:, 1] * x[:, 2]).T), axis=1)
-
-
-def identity_rate(params: ModelParams, lams: np.ndarray) -> float:
-    """The fastest rate of the modes `lams`: the faster of the heat rate
-    w/a and the plate frequency sqrt(|c|/rho) lam."""
-    return float(np.max(
-        np.maximum(params.heat_weight(lams) / params.a, abs(params.c / params.rho) ** 0.5 * lams),
-        initial=0.0,
-    ))
-
-
-class BackwardIdentityReport:
-    """Centered-difference check of the L1/L2 evolution identities.
-
-    The centered difference errs by about h^2/6 |L'''|, and the third
-    derivative of a quadratic form is of the order (2 rate)^3 times the
-    energy norm, where `rate` is the fastest rate of the modes that carry
-    data (`identity_rate`).  Residuals are therefore normalized by 2 rate
-    times the largest energy norm; they shrink like (2 rate)^2 dt^2 / 6.
-    """
-
-    __slots__ = (
-        "t", "dl1_fd", "dl1_analytic", "dl2_fd", "dl2_analytic", "max_rel_residual",
-        "rate",
-    )
-
-    def __init__(
-        self, t: np.ndarray, dl1_fd: np.ndarray, dl1_analytic: np.ndarray,
-        dl2_fd: np.ndarray, dl2_analytic: np.ndarray, max_rel_residual: float,
-        rate: float,
-    ):
-        self.t, self.dl1_fd, self.dl1_analytic = t, dl1_fd, dl1_analytic
-        self.dl2_fd, self.dl2_analytic = dl2_fd, dl2_analytic
-        self.max_rel_residual, self.rate = max_rel_residual, rate
-
-
-def verify_backward_identities(
-    params: ModelParams,
-    history: EnergyHistory,
-    series: LyapunovSeries,
-    coupling: np.ndarray,
-    rate: float,
-    norm_max: float,
-    direction: Direction = Direction.BACKWARD,
-) -> BackwardIdentityReport:
-    """Compare d(L1)/dt, d(L2)/dt finite differences with the closed forms.
-
-    `series` holds L1 and L2 of the energy columns `history` (of any
-    epsilon), `coupling` the `coupling_sums` of its live modes, `rate`
-    their `identity_rate` and `norm_max` the largest of
-    `history.energy_norm`.  Works for either orientation; the forward
-    identities carry the opposite dissipation sign.
-    """
-    t, l1, l2 = series.t, series.l1, series.l2
-    if t.size < 3:
-        raise InsufficientSamples("identity check needs at least 3 samples")
-
-    # centered three-point derivative, valid on non-uniform grids
-    h1 = t[1:-1] - t[:-2]
-    h2 = t[2:] - t[1:-1]
-    def center(y):
-        return (
-            -h2 / (h1 * (h1 + h2)) * y[:-2]
-            + (h2 - h1) / (h1 * h2) * y[1:-1]
-            + h1 / (h2 * (h1 + h2)) * y[2:]
-        )
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # dt near underflow
-        dl1_fd, dl2_fd = center(l1), center(l2)
-    diss = history.dissipation[1:-1]
-    cross = 2.0 * params.eta * coupling[1:-1]
-    if direction is Direction.BACKWARD:
-        dl1_an, dl2_an = diss, -diss - cross
-    else:
-        dl1_an, dl2_an = -diss, diss - cross
-    scale = max(2.0 * rate * norm_max, 1e-300)
-    resid = max(
-        np.max(np.abs(dl1_fd - dl1_an), initial=0.0),
-        np.max(np.abs(dl2_fd - dl2_an), initial=0.0),
-    )
-    return BackwardIdentityReport(
-        t=t[1:-1],
-        dl1_fd=dl1_fd,
-        dl1_analytic=dl1_an,
-        dl2_fd=dl2_fd,
-        dl2_analytic=dl2_an,
-        max_rel_residual=float(resid / scale),
-        rate=rate,
-    )
-
-
-class GronwallReport:
-    """Smallest empirical k* with L(t) <= L(0) e^{k* t} along the samples.
-
-    For zero initial data the report instead certifies L == 0.  k_star is
-    None when L(0) < 0, where the bound carries no information.
-    """
-
-    __slots__ = ("k_star", "l0", "zero_data", "max_abs_l", "epsilon")
-
-    def __init__(
-        self, k_star: float | None, l0: float, zero_data: bool, max_abs_l: float,
-        epsilon: float,
-    ):
-        self.k_star, self.l0, self.zero_data = k_star, l0, zero_data
-        self.max_abs_l, self.epsilon = max_abs_l, epsilon
-
-
-def gronwall_check(series: LyapunovSeries) -> GronwallReport:
-    """Gronwall bound of the series' L = L2 + epsilon*L1."""
-    l, t, epsilon = series.l, series.t, series.epsilon
-    l0 = float(l[0])
-    max_abs = float(np.max(np.abs(l)))
-    if l0 == 0.0:
-        return GronwallReport(None, l0, True, max_abs, epsilon)
-    if l0 < 0.0:
-        return GronwallReport(None, l0, False, max_abs, epsilon)
-    mask = (t > 0) & (l > 0)
-    if not np.any(mask):
-        return GronwallReport(0.0, l0, False, max_abs, epsilon)
-    k = np.max(np.log(l[mask] / l0) / t[mask])
-    return GronwallReport(float(max(k, 0.0)), l0, False, max_abs, epsilon)
 
 
 class PhiSolution:
@@ -453,3 +286,84 @@ def choose_weight_shift(
             "Fdot(0) > 2*nu is unreachable with omega_const = 0"
         )
     return max(0.0, needed / (2.0 * omega_const)) + WEIGHT_SHIFT_PAD
+
+
+def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
+    build_evolution(cfg, raw)
+    if not cfg.params.c < 0:
+        raise ConfigError("instability requires c < 0")
+    cfg.omega_const = raw.get("omega_const", "auto")
+    if cfg.omega_const != "auto":
+        cfg.omega_const = as_float(raw, "omega_const")
+        if cfg.omega_const < 0:
+            raise ConfigError("omega_const must be nonnegative")
+    cfg.t0 = raw.get("t0", "auto")
+    if cfg.t0 != "auto":
+        cfg.t0 = as_float(raw, "t0")
+        if cfg.t0 < 0:
+            raise ConfigError("t0 must be nonnegative")
+    cfg.growth_fit_start = None
+    if "growth_fit_start" in raw:
+        cfg.growth_fit_start = as_float(raw, "growth_fit_start")
+        # the fit needs two samples of dt * (0, 1, ..., n) at or after it
+        n = round(cfg.t_end / cfg.dt)
+        if not cfg.dt * (n - 1) >= cfg.growth_fit_start:
+            raise ConfigError(
+                f"growth_fit_start = {cfg.growth_fit_start!r} leaves fewer than 2 time "
+                f"samples to fit (the last two are {cfg.dt * (n - 1)!r} and {cfg.dt * n!r})"
+            )
+
+
+def run(cfg: RunConfig) -> RunOutput:
+    lams, x0 = cfg.lams, cfg.x0
+    # the energy column's first entry, to the bit
+    e0 = energy_of(cfg.params, lams, x0).total
+    omega_const = cfg.omega_const
+    if omega_const == "auto":
+        omega_const = max(0.0, -e0)
+    times = cfg.time_grid()
+    window = None
+    if cfg.growth_fit_start is not None:
+        window = (cfg.growth_fit_start, float(times[-1]))
+    try:
+        t0 = cfg.t0
+        if t0 == "auto":
+            t0 = choose_weight_shift(cfg.params, lams, x0, omega_const)
+        states = convexity_trajectory(cfg.params, lams, x0, times, omega_const, t0)
+        convexity = convexity_residual_check(states, e0)
+        bound = instability_lower_bound(states, e0, growth_window=window)
+    except PreconditionUnmet as exc:
+        # outside the instability theorem's hypotheses: the config is at fault
+        raise ConfigError(
+            f"instability: the data do not satisfy {exc.condition} (E(0) = {e0!r})"
+        ) from exc
+
+    checks = [
+        Check("convexity_inequality", convexity.passed, convexity.min_residual, -convexity.tolerance),
+        Check("exponential_lower_bound", bound.holds, bound.min_margin, -bound.tolerance),
+    ]
+    columns = [
+        states.t,
+        states.f,
+        states.fdot,
+        states.fddot,
+        convexity.residuals,
+        bound.lower_bound,
+        states.f - bound.lower_bound,
+    ]
+    return RunOutput(
+        csv_name="instability.csv",
+        header=["t", "F", "Fdot", "Fddot", "convexity_residual", "lower_bound", "margin"],
+        columns=columns,
+        checks=checks,
+        results={
+            "e0": e0,
+            "omega_const": float(omega_const),
+            "t0": float(t0),
+            "nu": states.nu,
+            "growth_rate": bound.growth_rate,
+            "bound_exponent": bound.bound_exponent,
+        },
+        notes={"weight_convention": WEIGHT_CONVENTION},
+        sizes=evolution_sizes(lams, x0, times),
+    )

@@ -166,6 +166,18 @@ class Trajectory(EnergyHistory):
         self.lams, self.x = lams, x
 
 
+def evolution_sizes(lams: np.ndarray, x0: np.ndarray, times: np.ndarray) -> dict[str, int]:
+    """The manifest's size lines of a run from x0 over the modes `lams` at
+    `times`: its modes, live modes, samples and time blocks."""
+    live = live_modes(x0).size
+    return {
+        "modes": lams.size,
+        "live_modes": live,
+        "samples": times.size,
+        "time_blocks": len(time_blocks(live, times.size)),
+    }
+
+
 def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     """The (lo, hi) sample ranges of the time blocks of a grid.
 
@@ -375,11 +387,22 @@ def _null_vector(b: np.ndarray, size: np.ndarray) -> np.ndarray:
     return best / np.linalg.norm(best, axis=1, keepdims=True)
 
 
+def _window(size, t):
+    """The (mode, sample) indices of a block where size t < EXPM1_LIMIT.
+    The block's times t increase, so when the least size reaches the limit
+    at its first sample, no sample is in the window and nothing is scanned;
+    a nan size or an empty stack is scanned."""
+    if size.size and np.min(size) * t[0] >= EXPM1_LIMIT:
+        return (), ()
+    return np.nonzero(size * t < EXPM1_LIMIT)
+
+
 def _near(p, q, norm, s, b, scale, t):
     """P, Q = Re, scale Im of norm G(s + ib), in place where |s + ib| t < EXPM1_LIMIT."""
-    i, k = np.nonzero(np.hypot(s, b) * t < EXPM1_LIMIT)
-    g = norm[i, 0] * t[k] * _phi1((s[i, 0] + 1j * b[i, 0]) * t[k])
-    p[i, k], q[i, k] = g.real, g.imag * scale[i, 0]
+    i, k = _window(np.hypot(s, b), t)
+    if len(i):
+        g = norm[i, 0] * t[k] * _phi1((s[i, 0] + 1j * b[i, 0]) * t[k])
+        p[i, k], q[i, k] = g.real, g.imag * scale[i, 0]
 
 
 def _halves(plus, minus, norm, s, beta, r, t):
@@ -393,8 +416,9 @@ def _gamma(num, norm, s, t):
     """norm (e^{st} - 1)/s in place of num = norm e^{st}, from expm1 where |s t| < EXPM1_LIMIT."""
     num -= norm
     num /= s
-    i, k = np.nonzero(abs(s) * t < EXPM1_LIMIT)
-    num[i, k] = norm[i, 0] * t[k] * _phi1(s[i, 0] * t[k])
+    i, k = _window(abs(s), t)
+    if len(i):
+        num[i, k] = norm[i, 0] * t[k] * _phi1(s[i, 0] * t[k])
     return num
 
 
@@ -523,7 +547,8 @@ class EnergyBalanceReport:
 
     residuals[k] = (E(t_k) + s * int_0^{t_k} D ds - E(0)) / denominator
     with s = +1 forward, -1 backward, and denominator max(|E(0)|, floor);
-    max_abs_error is the largest numerator, for other normalizations.
+    max_abs_error is the largest numerator, for other normalizations
+    (`error_scale`).
     """
 
     __slots__ = (
@@ -537,6 +562,13 @@ class EnergyBalanceReport:
         self.direction, self.e0, self.denominator = direction, e0, denominator
         self.residuals, self.max_abs_residual = residuals, max_abs_residual
         self.max_abs_error = max_abs_error
+
+    def error_scale(self, norm_max: float) -> float:
+        """Scale of the identity's residual: E(t) sums terms as large as
+        the energy norm kinetic + |bending| + thermal, whose largest value
+        over the grid is `norm_max`, and which for c < 0 can grow by
+        hundreds of orders of magnitude while E stays near E(0)."""
+        return max(self.denominator, norm_max)
 
 
 def energy_balance_report(

@@ -1,4 +1,5 @@
-"""One-dimensional quasi-static reduction for negative elasticity.
+"""The `quasistatic` subcommand: the one-dimensional quasi-static
+reduction for negative elasticity.
 
 Dropping plate inertia with c < 0 couples the fields through the elliptic
 relation c u_xx = eta theta, so the temperature obeys the scalar equation
@@ -19,11 +20,14 @@ outside the model's claim).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCapacity
+from .config import RunConfig, as_float, as_float_list, build_time, require
+from .errors import ConfigError, DegenerateCapacity
+from .manifest import Check, RunOutput
 from .model import ModelParams, log_slope
 
 
@@ -180,4 +184,76 @@ def quasi_decay_report(
         envelope_holds=envelope_holds,
         schwarz_max_ratio=schwarz_max_ratio,
         relation_residual_max=float(np.max(relation, initial=0.0)),
+    )
+
+
+def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
+    params, subcommand = cfg.params, cfg.subcommand
+    if not params.c < 0:
+        raise ConfigError("quasistatic requires c < 0")
+    length = 1.0
+    if "length" in raw:
+        length = as_float(raw, "length")
+        if not length > 0:
+            raise ConfigError("length must be > 0")
+    build_time(cfg, raw)
+    # the decay report wants 10 samples of dt * (0, 1, ..., round(t_end / dt))
+    if round(cfg.t_end / cfg.dt) < 9:
+        raise ConfigError("quasistatic needs at least 10 time samples (round(t_end / dt) >= 9)")
+    require(raw, ("initial_theta",), subcommand)
+    cfg.initial_theta = as_float_list(raw, "initial_theta")
+    if not cfg.initial_theta:
+        raise ConfigError("initial_theta must contain at least one coefficient")
+    squares, ratio = sum(x * x for x in cfg.initial_theta), params.eta / params.c
+    if not (squares < math.inf and ratio * ratio * squares < math.inf):
+        raise ConfigError("initial_theta: sum theta_n^2 or (eta/c)^2 sum theta_n^2 overflows")
+    # refuse degenerate capacity at parse time
+    try:
+        cfg.qparams = qparams = QuasiParams.from_params(params, length)
+    except DegenerateCapacity as exc:
+        raise ConfigError(f"DegenerateCapacity: {exc}") from exc
+    # the run squares lam_n = (n pi / length)^2, which grows with n:
+    # lam_1^2 and lam_N^2 must be normal floats, and the fastest rate finite
+    count = len(cfg.initial_theta)
+    try:
+        squares = [qparams.lam(n) ** 2 for n in (1, count)]
+        fastest = qparams.rate(count)
+    except OverflowError:
+        squares, fastest = [], math.inf
+    if not (fastest < math.inf and all(sys.float_info.min <= x < math.inf for x in squares)):
+        raise ConfigError(
+            f"length = {length!r}: for the initial_theta modes n = 1..{count}, "
+            "lam_n^2 = (n pi / length)^4 or the decay rate leaves the float range"
+        )
+
+
+def run(cfg: RunConfig) -> RunOutput:
+    qparams = cfg.qparams
+    report = quasi_decay_report(qparams, cfg.initial_theta, cfg.time_grid())
+
+    theta0_l2 = float(np.sum(np.asarray(cfg.initial_theta) ** 2))
+    checks = [
+        Check("elliptic_relation", report.relation_residual_max <= 1e-12, report.relation_residual_max, 1e-12),
+        Check("envelope_holds", report.envelope_holds, report.k_measured, float("inf")),
+        Check("schwarz_bound", report.schwarz_max_ratio <= 1.0 + 1e-12, report.schwarz_max_ratio, 1.0 + 1e-12),
+    ]
+    if report.fit_rel_residual is not None:
+        checks.insert(
+            1,
+            Check("decay_rate_fit", report.fit_rel_residual <= 1e-6, report.fit_rel_residual, 1e-6),
+        )
+    envelope = report.k_measured * np.exp(-2.0 * report.rate1 * report.t) * theta0_l2
+    columns = [report.t, report.theta_l2_sq, report.h2_seminorm, envelope]
+    return RunOutput(
+        csv_name="quasistatic.csv",
+        header=["t", "theta_l2_sq", "u_h2_seminorm", "envelope"],
+        columns=columns,
+        checks=checks,
+        results={
+            "a_eff": qparams.a_eff,
+            "rate1": report.rate1,
+            "fitted_rate": report.fitted_rate,
+            "k_measured": report.k_measured,
+        },
+        notes={},
     )

@@ -1,5 +1,4 @@
-"""Imaginary-axis resolvent norm scans, and the high-frequency sequence
-that keeps the resolvent from vanishing.
+"""The `resolvent-scan` subcommand: imaginary-axis resolvent norm scans.
 
 For c > 0 and eta != 0 the imaginary axis lies in the resolvent set, so
 every block system (i omega I - M_lam) x = g is solvable.  With eta = 0 the
@@ -47,19 +46,6 @@ block that sets the bar is kept and its norm is at least the bar, every
 pruned norm is below it, and the sup has the bits of the max over all
 blocks.  The bar belongs to a row, not to a pass, and a nan or inf bound
 keeps its block.
-
-Driving mode n with the right-hand side (0, phi_n, 0) at the resonant
-frequency omega_n = sqrt(c/rho) lam_n produces the explicit solution
-
-    u = p phi_n,  v = i omega_n p phi_n,  theta = q phi_n,
-    q = 1/(eta lam_n),
-    p = (i a omega_n + d lam_n^2 + b lam_n) / (i eta^2 lam_n^3 sqrt(c/rho)),
-
-whose velocity component satisfies |v|^2 -> d^2/eta^4 as n grows.  A
-nonzero limit along a frequency sequence rules out resolvent decay at
-infinity, hence any smoothing of the solution semigroup, even though the
-system is exponentially stable.  Setting d = 0 restores decay ~ 1/omega,
-which the scan exposes as a contrast diagnostic.
 """
 
 from __future__ import annotations
@@ -68,8 +54,10 @@ import math
 
 import numpy as np
 
-from .errors import EigenvalueOutOfRange, SingularSystem
-from .model import Interval, ModelParams, SpectralDomain, enumerate_modes
+from .config import RunConfig, as_float, as_int, build_domain, require
+from .errors import ConfigError, SingularSystem
+from .manifest import Check, RunOutput
+from .model import ModelParams
 
 
 def _require_stable(params: ModelParams, what: str) -> None:
@@ -351,177 +339,56 @@ def resonant_omega_grid(
     return omegas[np.diff(omegas, prepend=-np.inf) != 0]
 
 
-class NondiffSequence:
-    """The resonant-drive sequence n = 1..n_max as arrays, one entry per term.
+def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
+    build_domain(cfg, raw)
+    if not cfg.params.c > 0:
+        raise ConfigError("resolvent-scan requires the stable regime (c > 0)")
+    require(raw, ("omega_min", "omega_max", "omega_points"), cfg.subcommand)
+    cfg.omega_min = as_float(raw, "omega_min")
+    cfg.omega_max = as_float(raw, "omega_max")
+    cfg.omega_points = as_int(raw, "omega_points")
+    if not (0 < cfg.omega_min < cfg.omega_max):
+        raise ConfigError("need 0 < omega_min < omega_max")
+    if cfg.omega_points < 1:
+        raise ConfigError("omega_points must be >= 1")
+    cfg.omega_grid_kind = raw.get("omega_grid", "log")
+    if cfg.omega_grid_kind not in ("log", "linear", "resonant"):
+        raise ConfigError("omega_grid must be log|linear|resonant")
 
-    `norm_v_sq` is the plain L2 value |v|^2 = omega^2 |p|^2, whose limit
-    `target` = d^2/eta^4 (`matching_norm` records that), and `gap` is
-    |norm_v_sq - target| / target; `norm_v_sq_weighted` carries the energy
-    weight rho, and `norm_u_sq` is the full energy norm of the solution.
-    The residuals measure back-substitution into the 2x2 amplitude system
-    at exact resonance, row by row.
-    """
 
-    __slots__ = (
-        "n", "lam", "omega", "p", "q", "norm_u_sq", "norm_v_sq", "norm_v_sq_weighted",
-        "gap", "alg1_residual", "alg2_residual", "target", "gap_at_end",
-        "matching_norm",
+def run(cfg: RunConfig) -> RunOutput:
+    if cfg.omega_grid_kind == "log":
+        grid = np.geomspace(cfg.omega_min, cfg.omega_max, cfg.omega_points)
+    elif cfg.omega_grid_kind == "linear":
+        grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.omega_points)
+    else:
+        grid = resonant_omega_grid(cfg.params, cfg.lams, cfg.omega_min, cfg.omega_max)
+        if grid.size == 0:
+            raise ConfigError(
+                "no resonant frequencies fall inside [omega_min, omega_max]"
+            )
+    scan = scan_imaginary_axis(cfg.params, cfg.lams, grid)
+    checks = [
+        Check("norms_finite", bool(np.all(np.isfinite(scan.norms))), float(np.max(scan.norms)), float("inf")),
+        Check("omega_sign_symmetry", scan.sign_gap <= 1e-10, scan.sign_gap, 1e-10),
+    ]
+    columns = [scan.omegas, scan.norms]
+    return RunOutput(
+        csv_name="resolvent_scan.csv",
+        header=["omega", "resolvent_norm"],
+        columns=columns,
+        checks=checks,
+        results={
+            "sup_norm": scan.sup_norm,
+            "tail_min": scan.tail_min,
+            "tail_start": scan.tail_start,
+            "limit_peak": scan.limit_peak,
+        },
+        notes={},
+        sizes={
+            "modes": cfg.lams.size,
+            "omegas": scan.omegas.size,
+            "kept_blocks": scan.kept_blocks,
+            "jacobi_calls": scan.jacobi_calls,
+        },
     )
-
-    def __init__(
-        self, n: np.ndarray, lam: np.ndarray, omega: np.ndarray, p: np.ndarray,
-        q: np.ndarray, norm_u_sq: np.ndarray, norm_v_sq: np.ndarray,
-        norm_v_sq_weighted: np.ndarray, gap: np.ndarray, alg1_residual: np.ndarray,
-        alg2_residual: np.ndarray, target: float, gap_at_end: float,
-        matching_norm: str = "l2",
-    ):
-        self.n, self.lam, self.omega, self.p, self.q = n, lam, omega, p, q
-        self.norm_u_sq, self.norm_v_sq = norm_u_sq, norm_v_sq
-        self.norm_v_sq_weighted, self.gap = norm_v_sq_weighted, gap
-        self.alg1_residual, self.alg2_residual = alg1_residual, alg2_residual
-        self.target, self.gap_at_end = target, gap_at_end
-        self.matching_norm = matching_norm
-
-
-def nondiff_target(params: ModelParams) -> float:
-    """The limit d^2/eta^4 of |v_n|^2; ValueError unless it is a finite
-    positive float."""
-    try:
-        target = params.d**2 / params.eta**4
-    except (OverflowError, ZeroDivisionError):
-        target = math.inf
-    if not 0 < target < math.inf:
-        raise ValueError(
-            f"the resonant-drive limit needs d^2/eta^4 to be a finite positive float; "
-            f"with d = {params.d!r} and eta = {params.eta!r} it is not"
-        )
-    return target
-
-
-@np.errstate(all="ignore")  # the terms are judged at the end
-def nondiff_sequence(
-    params: ModelParams, domain: SpectralDomain, n_max: int, branch: int = +1
-) -> NondiffSequence:
-    """Closed-form solution of the resonant-drive system for the modes
-    n = 1..n_max, in one array pass.
-
-    branch selects the sign of omega_n = +-sqrt(c/rho) lam_n; the negative
-    branch conjugates p and leaves |v|^2 unchanged.
-
-    The amplitude pair (p, q) is normalized so the mass-scaled velocity row
-    (the one multiplied through by rho) carries a unit load: solving the
-    block system with the abstract right-hand side (0, 1/rho, 0)
-    reproduces exactly (p, i omega p, q).  For rho = 1 the two conventions
-    coincide.
-
-    Eigenvalues whose terms leave the float range (lam^2, lam^3 and their
-    products overflow, or 1/(eta lam) does) raise EigenvalueOutOfRange, a
-    ValueError, which the CLI reports as a configuration error.
-    """
-    _require_stable(params, "resonant-drive sequence")
-    if params.eta == 0:
-        raise ValueError("resonant-drive sequence requires eta != 0")
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    target = nondiff_target(params)
-    lam = enumerate_modes(domain, n_max)
-    root = math.sqrt(params.c / params.rho)
-    omega = branch * root * lam
-    q = 1.0 / (params.eta * lam)
-    # p = (i a omega + heat) / (i x) in real arithmetic, rounded as the
-    # complex division by a purely imaginary number rounds it
-    heat = params.d * lam**2 + params.b * lam
-    x = params.eta**2 * lam**3 * root
-    p = branch * (params.a * omega / x) - 1j * (branch * (heat / x))
-
-    # back-substitution.  Row 1, p (c lam^2 - rho omega^2) + q eta lam = 1,
-    # reads q eta lam = 1 at exact resonance: the rounding of omega_n would
-    # leave |p| c lam^2 eps in it, however accurate p is.  p is checked by
-    # row 2, -i eta omega lam p + q (i a omega + heat) = 0, relative to the
-    # size of its terms.
-    alg2 = -1j * params.eta * omega * lam * p + q * (1j * params.a * omega + heat)
-    alg2_scale = np.abs(params.eta * omega * lam * p) + np.abs(q) * (
-        np.abs(params.a * omega) + heat
-    )
-    norm_p_sq = np.hypot(p.real, p.imag) ** 2
-    norm_v_sq = omega**2 * norm_p_sq
-    gap = np.abs(norm_v_sq - target) / target
-    seq = NondiffSequence(
-        n=np.arange(1, n_max + 1),
-        lam=lam,
-        omega=omega,
-        p=p,
-        q=q,
-        norm_u_sq=params.c * lam**2 * norm_p_sq + params.rho * norm_v_sq + params.a * q**2,
-        norm_v_sq=norm_v_sq,
-        norm_v_sq_weighted=params.rho * norm_v_sq,
-        gap=gap,
-        alg1_residual=np.abs(q * params.eta * lam - 1.0),
-        alg2_residual=np.abs(alg2) / np.maximum(alg2_scale, 1e-300),
-        target=target,
-        gap_at_end=float(gap[-1]),
-    )
-    # an overflow reaches a column as inf or nan, except through x and
-    # alg2_scale, which only divide: p or a residual would read 0 instead
-    terms = (x, alg2_scale, omega, q, p, seq.norm_u_sq, seq.norm_v_sq_weighted,
-             gap, seq.alg1_residual, seq.alg2_residual)
-    if not all(np.all(np.isfinite(term)) for term in terms):
-        raise EigenvalueOutOfRange(
-            f"the terms of the first {n_max} modes of {domain!r} (lam^2, lam^3 and their "
-            "products) leave the float range"
-        )
-    return seq
-
-
-def closed_form_gap(params: ModelParams, lam):
-    """The gap |v|^2 / target - 1 at eigenvalue `lam`, from the expansion
-    |v|^2 = (d + b/lam)^2/eta^4 + a^2 c/(rho eta^4 lam^2):
-    2b/(d lam) + (b^2 + a^2 c/rho)/(d^2 lam^2).  It never increases with
-    lam, in floating point too, since every operation in it rounds
-    monotonically."""
-    dl = params.d * lam
-    return 2.0 * params.b / dl + (params.b**2 + params.a**2 * params.c / params.rho) / (dl * dl)
-
-
-# Most lattice rows gap_reach counts on a rectangle.
-REACH_ROWS = 1 << 20
-
-
-def gap_reach(
-    params: ModelParams, domain: SpectralDomain, tolerance: float
-) -> tuple[float, int | None]:
-    """Where the closed-form gap falls to `tolerance` > 0: the eigenvalue
-    lam* at which it equals `tolerance`, and the smallest n with
-    closed_form_gap(lam_n) <= tolerance.  n is counted, not enumerated: in
-    closed form on an interval, by a lattice count over the rows of a
-    rectangle, and it is None past REACH_ROWS rows (2^52 modes on an interval).
-    """
-    big = params.b**2 + params.a**2 * params.c / params.rho
-    # the positive root in 1/lam of gap = tolerance, in a form without cancellation
-    lam_star = (params.b + math.sqrt(params.b**2 + big * tolerance)) / params.d / tolerance
-
-    def short(lam):
-        return closed_form_gap(params, lam) > tolerance
-
-    # the mode counts from sqrt(lam*) are off by less than one: one step
-    # against the gap itself makes each exact
-    if isinstance(domain, Interval):
-        count = domain.length * math.sqrt(lam_star) / math.pi
-        if not count < 2.0**52:
-            return lam_star, None
-        n = int(count) + 1
-        if short(domain.eigenvalue(n)):
-            return lam_star, n + 1
-        return lam_star, n - 1 if n > 1 and not short(domain.eigenvalue(n - 1)) else n
-    l1, l2 = domain.length1, domain.length2
-    rows = l1 * math.sqrt(lam_star) / math.pi
-    if not rows < REACH_ROWS:
-        return lam_star, None
-    j = np.arange(1, int(rows) + 2)
-    k = np.floor(l2 * np.sqrt(np.maximum(lam_star / math.pi**2 - j**2 / l1**2, 0.0))).astype(int)
-    # lambda_jk as enumerate_modes evaluates it
-    lam_jk = [math.pi**2 * (j**2 / l1**2 + kk**2 / l2**2) for kk in (k, k + 1)]
-    k = np.where((k >= 1) & ~short(lam_jk[0]), k - 1, k + short(lam_jk[1]))
-    return lam_star, int(k.sum()) + 1

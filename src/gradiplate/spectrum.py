@@ -1,4 +1,4 @@
-"""Mode spectra from the characteristic cubic, and the spectral abscissa.
+"""Mode spectra from the characteristic cubic.
 
 Each 3x3 forward block has characteristic polynomial
 
@@ -174,16 +174,3 @@ def mode_spectra(params: ModelParams, lams) -> tuple[np.ndarray, np.ndarray, np.
         roots, kinds, residuals = (np.concatenate(parts) for parts in zip(*batches))
     roots[k != 0] *= np.ldexp(1.0, k[k != 0])[:, None]
     return roots, kinds, residuals
-
-
-def row_max(values: np.ndarray) -> np.ndarray:
-    """Max over the last axis, taking the first maximal entry as Python's
-    max() does, so a -0.0 tied with 0.0 keeps its sign."""
-    first = np.argmax(values, axis=-1)[..., None]
-    return np.take_along_axis(values, first, axis=-1)[..., 0]
-
-
-def spectral_abscissa(params: ModelParams, lams: np.ndarray) -> float:
-    """Max real part of any eigenvalue of the modes `lams`."""
-    roots, _, _ = mode_spectra(params, lams)
-    return float(row_max(row_max(roots.real)))

@@ -178,6 +178,63 @@ class TestTimeBlocks:
         assert passed >= test_sweep.EXAMPLES // 3
 
 
+class TestExpm1Window:
+    """A closed-form integral takes expm1 at the samples where |s t| <
+    EXPM1_LIMIT, s a sum of two roots; a block is scanned for them only
+    when its first sample can be one.  The bytes do not depend on where
+    the blocks fall against the end of that window."""
+
+    # two live modes of the unit model (c = -1 for instability): the
+    # windows of mode 1's root sums end between t = 0.16 and t = 1.1, inside
+    # blocks of every size up to the whole grid of 1,025 samples, and those
+    # of mode 2 by t = 0.07, so that blocks past mode 2's windows but not
+    # past mode 1's are scanned
+    MODES = INTERVAL + ["mode_count = 4", "initial_u = 1, 0.5", "t_end = 4.096", "dt = 0.004"]
+    LINES = {"simulate": UNIT + MODES, "instability": UNSTABLE + MODES, "backward": UNIT + MODES}
+
+    @staticmethod
+    def windows(monkeypatch):
+        """Record, for every window the kernel asks for, its block's size,
+        the last sample of the window in it (None if empty), and whether
+        the block skipped the scan."""
+        seen = []
+        window = propagator._window
+
+        def recorded(size, t):
+            i, k = window(size, t)
+            skipped = bool(size.size and np.min(size) * t[0] >= propagator.EXPM1_LIMIT)
+            seen.append((t.size, int(np.max(k)) if len(k) else None, skipped))
+            return i, k
+
+        monkeypatch.setattr(propagator, "_window", recorded)
+        return seen
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "instability", "backward"])
+    def test_budgets_from_2_6_to_2_14(self, tmp_path, monkeypatch, subcommand):
+        lines = self.LINES[subcommand]
+        whole = run(tmp_path, subcommand, lines, ONE_BLOCK, monkeypatch)
+        assert whole[0] == 0
+        for power in range(6, 15):
+            seen = self.windows(monkeypatch)
+            blocked = run(tmp_path, subcommand, lines, 2**power, monkeypatch)
+            assert blocked[:2] == whole[:2], power
+            # 2 x 1,024 mode-samples and a one-sample tail, which joins the block before it
+            assert blocked[2]["time_blocks"] == max(2048 >> power, 1)
+            assert any(last is not None and last < size - 1 for size, last, _ in seen)
+            # past the windows, blocks skip the scan
+            assert any(skipped for *_, skipped in seen) == (power < 11)
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "backward"])
+    def test_zero_live_modes(self, tmp_path, monkeypatch, subcommand):
+        """No live mode: every stack the kernel scans is empty, in each of
+        the two blocks of a grid longer than BLOCK_SAMPLES_MAX."""
+        lines = UNIT + INTERVAL + ["mode_count = 4", "initial = zero", "t_end = 0.2", "dt = 1e-5"]
+        small = run(tmp_path, subcommand, lines, 2**6, monkeypatch)
+        whole = run(tmp_path / "whole", subcommand, lines, ONE_BLOCK, monkeypatch)
+        assert small[:2] == whole[:2] and small[0] == 0
+        assert small[2] == {"modes": 4, "live_modes": 0, "samples": 20001, "time_blocks": 2}
+
+
 class TestRestModes:
     """Modes whose initial data are zero are never evolved or summed, so
     appending them changes no CSV byte: every mode sum runs over the same

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import gradiplate
-from gradiplate import cli, csvout, functionals, model, propagator, resolvent
+from gradiplate import backward, cli, csvout, instability, model, nondiff, propagator, resolvent
+from gradiplate.backward import lyapunov_series
 from gradiplate.cli import main
 from gradiplate.config import load_config
-from gradiplate.functionals import lyapunov_series
+from gradiplate.manifest import Check, RunOutput, _fmt
 from gradiplate.propagator import evolve
 from gradiplate.spectrum import characteristic_coefficients
 from scalar_cubic import cubic_roots
@@ -125,9 +126,9 @@ class TestSimulate:
 
     def test_failing_check_exits_3_with_manifest(self, tmp_path, monkeypatch):
         def failing(cfg):
-            return cli.RunOutput(
+            return RunOutput(
                 csv_name="simulate.csv", header=["t"], columns=[np.array([0.0])],
-                checks=[cli.Check("energy_identity", False, 1.0, 1e-8)],
+                checks=[Check("energy_identity", False, 1.0, 1e-8)],
                 results={}, notes={},
             )
 
@@ -379,6 +380,20 @@ class TestRegressionConfigs:
         "domain = rectangle", "length1 = 0.8114113350270618", "length2 = 3.075990162996799",
         "mode_count = 2",
     ]
+
+    # |p| about 1.6e-172, so |p|^2 underflows to 0, while the target
+    # |v|^2 -> d^2/eta^4 is 3.0e-184, a normal float
+    UNDERFLOWING_P_NONDIFF = [
+        "rho = 0.0017854951235357168", "a = 3.9850736175008326e17", "b = 0.09205902355761154",
+        "c = 8.771451518750602e19", "d = 6.442783583021093e-23", "eta = 6.077684111306135e34",
+        "domain = interval", "length = 1.394566800305619e-34", "mode_count = 1", "n_max = 10",
+    ]
+
+    def test_nondiff_where_the_amplitude_square_underflows(self, tmp_path):
+        code, manifest = self.run(tmp_path, "nondiff", self.UNDERFLOWING_P_NONDIFF)
+        assert code == 0, manifest.get("error")
+        assert float(manifest["check.limit_gap.value"]) <= 1e-15
+        assert float(manifest["check.norm_v_sq_expansion.value"]) <= 1e-15
 
     def test_nondiff_at_exact_resonance_on_a_short_interval(self, tmp_path):
         code, manifest = self.run(tmp_path, "nondiff", self.SHORT_INTERVAL_NONDIFF)
@@ -710,7 +725,7 @@ class TestNoPerSampleObjects:
             calls.append(args)
             return lyapunov_series(*args, **kwargs)
 
-        monkeypatch.setattr(functionals, "lyapunov_series", counted)
+        monkeypatch.setattr(backward, "lyapunov_series", counted)
         cfg = simulate_config(tmp_path, mode_count="2", initial="thermal-pulse")
         assert main(["backward", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
@@ -728,9 +743,9 @@ class TestNoPerSampleObjects:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (model, resolvent):
+        for module in (model, nondiff):
             counted(module, "enumerate_modes")
-        counted(resolvent, "nondiff_sequence")
+        counted(nondiff, "nondiff_sequence")
         cfg = write_config(
             tmp_path, "nd.cfg",
             base_model() + ["domain = interval", f"length = {PI}", "mode_count = 30", "n_max = 30"],
@@ -740,7 +755,10 @@ class TestNoPerSampleObjects:
 
 
 class TestManifestPhases:
-    PHASES = ("timing.parse_seconds", "timing.handler_seconds", "timing.write_seconds")
+    PHASES = (
+        "timing.import_seconds", "timing.parse_seconds", "timing.handler_seconds",
+        "timing.write_seconds",
+    )
     RESONANT_DECOUPLED_SCAN = [l for l in base_model() if not l.startswith("eta ")] + [
         "eta = 0", "domain = interval", f"length = {PI}", "mode_count = 4",
         "omega_min = 0.5", "omega_max = 20", "omega_points = 10", "omega_grid = resonant",
@@ -765,7 +783,7 @@ class TestManifestPhases:
         assert sum(seconds) == pytest.approx(float(manifest["timing.total_seconds"]), abs=3e-6)
         peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
         assert 0.0 < float(manifest["peak_rss_mb"]) <= peak_now + 0.05
-        assert list(manifest)[-5:] == [*self.PHASES, "timing.total_seconds", "peak_rss_mb"]
+        assert list(manifest)[-6:] == [*self.PHASES, "timing.total_seconds", "peak_rss_mb"]
 
 
 class TestNoIdleKnobs:
@@ -792,8 +810,8 @@ class TestInstabilityEnergy:
             "initial_v = 0.365, 0.294, 0.028, 0.547, -0.736, -0.163, -0.482, 0.599",
             "initial_theta = 0.04, -0.292, -0.782, -0.257, 0.008, -0.276, 1.294, 1.007",
         ]), "instability")
-        trajectory = evolve(cfg.params, cfg.lams, cfg.x0, cli._time_grid(cfg))
-        assert cli._run_instability(cfg).results["e0"] == trajectory.total[0]
+        trajectory = evolve(cfg.params, cfg.lams, cfg.x0, cfg.time_grid())
+        assert instability.run(cfg).results["e0"] == trajectory.total[0]
 
 
 class TestRefusedConfigs:
@@ -971,13 +989,14 @@ class TestOneSubparser:
 
 
 class TestImportFootprint:
-    CLI_MODULES = {"gradiplate", "gradiplate.cli", "gradiplate.config", "gradiplate.errors", "gradiplate.model"}
-    # the modules each subcommand adds to those of `import gradiplate.cli`,
-    # besides `csvout`, which every run that writes a CSV loads, with a
-    # small config that exits 0 ("resolvent-scan:resonant" scans the
-    # resonant grid)
+    CLI_MODULES = {"gradiplate", "gradiplate.cli", "gradiplate.errors"}
+    # the modules every run that writes a CSV adds to those of
+    # `import gradiplate.cli`
+    RUN_MODULES = {"config", "csvout", "manifest", "model"}
+    # the modules each subcommand adds to those, with a small config that
+    # exits 0 ("resolvent-scan:resonant" scans the resonant grid)
     SUBCOMMANDS = {
-        "simulate": ({"propagator", "spectrum"}, base_model() + [
+        "simulate": ({"simulate", "propagator", "spectrum"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 4", "t_end = 0.1", "dt = 0.01",
             "initial = first-mode-bend",
         ]),
@@ -989,18 +1008,18 @@ class TestImportFootprint:
             "domain = interval", f"length = {PI}", "mode_count = 16",
             "omega_min = 5", "omega_max = 200", "omega_points = 40", "omega_grid = resonant",
         ]),
-        "nondiff": ({"resolvent"}, base_model() + [
+        "nondiff": ({"nondiff"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 30", "n_max = 30",
         ]),
-        "spectrum": ({"spectrum"}, base_model() + [
+        "spectrum": ({"abscissa", "spectrum"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 4", "lambda_max = 100",
             "lambda_points = 10",
         ]),
-        "backward": ({"propagator", "functionals", "spectrum"}, base_model() + [
+        "backward": ({"backward", "propagator", "spectrum"}, base_model() + [
             "domain = interval", f"length = {PI}", "mode_count = 2", "t_end = 1.0", "dt = 0.001",
             "initial_u = 1", "initial_theta = 1",
         ]),
-        "instability": ({"propagator", "functionals", "spectrum"}, base_model(c="-1") + [
+        "instability": ({"instability", "propagator", "spectrum"}, base_model(c="-1") + [
             "domain = interval", f"length = {PI}", "mode_count = 1", "t_end = 0.1", "dt = 0.01",
             "initial_u = 1",
         ]),
@@ -1030,8 +1049,13 @@ class TestImportFootprint:
     def test_import_gradiplate_loads_no_submodule(self):
         assert self.loaded_modules("import gradiplate") == {"gradiplate"}
 
-    def test_import_cli_loads_config_errors_and_model(self):
+    def test_import_cli_loads_errors_only(self):
         assert self.loaded_modules("import gradiplate.cli") == self.CLI_MODULES
+
+    def test_import_cli_loads_no_numpy(self, tmp_path):
+        script = "import gradiplate.cli\nimport sys\nprint('numpy' in sys.modules)\n"
+        done = run_fresh_python(["-c", script], tmp_path)
+        assert done.stdout.strip() == "False", done.stderr
 
     @pytest.mark.parametrize("case", list(SUBCOMMANDS))
     def test_subcommand_loads_only_its_modules(self, tmp_path, case):
@@ -1043,7 +1067,7 @@ class TestImportFootprint:
             f"code = cli.main([{subcommand!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}])\n"
             "assert code == 0, code\n"
         )
-        expected = self.CLI_MODULES | {f"gradiplate.{name}" for name in extra | {"csvout"}}
+        expected = self.CLI_MODULES | {f"gradiplate.{name}" for name in extra | self.RUN_MODULES}
         assert self.loaded_modules(script) == expected
 
     def test_lazy_names_are_the_submodule_objects(self):
@@ -1109,6 +1133,27 @@ class TestProcessExit:
         assert done.returncode == 0, done.stderr
         label, count = done.stdout.split()
         assert label == "frozen" and int(count) > 0
+
+    def test_entry_imports_numpy_with_the_gc_off(self, tmp_path):
+        """No cyclic collection walks numpy's import-time heap: `entry`
+        turns the GC off before `main` imports numpy."""
+        cfg = simulate_config(tmp_path, dt="0.01")
+        script = (
+            "import gc, runpy, sys\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            print('gc enabled at numpy import:', gc.isenabled())\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "print('gc enabled at start:', gc.isenabled())\n"
+            f"sys.argv = ['gradiplate', 'simulate', '--config', {cfg!r}, '--out', 'o']\n"
+            "runpy.run_module('gradiplate.cli', run_name='__main__')\n"
+        )
+        done = run_fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "gc enabled at start: True", "gc enabled at numpy import: False",
+        ]
 
     @pytest.mark.parametrize("exit_code", [0, 2, 3, 4])
     def test_exit_codes_reach_the_parent(self, tmp_path, exit_code):
@@ -1194,7 +1239,7 @@ class TestCsvOutput:
             ",".join(fmt(v) for v in row) + "\n" for row in rows
         )
         assert path.read_text(encoding="utf-8") == expected
-        assert [cli._fmt(v) for v in rows[1]] == [fmt(v) for v in rows[1]]
+        assert [_fmt(v) for v in rows[1]] == [fmt(v) for v in rows[1]]
 
     def test_empty_table_is_the_header(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -1222,6 +1267,6 @@ class TestCsvOutput:
                 row += [z.real, z.imag]
             row += [max(z.real for z in roots), float(np.max(residuals))]
             row.append(classification.replace(" ", "_"))
-            expected.append(",".join(cli._fmt(v) for v in row))
+            expected.append(",".join(_fmt(v) for v in row))
         got = (tmp_path / "o" / "spectrum.csv").read_text(encoding="utf-8").splitlines()
         assert got[1:] == expected

@@ -24,7 +24,7 @@ from gradiplate import (
 from gradiplate import propagator
 from gradiplate.cli import main
 from gradiplate.config import load_config
-from gradiplate.functionals import convexity_trajectory, phi_coefficients
+from gradiplate.instability import convexity_trajectory, phi_coefficients
 from gradiplate.spectrum import mode_spectra
 from oracles import generator_block, mp_convexity_functional, rk_mode_evolution, rk_mode_integrals
 from quadrature import cumulative_integral

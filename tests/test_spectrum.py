@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_cubic
+from gradiplate.abscissa import row_max
 from gradiplate.spectrum import (
     REAL_PLUS_PAIR,
     THREE_REAL,
     _solve_cubics,
     characteristic_coefficients,
     mode_spectra,
-    row_max,
 )
 from oracles import bisect_real_root, companion_roots
 from states import initial
