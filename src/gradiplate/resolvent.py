@@ -24,11 +24,10 @@ entries.  Each Gram block is scaled by a power of two near its largest
 entry, and its top eigenvalue comes from cyclic complex Jacobi sweeps run
 until every off-diagonal entry is below roundoff; Jacobi keeps that
 eigenvalue accurate where the top two coincide, which a closed-form cubic
-does not.  Blocks go through the kernel BLOCK_BUDGET at a time, and the
-kept blocks of successive passes go through Jacobi exactly BLOCK_BUDGET at
-a time (the last call takes the rest), so the working set is fixed
-whatever the number of frequencies (a pass takes one omega row whole, so
-past BLOCK_BUDGET modes it grows with the mode count); every operation is
+does not.  Blocks go through the kernel at most BLOCK_BUDGET at a time, and
+the kept blocks of successive passes go through Jacobi exactly BLOCK_BUDGET
+at a time (the last call takes the rest), so the working set is fixed
+whatever the numbers of frequencies and modes; every operation is
 elementwise, so a block's norm has the same bits whichever pass or Jacobi
 call holds it.
 
@@ -46,6 +45,39 @@ block that sets the bar is kept and its norm is at least the bar, every
 pruned norm is below it, and the sup has the bits of the max over all
 blocks.  The bar belongs to a row, not to a pass, and a nan or inf bound
 keeps its block.
+
+Most blocks are far from resonance, and one bound per chunk of modes
+settles them without their own bounds.  The modes split into contiguous
+chunks of about sqrt(M), and for each (omega, chunk) pair a bound U at or
+above `high` of every block of the chunk comes from the chunk's least and
+largest lam alone:
+
+- k, g and h are nondecreasing in lam, as floats too, since each is a
+  product or a sum of products with nonnegative constants.  So each
+  nonnegative term of the Gram trace takes its value at the largest lam.
+- The trace's two squares, (g^2 - w^2)^2 and delta^2 = (k^2 - w^2)^2, are
+  squares of quantities that grow with lam, so each takes the larger of its
+  two end values.
+- |det|^2 = h^2 delta^2 + w^2 (delta + g^2)^2 takes h at the least lam and
+  the least delta^2 and (delta + g^2)^2 over the chunk: an end value, or 0
+  where the chunk holds the sign change (for delta, a resonance).
+- U is computed in units of a power of two at or above every block's mu,
+  and widened by _CHUNK_MARGIN beyond _PRUNE_MARGIN, far above the
+  rounding on either side; delta + g^2, which a block computes with
+  cancellation, is lowered by that margin times k^2 + g^2 + w^2.
+- Underflow loses absolute precision, so U is inf wherever its numerator
+  or denominator is below _TINY or U itself leaves the normal range, and a
+  non-finite value makes it inf too: such a chunk keeps its exact bounds.
+
+A row's bar starts from the exact bounds of its chunk of largest U, and
+only the chunks whose U reaches that bar get exact bounds: these raise the
+bar to the row's largest `low`, and then give their kept blocks.  A skipped
+block has low <= high <= U < bar, so the bar, the kept blocks and every bit
+of the sups are those of exact bounds on every block.  Sorted lams, which
+every CLI path passes, keep each chunk's span of lam, and so its U, tight;
+unsorted lams give the same bits from wider chunks.  Every singular block
+lies in a chunk of infinite U, and those chunks' blocks are checked first,
+so SingularSystem names the first singular block in (row, mode) order.
 """
 
 from __future__ import annotations
@@ -65,9 +97,9 @@ def _require_stable(params: ModelParams, what: str) -> None:
         raise ValueError(f"{what} requires c > 0")
 
 
-# Blocks per kernel pass, and kept blocks per Jacobi call.  Each holds a few
-# dozen float arrays of this length, so the scan's working set stays fixed
-# whatever its W, and its M up to BLOCK_BUDGET.
+# Blocks per kernel batch, (omega, chunk) bounds per pass, and kept blocks
+# per Jacobi call.  Each holds a few dozen float arrays of this length, so
+# the scan's working set stays fixed whatever its W and M.
 BLOCK_BUDGET = 1 << 12
 # Cyclic Jacobi sweeps per pass; Gram blocks have reached roundoff within 4
 # sweeps on every grid tried.
@@ -77,6 +109,13 @@ _ROUNDOFF = 2.0**-53
 # Relative slack on each side of a block's norm bounds, far above the few
 # ulps by which Jacobi's top eigenvalue can leave [max diagonal, trace].
 _PRUNE_MARGIN = 1e-12
+# Relative slack of a chunk bound, far above the few ulps by which a block's
+# computed `high` exceeds its exact value on the block's floats.
+_CHUNK_MARGIN = 1e-9
+# A chunk bound whose numerator or denominator falls below _TINY may have lost
+# to underflow, and one below _NORMAL may round; either becomes inf.
+_TINY = 2.0**-900
+_NORMAL = 2.0**-1021
 
 
 def _rotate(dp, dq, pq, pr, qr, thr2):
@@ -155,26 +194,42 @@ def _abs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _kept_blocks(params: ModelParams, lams, omegas) -> tuple[np.ndarray, ...]:
-    """The blocks of `lams` (M,) x `omegas` (W, 1) whose norm bounds reach
-    their row's bar, as flat arrays: the row of each, its Gram diagonal and
-    off-diagonal entries, |det|^2 and the scale exponent of its norm.
-    Only these go through Jacobi."""
-    k = math.sqrt(params.c / params.rho) * lams
-    g = abs(params.eta) / math.sqrt(params.rho * params.a) * lams
-    h = params.heat_weight(lams) / params.a
-    # B = A~ / mu: mu a power of two, so the scaling is exact
-    mu_exp = np.frexp(np.maximum(np.abs(omegas), np.maximum(np.maximum(k, g), h)))[1]
-    w, k, g, h = (np.ldexp(v, -mu_exp) for v in (omegas, k, g, h))
-    k2, g2, w2, h2 = k * k, g * g, w * w, h * h
+def _kgh(params: ModelParams, lam):
+    """k, g and h of the modes `lam`.  Each is a product or a sum of
+    products with nonnegative constants, so its float is nondecreasing in
+    lam, like its exact value."""
+    return (
+        math.sqrt(params.c / params.rho) * lam,
+        abs(params.eta) / math.sqrt(params.rho * params.a) * lam,
+        params.heat_weight(lam) / params.a,
+    )
+
+
+def _det(params: ModelParams, lam, omega) -> tuple[np.ndarray, ...]:
+    """The blocks (lam, omega) of two flat arrays as B = A~ / mu: the
+    exponent of mu, w, k, g, h, delta, delta + g^2 and det B.  Raises
+    SingularSystem at the first singular block, before anything divides."""
+    k, g, h = _kgh(params, lam)
+    # mu a power of two, so the scaling is exact
+    mu_exp = np.frexp(np.maximum(np.abs(omega), np.maximum(np.maximum(k, g), h)))[1]
+    w, k, g, h = (np.ldexp(v, -mu_exp) for v in (omega, k, g, h))
     delta = (k - w) * (k + w)
-    shift = delta + g2
+    shift = delta + g * g
     det_re, det_im = h * delta, w * shift
     singular = ~(np.isfinite(det_re) & np.isfinite(det_im)) | ((det_re == 0) & (det_im == 0))
     if singular.any():
-        row, col = np.argwhere(singular)[0]
-        omega, lam = float(omegas[row, 0]), float(lams[col])
-        raise SingularSystem(f"singular resolvent block at omega={omega!r}, lam={lam!r}")
+        i = np.argmax(singular)
+        raise SingularSystem(
+            f"singular resolvent block at omega={float(omega[i])!r}, lam={float(lam[i])!r}"
+        )
+    return mu_exp, w, k, g, h, delta, shift, det_re, det_im
+
+
+def _bounds(params: ModelParams, lam, omega) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The norm bounds `low` and `high` of the blocks (lam, omega), and the
+    terms their Gram blocks are built from."""
+    mu_exp, w, k, g, h, delta, shift, det_re, det_im = _det(params, lam, omega)
+    k2, g2, w2, h2 = k * k, g * g, w * w, h * h
     # adj B = [[g^2 - w^2 + i w h, k (h + i w), -k g],
     #          [-k (h + i w), -w^2 + i w h, -i w g],
     #          [-k g, i w g, delta]];  the diagonal of adj(B)^H adj(B):
@@ -195,30 +250,71 @@ def _kept_blocks(params: ModelParams, lams, omegas) -> tuple[np.ndarray, ...]:
     max_diag = np.maximum(np.maximum(d0, d1), d2)
     low = np.ldexp(np.sqrt(max_diag / det2) * (1.0 - _PRUNE_MARGIN), scale)
     high = np.ldexp(np.sqrt((d0 + d1 + d2) / det2) * (1.0 + _PRUNE_MARGIN), scale)
-    # negated, so that a nan or inf bound keeps its block
-    keep = ~(high < np.max(low, axis=1, keepdims=True))
+    return low, high, (w, k, g, h, k2, g2, w2, h2, shift, gram_exp, d0, d1, d2, det2, scale)
 
-    w, k, g, h, k2, g2, w2, h2, shift, gram_exp = (
-        x[keep] for x in (w, k, g, h, k2, g2, w2, h2, shift, gram_exp)
+
+def _kept_blocks(row, high, terms: tuple, bar) -> tuple[np.ndarray, ...]:
+    """The blocks of `terms` (from _bounds) whose `high` reaches the bar of
+    their `row`, as flat arrays: the row of each, its Gram diagonal and
+    off-diagonal entries, |det|^2 and the scale exponent of its norm.  Only
+    these go through Jacobi."""
+    # negated, so that a nan or inf bound keeps its block
+    keep = ~(high < bar[row])
+    w, k, g, h, k2, g2, w2, h2, shift, gram_exp, d0, d1, d2, det2, scale = (
+        x[keep] for x in terms
     )
     g01 = (k * h * g2, -2.0 * (k * w) * (w2 + h2))
     g02 = (-(k * g) * (shift - 2.0 * w2), 2.0 * (k * g) * (w * h))
     g12 = (-(g * h) * (k2 + w2), 2.0 * (g * w) * w2)
     off = (np.ldexp(x, -gram_exp) for x in (*g01, *g02, *g12))
-    kept = (d0[keep], d1[keep], d2[keep], *off, det2[keep], scale[keep])
-    return (np.nonzero(keep)[0], *kept)
+    return (row[keep], d0, d1, d2, *off, det2, scale)
+
+
+def _chunk_bounds(params: ModelParams, lo, hi, omegas) -> np.ndarray:
+    """For `omegas` (R, 1) and chunks whose least and largest lam are `lo`
+    and `hi` (C,), a bound (R, C) at or above `high` of every block of the
+    chunk; inf where the floats cannot certify one."""
+    # non-finite values only make a bound inf, which keeps its chunk
+    with np.errstate(all="ignore"):
+        (k0, g0, h0), (k1, g1, h1) = _kgh(params, lo), _kgh(params, hi)
+        # a power of two at or above every block's mu
+        exp = np.frexp(np.maximum(np.abs(omegas), np.maximum(np.maximum(k1, g1), h1)))[1]
+        w, k0, g0, h0, k1, g1, h1 = (np.ldexp(v, -exp) for v in (omegas, k0, g0, h0, k1, g1, h1))
+        w2, k2, g2, h2 = w * w, k1 * k1, g1 * g1, h1 * h1
+        # delta = k^2 - w^2 and g^2 - w^2 grow with lam, so their squares are
+        # largest, and their least |value| is, at an end of the chunk or 0
+        d0, d1 = (k0 - w) * (k0 + w), (k1 - w) * (k1 + w)
+        e0, e1 = (g0 - w) * (g0 + w), (g1 - w) * (g1 + w)
+        trace = (
+            np.maximum(e0 * e0, e1 * e1) + np.maximum(d0 * d0, d1 * d1)
+            + 2.0 * k2 * (h2 + w2 + g2) + w2 * (2.0 * (h2 + g2) + w2)
+        )
+        s0, s1 = d0 + g0 * g0, d1 + g2
+        d_min = np.where(d0 > 0, d0, np.where(d1 < 0, -d1, 0.0))
+        # a block's delta + g^2 may lose to cancellation what this takes off
+        s_min = np.where(s0 > 0, s0, np.where(s1 < 0, -s1, 0.0)) - _CHUNK_MARGIN * (k2 + g2 + w2)
+        det2 = h0 * h0 * d_min * d_min + w2 * np.square(np.maximum(s_min, 0.0))
+        bound = np.ldexp(
+            np.sqrt(trace / det2) * ((1.0 + _PRUNE_MARGIN) * (1.0 + _CHUNK_MARGIN)), -exp
+        )
+        normal = (trace >= _TINY) & (det2 >= _TINY) & (bound >= _NORMAL)
+    return np.where(normal, bound, np.inf)
 
 
 def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]:
     """Sup over `lams` of ||W^(1/2) (i omega - M_lam)^(-1) W^(-1/2)||, for
     each omega, with the number of kept blocks and of Jacobi calls.
 
-    The bounds run in passes of at most BLOCK_BUDGET blocks (or one
-    omega's worth, if more).  Kept blocks wait until BLOCK_BUDGET of them
-    are pending; then exactly BLOCK_BUDGET go through one Jacobi call, and
-    the rest wait for the next.  Only the last call takes fewer, so the
-    calls number ceil(kept / BLOCK_BUDGET) and none is larger than the
-    budget."""
+    The modes split into chunks of about sqrt(M), and a pass takes the
+    rows whose (omega, chunk) bounds number at most BLOCK_BUDGET (one row,
+    if more).  Each row's bar starts from the exact bounds of its chunk of
+    largest bound; the other chunks whose bound reaches it raise the bar to
+    the largest `low` of the row, and then the kept blocks of those chunks
+    are built.  Exact bounds run at most BLOCK_BUDGET blocks at a time.
+    Kept blocks wait until BLOCK_BUDGET of them are pending; then exactly
+    BLOCK_BUDGET go through one Jacobi call, and the rest wait for the
+    next.  Only the last call takes fewer, so the calls number
+    ceil(kept / BLOCK_BUDGET) and none is larger than the budget."""
     lams = np.asarray(lams, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     sups = np.zeros(omegas.size)
@@ -241,15 +337,61 @@ def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]
         np.maximum.at(sups, row, np.ldexp(np.sqrt(top / det2), scale))
         calls += 1
 
-    rows = max(1, BLOCK_BUDGET // lams.size)
-    for start in range(0, omegas.size, rows):
-        row, *blocks = _kept_blocks(params, lams, omegas[start : start + rows, None])
-        pending.append((start + row, *blocks))
-        held += row.size
-        kept += row.size
+    def hold() -> None:
+        nonlocal held, kept
+        held += pending[-1][0].size
+        kept += pending[-1][0].size
         while held >= BLOCK_BUDGET:
             sweep(BLOCK_BUDGET)
             held -= BLOCK_BUDGET
+
+    def blocks(pairs: np.ndarray):
+        """The blocks of this pass's (row, chunk) pairs, flat indices into
+        `bound` in ascending order, in (row, mode) order: batches of at most
+        BLOCK_BUDGET blocks as (row, lam)."""
+        step = max(1, BLOCK_BUDGET // size)
+        for i in range(0, pairs.size, step):
+            row, chunk = np.divmod(pairs[i : i + step], chunks)
+            modes = (chunk * size)[:, None] + np.arange(size)
+            inside = modes < lams.size
+            yield start + np.broadcast_to(row[:, None], modes.shape)[inside], lams[modes[inside]]
+
+    size = max(1, min(BLOCK_BUDGET, math.isqrt(lams.size)))
+    starts = np.arange(0, lams.size, size)
+    chunks = starts.size
+    lo, hi = np.minimum.reduceat(lams, starts), np.maximum.reduceat(lams, starts)
+    rows = max(1, BLOCK_BUDGET // chunks)
+    bar = np.full(omegas.size, -np.inf)
+    for start in range(0, omegas.size, rows):
+        bound = _chunk_bounds(params, lo, hi, omegas[start : start + rows, None])
+        # every singular block lies in a chunk of infinite bound, so this
+        # finds the first one in (row, mode) order
+        for row, lam in blocks(np.flatnonzero(np.isinf(bound))):
+            _det(params, lam, omegas[row])
+        # each row's bar starts from its chunk of largest bound; size <=
+        # chunks, so these seeds fit in one batch
+        seed = np.arange(bound.shape[0]) * chunks + np.argmax(bound, axis=1)
+        [(row, lam)] = blocks(seed)
+        low, high, terms = _bounds(params, lam, omegas[row])
+        np.maximum.at(bar, row, low)
+        # only the seed blocks that reach the bar now can reach it later
+        keep = ~(high < bar[row])
+        seed_row, seed_high, seed_terms = row[keep], high[keep], tuple(x[keep] for x in terms)
+        del low, high, terms
+        # a chunk below its row's bar holds no block whose `high`, or
+        # `low`, reaches the bar; the others raise it to the row's largest
+        # `low`, and then their kept blocks are built
+        reach = ~(bound < bar[start : start + rows, None]).ravel()
+        reach[seed] = False
+        rest = np.flatnonzero(reach)
+        for row, lam in blocks(rest):
+            np.maximum.at(bar, row, _bounds(params, lam, omegas[row])[0])
+        pending.append(_kept_blocks(seed_row, seed_high, seed_terms, bar))
+        del seed_high, seed_terms
+        hold()
+        for row, lam in blocks(rest):
+            pending.append(_kept_blocks(row, *_bounds(params, lam, omegas[row])[1:], bar))
+            hold()
     if held:
         sweep(held)
     if not np.all(np.isfinite(sups)):
@@ -368,6 +510,8 @@ def run(cfg: RunConfig) -> RunOutput:
                 "no resonant frequencies fall inside [omega_min, omega_max]"
             )
     scan = scan_imaginary_axis(cfg.params, cfg.lams, grid)
+    # past the last resonance the truncated scan misses the mode that sets the sup
+    omega_resolved = math.sqrt(cfg.params.c / cfg.params.rho) * float(np.max(cfg.lams))
     checks = [
         Check("norms_finite", bool(np.all(np.isfinite(scan.norms))), float(np.max(scan.norms)), float("inf")),
         Check("omega_sign_symmetry", scan.sign_gap <= 1e-10, scan.sign_gap, 1e-10),
@@ -383,11 +527,13 @@ def run(cfg: RunConfig) -> RunOutput:
             "tail_min": scan.tail_min,
             "tail_start": scan.tail_start,
             "limit_peak": scan.limit_peak,
+            "omega_resolved": omega_resolved,
         },
         notes={},
         sizes={
             "modes": cfg.lams.size,
             "omegas": scan.omegas.size,
+            "omegas_unresolved": int(np.count_nonzero(np.abs(scan.omegas) > omega_resolved)),
             "kept_blocks": scan.kept_blocks,
             "jacobi_calls": scan.jacobi_calls,
         },

@@ -516,6 +516,24 @@ class TestOtherSubcommands:
         rows = (tmp_path / "o" / "resolvent_scan.csv").read_text().splitlines()
         assert rows[0] == "omega,resolvent_norm"
 
+    def test_scan_counts_the_frequencies_past_the_last_resonance(self, tmp_path):
+        """Past omega_resolved = sqrt(c/rho) lam_N the truncated scan misses
+        the mode that sets the sup; the manifest counts those grid points."""
+        cfg = write_config(
+            tmp_path, "scan.cfg",
+            base_model(c="4") + [
+                "domain = interval", f"length = {PI}", "mode_count = 8",
+                "omega_min = 1", "omega_max = 1000", "omega_points = 50",
+            ],
+        )
+        out = str(tmp_path / "o")
+        assert main(["resolvent-scan", "--config", cfg, "--out", out]) == 0
+        manifest = read_manifest(out)
+        assert float(manifest["result.omega_resolved"]) == 2.0 * 64.0
+        rows = (tmp_path / "o" / "resolvent_scan.csv").read_text().splitlines()[1:]
+        past = sum(float(row.split(",")[0]) > 128.0 for row in rows)
+        assert int(manifest["size.omegas_unresolved"]) == past > 0
+
     def test_wide_scan_sends_jacobi_budget_sized_batches(self, tmp_path, monkeypatch):
         """The bench's wide-plate scan keeps more than BLOCK_BUDGET blocks in
         its first passes: they go through Jacobi BLOCK_BUDGET at a time, and
@@ -561,7 +579,7 @@ class TestOtherSubcommands:
         manifest = read_manifest(out)
         assert manifest["status"] == "check_failure"
         assert manifest["exit_code"] == "3"
-        assert manifest["error"].startswith("singular resolvent block at omega=1.0")
+        assert manifest["error"] == "singular resolvent block at omega=1.0, lam=1.0"
         assert "check failure" in capsys.readouterr().err
 
     def test_nondiff(self, tmp_path):

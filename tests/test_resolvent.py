@@ -1,10 +1,11 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradiplate import (
@@ -199,11 +200,31 @@ class TestNormKernel:
         assert peak < 3e6
         assert scan.kept_blocks > resolvent.BLOCK_BUDGET
 
+    def test_scan_memory_does_not_grow_with_the_modes(self, unit_params):
+        """20 frequencies x 65,536 interval modes peaked at 13.2 MB when a
+        bound pass held one omega row whole.  A pass now holds at most
+        BLOCK_BUDGET (omega, chunk) bounds and BLOCK_BUDGET blocks: the scan
+        peaks at 0.96 MB here, and at 0.98 MB with 262,144 modes."""
+        lams = enumerate_modes(Interval(math.pi), 65536)
+        grid = np.geomspace(0.1, 1e4, 20)
+        scan_imaginary_axis(unit_params, lams[:64], grid[:2])
+        tracemalloc.start()
+        try:
+            scan = scan_imaginary_axis(unit_params, lams, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert np.all(np.isfinite(scan.norms))
+
     def test_decoupled_resonance_is_singular(self):
         """eta = 0 leaves the plate undamped: i*omega = i*sqrt(c/rho)*lam is
-        an eigenvalue of the block."""
-        with pytest.raises(SingularSystem):
-            block_norm(ModelParams.unit(eta=0.0), 4.0, 4.0)
+        an eigenvalue of the block.  Singularity is found before anything
+        divides, so no RuntimeWarning escapes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="^singular resolvent block at omega=4.0, lam=4.0$"):
+                block_norm(ModelParams.unit(eta=0.0), 4.0, 4.0)
 
 
 @st.composite
@@ -228,20 +249,50 @@ def lam_sets(draw):
     return draw(st.permutations(distinct + repeats))
 
 
+def probe_omegas(params, lams, extra):
+    """0, +-1e-300, +-1e300, the +- resonances of the first four lams, and
+    `extra`."""
+    resonant = math.sqrt(params.c / params.rho) * np.array(lams[:4])
+    return np.concatenate([[0.0, 1e-300, -1e-300, 1e300, -1e300], resonant, -resonant, extra])
+
+
+# the bench's wide-plate scan: 2,048 rectangle modes, 200 log frequencies and
+# the -omega_0 probe
+WIDE_PLATE = (
+    ModelParams.unit(),
+    enumerate_modes(Rectangle(math.pi, 2.0), 2048).tolist(),
+    [*np.geomspace(0.1, 1e4, 200).tolist(), -0.1],
+)
+
+
 class TestPrunedSup:
     """The scan keeps one number per omega, the sup over modes, and sends to
     Jacobi only the blocks whose upper bound reaches the row's bar."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(sup_params(), lam_sets(), st.lists(st.floats(-1e5, 1e5), max_size=4))
+    @example(*WIDE_PLATE)
     def test_sup_is_the_max_of_single_block_norms(self, params, lams, extra):
-        resonant = math.sqrt(params.c / params.rho) * np.array(lams[:4])
-        omegas = np.concatenate([[0.0, 1e-300, -1e-300, 1e300, -1e300], resonant, -resonant, extra])
+        omegas = probe_omegas(params, lams, extra)
         # one lambda per row: each row is a single block, with nothing to prune
         singles = np.array([resolvent._sup_norms(params, [lam], omegas)[0] for lam in lams])
         assert np.all(singles > 0)
         sups = resolvent._sup_norms(params, lams, omegas)[0]
         assert sups.tobytes() == np.max(singles, axis=0).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(sup_params(), lam_sets(), st.lists(st.floats(-1e5, 1e5), max_size=4))
+    @example(*WIDE_PLATE)
+    def test_kept_blocks_are_those_whose_high_reaches_the_bar(self, params, lams, extra):
+        """The chunk bounds skip only blocks that exact bounds on the whole
+        grid would prune: the kept count is that of every block whose `high`
+        reaches the largest `low` of its row."""
+        omegas = probe_omegas(params, lams, extra)
+        lam, omega = (x.ravel() for x in np.meshgrid(lams, omegas))
+        low, high, _ = resolvent._bounds(params, lam, omega)
+        low, high = low.reshape(omegas.size, -1), high.reshape(omegas.size, -1)
+        reach = ~(high < np.max(low, axis=1, keepdims=True))
+        assert resolvent._sup_norms(params, lams, omegas)[1] == np.count_nonzero(reach)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(sup_params(), lam_sets(), st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=4))
@@ -283,6 +334,26 @@ class TestPrunedSup:
         scan_imaginary_axis(unit_params, enumerate_modes(pi_interval, 64), grid)
         # the scan adds -grid[0], its conjugation-symmetry probe
         assert sum(received) <= 0.1 * (grid.size + 1) * 64
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        sup_params(), lam_sets(),
+        st.lists(st.tuples(st.integers(0, 63), st.sampled_from((-1.0, 1.0))), min_size=1, max_size=6),
+        st.lists(st.floats(-1e5, 1e5), max_size=4),
+    )
+    def test_first_singular_block_in_row_mode_order(self, params, lams, picks, extra):
+        """With eta = 0 a block is singular exactly where k = |omega|, and the
+        error names the first such block in (row, mode) order, whichever
+        chunk it lies in."""
+        decoupled = ModelParams(params.rho, params.a, params.b, params.c, params.d, 0.0)
+        root = math.sqrt(params.c / params.rho)
+        omegas = extra + [sign * root * lams[i % len(lams)] for i, sign in picks]
+        first = next((w, lam) for w in omegas for lam in lams if root * lam == abs(w))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem) as raised:
+                resolvent._sup_norms(decoupled, lams, omegas)
+        assert str(raised.value) == f"singular resolvent block at omega={first[0]!r}, lam={first[1]!r}"
 
 
 def scalar_term(params, lam, branch):
