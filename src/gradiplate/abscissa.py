@@ -10,7 +10,7 @@ from .config import RunConfig, as_float, as_int, build_domain, require
 from .errors import ConfigError
 from .manifest import Check, RunOutput
 from .model import ModelParams, Regime
-from .spectrum import mode_spectra
+from .spectrum import THREE_REAL, mode_spectra
 
 
 def row_max(values: np.ndarray) -> np.ndarray:
@@ -57,7 +57,7 @@ def run(cfg: RunConfig) -> RunOutput:
     # roots.view(float) interleaves the columns root1_re, root1_im, ...
     columns = [
         lams, *roots.view(float).T, max_real, residual_max,
-        np.char.replace(classification, " ", "_"),
+        np.where(classification == THREE_REAL, "three_real", "one_real_+_complex_pair"),
     ]
     results = {
         "abscissa_lambda_scan": scan_abscissa,

@@ -349,14 +349,20 @@ def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]
         """The blocks of this pass's (row, chunk) pairs, flat indices into
         `bound` in ascending order, in (row, mode) order: batches of at most
         BLOCK_BUDGET blocks as (row, lam)."""
-        step = max(1, BLOCK_BUDGET // size)
         for i in range(0, pairs.size, step):
             row, chunk = np.divmod(pairs[i : i + step], chunks)
             modes = (chunk * size)[:, None] + np.arange(size)
             inside = modes < lams.size
             yield start + np.broadcast_to(row[:, None], modes.shape)[inside], lams[modes[inside]]
 
+    def bounded(pairs: np.ndarray):
+        """The batches of `blocks(pairs)` as (row, low, high, terms)."""
+        for row, lam in blocks(pairs):
+            yield row, *_bounds(params, lam, omegas[row])
+
     size = max(1, min(BLOCK_BUDGET, math.isqrt(lams.size)))
+    # (row, chunk) pairs per batch of exact bounds
+    step = max(1, BLOCK_BUDGET // size)
     starts = np.arange(0, lams.size, size)
     chunks = starts.size
     lo, hi = np.minimum.reduceat(lams, starts), np.maximum.reduceat(lams, starts)
@@ -384,14 +390,20 @@ def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]
         reach = ~(bound < bar[start : start + rows, None]).ravel()
         reach[seed] = False
         rest = np.flatnonzero(reach)
-        for row, lam in blocks(rest):
-            np.maximum.at(bar, row, _bounds(params, lam, omegas[row])[0])
+        # rest in one batch: its bounds raise the bar, final after that
+        # batch, and then build its kept blocks; in more batches each
+        # batch's bounds run twice, so that a pass holds one at a time
+        once = rest.size <= step
+        first = list(bounded(rest)) if once else bounded(rest)
+        for row, low, _, _ in first:
+            np.maximum.at(bar, row, low)
         pending.append(_kept_blocks(seed_row, seed_high, seed_terms, bar))
         del seed_high, seed_terms
         hold()
-        for row, lam in blocks(rest):
-            pending.append(_kept_blocks(row, *_bounds(params, lam, omegas[row])[1:], bar))
+        for row, _, high, terms in first if once else bounded(rest):
+            pending.append(_kept_blocks(row, high, terms, bar))
             hold()
+        del first
     if held:
         sweep(held)
     if not np.all(np.isfinite(sups)):

@@ -16,7 +16,12 @@ Roots are found by the depressed-cubic trigonometric formula (three real
 roots) or a cancellation-safe Cardano form (one real root plus a pair) and
 then polished by Newton iterations in 80-bit extended precision, which
 keeps the backward-error residual near machine level even for lam ~ 1e8
-where coefficients span 32 orders of magnitude.  Past lam of about 5e9
+where coefficients span 32 orders of magnitude.  Each root takes at most
+6 Newton steps: it stops unmoved at a zero derivative, and stops after a
+step within 1e-20 max(|z|, 1) or a step that leaves its bits unchanged,
+and each step runs on the roots still moving alone.  A discriminant that
+cancels to exactly 0 classifies its cubic as three real only if the
+roots, made real, still solve it.  Past lam of about 5e9
 (with d > 0) the roots spread beyond long double's precision and the
 depressed cubic loses the small two: those cubics restart from the large
 root and Vieta's relations.  `mode_spectra` runs the solver on a whole
@@ -57,28 +62,48 @@ def _horner(a2, a1, a0, z):
     return p, dp
 
 
+def _same_bits(x, y):
+    """x == y with equal zero signs: the same long double bits."""
+    return (x == y) & (np.signbit(x.real) == np.signbit(y.real)) & (np.signbit(x.imag) == np.signbit(y.imag))
+
+
 def _polish(a2, a1, a0, z):
-    """Newton's method from the starts z, at most 6 steps, a root stopping unmoved at a
-    zero derivative or after a step within 1e-20 max(|z|, 1)."""
-    live = True
+    """Newton's method from the starts z, at most 6 steps per root.
+
+    A root stops unmoved where its derivative is 0, and stops after a step
+    within 1e-20 max(|z|, 1) or a step that leaves it bit for bit unchanged
+    (equal parts with equal zero signs: every later step would repeat that
+    one).  Each step runs on the roots still moving alone, so every root
+    ends where its own scalar loop would, whatever its neighbours do."""
+    roots = np.array(z, dtype=np.clongdouble)
+    # the coefficients in the roots' layout, cast once
+    coeffs = [np.broadcast_to(c, roots.shape).astype(np.clongdouble).ravel() for c in (a2, a1, a0)]
+    flat = roots.reshape(-1)
+    moving = np.arange(flat.size)
+    # the moving iterate, apart from the stored roots
+    z = flat.copy()
     for _ in range(6):
-        val, der = _horner(a2, a1, a0, z)
-        live = live & (der != 0)
+        val, der = _horner(*coeffs, z)
+        turns = der != 0
         step = val / der
-        moved = z - step
-        z = np.where(live, moved, z)
-        # |step| > 1e-20 max(|moved|, 1)
+        moved = np.where(turns, z - step, z)
+        # |step| > 1e-20 max(|moved|, 1), and moved not bit for bit z
         size = abs(step)
-        live = live & (size > 1e-20 * abs(moved)) & (size > 1e-20)
-        if not live.any():
+        go = turns & (size > 1e-20 * abs(moved)) & (size > 1e-20) & ~_same_bits(moved, z)
+        stop = ~go
+        flat[moving[stop]] = moved[stop]
+        moving, z, *coeffs = (x[go] for x in (moving, moved, *coeffs))
+        if not moving.size:
             break
-    return z
+    flat[moving] = z
+    return roots
 
 
 def _residuals(a2, a1, a0, z):
     """|p(z)| normalized by the largest term magnitude."""
     val, _ = _horner(a2, a1, a0, z)
-    scale = abs(z) ** 3 + abs(a2) * abs(z) ** 2 + abs(a1) * abs(z) + abs(a0)
+    r = abs(z)
+    scale = r**3 + abs(a2) * r**2 + abs(a1) * r + abs(a0)
     return abs(val) / np.maximum(scale, np.longdouble(1e-300))
 
 
@@ -97,22 +122,30 @@ def _solve_cubics(a2, a1, a0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     disc = -4.0 * p**3 - 27.0 * q * q
     three_real = disc >= 0
 
-    # every element runs both starts and keeps its own: the trigonometric
-    # form for three distinct real roots (disc > 0), else Cardano with the
-    # larger-magnitude cube root to avoid cancellation; then the Newton
-    # polish of the three roots of every element at once
+    # the starts: Cardano with the larger-magnitude cube root to avoid
+    # cancellation, and the trigonometric form in its place where there are
+    # three distinct real roots (disc > 0); then the Newton polish of the
+    # three roots of every element at once
     with np.errstate(all="ignore"):
-        r = 2.0 * np.sqrt(-p / 3.0)
-        phi = np.arccos(np.clip(np.longdouble(3.0) * q / (p * r), -1.0, 1.0))
         s = np.sqrt(np.maximum(q * q / 4.0 + p**3 / 27.0, 0.0))
         u = np.cbrt(np.where(q >= 0, -q / 2.0 - s, -q / 2.0 + s))
         v = np.where(u == 0, np.longdouble(0.0), -p / (3.0 * u))
         t1 = u + v
         re = -t1 / 2.0 - shift
         im = 1j * (np.sqrt(np.longdouble(3.0)) / 2.0 * (u - v))
-        cardano = (np.clongdouble(t1 - shift), re + im, re - im)
-        trig = [np.clongdouble(r * np.cos((phi - 2.0 * np.pi * k) / 3.0) - shift) for k in range(3)]
-        z = _polish(a2, a1, a0, np.where(disc > 0, np.array(trig), np.array(cardano)))
+        start = np.array((np.clongdouble(t1 - shift), re + im, re - im))
+        trig = np.flatnonzero(disc > 0)
+        tp, tq, tshift = p[trig], q[trig], shift[trig]
+        r = 2.0 * np.sqrt(-tp / 3.0)
+        phi = np.arccos(np.clip(np.longdouble(3.0) * tq / (tp * r), -1.0, 1.0))
+        start[:, trig] = [r * np.cos((phi - 2.0 * np.pi * k) / 3.0) - tshift for k in range(3)]
+        z = _polish(a2, a1, a0, start)
+        # disc = 0 may be cancellation's: a cubic whose roots, made real, no
+        # longer solve it has a complex pair
+        tie = np.flatnonzero(disc == 0)
+        if tie.size:
+            real = _residuals(a2[tie], a1[tie], a0[tie], z[:, tie].real)
+            three_real[tie] = np.max(real, axis=0) <= 1e-9
         # roots too far apart for long double lose the small two in the
         # depressed cubic: those restart from the large root near -a2 and
         # the pair's product and sum by Vieta, z2 z3 = -a0/z1 and

@@ -319,6 +319,24 @@ class TestPrunedSup:
         assert kept_now == kept
         assert calls_now == -(-kept // budget) > 1
 
+    def test_one_batch_pass_bounds_each_block_once(self, unit_params, pi_interval, monkeypatch):
+        """A pass whose chunks above the seeds' bar fit one batch of exact
+        bounds raises the bar and builds its kept blocks from the same
+        bounds, so no block's bounds run twice."""
+        seen = []
+        bounds = resolvent._bounds
+
+        def counting(params, lam, omega):
+            seen.extend(zip(omega.tolist(), lam.tolist()))
+            return bounds(params, lam, omega)
+
+        monkeypatch.setattr(resolvent, "_bounds", counting)
+        omegas = np.geomspace(0.1, 1e4, 300)
+        resolvent._sup_norms(unit_params, enumerate_modes(pi_interval, 64), omegas)
+        # more than the seed chunks of 8 modes, one per row
+        assert len(seen) > 8 * omegas.size
+        assert len(set(seen)) == len(seen)
+
     def test_few_blocks_reach_jacobi(self, unit_params, pi_interval, monkeypatch):
         """On the README-size scan about 4% of the blocks can hold their
         row's sup; the rest are settled by their bounds."""

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_cubic
+from gradiplate import spectrum
 from gradiplate.abscissa import row_max
 from gradiplate.spectrum import (
     REAL_PLUS_PAIR,
@@ -115,6 +116,27 @@ class TestCubicRoots:
         """Backward-error residuals stay at machine level up to lam = 1e8."""
         _, _, residuals = mode_spectra(unit_params, np.geomspace(1.0, 1e8, 60))
         assert np.max(residuals) <= 1e-10
+
+    def test_extreme_lambda_residuals_past_the_restart(self, unit_params):
+        """Up to lam = 1e13, where the cubics past about 5e9 restart from
+        Vieta's relations, the residuals stay at machine level too."""
+        lams = np.geomspace(1.0, 1e13, 200)
+        _, _, residuals = mode_spectra(unit_params, lams)
+        assert np.max(residuals) <= 1e-10
+        # the grid reaches the cubics whose depressed form loses the pair
+        mu, kappa, eps = characteristic_coefficients(unit_params, lams[-1])
+        assert np.max(scalar_cubic.cubic_roots(mu, kappa + eps, kappa * mu)[2]) > 1e-9
+
+    def test_discriminant_cancelled_to_zero_keeps_the_pair(self, unit_params):
+        """At this lam the depressed cubic's discriminant cancels to exactly
+        0, yet the roots are about -mu and the pair -1/2 +- i lam: the
+        cubic keeps its pair and does not read as three real."""
+        lam = 24374441501.222218
+        roots, classification, residuals = mode_spectra(unit_params, [lam])
+        assert classification[0] == REAL_PLUS_PAIR
+        assert np.max(residuals) <= 1e-15
+        assert roots[0, 1:].real == pytest.approx([-0.5, -0.5], rel=1e-9)
+        assert roots[0, 1:].imag == pytest.approx([-lam, lam], rel=1e-9)
 
     def test_coefficient_consistency(self, unit_params):
         """Root sums and products reproduce the cubic coefficients."""
@@ -287,6 +309,42 @@ class TestBatchedRoots:
         _, classification, _ = mode_spectra(params, lams)
         assert set(classification) == {THREE_REAL, REAL_PLUS_PAIR}
         self.assert_matches_scalar_reference(params, lams)
+
+    def test_bench_grid_equals_scalar_reference(self, unit_params):
+        """Every row of the bench's 2,000-lambda grid up to 1e8, where the
+        reference solves each cubic, bit for bit."""
+        lams = np.geomspace(1.0, 1e8, 2000)
+        roots, classification, residuals = mode_spectra(unit_params, lams)
+        for k, lam in enumerate(lams):
+            mu, kappa, eps = characteristic_coefficients(unit_params, lam)
+            ref_roots, ref_class, ref_res = scalar_cubic.cubic_roots(mu, kappa + eps, kappa * mu)
+            assert roots[k].tobytes() == np.array(ref_roots).tobytes(), lam
+            assert classification[k] == ref_class
+            assert np.sort(residuals[k]).tobytes() == np.sort(ref_res).tobytes()
+
+    def test_polish_steps_only_moving_roots(self, unit_params, monkeypatch):
+        """On the bench grid about half of the 2,000 x 3 roots x 6 Newton
+        steps would repeat a settled root; the polish evaluates only the
+        roots still moving."""
+        evaluated, inside = [], []
+        horner, polish = spectrum._horner, spectrum._polish
+
+        def counting_horner(a2, a1, a0, z):
+            if inside:
+                evaluated.append(np.size(z))
+            return horner(a2, a1, a0, z)
+
+        def flagged_polish(*args):
+            inside.append(True)
+            try:
+                return polish(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(spectrum, "_horner", counting_horner)
+        monkeypatch.setattr(spectrum, "_polish", flagged_polish)
+        mode_spectra(unit_params, np.geomspace(1.0, 1e8, 2000))
+        assert 6_000 <= sum(evaluated) <= 18_000
 
     def test_rejects_nonpositive_lambda(self, unit_params):
         with pytest.raises(ValueError):
