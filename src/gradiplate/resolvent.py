@@ -355,10 +355,13 @@ def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]
             inside = modes < lams.size
             yield start + np.broadcast_to(row[:, None], modes.shape)[inside], lams[modes[inside]]
 
-    def bounded(pairs: np.ndarray):
-        """The batches of `blocks(pairs)` as (row, low, high, terms)."""
-        for row, lam in blocks(pairs):
-            yield row, *_bounds(params, lam, omegas[row])
+    def kept_once(pairs: np.ndarray):
+        """The kept blocks of `pairs`, one batch, whose bounds first raise
+        the bar of their rows."""
+        [(row, lam)] = blocks(pairs)
+        low, high, terms = _bounds(params, lam, omegas[row])
+        np.maximum.at(bar, row, low)
+        return _kept_blocks(row, high, terms, bar)
 
     size = max(1, min(BLOCK_BUDGET, math.isqrt(lams.size)))
     # (row, chunk) pairs per batch of exact bounds
@@ -390,20 +393,24 @@ def _sup_norms(params: ModelParams, lams, omegas) -> tuple[np.ndarray, int, int]
         reach = ~(bound < bar[start : start + rows, None]).ravel()
         reach[seed] = False
         rest = np.flatnonzero(reach)
-        # rest in one batch: its bounds raise the bar, final after that
-        # batch, and then build its kept blocks; in more batches each
+        # rest in one batch: raising the bar by it makes the bar final, so
+        # the same bounds build its kept blocks; in more batches each
         # batch's bounds run twice, so that a pass holds one at a time
-        once = rest.size <= step
-        first = list(bounded(rest)) if once else bounded(rest)
-        for row, low, _, _ in first:
-            np.maximum.at(bar, row, low)
+        kept_rest = kept_once(rest) if 0 < rest.size <= step else None
+        if rest.size > step:
+            for row, lam in blocks(rest):
+                np.maximum.at(bar, row, _bounds(params, lam, omegas[row])[0])
         pending.append(_kept_blocks(seed_row, seed_high, seed_terms, bar))
         del seed_high, seed_terms
         hold()
-        for row, _, high, terms in first if once else bounded(rest):
-            pending.append(_kept_blocks(row, high, terms, bar))
+        if kept_rest is not None:
+            pending.append(kept_rest)
+            del kept_rest
             hold()
-        del first
+        else:
+            for row, lam in blocks(rest):
+                pending.append(_kept_blocks(row, *_bounds(params, lam, omegas[row])[1:], bar))
+                hold()
     if held:
         sweep(held)
     if not np.all(np.isfinite(sups)):
