@@ -21,12 +21,12 @@ where coefficients span 32 orders of magnitude.  Each root takes at most
 step within 1e-20 max(|z|, 1) or a step that leaves its bits unchanged,
 and each step runs on the roots still moving alone.  A discriminant that
 cancels to exactly 0 classifies its cubic as three real only if the
-roots, made real, still solve it.  Past lam of about 5e9
-(with d > 0) the roots spread beyond long double's precision and the
-depressed cubic loses the small two: those cubics restart from the large
-root and Vieta's relations.  `mode_spectra` runs the solver on a whole
-array of lam at once, rescaling a cubic whose coefficients would leave
-the float range.
+roots, made real, still solve it.  Past lam of about 5e9 (with d > 0)
+the roots spread beyond long double's precision and the depressed cubic
+loses the small two: the cubics whose residual then exceeds 1e-10
+restart from the large root and Vieta's relations.  `mode_spectra` runs
+the solver on a whole array of lam at once, rescaling a cubic whose
+coefficients would leave the float range.
 """
 
 from __future__ import annotations
@@ -147,10 +147,10 @@ def _solve_cubics(a2, a1, a0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             real = _residuals(a2[tie], a1[tie], a0[tie], z[:, tie].real)
             three_real[tie] = np.max(real, axis=0) <= 1e-9
         # roots too far apart for long double lose the small two in the
-        # depressed cubic: those restart from the large root near -a2 and
-        # the pair's product and sum by Vieta, z2 z3 = -a0/z1 and
-        # z2 + z3 = (a1 - z2 z3)/z1
-        bad = np.flatnonzero(np.max(_residuals(a2, a1, a0, z), axis=0) > 1e-9)
+        # depressed cubic: those whose residual fails the 1e-10 gate restart
+        # from the large root near -a2 and the pair's product and sum by
+        # Vieta, z2 z3 = -a0/z1 and z2 + z3 = (a1 - z2 z3)/z1
+        bad = np.flatnonzero(np.max(_residuals(a2, a1, a0, z), axis=0) > 1e-10)
         if bad.size:
             b2, b1, b0 = a2[bad], a1[bad], a0[bad]
             big = _polish(b2, b1, b0, np.clongdouble(-b2))
