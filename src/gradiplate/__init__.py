@@ -28,7 +28,6 @@ _EXPORTS = {
         "Interval",
         "ModelParams",
         "Rectangle",
-        "Regime",
         "SpectralDomain",
         "enumerate_modes",
     ),
@@ -44,7 +43,6 @@ _EXPORTS = {
     ),
     "quasistatic": (
         "QuasiDecayReport",
-        "QuasiParams",
         "effective_capacity",
         "quasi_decay_report",
     ),

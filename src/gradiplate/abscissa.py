@@ -9,7 +9,7 @@ import numpy as np
 from .config import RunConfig, as_float, as_int, build_domain, require
 from .errors import ConfigError
 from .manifest import Check, RunOutput
-from .model import ModelParams, Regime
+from .model import ModelParams
 from .spectrum import THREE_REAL, mode_spectra
 
 
@@ -50,7 +50,7 @@ def run(cfg: RunConfig) -> RunOutput:
     checks = [Check("root_residuals", max_residual <= 1e-10, max_residual, 1e-10)]
     # exponential stability needs the coupling: with eta = 0 the plate roots
     # +-i sqrt(c/rho) lam lie on the imaginary axis
-    if cfg.params.regime is Regime.STABLE and cfg.params.eta != 0:
+    if cfg.params.c > 0 and cfg.params.eta != 0:
         value = max(scan_abscissa, modal_abscissa)
         checks.append(Check("abscissa_negative", value < 0.0, value, 0.0))
 

@@ -184,8 +184,8 @@ def gronwall_check(series: LyapunovSeries) -> GronwallReport:
 def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
     build_evolution(cfg, raw)
     # the identities use central differences, which need an interior
-    # sample of the grid dt * (0, 1, ..., round(t_end / dt))
-    if round(cfg.t_end / cfg.dt) < 2:
+    # sample of the grid
+    if cfg.times.size < 3:
         raise ConfigError("backward needs at least 3 time samples (round(t_end / dt) >= 2)")
     cfg.epsilon = 0.5
     if "epsilon" in raw:
@@ -195,7 +195,7 @@ def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
 
 
 def run(cfg: RunConfig) -> RunOutput:
-    evolution = Evolution(cfg.params, cfg.lams, cfg.x0, cfg.time_grid(), Direction.BACKWARD)
+    evolution = Evolution(cfg.params, cfg.lams, cfg.x0, cfg.times, Direction.BACKWARD)
     coupling = np.empty(evolution.t.size)
 
     def couple(lo: int, x: np.ndarray) -> None:

@@ -7,8 +7,9 @@ keys plus its own options.  All numeric constraints on the model constants
 are enforced at parse time so command handlers never see invalid params.
 
 This module holds the rules every subcommand shares: the syntax, the key
-sets, the model constants, and the domain, time grid and initial data of
-the subcommands that take them.  Each subcommand's own rules are the
+sets, the model constants, the run's modes (`build_modes` enumerates
+them, under one range rule), the time grid and the initial data of the
+subcommands that take them.  Each subcommand's own rules are the
 `configure` function of its module (`MODULES`), next to its handler.
 """
 
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .model import Interval, ModelParams, Rectangle, Regime, enumerate_modes
+from .model import Interval, ModelParams, Rectangle, enumerate_modes
 
 PARAM_KEYS = ("rho", "a", "b", "c", "d", "eta")
 COMMON_KEYS = set(PARAM_KEYS) | {"regime"}
@@ -123,20 +124,18 @@ class RunConfig:
     """Typed view of one run configuration.
 
     `params` holds the model constants.  `lams` holds the eigenvalues of
-    the first mode_count modes, ascending: the run's one enumeration of its
-    modes, and `domain` their domain; `x0` holds the initial data
-    x0[mode, (u, v, theta)] over them.  The subcommand's `configure` sets
-    these, where it takes them, and its own fields (`t_end` and `dt`, the
-    omega grid, `n_max`, ...).
+    the run's modes, ascending (the first mode_count, n_max or
+    len(initial_theta) of them): the run's one enumeration of its modes,
+    and `domain` their domain; `x0` holds the initial data
+    x0[mode, (u, v, theta)] over them, and `times` the time grid
+    dt * (0, 1, ..., round(t_end / dt)).  The subcommand's `configure` sets
+    these, where it takes them, and its own fields (the omega grid,
+    `n_max`, ...).
     """
 
     def __init__(self, subcommand: str, raw: dict[str, str], params: ModelParams):
         self.subcommand, self.raw, self.params = subcommand, raw, params
-        self.domain = self.lams = self.x0 = None
-
-    def time_grid(self) -> np.ndarray:
-        """The samples dt * (0, 1, ..., round(t_end / dt))."""
-        return self.dt * np.arange(int(round(self.t_end / self.dt)) + 1)
+        self.domain = self.lams = self.x0 = self.times = None
 
 
 def preset_coefficients(names: str, lams: np.ndarray) -> np.ndarray:
@@ -166,30 +165,30 @@ def preset_coefficients(names: str, lams: np.ndarray) -> np.ndarray:
 
 def _build_params(raw: dict[str, str], subcommand: str) -> ModelParams:
     require(raw, PARAM_KEYS, subcommand)
-    regime = None
-    if "regime" in raw:
-        try:
-            regime = Regime(raw["regime"])
-        except ValueError as exc:
-            raise ConfigError(
-                f"regime: expected stable|unstable|quasistatic, got {raw['regime']!r}"
-            ) from exc
+    # `regime` only restates the sign of c, which selects the regime
+    regime = raw.get("regime")
+    if regime not in (None, "stable", "unstable", "quasistatic"):
+        raise ConfigError(f"regime: expected stable|unstable|quasistatic, got {regime!r}")
     try:
-        return ModelParams(
+        params = ModelParams(
             rho=as_float(raw, "rho"),
             a=as_float(raw, "a"),
             b=as_float(raw, "b"),
             c=as_float(raw, "c"),
             d=as_float(raw, "d"),
             eta=as_float(raw, "eta"),
-            regime=regime,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if regime == "stable" and params.c < 0:
+        raise ConfigError("regime Stable requires c > 0")
+    if regime in ("unstable", "quasistatic") and params.c > 0:
+        raise ConfigError(f"regime {regime} requires c < 0")
+    return params
 
 
-def build_domain(cfg: RunConfig, raw: dict[str, str]) -> None:
-    """`domain` and its `lams`, from the domain keys."""
+def read_domain(cfg: RunConfig, raw: dict[str, str]) -> int:
+    """`domain`, from the domain keys; returns their mode_count."""
     subcommand = cfg.subcommand
     require(raw, ("domain", "mode_count"), subcommand)
     kind = raw["domain"]
@@ -207,15 +206,28 @@ def build_domain(cfg: RunConfig, raw: dict[str, str]) -> None:
     mode_count = as_int(raw, "mode_count")
     if mode_count < 1:
         raise ConfigError("mode_count must be >= 1")
+    cfg.domain = domain
+    return mode_count
+
+
+def build_modes(cfg: RunConfig, count: int, count_key: str) -> None:
+    """`lams`, the `count` smallest eigenvalues of `domain`, whose number
+    the key `count_key` sets."""
+    domain = cfg.domain
     try:
-        lams = enumerate_modes(domain, mode_count)
+        lams = enumerate_modes(domain, count)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # the mode blocks square lam: lam_1^2 and lam_N^2 must be normal floats
     if not all(sys.float_info.min <= lam * lam < math.inf for lam in lams[[0, -1]].tolist()):
-        keys = "length" if kind == "interval" else "length1, length2"
-        raise ConfigError(f"{keys}, mode_count: lam_1^2 or lam_N^2 of {domain!r} leaves the normal float range")
-    cfg.domain, cfg.lams = domain, lams
+        keys = "length" if isinstance(domain, Interval) else "length1, length2"
+        raise ConfigError(f"{keys}, {count_key}: lam_1^2 or lam_N^2 of {domain!r} leaves the normal float range")
+    cfg.lams = lams
+
+
+def build_domain(cfg: RunConfig, raw: dict[str, str]) -> None:
+    """`domain` and its `lams`, from the domain keys."""
+    build_modes(cfg, read_domain(cfg, raw), "mode_count")
 
 
 def _build_initial(cfg: RunConfig, raw: dict[str, str]) -> None:
@@ -242,16 +254,18 @@ def _build_initial(cfg: RunConfig, raw: dict[str, str]) -> None:
 
 
 def build_time(cfg: RunConfig, raw: dict[str, str]) -> None:
-    """`t_end` and `dt`, and a grid of them that an array can hold."""
+    """`dt` and the grid `times` of `t_end` and `dt`, which an array must
+    hold."""
     require(raw, ("t_end", "dt"), cfg.subcommand)
-    cfg.t_end = as_float(raw, "t_end")
+    t_end = as_float(raw, "t_end")
     cfg.dt = as_float(raw, "dt")
-    if not (cfg.t_end > 0 and cfg.dt > 0 and cfg.dt <= cfg.t_end):
+    if not (t_end > 0 and cfg.dt > 0 and cfg.dt <= t_end):
         raise ConfigError("need 0 < dt <= t_end")
     # the grid of round(t_end / dt) + 1 samples must be an array numpy can index
-    steps = cfg.t_end / cfg.dt
+    steps = t_end / cfg.dt
     if not steps < sys.maxsize:
         raise ConfigError(f"t_end / dt = {steps!r} samples: more than an array can hold")
+    cfg.times = cfg.dt * np.arange(round(steps) + 1)
 
 
 def build_evolution(cfg: RunConfig, raw: dict[str, str]) -> None:

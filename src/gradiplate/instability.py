@@ -155,13 +155,10 @@ def convexity_trajectory(
 class ConvexityReport:
     """Pointwise convexity inequality F'' F - (F'-nu)^2 >= -2(omega+E0) F."""
 
-    __slots__ = ("min_residual", "scale", "tolerance", "passed", "residuals")
+    __slots__ = ("min_residual", "tolerance", "passed", "residuals")
 
-    def __init__(
-        self, min_residual: float, scale: float, tolerance: float, passed: bool,
-        residuals: np.ndarray,
-    ):
-        self.min_residual, self.scale, self.tolerance = min_residual, scale, tolerance
+    def __init__(self, min_residual: float, tolerance: float, passed: bool, residuals: np.ndarray):
+        self.min_residual, self.tolerance = min_residual, tolerance
         self.passed, self.residuals = passed, residuals
 
 
@@ -184,7 +181,6 @@ def convexity_residual_check(states: ConvexityTrajectory, e0: float) -> Convexit
     min_res = float(np.min(residuals))
     return ConvexityReport(
         min_residual=min_res,
-        scale=scale,
         tolerance=tol,
         passed=min_res >= -tol,
         residuals=residuals,
@@ -199,17 +195,16 @@ class InstabilityReport:
     """
 
     __slots__ = (
-        "holds", "min_margin", "tolerance", "bound_exponent", "growth_rate",
-        "growth_window", "lower_bound",
+        "holds", "min_margin", "tolerance", "bound_exponent", "growth_rate", "lower_bound",
     )
 
     def __init__(
         self, holds: bool, min_margin: float, tolerance: float, bound_exponent: float,
-        growth_rate: float, growth_window: tuple[float, float], lower_bound: np.ndarray,
+        growth_rate: float, lower_bound: np.ndarray,
     ):
         self.holds, self.min_margin, self.tolerance = holds, min_margin, tolerance
         self.bound_exponent, self.growth_rate = bound_exponent, growth_rate
-        self.growth_window, self.lower_bound = growth_window, lower_bound
+        self.lower_bound = lower_bound
 
 
 def instability_lower_bound(
@@ -257,7 +252,6 @@ def instability_lower_bound(
         tolerance=tolerance,
         bound_exponent=float(m),
         growth_rate=log_slope(t[mask], f[mask]) / 2.0,
-        growth_window=(lo, hi),
         lower_bound=bound,
     )
 
@@ -305,12 +299,12 @@ def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
     cfg.growth_fit_start = None
     if "growth_fit_start" in raw:
         cfg.growth_fit_start = as_float(raw, "growth_fit_start")
-        # the fit needs two samples of dt * (0, 1, ..., n) at or after it
-        n = round(cfg.t_end / cfg.dt)
-        if not cfg.dt * (n - 1) >= cfg.growth_fit_start:
+        # the fit needs two samples of the grid at or after it
+        last_two = cfg.times[-2:].tolist()
+        if not last_two[0] >= cfg.growth_fit_start:
             raise ConfigError(
                 f"growth_fit_start = {cfg.growth_fit_start!r} leaves fewer than 2 time "
-                f"samples to fit (the last two are {cfg.dt * (n - 1)!r} and {cfg.dt * n!r})"
+                f"samples to fit (the last two are {last_two[0]!r} and {last_two[1]!r})"
             )
 
 
@@ -321,7 +315,7 @@ def run(cfg: RunConfig) -> RunOutput:
     omega_const = cfg.omega_const
     if omega_const == "auto":
         omega_const = max(0.0, -e0)
-    times = cfg.time_grid()
+    times = cfg.times
     window = None
     if cfg.growth_fit_start is not None:
         window = (cfg.growth_fit_start, float(times[-1]))

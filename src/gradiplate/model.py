@@ -31,19 +31,6 @@ import numpy as np
 from .errors import EigenvalueOutOfRange
 
 
-class Regime(enum.Enum):
-    """Sign regime of the elasticity coefficient c.
-
-    STABLE requires c > 0.  UNSTABLE and QUASISTATIC require c < 0; the
-    quasi-static reduction additionally needs a + eta^2/c > 0, which is
-    checked at use sites, not here.
-    """
-
-    STABLE = "stable"
-    UNSTABLE = "unstable"
-    QUASISTATIC = "quasistatic"
-
-
 class Direction(enum.Enum):
     """Orientation of the per-mode generator (time-reversed heat terms)."""
 
@@ -66,15 +53,11 @@ class ModelParams:
     eta : coupling constant.  The coupled model has eta != 0; eta = 0 is
         accepted as the decoupled contrast limit (plate and heat evolve
         independently), useful for closed-form checks.
-    regime : optional explicit tag; inferred from sign(c) when omitted.
     """
 
-    __slots__ = ("rho", "a", "b", "c", "d", "eta", "regime")
+    __slots__ = ("rho", "a", "b", "c", "d", "eta")
 
-    def __init__(
-        self, rho: float, a: float, b: float, c: float, d: float, eta: float,
-        regime: Regime | None = None,
-    ):
+    def __init__(self, rho: float, a: float, b: float, c: float, d: float, eta: float):
         for name, value in (("rho", rho), ("a", a), ("b", b)):
             if not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
@@ -84,14 +67,7 @@ class ModelParams:
             raise ValueError("c must be nonzero")
         if not np.isfinite(eta):
             raise ValueError("eta must be finite")
-        if regime is None:
-            regime = Regime.STABLE if c > 0 else Regime.UNSTABLE
-        elif regime is Regime.STABLE and not c > 0:
-            raise ValueError("regime Stable requires c > 0")
-        elif regime in (Regime.UNSTABLE, Regime.QUASISTATIC) and not c < 0:
-            raise ValueError(f"regime {regime.value} requires c < 0")
         self.rho, self.a, self.b, self.c, self.d, self.eta = rho, a, b, c, d, eta
-        self.regime = regime
 
     @classmethod
     def unit(cls, **overrides) -> "ModelParams":

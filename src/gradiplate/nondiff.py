@@ -13,6 +13,9 @@ nonzero limit along a frequency sequence rules out resolvent decay at
 infinity, hence any smoothing of the solution semigroup, even though the
 system is exponentially stable.  Setting d = 0 restores decay ~ 1/omega,
 which the scan exposes as a contrast diagnostic.
+
+The parser enumerates the n_max modes of the sequence (`RunConfig.lams`);
+`mode_count` is a required, validated key that the sequence does not read.
 """
 
 from __future__ import annotations
@@ -21,42 +24,40 @@ import math
 
 import numpy as np
 
-from .config import RunConfig, as_float, as_int, build_domain, require
+from .config import RunConfig, as_float, as_int, build_modes, read_domain, require
 from .errors import ConfigError, EigenvalueOutOfRange
 from .manifest import Check, RunOutput
-from .model import Interval, ModelParams, SpectralDomain, enumerate_modes
+from .model import Interval, ModelParams, SpectralDomain
 
 
 class NondiffSequence:
     """The resonant-drive sequence n = 1..n_max as arrays, one entry per term.
 
     `norm_v_sq` is the plain L2 value |v|^2 = omega^2 |p|^2, whose limit
-    `target` = d^2/eta^4 (`matching_norm` records that), and `gap` is
-    |norm_v_sq - target| / target; `norm_v_sq_weighted` carries the energy
-    weight rho, and `norm_u_sq` is the full energy norm of the solution.
-    The residuals measure back-substitution into the 2x2 amplitude system
-    at exact resonance, row by row.
+    `target` = d^2/eta^4 (the class constant `matching_norm` records that),
+    and `gap` is |norm_v_sq - target| / target; `norm_v_sq_weighted` carries
+    the energy weight rho, and `norm_u_sq` is the full energy norm of the
+    solution.  The residuals measure back-substitution into the 2x2
+    amplitude system at exact resonance, row by row.
     """
 
     __slots__ = (
         "n", "lam", "omega", "p", "q", "norm_u_sq", "norm_v_sq", "norm_v_sq_weighted",
         "gap", "alg1_residual", "alg2_residual", "target", "gap_at_end",
-        "matching_norm",
     )
+    matching_norm = "l2"
 
     def __init__(
         self, n: np.ndarray, lam: np.ndarray, omega: np.ndarray, p: np.ndarray,
         q: np.ndarray, norm_u_sq: np.ndarray, norm_v_sq: np.ndarray,
         norm_v_sq_weighted: np.ndarray, gap: np.ndarray, alg1_residual: np.ndarray,
         alg2_residual: np.ndarray, target: float, gap_at_end: float,
-        matching_norm: str = "l2",
     ):
         self.n, self.lam, self.omega, self.p, self.q = n, lam, omega, p, q
         self.norm_u_sq, self.norm_v_sq = norm_u_sq, norm_v_sq
         self.norm_v_sq_weighted, self.gap = norm_v_sq_weighted, gap
         self.alg1_residual, self.alg2_residual = alg1_residual, alg2_residual
         self.target, self.gap_at_end = target, gap_at_end
-        self.matching_norm = matching_norm
 
 
 def nondiff_target(params: ModelParams) -> float:
@@ -75,11 +76,9 @@ def nondiff_target(params: ModelParams) -> float:
 
 
 @np.errstate(all="ignore")  # the terms are judged at the end
-def nondiff_sequence(
-    params: ModelParams, domain: SpectralDomain, n_max: int, branch: int = +1
-) -> NondiffSequence:
+def nondiff_sequence(params: ModelParams, lams: np.ndarray, branch: int = +1) -> NondiffSequence:
     """Closed-form solution of the resonant-drive system for the modes
-    n = 1..n_max, in one array pass.
+    n = 1, 2, ... of eigenvalues `lams`, in one array pass.
 
     branch selects the sign of omega_n = +-sqrt(c/rho) lam_n; the negative
     branch conjugates p and leaves |v|^2 unchanged.
@@ -100,16 +99,16 @@ def nondiff_sequence(
         raise ValueError("resonant-drive sequence requires eta != 0")
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    lam = np.asarray(lams, dtype=float)
+    if lam.size < 1:
+        raise ValueError("the sequence needs at least one mode")
     target = nondiff_target(params)
-    lam = enumerate_modes(domain, n_max)
     root = math.sqrt(params.c / params.rho)
     omega = branch * root * lam
     q = 1.0 / (params.eta * lam)
     # p = (i a omega + heat) / (i x) in real arithmetic, rounded as the
     # complex division by a purely imaginary number rounds it
-    heat = params.d * lam**2 + params.b * lam
+    heat = params.heat_weight(lam)
     x = params.eta**2 * lam**3 * root
     p = branch * (params.a * omega / x) - 1j * (branch * (heat / x))
 
@@ -130,7 +129,7 @@ def nondiff_sequence(
     )
     gap = np.abs(norm_v_sq - target) / target
     seq = NondiffSequence(
-        n=np.arange(1, n_max + 1),
+        n=np.arange(1, lam.size + 1),
         lam=lam,
         omega=omega,
         p=p,
@@ -150,8 +149,8 @@ def nondiff_sequence(
              gap, seq.alg1_residual, seq.alg2_residual)
     if not all(np.all(np.isfinite(term)) for term in terms):
         raise EigenvalueOutOfRange(
-            f"the terms of the first {n_max} modes of {domain!r} (lam^2, lam^3 and their "
-            "products) leave the float range"
+            f"the terms of the first {lam.size} modes, up to lam = {float(lam[-1])!r} (lam^2, "
+            "lam^3 and their products) leave the float range"
         )
     return seq
 
@@ -209,7 +208,7 @@ def gap_reach(
 
 
 def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
-    build_domain(cfg, raw)
+    read_domain(cfg, raw)
     params = cfg.params
     if not params.c > 0:
         raise ConfigError("nondiff requires the stable regime (c > 0)")
@@ -235,11 +234,12 @@ def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
         cfg.gap_tolerance = as_float(raw, "gap_tolerance")
         if not cfg.gap_tolerance > 0:
             raise ConfigError("gap_tolerance must be > 0")
+    build_modes(cfg, cfg.n_max, "n_max")
 
 
 def run(cfg: RunConfig) -> RunOutput:
     params, tolerance = cfg.params, cfg.gap_tolerance
-    seq = nondiff_sequence(params, cfg.domain, cfg.n_max, cfg.branch)
+    seq = nondiff_sequence(params, cfg.lams, cfg.branch)
     lam = seq.lam
     # the gap decreases in lambda: above tolerance at lambda_{n_max}, no run
     # to this n_max can pass

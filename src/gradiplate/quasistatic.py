@@ -14,21 +14,22 @@ basis each coefficient decays exactly:
 
 valid only when the effective capacity a_eff = a + eta^2/c is positive;
 configurations with a_eff <= 0 are refused (anti-dissipative heat flow is
-outside the model's claim).
+outside the model's claim).  The parser enumerates the len(initial_theta)
+modes of Interval(L) (`RunConfig.lams`), and b lam_n + d lam_n^2 is
+`ModelParams.heat_weight`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 import numpy as np
 
-from .config import RunConfig, as_float, as_float_list, build_time, require
+from .config import RunConfig, as_float, as_float_list, build_modes, build_time, require
 from .errors import ConfigError, DegenerateCapacity
 from .manifest import Check, RunOutput
-from .model import ModelParams, log_slope
+from .model import Interval, ModelParams, log_slope
 
 
 def effective_capacity(params: ModelParams) -> float:
@@ -44,36 +45,11 @@ def effective_capacity(params: ModelParams) -> float:
     return a_eff
 
 
-class QuasiParams:
-    """Validated constants of the reduced scalar problem."""
-
-    __slots__ = ("params", "a_eff", "length")
-
-    def __init__(self, params: ModelParams, a_eff: float, length: float = 1.0):
-        if not length > 0:
-            raise ValueError("length must be > 0")
-        self.params, self.a_eff, self.length = params, a_eff, length
-
-    @classmethod
-    def from_params(cls, params: ModelParams, length: float = 1.0) -> "QuasiParams":
-        return cls(params=params, a_eff=effective_capacity(params), length=length)
-
-    def lam(self, n: int) -> float:
-        return (n * math.pi / self.length) ** 2
-
-    def rate(self, n: int) -> float:
-        """Decay rate of theta_n, strictly increasing in n."""
-        lam = self.lam(n)
-        return (self.params.b * lam + self.params.d * lam**2) / self.a_eff
-
-
-def _decay(qparams: QuasiParams, theta0: np.ndarray, t, shift: float = 0.0):
-    """lams, theta_n = theta_n(0) exp(-(rate_n - shift) t) and u_n; a column
-    of times t (shape (T, 1)) gives one row of modes per time."""
-    lams = (np.arange(1, theta0.size + 1) * math.pi / qparams.length) ** 2
-    p = qparams.params
-    theta = theta0 * np.exp(-(p.heat_weight(lams) / qparams.a_eff - shift) * t)
-    return lams, theta, -p.eta * theta / (p.c * lams)
+def _decay(params: ModelParams, lams, rates, theta0, t, shift: float = 0.0):
+    """theta_n = theta_n(0) exp(-(rate_n - shift) t) and u_n; a column of
+    times t (shape (T, 1)) gives one row of modes per time."""
+    theta = theta0 * np.exp(-(rates - shift) * t)
+    return theta, -params.eta * theta / (params.c * lams)
 
 
 class QuasiDecayReport:
@@ -91,27 +67,28 @@ class QuasiDecayReport:
     """
 
     __slots__ = (
-        "t", "theta_l2_sq", "h2_seminorm", "rate1", "fitted_rate", "fit_rel_residual",
+        "t", "theta_l2_sq", "h2_seminorm", "a_eff", "rate1", "fitted_rate", "fit_rel_residual",
         "k_measured", "envelope_holds", "schwarz_max_ratio", "relation_residual_max",
     )
 
     def __init__(
-        self, t: np.ndarray, theta_l2_sq: np.ndarray, h2_seminorm: np.ndarray,
+        self, t: np.ndarray, theta_l2_sq: np.ndarray, h2_seminorm: np.ndarray, a_eff: float,
         rate1: float, fitted_rate: float, fit_rel_residual: float | None,
         k_measured: float, envelope_holds: bool, schwarz_max_ratio: float,
         relation_residual_max: float,
     ):
         self.t, self.theta_l2_sq, self.h2_seminorm = t, theta_l2_sq, h2_seminorm
-        self.rate1, self.fitted_rate = rate1, fitted_rate
+        self.a_eff, self.rate1, self.fitted_rate = a_eff, rate1, fitted_rate
         self.fit_rel_residual, self.k_measured = fit_rel_residual, k_measured
         self.envelope_holds, self.schwarz_max_ratio = envelope_holds, schwarz_max_ratio
         self.relation_residual_max = relation_residual_max
 
 
 def quasi_decay_report(
-    qparams: QuasiParams, theta0: Sequence[float], t_grid: Sequence[float]
+    params: ModelParams, lams: np.ndarray, theta0: Sequence[float], t_grid: Sequence[float]
 ) -> QuasiDecayReport:
-    """Track the decay of u in H^2 along exact scalar evolution.
+    """Track the decay of u in H^2 along exact scalar evolution from the
+    coefficients theta0 of the modes of eigenvalues `lams`, ascending.
 
     The fitted rate is the late-time log-slope of the seminorm; for a
     single mode it equals 2*rate1 to rounding, for several modes the
@@ -123,22 +100,26 @@ def quasi_decay_report(
         raise ValueError("need at least 10 time samples")
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0 and increase strictly")
-    theta0 = np.asarray(theta0, dtype=float)
-    p = qparams.params
+    theta0, lams = np.asarray(theta0, dtype=float), np.asarray(lams, dtype=float)
+    if theta0.shape != lams.shape:
+        raise ValueError("need one theta0 coefficient per mode")
+    a_eff = effective_capacity(params)
+    # the decay rate of each theta_n, strictly increasing in n
+    rates = params.heat_weight(lams) / a_eff
 
     column = t_grid[:, None]
-    lams, theta, u = _decay(qparams, theta0, column)  # (samples, modes)
+    theta, u = _decay(params, lams, rates, theta0, column)  # (samples, modes)
     theta_l2 = np.sum(theta**2, axis=1)
     h2_modes = lams**2 * u**2
     h2 = np.sum(h2_modes, axis=1)
-    rhs = p.eta * theta
-    relation = np.abs(p.c * (-lams) * u - rhs) / np.maximum(np.abs(rhs), 1.0)
-    rate1 = qparams.rate(1)
+    rhs = params.eta * theta
+    relation = np.abs(params.c * (-lams) * u - rhs) / np.maximum(np.abs(rhs), 1.0)
+    rate1 = float(rates[0])
     theta0_l2 = float(np.sum(theta0**2))
 
     # the ratios below are taken with exp(-rate1 t) divided out of every
     # mode analytically, so they hold where exp(-2 rate1 t) underflows
-    _, theta_s, u_s = _decay(qparams, theta0, column, shift=rate1)
+    theta_s, u_s = _decay(params, lams, rates, theta0, column, shift=rate1)
     theta_l2_s = np.sum(theta_s**2, axis=1)
     h2_s = np.sum(lams**2 * u_s**2, axis=1)
 
@@ -163,12 +144,12 @@ def quasi_decay_report(
             usable = tail & (t_grid >= min(0.5 * t_tail[-1], t_tail[-2]))
         fitted_rate = -log_slope(t_grid[usable], h2[usable])
         # the tail decays at twice the rate of the slowest excited mode
-        expected = 2.0 * qparams.rate(slowest + 1)
+        expected = 2.0 * float(rates[slowest])
         fit_rel_residual = abs(fitted_rate - expected) / expected
 
     # Schwarz bound with k = |eta| (equality up to rounding)
-    lhs = -p.c * h2_s
-    rhs = abs(p.eta) * np.sqrt(theta_l2_s) * np.sqrt(h2_s)
+    lhs = -params.c * h2_s
+    rhs = abs(params.eta) * np.sqrt(theta_l2_s) * np.sqrt(h2_s)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(rhs > 0, lhs / rhs, 0.0)
     schwarz_max_ratio = float(np.max(ratios))
@@ -177,6 +158,7 @@ def quasi_decay_report(
         t=t_grid,
         theta_l2_sq=theta_l2,
         h2_seminorm=h2,
+        a_eff=a_eff,
         rate1=rate1,
         fitted_rate=fitted_rate,
         fit_rel_residual=fit_rel_residual,
@@ -197,8 +179,8 @@ def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
         if not length > 0:
             raise ConfigError("length must be > 0")
     build_time(cfg, raw)
-    # the decay report wants 10 samples of dt * (0, 1, ..., round(t_end / dt))
-    if round(cfg.t_end / cfg.dt) < 9:
+    # the decay report wants 10 samples
+    if cfg.times.size < 10:
         raise ConfigError("quasistatic needs at least 10 time samples (round(t_end / dt) >= 9)")
     require(raw, ("initial_theta",), subcommand)
     cfg.initial_theta = as_float_list(raw, "initial_theta")
@@ -209,18 +191,14 @@ def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
         raise ConfigError("initial_theta: sum theta_n^2 or (eta/c)^2 sum theta_n^2 overflows")
     # refuse degenerate capacity at parse time
     try:
-        cfg.qparams = qparams = QuasiParams.from_params(params, length)
+        a_eff = effective_capacity(params)
     except DegenerateCapacity as exc:
         raise ConfigError(f"DegenerateCapacity: {exc}") from exc
-    # the run squares lam_n = (n pi / length)^2, which grows with n:
-    # lam_1^2 and lam_N^2 must be normal floats, and the fastest rate finite
+    cfg.domain = Interval(length)
     count = len(cfg.initial_theta)
-    try:
-        squares = [qparams.lam(n) ** 2 for n in (1, count)]
-        fastest = qparams.rate(count)
-    except OverflowError:
-        squares, fastest = [], math.inf
-    if not (fastest < math.inf and all(sys.float_info.min <= x < math.inf for x in squares)):
+    build_modes(cfg, count, "initial_theta")
+    # the decay rates grow with n: the fastest must be finite
+    if not params.heat_weight(float(cfg.lams[-1])) / a_eff < math.inf:
         raise ConfigError(
             f"length = {length!r}: for the initial_theta modes n = 1..{count}, "
             "lam_n^2 = (n pi / length)^4 or the decay rate leaves the float range"
@@ -228,8 +206,7 @@ def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
 
 
 def run(cfg: RunConfig) -> RunOutput:
-    qparams = cfg.qparams
-    report = quasi_decay_report(qparams, cfg.initial_theta, cfg.time_grid())
+    report = quasi_decay_report(cfg.params, cfg.lams, cfg.initial_theta, cfg.times)
 
     theta0_l2 = float(np.sum(np.asarray(cfg.initial_theta) ** 2))
     checks = [
@@ -250,7 +227,7 @@ def run(cfg: RunConfig) -> RunOutput:
         columns=columns,
         checks=checks,
         results={
-            "a_eff": qparams.a_eff,
+            "a_eff": report.a_eff,
             "rate1": report.rate1,
             "fitted_rate": report.fitted_rate,
             "k_measured": report.k_measured,

@@ -8,14 +8,14 @@ import numpy as np
 
 from .config import RunConfig, build_evolution
 from .manifest import Check, RunOutput
-from .model import Direction, Regime
+from .model import Direction
 from .propagator import Evolution, energy_balance_report, evolution_sizes
 
 configure = build_evolution
 
 
 def run(cfg: RunConfig) -> RunOutput:
-    evolution = Evolution(cfg.params, cfg.lams, cfg.x0, cfg.time_grid(), Direction.FORWARD)
+    evolution = Evolution(cfg.params, cfg.lams, cfg.x0, cfg.times, Direction.FORWARD)
     history = evolution.history()
     report = energy_balance_report(history, Direction.FORWARD)
 
@@ -26,7 +26,7 @@ def run(cfg: RunConfig) -> RunOutput:
         Check("energy_identity", residual_scaled <= 1e-8, residual_scaled, 1e-8),
         Check("dissipation_nonnegative", bool(np.min(d) >= 0.0), float(np.min(d)), 0.0),
     ]
-    if cfg.params.regime is Regime.STABLE:
+    if cfg.params.c > 0:
         max_increase = float(np.max(np.diff(e), initial=-np.inf))
         slack = 1e-12 * scale
         checks.append(Check("energy_monotone", max_increase <= slack, max_increase, slack))

@@ -15,12 +15,12 @@ from gradiplate import (
     DegenerateCapacity,
     Direction,
     ModelParams,
-    QuasiParams,
     choose_weight_shift,
     convexity_residual_check,
     convexity_trajectory,
     energy_balance_report,
     energy_of,
+    effective_capacity,
     evolve,
     gronwall_check,
     instability_lower_bound,
@@ -71,7 +71,7 @@ def test_criterion_2_nondiff_sequence():
     ok = True
 
     params = ModelParams.unit()
-    seq = nondiff_sequence(params, PI_INTERVAL, 3)
+    seq = nondiff_sequence(params, enumerate_modes(PI_INTERVAL, 3))
     for n, expected in frozen.items():
         lam, omega, norm_v_sq = seq.lam[n - 1], seq.omega[n - 1], seq.norm_v_sq[n - 1]
         solved = lapack_resolvent_solve(params, lam, omega, (0.0, 1.0, 0.0))
@@ -81,7 +81,7 @@ def test_criterion_2_nondiff_sequence():
         details.append(f"n={n}: closed {closed_gap:.1e}, solve {solve_gap:.1e}")
 
     for d, eta, target in ((1.0, 1.0, 1.0), (2.0, 1.0, 4.0), (1.0, 2.0, 0.0625)):
-        limit = nondiff_sequence(ModelParams.unit(d=d, eta=eta), PI_INTERVAL, 30)
+        limit = nondiff_sequence(ModelParams.unit(d=d, eta=eta), enumerate_modes(PI_INTERVAL, 30))
         ok &= limit.target == target and limit.gap_at_end <= 0.01
         details.append(f"(d={d},eta={eta}): gap {limit.gap_at_end:.4f}")
 
@@ -248,24 +248,23 @@ def test_criterion_7_convexity_instability():
 
 def test_criterion_8_quasistatic():
     params = ModelParams(1.0, 1.0, 1.0, -2.0, 1.0, 1.0)
-    qparams = QuasiParams.from_params(params)
     expected_rate = 2.0 * (math.pi**2 + math.pi**4)
 
     t_grid = 1e-4 * np.arange(201)
-    decay = quasi_decay_report(qparams, [1.0], t_grid)
+    decay = quasi_decay_report(params, enumerate_modes(Interval(1.0), 1), [1.0], t_grid)
     # theta_1(t)^2 = exp(-2 rate t), read at t = 0.01
     t_probe = decay.t[100]
     measured_rate = -math.log(decay.theta_l2_sq[100]) / (2.0 * t_probe)
     rate_gap = abs(measured_rate - expected_rate) / expected_rate
 
     try:
-        QuasiParams.from_params(ModelParams(1.0, 1.0, 1.0, -2.0, 1.0, 2.0))
+        effective_capacity(ModelParams(1.0, 1.0, 1.0, -2.0, 1.0, 2.0))
         rejected = False
     except DegenerateCapacity:
         rejected = True
 
     ok = (
-        qparams.a_eff == 0.5
+        decay.a_eff == 0.5
         and rate_gap <= 1e-10
         and decay.fit_rel_residual <= 1e-6
         and rejected
@@ -274,7 +273,7 @@ def test_criterion_8_quasistatic():
         8,
         "quasi-static reduction",
         ok,
-        f"a_eff = {qparams.a_eff}, theta_1 rate gap {rate_gap:.2e} <= 1e-10, "
+        f"a_eff = {decay.a_eff}, theta_1 rate gap {rate_gap:.2e} <= 1e-10, "
         f"H^2 fit residual {decay.fit_rel_residual:.2e} <= 1e-6, degenerate capacity rejected",
     )
 

@@ -6,13 +6,14 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gradiplate
-from gradiplate import backward, cli, csvout, instability, model, nondiff, propagator, resolvent
+from gradiplate import backward, cli, config, csvout, instability, model, nondiff, propagator, resolvent
 from gradiplate.backward import lyapunov_series
 from gradiplate.cli import main
 from gradiplate.config import load_config
@@ -279,16 +280,32 @@ class TestRegressionConfigs:
         assert len(rows) == 3
 
     def test_nondiff_whose_terms_overflow_is_a_config_error(self, tmp_path, capsys):
-        # lam_1 = 1e152 passes the range check of mode_count = 1, but the
-        # sequence cubes lam_1 .. lam_30, and squares them, which overflows
-        # from lam_12 on: it exited 3 after numpy's overflow warnings
+        # lam_1000 = 1e106 passes the range rule (its square is 1e212), but
+        # the sequence cubes it, which overflows
+        lines = base_model() + [
+            "domain = interval", "length = 3.141592653589793e-50", "mode_count = 1", "n_max = 1000",
+        ]
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "run.cfg", lines)
+        assert main(["nondiff", "--config", cfg, "--out", str(out)]) == 2
+        assert "lam^2, lam^3 and their products" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nondiff_modes_whose_squares_overflow_are_refused_by_the_parser(self, tmp_path, capsys):
+        # lam_1 = 1e152 passed the range rule of mode_count = 1, but the
+        # sequence squares lam_1 .. lam_30, which overflows from lam_12 on:
+        # it exited 3 after numpy's overflow warnings; the rule now judges
+        # the n_max modes that the sequence runs over
         lines = base_model() + [
             "domain = interval", "length = 3.141592653589793e-76", "mode_count = 1", "n_max = 30",
         ]
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "run.cfg", lines)
         assert main(["nondiff", "--config", cfg, "--out", str(out)]) == 2
-        assert "lam^2, lam^3 and their products" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: length, n_max: lam_1^2 or lam_N^2 of "
+            "Interval(length=3.141592653589793e-76) leaves the normal float range\n"
+        )
         assert not out.exists()
 
     def test_backward_on_a_two_sample_grid_is_a_config_error(self, tmp_path, capsys):
@@ -689,8 +706,9 @@ class TestOtherSubcommands:
 
 class TestModesEnumeratedOnce:
     """The parser enumerates a run's modes once, and every handler reads its
-    eigenvalues and initial data; `nondiff` enumerates its own n_max modes
-    on top."""
+    eigenvalues and initial data: mode_count modes, or the n_max modes of
+    `nondiff`, which validates mode_count but does not enumerate it, or the
+    len(initial_theta) modes of `quasistatic`."""
 
     INTERVAL = ["domain = interval", f"length = {PI}"]
     TIME = INTERVAL + ["mode_count = 4", "t_end = 0.1", "dt = 0.01"]
@@ -709,7 +727,12 @@ class TestModesEnumeratedOnce:
             "mode_count = 16", "lambda_max = 1e6", "lambda_points = 50",
         ]),
         "nondiff": ("nondiff", base_model() + INTERVAL + ["mode_count = 4", "n_max = 30"]),
+        "quasistatic": ("quasistatic", base_model("-2") + [
+            "length = 2.5", "t_end = 0.02", "dt = 0.001", "initial_theta = 1, 0.5, 0.25",
+        ]),
     }
+    # the key that sets the number of modes, where it is not mode_count
+    COUNT_KEYS = {"nondiff": "n_max", "quasistatic": "initial_theta"}
 
     @pytest.mark.parametrize("run", list(RUNS))
     def test_one_enumeration_per_run(self, tmp_path, monkeypatch, run):
@@ -729,8 +752,68 @@ class TestModesEnumeratedOnce:
         subcommand, lines = self.RUNS[run]
         cfg = write_config(tmp_path, "run.cfg", lines)
         assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        mode_count = int(next(l for l in lines if l.startswith("mode_count")).split("=")[1])
-        assert counts == ([mode_count, 30] if subcommand == "nondiff" else [mode_count])
+        key = self.COUNT_KEYS.get(subcommand, "mode_count")
+        value = next(l for l in lines if l.startswith(f"{key} ")).split("=")[1]
+        assert counts == [len(value.split(",")) if key == "initial_theta" else int(value)]
+
+    ND = base_model() + ["domain = interval", "length = 1", "n_max = 30"]
+
+    def test_nondiff_does_not_enumerate_mode_count(self, tmp_path):
+        """Three million modes cost the parser nothing, and the CSV is that
+        of mode_count = 30."""
+        csvs = []
+        for mode_count in (30, 3_000_000):
+            path = write_config(tmp_path, f"{mode_count}.cfg", self.ND + [f"mode_count = {mode_count}"])
+            tracemalloc.start()
+            try:
+                load_config(path, "nondiff")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+            out = tmp_path / f"o{mode_count}"
+            assert main(["nondiff", "--config", path, "--out", str(out)]) == 0
+            csvs.append((out / "nondiff.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_nondiff_still_validates_mode_count(self, tmp_path, capsys):
+        path = write_config(tmp_path, "run.cfg", self.ND + ["mode_count = 0"])
+        assert main(["nondiff", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: mode_count must be >= 1\n"
+
+
+class TestOneWeight:
+    """`nondiff` and `quasistatic` weigh their modes with
+    `ModelParams.heat_weight` alone: a relative 1e-9 on it moves p (its
+    imaginary part, heat / x) and rate1."""
+
+    CONFIGS = {
+        "nondiff": base_model() + ["domain = interval", f"length = {PI}", "mode_count = 4", "n_max = 30"],
+        "quasistatic": base_model("-2") + ["t_end = 0.02", "dt = 0.001", "initial_theta = 1"],
+    }
+
+    def run(self, tmp_path, subcommand):
+        path = write_config(tmp_path, "run.cfg", self.CONFIGS[subcommand])
+        return cli.HANDLERS[subcommand](load_config(path, subcommand))
+
+    def scale_the_weight(self, monkeypatch):
+        weight = model.ModelParams.heat_weight
+        monkeypatch.setattr(model.ModelParams, "heat_weight", lambda self, lam: weight(self, lam) * (1 + 1e-9))
+
+    def test_nondiff_p(self, tmp_path, monkeypatch):
+        plain = self.run(tmp_path, "nondiff")
+        self.scale_the_weight(monkeypatch)
+        scaled = self.run(tmp_path, "nondiff")
+        p_im = plain.header.index("p_im")
+        assert np.all(scaled.columns[p_im] != plain.columns[p_im])
+        # |v|^2 against its expansion in lambda sees the change
+        assert [c.name for c in scaled.checks if not c.passed] == ["norm_v_sq_expansion"]
+
+    def test_quasistatic_rate1(self, tmp_path, monkeypatch):
+        plain = self.run(tmp_path, "quasistatic").results["rate1"]
+        self.scale_the_weight(monkeypatch)
+        scaled = self.run(tmp_path, "quasistatic").results["rate1"]
+        assert scaled != plain and scaled == pytest.approx(plain * (1 + 1e-9), rel=1e-15)
 
 
 class TestNoPerSampleObjects:
@@ -761,8 +844,7 @@ class TestNoPerSampleObjects:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for module in (model, nondiff):
-            counted(module, "enumerate_modes")
+        counted(config, "enumerate_modes")
         counted(nondiff, "nondiff_sequence")
         cfg = write_config(
             tmp_path, "nd.cfg",
@@ -828,7 +910,7 @@ class TestInstabilityEnergy:
             "initial_v = 0.365, 0.294, 0.028, 0.547, -0.736, -0.163, -0.482, 0.599",
             "initial_theta = 0.04, -0.292, -0.782, -0.257, 0.008, -0.276, 1.294, 1.007",
         ]), "instability")
-        trajectory = evolve(cfg.params, cfg.lams, cfg.x0, cfg.time_grid())
+        trajectory = evolve(cfg.params, cfg.lams, cfg.x0, cfg.times)
         assert instability.run(cfg).results["e0"] == trajectory.total[0]
 
 

@@ -74,6 +74,25 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="Stable requires"):
             build_config(simulate_raw(c="-1", regime="stable"), "simulate")
 
+    @pytest.mark.parametrize("regime, c, message", [
+        ("stable", "1", None),
+        ("unstable", "-1", None),
+        ("quasistatic", "-1", None),
+        ("stable", "-1", "regime Stable requires c > 0"),
+        ("unstable", "1", "regime unstable requires c < 0"),
+        ("quasistatic", "1", "regime quasistatic requires c < 0"),
+        ("Stable", "1", "regime: expected stable|unstable|quasistatic, got 'Stable'"),
+    ])
+    def test_regime_must_restate_the_sign_of_c(self, regime, c, message):
+        """`regime` is optional, and the params carry no tag of it."""
+        raw = simulate_raw(c=c, regime=regime)
+        if message is None:
+            assert build_config(raw, "simulate").params.c == float(c)
+            return
+        with pytest.raises(ConfigError) as refused:
+            build_config(raw, "simulate")
+        assert str(refused.value) == message
+
     def test_rectangle_domain(self):
         raw = simulate_raw(domain="rectangle", length1="1.0", length2="2.0")
         del raw["length"]

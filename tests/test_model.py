@@ -9,7 +9,6 @@ from gradiplate import (
     Interval,
     ModelParams,
     Rectangle,
-    Regime,
     enumerate_modes,
 )
 from gradiplate.model import mode_blocks
@@ -30,14 +29,6 @@ class TestModelParams:
         # d = 0 (classical heat) and eta = 0 (decoupled) are contrast limits
         assert ModelParams.unit(d=0.0).d == 0.0
         assert ModelParams.unit(eta=0.0).eta == 0.0
-
-    def test_regime_inference_and_mismatch(self):
-        assert ModelParams.unit().regime is Regime.STABLE
-        assert ModelParams.unit(c=-1.0).regime is Regime.UNSTABLE
-        with pytest.raises(ValueError):
-            ModelParams.unit(c=-1.0, regime=Regime.STABLE)
-        with pytest.raises(ValueError):
-            ModelParams.unit(c=1.0, regime=Regime.QUASISTATIC)
 
 
 class TestEnumerateModes:

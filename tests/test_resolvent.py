@@ -387,13 +387,13 @@ def scalar_term(params, lam, branch):
 
 class TestNondiffSequence:
     def test_frozen_values_unit_params(self, unit_params, pi_interval):
-        seq = nondiff_sequence(unit_params, pi_interval, 3)
+        seq = nondiff_sequence(unit_params, enumerate_modes(pi_interval, 3))
         assert seq.q[1] == 0.25
         assert seq.norm_v_sq[1] == pytest.approx(1.625, rel=1e-14)
         assert seq.norm_v_sq[2] == pytest.approx(8181.0 / 6561.0, rel=1e-14)
 
     def test_amplitude_system_residuals(self, unit_params, pi_interval):
-        seq = nondiff_sequence(unit_params, pi_interval, 30)
+        seq = nondiff_sequence(unit_params, enumerate_modes(pi_interval, 30))
         assert np.max(seq.alg1_residual) <= 1e-12
         assert np.max(seq.alg2_residual) <= 1e-12
 
@@ -402,7 +402,7 @@ class TestNondiffSequence:
         resonant frequency (unit load on the mass-scaled velocity row, i.e.
         abstract right-hand side (0, 1/rho, 0))."""
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
-        seq = nondiff_sequence(params, pi_interval, 8)
+        seq = nondiff_sequence(params, enumerate_modes(pi_interval, 8))
         for n in (1, 2, 3, 5, 8):
             lam, omega, p, q = seq.lam[n - 1], seq.omega[n - 1], seq.p[n - 1], seq.q[n - 1]
             u, v, theta = lapack_resolvent_solve(params, lam, omega, (0.0, 1.0 / params.rho, 0.0))
@@ -413,8 +413,8 @@ class TestNondiffSequence:
             assert cmath.isclose(v, 1j * omega * u, rel_tol=1e-9)
 
     def test_negative_branch_conjugates(self, unit_params, pi_interval):
-        plus = nondiff_sequence(unit_params, pi_interval, 4, branch=+1)
-        minus = nondiff_sequence(unit_params, pi_interval, 4, branch=-1)
+        plus = nondiff_sequence(unit_params, enumerate_modes(pi_interval, 4), branch=+1)
+        minus = nondiff_sequence(unit_params, enumerate_modes(pi_interval, 4), branch=-1)
         assert np.array_equal(minus.omega, -plus.omega)
         assert minus.p == pytest.approx(plus.p.conjugate(), rel=1e-14)
         assert minus.norm_v_sq == pytest.approx(plus.norm_v_sq, rel=1e-14)
@@ -425,7 +425,7 @@ class TestNondiffSequence:
         (i omega - M) U = G.  With G = (0, 1/rho, 0) the left side is
         Re v = Re(i omega p)."""
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
-        seq = nondiff_sequence(params, pi_interval, 12, branch=branch)
+        seq = nondiff_sequence(params, enumerate_modes(pi_interval, 12), branch=branch)
         lhs = (1j * seq.omega * seq.p).real
         rhs = (params.b * seq.lam + params.d * seq.lam**2) * seq.q**2
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -435,7 +435,7 @@ class TestNondiffSequence:
         the forward block the time-domain runs use, to the rounding of the
         largest term of each row."""
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
-        seq = nondiff_sequence(params, pi_interval, 8)
+        seq = nondiff_sequence(params, enumerate_modes(pi_interval, 8))
         blocks = mode_blocks(params, seq.lam)
         u = np.stack([seq.p, 1j * seq.omega * seq.p, seq.q + 0j], axis=1)
         lhs = 1j * seq.omega[:, None] * u - np.einsum("nij,nj->ni", blocks, u)
@@ -445,29 +445,29 @@ class TestNondiffSequence:
 
     def test_requires_stable_regime(self, pi_interval):
         with pytest.raises(ValueError, match="requires c > 0"):
-            nondiff_sequence(ModelParams.unit(c=-1.0), pi_interval, 2)
+            nondiff_sequence(ModelParams.unit(c=-1.0), enumerate_modes(pi_interval, 2))
 
     def test_weighted_norm_carries_rho(self, pi_interval):
         params = ModelParams(rho=3.0, a=1.0, b=1.0, c=1.0, d=1.0, eta=1.0)
-        seq = nondiff_sequence(params, pi_interval, 2)
+        seq = nondiff_sequence(params, enumerate_modes(pi_interval, 2))
         assert seq.norm_v_sq_weighted == pytest.approx(3.0 * seq.norm_v_sq, rel=1e-14)
 
     def test_norm_u_sq_accumulates_weights(self, unit_params, pi_interval):
-        seq = nondiff_sequence(unit_params, pi_interval, 2)
+        seq = nondiff_sequence(unit_params, enumerate_modes(pi_interval, 2))
         norm_p_sq = np.abs(seq.p) ** 2
         expected = seq.lam**2 * norm_p_sq + seq.omega**2 * norm_p_sq + seq.q**2
         assert seq.norm_u_sq == pytest.approx(expected, rel=1e-14)
 
     def test_eta_zero_rejected(self, pi_interval):
         with pytest.raises(ValueError):
-            nondiff_sequence(ModelParams.unit(eta=0.0), pi_interval, 2)
+            nondiff_sequence(ModelParams.unit(eta=0.0), enumerate_modes(pi_interval, 2))
 
     # eta**4 overflows for 1e100 and underflows to 0 for 1e-100, and d = 0
     # leaves a zero limit: none is a finite positive d^2/eta^4
     @pytest.mark.parametrize("overrides", [{"eta": 1e100}, {"eta": 1e-100}, {"d": 0.0}])
     def test_limit_outside_the_float_range_rejected(self, pi_interval, overrides):
         with pytest.raises(ValueError, match="d\\^2/eta\\^4 to be a finite positive float"):
-            nondiff_sequence(ModelParams.unit(**overrides), pi_interval, 2)
+            nondiff_sequence(ModelParams.unit(**overrides), enumerate_modes(pi_interval, 2))
 
     @pytest.mark.parametrize("branch", [1, -1])
     def test_terms_match_the_scalar_formula(self, branch):
@@ -475,7 +475,7 @@ class TestNondiffSequence:
         n, lambda, omega and q to the bit, p and |v|^2 to a few ulps."""
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
         domain = Rectangle(2.0, 1.0)
-        seq = nondiff_sequence(params, domain, 40, branch)
+        seq = nondiff_sequence(params, enumerate_modes(domain, 40), branch)
         assert seq.n.tolist() == list(range(1, 41))
         for i, lam in enumerate(enumerate_modes(domain, 40).tolist()):
             omega, q, p, norm_v_sq = scalar_term(params, lam, branch)
@@ -491,19 +491,19 @@ class TestNondiffLimit:
     )
     def test_limit_targets(self, pi_interval, d, eta, target):
         params = ModelParams.unit(d=d, eta=eta)
-        seq = nondiff_sequence(params, pi_interval, 30)
+        seq = nondiff_sequence(params, enumerate_modes(pi_interval, 30))
         assert seq.target == target
         assert seq.gap_at_end <= 0.01
         assert seq.matching_norm == "l2"
 
     def test_rectangle_sequence_also_converges(self):
         params = ModelParams.unit()
-        seq = nondiff_sequence(params, Interval(1.0), 30)
+        seq = nondiff_sequence(params, enumerate_modes(Interval(1.0), 30))
         assert seq.gap_at_end <= 0.01
 
-    def test_n_max_validation(self, unit_params, pi_interval):
-        with pytest.raises(ValueError):
-            nondiff_sequence(unit_params, pi_interval, 0)
+    def test_n_max_validation(self, unit_params):
+        with pytest.raises(ValueError, match="at least one mode"):
+            nondiff_sequence(unit_params, np.empty(0))
 
     @pytest.mark.parametrize("length, n_max", [
         (math.pi * 1e-76, 30), (math.pi * 1e-50, 1000), (math.pi * 1e160, 10),
@@ -512,16 +512,16 @@ class TestNondiffLimit:
         """lam^3 overflows at lam_1 = 1e152, and at lam_1000 = 1e106 although
         not at lam_1 = 1e100; at lam_1 = 1e-320, 1/(eta lam) does."""
         with pytest.raises(EigenvalueOutOfRange):
-            nondiff_sequence(unit_params, Interval(length), n_max)
+            nondiff_sequence(unit_params, enumerate_modes(Interval(length), n_max))
 
     def test_gap_column_ends_in_gap_at_end(self, unit_params, pi_interval):
-        seq = nondiff_sequence(unit_params, pi_interval, 30)
+        seq = nondiff_sequence(unit_params, enumerate_modes(pi_interval, 30))
         assert np.array_equal(seq.gap, np.abs(seq.norm_v_sq - seq.target) / seq.target)
         assert seq.gap_at_end == seq.gap[-1]
 
     def test_closed_form_gap_is_the_measured_gap(self):
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
-        seq = nondiff_sequence(params, Rectangle(2.0, 1.0), 200)
+        seq = nondiff_sequence(params, enumerate_modes(Rectangle(2.0, 1.0), 200))
         assert closed_form_gap(params, seq.lam) == pytest.approx(seq.gap, rel=1e-12)
 
     @pytest.mark.parametrize("domain", [Interval(0.7), Interval(math.pi), Rectangle(2.0, 1.0), Rectangle(0.8, 3.1)])

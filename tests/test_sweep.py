@@ -15,6 +15,7 @@ same configs whatever the package's source holds.  Sizes stay at or below
 import math
 import random
 
+from gradiplate import Interval, ModelParams, effective_capacity, enumerate_modes
 from gradiplate.cli import main
 
 SEED = 20240917
@@ -175,6 +176,22 @@ def test_quasistatic_passes_its_checks(tmp_path):
     rng = random.Random(SEED + 4)
     failures = sweep(tmp_path, "quasistatic", [(quasistatic_config(rng), (0,)) for _ in range(100)])
     assert not failures, failures
+
+
+def test_quasistatic_schwarz_bound_is_an_equality(tmp_path):
+    """Draw 95 read schwarz_bound 1.0000000000000002 when rate1 and the
+    decay of mode 1 rounded b lam + d lam^2 two ways; both are
+    heat_weight(lam_1) / a_eff now."""
+    rng = random.Random(SEED + 4)
+    lines = [quasistatic_config(rng) for _ in range(96)][95]
+    assert run(tmp_path / "95", "quasistatic", lines) == 0
+    manifest = dict(
+        line.split(" = ", 1) for line in (tmp_path / "95" / "o" / "manifest.txt").read_text().splitlines()
+    )
+    assert float(manifest["check.schwarz_bound.value"]) == 1.0
+    params = ModelParams(*(float(line.split(" = ")[1]) for line in lines[:6]))
+    (lam1,) = enumerate_modes(Interval(float(lines[6].split(" = ")[1])), 1).tolist()
+    assert float(manifest["result.rate1"]) == params.heat_weight(lam1) / effective_capacity(params)
 
 
 def test_nondiff_passes_or_refuses_an_unreachable_gap(tmp_path):
