@@ -60,12 +60,12 @@ def coupling_sums(lams: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def identity_rate(params: ModelParams, lams: np.ndarray) -> float:
-    """The fastest rate of the modes `lams`: the faster of the heat rate
-    w/a and the plate frequency sqrt(|c|/rho) lam."""
-    return float(np.max(
-        np.maximum(params.heat_weight(lams) / params.a, abs(params.c / params.rho) ** 0.5 * lams),
-        initial=0.0,
-    ))
+    """The fastest rate of the modes `lams`: the larger of the heat rate h
+    and the plate frequency k of `ModelParams.block_rates`.  It leaves out
+    the coupling rate g, so on strongly coupled modes it may understate the
+    block's norm."""
+    k, _, h = params.block_rates(lams)
+    return float(np.max(np.maximum(h, k), initial=0.0))
 
 
 class BackwardIdentityReport:

@@ -10,7 +10,8 @@ diagonalized exactly by the Dirichlet-Laplacian sine eigenbasis on an
 interval or a rectangle.  On the eigenspace of -Lap with eigenvalue lam the
 operators reduce to Lap -> -lam and Lap^2 -> lam^2, so the whole dynamics
 splits into independent 3x3 blocks acting on the coefficients (u, v, theta)
-with v = u_t.  This module builds those blocks.
+with v = u_t.  `ModelParams.block_rates` is the one definition of those
+blocks: every layer takes their entries from it.
 
 Eigenfunctions are unit-normalized in L2, so per-mode quadratic forms carry
 no domain-volume factors.
@@ -79,6 +80,24 @@ class ModelParams:
     def heat_weight(self, lam: float | np.ndarray) -> float | np.ndarray:
         """Dissipation weight b*lam + d*lam^2 of one mode (or of each lam)."""
         return self.b * lam + self.d * lam * lam
+
+    def block_rates(self, lam: float | np.ndarray) -> tuple:
+        """The rates (k, g, h) of one mode's block (or of each lam's):
+        k = sqrt(|c|/rho) lam, g = eta lam / sqrt(rho a) and h = w/a, w the
+        heat weight.  In the energy coordinates (sqrt|c| lam u, sqrt(rho) v,
+        sqrt(a) theta) the forward block is
+
+            [[0, k, 0], [-sign(c) k, 0, -g], [0, g, -h]],
+
+        and backward in time the sign of h flips.  Each of k, |g| and h is
+        made of products and sums of lam with nonnegative constants and a
+        division by a positive one, each rounding monotonically, so its float
+        is nondecreasing in lam, like its exact value."""
+        return (
+            math.sqrt(abs(self.c) / self.rho) * lam,
+            self.eta / math.sqrt(self.rho * self.a) * lam,
+            self.heat_weight(lam) / self.a,
+        )
 
 
 class Interval:
@@ -190,29 +209,6 @@ def _smallest_eigenvalues(domain: SpectralDomain, count: int) -> np.ndarray:
             return lam
         jn *= 2
         kn *= 2
-
-
-def mode_blocks(
-    params: ModelParams, lams: np.ndarray, direction: Direction = Direction.FORWARD
-) -> np.ndarray:
-    """The 3x3 generator blocks acting on (u, v, theta) of every lam in
-    `lams`, shape (len(lams), 3, 3).
-
-    Forward rows:
-        (0, 1, 0)
-        (-(c/rho) lam^2, 0, -(eta/rho) lam)
-        (0, (eta/a) lam, -(b lam + d lam^2)/a)
-    Backward is identical except the (3, 3) entry flips sign.
-    """
-    heat = params.heat_weight(lams) / params.a
-    sign = -1.0 if direction is Direction.FORWARD else 1.0
-    blocks = np.zeros((lams.size, 3, 3))
-    blocks[:, 0, 1] = 1.0
-    blocks[:, 1, 0] = -(params.c / params.rho) * lams * lams
-    blocks[:, 1, 2] = -(params.eta / params.rho) * lams
-    blocks[:, 2, 1] = (params.eta / params.a) * lams
-    blocks[:, 2, 2] = sign * heat
-    return blocks
 
 
 def log_slope(t: np.ndarray, y: np.ndarray) -> float:

@@ -103,13 +103,12 @@ def nondiff_sequence(params: ModelParams, lams: np.ndarray, branch: int = +1) ->
     if lam.size < 1:
         raise ValueError("the sequence needs at least one mode")
     target = nondiff_target(params)
-    root = math.sqrt(params.c / params.rho)
-    omega = branch * root * lam
+    omega = branch * params.block_rates(lam)[0]
     q = 1.0 / (params.eta * lam)
     # p = (i a omega + heat) / (i x) in real arithmetic, rounded as the
     # complex division by a purely imaginary number rounds it
     heat = params.heat_weight(lam)
-    x = params.eta**2 * lam**3 * root
+    x = params.eta**2 * lam**3 * math.sqrt(params.c / params.rho)
     p = branch * (params.a * omega / x) - 1j * (branch * (heat / x))
 
     # back-substitution.  Row 1, p (c lam^2 - rho omega^2) + q eta lam = 1,

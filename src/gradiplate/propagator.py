@@ -42,7 +42,7 @@ import numpy as np
 
 from . import spectrum
 from .errors import InsufficientSamples, NonFiniteResult
-from .model import Direction, ModelParams, mode_blocks
+from .model import Direction, ModelParams
 
 # a block whose separated root has a larger condition than this, and
 # whose roots lie within CLUSTER_REACH / t of their mean over the grid, is
@@ -200,11 +200,23 @@ def time_blocks(modes: int, samples: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [samples]))
 
 
+def _energy_blocks(params: ModelParams, lams: np.ndarray, direction: Direction) -> np.ndarray:
+    """The (modes, 3, 3) blocks of the modes `lams` in energy coordinates, from
+    `ModelParams.block_rates`: [[0, k, 0], [-sign(c) k, 0, -g], [0, g, -+h]]."""
+    k, g, h = params.block_rates(lams)
+    a_mat = np.zeros((lams.size, 3, 3))
+    a_mat[:, 0, 1], a_mat[:, 1, 0] = k, -k if params.c > 0 else k
+    a_mat[:, 1, 2], a_mat[:, 2, 1] = -g, g
+    a_mat[:, 2, 2] = -h if direction is Direction.FORWARD else h
+    return a_mat
+
+
 class _ModeKernel:
     """States of a stack of modes on a time grid, (modes, 3, samples), and the running
     integral int_0^t sum_modes x^T q x ds, for any block of samples, in closed form from
     the roots of each block's cubic (negated backward: M_back = D (-M_fwd) D, D =
-    diag(1, -1, 1)), in energy coordinates y = s x, s = (sqrt|c| lam, sqrt rho, sqrt a).
+    diag(1, -1, 1)), in energy coordinates y = s x, s = (sqrt|c| lam, sqrt rho, sqrt a),
+    where the block A (`_energy_blocks`) takes its entries from `ModelParams.block_rates`.
 
     The separated root z1 (the real one; of three real roots the one farther from the
     closer two, or the heat root when eta = 0) is deflated: p = v1 (u1.y0)/(u1.v1) from the null vectors of A - z1; the
@@ -224,7 +236,7 @@ class _ModeKernel:
     def __init__(self, params, lams, direction, x0, times, q):
         z = spectrum.mode_spectra(params, lams)[0] * (1.0 if direction is Direction.FORWARD else -1.0)
         s = np.stack(np.broadcast_arrays(np.sqrt(abs(params.c)) * lams, np.sqrt(params.rho), np.sqrt(params.a)), -1)
-        a_mat = mode_blocks(params, lams, direction) * s[:, :, None] / s[:, None, :]
+        a_mat = _energy_blocks(params, lams, direction)
         self.x0, self.times = x0, times
         y0, rows, eye = x0 * s, np.arange(len(z)), np.eye(3)
         t_end = times[-1] if times.size > 1 else 1.0

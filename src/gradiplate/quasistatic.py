@@ -56,7 +56,7 @@ class QuasiDecayReport:
     """Decay of the plate H^2-seminorm against the slowest thermal rate.
 
     h2_seminorm[k] = sum_n lam_n^2 u_n(t_k)^2 is checked against
-    K * exp(-2*rate1*t) * sum theta_n(0)^2 with the constant K measured,
+    K * exp(-2*rate1*t) * sum theta_n(0)^2 (`theta0_l2`) with the constant K measured,
     and the elliptic-relation Schwarz bound
     -c*int|u_xx|^2 <= |eta| * (int theta^2)^(1/2) (int |u_xx|^2)^(1/2)
     is verified pointwise (it is an equality here, up to rounding).
@@ -68,20 +68,20 @@ class QuasiDecayReport:
 
     __slots__ = (
         "t", "theta_l2_sq", "h2_seminorm", "a_eff", "rate1", "fitted_rate", "fit_rel_residual",
-        "k_measured", "envelope_holds", "schwarz_max_ratio", "relation_residual_max",
+        "k_measured", "envelope_holds", "schwarz_max_ratio", "relation_residual_max", "theta0_l2",
     )
 
     def __init__(
         self, t: np.ndarray, theta_l2_sq: np.ndarray, h2_seminorm: np.ndarray, a_eff: float,
         rate1: float, fitted_rate: float, fit_rel_residual: float | None,
         k_measured: float, envelope_holds: bool, schwarz_max_ratio: float,
-        relation_residual_max: float,
+        relation_residual_max: float, theta0_l2: float,
     ):
         self.t, self.theta_l2_sq, self.h2_seminorm = t, theta_l2_sq, h2_seminorm
         self.a_eff, self.rate1, self.fitted_rate = a_eff, rate1, fitted_rate
         self.fit_rel_residual, self.k_measured = fit_rel_residual, k_measured
         self.envelope_holds, self.schwarz_max_ratio = envelope_holds, schwarz_max_ratio
-        self.relation_residual_max = relation_residual_max
+        self.relation_residual_max, self.theta0_l2 = relation_residual_max, theta0_l2
 
 
 def quasi_decay_report(
@@ -166,6 +166,7 @@ def quasi_decay_report(
         envelope_holds=envelope_holds,
         schwarz_max_ratio=schwarz_max_ratio,
         relation_residual_max=float(np.max(relation, initial=0.0)),
+        theta0_l2=theta0_l2,
     )
 
 
@@ -207,8 +208,6 @@ def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
 
 def run(cfg: RunConfig) -> RunOutput:
     report = quasi_decay_report(cfg.params, cfg.lams, cfg.initial_theta, cfg.times)
-
-    theta0_l2 = float(np.sum(np.asarray(cfg.initial_theta) ** 2))
     checks = [
         Check("elliptic_relation", report.relation_residual_max <= 1e-12, report.relation_residual_max, 1e-12),
         Check("envelope_holds", report.envelope_holds, report.k_measured, float("inf")),
@@ -219,7 +218,7 @@ def run(cfg: RunConfig) -> RunOutput:
             1,
             Check("decay_rate_fit", report.fit_rel_residual <= 1e-6, report.fit_rel_residual, 1e-6),
         )
-    envelope = report.k_measured * np.exp(-2.0 * report.rate1 * report.t) * theta0_l2
+    envelope = report.k_measured * np.exp(-2.0 * report.rate1 * report.t) * report.theta0_l2
     columns = [report.t, report.theta_l2_sq, report.h2_seminorm, envelope]
     return RunOutput(
         csv_name="quasistatic.csv",

@@ -14,7 +14,9 @@ In these energy coordinates a block is tridiagonal,
     A~ = [[i omega, -k, 0], [k, i omega, g], [0, -g, i omega + h]],
     k = sqrt(c/rho) lam,  g = |eta| lam / sqrt(rho a),  h = (b lam + d lam^2)/a
 
-(the sign of eta is a unitary similarity), and ||A~^-1|| is
+with (k, g, h) the block's rates from `ModelParams.block_rates`, the one
+definition of the blocks, g taken in absolute value (the sign of eta is a
+unitary similarity), and ||A~^-1|| is
 sigma_max(adj A~) / |det A~|.  The norm kernel divides each block by a power
 of two mu near max(|omega|, k, g, h), which is exact and keeps |omega| up to
 1e300 and lam up to 1e10 clear of overflow and underflow.  With
@@ -52,9 +54,9 @@ chunks of about sqrt(M), and for each (omega, chunk) pair a bound U at or
 above `high` of every block of the chunk comes from the chunk's least and
 largest lam alone:
 
-- k, g and h are nondecreasing in lam, as floats too, since each is a
-  product or a sum of products with nonnegative constants.  So each
-  nonnegative term of the Gram trace takes its value at the largest lam.
+- k, g and h are nondecreasing in lam, as floats too (see
+  `ModelParams.block_rates`).  So each nonnegative term of the Gram trace
+  takes its value at the largest lam.
 - The trace's two squares, (g^2 - w^2)^2 and delta^2 = (k^2 - w^2)^2, are
   squares of quantities that grow with lam, so each takes the larger of its
   two end values.
@@ -194,22 +196,12 @@ def _abs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _kgh(params: ModelParams, lam):
-    """k, g and h of the modes `lam`.  Each is a product or a sum of
-    products with nonnegative constants, so its float is nondecreasing in
-    lam, like its exact value."""
-    return (
-        math.sqrt(params.c / params.rho) * lam,
-        abs(params.eta) / math.sqrt(params.rho * params.a) * lam,
-        params.heat_weight(lam) / params.a,
-    )
-
-
 def _det(params: ModelParams, lam, omega) -> tuple[np.ndarray, ...]:
     """The blocks (lam, omega) of two flat arrays as B = A~ / mu: the
     exponent of mu, w, k, g, h, delta, delta + g^2 and det B.  Raises
     SingularSystem at the first singular block, before anything divides."""
-    k, g, h = _kgh(params, lam)
+    k, g, h = params.block_rates(lam)
+    g = abs(g)
     # mu a power of two, so the scaling is exact
     mu_exp = np.frexp(np.maximum(np.abs(omega), np.maximum(np.maximum(k, g), h)))[1]
     w, k, g, h = (np.ldexp(v, -mu_exp) for v in (omega, k, g, h))
@@ -276,7 +268,8 @@ def _chunk_bounds(params: ModelParams, lo, hi, omegas) -> np.ndarray:
     chunk; inf where the floats cannot certify one."""
     # non-finite values only make a bound inf, which keeps its chunk
     with np.errstate(all="ignore"):
-        (k0, g0, h0), (k1, g1, h1) = _kgh(params, lo), _kgh(params, hi)
+        (k0, g0, h0), (k1, g1, h1) = params.block_rates(lo), params.block_rates(hi)
+        g0, g1 = abs(g0), abs(g1)
         # a power of two at or above every block's mu
         exp = np.frexp(np.maximum(np.abs(omegas), np.maximum(np.maximum(k1, g1), h1)))[1]
         w, k0, g0, h0, k1, g1, h1 = (np.ldexp(v, -exp) for v in (omegas, k0, g0, h0, k1, g1, h1))
@@ -492,7 +485,7 @@ def resonant_omega_grid(
     _require_stable(params, "resonant grid")
     if not 0 < omega_min < omega_max:
         raise ValueError("need 0 < omega_min < omega_max")
-    omegas = math.sqrt(params.c / params.rho) * lams
+    omegas = params.block_rates(lams)[0]
     omegas = omegas[(omega_min <= omegas) & (omegas <= omega_max)]
     # sorted and deduplicated as np.unique would, without the numpy.ma
     # import that np.unique costs
@@ -530,7 +523,7 @@ def run(cfg: RunConfig) -> RunOutput:
             )
     scan = scan_imaginary_axis(cfg.params, cfg.lams, grid)
     # past the last resonance the truncated scan misses the mode that sets the sup
-    omega_resolved = math.sqrt(cfg.params.c / cfg.params.rho) * float(np.max(cfg.lams))
+    omega_resolved = cfg.params.block_rates(float(np.max(cfg.lams)))[0]
     checks = [
         Check("norms_finite", bool(np.all(np.isfinite(scan.norms))), float(np.max(scan.norms)), float("inf")),
         Check("omega_sign_symmetry", scan.sign_gap <= 1e-10, scan.sign_gap, 1e-10),

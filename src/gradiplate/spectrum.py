@@ -4,7 +4,9 @@ Each 3x3 forward block has characteristic polynomial
 
     z^3 + mu z^2 + (kappa + eps) z + kappa mu
 
-with mu = (b lam + d lam^2)/a, kappa = (c/rho) lam^2,
+with (mu, kappa, eps) = (h, sign(c) k^2, g^2) from the block's rates
+(k, g, h) of `ModelParams.block_rates`, the one definition of the blocks:
+mu = (b lam + d lam^2)/a, kappa = (c/rho) lam^2 and
 eps = (eta^2/(rho a)) lam^2.  For c > 0 all roots lie strictly in the left
 half-plane; as lam grows the complex pair approaches the vertical line
 Re z = -eta^2/(2 rho d).  That limit follows from the dominant-balance
@@ -43,14 +45,12 @@ CUBIC_BATCH = 512
 
 
 def characteristic_coefficients(params: ModelParams, lam: float | np.ndarray):
-    """(mu, kappa, eps) composites of one mode's characteristic cubic, or
-    arrays of them for an array of lam."""
+    """(mu, kappa, eps) = (h, sign(c) k^2, g^2) of one mode's characteristic
+    cubic, or arrays of them for an array of lam."""
     if not (np.asarray(lam) > 0).all():
         raise ValueError(f"lam must be > 0, got {lam}")
-    mu = params.heat_weight(lam) / params.a
-    kappa = (params.c / params.rho) * lam * lam
-    eps = (params.eta**2 / (params.rho * params.a)) * lam * lam
-    return mu, kappa, eps
+    k, g, h = params.block_rates(lam)
+    return h, k * k if params.c > 0 else -(k * k), g * g
 
 
 def _horner(a2, a1, a0, z):

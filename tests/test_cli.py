@@ -816,6 +816,75 @@ class TestOneWeight:
         assert scaled != plain and scaled == pytest.approx(plain * (1 + 1e-9), rel=1e-15)
 
 
+def coupled_model(eta="3", c="5"):
+    """rho, a and c away from 1: a scaling or sign slip in the block shows on
+    this model, where the unit model's exact scalings hide it."""
+    return [
+        "rho = 2", "a = 0.3", "b = 0.2", f"c = {c}", "d = 4", f"eta = {eta}",
+        "domain = interval", "length = 2.5", "mode_count = 16",
+    ]
+
+
+COUPLED_RUNS = {
+    "simulate": ["t_end = 0.1", "dt = 0.001", "initial_u = 1,0.5", "initial_v = -0.5"],
+    "backward": ["t_end = 0.1", "dt = 0.001", "initial_u = 1,0.5", "initial_v = -0.5"],
+    "instability": ["t_end = 0.1", "dt = 0.001", "initial_u = 1,0.5", "initial_v = -0.5"],
+    "spectrum": ["lambda_max = 1e6", "lambda_points = 50"],
+    "resolvent-scan": ["omega_min = 0.1", "omega_max = 1e4", "omega_points = 200"],
+    "nondiff": ["n_max = 30"],
+}
+
+
+class TestOneBlock:
+    """Every layer takes its block from `ModelParams.block_rates` alone: a
+    relative 1e-9 on one of k, g and h moves an output of every subcommand
+    that reads that rate (`nondiff` reads k alone, as its omega)."""
+
+    OUTPUT = {
+        "simulate": "kinetic", "backward": "L1", "instability": "F", "spectrum": "root1_re",
+        "resolvent-scan": "resolvent_norm", "nondiff": "omega",
+    }
+
+    def column(self, tmp_path, subcommand):
+        lines = coupled_model(c="-5" if subcommand == "instability" else "5") + COUPLED_RUNS[subcommand]
+        if subcommand in ("simulate", "backward", "instability"):
+            lines.append("initial_theta = 0.25,0.1,-0.3")
+        out = cli.HANDLERS[subcommand](load_config(write_config(tmp_path, "run.cfg", lines), subcommand))
+        return out.columns[out.header.index(self.OUTPUT[subcommand])]
+
+    @pytest.mark.parametrize("subcommand, rate", [
+        (subcommand, rate) for subcommand in OUTPUT for rate in ("kgh" if subcommand != "nondiff" else "k")
+    ])
+    def test_each_rate_moves_the_output(self, tmp_path, monkeypatch, subcommand, rate):
+        plain = self.column(tmp_path, subcommand)
+        rates = model.ModelParams.block_rates
+
+        def scaled(self, lam):
+            out = list(rates(self, lam))
+            out["kgh".index(rate)] *= 1 + 1e-9
+            return tuple(out)
+
+        monkeypatch.setattr(model.ModelParams, "block_rates", scaled)
+        assert not np.array_equal(self.column(tmp_path, subcommand), plain)
+
+
+class TestEtaSignSymmetry:
+    """eta -> -eta conjugates every block by diag(1, 1, -1): with theta(0)
+    negated along with eta, each run writes the same CSV bytes."""
+
+    @pytest.mark.parametrize("subcommand", ["simulate", "backward", "spectrum", "resolvent-scan"])
+    def test_same_csv_bytes(self, tmp_path, subcommand):
+        csvs = []
+        for eta, theta in (("3", "0.25,0.1,-0.3"), ("-3", "-0.25,-0.1,0.3")):
+            lines = coupled_model(eta) + COUPLED_RUNS[subcommand]
+            if subcommand in ("simulate", "backward"):
+                lines.append(f"initial_theta = {theta}")
+            out = tmp_path / f"o{eta}"
+            assert main([subcommand, "--config", write_config(tmp_path, "run.cfg", lines), "--out", str(out)]) == 0
+            csvs.append(next(out.glob("*.csv")).read_bytes())
+        assert csvs[0] == csvs[1]
+
+
 class TestNoPerSampleObjects:
     """Guards on work counts, not timings: trajectories stay arrays."""
 

@@ -222,12 +222,15 @@ class TestIdentityIsNotVacuous:
         assert self.residual(unit_params, pi_interval) > 1e-8
 
     def test_wrong_coupling_sign_fails(self, unit_params, pi_interval, monkeypatch):
-        blocks = propagator.mode_blocks
+        """The (2, 1) entry of the kernel's block flipped alone: flipping g
+        itself, both coupling entries, is the eta-sign similarity, which no
+        identity can see."""
+        blocks = propagator._energy_blocks
 
-        def flipped(params, lams, direction=Direction.FORWARD):
+        def flipped(params, lams, direction):
             out = blocks(params, lams, direction)
             out[:, 2, 1] *= -1.0
             return out
 
-        monkeypatch.setattr(propagator, "mode_blocks", flipped)
+        monkeypatch.setattr(propagator, "_energy_blocks", flipped)
         assert self.residual(unit_params, pi_interval) > 1e-8

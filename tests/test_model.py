@@ -11,8 +11,8 @@ from gradiplate import (
     Rectangle,
     enumerate_modes,
 )
-from gradiplate.model import mode_blocks
-from oracles import fd_generator_column
+from gradiplate import propagator
+from oracles import fd_generator_column, generator_block
 
 
 class TestModelParams:
@@ -100,11 +100,24 @@ class TestEnumerateModes:
 
 
 def block(params, lam, direction=Direction.FORWARD):
-    """The generator block of one lam."""
-    return mode_blocks(params, np.array([lam]), direction)[0]
+    """The kernel's block of one lam, in energy coordinates."""
+    return propagator._energy_blocks(params, np.array([lam]), direction)[0]
 
 
-class TestModeBlocks:
+def energy_scaling(params, lam):
+    """S = diag(sqrt|c| lam, sqrt rho, sqrt a): y = S x takes (u, v, theta)
+    to energy coordinates."""
+    return np.diag([math.sqrt(abs(params.c)) * lam, math.sqrt(params.rho), math.sqrt(params.a)])
+
+
+def random_params(rng):
+    rho, a, b, c, d = rng.uniform(0.1, 5.0, size=5)
+    return ModelParams(rho, a, b, c * rng.choice((1.0, -1.0)), d, rng.uniform(-3.0, 3.0))
+
+
+class TestBlockRates:
+    """`ModelParams.block_rates` is the one definition of the mode blocks."""
+
     def test_unit_forward_rows(self, unit_params):
         m = block(unit_params, 1.0, Direction.FORWARD)
         assert np.array_equal(m, np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 1.0, -2.0]]))
@@ -112,6 +125,18 @@ class TestModeBlocks:
     def test_unit_backward_rows(self, unit_params):
         m = block(unit_params, 1.0, Direction.BACKWARD)
         assert np.array_equal(m, np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 1.0, 2.0]]))
+
+    def test_is_the_oracle_in_energy_coordinates(self):
+        """The energy block is S M S^-1 of the (u, v, theta) oracle to a few
+        ulps of each entry, for either sign of c and either direction."""
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            params, lam = random_params(rng), 10.0 ** rng.uniform(-2.0, 6.0)
+            scale = energy_scaling(params, lam)
+            for direction in Direction:
+                oracle = scale @ generator_block(params, lam, direction) @ np.linalg.inv(scale)
+                m = block(params, lam, direction)
+                assert np.all(abs(m - oracle) <= 4 * np.finfo(float).eps * abs(oracle)), (params, lam)
 
     def test_matches_pde_finite_difference_oracle(self):
         """Generator columns agree with a fine FD discretization of the PDE
@@ -121,11 +146,12 @@ class TestModeBlocks:
         length = math.pi
         for n in (1, 2):
             lam = (n * math.pi / length) ** 2
-            m = block(params, lam)
+            scale = energy_scaling(params, lam)
+            m = np.linalg.inv(scale) @ block(params, lam) @ scale
             for col in range(3):
                 oracle = fd_generator_column(rho, a, b, c, d, eta, length, n, col)
-                scale = max(np.max(np.abs(m[:, col])), 1.0)
-                assert np.allclose(m[:, col], oracle, atol=1e-5 * scale), (
+                size = max(np.max(np.abs(m[:, col])), 1.0)
+                assert np.allclose(m[:, col], oracle, atol=1e-5 * size), (
                     f"n={n} column {col}: {m[:, col]} vs oracle {oracle}"
                 )
 
@@ -142,33 +168,34 @@ class TestModeBlocks:
     def test_forward_backward_differ_only_in_heat_sign(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            rho, a, b, c, d = rng.uniform(0.1, 5.0, size=5)
-            eta = rng.uniform(-3.0, 3.0)
-            lam = rng.uniform(0.1, 50.0)
-            params = ModelParams(rho, a, b, c, d, eta)
+            params, lam = random_params(rng), rng.uniform(0.1, 50.0)
             fw = block(params, lam, Direction.FORWARD)
             bw = block(params, lam, Direction.BACKWARD)
             assert np.array_equal(fw[:2], bw[:2])
             assert fw[2, :2].tolist() == bw[2, :2].tolist()
             assert fw[2, 2] == -bw[2, 2]
 
-    def test_eta_flip_is_diagonal_conjugation(self):
-        """eta -> -eta conjugates the block by diag(1, 1, -1), exactly."""
+    def test_eta_flip_flips_g_exactly(self):
+        """eta -> -eta negates g and leaves k and h, bit for bit, so it
+        conjugates the block by diag(1, 1, -1) exactly."""
         rng = np.random.default_rng(11)
         s = np.diag([1.0, 1.0, -1.0])
         for _ in range(25):
-            rho, a, b, c, d = rng.uniform(0.1, 5.0, size=5)
-            eta = rng.uniform(-3.0, 3.0)
-            lam = rng.uniform(0.1, 50.0)
-            m_plus = block(ModelParams(rho, a, b, c, d, eta), lam)
-            m_minus = block(ModelParams(rho, a, b, c, d, -eta), lam)
-            assert np.array_equal(m_minus, s @ m_plus @ s)
+            params, lam = random_params(rng), rng.uniform(0.1, 50.0)
+            rho, a, b, c, d, eta = (getattr(params, name) for name in ModelParams.__slots__)
+            flipped = ModelParams(rho, a, b, c, d, -eta)
+            (k, g, h), (k_f, g_f, h_f) = params.block_rates(lam), flipped.block_rates(lam)
+            assert (k_f, g_f, h_f) == (k, -g, h)
+            assert np.array_equal(block(flipped, lam), s @ block(params, lam) @ s)
 
-    def test_rows_are_the_single_lam_blocks(self):
-        """A block does not depend on the lams batched beside it."""
-        params = ModelParams(2.0, 3.0, 0.5, 4.0, 1.5, -1.0)
+    def test_rows_are_the_single_lam_rates(self):
+        """A mode's rates do not depend on the lams batched beside it."""
+        params = ModelParams(2.0, 3.0, 0.5, -4.0, 1.5, -1.0)
         lams = np.geomspace(0.1, 1e6, 13)
+        batch = params.block_rates(lams)
+        for n, lam in enumerate(lams.tolist()):
+            assert [rate[n] for rate in batch] == list(params.block_rates(lam))
         for direction in Direction:
-            batch = mode_blocks(params, lams, direction)
-            for k, lam in enumerate(lams):
-                assert batch[k].tobytes() == block(params, lam, direction).tobytes()
+            blocks = propagator._energy_blocks(params, lams, direction)
+            for n, lam in enumerate(lams):
+                assert blocks[n].tobytes() == block(params, lam, direction).tobytes()

@@ -14,7 +14,6 @@ from gradiplate import (
 )
 from gradiplate import propagator
 from gradiplate.errors import InsufficientSamples
-from gradiplate.model import mode_blocks
 from gradiplate.spectrum import mode_spectra
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,7 +333,7 @@ class TestEnergyBalance:
             q = np.diag([c * lam**2, rho, a])
             w = b * lam + d * lam**2
             for direction, sign in ((Direction.FORWARD, -1.0), (Direction.BACKWARD, 1.0)):
-                m = mode_blocks(params, np.array([lam]), direction)[0]
+                m = generator_block(params, lam, direction)
                 sym = q @ m + m.T @ q
                 assert np.allclose(sym, np.diag([0.0, 0.0, sign * 2.0 * w]), atol=1e-12 * max(1.0, w))
 

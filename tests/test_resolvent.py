@@ -21,8 +21,10 @@ from gradiplate import (
 )
 from gradiplate import resolvent
 from gradiplate.errors import EigenvalueOutOfRange
-from gradiplate.model import enumerate_modes, mode_blocks
-from oracles import lapack_resolvent_norms, lapack_resolvent_solve, mp_resolvent_singular_values
+from gradiplate.model import enumerate_modes
+from oracles import (
+    generator_block, lapack_resolvent_norms, lapack_resolvent_solve, mp_resolvent_singular_values,
+)
 
 
 def block_norm(params, lam, omega):
@@ -432,11 +434,11 @@ class TestNondiffSequence:
 
     def test_solves_the_generator_block(self, pi_interval):
         """(p, i omega p, q) solves (i omega - M) U = (0, 1/rho, 0) with M
-        the forward block the time-domain runs use, to the rounding of the
-        largest term of each row."""
+        the forward (u, v, theta) block of the oracle, to the rounding of
+        the largest term of each row."""
         params = ModelParams(rho=1.5, a=0.8, b=1.2, c=2.5, d=0.6, eta=-1.1)
         seq = nondiff_sequence(params, enumerate_modes(pi_interval, 8))
-        blocks = mode_blocks(params, seq.lam)
+        blocks = generator_block(params, seq.lam)
         u = np.stack([seq.p, 1j * seq.omega * seq.p, seq.q + 0j], axis=1)
         lhs = 1j * seq.omega[:, None] * u - np.einsum("nij,nj->ni", blocks, u)
         rhs = np.array([0.0, 1.0 / params.rho, 0.0])
