@@ -151,13 +151,6 @@ class Rectangle:
     def __hash__(self) -> int:
         return hash((self.length1, self.length2))
 
-    def eigenvalue(self, index: tuple[int, int]) -> float:
-        """Eigenvalue pi^2 (j^2/L1^2 + k^2/L2^2), j, k >= 1."""
-        j, k = index
-        if j < 1 or k < 1:
-            raise ValueError("mode indices must be >= 1")
-        return math.pi**2 * (j**2 / self.length1**2 + k**2 / self.length2**2)
-
 
 SpectralDomain = Union[Interval, Rectangle]
 
@@ -186,14 +179,14 @@ def enumerate_modes(domain: SpectralDomain, count: int) -> np.ndarray:
 
 def _smallest_eigenvalues(domain: SpectralDomain, count: int) -> np.ndarray:
     if isinstance(domain, Interval):
-        # Python's float power, as Interval.eigenvalue rounds it
+        # lam = (n pi / L)^2 in Python's float power, as Interval.eigenvalue rounds it
         length = domain.length
         return np.array([(n * math.pi / length) ** 2 for n in range(1, count + 1)])
 
-    # Rectangle: sort a box of (j, k), lam evaluated as Rectangle.eigenvalue
-    # does.  The box starts near the Weyl count for the domain's aspect
-    # ratio, at most count wide either way, and doubles until no mode
-    # outside it can be smaller than the count-th smallest inside it.
+    # Rectangle: sort a box of (j, k), each lam = pi^2 (j^2/L1^2 + k^2/L2^2)
+    # evaluated in that order.  The box starts near the Weyl count for the
+    # domain's aspect ratio, at most count wide either way, and doubles until
+    # no mode outside it can be smaller than the count-th smallest inside it.
     l1, l2 = domain.length1, domain.length2
     jn = min(math.ceil(2.0 * math.sqrt(count * l1 / (math.pi * l2))) + 1, count)
     kn = min(math.ceil(2.0 * math.sqrt(count * l2 / (math.pi * l1))) + 1, count)

@@ -29,9 +29,8 @@ the live modes, the columns of E (kinetic, bending, thermal, total) and
 D, and the running integral of its weight q (by default D's, so
 int_0^t D ds).  `history` keeps the columns of the whole grid, and its
 memory grows by a few numbers per sample; a hook sees each block's
-states on the way, which is how `evolve` fills its whole
-(modes, 3, samples) `Trajectory`.  Neither the blocks nor the modes at
-rest change a bit of the output.
+states on the way (`backward` sums its coupling terms from them).
+Neither the blocks nor the modes at rest change a bit of the output.
 """
 
 from __future__ import annotations
@@ -148,22 +147,6 @@ class EnergyHistory:
     def energy_norm(self) -> np.ndarray:
         """kinetic + |bending| + thermal: the size of the terms E sums."""
         return self.kinetic + np.abs(self.bending) + self.thermal
-
-
-class Trajectory(EnergyHistory):
-    """Exact trajectory on a time grid, held as arrays: the energy columns,
-    the modes' eigenvalues `lams` and x, shape (modes, 3, samples) with
-    rows u, v, theta."""
-
-    __slots__ = ("lams", "x")
-
-    def __init__(
-        self, t: np.ndarray, kinetic: np.ndarray, bending: np.ndarray,
-        thermal: np.ndarray, total: np.ndarray, dissipation: np.ndarray,
-        dissipation_integral: np.ndarray, lams: np.ndarray, x: np.ndarray,
-    ):
-        super().__init__(t, kinetic, bending, thermal, total, dissipation, dissipation_integral)
-        self.lams, self.x = lams, x
 
 
 def evolution_sizes(lams: np.ndarray, x0: np.ndarray, times: np.ndarray) -> dict[str, int]:
@@ -530,28 +513,6 @@ class Evolution:
                 hook(lo, x)
             del x, block, integral, values  # no block outlives its turn
         return EnergyHistory(self.t, **columns)
-
-
-def evolve(
-    params: ModelParams,
-    lams: np.ndarray,
-    x0: np.ndarray,
-    times: Sequence[float],
-    direction: Direction = Direction.FORWARD,
-) -> Trajectory:
-    """Exact trajectory of the truncated system from x0 over the modes
-    `lams` at the requested times, held whole: the live modes' states are
-    scattered into a zero (modes, 3, samples) array block by block (see
-    `Evolution`)."""
-    evolution = Evolution(params, lams, x0, times, direction)
-    x = np.zeros(x0.shape + evolution.t.shape)
-
-    def scatter(lo: int, states: np.ndarray) -> None:
-        x[evolution.live, :, lo : lo + states.shape[2]] = states
-
-    history = evolution.history(scatter)
-    columns = {name: getattr(history, name) for name in _COLUMNS}
-    return Trajectory(evolution.t, **columns, lams=lams, x=x)
 
 
 class EnergyBalanceReport:

@@ -20,7 +20,8 @@ def run(cfg: RunConfig) -> RunOutput:
     report = energy_balance_report(history, Direction.FORWARD)
 
     e, d = history.total, history.dissipation
-    scale = report.error_scale(float(np.max(history.energy_norm)))
+    norm_max = float(np.max(history.energy_norm))
+    scale = report.error_scale(norm_max)
     residual_scaled = report.max_abs_error / scale
     checks = [
         Check("energy_identity", residual_scaled <= 1e-8, residual_scaled, 1e-8),
@@ -42,6 +43,7 @@ def run(cfg: RunConfig) -> RunOutput:
         checks=checks,
         results={
             "e0": report.e0,
+            "energy_norm_max": norm_max,
             "max_residual_vs_e0": report.max_abs_residual,
             "max_residual_vs_scale": residual_scaled,
         },

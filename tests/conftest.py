@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gradiplate import Interval, ModelParams
+from gradiplate.model import Interval, ModelParams
 
 
 @pytest.fixture

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: trajectories
 and their running time integrals come from adaptive Runge-Kutta
 integration or from mpmath eigendecompositions summed as exponentials,
-eigenvalues from the companion matrix, roots from bisection,
+eigenvalues from the companion matrix, a rectangle's eigenvalues one
+mode at a time from their formula, roots from bisection,
 the generator blocks written out from the PDE or from a finite-difference
 discretization of it on one eigenfunction, resolvent solves and norms
 from LAPACK's solve, inverse and singular values, and CSV text from
@@ -11,6 +12,8 @@ Python's own %-formatting, one row at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -168,6 +171,13 @@ def rk_scalar_decay(rate: float, y0: float, t: float) -> float:
 def companion_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     """Cubic roots via the companion-matrix eigenvalue route."""
     return np.roots([1.0, a2, a1, a0])
+
+
+def rectangle_eigenvalue(domain, index: tuple[int, int]) -> float:
+    """Eigenvalue pi^2 (j^2/L1^2 + k^2/L2^2) of the mode (j, k) of a
+    Rectangle, one Python float at a time."""
+    j, k = index
+    return math.pi**2 * (j**2 / domain.length1**2 + k**2 / domain.length2**2)
 
 
 def bisect_real_root(f, lo: float, hi: float, iterations: int = 200) -> float:

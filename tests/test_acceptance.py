@@ -10,32 +10,25 @@ import time
 
 import numpy as np
 
-from gradiplate import (
+from gradiplate.backward import gronwall_check, lyapunov_series
+from gradiplate.cli import main
+from gradiplate.config import preset_coefficients
+from gradiplate.errors import DegenerateCapacity
+from gradiplate.instability import (
     ConvexityTrajectory,
-    DegenerateCapacity,
-    Direction,
-    ModelParams,
     choose_weight_shift,
     convexity_residual_check,
     convexity_trajectory,
-    energy_balance_report,
-    energy_of,
-    effective_capacity,
-    evolve,
-    gronwall_check,
     instability_lower_bound,
-    lyapunov_series,
-    nondiff_sequence,
-    quasi_decay_report,
-    resonant_omega_grid,
-    scan_imaginary_axis,
 )
-from gradiplate.cli import main
-from gradiplate.config import preset_coefficients
-from gradiplate.model import Interval, enumerate_modes
+from gradiplate.model import Direction, Interval, ModelParams, enumerate_modes
+from gradiplate.nondiff import nondiff_sequence
+from gradiplate.propagator import energy_balance_report, energy_of
+from gradiplate.quasistatic import effective_capacity, quasi_decay_report
+from gradiplate.resolvent import resonant_omega_grid, scan_imaginary_axis
 from gradiplate.spectrum import mode_spectra
 from oracles import bisect_real_root, generator_block, lapack_resolvent_solve, rk_mode_evolution
-from states import initial
+from states import evolve, initial
 from test_functionals import identities
 
 PI_INTERVAL = Interval(math.pi)

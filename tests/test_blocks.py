@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 import test_sweep
-from gradiplate import ModelParams, cli, propagator, spectrum
+import gradiplate.cli as cli
+import gradiplate.propagator as propagator
+import gradiplate.spectrum as spectrum
 from gradiplate.config import build_config, load_config, parse_config_text
-from gradiplate.propagator import Evolution, evolve, live_modes, time_blocks
-from states import initial
+from gradiplate.model import ModelParams
+from gradiplate.propagator import Evolution, live_modes, time_blocks
+from states import evolve, initial
 
 PI = "3.141592653589793"
 ONE_BLOCK = 2**40

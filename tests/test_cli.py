@@ -3,6 +3,7 @@ import ast
 import gc
 import importlib
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -13,14 +14,21 @@ import numpy as np
 import pytest
 
 import gradiplate
-from gradiplate import backward, cli, config, csvout, instability, model, nondiff, propagator, resolvent
+import gradiplate.backward as backward
+import gradiplate.cli as cli
+import gradiplate.config as config
+import gradiplate.csvout as csvout
+import gradiplate.instability as instability
+import gradiplate.model as model
+import gradiplate.nondiff as nondiff
+import gradiplate.resolvent as resolvent
 from gradiplate.backward import lyapunov_series
 from gradiplate.cli import main
 from gradiplate.config import load_config
 from gradiplate.manifest import Check, RunOutput, _fmt
-from gradiplate.propagator import evolve
 from gradiplate.spectrum import characteristic_coefficients
 from scalar_cubic import cubic_roots
+from states import evolve
 
 PI = "3.141592653589793"
 
@@ -737,8 +745,8 @@ class TestModesEnumeratedOnce:
     @pytest.mark.parametrize("run", list(RUNS))
     def test_one_enumeration_per_run(self, tmp_path, monkeypatch, run):
         # every module that can bind it is loaded before the bindings are patched
-        for name in gradiplate._EXPORTS:
-            importlib.import_module(f"gradiplate.{name}")
+        for module in pkgutil.iter_modules(gradiplate.__path__):
+            importlib.import_module(f"gradiplate.{module.name}")
         counts = []
         original = model.enumerate_modes
 
@@ -1219,6 +1227,21 @@ class TestImportFootprint:
     def test_import_gradiplate_loads_no_submodule(self):
         assert self.loaded_modules("import gradiplate") == {"gradiplate"}
 
+    def test_package_exports_its_version_only(self, tmp_path):
+        """`import gradiplate` loads no submodule, and the package holds
+        `__version__` and no public name: each name is imported from its
+        submodule."""
+        script = (
+            "import sys\n"
+            "import gradiplate\n"
+            "print(sorted(m for m in sys.modules if m.startswith('gradiplate.')))\n"
+            "print(sorted(n for n in dir(gradiplate) if not n.startswith('_')))\n"
+            "print(gradiplate.__version__)\n"
+        )
+        done = run_fresh_python(["-c", script], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "[]", cli.__version__]
+
     def test_import_cli_loads_errors_only(self):
         assert self.loaded_modules("import gradiplate.cli") == self.CLI_MODULES
 
@@ -1239,14 +1262,6 @@ class TestImportFootprint:
         )
         expected = self.CLI_MODULES | {f"gradiplate.{name}" for name in extra | self.RUN_MODULES}
         assert self.loaded_modules(script) == expected
-
-    def test_lazy_names_are_the_submodule_objects(self):
-        import gradiplate
-
-        for name, module in gradiplate._SOURCE.items():
-            assert getattr(gradiplate, name) is getattr(getattr(gradiplate, module), name)
-        assert gradiplate.evolve is propagator.evolve
-        assert set(gradiplate._SOURCE) <= set(dir(gradiplate))
 
     def test_unknown_name_raises_attribute_error(self):
         import gradiplate

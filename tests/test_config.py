@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gradiplate import Interval, Rectangle
 from gradiplate.config import (
     build_config,
     parse_config_text,
     preset_coefficients,
 )
 from gradiplate.errors import ConfigError
+from gradiplate.model import Interval, Rectangle
 
 BASE = {
     "rho": "1", "a": "1", "b": "1", "c": "1", "d": "1", "eta": "1",

@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import csv_text
 
-from gradiplate import cli, csvout
+import gradiplate.cli as cli
+import gradiplate.csvout as csvout
 from gradiplate.cli import main
 
 PI = "3.141592653589793"

@@ -3,30 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from gradiplate import (
-    Direction,
-    EpsilonOutOfRange,
-    Evolution,
-    InsufficientSamples,
-    ModelParams,
-    PreconditionUnmet,
+import gradiplate.propagator as propagator
+from gradiplate.backward import (
+    coupling_sums,
+    gronwall_check,
+    identity_rate,
+    lyapunov_series,
+    verify_backward_identities,
+)
+from gradiplate.errors import EpsilonOutOfRange, InsufficientSamples, PreconditionUnmet
+from gradiplate.instability import (
     choose_weight_shift,
     convexity_residual_check,
     convexity_trajectory,
-    coupling_sums,
-    energy_of,
-    evolve,
-    gronwall_check,
-    identity_rate,
     instability_lower_bound,
-    lyapunov_series,
     phi_coefficients,
-    propagator,
-    verify_backward_identities,
 )
-from gradiplate.propagator import live_modes
+from gradiplate.model import Direction, ModelParams
+from gradiplate.propagator import Evolution, energy_of, live_modes
 from oracles import bisect_real_root
-from states import initial
+from states import evolve, initial
 
 UNSTABLE = ModelParams(1.0, 1.0, 1.0, -1.0, 1.0, 1.0)
 

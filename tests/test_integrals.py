@@ -15,20 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradiplate import (
-    Direction,
-    ModelParams,
-    energy_balance_report,
-    evolve,
-)
-from gradiplate import propagator
+import gradiplate.propagator as propagator
 from gradiplate.cli import main
 from gradiplate.config import load_config
 from gradiplate.instability import convexity_trajectory, phi_coefficients
+from gradiplate.model import Direction, ModelParams
+from gradiplate.propagator import energy_balance_report
 from gradiplate.spectrum import mode_spectra
 from oracles import generator_block, mp_convexity_functional, rk_mode_evolution, rk_mode_integrals
 from quadrature import cumulative_integral
-from states import initial
+from states import evolve, initial
 
 # the double root of test_propagator.TestDoubleRoot: a defective block
 DOUBLE_ROOT = ModelParams(rho=1.0, a=1.0, b=5.590169943749474, c=1.0, d=0.0, eta=3.0)

@@ -3,22 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gradiplate import (
-    Direction,
-    Interval,
-    ModelParams,
-    NonFiniteResult,
-    energy_balance_report,
-    energy_of,
-    evolve,
-)
-from gradiplate import propagator
-from gradiplate.errors import InsufficientSamples
+from gradiplate.errors import InsufficientSamples, NonFiniteResult
+from gradiplate.model import Direction, Interval, ModelParams
+from gradiplate.propagator import energy_balance_report, energy_of
 from gradiplate.spectrum import mode_spectra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import generator_block, mp_mode_evolution, rk_mode_evolution
-from states import initial
+from states import evolve, initial
 
 
 def single_mode_state(domain, u=0.0, v=0.0, theta=0.0):

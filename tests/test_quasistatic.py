@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gradiplate import (
-    DegenerateCapacity,
-    Interval,
-    ModelParams,
-    effective_capacity,
-    enumerate_modes,
-    quasi_decay_report,
-)
+from gradiplate.errors import DegenerateCapacity
+from gradiplate.model import Interval, ModelParams, enumerate_modes
+from gradiplate.quasistatic import effective_capacity, quasi_decay_report
 from oracles import rk_scalar_decay
 
 

@@ -8,20 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradiplate import (
-    Interval,
-    ModelParams,
-    Rectangle,
-    SingularSystem,
-    closed_form_gap,
-    gap_reach,
-    nondiff_sequence,
-    resonant_omega_grid,
-    scan_imaginary_axis,
-)
-from gradiplate import resolvent
-from gradiplate.errors import EigenvalueOutOfRange
-from gradiplate.model import enumerate_modes
+import gradiplate.resolvent as resolvent
+from gradiplate.errors import EigenvalueOutOfRange, SingularSystem
+from gradiplate.model import Interval, ModelParams, Rectangle, enumerate_modes
+from gradiplate.nondiff import closed_form_gap, gap_reach, nondiff_sequence
+from gradiplate.resolvent import resonant_omega_grid, scan_imaginary_axis
 from oracles import (
     generator_block, lapack_resolvent_norms, lapack_resolvent_solve, mp_resolvent_singular_values,
 )

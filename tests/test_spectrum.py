@@ -3,18 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gradiplate import (
-    ModelParams,
-    enumerate_modes,
-    evolve,
-    spectral_abscissa,
-)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradiplate.spectrum as spectrum
 import scalar_cubic
-from gradiplate import spectrum
-from gradiplate.abscissa import row_max
+from gradiplate.abscissa import row_max, spectral_abscissa
+from gradiplate.model import ModelParams, enumerate_modes
 from gradiplate.spectrum import (
     REAL_PLUS_PAIR,
     THREE_REAL,
@@ -23,7 +18,7 @@ from gradiplate.spectrum import (
     mode_spectra,
 )
 from oracles import bisect_real_root, companion_roots
-from states import initial
+from states import evolve, initial
 
 
 def sorted_by_real_imag(roots):

@@ -15,8 +15,9 @@ same configs whatever the package's source holds.  Sizes stay at or below
 import math
 import random
 
-from gradiplate import Interval, ModelParams, effective_capacity, enumerate_modes
 from gradiplate.cli import main
+from gradiplate.model import Interval, ModelParams, enumerate_modes
+from gradiplate.quasistatic import effective_capacity
 
 SEED = 20240917
 EXAMPLES = 150
@@ -152,6 +153,21 @@ def test_simulate_passes_its_checks(tmp_path):
     draws = [simulate_config(rng) for _ in range(EXAMPLES)]
     failures = sweep(tmp_path, "simulate", [(lines, (0, 4) if c < 0 else (0,)) for lines, c in draws])
     assert not failures, failures
+
+
+def test_simulate_reports_the_terms_e_sums(tmp_path):
+    """Draw 41 (c < 0, eta = 0) grows terms near 1e268 while E stays
+    near E(0): the E column is their roundoff, and `result.energy_norm_max`
+    says so by sitting more than 1e15 times above max |E|."""
+    rng = random.Random(SEED)
+    lines, c = [simulate_config(rng) for _ in range(42)][41]
+    assert c < 0
+    assert run(tmp_path / "41", "simulate", lines) == 0
+    out = tmp_path / "41" / "o"
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    rows = (out / "simulate.csv").read_text().splitlines()[1:]
+    e_max = max(abs(float(row.split(",")[1])) for row in rows)
+    assert float(manifest["result.energy_norm_max"]) / e_max > 1e15
 
 
 def test_resolvent_scan_on_log_grids(tmp_path):
