@@ -55,10 +55,14 @@ def run(cfg: RunConfig) -> RunOutput:
         checks.append(Check("abscissa_negative", value < 0.0, value, 0.0))
 
     # roots.view(float) interleaves the columns root1_re, root1_im, ...
-    columns = [
-        lams, *roots.view(float).T, max_real, residual_max,
-        np.where(classification == THREE_REAL, "three_real", "one_real_+_complex_pair"),
-    ]
+    root_names = [f"root{k}_{part}" for k in (1, 2, 3) for part in ("re", "im")]
+    columns = {
+        "lambda": lams,
+        **dict(zip(root_names, roots.view(float).T)),
+        "max_real": max_real,
+        "residual_max": residual_max,
+        "classification": np.where(classification == THREE_REAL, "three_real", "one_real_+_complex_pair"),
+    }
     results = {
         "abscissa_lambda_scan": scan_abscissa,
         "abscissa_modes": modal_abscissa,
@@ -66,22 +70,4 @@ def run(cfg: RunConfig) -> RunOutput:
     }
     if cfg.params.c > 0 and cfg.params.d > 0:
         results["strip_limit"] = -cfg.params.eta**2 / (2 * cfg.params.rho * cfg.params.d)
-    return RunOutput(
-        csv_name="spectrum.csv",
-        header=[
-            "lambda",
-            "root1_re",
-            "root1_im",
-            "root2_re",
-            "root2_im",
-            "root3_re",
-            "root3_im",
-            "max_real",
-            "residual_max",
-            "classification",
-        ],
-        columns=columns,
-        checks=checks,
-        results=results,
-        notes={},
-    )
+    return RunOutput(columns=columns, checks=checks, results=results)

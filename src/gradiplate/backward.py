@@ -35,13 +35,10 @@ class LyapunovSeries:
     """L1, L2 and L = L2 + epsilon*L1 along a trajectory, one entry per
     sample."""
 
-    __slots__ = ("t", "l1", "l2", "l", "epsilon")
+    __slots__ = ("t", "l1", "l2", "l")
 
-    def __init__(
-        self, t: np.ndarray, l1: np.ndarray, l2: np.ndarray, l: np.ndarray,
-        epsilon: float,
-    ):
-        self.t, self.l1, self.l2, self.l, self.epsilon = t, l1, l2, l, epsilon
+    def __init__(self, t: np.ndarray, l1: np.ndarray, l2: np.ndarray, l: np.ndarray):
+        self.t, self.l1, self.l2, self.l = t, l1, l2, l
 
 
 def lyapunov_series(history: EnergyHistory, epsilon: float) -> LyapunovSeries:
@@ -49,7 +46,7 @@ def lyapunov_series(history: EnergyHistory, epsilon: float) -> LyapunovSeries:
     _check_epsilon(epsilon)
     l1 = history.total
     l2 = history.kinetic + history.bending - history.thermal
-    return LyapunovSeries(history.t, l1, l2, l2 + epsilon * l1, epsilon)
+    return LyapunovSeries(history.t, l1, l2, l2 + epsilon * l1)
 
 
 def coupling_sums(lams: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -78,19 +75,15 @@ class BackwardIdentityReport:
     times the largest energy norm; they shrink like (2 rate)^2 dt^2 / 6.
     """
 
-    __slots__ = (
-        "t", "dl1_fd", "dl1_analytic", "dl2_fd", "dl2_analytic", "max_rel_residual",
-        "rate",
-    )
+    __slots__ = ("t", "dl1_fd", "dl1_analytic", "dl2_fd", "dl2_analytic", "max_rel_residual")
 
     def __init__(
         self, t: np.ndarray, dl1_fd: np.ndarray, dl1_analytic: np.ndarray,
         dl2_fd: np.ndarray, dl2_analytic: np.ndarray, max_rel_residual: float,
-        rate: float,
     ):
         self.t, self.dl1_fd, self.dl1_analytic = t, dl1_fd, dl1_analytic
         self.dl2_fd, self.dl2_analytic = dl2_fd, dl2_analytic
-        self.max_rel_residual, self.rate = max_rel_residual, rate
+        self.max_rel_residual = max_rel_residual
 
 
 def verify_backward_identities(
@@ -144,7 +137,6 @@ def verify_backward_identities(
         dl2_fd=dl2_fd,
         dl2_analytic=dl2_an,
         max_rel_residual=float(resid / scale),
-        rate=rate,
     )
 
 
@@ -155,30 +147,26 @@ class GronwallReport:
     None when L(0) < 0, where the bound carries no information.
     """
 
-    __slots__ = ("k_star", "l0", "zero_data", "max_abs_l", "epsilon")
+    __slots__ = ("k_star", "l0", "zero_data", "max_abs_l")
 
-    def __init__(
-        self, k_star: float | None, l0: float, zero_data: bool, max_abs_l: float,
-        epsilon: float,
-    ):
-        self.k_star, self.l0, self.zero_data = k_star, l0, zero_data
-        self.max_abs_l, self.epsilon = max_abs_l, epsilon
+    def __init__(self, k_star: float | None, l0: float, zero_data: bool, max_abs_l: float):
+        self.k_star, self.l0, self.zero_data, self.max_abs_l = k_star, l0, zero_data, max_abs_l
 
 
 def gronwall_check(series: LyapunovSeries) -> GronwallReport:
     """Gronwall bound of the series' L = L2 + epsilon*L1."""
-    l, t, epsilon = series.l, series.t, series.epsilon
+    l, t = series.l, series.t
     l0 = float(l[0])
     max_abs = float(np.max(np.abs(l)))
     if l0 == 0.0:
-        return GronwallReport(None, l0, True, max_abs, epsilon)
+        return GronwallReport(None, l0, True, max_abs)
     if l0 < 0.0:
-        return GronwallReport(None, l0, False, max_abs, epsilon)
+        return GronwallReport(None, l0, False, max_abs)
     mask = (t > 0) & (l > 0)
     if not np.any(mask):
-        return GronwallReport(0.0, l0, False, max_abs, epsilon)
+        return GronwallReport(0.0, l0, False, max_abs)
     k = np.max(np.log(l[mask] / l0) / t[mask])
-    return GronwallReport(float(max(k, 0.0)), l0, False, max_abs, epsilon)
+    return GronwallReport(float(max(k, 0.0)), l0, False, max_abs)
 
 
 def configure(cfg: RunConfig, raw: dict[str, str]) -> None:
@@ -214,7 +202,7 @@ def run(cfg: RunConfig) -> RunOutput:
     balance = energy_balance_report(history, Direction.BACKWARD)
 
     # second-order finite differences: residual ~ (2*rate)^2 dt^2 / 6
-    fd_tol = 10.0 * (2.0 * identities.rate * cfg.dt) ** 2 / 6.0
+    fd_tol = 10.0 * (2.0 * rate * cfg.dt) ** 2 / 6.0
 
     balance_scaled = balance.max_abs_error / balance.error_scale(norm_max)
     checks = [
@@ -232,17 +220,18 @@ def run(cfg: RunConfig) -> RunOutput:
         checks.append(Check("k_star_finite", bool(np.isfinite(gronwall.k_star)), gronwall.k_star, float("inf")))
 
     # the finite differences exist at the interior samples only
-    columns = [
-        identities.t,
-        series.l1[1:-1],
-        series.l2[1:-1],
-        series.l[1:-1],
-        identities.dl1_fd,
-        identities.dl1_analytic,
-        identities.dl2_fd,
-        identities.dl2_analytic,
-    ]
+    columns = {
+        "t": identities.t,
+        "L1": series.l1[1:-1],
+        "L2": series.l2[1:-1],
+        "L": series.l[1:-1],
+        "dL1_fd": identities.dl1_fd,
+        "dL1_analytic": identities.dl1_analytic,
+        "dL2_fd": identities.dl2_fd,
+        "dL2_analytic": identities.dl2_analytic,
+    }
     results = {
+        "energy_norm_max": norm_max,
         "identity_residual": identities.max_rel_residual,
         "l0": gronwall.l0,
         "max_abs_l": gronwall.max_abs_l,
@@ -250,11 +239,8 @@ def run(cfg: RunConfig) -> RunOutput:
     if gronwall.k_star is not None:
         results["k_star"] = gronwall.k_star
     return RunOutput(
-        csv_name="backward.csv",
-        header=["t", "L1", "L2", "L", "dL1_fd", "dL1_analytic", "dL2_fd", "dL2_analytic"],
         columns=columns,
         checks=checks,
         results=results,
-        notes={},
         sizes=evolution_sizes(cfg.lams, cfg.x0, evolution.t),
     )

@@ -5,8 +5,8 @@ Usage:
     gradiplate <subcommand> --config <path> [--out <dir>] [--params k=v ...]
 
 Subcommands: simulate, resolvent-scan, nondiff, spectrum, backward,
-instability, quasistatic.  Each run writes `<subcommand>.csv`
-(`resolvent_scan.csv` for resolvent-scan; fixed header row,
+instability, quasistatic.  Each run writes its handler's CSV table, named
+after the subcommand in `main` (header row of the table's names,
 17-significant-digit scientific notation, '.') plus `manifest.txt` with
 the config echo, per-check pass/fail lines, measured values, the
 time of each phase (import, parse, handler, write) and the peak RSS.  CSV
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     if output is not None:
         from .csvout import write_csv
 
-        write_csv(os.path.join(args.out, output.csv_name), output.header, output.columns)
+        write_csv(os.path.join(args.out, subcommand.replace("-", "_") + ".csv"), output.columns)
     write_manifest(args.out, subcommand, status, exit_code, cfg, output, phases, error)
     if message is not None:
         print(message, file=sys.stderr)

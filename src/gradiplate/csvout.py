@@ -180,12 +180,13 @@ def _block(columns: list[np.ndarray]) -> bytes:
     return table.tobytes().translate(None, b"\0")
 
 
-def write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write `header` and one row per entry of the equally long 1-D
-    `columns`: float columns as ``%.16e``, integer ones as ``%d`` and
-    ASCII string ones as ``%s``."""
+def write_csv(path: str, table: dict[str, np.ndarray]) -> None:
+    """Write the header row of `table`'s names and one row per entry of
+    its equally long 1-D columns: float columns as ``%.16e``, integer ones
+    as ``%d`` and ASCII string ones as ``%s``."""
+    columns = list(table.values())
     step = max(1, BLOCK_VALUES // len(columns))
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+        fh.write((",".join(table) + "\n").encode())
         for start in range(0, columns[0].size, step):
             fh.write(_block([col[start:start + step] for col in columns]))

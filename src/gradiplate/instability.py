@@ -61,10 +61,10 @@ LOWER_BOUND_TOLERANCE_FACTOR = 1e-12
 class PhiSolution:
     """Per-mode solution of b Lap Phi - d Lap^2 Phi = a theta(0) + eta Lap u(0)."""
 
-    __slots__ = ("phi", "nu", "residual_max")
+    __slots__ = ("phi", "nu")
 
-    def __init__(self, phi: np.ndarray, nu: float, residual_max: float):
-        self.phi, self.nu, self.residual_max = phi, nu, residual_max
+    def __init__(self, phi: np.ndarray, nu: float):
+        self.phi, self.nu = phi, nu
 
 
 def phi_coefficients(params: ModelParams, lams: np.ndarray, x: np.ndarray) -> PhiSolution:
@@ -73,14 +73,8 @@ def phi_coefficients(params: ModelParams, lams: np.ndarray, x: np.ndarray) -> Ph
     w = params.heat_weight(lams)
     rhs = params.a * x[:, 2] - params.eta * lams * x[:, 0]
     phi = -rhs / w if lams.size else np.zeros(0)
-    residual = np.abs(-w * phi - rhs)
-    scale = np.maximum(np.abs(rhs), 1.0)
     live = live_modes(x)
-    return PhiSolution(
-        phi=phi,
-        nu=float(np.sum(w[live] * phi[live] ** 2)),
-        residual_max=float(np.max(residual / scale, initial=0.0)),
-    )
+    return PhiSolution(phi=phi, nu=float(np.sum(w[live] * phi[live] ** 2)))
 
 
 class ConvexityTrajectory:
@@ -336,18 +330,16 @@ def run(cfg: RunConfig) -> RunOutput:
         Check("convexity_inequality", convexity.passed, convexity.min_residual, -convexity.tolerance),
         Check("exponential_lower_bound", bound.holds, bound.min_margin, -bound.tolerance),
     ]
-    columns = [
-        states.t,
-        states.f,
-        states.fdot,
-        states.fddot,
-        convexity.residuals,
-        bound.lower_bound,
-        states.f - bound.lower_bound,
-    ]
+    columns = {
+        "t": states.t,
+        "F": states.f,
+        "Fdot": states.fdot,
+        "Fddot": states.fddot,
+        "convexity_residual": convexity.residuals,
+        "lower_bound": bound.lower_bound,
+        "margin": states.f - bound.lower_bound,
+    }
     return RunOutput(
-        csv_name="instability.csv",
-        header=["t", "F", "Fdot", "Fddot", "convexity_residual", "lower_bound", "margin"],
         columns=columns,
         checks=checks,
         results={

@@ -1,10 +1,10 @@
 """What a handler hands to the writers, and the manifest writer.
 
-A handler returns a `RunOutput`: the CSV's name, header and columns, and
-the manifest's lines, each check a `Check` with its measured value and
-gate.  `write_manifest` writes `manifest.txt`: the config echo, the
-checks, results, notes and sizes, then the time of each phase and the
-peak RSS.
+A handler returns a `RunOutput`: the CSV table, one ordered dict from
+header name to 1-D column, and the manifest's lines, each check a `Check`
+with its measured value and gate.  `write_manifest` writes
+`manifest.txt`: the config echo, the checks, results, notes and sizes,
+then the time of each phase and the peak RSS.
 """
 
 from __future__ import annotations
@@ -28,22 +28,21 @@ class Check:
 
 
 class RunOutput:
-    """What a handler hands to the writers: the CSV and the manifest lines."""
+    """What a handler hands to the writers: the CSV table and the manifest
+    lines."""
 
-    __slots__ = ("csv_name", "header", "columns", "checks", "results", "notes", "sizes")
+    __slots__ = ("columns", "checks", "results", "notes", "sizes")
 
     def __init__(
         self,
-        csv_name: str,
-        header: list[str],
-        columns: list[np.ndarray],
+        columns: dict[str, np.ndarray],
         checks: list[Check],
         results: dict[str, float],
-        notes: dict[str, str],
+        notes: dict[str, str] | None = None,
         sizes: dict[str, int] | None = None,
     ):
-        self.csv_name, self.header, self.columns = csv_name, header, columns
-        self.checks, self.results, self.notes = checks, results, notes
+        self.columns, self.checks, self.results = columns, checks, results
+        self.notes = {} if notes is None else notes
         self.sizes = {} if sizes is None else sizes
 
 

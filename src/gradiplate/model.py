@@ -101,8 +101,7 @@ class ModelParams:
 
 
 class Interval:
-    """One-dimensional domain (0, length) with sine eigenfunctions; equal
-    lengths make equal domains."""
+    """One-dimensional domain (0, length) with sine eigenfunctions."""
 
     __slots__ = ("length",)
 
@@ -114,14 +113,6 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval(length={self.length!r})"
 
-    def __eq__(self, other):
-        if other.__class__ is not Interval:
-            return NotImplemented
-        return self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.length,))
-
     def eigenvalue(self, n: int) -> float:
         """Dirichlet-Laplacian eigenvalue (n*pi/L)^2, n >= 1."""
         if n < 1:
@@ -130,8 +121,7 @@ class Interval:
 
 
 class Rectangle:
-    """Two-dimensional domain (0, L1) x (0, L2) with product sine basis;
-    equal sides make equal domains."""
+    """Two-dimensional domain (0, L1) x (0, L2) with product sine basis."""
 
     __slots__ = ("length1", "length2")
 
@@ -142,14 +132,6 @@ class Rectangle:
 
     def __repr__(self) -> str:
         return f"Rectangle(length1={self.length1!r}, length2={self.length2!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not Rectangle:
-            return NotImplemented
-        return (self.length1, self.length2) == (other.length1, other.length2)
-
-    def __hash__(self) -> int:
-        return hash((self.length1, self.length2))
 
 
 SpectralDomain = Union[Interval, Rectangle]

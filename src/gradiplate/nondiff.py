@@ -262,13 +262,12 @@ def run(cfg: RunConfig) -> RunOutput:
         Check("norm_v_sq_expansion", expansion_error <= 1e-12, expansion_error, 1e-12),
         Check("limit_gap", seq.gap_at_end <= tolerance, seq.gap_at_end, tolerance),
     ]
-    columns = [
-        seq.n, lam, seq.omega, seq.q, seq.p.real, seq.p.imag, seq.norm_v_sq,
-        seq.norm_v_sq_weighted, seq.gap,
-    ]
+    columns = {
+        "n": seq.n, "lambda": lam, "omega": seq.omega, "q": seq.q, "p_re": seq.p.real,
+        "p_im": seq.p.imag, "norm_v_sq": seq.norm_v_sq,
+        "norm_v_sq_weighted": seq.norm_v_sq_weighted, "gap_to_limit": seq.gap,
+    }
     return RunOutput(
-        csv_name="nondiff.csv",
-        header=["n", "lambda", "omega", "q", "p_re", "p_im", "norm_v_sq", "norm_v_sq_weighted", "gap_to_limit"],
         columns=columns,
         checks=checks,
         results={"target": seq.target, "gap_at_n_max": seq.gap_at_end},

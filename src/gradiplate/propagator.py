@@ -524,17 +524,14 @@ class EnergyBalanceReport:
     (`error_scale`).
     """
 
-    __slots__ = (
-        "direction", "e0", "denominator", "residuals", "max_abs_residual", "max_abs_error",
-    )
+    __slots__ = ("e0", "denominator", "residuals", "max_abs_residual", "max_abs_error")
 
     def __init__(
-        self, direction: Direction, e0: float, denominator: float,
-        residuals: np.ndarray, max_abs_residual: float, max_abs_error: float,
+        self, e0: float, denominator: float, residuals: np.ndarray,
+        max_abs_residual: float, max_abs_error: float,
     ):
-        self.direction, self.e0, self.denominator = direction, e0, denominator
-        self.residuals, self.max_abs_residual = residuals, max_abs_residual
-        self.max_abs_error = max_abs_error
+        self.e0, self.denominator, self.residuals = e0, denominator, residuals
+        self.max_abs_residual, self.max_abs_error = max_abs_residual, max_abs_error
 
     def error_scale(self, norm_max: float) -> float:
         """Scale of the identity's residual: E(t) sums terms as large as
@@ -558,7 +555,6 @@ def energy_balance_report(
     with np.errstate(over="ignore"):  # E(t) may outgrow a tiny E(0)
         residuals = errors / denom
     return EnergyBalanceReport(
-        direction=direction,
         e0=float(e0),
         denominator=float(denom),
         residuals=residuals,

@@ -219,10 +219,11 @@ def run(cfg: RunConfig) -> RunOutput:
             Check("decay_rate_fit", report.fit_rel_residual <= 1e-6, report.fit_rel_residual, 1e-6),
         )
     envelope = report.k_measured * np.exp(-2.0 * report.rate1 * report.t) * report.theta0_l2
-    columns = [report.t, report.theta_l2_sq, report.h2_seminorm, envelope]
+    columns = {
+        "t": report.t, "theta_l2_sq": report.theta_l2_sq, "u_h2_seminorm": report.h2_seminorm,
+        "envelope": envelope,
+    }
     return RunOutput(
-        csv_name="quasistatic.csv",
-        header=["t", "theta_l2_sq", "u_h2_seminorm", "envelope"],
         columns=columns,
         checks=checks,
         results={
@@ -231,5 +232,4 @@ def run(cfg: RunConfig) -> RunOutput:
             "fitted_rate": report.fitted_rate,
             "k_measured": report.k_measured,
         },
-        notes={},
     )

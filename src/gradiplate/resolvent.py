@@ -528,11 +528,8 @@ def run(cfg: RunConfig) -> RunOutput:
         Check("norms_finite", bool(np.all(np.isfinite(scan.norms))), float(np.max(scan.norms)), float("inf")),
         Check("omega_sign_symmetry", scan.sign_gap <= 1e-10, scan.sign_gap, 1e-10),
     ]
-    columns = [scan.omegas, scan.norms]
     return RunOutput(
-        csv_name="resolvent_scan.csv",
-        header=["omega", "resolvent_norm"],
-        columns=columns,
+        columns={"omega": scan.omegas, "resolvent_norm": scan.norms},
         checks=checks,
         results={
             "sup_norm": scan.sup_norm,
@@ -541,7 +538,6 @@ def run(cfg: RunConfig) -> RunOutput:
             "limit_peak": scan.limit_peak,
             "omega_resolved": omega_resolved,
         },
-        notes={},
         sizes={
             "modes": cfg.lams.size,
             "omegas": scan.omegas.size,

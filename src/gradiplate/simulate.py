@@ -32,13 +32,11 @@ def run(cfg: RunConfig) -> RunOutput:
         slack = 1e-12 * scale
         checks.append(Check("energy_monotone", max_increase <= slack, max_increase, slack))
 
-    columns = [
-        history.t, e, history.kinetic, history.bending, history.thermal, d,
-        report.residuals,
-    ]
+    columns = {
+        "t": history.t, "E": e, "kinetic": history.kinetic, "bending": history.bending,
+        "thermal": history.thermal, "D": d, "energy_balance_residual": report.residuals,
+    }
     return RunOutput(
-        csv_name="simulate.csv",
-        header=["t", "E", "kinetic", "bending", "thermal", "D", "energy_balance_residual"],
         columns=columns,
         checks=checks,
         results={
@@ -47,6 +45,5 @@ def run(cfg: RunConfig) -> RunOutput:
             "max_residual_vs_e0": report.max_abs_residual,
             "max_residual_vs_scale": residual_scaled,
         },
-        notes={},
         sizes=evolution_sizes(cfg.lams, cfg.x0, evolution.t),
     )

@@ -136,9 +136,9 @@ class TestSimulate:
     def test_failing_check_exits_3_with_manifest(self, tmp_path, monkeypatch):
         def failing(cfg):
             return RunOutput(
-                csv_name="simulate.csv", header=["t"], columns=[np.array([0.0])],
+                columns={"t": np.array([0.0])},
                 checks=[Check("energy_identity", False, 1.0, 1e-8)],
-                results={}, notes={},
+                results={},
             )
 
         monkeypatch.setitem(cli.HANDLERS, "simulate", failing)
@@ -812,8 +812,7 @@ class TestOneWeight:
         plain = self.run(tmp_path, "nondiff")
         self.scale_the_weight(monkeypatch)
         scaled = self.run(tmp_path, "nondiff")
-        p_im = plain.header.index("p_im")
-        assert np.all(scaled.columns[p_im] != plain.columns[p_im])
+        assert np.all(scaled.columns["p_im"] != plain.columns["p_im"])
         # |v|^2 against its expansion in lambda sees the change
         assert [c.name for c in scaled.checks if not c.passed] == ["norm_v_sq_expansion"]
 
@@ -858,7 +857,7 @@ class TestOneBlock:
         if subcommand in ("simulate", "backward", "instability"):
             lines.append("initial_theta = 0.25,0.1,-0.3")
         out = cli.HANDLERS[subcommand](load_config(write_config(tmp_path, "run.cfg", lines), subcommand))
-        return out.columns[out.header.index(self.OUTPUT[subcommand])]
+        return out.columns[self.OUTPUT[subcommand]]
 
     @pytest.mark.parametrize("subcommand, rate", [
         (subcommand, rate) for subcommand in OUTPUT for rate in ("kgh" if subcommand != "nondiff" else "k")
@@ -1418,7 +1417,7 @@ class TestCsvOutput:
             return value if isinstance(value, str) else f"{float(value):.16e}"
 
         path = tmp_path / "t.csv"
-        csvout.write_csv(str(path), ["n", "p", "q", "kind", "r"], columns)
+        csvout.write_csv(str(path), dict(zip(["n", "p", "q", "kind", "r"], columns)))
         rows = list(zip(*(col.tolist() for col in columns)))
         expected = "n,p,q,kind,r\n" + "".join(
             ",".join(fmt(v) for v in row) + "\n" for row in rows
@@ -1428,7 +1427,7 @@ class TestCsvOutput:
 
     def test_empty_table_is_the_header(self, tmp_path):
         path = tmp_path / "t.csv"
-        csvout.write_csv(str(path), ["a", "b"], [np.array([]), np.array([])])
+        csvout.write_csv(str(path), {"a": np.array([]), "b": np.array([])})
         assert path.read_text(encoding="utf-8") == "a,b\n"
 
     # with eta = 0 the plate pair sits on the imaginary axis, where the

@@ -92,7 +92,7 @@ class TestCsvFile:
             rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64),
         ]
         path = tmp_path / "t.csv"
-        csvout.write_csv(str(path), ["n", "x", "kind", "bits"], columns)
+        csvout.write_csv(str(path), dict(zip(["n", "x", "kind", "bits"], columns)))
         assert path.read_text(encoding="ascii") == csv_text(["n", "x", "kind", "bits"], columns)
 
     @pytest.mark.parametrize("rows", [20_000, 200_000])
@@ -103,7 +103,7 @@ class TestCsvFile:
         columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(7)]
         tracemalloc.start()
         try:
-            csvout.write_csv(str(tmp_path / "t.csv"), list("abcdefg"), columns)
+            csvout.write_csv(str(tmp_path / "t.csv"), dict(zip("abcdefg", columns)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -151,6 +151,7 @@ class TestSubcommandCsv:
         config.write_text("\n".join(self.CONFIGS[subcommand]) + "\n", encoding="utf-8")
         assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         [output] = outputs
-        written = (tmp_path / "o" / output.csv_name).read_text(encoding="ascii")
-        assert written == csv_text(output.header, output.columns)
-        assert written.count("\n") == 1 + output.columns[0].size
+        written = (tmp_path / "o" / f"{subcommand.replace('-', '_')}.csv").read_text(encoding="ascii")
+        columns = list(output.columns.values())
+        assert written == csv_text(list(output.columns), columns)
+        assert written.count("\n") == 1 + columns[0].size

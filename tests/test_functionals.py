@@ -249,7 +249,10 @@ class TestPhiCoefficients:
                 theta=rng.standard_normal(4).tolist(),
             )
             sol = phi_coefficients(params, *state)
-            assert sol.residual_max <= 1e-12
+            lams, x = state
+            w = params.b * lams + params.d * lams**2
+            rhs = params.a * x[:, 2] - params.eta * lams * x[:, 0]
+            assert np.max(np.abs(w * sol.phi + rhs) / np.maximum(np.abs(rhs), 1.0)) <= 1e-12
             assert sol.nu >= 0.0
 
 

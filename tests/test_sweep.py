@@ -170,6 +170,22 @@ def test_simulate_reports_the_terms_e_sums(tmp_path):
     assert float(manifest["result.energy_norm_max"]) / e_max > 1e15
 
 
+def test_backward_reports_the_terms_l_sums(tmp_path):
+    """Draw 47 of the seed SEED + 6 (c < 0, eta = 0), run backward, grows
+    terms near 1e164 while L1, L2 and L stay below 1e149: those columns,
+    and k_star = 0, are roundoff, and `result.energy_norm_max` says so by
+    sitting more than 1e15 times above their largest magnitude."""
+    rng = random.Random(SEED + 6)
+    lines, c = [simulate_config(rng) for _ in range(48)][47]
+    assert c < 0
+    assert run(tmp_path / "47", "backward", lines) == 0
+    out = tmp_path / "47" / "o"
+    manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    rows = (out / "backward.csv").read_text().splitlines()[1:]
+    l_max = max(abs(float(value)) for row in rows for value in row.split(",")[1:4])
+    assert float(manifest["result.energy_norm_max"]) / l_max > 1e15
+
+
 def test_resolvent_scan_on_log_grids(tmp_path):
     rng = random.Random(SEED + 1)
     failures = sweep(tmp_path, "resolvent-scan", [(resolvent_scan_config(rng, "log"), (0,)) for _ in range(100)])
